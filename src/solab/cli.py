@@ -5,7 +5,7 @@ restricted to the main-estimate quantities).  All numeric output is CSV with
 17 significant digits plus JSON reports; identical config + seed produces
 byte-identical files.  Exit codes: 0 pass, 1 numeric non-convergence,
 2 config error, 3 IO error.  SOLAB_THREADS caps worker parallelism for the
-independent audits.
+independent audits; a value that is not a positive integer is a config error.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ EXIT_IO = 3
 def worker_count() -> int:
     cap = os.environ.get("SOLAB_THREADS")
     cpus = os.cpu_count() or 1
-    if cap:
-        try:
-            return max(1, min(cpus, int(cap)))
-        except ValueError:
-            return cpus
-    return cpus
+    if not cap:
+        return cpus
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise ConfigError(f"SOLAB_THREADS must be a positive integer, got {cap!r}")
+    return min(cpus, int(cap))
 
 
 def _fmt(value) -> str:
@@ -320,6 +319,7 @@ def _audit_jobs(cfg: ExperimentConfig):
 def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> int:
     if cfg.refinements < 1:
         raise ConfigError("audit needs at least 2 refinement levels (refinements >= 1)")
+    workers = worker_count()
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
     jobs = [] if estimate_only else _audit_jobs(cfg)
     levels = cfg.refinements + 1
@@ -349,7 +349,7 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
                 name, fn, kw = job
                 return fn(sol, triple, eta, eps=cfg.epsilon, **kw)
 
-            with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(run, jobs))
             for (name, _, kw), rep in zip(jobs, results):
                 key = (name, kw.get("gamma"), kw.get("omega"))
@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownLabelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except sv.NonConvergenceError as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONV
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

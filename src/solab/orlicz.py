@@ -5,12 +5,12 @@ g(0) = 0 and bounded logarithmic derivative
 
     delta <= t g'(t) / g(t) <= g0      for all t > 0.
 
-From g we derive the energy density G(t) = integral of g over [0, t] and the
-degeneracy weight F(t) = g(t)/t.  Young functions, generalized inverses,
-conjugates and Luxemburg norms are implemented as numerical operations so
-that the classical inequalities (Young, the complementary-pair bound,
-the generalised Hoelder inequality, the five growth-lemma items) can be
-audited on sampled data rather than assumed.
+From g we derive the energy density G(t) = integral of g over [0, t] (closed
+form or one cumulative table) and the degeneracy weight F(t) = g(t)/t.  Young
+functions, generalized inverses, conjugates (by the Fenchel-Young equality,
+no quadrature) and Luxemburg norms are numerical operations, so that the
+classical inequalities (Young, the complementary-pair bound, the generalised
+Hoelder inequality, the five growth-lemma items) are audited on sampled data.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "YoungFunction",
     "DiscreteMeasureSpace",
     "UnknownLabelError",
-    "integral_zero_to",
     "verify_exponents",
     "big_G",
     "generalized_inverse",
@@ -48,66 +47,6 @@ __all__ = [
 ]
 
 
-# --------------------------------------------------------------------------
-# quadrature of monotone-ish integrands on [0, t]
-# --------------------------------------------------------------------------
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-# geometric grading toward 0; the head panel [0, t*2^-36] is handled by the
-# same rule (its relative contribution is ~2^(-36*(1+delta)) for our g's)
-_PANEL_FRACS = np.concatenate([[0.0], np.exp2(np.arange(-36.0, 1.0))])
-_CHUNK = 4096
-
-
-def _gl(m: int):
-    if m not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(m)
-        _GL_CACHE[m] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[m]
-
-
-def _graded_value(f, t: np.ndarray, m: int) -> np.ndarray:
-    b = t[:, None] * _PANEL_FRACS[None, :]
-    lo, width = b[:, :-1], np.diff(b, axis=1)
-    x, w = _gl(m)
-    nodes = lo[:, :, None] + width[:, :, None] * x
-    vals = np.asarray(f(nodes), dtype=float)
-    return np.einsum("npm,m,np->n", vals, w, width)
-
-
-def integral_zero_to(f, t, rtol: float = 1e-9):
-    """Integral of ``f`` over [0, t], vectorized over t.
-
-    Composite Gauss-Legendre on geometrically graded panels, with the node
-    count doubled until two consecutive evaluations agree to ``rtol``.
-    Raises if the integrand is non-finite on the interval.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    flat = np.atleast_1d(t_arr).astype(float).ravel()
-    if np.any(flat < 0):
-        raise ValueError("integration endpoint must be nonnegative")
-    out = np.zeros_like(flat)
-    pos = np.flatnonzero(flat > 0)
-    for start in range(0, pos.size, _CHUNK):
-        idx = pos[start:start + _CHUNK]
-        tc = flat[idx]
-        prev = _graded_value(f, tc, 12)
-        cur = prev
-        for m in (24, 48, 96):
-            cur = _graded_value(f, tc, m)
-            if np.all(np.abs(cur - prev) <= rtol * (np.abs(cur) + 1e-300)):
-                break
-            prev = cur
-        out[idx] = cur
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite integrand on the interval")
-    if scalar:
-        return float(out[0])
-    return out.reshape(t_arr.shape)
-
-
 class _LogCumTable:
     """Cumulative integral y(t) = int_0^t w, tabulated as a log-log Hermite spline.
 
@@ -118,7 +57,6 @@ class _LogCumTable:
     """
 
     def __init__(self, w, t_min: float = 1e-12, t_max: float = 1e9, per_decade: int = 128):
-        self.w = w
         tau = np.linspace(math.log(t_min), math.log(t_max),
                           int(per_decade * math.log10(t_max / t_min)) + 1)
         knots = np.exp(tau)
@@ -128,7 +66,8 @@ class _LogCumTable:
         if q <= -1:
             raise ValueError("integrand not integrable at 0")
         y0 = t_min * float(w(t_min)) / (1.0 + q)
-        x, gw = _gl(16)
+        x, gw = np.polynomial.legendre.leggauss(16)
+        x, gw = 0.5 * (x + 1.0), 0.5 * gw
         lo, width = knots[:-1], np.diff(knots)
         nodes = lo[:, None] + width[:, None] * x
         panel = (np.asarray(w(nodes)) * gw).sum(axis=1) * width
@@ -183,7 +122,7 @@ class StructureFunction:
     ``eval`` and ``deriv`` must accept numpy arrays.  ``deriv`` may be None,
     in which case exponent estimation falls back to central differences.
     Closed forms for the antiderivatives G = int g and H = int g/t may be
-    registered to bypass quadrature.
+    registered to bypass the cumulative tables.
     """
 
     eval: Callable
@@ -277,14 +216,13 @@ def verify_exponents(g: StructureFunction, t_samples, tol: float = 1e-6):
     return delta_est, g0_est, ok
 
 
-def big_G(triple: OrliczTriple, t, rtol: float = 1e-8):
-    """G(t) by the registered closed form, else adaptive quadrature of g."""
+def big_G(triple: OrliczTriple, t):
+    """G(t) for t >= 0: the registered closed form, else the cumulative table of g."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("G is defined for t >= 0")
-    if triple.g.closed_G is not None:
-        return triple.g.closed_G(t_arr) if t_arr.ndim else float(triple.g.closed_G(t_arr))
-    return integral_zero_to(triple.g.eval, t_arr, rtol=min(rtol, 1e-9))
+    out = triple.G(t_arr)
+    return out if t_arr.ndim else float(out)
 
 
 # --------------------------------------------------------------------------
@@ -294,21 +232,19 @@ def big_G(triple: OrliczTriple, t, rtol: float = 1e-8):
 
 @dataclass(frozen=True)
 class YoungFunction:
-    """Convex integral function Psi(t) = int_0^t psi of a nondecreasing integrand."""
+    """Convex Psi(t) = int_0^t psi of a nondecreasing integrand psi; ``closed_eval`` evaluates Psi."""
 
     integrand: Callable
     label: str = ""
-    closed_eval: Callable | None = None
+    closed_eval: Callable = field(kw_only=True)
     is_N_function: bool = True
     is_doubling: bool = True
     doubling_const: float | None = None
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if self.closed_eval is not None:
-            out = self.closed_eval(t_arr)
-            return float(out) if t_arr.ndim == 0 else out
-        return integral_zero_to(self.integrand, t_arr)
+        out = self.closed_eval(t_arr)
+        return float(out) if t_arr.ndim == 0 else out
 
 
 def young_from_structure(triple: OrliczTriple) -> YoungFunction:
@@ -367,10 +303,16 @@ def generalized_inverse(psi, t, tol: float = 1e-10):
     return vals
 
 
-def conjugate(young: YoungFunction, s, rtol: float = 1e-9):
-    """Conjugate Psi*(s) = int_0^s psi^{-1}, via the numerical generalized inverse."""
-    inv = lambda tau: generalized_inverse_info(young.integrand, tau)[0]
-    return integral_zero_to(inv, s, rtol=rtol)
+def conjugate(young: YoungFunction, s):
+    """Conjugate Psi*(s) = s t - Psi(t) at t = psi^{-1}(s), the equality case of Young's inequality.
+
+    s t - Psi(t) is stationary at t = psi^{-1}(s) (Rockafellar, Convex Analysis,
+    1970, sec. 26), so an error in the numerical inverse enters only at second order.
+    """
+    s_arr = np.asarray(s, dtype=float)
+    t = generalized_inverse(young.integrand, s_arr)
+    out = s_arr * t - young(t)
+    return out if s_arr.ndim else float(out)
 
 
 def conjugate_young(young: YoungFunction) -> YoungFunction:
@@ -379,16 +321,18 @@ def conjugate_young(young: YoungFunction) -> YoungFunction:
     The doubling flag of the conjugate is measured by sampling Psi*(2t)/Psi*(t)
     on a log grid; the N-function property transfers from the original pair.
     """
-    inv = lambda tau: generalized_inverse_info(young.integrand, tau)[0]
+    inv = lambda tau: generalized_inverse(young.integrand, tau)
+    conj = lambda s: conjugate(young, s)
     probe = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 17))
-    v1 = integral_zero_to(inv, probe)
-    v2 = integral_zero_to(inv, 2 * probe)
+    v1 = conj(probe)
+    v2 = conj(2 * probe)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(v1 > 0, v2 / np.maximum(v1, 1e-300), np.inf)
     c2 = float(np.max(ratios))
     return YoungFunction(
         integrand=inv,
         label=f"conj[{young.label}]",
+        closed_eval=conj,
         is_N_function=young.is_N_function,
         is_doubling=bool(c2 < 1e6),
         doubling_const=c2 if c2 < 1e6 else None,

@@ -45,7 +45,7 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised by callers that insist on a converged solve (the solver itself only flags)."""
+    """A failed CG harmonic start; also raised by callers that insist on a converged solve."""
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +249,8 @@ def _harmonic_init(prob: DirichletProblem) -> np.ndarray:
     rhs = -quad_grad(base)[mask]
     x0 = np.zeros(m)
     sol, info = cg(LinearOperator((m, m), matvec=matvec), rhs, x0=x0, rtol=1e-10, maxiter=10 * m)
+    if info != 0:
+        raise NonConvergenceError(f"CG for the harmonic start failed (info={info})")
     out = base.copy()
     out[mask] = sol
     return out

@@ -18,7 +18,7 @@ _TRIPLES: dict[str, OrliczTriple] = {}
 
 
 def triple_for(label: str) -> OrliczTriple:
-    """Session-cached triples (the quadrature tables are worth reusing)."""
+    """Session-cached triples (the lazily built G/H tables are worth reusing)."""
     if label not in _TRIPLES:
         _TRIPLES[label] = OrliczTriple(catalog_structure_function(label))
     return _TRIPLES[label]

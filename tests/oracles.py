@@ -3,11 +3,14 @@
 These deliberately take different code paths from the library: the linear
 Kohn-Laplace system is assembled from sparse Kronecker products (the solver
 uses slicing-based operators), Jacobians come from central differences, and
-integrals of growth laws come from scipy's adaptive quadrature.
+integrals of growth laws come from scipy's adaptive quadrature (conjugates
+included: the library uses the Fenchel-Young equality, the reference
+integrates the inverse).
 """
 
 import numpy as np
 import scipy.integrate
+import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -72,4 +75,23 @@ def quad_reference(f, t: float, points=None) -> float:
     """High-accuracy scipy.quad reference for integrals from 0 to t."""
     val, err = scipy.integrate.quad(lambda s: float(f(np.asarray(s))), 0.0, t,
                                     points=points, epsabs=1e-14, epsrel=1e-13, limit=400)
+    return val
+
+
+def conjugate_reference(g, s: float) -> float:
+    """Conjugate G*(s) = int_0^s g^{-1} of G = int g: scipy brentq inverse inside scipy quad.
+
+    g(1) and g(2) are the images of the glued family's knots, where g^{-1}
+    loses smoothness; for the other families they only split the interval.
+    """
+    def inverse(tau):
+        hi = 1.0
+        while float(g(np.asarray(hi))) <= tau:
+            hi *= 2.0
+        return scipy.optimize.brentq(lambda t: float(g(np.asarray(t))) - tau, 0.0, hi,
+                                     xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+    points = [p for p in (float(g(np.asarray(1.0))), float(g(np.asarray(2.0)))) if 0 < p < s]
+    val, err = scipy.integrate.quad(inverse, 0.0, s, points=points or None,
+                                    epsabs=0.0, epsrel=1e-13, limit=400)
     return val

@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import solab.cli as cli
+from conftest import CATALOG_LABELS
 from solab.config import ConfigError, ExperimentConfig, load_config
 from solab.grid import Grid, load_field_binary
 from solab.problems import boundary_field
@@ -174,6 +176,22 @@ def test_orlicz_check_loglin_a1_reports_exponents(tmp_path):
     assert report["delta"] == 1.0 and report["g0"] == 2.0
 
 
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_orlicz_check_passes_catalog(tmp_path, label):
+    path = write_cfg(tmp_path, BASE.replace("power:p=2", label))
+    out = tmp_path / "oc"
+    assert cli.main(["orlicz-check", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "orlicz_report.json").read_text())["all_pass"]
+
+
+def test_harmonic_init_cg_failure_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+    path = write_cfg(tmp_path, BASE + "init = harmonic\n")
+    out = tmp_path / "h"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert not (out / "solve_report.json").exists()  # raised before any solve
+
+
 def test_solve_affine_family_is_exact(tmp_path):
     path = write_cfg(tmp_path, BASE.replace("boundary = poly2:x1=0.5,x1t=0.3",
                                             "boundary = affine:x1=0.7,x2=-0.2,c0=0.1")
@@ -187,7 +205,20 @@ def test_solve_affine_family_is_exact(tmp_path):
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SOLAB_THREADS", "1")
     assert cli.worker_count() == 1
-    monkeypatch.setenv("SOLAB_THREADS", "notanint")
-    assert cli.worker_count() >= 1
+    for bad in ("notanint", "0", "-2", "1.5"):
+        monkeypatch.setenv("SOLAB_THREADS", bad)
+        with pytest.raises(ConfigError):
+            cli.worker_count()
     monkeypatch.delenv("SOLAB_THREADS")
     assert cli.worker_count() >= 1
+
+
+def test_bad_solab_threads_exits_2_before_solving(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOLAB_THREADS", "notanint")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before SOLAB_THREADS was validated")
+
+    monkeypatch.setattr(cli, "_solve_level", no_solve)
+    path = write_cfg(tmp_path, BASE)
+    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "a")]) == 2

@@ -1,0 +1,30 @@
+"""Every exported name resolves, so a deleted helper cannot leave a dangling export."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import solab
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(solab.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"solab.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"solab.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(solab.__file__).read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert imported
+    missing = [f"{mod}.{n}" for mod, n in imported
+               if not hasattr(importlib.import_module(f"solab.{mod}"), n) or not hasattr(solab, n)]
+    assert not missing, f"solab/__init__.py imports names that do not resolve: {missing}"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import solab.orlicz as oz
 from conftest import CATALOG_LABELS, POWER_LABELS, triple_for
-from oracles import quad_reference
+from oracles import conjugate_reference, quad_reference
 
 QUAD = oz.YoungFunction(integrand=lambda s: np.asarray(s, float),
                         label="t^2/2", closed_eval=lambda t: t * t / 2)
@@ -131,6 +131,24 @@ def test_conjugate_scaling_rule():
         assert oz.conjugate(scaled, t) == pytest.approx(c * oz.conjugate(QUAD, t / c), rel=1e-8)
 
 
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_conjugate_matches_quadrature_of_inverse(label):
+    # independent of the Fenchel-Young identity the library evaluates
+    tr = triple_for(label)
+    s = np.geomspace(1e-2, 1e2, 9)
+    ref = [conjugate_reference(tr.g, x) for x in s]
+    assert oz.conjugate(oz.young_from_structure(tr), s) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("label", POWER_LABELS)
+def test_power_conjugate_closed_form(label):
+    p = oz.parse_label(label)[1]["p"]
+    q = p / (p - 1.0)
+    s = np.geomspace(1e-2, 1e2, 9)
+    assert oz.conjugate(oz.young_from_structure(triple_for(label)), s) == pytest.approx(
+        s ** q / q, rel=1e-12)
+
+
 def test_double_conjugate_roundtrip_quadratic():
     conj = oz.conjugate_young(QUAD)
     ts = np.array([0.5, 1.0, 2.0])
@@ -213,7 +231,8 @@ def test_luxemburg_zero_and_atom():
 
 
 def test_luxemburg_requires_doubling():
-    expm = oz.YoungFunction(integrand=np.expm1, label="e^t-t-1", is_doubling=False)
+    expm = oz.YoungFunction(integrand=np.expm1, label="e^t-t-1",
+                            closed_eval=lambda t: np.expm1(t) - t, is_doubling=False)
     with pytest.raises(ValueError):
         oz.luxemburg_norm(oz.DiscreteMeasureSpace(np.ones(2), np.ones(2)), expm)
 
