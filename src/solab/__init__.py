@@ -17,7 +17,7 @@ from .orlicz import (DiscreteMeasureSpace, OrliczTriple, StructureFunction,
                      young_gap)
 from .operator import (OperatorSpec, RegularizationParams, ellipticity_margin,
                        monotonicity_gap, p_laplace_gap, prototype_A,
-                       prototype_DA, prototype_operator, regularize,
+                       prototype_DA, prototype_operator, regularized_operator,
                        structure_margins)
 from .grid import (CutoffFunction, GaugeBall, Grid, HorizontalField,
                    ScalarField, commutator_residual, horizontal_divergence,

@@ -152,15 +152,22 @@ def cmd_orlicz_check(cfg: ExperimentConfig, out: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def _fd_jacobian(triple, z, h_rel=1e-6):
+def _fd_jacobian(a_map, z, h_rel=1e-6):
     d = z.shape[-1]
     out = np.empty(z.shape + (d,))
     for j in range(d):
         h = h_rel * np.maximum(np.abs(z[..., j]), 1.0)
         zp = z.copy(); zp[..., j] += h
         zm = z.copy(); zm[..., j] -= h
-        out[..., j] = (op_mod.prototype_A(triple, zp) - op_mod.prototype_A(triple, zm)) / (2 * h)[..., None]
+        out[..., j] = (a_map(zp) - a_map(zm)) / (2 * h)[..., None]
     return out
+
+
+def _jacobian_vs_fd(op: op_mod.OperatorSpec, z) -> float:
+    """Largest relative deviation of the closed-form Jacobian from central differences."""
+    da = op.DA(z)
+    return float(np.max(np.max(np.abs(da - _fd_jacobian(op.A, z)), axis=(1, 2))
+                        / np.max(np.abs(da), axis=(1, 2))))
 
 
 def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
@@ -177,10 +184,9 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
         return radii[:, None] * dirs
 
     z = sample_z(1000)
-    da = op_mod.prototype_DA(triple, z)
-    fd = _fd_jacobian(triple, z)
-    rel = np.max(np.abs(da - fd), axis=(1, 2)) / np.max(np.abs(da), axis=(1, 2))
-    checks.append(("jacobian_vs_fd", float(rel.max()), "<= 1e-5", float(rel.max()) <= 1e-5))
+    da = spec.DA(z)
+    rel = _jacobian_vs_fd(spec, z)
+    checks.append(("jacobian_vs_fd", rel, "<= 1e-5", rel <= 1e-5))
 
     asym = np.max(np.abs(da - np.swapaxes(da, 1, 2)), axis=(1, 2)) / np.max(np.abs(da), axis=(1, 2))
     checks.append(("jacobian_asymmetry", float(asym.max()), "<= 1e-10", float(asym.max()) <= 1e-10))
@@ -223,14 +229,17 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 
     reg_rows = []
     probe = sample_z(2000)
-    prev_sup = None
+    prev_sup = math.inf
     sup_decreasing = True
+    reg_jac = 0.0
+    t = np.geomspace(1e-4, 1e4, 400)
+    xi2 = np.sum(xi * xi, axis=-1)
+    r2 = np.linalg.norm(z2, axis=-1)
     for eps in (1e-2, 5e-3, 2.5e-3, 1e-3):
-        rspec, params = op_mod.regularize(spec, triple, eps)
+        rspec, params = op_mod.regularized_operator(triple, eps)
         sup_diff = float(np.max(np.linalg.norm(rspec.A(probe) - spec.A(probe), axis=-1)))
         reg_rows.append((eps, params.m1, params.m2, params.L_tilde, sup_diff))
-        if prev_sup is not None and sup_diff > prev_sup:
-            sup_decreasing = False
+        sup_decreasing &= sup_diff < prev_sup or sup_diff == 0.0  # 0 when F is constant (p = 2)
         prev_sup = sup_diff
         m1_ref = float(triple.g(np.asarray(eps)) / eps)
         m2_ref = float(triple.g(np.asarray(1.0 / eps)) * eps)
@@ -238,7 +247,28 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
                        abs(params.m1 - m1_ref) <= 1e-12 * (1 + abs(m1_ref))))
         checks.append((f"regularized_m2_eps={eps:g}", params.m2, "== F(1/eps)",
                        abs(params.m2 - m2_ref) <= 1e-12 * (1 + abs(m2_ref))))
-    checks.append(("regularized_sup_diff_decreasing", float(sup_decreasing), "monotone", sup_decreasing))
+
+        lower, upper, growth = op_mod.structure_margins(rspec, triple, z2, xi)
+        w_hi = rspec.upper_weight(r2)
+        margin = float(min(np.min(lower / (xi2 * w_hi)), np.min(upper / (xi2 * w_hi)),
+                           np.min(growth / (r2 * w_hi))))
+        checks.append((f"regularized_structure_margins_eps={eps:g}", margin, ">= -1e-9",
+                       margin >= -1e-9))
+
+        # difference quotients must not straddle the saturation kink of F_eps at 1/eps - eps
+        kink = 1.0 / eps - eps
+        smooth = np.abs(np.linalg.norm(z, axis=-1) - kink) > 1e-3 * kink
+        reg_jac = max(reg_jac, _jacobian_vs_fd(rspec, z[smooth]))
+        ts = t[np.abs(t - kink) > 1e-4 * t]
+        hs = 1e-4 * ts
+        g_eps = op_mod.regularized_energy_density(triple, eps)
+        dens = ts * op_mod.regularized_weight(triple, eps)(ts)
+        dens_err = float(np.max(np.abs((g_eps(ts + hs) - g_eps(ts - hs)) / (2 * hs) - dens) / dens))
+        checks.append((f"energy_density_derivative_eps={eps:g}", dens_err, "<= 1e-6",
+                       dens_err <= 1e-6))
+    checks.append(("regularized_jacobian_vs_fd", reg_jac, "<= 1e-5", reg_jac <= 1e-5))
+    checks.append(("regularized_sup_diff_decreasing", float(sup_decreasing), "strictly (or 0)",
+                   sup_decreasing))
 
     payload = {
         "structure": cfg.structure,
@@ -291,6 +321,7 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
         "weak_residual": report.weak_residual,
         "gradient_cap_observed": report.gradient_cap_observed,
         "converged": report.converged,
+        "stop_reason": report.stop_reason,
         "energy_history_head": report.energy_history[:16],
         "energy_history_tail": report.energy_history[-16:],
     })

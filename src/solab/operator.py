@@ -8,6 +8,11 @@ whose eigenvalues are g'(|z|) (along z) and F(|z|) (on the orthogonal
 complement), hence they lie in [min{1,delta}, max{1,g0}] * F(|z|).  All
 structure, monotonicity and ellipticity checks below are numerical audits
 with fitted constants: the theory only asserts their existence.
+
+The eps-regularization A_eps(z) = F_eps(|z|) z, F_eps(t) = F(min(t + eps, 1/eps)),
+is the operator of the energy G_eps that the solver minimizes; `operator-check`
+certifies the same map.  Its weight has the finite positive limits m1 = F(eps)
+and m2 = F(1/eps), and its ellipticity bracket is closed-form, not fitted.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ __all__ = [
     "monotonicity_gap",
     "ellipticity_margin",
     "p_laplace_gap",
-    "regularize",
+    "regularized_operator",
     "regularized_weight",
     "regularized_energy_density",
 ]
@@ -55,13 +60,15 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class RegularizationParams:
-    """Constants of the eps-regularization: F_eps has limits m1 at 0 and m2 at infinity."""
+    """Constants of the eps-regularization: F_eps has limits m1 at 0 and m2 at infinity.
+
+    L_tilde brackets the Jacobian eigenvalues: F_eps / L_tilde <= eig DA_eps <= L_tilde F_eps.
+    """
 
     eps: float
     m1: float
     m2: float
     L_tilde: float
-    M_cap: float | None = None
 
     def __post_init__(self):
         if not (0 < self.eps < 1):
@@ -247,107 +254,54 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
     return g_eps
 
 
-def _ramp(eps: float) -> tuple[Callable, Callable]:
-    """C^{0,1} cutoff: 1 on [0, eps], 0 on [2 eps, inf), linear between; with derivative."""
+def regularized_operator(triple: OrliczTriple, eps: float):
+    """The solver's regularized operator A_eps(z) = F_eps(|z|) z in closed form, with its constants.
 
-    def eta(r):
-        return np.clip((2.0 * eps - np.asarray(r, dtype=float)) / eps, 0.0, 1.0)
+    With r = |z| and s = min(r + eps, 1/eps), the Jacobian is
 
-    def eta_prime(r):
-        r = np.asarray(r, dtype=float)
-        return np.where((r > eps) & (r < 2.0 * eps), -1.0 / eps, 0.0)
+        DA_eps(z) = F_eps(r) I + F_eps'(r) r z z^T / r^2     (0 z z^T at z = 0).
 
-    return eta, eta_prime
-
-
-def regularize(op: OperatorSpec, triple: OrliczTriple, eps: float):
-    """Blend the operator with F_eps(|z|) z near z = 0 via a Lipschitz ramp.
-
-    Returns the regularized OperatorSpec together with its fitted constants:
-    A_eps(z) = eta(|z|) F_eps(|z|) z + (1 - eta(|z|)) A(z), eta supported on
-    [0, 2 eps].  The bracket weights F_eps / L_tilde and L_tilde F_eps use a
-    constant fitted on a deterministic probe set (the theory makes L_tilde
-    existential, depending only on delta, g0, L).
+    Below saturation the radial eigenvalue over F_eps is (1 - r/s) + (r/s) s g'(s)/g(s),
+    a convex combination of 1 and a value in [delta, g0]; past saturation it is 1.
+    So the bracket weights min{1,delta} F_eps and max{1,g0} F_eps are exact, and
+    L_tilde = max(max{1,g0}, 1/min{1,delta}) depends only on (delta, g0).
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0,1), got {eps}")
     f_eps = regularized_weight(triple, eps)
-    eta, eta_prime = _ramp(eps)
     g = triple.g
+    lo, hi = min(1.0, g.delta), max(1.0, g.g0)
 
     def f_eps_prime(t):
-        t = np.asarray(t, dtype=float)
         arg = t + eps
         inside = arg < 1.0 / eps
         safe = np.where(inside, arg, 1.0)
-        val = (g.deriv(safe) - g(safe) / safe) / safe
-        return np.where(inside, val, 0.0)
+        return np.where(inside, (g.deriv(safe) - g(safe) / safe) / safe, 0.0)
 
     def a_eps(z):
         z = np.asarray(z, dtype=float)
-        r = _norm(z)
-        e = eta(r)
-        return (e * f_eps(r))[..., None] * z + (1.0 - e)[..., None] * op.A(z)
+        return np.asarray(f_eps(_norm(z)))[..., None] * z
 
     def da_eps(z):
+        if g.deriv is None:
+            raise ValueError("structure function must carry a derivative for the closed-form Jacobian")
         z = np.asarray(z, dtype=float)
         r = _norm(z)
-        d = z.shape[-1]
-        eye = np.eye(d)
-        out = np.zeros(z.shape + (d,))
-        core = r < eps  # pure F_eps(|z|) z zone, including the degenerate point
-        if np.any(core):
-            zc = z[core]
-            rc = r[core]
-            safe = np.where(rc > 0, rc, 1.0)
-            outer = np.where(rc > 0, 1.0, 0.0)[:, None, None] * (
-                zc[:, :, None] * zc[:, None, :] / (safe * safe)[:, None, None])
-            out[core] = (f_eps(rc)[:, None, None] * eye
-                         + (f_eps_prime(rc) * rc)[:, None, None] * outer)
-        rest = ~core
-        if np.any(rest):
-            zr = z[rest]
-            rr = r[rest]
-            e = eta(rr)
-            ep = eta_prime(rr)
-            outer = zr[:, :, None] * zr[:, None, :] / (rr * rr)[:, None, None]
-            term = (e * f_eps(rr))[:, None, None] * eye
-            term = term + ((ep * f_eps(rr) + e * f_eps_prime(rr)) * rr)[:, None, None] * outer
-            term = term + (1.0 - e)[:, None, None] * op.DA(zr)
-            term = term - ep[:, None, None] * (op.A(zr)[:, :, None] * zr[:, None, :] / rr[:, None, None])
-            out[rest] = term
-        return out
-
-    # fit L_tilde on a deterministic probe set spanning the transition zone
-    rng = np.random.default_rng(0)
-    d = 2
-    radii = np.concatenate([np.geomspace(eps / 8, 8 * eps, 24), np.geomspace(1e-3, 1e3, 24)])
-    dirs = rng.normal(size=(radii.size, d))
-    dirs /= _norm(dirs)[:, None]
-    zs = radii[:, None] * dirs
-    dav = da_eps(zs)
-    sym = 0.5 * (dav + np.swapaxes(dav, -1, -2))
-    eigs = np.linalg.eigvalsh(sym)
-    fv = f_eps(radii)
-    ratio_hi = float(np.max(eigs[:, -1] / fv))
-    ratio_lo = float(np.min(eigs[:, 0] / fv))
-    growth = float(np.max(_norm(a_eps(zs)) / (radii * fv)))
-    if ratio_lo <= 0:
-        raise ValueError("regularized operator lost ellipticity on the probe set")
-    l_tilde = max(ratio_hi, 1.0 / ratio_lo, growth)
+        unit = z / np.where(r > 0, r, 1.0)[..., None]
+        outer = unit[..., :, None] * unit[..., None, :]
+        return (np.asarray(f_eps(r))[..., None, None] * np.eye(z.shape[-1])
+                + (f_eps_prime(r) * r)[..., None, None] * outer)
 
     spec = OperatorSpec(
         A=a_eps,
         DA=da_eps,
-        L=l_tilde * l_tilde,
+        L=hi / lo,
         source=f"regularized({triple.label}, eps={eps:g})",
-        lower_weight=lambda t: f_eps(t) / l_tilde,
-        upper_weight=lambda t: l_tilde * f_eps(t),
+        lower_weight=lambda t: lo * f_eps(t),
+        upper_weight=lambda t: hi * f_eps(t),
     )
     params = RegularizationParams(
         eps=eps,
         m1=float(f_eps(0.0)),
         m2=float(triple.g(np.asarray(1.0 / eps)) * eps),
-        L_tilde=l_tilde,
+        L_tilde=max(hi, 1.0 / lo),
     )
     return spec, params

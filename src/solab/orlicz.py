@@ -263,8 +263,9 @@ def generalized_inverse_info(psi, t, tol: float = 1e-10, bracket_cap: float = 1e
     """Generalized inverse inf{s >= 0 : psi(s) > t} with a saturation flag.
 
     Bracketing by geometric growth followed by bisection to absolute
-    tolerance ``tol``.  Where psi never exceeds t inside the bracket the
-    bracket top is returned and flagged saturated.
+    tolerance ``tol``, or to adjacent floats where their spacing exceeds it.
+    Where psi never exceeds t inside the bracket the bracket top is returned
+    and flagged saturated.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -284,10 +285,11 @@ def generalized_inverse_info(psi, t, tol: float = 1e-10, bracket_cap: float = 1e
         saturated = ~(np.asarray(psi(hi)) > tt)
         lo = np.where(saturated, hi, lo)
         for _ in range(600):
-            open_ = (hi - lo) > tol
+            mid = 0.5 * (lo + hi)
+            # a midpoint equal to an endpoint cannot move it (float spacing exceeds tol there)
+            open_ = ((hi - lo) > tol) & (mid != lo) & (mid != hi)
             if not np.any(open_):
                 break
-            mid = 0.5 * (lo + hi)
             gt = np.asarray(psi(mid)) > tt
             hi = np.where(open_ & gt, mid, hi)
             lo = np.where(open_ & ~gt, mid, lo)

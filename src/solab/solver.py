@@ -10,7 +10,8 @@ is minimized over the interior node values by L-BFGS descent with Armijo
 backtracking (armijo 1e-4, halving).  The assembled gradient of E is exactly
 the discrete weak form residual max_phi |sum <A_eps(Xu), X phi>| over unit
 node bumps phi, with A_eps(z) = F_eps(|z|) z, so the stopping test and the
-weak-solution contract coincide.
+weak-solution contract coincide.  That A_eps is `operator.regularized_operator`,
+the map `operator-check` certifies.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from .grid import Grid, ScalarField
 from .heisenberg import GroupPoint, group_multiply
-from .operator import prototype_A, regularized_energy_density, regularized_weight
+from .operator import (prototype_A, regularized_energy_density, regularized_operator,
+                       regularized_weight)
 from .orlicz import OrliczTriple
 
 __all__ = [
@@ -174,18 +176,13 @@ class DirichletProblem:
 
     def operator(self):
         """The regularized radial operator A_eps(z) = F_eps(|z|) z of the energy."""
-        f_eps = regularized_weight(self.triple, self.eps)
-
-        def a_eps(z):
-            z = np.asarray(z, dtype=float)
-            r = np.sqrt(np.sum(z * z, axis=-1))
-            return (f_eps(r))[..., None] * z
-
-        return a_eps
+        return regularized_operator(self.triple, self.eps)[0].A
 
 
 @dataclass
 class SolveReport:
+    """Outcome of one solve; ``stop_reason`` is 'tol', 'max_iters' or 'line_search_stall'."""
+
     iterations: int
     final_energy: float
     weak_residual: float
@@ -193,6 +190,7 @@ class SolveReport:
     residual_history: list[float] = field(default_factory=list)
     gradient_cap_observed: float = 0.0
     converged: bool = True
+    stop_reason: str = "tol"
 
 
 def _energy_and_gradient(grid: Grid, values: np.ndarray, f_eps, g_eps):
@@ -262,7 +260,8 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
     ``init`` is 'zero' (zero-fill), 'boundary' (keep the extension stored in
     the boundary field), 'harmonic' (quadratic-energy extension) or a full
     array of start values.  Returns the solution field and a SolveReport;
-    an exhausted iteration budget is flagged, not raised.
+    an exhausted iteration budget or a stalled line search is flagged (with
+    its stop_reason), not raised.
     """
     grid = prob.grid
     mask = prob.interior
@@ -301,6 +300,7 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
     rho_mem: list[float] = []
     iters = 0
     converged = res <= tol
+    stop_reason = "max_iters"
 
     while not converged and iters < prob.max_iters:
         # two-loop recursion
@@ -347,8 +347,7 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
             if e_new <= energy + noise and r_new < res:
                 accepted = True
             else:
-                u[mask] = x
-                converged = res <= tol
+                stop_reason = "line_search_stall"
                 break
         s_vec = x_new - x
         y_vec = g_new - grad
@@ -376,6 +375,7 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         residual_history=res_history,
         gradient_cap_observed=cap,
         converged=bool(converged),
+        stop_reason="tol" if converged else stop_reason,
     )
     return ScalarField(grid, u.copy()), report
 

@@ -9,6 +9,7 @@ import solab.cli as cli
 from conftest import CATALOG_LABELS
 from solab.config import ConfigError, ExperimentConfig, load_config
 from solab.grid import Grid, load_field_binary
+from solab.orlicz import catalog_structure_function
 from solab.problems import boundary_field
 
 
@@ -109,7 +110,7 @@ def test_solve_non_convergence_exits_1(tmp_path):
     out = tmp_path / "nc"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 1
     report = json.loads((out / "solve_report.json").read_text())
-    assert not report["converged"]
+    assert not report["converged"] and report["stop_reason"] == "max_iters"
     assert (out / "solution.bin").exists()  # partial dump still written
 
 
@@ -122,6 +123,7 @@ def test_solve_writes_loadable_dump(tmp_path):
     assert np.isfinite(sol.values).all()
     report = json.loads((out / "solve_report.json").read_text())
     assert report["converged"] and report["weak_residual"] <= 1e-7
+    assert report["stop_reason"] == "tol"
 
 
 # ---------------------------------------------------------------- determinism
@@ -182,6 +184,23 @@ def test_orlicz_check_passes_catalog(tmp_path, label):
     out = tmp_path / "oc"
     assert cli.main(["orlicz-check", "--config", path, "--out", str(out)]) == 0
     assert json.loads((out / "orlicz_report.json").read_text())["all_pass"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_operator_check_passes_catalog(tmp_path, label, n):
+    d = 2 * n + 1
+    cfg = BASE.replace("power:p=2", label) + f"n = {n}\nbox = {[[-1, 1]] * d}\ncenter = {[0] * d}\n"
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "op"
+    assert cli.main(["operator-check", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "operator_report.json").read_text())
+    assert report["all_pass"]
+    g = catalog_structure_function(label)
+    l_tilde = max(max(1.0, g.g0), 1.0 / min(1.0, g.delta))
+    assert [row["L_tilde"] for row in report["regularization"]] == [l_tilde] * 4
+    sups = [row["sup_diff"] for row in report["regularization"]]
+    assert all(a > b > 0 for a, b in zip(sups, sups[1:])) or sups == [0.0] * 4  # 0 only for p = 2
 
 
 def test_harmonic_init_cg_failure_exits_1(tmp_path, monkeypatch):

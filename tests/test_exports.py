@@ -28,3 +28,11 @@ def test_package_imports_resolve():
     missing = [f"{mod}.{n}" for mod, n in imported
                if not hasattr(importlib.import_module(f"solab.{mod}"), n) or not hasattr(solab, n)]
     assert not missing, f"solab/__init__.py imports names that do not resolve: {missing}"
+
+
+def test_regularized_operator_exported():
+    # the solver's eps-regularization is public under one name, in the module and the package
+    operator = importlib.import_module("solab.operator")
+    assert "regularized_operator" in operator.__all__
+    assert solab.regularized_operator is operator.regularized_operator
+    assert not hasattr(operator, "regularize")

@@ -199,28 +199,28 @@ def test_regularized_weight_saturates():
 
 def test_regularize_m_constants_closed_form():
     tr = triple_for("power:p=1.5")
-    spec, params = op.regularize(op.prototype_operator(tr), tr, 0.01)
+    spec, params = op.regularized_operator(tr, 0.01)
     assert params.m1 == pytest.approx(10.0)
     assert params.m2 == pytest.approx(0.1)
-    assert params.L_tilde >= 1.0 and np.isfinite(params.L_tilde)
+    assert params.L_tilde == 2.0  # 1/min{1, delta} with delta = 1/2
+    assert spec.L == 2.0
 
 
 def test_regularize_linear_growth_is_fixed_point():
-    # g(t) = t has F = 1, so the blend changes nothing
+    # g(t) = t has F = 1, so A_eps = A
     tr = triple_for("power:p=2")
     base = op.prototype_operator(tr)
-    spec, params = op.regularize(base, tr, 0.05)
-    z = np.array([[0.0, 0.0], [0.01, 0.02], [0.2, -0.1], [3.0, 4.0]])
+    spec, params = op.regularized_operator(tr, 0.05)
+    z = np.array([[0.0, 0.0], [0.01, 0.02], [0.2, -0.1], [3.0, 4.0], [30.0, 0.0]])
     assert np.allclose(spec.A(z), base.A(z), atol=1e-14)
     assert params.m1 == params.m2 == pytest.approx(1.0)
 
 
 def test_regularize_rejects_bad_eps():
     tr = triple_for("power:p=2")
-    base = op.prototype_operator(tr)
     for eps in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(ValueError):
-            op.regularize(base, tr, eps)
+            op.regularized_operator(tr, eps)
 
 
 def test_regularized_operator_converges_pointwise(rng):
@@ -229,17 +229,17 @@ def test_regularized_operator_converges_pointwise(rng):
     z = sample_points(rng, 500, r_lo=1e-3, r_hi=10.0)
     sups = []
     for eps in (0.2, 0.1, 0.05, 0.025):
-        spec, _ = op.regularize(base, tr, eps)
+        spec, _ = op.regularized_operator(tr, eps)
         sups.append(float(np.max(np.linalg.norm(spec.A(z) - base.A(z), axis=-1))))
-    assert all(a >= b for a, b in zip(sups, sups[1:]))
-    assert sups[-1] < sups[0]
+    assert all(a > b for a, b in zip(sups, sups[1:]))
+    assert sups[-1] > 0
 
 
 def test_regularized_jacobian_vs_fd(rng):
     tr = triple_for("power:p=3")
-    spec, _ = op.regularize(op.prototype_operator(tr), tr, 0.05)
-    # probe away from the ramp kinks at eps and 2 eps
-    radii = np.array([0.01, 0.03, 0.2, 1.0, 5.0])
+    spec, _ = op.regularized_operator(tr, 0.05)
+    # probe on both sides of the saturation kink at 1/eps - eps = 19.95, away from it
+    radii = np.array([0.01, 0.03, 0.2, 1.0, 5.0, 30.0])
     dirs = rng.normal(size=(radii.size, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     z = radii[:, None] * dirs
@@ -247,11 +247,12 @@ def test_regularized_jacobian_vs_fd(rng):
     da = spec.DA(z)
     rel = np.max(np.abs(da - fd), axis=(1, 2)) / np.max(np.abs(da), axis=(1, 2))
     assert float(rel.max()) <= 1e-4
+    assert np.array_equal(spec.DA(np.zeros(2)), op.regularized_weight(tr, 0.05)(0.0) * np.eye(2))
 
 
 def test_regularized_structure_margins_hold(rng):
     tr = triple_for("power:p=1.5")
-    spec, params = op.regularize(op.prototype_operator(tr), tr, 0.05)
+    spec, params = op.regularized_operator(tr, 0.05)
     z = sample_points(rng, 3000, r_lo=1e-3, r_hi=1e2)
     xi = rng.normal(size=z.shape)
     lower, upper, growth = op.structure_margins(spec, tr, z, xi)
@@ -259,6 +260,37 @@ def test_regularized_structure_margins_hold(rng):
     assert lower.min() >= -1e-9 * scale
     assert upper.min() >= -1e-9 * scale
     assert growth.min() >= -1e-9 * (1 + np.max(np.abs(growth)))
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_regularized_eigen_bracket_closed_form(label, d, rng):
+    # the bracket min{1,delta} F_eps <= eig DA_eps <= max{1,g0} F_eps holds with nothing fitted,
+    # below and past saturation (1/eps - eps), and at z = 0
+    tr = triple_for(label)
+    lo, hi = min(1.0, tr.g.delta), max(1.0, tr.g.g0)
+    for eps in (1e-2, 1e-3):
+        spec, params = op.regularized_operator(tr, eps)
+        assert params.L_tilde == max(hi, 1.0 / lo)
+        z = np.concatenate([np.zeros((1, d)), sample_points(rng, 2000, d=d, r_lo=1e-4, r_hi=1e4)])
+        eigs = np.linalg.eigvalsh(spec.DA(z))
+        r = np.linalg.norm(z, axis=1)
+        assert np.all(eigs[:, 0] >= spec.lower_weight(r) * (1 - 1e-9))
+        assert np.all(eigs[:, -1] <= spec.upper_weight(r) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_energy_density_derivative_is_t_F_eps(label):
+    # G_eps is the energy the solver minimizes; its derivative is |A_eps(z)| = t F_eps(t)
+    tr = triple_for(label)
+    t = np.geomspace(1e-4, 1e4, 400)
+    for eps in (1e-2, 1e-3):
+        t_smooth = t[np.abs(t - (1.0 / eps - eps)) > 1e-4 * t]  # skip the saturation kink
+        h = 1e-4 * t_smooth
+        g_eps = op.regularized_energy_density(tr, eps)
+        dens = t_smooth * op.regularized_weight(tr, eps)(t_smooth)
+        fd = (g_eps(t_smooth + h) - g_eps(t_smooth - h)) / (2 * h)
+        assert float(np.max(np.abs(fd - dens) / dens)) <= 1e-6
 
 
 def test_regularization_params_validation():

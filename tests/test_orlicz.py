@@ -101,6 +101,19 @@ def test_generalized_inverse_saturation_flag():
     assert sat and val >= 1e100
 
 
+def test_generalized_inverse_stops_at_float_spacing():
+    # above 2^19 the spacing of doubles exceeds the absolute 1e-10 tolerance
+    calls = []
+
+    def psi(s):
+        calls.append(1)
+        return s
+
+    t = oz.generalized_inverse(psi, 1e6)
+    assert abs(t - 1e6) <= np.spacing(1e6)
+    assert len(calls) < 100
+
+
 def test_inverse_sandwich():
     # Psi(Psi^{-1}(t)) <= t <= Psi^{-1}(Psi(t)) for the Young function Psi = G
     tr = triple_for("power:p=3")

@@ -8,6 +8,7 @@ from conftest import field_from, triple_for
 from oracles import solve_kohn_laplace
 from solab.grid import Grid, ScalarField
 from solab.heisenberg import GroupPoint
+from solab.operator import regularized_operator, regularized_weight
 
 
 def make_problem(grid, label, expr, **kw):
@@ -75,7 +76,7 @@ def test_affine_data_reproduced(label, grid9):
     prob = make_problem(grid9, label, lambda a, b, c: 0.7 * a - 0.3 * b + 0.1,
                         residual_tol=1e-12)
     sol, rep = sv.solve_dirichlet(prob)
-    assert rep.converged
+    assert rep.converged and rep.stop_reason == "tol"
     assert rep.weak_residual <= 1e-10
     assert np.max(np.abs(sol.values - prob.boundary.values)) <= 1e-9
 
@@ -139,6 +140,34 @@ def test_iteration_budget_flagged(grid9):
     sol, rep = sv.solve_dirichlet(prob)
     assert not rep.converged
     assert rep.iterations == 1
+    assert rep.stop_reason == "max_iters"
+
+
+def test_line_search_stall_recorded(grid9, monkeypatch):
+    prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c)
+    real = sv._energy_and_gradient
+    calls = []
+
+    def rising(*args):
+        energy, grad, cap = real(*args)
+        calls.append(energy)
+        return calls[0] + (len(calls) > 1), grad, cap  # every trial step lands above the start
+
+    monkeypatch.setattr(sv, "_energy_and_gradient", rising)
+    sol, rep = sv.solve_dirichlet(prob)
+    assert not rep.converged
+    assert rep.stop_reason == "line_search_stall"
+    assert rep.iterations == 0
+    assert len(calls) == 41  # the start plus 40 halvings
+
+
+def test_problem_operator_is_the_regularized_operator(grid9, rng):
+    prob = make_problem(grid9, "sinlog:a=2.5,b=1", lambda a, b, c: a * b, eps=1e-2)
+    z = rng.normal(size=(500, 2)) * np.exp(rng.uniform(-8, 6, size=(500, 1)))
+    a_eps = prob.operator()(z)
+    f_eps = regularized_weight(prob.triple, prob.eps)
+    assert np.array_equal(a_eps, regularized_operator(prob.triple, prob.eps)[0].A(z))
+    assert np.array_equal(a_eps, f_eps(np.sqrt(np.sum(z * z, axis=-1)))[:, None] * z)
 
 
 def test_regularization_consistency(grid9):
