@@ -212,7 +212,8 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 
     w2 = sample_z(10_000)
     gap, case, fitted = op_mod.monotonicity_gap(spec, triple, z2, w2)
-    checks.append(("monotonicity_gap_min", float(np.min(gap)), ">= 0", float(np.min(gap)) >= -1e-12))
+    gap_min = float(np.min(gap))
+    checks.append(("monotonicity_gap_min", gap_min, ">= -1e-12", gap_min >= -1e-12))
     fit_min = float(np.nanmin(fitted))
     checks.append(("monotonicity_fitted_lower", fit_min, "> 0 (recorded)", fit_min > 0))
 
@@ -336,9 +337,8 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
 def _audit_jobs(cfg: ExperimentConfig):
     jobs = []
     for gamma in cfg.gammas:
-        if gamma >= 0:
-            jobs.append(("caccioppoli_T", vf.caccioppoli_T_audit, {"gamma": gamma}))
-            jobs.append(("caccioppoli_X", vf.caccioppoli_X_audit, {"gamma": gamma}))
+        jobs.append(("caccioppoli_T", vf.caccioppoli_T_audit, {"gamma": gamma}))
+        jobs.append(("caccioppoli_X", vf.caccioppoli_X_audit, {"gamma": gamma}))
         if gamma >= 1:
             jobs.append(("horizontal_estimate", vf.horizontal_estimate_audit, {"gamma": gamma}))
             jobs.append(("vertical_estimate", vf.vertical_estimate_audit, {"gamma": gamma}))
@@ -375,10 +375,11 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
                            row["norm"], row["inner_norm"]) for row in trace["levels"])
         if jobs:
             eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
+            fields = vf.solution_fields(sol, triple, cfg.epsilon)
 
             def run(job):
                 name, fn, kw = job
-                return fn(sol, triple, eta, eps=cfg.epsilon, **kw)
+                return fn(fields, eta, **kw)
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(run, jobs))

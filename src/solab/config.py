@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from .grid import GaugeBall, Grid
 from .orlicz import UnknownLabelError, catalog_structure_function, parse_label
 from .problems import boundary_family_names
 
@@ -77,6 +78,14 @@ class ExperimentConfig:
             raise ConfigError("refinements must be nonnegative")
         if self.moser_levels < 2:
             raise ConfigError("moser_levels must be at least 2")
+        if any(gamma < 0 for gamma in self.gammas):
+            raise ConfigError("gammas must be nonnegative")
+        if any(omega < 1 for omega in self.omegas):
+            raise ConfigError("omegas must be >= 1")
+        grid = Grid.from_box(self.n, self.box, self.resolutions())
+        for key in ("radius", "eta_outer"):
+            if not GaugeBall.at(self.center, getattr(self, key)).fits_inside(grid):
+                raise ConfigError(f"the gauge ball of {key} around center leaves the box")
         try:
             catalog_structure_function(self.structure)
         except UnknownLabelError as exc:

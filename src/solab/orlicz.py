@@ -75,39 +75,27 @@ class _LogCumTable:
         if np.any(y <= 0) or not np.all(np.isfinite(y)):
             raise ValueError("cumulative integral must be positive and finite")
         self.tau = tau
+        self.dtau = tau[1] - tau[0]
         self.logy = np.log(y)
         self.slope = knots * np.asarray(w(knots)) / y
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tt = np.atleast_1d(t_arr).astype(float)
-        out = np.zeros_like(tt)
-        pos = tt > 0
-        with np.errstate(divide="ignore"):
-            tau = np.where(pos, np.log(np.where(pos, tt, 1.0)), 0.0)
-        lo_mask = pos & (tau < self.tau[0])
-        hi_mask = pos & (tau >= self.tau[-1])
-        mid = pos & ~lo_mask & ~hi_mask
-        if np.any(mid):
-            tm = tau[mid]
-            j = np.clip(np.searchsorted(self.tau, tm, side="right") - 1, 0, self.tau.size - 2)
-            dt = self.tau[j + 1] - self.tau[j]
-            s = (tm - self.tau[j]) / dt
-            h00 = (1 + 2 * s) * (1 - s) ** 2
-            h10 = s * (1 - s) ** 2
-            h01 = s * s * (3 - 2 * s)
-            h11 = s * s * (s - 1)
-            val = (h00 * self.logy[j] + h10 * dt * self.slope[j]
-                   + h01 * self.logy[j + 1] + h11 * dt * self.slope[j + 1])
-            out[mid] = np.exp(val)
-        if np.any(lo_mask):
-            out[lo_mask] = np.exp(self.logy[0] + self.slope[0] * (tau[lo_mask] - self.tau[0]))
-        if np.any(hi_mask):
-            out[hi_mask] = np.exp(self.logy[-1] + self.slope[-1] * (tau[hi_mask] - self.tau[-1]))
-        if scalar:
-            return float(out[0])
-        return out.reshape(t_arr.shape)
+        pos = t_arr > 0
+        tau = np.log(np.where(pos, t_arr, 1.0))
+        j = np.clip(np.floor((tau - self.tau[0]) / self.dtau), 0, self.tau.size - 2).astype(np.intp)
+        lo, hi = self.tau[j], self.tau[j + 1]
+        dt = hi - lo
+        s = np.clip((tau - lo) / dt, 0.0, 1.0)
+        h00 = (1 + 2 * s) * (1 - s) ** 2
+        h10 = s * (1 - s) ** 2
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        val = (h00 * self.logy[j] + h10 * dt * self.slope[j]
+               + h01 * self.logy[j + 1] + h11 * dt * self.slope[j + 1])
+        val += self.slope[j] * np.minimum(tau - lo, 0.0) + self.slope[j + 1] * np.maximum(tau - hi, 0.0)
+        out = np.where(pos, np.exp(val), 0.0)
+        return float(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,10 @@ verdict.  The proven constants are existential — they depend only on
 fitted constant is finite and stable under mesh refinement, and that sides
 which vanish analytically (t-independent data for the vertical integrands,
 affine data for the Hessian integrands) vanish numerically.
+
+The five audits take one ``SolutionFields`` (Xu, Tu, X(Tu), XXu, G(|Xu|) and
+F(|Xu|) of a solution), computed once by ``solution_fields``, which also
+decides the regularized-weight fallback.
 """
 
 from __future__ import annotations
@@ -292,8 +296,7 @@ def moser_trace(u: ScalarField, triple: OrliczTriple, center, r: float, sigma: f
 # --------------------------------------------------------------------------
 
 
-def caccioppoli_T_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunction,
-                        gamma: float, eps: float | None = None) -> AuditReport:
+def caccioppoli_T_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
     """Vertical-derivative energy inequality.
 
     lhs = int eta^2 G(|Tu|)^{gamma+1} F(|Xu|) |X(Tu)|^2
@@ -301,17 +304,15 @@ def caccioppoli_T_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunctio
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    sf = solution_fields(u, triple, eps)
-    grid = u.grid
-    g_tu = np.asarray(triple.G(np.abs(sf.tu)))
+    grid = sf.u.grid
+    g_tu = np.asarray(sf.triple.G(np.abs(sf.tu)))
     p = gamma + 1.0
     lhs = integrate(_as_field(grid, eta.eta.values ** 2 * g_tu ** p * sf.f_xu * sf.xtu_norm ** 2))
     rhs = integrate(_as_field(grid, g_tu ** p * sf.f_xu * sf.tu ** 2 * eta.grad.norm() ** 2)) / p ** 2
     return _report("caccioppoli_T", lhs, rhs, gamma, weight=sf.weight_kind)
 
 
-def caccioppoli_X_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunction,
-                        gamma: float, eps: float | None = None) -> AuditReport:
+def caccioppoli_X_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
     """Horizontal Caccioppoli inequality (the non-commutativity costs a |Tu|^2 term).
 
     lhs = int eta^2 G(|Xu|)^{gamma+1} F(|Xu|) |XXu|^2
@@ -320,8 +321,7 @@ def caccioppoli_X_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunctio
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    sf = solution_fields(u, triple, eps)
-    grid = u.grid
+    grid = sf.u.grid
     p = gamma + 1.0
     core = sf.g_xu ** p * sf.f_xu
     lhs = integrate(_as_field(grid, eta.eta.values ** 2 * core * sf.hess_norm ** 2))
@@ -331,8 +331,8 @@ def caccioppoli_X_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunctio
     return _report("caccioppoli_X", lhs, rhs, gamma, weight=sf.weight_kind)
 
 
-def reverse_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunction,
-                  gamma: float, omega: float = 1.0, eps: float | None = None) -> AuditReport:
+def reverse_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float,
+                  omega: float = 1.0) -> AuditReport:
     """Reverse-type inequality trading G(eta |Tu| / sqrt(omega K_eta)) against G(|Xu|).
 
     lhs = int eta^2 G(eta |Tu| / sqrt(omega K_eta))^{gamma+1} F(|Xu|) |XXu|^2
@@ -347,21 +347,19 @@ def reverse_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunction,
         raise ValueError("omega must be >= 1")
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
-    sf = solution_fields(u, triple, eps)
-    grid = u.grid
+    grid = sf.u.grid
     p = gamma + 1.0
     arg = eta.eta.values * np.abs(sf.tu) / math.sqrt(omega * eta.k_eta)
-    g_arg = np.asarray(triple.G(arg))
+    g_arg = np.asarray(sf.triple.G(arg))
     base = sf.f_xu * sf.hess_norm ** 2 * eta.eta.values ** 2
     lhs = integrate(_as_field(grid, g_arg ** p * base))
     rhs = omega ** (-p / 2.0) * integrate(_as_field(grid, sf.g_xu ** p * base))
-    envelope = p ** (p * (1.0 + triple.g.g0))
+    envelope = p ** (p * (1.0 + sf.triple.g.g0))
     return _report("reverse", lhs, rhs, gamma, omega=omega, envelope_gamma_factor=envelope,
                    weight=sf.weight_kind)
 
 
-def horizontal_estimate_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunction,
-                              gamma: float, eps: float | None = None) -> AuditReport:
+def horizontal_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
     """Self-improved horizontal estimate: the Hessian energy against first-order terms only.
 
     lhs = int eta^2 G(|Xu|)^{gamma+1} F(|Xu|) |XXu|^2
@@ -371,18 +369,16 @@ def horizontal_estimate_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffF
         raise ValueError("needs gamma >= 1")
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
-    sf = solution_fields(u, triple, eps)
-    grid = u.grid
+    grid = sf.u.grid
     p = gamma + 1.0
     core = sf.g_xu ** p * sf.f_xu
     lhs = integrate(_as_field(grid, eta.eta.values ** 2 * core * sf.hess_norm ** 2))
-    amp = p ** (10.0 * (1.0 + triple.g.g0)) * eta.k_eta
+    amp = p ** (10.0 * (1.0 + sf.triple.g.g0)) * eta.k_eta
     rhs = amp * integrate(_as_field(grid, core * sf.xu_norm ** 2), eta.support_mask)
     return _report("horizontal_estimate", lhs, rhs, gamma, weight=sf.weight_kind)
 
 
-def vertical_estimate_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFunction,
-                            gamma: float, eps: float | None = None) -> AuditReport:
+def vertical_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
     """Vertical estimate: the Tu energy against first-order horizontal terms.
 
     lhs = int eta^2 G(eta |Tu| / sqrt(K_eta))^{gamma+1} F(|Xu|) |Tu|^2
@@ -392,11 +388,10 @@ def vertical_estimate_audit(u: ScalarField, triple: OrliczTriple, eta: CutoffFun
         raise ValueError("needs gamma >= 1")
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
-    sf = solution_fields(u, triple, eps)
-    grid = u.grid
+    grid = sf.u.grid
     p = gamma + 1.0
     arg = eta.eta.values * np.abs(sf.tu) / math.sqrt(eta.k_eta)
-    g_arg = np.asarray(triple.G(arg))
+    g_arg = np.asarray(sf.triple.G(arg))
     lhs = integrate(_as_field(grid, eta.eta.values ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2))
     rhs = eta.k_eta * integrate(_as_field(grid, sf.g_xu ** p * sf.xu_norm ** 2 * sf.f_xu),
                                 eta.support_mask)

@@ -277,8 +277,9 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
         per_audit = {}
         for grid, prob, sol in solution_chains[label][:2]:  # 17^3 and 33^3
             eta = make_cutoff(grid, CENTER, 0.25, 0.65)
+            sf = vf.solution_fields(sol, tr, prob.eps)
             for name, fn, kw in audits:
-                rep = fn(sol, tr, eta, eps=prob.eps, **kw)
+                rep = fn(sf, eta, **kw)
                 ok &= np.isfinite(rep.fitted_constant)
                 per_audit.setdefault((name, kw["gamma"]), []).append(rep)
         for key, reps in per_audit.items():
@@ -291,15 +292,17 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
                                  boundary=field_from(grid, lambda a, b, c: a * b + 0.3 * a),
                                  residual_tol=1e-11)
     sol_ti, _ = sv.solve_dirichlet(tindep)
-    for rep in (vf.caccioppoli_T_audit(sol_ti, tr2, eta, 0.0),
-                vf.vertical_estimate_audit(sol_ti, tr2, eta, 1.0)):
+    sf_ti = vf.solution_fields(sol_ti, tr2)
+    for rep in (vf.caccioppoli_T_audit(sf_ti, eta, 0.0),
+                vf.vertical_estimate_audit(sf_ti, eta, 1.0)):
         ok &= rep.lhs <= 1e-12 * (1.0 + rep.rhs)
     affine = sv.DirichletProblem(grid=grid, triple=tr2,
                                  boundary=field_from(grid, lambda a, b, c: 0.5 * a - 0.2 * b),
                                  residual_tol=1e-12)
     sol_af, _ = sv.solve_dirichlet(affine)
-    for rep in (vf.caccioppoli_X_audit(sol_af, tr2, eta, 0.0),
-                vf.horizontal_estimate_audit(sol_af, tr2, eta, 1.0)):
+    sf_af = vf.solution_fields(sol_af, tr2)
+    for rep in (vf.caccioppoli_X_audit(sf_af, eta, 0.0),
+                vf.horizontal_estimate_audit(sf_af, eta, 1.0)):
         ok &= rep.lhs <= 1e-12 * (1.0 + rep.rhs)
     assert report(8, ok, "vertical/horizontal Caccioppoli, self-improved horizontal and "
                   "vertical estimates: fitted constants finite and within a factor 2 across "

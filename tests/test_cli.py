@@ -1,11 +1,14 @@
 import json
+import operator
 import os
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 import solab.cli as cli
+import solab.verify as vf
 from conftest import CATALOG_LABELS
 from solab.config import ConfigError, ExperimentConfig, load_config
 from solab.grid import Grid, load_field_binary
@@ -79,6 +82,9 @@ def test_config_validation_errors(tmp_path):
         load_config(write_cfg(tmp_path, BASE + "bogus_key = 3\n", "bk.txt"))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.txt"))
+    for i, extra in enumerate(("gammas = [-1]", "omegas = [0.5]", "radius = 1.5", "eta_outer = 1.5")):
+        with pytest.raises(ConfigError):
+            load_config(write_cfg(tmp_path, BASE + extra + "\n", f"audit{i}.txt"))
 
 
 def test_config_overrides(tmp_path):
@@ -161,6 +167,50 @@ def test_audit_and_estimate_commands(tmp_path):
     assert cli.main(["estimate", "--config", path, "--out", str(est)]) in (0, 1)
     assert (est / "estimate_ratio.csv").exists()
     assert not (est / "audit_report.csv").exists()
+
+
+def test_audit_computes_fields_once_per_level(tmp_path, monkeypatch):
+    calls = []
+    inner = vf.solution_fields
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(vf, "solution_fields", counted)
+    path = write_cfg(tmp_path, BASE)
+    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "a")]) in (0, 1)
+    assert len(calls) == 2  # refinements = 1: two levels, five audit jobs each
+    assert cli.main(["estimate", "--config", path, "--out", str(tmp_path / "e")]) in (0, 1)
+    assert len(calls) == 2
+
+
+def test_audit_reports_byte_identical(tmp_path):
+    path = write_cfg(tmp_path, BASE)
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert cli.main(["audit", "--config", path, "--out", str(out1)]) in (0, 1)
+    assert cli.main(["audit", "--config", path, "--out", str(out2)]) in (0, 1)
+    for name in ("audit_report.json", "audit_report.csv", "plot_fitted_vs_h.csv",
+                 "estimate_ratio.csv", "moser_trace.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, report", [("orlicz-check", "orlicz_report.json"),
+                                             ("operator-check", "operator_report.json")])
+def test_check_criteria_state_their_bounds(tmp_path, command, report):
+    ops = {"<=": operator.le, ">=": operator.ge, "==": operator.eq, "<": operator.lt,
+           ">": operator.gt}
+    path = write_cfg(tmp_path, BASE)
+    out = tmp_path / "c"
+    cli.main([command, "--config", path, "--out", str(out)])
+    rows = json.loads((out / report).read_text())["checks"]
+    tested = 0
+    for row in rows:
+        m = re.fullmatch(r"(<=|>=|==|<|>) ([-+.e0-9]+)", row["criterion"])
+        if m:
+            assert row["pass"] == ops[m.group(1)](row["value"], float(m.group(2))), row
+            tested += 1
+    assert tested >= len(rows) // 2
 
 
 def test_audit_requires_two_levels(tmp_path):

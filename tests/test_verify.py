@@ -82,13 +82,14 @@ def test_lipschitz_ratio_validation(tdep_solution):
 
 def test_audits_finite_on_tdep_solution(tdep_solution):
     sol, tr, eta, prob = tdep_solution
+    sf = vf.solution_fields(sol, tr)
     for fn, kw in [(vf.caccioppoli_T_audit, {"gamma": 0.0}),
                    (vf.caccioppoli_X_audit, {"gamma": 0.0}),
                    (vf.caccioppoli_X_audit, {"gamma": 1.0}),
                    (vf.reverse_audit, {"gamma": 1.0, "omega": 1.0}),
                    (vf.horizontal_estimate_audit, {"gamma": 1.0}),
                    (vf.vertical_estimate_audit, {"gamma": 1.0})]:
-        rep = fn(sol, tr, eta, **kw)
+        rep = fn(sf, eta, **kw)
         assert rep.passed
         assert np.isfinite(rep.fitted_constant)
         assert rep.lhs >= 0 and rep.rhs >= 0
@@ -101,9 +102,10 @@ def test_t_audits_degenerate_on_t_independent():
     prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-11)
     sol, rep = sv.solve_dirichlet(prob)
     eta = make_cutoff(g, [0, 0, 0], 0.25, 0.65)
-    rT = vf.caccioppoli_T_audit(sol, tr, eta, 0.0)
-    rV = vf.vertical_estimate_audit(sol, tr, eta, 1.0)
-    rR = vf.reverse_audit(sol, tr, eta, 1.0, 1.0)
+    sf = vf.solution_fields(sol, tr)
+    rT = vf.caccioppoli_T_audit(sf, eta, 0.0)
+    rV = vf.vertical_estimate_audit(sf, eta, 1.0)
+    rR = vf.reverse_audit(sf, eta, 1.0, 1.0)
     for r in (rT, rV, rR):
         assert r.lhs <= 1e-12 * (1.0 + r.rhs)
         assert r.passed
@@ -111,8 +113,9 @@ def test_t_audits_degenerate_on_t_independent():
 
 def test_x_audits_degenerate_on_affine(affine_solution):
     sol, tr, eta = affine_solution
-    rX = vf.caccioppoli_X_audit(sol, tr, eta, 0.0)
-    rH = vf.horizontal_estimate_audit(sol, tr, eta, 1.0)
+    sf = vf.solution_fields(sol, tr)
+    rX = vf.caccioppoli_X_audit(sf, eta, 0.0)
+    rH = vf.horizontal_estimate_audit(sf, eta, 1.0)
     for r in (rX, rH):
         assert r.lhs <= 1e-12 * (1.0 + r.rhs)
         assert r.passed
@@ -121,28 +124,30 @@ def test_x_audits_degenerate_on_affine(affine_solution):
 def test_fitted_constants_shift_invariant(tdep_solution):
     sol, tr, eta, _ = tdep_solution
     shifted = ScalarField(sol.grid, sol.values - 1.3)
-    a = vf.caccioppoli_X_audit(sol, tr, eta, 1.0)
-    b = vf.caccioppoli_X_audit(shifted, tr, eta, 1.0)
+    a = vf.caccioppoli_X_audit(vf.solution_fields(sol, tr), eta, 1.0)
+    b = vf.caccioppoli_X_audit(vf.solution_fields(shifted, tr), eta, 1.0)
     assert a.fitted_constant == pytest.approx(b.fitted_constant, rel=1e-12)
 
 
 def test_audit_parameter_validation(tdep_solution):
     sol, tr, eta, _ = tdep_solution
+    sf = vf.solution_fields(sol, tr)
     with pytest.raises(ValueError):
-        vf.caccioppoli_T_audit(sol, tr, eta, -1.0)
+        vf.caccioppoli_T_audit(sf, eta, -1.0)
     with pytest.raises(ValueError):
-        vf.reverse_audit(sol, tr, eta, 0.5, 1.0)
+        vf.reverse_audit(sf, eta, 0.5, 1.0)
     with pytest.raises(ValueError):
-        vf.reverse_audit(sol, tr, eta, 1.0, 0.5)
+        vf.reverse_audit(sf, eta, 1.0, 0.5)
     with pytest.raises(ValueError):
-        vf.horizontal_estimate_audit(sol, tr, eta, 0.0)
+        vf.horizontal_estimate_audit(sf, eta, 0.0)
 
 
 def test_reverse_omega_trend(tdep_solution):
     # doubling omega must halve (or better) the lhs/rhs ratio for gamma = 1
     sol, tr, eta, _ = tdep_solution
-    r1 = vf.reverse_audit(sol, tr, eta, 1.0, 1.0)
-    r2 = vf.reverse_audit(sol, tr, eta, 1.0, 2.0)
+    sf = vf.solution_fields(sol, tr)
+    r1 = vf.reverse_audit(sf, eta, 1.0, 1.0)
+    r2 = vf.reverse_audit(sf, eta, 1.0, 2.0)
     assert r2.fitted_constant <= r1.fitted_constant / 2.0 * (1 + 1e-9)
 
 
@@ -186,10 +191,11 @@ def test_audit_stability_under_refinement(tdep_solution):
     prob33 = sv.DirichletProblem(grid=g33, triple=tr, boundary=bc)
     sol33, rep33 = sv.solve_dirichlet(prob33, init=refine_values(sol.values))
     eta33 = make_cutoff(g33, [0, 0, 0], 0.25, 0.65)
+    sf17, sf33 = vf.solution_fields(sol, tr), vf.solution_fields(sol33, tr)
     for fn, kw in [(vf.caccioppoli_T_audit, {"gamma": 0.0}),
                    (vf.caccioppoli_X_audit, {"gamma": 1.0}),
                    (vf.horizontal_estimate_audit, {"gamma": 1.0})]:
-        seq = [fn(sol, tr, eta17, **kw), fn(sol33, tr, eta33, **kw)]
+        seq = [fn(sf17, eta17, **kw), fn(sf33, eta33, **kw)]
         assert vf.attach_refinement(seq).passed
 
 
