@@ -24,7 +24,7 @@ from . import orlicz as oz
 from . import solver as sv
 from . import verify as vf
 from .config import ConfigError, ExperimentConfig, load_config
-from .grid import Grid, ScalarField, make_cutoff, refine_values, save_field_binary, save_field_csv
+from .grid import Grid, make_cutoff, refine_values, save_field_binary, save_field_csv
 from .orlicz import OrliczTriple, UnknownLabelError, catalog_structure_function
 from .problems import boundary_field
 

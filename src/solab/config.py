@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 from .grid import GaugeBall, Grid
 from .orlicz import UnknownLabelError, catalog_structure_function, parse_label
 from .problems import boundary_family_names
+from .solver import INIT_MODES
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config"]
 
@@ -82,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError("gammas must be nonnegative")
         if any(omega < 1 for omega in self.omegas):
             raise ConfigError("omegas must be >= 1")
+        if self.init not in INIT_MODES:
+            raise ConfigError(f"init must be one of {', '.join(INIT_MODES)}")
         grid = Grid.from_box(self.n, self.box, self.resolutions())
         for key in ("radius", "eta_outer"):
             if not GaugeBall.at(self.center, getattr(self, key)).fits_inside(grid):

@@ -16,7 +16,7 @@ Hoelder inequality, the five growth-lemma items) are audited on sampled data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -546,19 +546,17 @@ def _loglin(alpha: float, beta: float, a: float) -> StructureFunction:
     if a == 1.0:
         g0 = alpha + beta  # sup of the log-derivative is the t -> 0 limit
     else:
-        from scipy.optimize import minimize_scalar
+        # t/((a+t) ln(a+t)) peaks at the root of phi(t) = a ln(a+t) - t.  phi is
+        # concave and decreasing, so after one Newton step from t = a every
+        # iterate lies right of the root and Newton descends to it monotonically.
+        # ln(a+t) is taken as log1p((a-1)+t), which stays accurate as a -> 1.
+        def newton(t):
+            return t - (a * math.log1p((a - 1.0) + t) - t) / (a / (a + t) - 1.0)
 
-        def neg_r(logt):
-            t = math.exp(logt)
-            return -t / ((a + t) * math.log(a + t))
-
-        tt = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 4001))
-        r = tt / ((a + tt) * np.log(a + tt))
-        j = int(np.argmax(r))
-        res = minimize_scalar(neg_r, bracket=(math.log(tt[max(j - 1, 0)]), math.log(tt[j]),
-                                              math.log(tt[min(j + 1, tt.size - 1)])),
-                              options={"xtol": 1e-12})
-        g0 = alpha + beta * (-float(res.fun)) + 1e-12
+        t = newton(a)
+        while (t_next := newton(t)) < t:
+            t = t_next
+        g0 = alpha + beta * (t / ((a + t) * math.log1p((a - 1.0) + t))) + 1e-12
     return StructureFunction(eval=ev, deriv=dv, delta=alpha, g0=g0,
                              label=f"loglin:alpha={alpha:g},beta={beta:g},a={a:g}")
 

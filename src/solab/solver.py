@@ -11,26 +11,29 @@ backtracking (armijo 1e-4, halving).  The assembled gradient of E is exactly
 the discrete weak form residual max_phi |sum <A_eps(Xu), X phi>| over unit
 node bumps phi, with A_eps(z) = F_eps(|z|) z, so the stopping test and the
 weak-solution contract coincide.  That A_eps is `operator.regularized_operator`,
-the map `operator-check` certifies.
+the map `operator-check` certifies.  `_weak_form` is the one assembly of
+vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual`, the barrier study
+and the p=2 harmonic start differ only in the radial weight w.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import Grid, ScalarField
 from .heisenberg import GroupPoint, group_multiply
-from .operator import (prototype_A, regularized_energy_density, regularized_operator,
-                       regularized_weight)
+from .operator import regularized_energy_density, regularized_weight
 from .orlicz import OrliczTriple
 
 __all__ = [
     "DirichletProblem",
     "SolveReport",
     "NonConvergenceError",
+    "INIT_MODES",
     "cell_gradient",
     "cell_gradient_adjoint",
     "discrete_energy",
@@ -48,6 +51,9 @@ __all__ = [
 
 class NonConvergenceError(RuntimeError):
     """A failed CG harmonic start; also raised by callers that insist on a converged solve."""
+
+
+INIT_MODES = ("zero", "boundary", "harmonic")
 
 
 # --------------------------------------------------------------------------
@@ -174,10 +180,6 @@ class DirichletProblem:
             raise ValueError("eps must lie in (0,1)")
         object.__setattr__(self, "interior", mask)
 
-    def operator(self):
-        """The regularized radial operator A_eps(z) = F_eps(|z|) z of the energy."""
-        return regularized_operator(self.triple, self.eps)[0].A
-
 
 @dataclass
 class SolveReport:
@@ -193,13 +195,16 @@ class SolveReport:
     stop_reason: str = "tol"
 
 
-def _energy_and_gradient(grid: Grid, values: np.ndarray, f_eps, g_eps):
+def _weak_form(grid: Grid, values: np.ndarray, weight):
+    """r = |Xu| per cell and the nodal weak form vol * X^T(weight(r) Xu)."""
     xc = cell_gradient(grid, values)
     r = np.sqrt(np.sum(xc * xc, axis=0))
-    vol = grid.cell_volume
-    energy = vol * float(np.sum(g_eps(r)))
-    w = f_eps(r)[None, ...] * xc
-    return energy, vol * cell_gradient_adjoint(grid, w), float(r.max(initial=0.0))
+    return r, grid.cell_volume * cell_gradient_adjoint(grid, weight(r) * xc)
+
+
+def _energy_and_gradient(grid: Grid, values: np.ndarray, f_eps, g_eps):
+    r, grad = _weak_form(grid, values, f_eps)
+    return grid.cell_volume * float(np.sum(g_eps(r))), grad, float(r.max(initial=0.0))
 
 
 def discrete_energy(u: ScalarField, prob: DirichletProblem) -> float:
@@ -209,20 +214,16 @@ def discrete_energy(u: ScalarField, prob: DirichletProblem) -> float:
     off = ~prob.interior
     if not np.allclose(u.values[off], prob.boundary.values[off], rtol=0, atol=1e-12):
         raise ValueError("field does not match the boundary data off the interior mask")
+    f_eps = regularized_weight(prob.triple, prob.eps)
     g_eps = regularized_energy_density(prob.triple, prob.eps)
-    xc = cell_gradient(prob.grid, u.values)
-    r = np.sqrt(np.sum(xc * xc, axis=0))
-    return prob.grid.cell_volume * float(np.sum(g_eps(r)))
+    return _energy_and_gradient(prob.grid, u.values, f_eps, g_eps)[0]
 
 
-def weak_residual(u: ScalarField, prob: DirichletProblem, operator=None) -> float:
-    """max over interior node bumps phi of |sum <A(Xu), X phi> cellvolume|."""
+def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
+    """max over interior node bumps phi of |sum <A_eps(Xu), X phi> cellvolume|."""
     if u.grid != prob.grid:
         raise ValueError("field grid mismatch")
-    a_map = operator if operator is not None else prob.operator()
-    xc = cell_gradient(prob.grid, u.values)
-    a_vals = np.moveaxis(a_map(np.moveaxis(xc, 0, -1)), -1, 0)
-    res = prob.grid.cell_volume * cell_gradient_adjoint(prob.grid, a_vals)
+    res = _weak_form(prob.grid, u.values, regularized_weight(prob.triple, prob.eps))[1]
     return float(np.max(np.abs(res[prob.interior])))
 
 
@@ -235,7 +236,7 @@ def _harmonic_init(prob: DirichletProblem) -> np.ndarray:
     m = int(mask.sum())
 
     def quad_grad(full):
-        return cell_gradient_adjoint(grid, cell_gradient(grid, full))
+        return _weak_form(grid, full, np.ones_like)[1]
 
     def matvec(x):
         full = np.zeros(grid.shape)
@@ -267,14 +268,12 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
     mask = prob.interior
     u = prob.boundary.values.copy()
     if isinstance(init, str):
+        if init not in INIT_MODES:
+            raise ValueError(f"unknown init {init!r}")
         if init == "zero":
             u[mask] = 0.0
-        elif init == "boundary":
-            pass
         elif init == "harmonic":
             u = _harmonic_init(prob)
-        else:
-            raise ValueError(f"unknown init {init!r}")
     else:
         arr = np.asarray(init, dtype=float)
         if arr.shape != grid.shape:
@@ -295,9 +294,7 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
     tol = prob.residual_tol if prob.residual_tol is not None else 1e-8 * (1.0 + res)
     history = [energy]
     res_history = [res]
-    s_mem: list[np.ndarray] = []
-    y_mem: list[np.ndarray] = []
-    rho_mem: list[float] = []
+    memory = deque(maxlen=10)  # curvature pairs (s, y, 1/<s,y>), oldest first
     iters = 0
     converged = res <= tol
     stop_reason = "max_iters"
@@ -306,21 +303,21 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         # two-loop recursion
         q = grad.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_mem), reversed(y_mem), reversed(rho_mem)):
+        for s, y, rho in reversed(memory):
             a = rho * np.dot(s, q)
             alphas.append(a)
             q -= a * y
-        if y_mem:
-            gamma = np.dot(s_mem[-1], y_mem[-1]) / np.dot(y_mem[-1], y_mem[-1])
-            q *= gamma
+        if memory:
+            s, y, _ = memory[-1]
+            q *= np.dot(s, y) / np.dot(y, y)
         else:
             q *= 1.0 / max(res, 1.0)
-        for (s, y, rho), a in zip(zip(s_mem, y_mem, rho_mem), reversed(alphas)):
+        for (s, y, rho), a in zip(memory, reversed(alphas)):
             q += s * (a - rho * np.dot(y, q))
         d = -q
         gd = float(np.dot(grad, d))
         if gd >= 0:  # stale curvature; restart from steepest descent
-            s_mem.clear(); y_mem.clear(); rho_mem.clear()
+            memory.clear()
             d = -grad / max(res, 1.0)
             gd = float(np.dot(grad, d))
 
@@ -353,11 +350,7 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         y_vec = g_new - grad
         sy = float(np.dot(s_vec, y_vec))
         if sy > 1e-300:
-            s_mem.append(s_vec)
-            y_mem.append(y_vec)
-            rho_mem.append(1.0 / sy)
-            if len(s_mem) > 10:
-                s_mem.pop(0); y_mem.pop(0); rho_mem.pop(0)
+            memory.append((s_vec, y_vec, 1.0 / sy))
         x, energy, grad, cap = x_new, e_new, g_new, cap_new
         res = float(np.max(np.abs(grad)))
         history.append(energy)
@@ -408,6 +401,14 @@ def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem, init="z
 # --------------------------------------------------------------------------
 
 
+def _affine_samples(grid: Grid, value: float, vec, base) -> np.ndarray:
+    """value + vec.(x - base) at the grid nodes."""
+    vals = np.full(grid.shape, float(value))
+    for k in range(grid.dim):
+        vals = vals + vec[k] * (grid.coord(k) - base[k])
+    return vals
+
+
 def barrier_field(grid: Grid, base: GroupPoint, value: float, gradient, b, K: float) -> ScalarField:
     """Euclidean-affine barrier value + (gradient + K b).(x - base) sampled on the grid."""
     b = np.asarray(b, dtype=float)
@@ -416,11 +417,7 @@ def barrier_field(grid: Grid, base: GroupPoint, value: float, gradient, b, K: fl
     vec = np.asarray(gradient, dtype=float) + float(K) * b
     if vec.size != grid.dim:
         raise ValueError("gradient dimension mismatch")
-    y = np.asarray(base.coords, dtype=float)
-    vals = np.full(grid.shape, float(value))
-    for k in range(grid.dim):
-        vals = vals + vec[k] * (grid.coord(k) - y[k])
-    return ScalarField(grid, vals)
+    return ScalarField(grid, _affine_samples(grid, value, vec, np.asarray(base.coords, dtype=float)))
 
 
 def _affine_coefficients(L: ScalarField):
@@ -432,9 +429,7 @@ def _affine_coefficients(L: ScalarField):
         idx = [0] * grid.dim
         idx[k] = 1
         vec[k] = (L.values[tuple(idx)] - v0) / grid.spacing[k]
-    rebuilt = np.full(grid.shape, v0)
-    for k in range(grid.dim):
-        rebuilt = rebuilt + vec[k] * (grid.coord(k) - grid.lo[k])
+    rebuilt = _affine_samples(grid, v0, vec, grid.lo)
     scale = 1.0 + float(np.max(np.abs(L.values)))
     if np.max(np.abs(rebuilt - L.values)) > 1e-9 * scale:
         raise ValueError("field is not affine")
@@ -452,20 +447,18 @@ def barrier_residual_study(L: ScalarField, triple: OrliczTriple, refinements: in
     if refinements < 0:
         raise ValueError("refinements must be nonnegative")
     v0, vec = _affine_coefficients(L)
+
+    def weight(r):  # g(r)/r with 0 at r = 0: the raw operator `prototype_A`
+        safe = np.where(r > 0, r, 1.0)
+        return np.where(r > 0, triple.g(safe) / safe, 0.0)
+
     residuals = []
     grid = L.grid
     for _ in range(refinements + 1):
-        vals = np.full(grid.shape, v0)
-        for k in range(grid.dim):
-            vals = vals + vec[k] * (grid.coord(k) - grid.lo[k])
-        xc = cell_gradient(grid, vals)
-        rmin = float(np.min(np.sqrt(np.sum(xc * xc, axis=0))))
-        if rmin < 1e-12 and triple.f_zero is None:
+        r, res_field = _weak_form(grid, _affine_samples(grid, v0, vec, grid.lo), weight)
+        if float(np.min(r)) < 1e-12 and triple.f_zero is None:
             raise ValueError("|XL| vanishes on the grid and F is singular at 0; rerun regularized")
-        a_vals = np.moveaxis(prototype_A(triple, np.moveaxis(xc, 0, -1)), -1, 0)
-        res_field = grid.cell_volume * cell_gradient_adjoint(grid, a_vals)
-        interior = grid.interior_mask()
-        residuals.append(float(np.max(np.abs(res_field[interior]))))
+        residuals.append(float(np.max(np.abs(res_field[grid.interior_mask()]))))
         grid = grid.refined()
     return residuals
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (CutoffFunction, GaugeBall, ScalarField, ball_average,
-                   ball_node_mask, gauge_distance_field, hessian_frobenius,
-                   horizontal_gradient, horizontal_hessian, integrate,
-                   vertical_derivative)
+                   ball_node_mask, hessian_frobenius, horizontal_gradient,
+                   horizontal_hessian, integrate, vertical_derivative)
 from .operator import regularized_weight
 from .orlicz import OrliczTriple
 

@@ -82,7 +82,8 @@ def test_config_validation_errors(tmp_path):
         load_config(write_cfg(tmp_path, BASE + "bogus_key = 3\n", "bk.txt"))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.txt"))
-    for i, extra in enumerate(("gammas = [-1]", "omegas = [0.5]", "radius = 1.5", "eta_outer = 1.5")):
+    for i, extra in enumerate(("gammas = [-1]", "omegas = [0.5]", "radius = 1.5", "eta_outer = 1.5",
+                               "init = foo")):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, BASE + extra + "\n", f"audit{i}.txt"))
 

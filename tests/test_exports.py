@@ -30,6 +30,24 @@ def test_package_imports_resolve():
     assert not missing, f"solab/__init__.py imports names that do not resolve: {missing}"
 
 
+def test_no_unused_imports():
+    # every name a module imports at top level is used in it (the package __init__ re-exports)
+    unused = []
+    for path in sorted(Path(solab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
 def test_regularized_operator_exported():
     # the solver's eps-regularization is public under one name, in the module and the package
     operator = importlib.import_module("solab.operator")

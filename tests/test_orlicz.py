@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -375,6 +380,36 @@ def test_sinlog_exponents_positive():
     assert 0 < g.delta <= g.g0
     d, g0, ok = oz.verify_exponents(g, np.geomspace(1e-3, 1e3, 2000))
     assert ok
+
+
+def _loglin_ratio_sup(a):
+    """sup_t t/((a+t) ln(a+t)): a coarse log-grid bracket refined by scipy's Brent search."""
+    def neg_r(logt):
+        t = math.exp(logt)
+        return -t / ((a + t) * math.log(a + t))
+
+    s = np.linspace(math.log(1e-8), math.log(1e8), 4001)
+    j = int(np.argmin([neg_r(v) for v in s]))
+    res = scipy.optimize.minimize_scalar(neg_r, bracket=(s[j - 1], s[j], s[j + 1]),
+                                         options={"xtol": 1e-12})
+    return -float(res.fun)
+
+
+@pytest.mark.parametrize("a", [1.0001, 1.5, 2.0, math.e, 10.0, 1e4])
+def test_loglin_g0_is_the_log_derivative_sup(a):
+    g = oz.catalog_structure_function(f"loglin:alpha=1,beta=1,a={a!r}")
+    assert abs(g.g0 - (1.0 + _loglin_ratio_sup(a) + 1e-12)) <= 1e-15
+
+
+def test_loglin_build_leaves_scipy_optimize_unimported():
+    code = ("import sys\n"
+            "from solab.orlicz import OrliczTriple, catalog_structure_function\n"
+            "OrliczTriple(catalog_structure_function('loglin:alpha=1,beta=1,a=2'))\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = str(Path(oz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("label", POWER_LABELS)

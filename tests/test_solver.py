@@ -162,12 +162,23 @@ def test_line_search_stall_recorded(grid9, monkeypatch):
 
 
 def test_problem_operator_is_the_regularized_operator(grid9, rng):
-    prob = make_problem(grid9, "sinlog:a=2.5,b=1", lambda a, b, c: a * b, eps=1e-2)
-    z = rng.normal(size=(500, 2)) * np.exp(rng.uniform(-8, 6, size=(500, 1)))
-    a_eps = prob.operator()(z)
-    f_eps = regularized_weight(prob.triple, prob.eps)
-    assert np.array_equal(a_eps, regularized_operator(prob.triple, prob.eps)[0].A(z))
-    assert np.array_equal(a_eps, f_eps(np.sqrt(np.sum(z * z, axis=-1)))[:, None] * z)
+    # the solver's weak-form kernel applies exactly the A_eps that operator-check certifies
+    tr, eps = triple_for("sinlog:a=2.5,b=1"), 1e-2
+    u = rng.normal(size=grid9.shape) * np.exp(rng.uniform(-8, 6, size=grid9.shape))
+    a_eps = regularized_operator(tr, eps)[0].A
+    xc = sv.cell_gradient(grid9, u)
+    expected = grid9.cell_volume * sv.cell_gradient_adjoint(
+        grid9, np.moveaxis(a_eps(np.moveaxis(xc, 0, -1)), -1, 0))
+    assert np.array_equal(sv._weak_form(grid9, u, regularized_weight(tr, eps))[1], expected)
+
+
+@pytest.mark.parametrize("label", ["power:p=3", "loglin"])
+def test_weak_residual_is_the_solver_residual(grid9, label):
+    prob = make_problem(grid9, label, lambda a, b, c: np.sin(2 * a) * b + 0.4 * c)
+    sol, rep = sv.solve_dirichlet(prob)
+    assert rep.converged
+    assert sv.weak_residual(sol, prob) == rep.weak_residual
+    assert sv.discrete_energy(sol, prob) == rep.final_energy
 
 
 def test_regularization_consistency(grid9):
