@@ -367,16 +367,16 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
         all_converged &= report.converged
         grid = prob.grid
         h = float(np.max(grid.spacing))
-        ratio = vf.lipschitz_ratio(sol, triple, cfg.center, cfg.radius, cfg.sigma)
+        # built before the fields: the cutoff's temporaries (48 MB at 65^3) would stack on them
+        eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer) if jobs else None
+        fields = vf.solution_fields(sol, triple, cfg.epsilon)
+        ratio = vf.lipschitz_ratio(fields, cfg.center, cfg.radius, cfg.sigma)
         ratio_rows.append((level, h, ratio))
-        trace = vf.moser_trace(sol, triple, cfg.center, cfg.radius, cfg.sigma, cfg.moser_levels)
+        trace = vf.moser_trace(fields, cfg.center, cfg.radius, cfg.sigma, cfg.moser_levels)
         final_moser = trace
         moser_rows.extend((level, h, row["gamma"], row["radius"], row["exponent"],
                            row["norm"], row["inner_norm"]) for row in trace["levels"])
         if jobs:
-            eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
-            fields = vf.solution_fields(sol, triple, cfg.epsilon)
-
             def run(job):
                 name, fn, kw = job
                 return fn(fields, eta, **kw)

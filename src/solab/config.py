@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .grid import GaugeBall, Grid
+from .grid import GaugeBall, Grid, ball_node_mask
 from .orlicz import UnknownLabelError, catalog_structure_function, parse_label
 from .problems import boundary_family_names
 from .solver import INIT_MODES
@@ -89,6 +89,9 @@ class ExperimentConfig:
         for key in ("radius", "eta_outer"):
             if not GaugeBall.at(self.center, getattr(self, key)).fits_inside(grid):
                 raise ConfigError(f"the gauge ball of {key} around center leaves the box")
+        # refined grids keep every coarse node, so one check on the first grid suffices
+        if not ball_node_mask(grid, GaugeBall.at(self.center, self.sigma * self.radius)).any():
+            raise ConfigError("the gauge ball of sigma * radius around center contains no grid node")
         try:
             catalog_structure_function(self.structure)
         except UnknownLabelError as exc:

@@ -67,12 +67,10 @@ class Grid:
             raise ValueError("box extents must have positive length")
 
     @classmethod
-    def from_box(cls, n: int, box, resolution, anisotropic: bool = False) -> "Grid":
+    def from_box(cls, n: int, box, resolution) -> "Grid":
         """Build a grid from per-axis extents and node counts.
 
-        ``resolution`` is one node count for all axes or a sequence; with
-        ``anisotropic`` the t axis is re-resolved so that h_t ~ h_x^2
-        (mirroring the quadratic scaling of the dilation).
+        ``resolution`` is one node count for all axes or a sequence.
         """
         box = [(float(a), float(b)) for a, b in box]
         d = 2 * n + 1
@@ -82,10 +80,6 @@ class Grid:
             res = [int(resolution)] * d
         else:
             res = [int(r) for r in resolution]
-        if anisotropic:
-            hx = (box[0][1] - box[0][0]) / (res[0] - 1)
-            span_t = box[-1][1] - box[-1][0]
-            res[-1] = max(3, int(round(span_t / hx ** 2)) + 1)
         return cls(n=n, shape=tuple(res), lo=tuple(a for a, _ in box), hi=tuple(b for _, b in box))
 
     @property

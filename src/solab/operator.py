@@ -53,7 +53,6 @@ class OperatorSpec:
     A: Callable
     DA: Callable
     L: float
-    source: str
     lower_weight: Callable
     upper_weight: Callable
 
@@ -114,7 +113,6 @@ def prototype_operator(triple: OrliczTriple) -> OperatorSpec:
         A=lambda z: prototype_A(triple, z),
         DA=lambda z: prototype_DA(triple, z),
         L=hi / lo,
-        source=f"prototype({triple.label})",
         lower_weight=lambda t: lo * triple.F(t),
         upper_weight=lambda t: hi * triple.F(t),
     )
@@ -294,7 +292,6 @@ def regularized_operator(triple: OrliczTriple, eps: float):
         A=a_eps,
         DA=da_eps,
         L=hi / lo,
-        source=f"regularized({triple.label}, eps={eps:g})",
         lower_weight=lambda t: lo * f_eps(t),
         upper_weight=lambda t: hi * f_eps(t),
     )

@@ -227,7 +227,6 @@ class YoungFunction:
     closed_eval: Callable = field(kw_only=True)
     is_N_function: bool = True
     is_doubling: bool = True
-    doubling_const: float | None = None
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -243,7 +242,6 @@ def young_from_structure(triple: OrliczTriple) -> YoungFunction:
         closed_eval=triple.G,
         is_N_function=True,
         is_doubling=True,
-        doubling_const=2.0 ** triple.g.g0,
     )
 
 
@@ -325,7 +323,6 @@ def conjugate_young(young: YoungFunction) -> YoungFunction:
         closed_eval=conj,
         is_N_function=young.is_N_function,
         is_doubling=bool(c2 < 1e6),
-        doubling_const=c2 if c2 < 1e6 else None,
     )
 
 

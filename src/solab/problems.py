@@ -1,4 +1,4 @@
-"""Named analytic boundary-data families and problem builders.
+"""Named analytic boundary-data families.
 
 Families are addressed by label strings in the same ``name:key=val`` syntax
 as the structure-function catalog:
@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid, ScalarField
-from .orlicz import OrliczTriple, UnknownLabelError, parse_label
-from .solver import DirichletProblem
+from .orlicz import UnknownLabelError, parse_label
 
-__all__ = ["boundary_field", "boundary_family_names", "build_problem"]
+__all__ = ["boundary_field", "boundary_family_names"]
 
 
 def _affine_part(grid: Grid, params: dict) -> np.ndarray:
@@ -83,11 +82,3 @@ def boundary_field(label: str, grid: Grid) -> ScalarField:
         raise UnknownLabelError(f"unknown boundary family {name!r} (have {', '.join(_FAMILIES)})")
     vals = _FAMILIES[name](grid, dict(params)) * np.ones(grid.shape)
     return ScalarField(grid, vals)
-
-
-def build_problem(grid: Grid, triple: OrliczTriple, boundary_label: str,
-                  eps: float = 1e-4, residual_tol: float | None = None,
-                  max_iters: int = 100_000) -> DirichletProblem:
-    return DirichletProblem(grid=grid, triple=triple,
-                            boundary=boundary_field(boundary_label, grid),
-                            eps=eps, residual_tol=residual_tol, max_iters=max_iters)

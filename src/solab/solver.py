@@ -152,9 +152,9 @@ def cell_gradient_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DirichletProblem:
-    """Dirichlet data for div_H A_eps(Xu) = 0 on the masked interior.
+    """Dirichlet data for div_H A_eps(Xu) = 0 on the interior nodes of the grid.
 
-    ``boundary`` is a full-grid field whose values on the mask complement are
+    ``boundary`` is a full-grid field whose values on the boundary nodes are
     the Dirichlet data (interior values are only used as an initial guess by
     ``init='boundary'``).
     """
@@ -162,7 +162,6 @@ class DirichletProblem:
     grid: Grid
     triple: OrliczTriple
     boundary: ScalarField
-    interior: np.ndarray | None = None
     eps: float = 1e-4
     residual_tol: float | None = None
     max_iters: int = 100_000
@@ -170,15 +169,12 @@ class DirichletProblem:
     def __post_init__(self):
         if self.boundary.grid != self.grid:
             raise ValueError("boundary field lives on a different grid")
-        mask = self.interior if self.interior is not None else self.grid.interior_mask()
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.grid.shape:
-            raise ValueError("interior mask shape does not match the grid")
-        if mask.all():
-            raise ValueError("interior mask leaves no boundary nodes for the Dirichlet data")
         if not (0 < self.eps < 1):
             raise ValueError("eps must lie in (0,1)")
-        object.__setattr__(self, "interior", mask)
+
+    @property
+    def interior(self) -> np.ndarray:
+        return self.grid.interior_mask()
 
 
 @dataclass
@@ -200,6 +196,11 @@ def _weak_form(grid: Grid, values: np.ndarray, weight):
     xc = cell_gradient(grid, values)
     r = np.sqrt(np.sum(xc * xc, axis=0))
     return r, grid.cell_volume * cell_gradient_adjoint(grid, weight(r) * xc)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product outside BLAS, so solves do not depend on the BLAS thread count."""
+    return float(np.einsum("i,i", a, b))
 
 
 def _energy_and_gradient(grid: Grid, values: np.ndarray, f_eps, g_eps):
@@ -304,22 +305,22 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         q = grad.copy()
         alphas = []
         for s, y, rho in reversed(memory):
-            a = rho * np.dot(s, q)
+            a = rho * _dot(s, q)
             alphas.append(a)
             q -= a * y
         if memory:
             s, y, _ = memory[-1]
-            q *= np.dot(s, y) / np.dot(y, y)
+            q *= _dot(s, y) / _dot(y, y)
         else:
             q *= 1.0 / max(res, 1.0)
         for (s, y, rho), a in zip(memory, reversed(alphas)):
-            q += s * (a - rho * np.dot(y, q))
+            q += s * (a - rho * _dot(y, q))
         d = -q
-        gd = float(np.dot(grad, d))
+        gd = _dot(grad, d)
         if gd >= 0:  # stale curvature; restart from steepest descent
             memory.clear()
             d = -grad / max(res, 1.0)
-            gd = float(np.dot(grad, d))
+            gd = _dot(grad, d)
 
         alpha = 1.0
         accepted = False
@@ -348,7 +349,7 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
                 break
         s_vec = x_new - x
         y_vec = g_new - grad
-        sy = float(np.dot(s_vec, y_vec))
+        sy = _dot(s_vec, y_vec)
         if sy > 1e-300:
             memory.append((s_vec, y_vec, 1.0 / sy))
         x, energy, grad, cap = x_new, e_new, g_new, cap_new
@@ -383,8 +384,6 @@ def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem, init="z
         raise ValueError("comparison requires a shared grid and regularization")
     if prob_u.triple.label != prob_v.triple.label:
         raise ValueError("comparison requires a shared operator")
-    if not np.array_equal(prob_u.interior, prob_v.interior):
-        raise ValueError("comparison requires a shared interior mask")
     off = ~prob_u.interior
     if np.any(prob_u.boundary.values[off] < prob_v.boundary.values[off] - 1e-12):
         raise ValueError("boundary data are not ordered: need u0 >= v0 on the boundary")

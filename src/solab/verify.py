@@ -8,9 +8,11 @@ fitted constant is finite and stable under mesh refinement, and that sides
 which vanish analytically (t-independent data for the vertical integrands,
 affine data for the Hessian integrands) vanish numerically.
 
-The five audits take one ``SolutionFields`` (Xu, Tu, X(Tu), XXu, G(|Xu|) and
-F(|Xu|) of a solution), computed once by ``solution_fields``, which also
-decides the regularized-weight fallback.
+All seven post-solve consumers (the sup-bound ratio, the iteration trace and
+the five audits) read one ``SolutionFields`` (Xu, Tu, X(Tu), XXu, G(|Xu|),
+G(|Tu|) and F(|Xu|) of a solution).  ``solution_fields`` is the only code
+that differentiates a computed solution, and it also decides the
+regularized-weight fallback.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def attach_refinement(reports: list[AuditReport], factor: float = 2.0) -> AuditR
 
 @dataclass
 class SolutionFields:
-    """Node-based derived fields shared by the audits."""
+    """Node-based derived fields shared by the ratio, the trace and the audits."""
 
     u: ScalarField
     triple: OrliczTriple
@@ -152,12 +154,13 @@ class SolutionFields:
     xtu_norm: np.ndarray
     hess_norm: np.ndarray
     g_xu: np.ndarray
+    g_tu: np.ndarray
     f_xu: np.ndarray
     weight_kind: str
 
 
 def solution_fields(u: ScalarField, triple: OrliczTriple, eps: float | None = None) -> SolutionFields:
-    """Compute Xu, Tu, X(Tu), XXu and the Orlicz weights of a solution.
+    """Compute Xu, Tu, X(Tu), XXu, G(|Xu|), G(|Tu|) and F(|Xu|) of a solution.
 
     The degeneracy weight is the raw F with its limit policy at 0; when F is
     singular there (delta < 1) the problem's regularized weight is used and
@@ -178,11 +181,9 @@ def solution_fields(u: ScalarField, triple: OrliczTriple, eps: float | None = No
         kind = "F_eps"
     return SolutionFields(u=u, triple=triple, xu_norm=xu_norm, tu=tu_field.values,
                           xtu_norm=xtu_norm, hess_norm=hess_norm,
-                          g_xu=np.asarray(triple.G(xu_norm)), f_xu=f_xu, weight_kind=kind)
-
-
-def _as_field(grid, values) -> ScalarField:
-    return ScalarField(grid, values)
+                          g_xu=np.asarray(triple.G(xu_norm)),
+                          g_tu=np.asarray(triple.G(np.abs(tu_field.values))),
+                          f_xu=f_xu, weight_kind=kind)
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def _as_field(grid, values) -> ScalarField:
 # --------------------------------------------------------------------------
 
 
-def lipschitz_ratio(u: ScalarField, triple: OrliczTriple, center, r: float, sigma: float) -> float:
+def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float:
     """sup_{B_{sigma r}} G(|Xu|) * (1-sigma)^Q / average_{B_r} G(|Xu|).
 
     For an affine t-independent solution G(|Xu|) is constant and the ratio is
@@ -198,17 +199,16 @@ def lipschitz_ratio(u: ScalarField, triple: OrliczTriple, center, r: float, sigm
     """
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0,1)")
-    grid = u.grid
+    grid = sf.u.grid
     Q = 2 * grid.n + 2
     outer = GaugeBall.at(center, r)
     if not outer.fits_inside(grid):
         raise ValueError("ball reaches outside the domain")
-    w = np.asarray(triple.G(horizontal_gradient(u).norm()))
     inner_mask = ball_node_mask(grid, GaugeBall.at(center, sigma * r))
     if not inner_mask.any():
         raise ValueError("inner ball contains no grid nodes")
-    sup_inner = float(np.max(w[inner_mask]))
-    avg = ball_average(_as_field(grid, w), outer)
+    sup_inner = float(np.max(sf.g_xu[inner_mask]))
+    avg = ball_average(ScalarField(grid, sf.g_xu), outer)
     return sup_inner * (1.0 - sigma) ** Q / avg
 
 
@@ -244,23 +244,22 @@ class MoserSchedule:
         return self.sigma * self.r + (1.0 - self.sigma) * self.r / 2.0 ** i
 
 
-def moser_trace(u: ScalarField, triple: OrliczTriple, center, r: float, sigma: float,
-                levels: int) -> dict:
+def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int) -> dict:
     """Normalized L^{gamma_i+2} norms of w = G(|Xu|) along the iteration ladder.
 
     The norms are evaluated with the max factored out so that high exponents
     stay stable; on a fixed ball they are nondecreasing in the exponent and
     converge to the sup, which is also reported for the inner ball.
     """
-    grid = u.grid
+    grid = sf.u.grid
     sched = MoserSchedule(Q=2 * grid.n + 2, sigma=sigma, r=r, levels=levels)
     if not GaugeBall.at(center, r).fits_inside(grid):
         raise ValueError("ball reaches outside the domain")
-    inner_mask = ball_node_mask(grid, GaugeBall.at(center, sigma * r))
+    inner_ball = GaugeBall.at(center, sigma * r)
+    inner_mask = ball_node_mask(grid, inner_ball)
     if not inner_mask.any():
         raise ValueError("schedule exceeds grid resolution: empty inner ball")
-    w = np.asarray(triple.G(horizontal_gradient(u).norm()))
-    inner_ball = GaugeBall.at(center, sigma * r)
+    w = sf.g_xu
 
     def graded_norm(ball, mask, p):
         wmax = float(np.max(w[mask]))
@@ -268,7 +267,7 @@ def moser_trace(u: ScalarField, triple: OrliczTriple, center, r: float, sigma: f
             return 0.0
         # cap at the ball sup: nodes outside the mask only contribute through
         # partially covered shell cells, and powering them would overflow
-        scaled = _as_field(grid, np.minimum(w / wmax, 1.0) ** p)
+        scaled = ScalarField(grid, np.minimum(w / wmax, 1.0) ** p)
         return wmax * ball_average(scaled, ball) ** (1.0 / p)
 
     rows = []
@@ -304,10 +303,9 @@ def caccioppoli_T_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     grid = sf.u.grid
-    g_tu = np.asarray(sf.triple.G(np.abs(sf.tu)))
     p = gamma + 1.0
-    lhs = integrate(_as_field(grid, eta.eta.values ** 2 * g_tu ** p * sf.f_xu * sf.xtu_norm ** 2))
-    rhs = integrate(_as_field(grid, g_tu ** p * sf.f_xu * sf.tu ** 2 * eta.grad.norm() ** 2)) / p ** 2
+    lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * sf.g_tu ** p * sf.f_xu * sf.xtu_norm ** 2))
+    rhs = integrate(ScalarField(grid, sf.g_tu ** p * sf.f_xu * sf.tu ** 2 * eta.grad.norm() ** 2)) / p ** 2
     return _report("caccioppoli_T", lhs, rhs, gamma, weight=sf.weight_kind)
 
 
@@ -323,10 +321,10 @@ def caccioppoli_X_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     grid = sf.u.grid
     p = gamma + 1.0
     core = sf.g_xu ** p * sf.f_xu
-    lhs = integrate(_as_field(grid, eta.eta.values ** 2 * core * sf.hess_norm ** 2))
+    lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * core * sf.hess_norm ** 2))
     cut_cost = eta.grad.norm() ** 2 + np.abs(eta.eta.values * eta.t_deriv.values)
-    rhs = integrate(_as_field(grid, core * sf.xu_norm ** 2 * cut_cost))
-    rhs += p ** 4 * integrate(_as_field(grid, eta.eta.values ** 2 * core * sf.tu ** 2))
+    rhs = integrate(ScalarField(grid, core * sf.xu_norm ** 2 * cut_cost))
+    rhs += p ** 4 * integrate(ScalarField(grid, eta.eta.values ** 2 * core * sf.tu ** 2))
     return _report("caccioppoli_X", lhs, rhs, gamma, weight=sf.weight_kind)
 
 
@@ -351,8 +349,8 @@ def reverse_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float,
     arg = eta.eta.values * np.abs(sf.tu) / math.sqrt(omega * eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
     base = sf.f_xu * sf.hess_norm ** 2 * eta.eta.values ** 2
-    lhs = integrate(_as_field(grid, g_arg ** p * base))
-    rhs = omega ** (-p / 2.0) * integrate(_as_field(grid, sf.g_xu ** p * base))
+    lhs = integrate(ScalarField(grid, g_arg ** p * base))
+    rhs = omega ** (-p / 2.0) * integrate(ScalarField(grid, sf.g_xu ** p * base))
     envelope = p ** (p * (1.0 + sf.triple.g.g0))
     return _report("reverse", lhs, rhs, gamma, omega=omega, envelope_gamma_factor=envelope,
                    weight=sf.weight_kind)
@@ -371,9 +369,9 @@ def horizontal_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: fl
     grid = sf.u.grid
     p = gamma + 1.0
     core = sf.g_xu ** p * sf.f_xu
-    lhs = integrate(_as_field(grid, eta.eta.values ** 2 * core * sf.hess_norm ** 2))
+    lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * core * sf.hess_norm ** 2))
     amp = p ** (10.0 * (1.0 + sf.triple.g.g0)) * eta.k_eta
-    rhs = amp * integrate(_as_field(grid, core * sf.xu_norm ** 2), eta.support_mask)
+    rhs = amp * integrate(ScalarField(grid, core * sf.xu_norm ** 2), eta.support_mask)
     return _report("horizontal_estimate", lhs, rhs, gamma, weight=sf.weight_kind)
 
 
@@ -391,7 +389,7 @@ def vertical_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: floa
     p = gamma + 1.0
     arg = eta.eta.values * np.abs(sf.tu) / math.sqrt(eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
-    lhs = integrate(_as_field(grid, eta.eta.values ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2))
-    rhs = eta.k_eta * integrate(_as_field(grid, sf.g_xu ** p * sf.xu_norm ** 2 * sf.f_xu),
+    lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2))
+    rhs = eta.k_eta * integrate(ScalarField(grid, sf.g_xu ** p * sf.xu_norm ** 2 * sf.f_xu),
                                 eta.support_mask)
     return _report("vertical_estimate", lhs, rhs, gamma, weight=sf.weight_kind)

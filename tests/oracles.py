@@ -2,10 +2,11 @@
 
 These deliberately take different code paths from the library: the linear
 Kohn-Laplace system is assembled from sparse Kronecker products (the solver
-uses slicing-based operators), Jacobians come from central differences, and
+uses slicing-based operators), Jacobians come from central differences,
 integrals of growth laws come from scipy's adaptive quadrature (conjugates
 included: the library uses the Fenchel-Young equality, the reference
-integrates the inverse).
+integrates the inverse), and the p-Laplace solver is checked against the
+closed-form gauge fundamental solution.
 """
 
 import numpy as np
@@ -57,6 +58,17 @@ def solve_kohn_laplace(grid: Grid, boundary_values: np.ndarray, interior_mask: n
     sol = boundary_values.ravel().copy()
     sol[mask] = scipy.sparse.linalg.spsolve(Hii.tocsc(), rhs)
     return sol.reshape(grid.shape)
+
+
+def gauge_fundamental_solution(p: float, x1, x2, t):
+    """u = N^{(p-Q)/(p-1)} with N = (|x|^4 + 16 t^2)^{1/4} and Q = 4.
+
+    With X1 = d/dx1 - (x2/2) d/dt and X2 = d/dx2 + (x1/2) d/dt this solves
+    div_H(|Xu|^{p-2} Xu) = 0 away from the origin (Capogna-Danielli-Garofalo,
+    Amer. J. Math. 118, 1996; Heinonen-Holopainen, J. Geom. Anal. 7, 1997).
+    """
+    gauge = ((x1 * x1 + x2 * x2) ** 2 + 16.0 * t * t) ** 0.25
+    return gauge ** ((p - 4.0) / (p - 1.0))
 
 
 def fd_jacobian(a_map, z: np.ndarray, h_rel: float = 1e-6) -> np.ndarray:

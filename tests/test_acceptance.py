@@ -237,8 +237,9 @@ def test_criterion_7_main_estimate(solution_chains):
     ok = True
     spreads = {}
     for label, levels in solution_chains.items():
-        ratios = [vf.lipschitz_ratio(sol, triple_for(label), CENTER, RADIUS, SIGMA)
-                  for _, _, sol in levels]
+        ratios = [vf.lipschitz_ratio(vf.solution_fields(sol, triple_for(label), prob.eps),
+                                     CENTER, RADIUS, SIGMA)
+                  for _, prob, sol in levels]
         ok &= all(np.isfinite(ratios)) and min(ratios) > 0
         spread = max(ratios) / min(ratios) - 1.0
         spreads[label] = (ratios, spread)
@@ -248,10 +249,12 @@ def test_criterion_7_main_estimate(solution_chains):
     prob = sv.DirichletProblem(grid=grid, triple=triple_for("power:p=2"), boundary=bc,
                                residual_tol=1e-12)
     sol_aff, _ = sv.solve_dirichlet(prob)
-    ratio_aff = vf.lipschitz_ratio(sol_aff, triple_for("power:p=2"), CENTER, RADIUS, SIGMA)
+    ratio_aff = vf.lipschitz_ratio(vf.solution_fields(sol_aff, triple_for("power:p=2")),
+                                   CENTER, RADIUS, SIGMA)
     ok &= abs(ratio_aff - (1 - SIGMA) ** 4) <= 1e-9
-    _, _, sol65 = solution_chains["power:p=2"][-1]
-    trace = vf.moser_trace(sol65, triple_for("power:p=2"), CENTER, RADIUS, SIGMA, levels=8)
+    _, prob65, sol65 = solution_chains["power:p=2"][-1]
+    trace = vf.moser_trace(vf.solution_fields(sol65, triple_for("power:p=2"), prob65.eps),
+                           CENTER, RADIUS, SIGMA, levels=8)
     sup = trace["inner_sup"]
     final = trace["levels"][-1]["inner_norm"]
     ok &= abs(final - sup) <= 0.05 * sup

@@ -2,6 +2,8 @@ import json
 import operator
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -82,8 +84,9 @@ def test_config_validation_errors(tmp_path):
         load_config(write_cfg(tmp_path, BASE + "bogus_key = 3\n", "bk.txt"))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.txt"))
+    empty_inner = "center = [0.1, 0.1, 0.05]\nsigma = 0.01\nradius = 0.5\neta_outer = 0.45"
     for i, extra in enumerate(("gammas = [-1]", "omegas = [0.5]", "radius = 1.5", "eta_outer = 1.5",
-                               "init = foo")):
+                               "init = foo", empty_inner)):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, BASE + extra + "\n", f"audit{i}.txt"))
 
@@ -171,19 +174,21 @@ def test_audit_and_estimate_commands(tmp_path):
 
 
 def test_audit_computes_fields_once_per_level(tmp_path, monkeypatch):
-    calls = []
-    inner = vf.solution_fields
+    calls = {"solution_fields": 0, "horizontal_gradient": 0}
+    for name in calls:
+        inner = getattr(vf, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
 
-    monkeypatch.setattr(vf, "solution_fields", counted)
+        monkeypatch.setattr(vf, name, counted)
     path = write_cfg(tmp_path, BASE)
-    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "a")]) in (0, 1)
-    assert len(calls) == 2  # refinements = 1: two levels, five audit jobs each
-    assert cli.main(["estimate", "--config", path, "--out", str(tmp_path / "e")]) in (0, 1)
-    assert len(calls) == 2
+    # refinements = 1: two levels; per level one fields pass, which takes X of u and of Tu
+    for command in ("audit", "estimate"):
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / command)]) in (0, 1)
+        assert calls == {"solution_fields": 2, "horizontal_gradient": 4}, command
+        calls.update(solution_fields=0, horizontal_gradient=0)
 
 
 def test_audit_reports_byte_identical(tmp_path):
@@ -252,6 +257,23 @@ def test_operator_check_passes_catalog(tmp_path, label, n):
     assert [row["L_tilde"] for row in report["regularization"]] == [l_tilde] * 4
     sups = [row["sup_diff"] for row in report["regularization"]]
     assert all(a > b > 0 for a, b in zip(sups, sups[1:])) or sups == [0.0] * 4  # 0 only for p = 2
+
+
+def test_solve_bytes_independent_of_blas_threads(tmp_path):
+    # at 33^3 the L-BFGS vectors are long enough for OpenBLAS to split a dot product over
+    # threads, which reorders its sum; the solver's reductions must not go through BLAS
+    path = write_cfg(tmp_path, "structure = power:p=3\nboundary = poly2:x1=0.5,x1t=0.4,x2=0.2\n"
+                               "resolution = 33\nepsilon = 1e-4\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "solab.cli", "solve", "--config", path,
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in ("solution.bin", "solve_report.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_harmonic_init_cg_failure_exits_1(tmp_path, monkeypatch):

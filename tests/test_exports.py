@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -54,3 +55,20 @@ def test_regularized_operator_exported():
     assert "regularized_operator" in operator.__all__
     assert solab.regularized_operator is operator.regularized_operator
     assert not hasattr(operator, "regularize")
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # the benchmark tracer patches solab names; a refactor that drops one must fail here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer("tier1")
+    verify = importlib.import_module("solab.verify")
+    original = verify.solution_fields
+    try:
+        tracer_mod.install_solab(tracer)
+        assert verify.solution_fields is not original
+    finally:
+        tracer.restore()
+    assert verify.solution_fields is original

@@ -23,12 +23,6 @@ def test_grid_validation():
     assert np.allclose(g.spacing, [0.25, 0.5, 0.125])
 
 
-def test_grid_anisotropic_resolution():
-    g = gr.Grid.from_box(1, [(-1, 1)] * 3, 17, anisotropic=True)
-    hx = g.spacing[0]
-    assert abs(g.spacing[-1] - hx ** 2) <= hx ** 2  # h_t tracks hx^2
-
-
 def test_field_validation(grid9):
     with pytest.raises(ValueError):
         gr.ScalarField(grid9, np.zeros((3, 3, 3)))

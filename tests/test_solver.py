@@ -5,8 +5,8 @@ import pytest
 
 import solab.solver as sv
 from conftest import field_from, triple_for
-from oracles import solve_kohn_laplace
-from solab.grid import Grid, ScalarField
+from oracles import gauge_fundamental_solution, solve_kohn_laplace
+from solab.grid import Grid, ScalarField, refine_values
 from solab.heisenberg import GroupPoint
 from solab.operator import regularized_operator, regularized_weight
 
@@ -42,9 +42,6 @@ def test_problem_validation(grid9):
     bc = field_from(grid9, lambda a, b, c: a)
     with pytest.raises(ValueError):
         sv.DirichletProblem(grid=grid9, triple=triple_for("power:p=2"), boundary=bc, eps=2.0)
-    with pytest.raises(ValueError):
-        sv.DirichletProblem(grid=grid9, triple=triple_for("power:p=2"), boundary=bc,
-                            interior=np.ones(grid9.shape, dtype=bool))
     other = Grid.from_box(1, [(-1, 1)] * 3, 11)
     with pytest.raises(ValueError):
         sv.DirichletProblem(grid=other, triple=triple_for("power:p=2"), boundary=bc)
@@ -192,6 +189,25 @@ def test_regularization_consistency(grid9):
     d2 = np.max(np.abs(sols[0.02].values - sols[0.01].values))
     d3 = np.max(np.abs(sols[0.01].values - sols[0.005].values))
     assert d2 <= d1 and d3 <= d2
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_error_against_gauge_fundamental_solution(p):
+    # p-harmonic off the origin; the box keeps |x| >= 1/4, so for p = 1.5 max |u| = 4^5
+    errors = []
+    warm = None
+    for res in (9, 17, 33):
+        grid = Grid.from_box(1, [(0.25, 1.25), (-0.5, 0.5), (-0.5, 0.5)], res)
+        exact = gauge_fundamental_solution(p, grid.coord(0), grid.coord(1), grid.coord(2))
+        prob = sv.DirichletProblem(grid=grid, triple=triple_for(f"power:p={p:g}"),
+                                   boundary=ScalarField(grid, exact * np.ones(grid.shape)), eps=1e-6)
+        sol, rep = sv.solve_dirichlet(prob, init="zero" if warm is None else refine_values(warm.values))
+        assert rep.converged
+        warm = sol
+        diff = (sol.values - exact)[prob.interior]
+        errors.append(math.sqrt(float(np.mean(diff * diff))))
+    # measured rms: p = 3: 4.2e-2, 1.6e-2, 5.0e-3; p = 1.5: 12.5, 5.1, 1.4
+    assert all(coarse >= 2.0 * fine for coarse, fine in zip(errors, errors[1:])), errors
 
 
 # ---------------------------------------------------------------- comparison

@@ -58,24 +58,25 @@ def test_moser_schedule_validation():
 
 def test_lipschitz_ratio_affine(affine_solution):
     sol, tr, _ = affine_solution
-    ratio = vf.lipschitz_ratio(sol, tr, [0, 0, 0], 0.8, 0.5)
+    ratio = vf.lipschitz_ratio(vf.solution_fields(sol, tr), [0, 0, 0], 0.8, 0.5)
     assert ratio == pytest.approx(0.5 ** 4, abs=1e-9)
 
 
 def test_lipschitz_ratio_shift_invariant(tdep_solution):
     sol, tr, _, prob = tdep_solution
     shifted = ScalarField(sol.grid, sol.values + 3.7)
-    r1 = vf.lipschitz_ratio(sol, tr, [0, 0, 0], 0.8, 0.5)
-    r2 = vf.lipschitz_ratio(shifted, tr, [0, 0, 0], 0.8, 0.5)
+    r1 = vf.lipschitz_ratio(vf.solution_fields(sol, tr), [0, 0, 0], 0.8, 0.5)
+    r2 = vf.lipschitz_ratio(vf.solution_fields(shifted, tr), [0, 0, 0], 0.8, 0.5)
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 def test_lipschitz_ratio_validation(tdep_solution):
     sol, tr, _, _ = tdep_solution
+    sf = vf.solution_fields(sol, tr)
     with pytest.raises(ValueError):
-        vf.lipschitz_ratio(sol, tr, [0, 0, 0], 0.8, 1.0)
+        vf.lipschitz_ratio(sf, [0, 0, 0], 0.8, 1.0)
     with pytest.raises(ValueError):
-        vf.lipschitz_ratio(sol, tr, [0, 0, 0], 5.0, 0.5)
+        vf.lipschitz_ratio(sf, [0, 0, 0], 5.0, 0.5)
 
 
 # ---------------------------------------------------------------- audits
@@ -205,7 +206,7 @@ def test_moser_trace_constant_field():
     g = Grid.from_box(1, [(-1, 1)] * 3, 17)
     tr = triple_for("power:p=2")
     u = field_from(g, lambda a, b, c: 0.8 * a)  # |Xu| = 0.8 everywhere
-    trace = vf.moser_trace(u, tr, [0, 0, 0], 0.8, 0.5, levels=4)
+    trace = vf.moser_trace(vf.solution_fields(u, tr), [0, 0, 0], 0.8, 0.5, levels=4)
     expected = float(tr.G(0.8))
     for row in trace["levels"]:
         assert row["norm"] == pytest.approx(expected, rel=1e-9)
@@ -215,7 +216,7 @@ def test_moser_trace_constant_field():
 
 def test_moser_trace_monotone_and_converges(tdep_solution):
     sol, tr, _, _ = tdep_solution
-    trace = vf.moser_trace(sol, tr, [0, 0, 0], 0.8, 0.5, levels=8)
+    trace = vf.moser_trace(vf.solution_fields(sol, tr), [0, 0, 0], 0.8, 0.5, levels=8)
     inner = [row["inner_norm"] for row in trace["levels"]]
     assert all(a <= b * (1 + 1e-9) for a, b in zip(inner, inner[1:]))
     assert abs(inner[-1] - trace["inner_sup"]) <= 0.05 * trace["inner_sup"]
@@ -226,10 +227,11 @@ def test_moser_trace_monotone_and_converges(tdep_solution):
 
 def test_moser_trace_validation(tdep_solution):
     sol, tr, _, _ = tdep_solution
+    sf = vf.solution_fields(sol, tr)
     with pytest.raises(ValueError):
-        vf.moser_trace(sol, tr, [0, 0, 0], 0.8, 0.5, levels=1)
+        vf.moser_trace(sf, [0, 0, 0], 0.8, 0.5, levels=1)
     with pytest.raises(ValueError):
-        vf.moser_trace(sol, tr, [0, 0, 0], 3.0, 0.5, levels=3)
+        vf.moser_trace(sf, [0, 0, 0], 3.0, 0.5, levels=3)
 
 
 # ---------------------------------------------------------------- weight fallback
