@@ -367,7 +367,7 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
         all_converged &= report.converged
         grid = prob.grid
         h = float(np.max(grid.spacing))
-        # built before the fields: the cutoff's temporaries (48 MB at 65^3) would stack on them
+        # built before the fields: the cutoff's temporaries (29 MB at 65^3) would stack on them
         eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer) if jobs else None
         fields = vf.solution_fields(sol, triple, cfg.epsilon)
         ratio = vf.lipschitz_ratio(fields, cfg.center, cfg.radius, cfg.sigma)

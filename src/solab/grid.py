@@ -308,16 +308,40 @@ def ball_node_mask(grid: Grid, ball: GaugeBall) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _ball_coverage(grid: Grid, ball: GaugeBall, sub: int = 4) -> np.ndarray:
-    """Fraction of each node cell inside the ball; exact 0/1 away from the shell."""
+def _trapezoid_weights(grid: Grid) -> np.ndarray:
+    w = np.ones(grid.shape)
+    for k in range(grid.dim):
+        axis_w = np.ones(grid.shape[k])
+        axis_w[0] = axis_w[-1] = 0.5
+        shape = [1] * grid.dim
+        shape[k] = grid.shape[k]
+        w = w * (axis_w * grid.spacing[k]).reshape(shape)
+    return w
+
+
+@functools.lru_cache(maxsize=4)
+def _corner_extrema(grid: Grid, center: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max gauge distance from center over the 2^d corners of each node cell."""
     h = grid.spacing
     corner_min = np.full(grid.shape, np.inf)
     corner_max = np.full(grid.shape, -np.inf)
     for signs in np.ndindex(*(2,) * grid.dim):
         off = (np.asarray(signs) - 0.5) * h
-        rho = gauge_distance_field(grid, np.asarray(ball.center), offsets=off)
+        rho = gauge_distance_field(grid, np.asarray(center), offsets=off)
         corner_min = np.minimum(corner_min, rho)
         corner_max = np.maximum(corner_max, rho)
+    return corner_min, corner_max
+
+
+@functools.lru_cache(maxsize=32)
+def _ball_weights(grid: Grid, ball: GaugeBall, sub: int = 4) -> np.ndarray:
+    """Trapezoid weight times the fraction of each node cell inside the ball.
+
+    The fraction is exact 0/1 away from the shell; the corner distances are
+    shared by every ball about the same center.
+    """
+    h = grid.spacing
+    corner_min, corner_max = _corner_extrema(grid, ball.center)
     # the gauge ball is convex, so a cell is inside iff all its corners are;
     # the outer test pads by one cell's worth of variation to be safe
     inside = corner_max <= ball.radius
@@ -340,19 +364,7 @@ def _ball_coverage(grid: Grid, ball: GaugeBall, sub: int = 4) -> np.ndarray:
             tau = q[:, -1] - c[-1] - 0.5 * area
             count += (sq + np.abs(tau) <= ball.radius ** 2)
         coverage[idx] = count / float(sub ** grid.dim)
-    return coverage
-
-
-@functools.lru_cache(maxsize=32)
-def _trapezoid_weights(grid: Grid) -> np.ndarray:
-    w = np.ones(grid.shape)
-    for k in range(grid.dim):
-        axis_w = np.ones(grid.shape[k])
-        axis_w[0] = axis_w[-1] = 0.5
-        shape = [1] * grid.dim
-        shape[k] = grid.shape[k]
-        w = w * (axis_w * grid.spacing[k]).reshape(shape)
-    return w
+    return _trapezoid_weights(grid) * coverage
 
 
 def integrate(f, region=None) -> float:
@@ -367,10 +379,10 @@ def integrate(f, region=None) -> float:
     if isinstance(region, GaugeBall):
         if not region.fits_inside(grid):
             raise ValueError("integration ball reaches outside the grid")
-        cov = _ball_coverage(grid, region)
-        if not np.any(cov > 0):
+        w_ball = _ball_weights(grid, region)
+        if not np.any(w_ball > 0):
             raise ValueError("empty integration region")
-        return float(np.sum(w * cov * values))
+        return float(np.sum(w_ball * values))
     mask = np.asarray(region, dtype=bool)
     if mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
@@ -380,8 +392,7 @@ def integrate(f, region=None) -> float:
 
 
 def ball_average(f: ScalarField, ball: GaugeBall) -> float:
-    vol = integrate(ScalarField(f.grid, np.ones(f.grid.shape)), ball)
-    return integrate(f, ball) / vol
+    return integrate(f, ball) / float(np.sum(_ball_weights(f.grid, ball)))
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +413,6 @@ class CutoffFunction:
     t_deriv: ScalarField
     k_eta: float
     grad_sup: float
-    hess_sup: float
     center: tuple[float, ...]
     r_inner: float
     r_outer: float
@@ -410,6 +420,11 @@ class CutoffFunction:
     @property
     def support_mask(self) -> np.ndarray:
         return self.eta.values > 0.0
+
+    @functools.cached_property
+    def hess_sup(self) -> float:
+        """sup of |XX eta| (Frobenius), from the discrete horizontal Hessian."""
+        return float(np.max(hessian_frobenius(horizontal_hessian(self.eta))))
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
@@ -460,10 +475,9 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     grad = HorizontalField(grid, grad_vals)
     t_deriv = ScalarField(grid, scale * sgn * np.ones(grid.shape))
     grad_sup = float(np.max(grad.norm()))
-    hess_sup = float(np.max(hessian_frobenius(horizontal_hessian(eta))))
     k_eta = grad_sup ** 2 + float(np.max(np.abs(eta.values * t_deriv.values)))
     return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta,
-                          grad_sup=grad_sup, hess_sup=hess_sup,
+                          grad_sup=grad_sup,
                           center=tuple(c), r_inner=float(r_inner),
                           r_outer=float(r_outer))
 

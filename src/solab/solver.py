@@ -14,6 +14,13 @@ weak-solution contract coincide.  That A_eps is `operator.regularized_operator`,
 the map `operator-check` certifies.  `_weak_form` is the one assembly of
 vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual`, the barrier study
 and the p=2 harmonic start differ only in the radial weight w.
+
+`_weak_form` runs in slabs of consecutive cell planes along x_1, sized so that
+one scalar cell field of a slab takes `_SLAB_BYTES`: each slab forms Xu, |Xu|,
+the weight and the energy density from its own node planes and adds its part
+into the one nodal output, the only full-grid array an evaluation allocates.
+Slab temporaries stay in the allocator's free lists, where full-grid ones were
+unmapped and page-faulted back in on every evaluation.
 """
 
 from __future__ import annotations
@@ -66,7 +73,9 @@ def _avg(v: np.ndarray, axis: int) -> np.ndarray:
     hi = [slice(None)] * v.ndim
     lo[axis] = slice(None, -1)
     hi[axis] = slice(1, None)
-    return 0.5 * (v[tuple(lo)] + v[tuple(hi)])
+    out = v[tuple(lo)] + v[tuple(hi)]
+    out *= 0.5
+    return out
 
 
 def _dif(v: np.ndarray, axis: int) -> np.ndarray:
@@ -85,8 +94,9 @@ def _avg_T(v: np.ndarray, axis: int) -> np.ndarray:
     hi = [slice(None)] * v.ndim
     lo[axis] = slice(None, -1)
     hi[axis] = slice(1, None)
-    out[tuple(lo)] += 0.5 * v
-    out[tuple(hi)] += 0.5 * v
+    out[tuple(lo)] += v
+    out[tuple(hi)] += v
+    out *= 0.5  # halving is exact, so this equals adding 0.5 * v twice
     return out
 
 
@@ -104,7 +114,8 @@ def _dif_T(v: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _axis_cell_derivative(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    out = _dif(values, axis) / grid.spacing[axis]
+    out = _dif(values, axis)
+    out /= grid.spacing[axis]
     for b in range(grid.dim):
         if b != axis:
             out = _avg(out, b)
@@ -119,28 +130,46 @@ def _axis_cell_derivative_T(grid: Grid, w: np.ndarray, axis: int) -> np.ndarray:
     return _dif_T(out, axis)
 
 
-def cell_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Horizontal gradient at cell centers, shape (2n, *cellshape)."""
+def _cell_coord(grid: Grid, k: int, first: int, planes: int) -> np.ndarray:
+    """grid.cell_coord(k) on the cell planes first..first+planes-1 of axis 0."""
+    coord = grid.cell_coord(k)
+    return coord[first:first + planes] if k == 0 else coord
+
+
+def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
+    """Horizontal gradient at cell centers, shape (2n, *cellshape).
+
+    ``values`` holds the grid's node planes along axis 0 from plane ``first``
+    on (all of them by default); the result covers the cells between them.
+    """
     n = grid.n
-    d_axis = [_axis_cell_derivative(grid, values, a) for a in range(grid.dim)]
-    dt = d_axis[-1]
+    dt = _axis_cell_derivative(grid, values, grid.dim - 1)
+    planes = dt.shape[0]
     out = np.empty((2 * n,) + dt.shape)
     for i in range(n):
-        out[i] = d_axis[i] - 0.5 * grid.cell_coord(n + i) * dt
-        out[n + i] = d_axis[n + i] + 0.5 * grid.cell_coord(i) * dt
+        out[i] = (_axis_cell_derivative(grid, values, i)
+                  - 0.5 * _cell_coord(grid, n + i, first, planes) * dt)
+        out[n + i] = (_axis_cell_derivative(grid, values, n + i)
+                      + 0.5 * _cell_coord(grid, i, first, planes) * dt)
     return out
 
 
-def cell_gradient_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
-    """Adjoint of cell_gradient: cell vector fields to node values."""
+def cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarray:
+    """Adjoint of cell_gradient: cell vector fields to node values.
+
+    ``w`` covers the cell planes along axis 0 from plane ``first`` on; the
+    result covers the node planes around them.
+    """
     n = grid.n
     t_axis = grid.dim - 1
+    planes = w.shape[1]
     t_load = np.zeros(w.shape[1:])
-    out = np.zeros(grid.shape)
+    out = np.zeros(tuple(s + 1 for s in w.shape[1:]))
     for i in range(n):
         out += _axis_cell_derivative_T(grid, w[i], i)
         out += _axis_cell_derivative_T(grid, w[n + i], n + i)
-        t_load += -0.5 * grid.cell_coord(n + i) * w[i] + 0.5 * grid.cell_coord(i) * w[n + i]
+        t_load += (-0.5 * _cell_coord(grid, n + i, first, planes) * w[i]
+                   + 0.5 * _cell_coord(grid, i, first, planes) * w[n + i])
     out += _axis_cell_derivative_T(grid, t_load, t_axis)
     return out
 
@@ -191,11 +220,43 @@ class SolveReport:
     stop_reason: str = "tol"
 
 
-def _weak_form(grid: Grid, values: np.ndarray, weight):
-    """r = |Xu| per cell and the nodal weak form vol * X^T(weight(r) Xu)."""
-    xc = cell_gradient(grid, values)
-    r = np.sqrt(np.sum(xc * xc, axis=0))
-    return r, grid.cell_volume * cell_gradient_adjoint(grid, weight(r) * xc)
+# Bytes of one scalar cell field per slab of `_weak_form`.  Slab temporaries
+# this small are reused from the allocator's free lists; full-grid ones were
+# returned to the OS and page-faulted back in on every evaluation.
+_SLAB_BYTES = 128 * 1024
+
+
+def _slab_planes(grid: Grid) -> int:
+    """Cell planes along axis 0 per slab of `_weak_form`."""
+    plane_bytes = 8 * math.prod(s - 1 for s in grid.shape[1:])
+    return max(1, _SLAB_BYTES // plane_bytes)
+
+
+def _weak_form(grid: Grid, values: np.ndarray, weight, density=None):
+    """The nodal weak form vol * X^T(weight(r) Xu), r = |Xu| per cell, slab by slab.
+
+    Slabs are runs of `_slab_planes` cell planes along axis 0; each adds its
+    part into the node planes around it.  Returns ((min r, max r, sum of
+    density(r) over the cells, 0.0 without ``density``), nodal array).
+    """
+    vol = grid.cell_volume
+    cells = grid.shape[0] - 1
+    step = _slab_planes(grid)
+    out = np.zeros(grid.shape)
+    r_min, r_max, total = math.inf, 0.0, 0.0
+    for lo in range(0, cells, step):
+        hi = min(lo + step, cells)
+        xc = cell_gradient(grid, values[lo:hi + 1], lo)
+        r = np.sqrt(np.sum(xc * xc, axis=0))
+        r_min = min(r_min, float(r.min()))
+        r_max = max(r_max, float(r.max()))
+        if density is not None:
+            total += float(np.sum(density(r)))
+        xc *= weight(r)
+        del r  # free before the adjoint's temporaries, and xc before the next slab's
+        out[lo:hi + 1] += vol * cell_gradient_adjoint(grid, xc, lo)
+        del xc
+    return (r_min, r_max, total), out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -204,8 +265,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _energy_and_gradient(grid: Grid, values: np.ndarray, f_eps, g_eps):
-    r, grad = _weak_form(grid, values, f_eps)
-    return grid.cell_volume * float(np.sum(g_eps(r))), grad, float(r.max(initial=0.0))
+    (_, r_max, g_sum), grad = _weak_form(grid, values, f_eps, g_eps)
+    return grid.cell_volume * g_sum, grad, r_max
 
 
 def discrete_energy(u: ScalarField, prob: DirichletProblem) -> float:
@@ -454,8 +515,8 @@ def barrier_residual_study(L: ScalarField, triple: OrliczTriple, refinements: in
     residuals = []
     grid = L.grid
     for _ in range(refinements + 1):
-        r, res_field = _weak_form(grid, _affine_samples(grid, v0, vec, grid.lo), weight)
-        if float(np.min(r)) < 1e-12 and triple.f_zero is None:
+        (r_min, _, _), res_field = _weak_form(grid, _affine_samples(grid, v0, vec, grid.lo), weight)
+        if r_min < 1e-12 and triple.f_zero is None:
             raise ValueError("|XL| vanishes on the grid and F is singular at 0; rerun regularized")
         residuals.append(float(np.max(np.abs(res_field[grid.interior_mask()]))))
         grid = grid.refined()

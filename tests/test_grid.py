@@ -174,6 +174,16 @@ def test_integrate_monotone(grid9):
     assert gr.integrate(g2, ball) >= gr.integrate(f, ball)
 
 
+def test_ball_average_is_the_weighted_mean(grid17):
+    # concentric balls share their corner distances; the volume is the weight sum
+    f = field_from(grid17, lambda a, b, c: np.cos(a) + b * c)
+    one = gr.ScalarField(grid17, np.ones(grid17.shape))
+    for center in ([0, 0, 0], [0.1, -0.1, 0.05]):
+        for r in (0.3, 0.5, 0.7):
+            ball = gr.GaugeBall.at(center, r)
+            assert gr.ball_average(f, ball) == gr.integrate(f, ball) / gr.integrate(one, ball)
+
+
 def test_integration_by_parts():
     # |<Xu, Phi> + <u, div_H Phi>| <= C h for Phi supported away from the faces
     errs = []

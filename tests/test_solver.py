@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import solab.solver as sv
 from conftest import field_from, triple_for
-from oracles import gauge_fundamental_solution, solve_kohn_laplace
+from oracles import gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace
 from solab.grid import Grid, ScalarField, refine_values
 from solab.heisenberg import GroupPoint
-from solab.operator import regularized_operator, regularized_weight
+from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
 
 
 def make_problem(grid, label, expr, **kw):
@@ -167,6 +168,53 @@ def test_problem_operator_is_the_regularized_operator(grid9, rng):
     expected = grid9.cell_volume * sv.cell_gradient_adjoint(
         grid9, np.moveaxis(a_eps(np.moveaxis(xc, 0, -1)), -1, 0))
     assert np.array_equal(sv._weak_form(grid9, u, regularized_weight(tr, eps))[1], expected)
+
+
+def test_weak_form_slabs_match_the_assembled_operator(rng):
+    # 20 cell planes along x_1, so a partial slab follows the full ones; the box
+    # is off-center in x_1, the coefficient of X_2
+    grid = Grid.from_box(1, [(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
+    step = sv._slab_planes(grid)
+    assert step < 20 and 20 % step != 0
+    u = rng.normal(size=grid.shape)
+    got = sv._weak_form(grid, u, np.ones_like)[1]
+    want = (kohn_laplace_matrix(grid) @ u.ravel()).reshape(grid.shape)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_energy_gradient_is_directional_derivative_across_slabs(rng):
+    # n = 2, where X_3 carries the x_1 coefficient; 6 cell planes along x_1
+    grid = Grid.from_box(2, [(-0.3, 1.2), (-1, 1), (-1, 1), (-1, 1), (-1, 1)], (7, 9, 9, 9, 9))
+    assert sv._slab_planes(grid) < 6
+    tr = triple_for("power:p=3")
+    f_eps, g_eps = regularized_weight(tr, 1e-4), regularized_energy_density(tr, 1e-4)
+    x = [grid.coord(k) for k in range(grid.dim)]
+    u = (np.sin(x[0]) * x[2] + x[1] * x[3] + 0.3 * x[4]) + 0.01 * rng.normal(size=grid.shape)
+    d = rng.normal(size=grid.shape)
+    _, grad, _ = sv._energy_and_gradient(grid, u, f_eps, g_eps)
+    h = 1e-5
+    e_plus = sv._energy_and_gradient(grid, u + h * d, f_eps, g_eps)[0]
+    e_minus = sv._energy_and_gradient(grid, u - h * d, f_eps, g_eps)[0]
+    assert (e_plus - e_minus) / (2 * h) == pytest.approx(float(np.sum(grad * d)), rel=1e-6)
+
+
+@pytest.mark.parametrize("label, bound", [("power:p=3", 5.5), ("loglin:alpha=1,beta=1,a=2.718281828", 11.5)])
+def test_energy_evaluation_allocates_no_full_grid_temporaries(label, bound):
+    # peak allocation of one evaluation at 33^3, in node arrays: 4.65 (power) and
+    # 10.65 (loglin, whose G_eps table lookups hold ~18 slab-sized temporaries);
+    # with full-grid temporaries it was 9.8 and 18.5
+    grid = Grid.from_box(1, [(-1, 1)] * 3, 33)
+    tr = triple_for(label)
+    f_eps, g_eps = regularized_weight(tr, 1e-4), regularized_energy_density(tr, 1e-4)
+    u = grid.coord(0) * grid.coord(2) + 0.5 * grid.coord(1) * np.ones(grid.shape)
+    sv._energy_and_gradient(grid, u, f_eps, g_eps)  # builds the lazy G/H tables
+    tracemalloc.start()
+    try:
+        sv._energy_and_gradient(grid, u, f_eps, g_eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * u.nbytes, peak / u.nbytes
 
 
 @pytest.mark.parametrize("label", ["power:p=3", "loglin"])
