@@ -200,7 +200,7 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 
     z2 = sample_z(10_000)
     xi = rng.normal(size=z2.shape)
-    lower, upper, growth = op_mod.structure_margins(spec, triple, z2, xi)
+    lower, upper, growth = op_mod.structure_margins(spec, z2, xi)
     norm = np.sum(xi * xi, axis=-1) * spec.upper_weight(np.linalg.norm(z2, axis=-1))
     checks.append(("structure_lower_margin", float(np.min(lower / norm)), ">= -1e-9",
                    float(np.min(lower / norm)) >= -1e-9))
@@ -217,7 +217,7 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     fit_min = float(np.nanmin(fitted))
     checks.append(("monotonicity_fitted_lower", fit_min, "> 0 (recorded)", fit_min > 0))
 
-    ell = op_mod.ellipticity_margin(spec, triple, z2, c_fit=1.0)
+    ell = op_mod.ellipticity_margin(spec, triple, z2)
     ell_rel = float(np.min(ell / (1.0 + np.abs(ell))))
     checks.append(("ellipticity_margin", ell_rel, ">= -1e-9", ell_rel >= -1e-9))
 
@@ -249,7 +249,7 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
         checks.append((f"regularized_m2_eps={eps:g}", params.m2, "== F(1/eps)",
                        abs(params.m2 - m2_ref) <= 1e-12 * (1 + abs(m2_ref))))
 
-        lower, upper, growth = op_mod.structure_margins(rspec, triple, z2, xi)
+        lower, upper, growth = op_mod.structure_margins(rspec, z2, xi)
         w_hi = rspec.upper_weight(r2)
         margin = float(min(np.min(lower / (xi2 * w_hi)), np.min(upper / (xi2 * w_hi)),
                            np.min(growth / (r2 * w_hi))))

@@ -19,6 +19,7 @@ accepted):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .grid import GaugeBall, Grid, ball_node_mask
@@ -31,6 +32,30 @@ __all__ = ["ExperimentConfig", "ConfigError", "load_config"]
 
 class ConfigError(ValueError):
     """Invalid or unresolvable experiment configuration (CLI exit code 2)."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, list) and all(item(x) for x in v)
+
+
+# (keys, test, what the value must be); bool is not counted as a number
+_VALUE_KINDS = [
+    (("structure", "boundary", "init", "out"), lambda v: isinstance(v, str), "a string"),
+    (("n", "refinements", "moser_levels", "max_iters", "seed"), _is_int, "an integer"),
+    (("epsilon", "sigma", "radius", "eta_inner", "eta_outer"), _is_real, "a finite real number"),
+    (("gammas", "omegas", "center"), lambda v: _is_list(v, _is_real), "a list of finite real numbers"),
+    (("box",), lambda v: _is_list(v, lambda e: _is_list(e, _is_real)), "a list of [lo, hi] extents"),
+    (("resolution",), lambda v: _is_int(v) or _is_list(v, _is_int), "an integer or a list of integers"),
+    (("residual_tol",), lambda v: v is None or _is_real(v) and v > 0, "a positive number (or absent)"),
+]
 
 
 @dataclass
@@ -57,13 +82,21 @@ class ExperimentConfig:
     out: str = "."
 
     def validate(self) -> "ExperimentConfig":
+        for keys, ok, kind in _VALUE_KINDS:
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"{key} must be {kind}")
         if self.n < 1:
             raise ConfigError("n must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be positive")
         d = 2 * self.n + 1
         if len(self.box) != d or any(len(ext) != 2 or ext[0] >= ext[1] for ext in self.box):
             raise ConfigError(f"box must list {d} nondegenerate extents")
-        res = [self.resolution] * d if isinstance(self.resolution, (int, float)) else list(self.resolution)
-        if len(res) != d or any(int(r) < 9 for r in res):
+        res = self.resolutions()
+        if len(res) != d or any(r < 9 for r in res):
             raise ConfigError("resolutions must be >= 9 per axis")
         if not 0 < self.sigma < 1:
             raise ConfigError("sigma must lie in the open interval (0,1)")
@@ -105,10 +138,9 @@ class ExperimentConfig:
         return self
 
     def resolutions(self) -> list[int]:
-        d = 2 * self.n + 1
-        if isinstance(self.resolution, (int, float)):
-            return [int(self.resolution)] * d
-        return [int(r) for r in self.resolution]
+        if isinstance(self.resolution, int):
+            return [self.resolution] * (2 * self.n + 1)
+        return list(self.resolution)
 
 
 def _parse_keyvalue(text: str) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import GroupPoint
+from .heisenberg import GroupPoint, gauge_squared, horizontal, translate
 
 __all__ = [
     "Grid",
@@ -103,6 +103,10 @@ class Grid:
         shape[k] = self.shape[k]
         return self.axis(k).reshape(shape)
 
+    def coords(self) -> list[np.ndarray]:
+        """Node coordinates of every axis (t last), broadcastable to the grid shape."""
+        return [self.coord(k) for k in range(self.dim)]
+
     def cell_coord(self, k: int) -> np.ndarray:
         """Cell-center coordinate along axis k, broadcastable to the cell shape."""
         ax = self.axis(k)
@@ -169,13 +173,8 @@ def vertical_derivative(u: ScalarField) -> ScalarField:
 
 
 def _horizontal_components(grid: Grid, values: np.ndarray) -> np.ndarray:
-    n, d = grid.n, grid.dim
-    dt = axis_derivative(values, grid.spacing[-1], d - 1)
-    out = np.empty((2 * n,) + grid.shape)
-    for i in range(n):
-        out[i] = axis_derivative(values, grid.spacing[i], i) - 0.5 * grid.coord(n + i) * dt
-        out[n + i] = axis_derivative(values, grid.spacing[n + i], n + i) + 0.5 * grid.coord(i) * dt
-    return out
+    derivs = [axis_derivative(values, grid.spacing[k], k) for k in range(grid.dim)]
+    return horizontal(derivs, grid.coords())
 
 
 def horizontal_gradient(u: ScalarField) -> HorizontalField:
@@ -183,14 +182,11 @@ def horizontal_gradient(u: ScalarField) -> HorizontalField:
 
 
 def horizontal_divergence(fh: HorizontalField) -> ScalarField:
+    """sum_k X_k f_k."""
     grid = fh.grid
-    n, d = grid.n, grid.dim
     total = np.zeros(grid.shape)
-    for i in range(n):
-        dt_i = axis_derivative(fh.values[i], grid.spacing[-1], d - 1)
-        total += axis_derivative(fh.values[i], grid.spacing[i], i) - 0.5 * grid.coord(n + i) * dt_i
-        dt_ni = axis_derivative(fh.values[n + i], grid.spacing[-1], d - 1)
-        total += axis_derivative(fh.values[n + i], grid.spacing[n + i], n + i) + 0.5 * grid.coord(i) * dt_ni
+    for k in range(2 * grid.n):
+        total += _horizontal_components(grid, fh.values[k])[k]
     return ScalarField(grid, total)
 
 
@@ -219,14 +215,12 @@ def commutator_residual(u: ScalarField) -> float:
     residual is pure truncation error and vanishes with order >= 1 under
     refinement.
     """
-    grid = u.grid
-    xu = _horizontal_components(grid, u.values)
-    tu = axis_derivative(u.values, grid.spacing[-1], grid.dim - 1)
+    n = u.grid.n
+    hess = horizontal_hessian(u)
+    tu = vertical_derivative(u).values
     worst = 0.0
-    for i in range(grid.n):
-        x_ni_of_xi = _horizontal_components(grid, xu[i])[grid.n + i]
-        x_i_of_xni = _horizontal_components(grid, xu[grid.n + i])[i]
-        resid = x_i_of_xni - x_ni_of_xi - tu
+    for i in range(n):
+        resid = hess[n + i, i] - hess[i, n + i] - tu
         worst = max(worst, float(np.max(np.abs(_interior(resid)))))
     return worst
 
@@ -234,7 +228,7 @@ def commutator_residual(u: ScalarField) -> float:
 def td_bound_margin(u: ScalarField) -> float:
     """min over the interior of 2 |XXu| - |Tu| (nonnegative up to truncation error)."""
     hess = horizontal_hessian(u)
-    tu = axis_derivative(u.values, u.grid.spacing[-1], u.grid.dim - 1)
+    tu = vertical_derivative(u).values
     margin = 2.0 * hessian_frobenius(hess) - np.abs(tu)
     return float(np.min(_interior(margin)))
 
@@ -256,21 +250,10 @@ def gauge_distance_field(grid: Grid, center, offsets=None) -> np.ndarray:
     ``offsets`` optionally shifts every node by a constant vector (used for
     sub-cell sampling).
     """
-    c = _center_coords(center)
-    n = grid.n
-    if c.size != grid.dim:
-        raise ValueError("center dimension does not match the grid")
-    off = np.zeros(grid.dim) if offsets is None else np.asarray(offsets, dtype=float)
-    sq = np.zeros(grid.shape)
-    area = np.zeros(grid.shape)
-    for i in range(2 * n):
-        xi = grid.coord(i) + off[i]
-        sq = sq + (xi - c[i]) ** 2
-        sign = 1.0 if i < n else -1.0
-        partner = grid.coord((i + n) % (2 * n)) + off[(i + n) % (2 * n)]
-        area = area + sign * c[i] * partner
-    tau = grid.coord(2 * n) + off[2 * n] - c[2 * n] - 0.5 * area
-    return np.sqrt(sq + np.abs(tau))
+    coords = grid.coords()
+    if offsets is not None:
+        coords = [x + o for x, o in zip(coords, np.asarray(offsets, dtype=float))]
+    return np.sqrt(gauge_squared(translate(_center_coords(center), coords)))
 
 
 @dataclass(frozen=True)
@@ -354,15 +337,10 @@ def _ball_weights(grid: Grid, ball: GaugeBall, sub: int = 4) -> np.ndarray:
         pts = np.stack([grid.axis(k)[idx[k]] for k in range(grid.dim)], axis=-1)
         count = np.zeros(pts.shape[0])
         steps = (np.arange(sub) + 0.5) / sub - 0.5
-        c = np.asarray(ball.center)
-        n = grid.n
         for offs in np.ndindex(*(sub,) * grid.dim):
             shift = np.array([steps[o] for o in offs]) * h
             q = pts + shift
-            sq = np.sum((q[:, :2 * n] - c[:2 * n]) ** 2, axis=1)
-            area = np.sum(c[:n] * q[:, n:2 * n], axis=1) - np.sum(c[n:2 * n] * q[:, :n], axis=1)
-            tau = q[:, -1] - c[-1] - 0.5 * area
-            count += (sq + np.abs(tau) <= ball.radius ** 2)
+            count += gauge_squared(translate(ball.center, list(q.T))) <= ball.radius ** 2
         coverage[idx] = count / float(sub ** grid.dim)
     return _trapezoid_weights(grid) * coverage
 
@@ -453,25 +431,20 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
         raise ValueError("outer ball reaches outside the grid")
     c = _center_coords(center)
     n = grid.n
-    rho = gauge_distance_field(grid, c)
+    rel = translate(c, grid.coords())
+    rho = np.sqrt(gauge_squared(rel))
     width = r_outer - r_inner
     s = (rho - r_inner) / width
     eta = ScalarField(grid, 1.0 - _smoothstep(s))
     # chain rule: X eta = -S'(s)/width * X rho with X rho = (X q)/(2 rho),
     # q = |x - c|_spatial^2 + |tau|, tau the translated vertical coordinate
-    area = np.zeros(grid.shape)
-    for i in range(n):
-        area = area + c[i] * grid.coord(n + i) - c[n + i] * grid.coord(i)
-    tau = grid.coord(2 * n) - c[-1] - 0.5 * area
-    sgn = np.sign(tau)
+    sgn = np.sign(rel[-1])
     safe_rho = np.where(rho > 0, rho, 1.0)
     scale = np.where(rho > 0, -_smoothstep_slope(s) / (width * 2.0 * safe_rho), 0.0)
     grad_vals = np.empty((2 * n,) + grid.shape)
-    for i in range(n):
-        xtau_i = 0.5 * (c[n + i] - grid.coord(n + i))
-        xtau_ni = 0.5 * (grid.coord(i) - c[i])
-        grad_vals[i] = scale * (2.0 * (grid.coord(i) - c[i]) + sgn * xtau_i)
-        grad_vals[n + i] = scale * (2.0 * (grid.coord(n + i) - c[n + i]) + sgn * xtau_ni)
+    for i in range(n):  # X_i tau = -(x_{n+i} - c_{n+i})/2, X_{n+i} tau = (x_i - c_i)/2
+        grad_vals[i] = scale * (2.0 * rel[i] + sgn * (-0.5 * rel[n + i]))
+        grad_vals[n + i] = scale * (2.0 * rel[n + i] + sgn * (0.5 * rel[i]))
     grad = HorizontalField(grid, grad_vals)
     t_deriv = ScalarField(grid, scale * sgn * np.ones(grid.shape))
     grad_sup = float(np.max(grad.norm()))

@@ -118,7 +118,7 @@ def prototype_operator(triple: OrliczTriple) -> OperatorSpec:
     )
 
 
-def structure_margins(op: OperatorSpec, triple: OrliczTriple, z, xi):
+def structure_margins(op: OperatorSpec, z, xi):
     """Margins of the restated structure condition at (z, xi).
 
     Returns (lower, upper, growth):
@@ -168,12 +168,12 @@ def monotonicity_gap(op: OperatorSpec, triple: OrliczTriple, z, w):
     return gap, case, fitted
 
 
-def ellipticity_margin(op: OperatorSpec, triple: OrliczTriple, z, c_fit: float = 1.0):
-    """<A(z), z> - c_fit G(|z|); nonnegative for the prototype with c_fit = 1."""
+def ellipticity_margin(op: OperatorSpec, triple: OrliczTriple, z):
+    """<A(z), z> - G(|z|); nonnegative for the prototype."""
     z = np.asarray(z, dtype=float)
     r = _norm(z)
     pairing = np.sum(op.A(z) * z, axis=-1)
-    margin = pairing - c_fit * np.asarray(triple.G(r))
+    margin = pairing - np.asarray(triple.G(r))
     return float(margin) if margin.ndim == 0 else margin
 
 

@@ -11,6 +11,8 @@ functions, generalized inverses, conjugates (by the Fenchel-Young equality,
 no quadrature) and Luxemburg norms are numerical operations, so that the
 classical inequalities (Young, the complementary-pair bound, the generalised
 Hoelder inequality, the five growth-lemma items) are audited on sampled data.
+Every inversion (inverses, conjugates, Luxemburg norms) is one bisection,
+`generalized_inverse_info`.
 """
 
 from __future__ import annotations
@@ -382,8 +384,13 @@ class DiscreteMeasureSpace:
         object.__setattr__(self, "weights", w)
 
 
-def luxemburg_norm(space: DiscreteMeasureSpace, young: YoungFunction, rtol: float = 1e-8) -> float:
-    """Gauge inf{k > 0 : sum_k w_k Psi(|u_k|/k) <= 1}, by bisection in log k."""
+def luxemburg_norm(space: DiscreteMeasureSpace, young: YoungFunction) -> float:
+    """Gauge inf{k > 0 : sum_k w_k Psi(|u_k|/k) <= 1}, through the generalized inverse.
+
+    With s = max|u|/k the mass sum_k w_k Psi(s |u_k|/max|u|) is nondecreasing in s,
+    so the gauge is max|u| / inf{s : mass(s) > 1}; a saturated bracket means a
+    gauge below the representable scale, reported as 0.
+    """
     if not young.is_doubling:
         raise ValueError(f"{young.label!r} is not doubling; Luxemburg norms are restricted to doubling Young functions")
     u = np.abs(space.values)
@@ -394,36 +401,15 @@ def luxemburg_norm(space: DiscreteMeasureSpace, young: YoungFunction, rtol: floa
     if not np.any(active & (u > 0)):
         return 0.0
     u, w = u[active], w[active]
+    top = float(np.max(u))
+    shape = u / top
 
-    def mass(k: float) -> float:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return float(np.dot(w, young(u / k)))
+    def mass(s):
+        with np.errstate(divide="ignore"):
+            return np.einsum("...i,i", young(np.multiply.outer(s, shape)), w)
 
-    k = float(np.max(u))
-    lo = hi = k
-    for _ in range(200):
-        if mass(hi) > 1.0:
-            hi *= 2.0
-        else:
-            break
-    for _ in range(400):
-        if lo < 1e-300:
-            return 0.0  # gauge below representable scale
-        if mass(lo) <= 1.0:
-            lo *= 0.5
-        else:
-            break
-    else:
-        return 0.0
-    for _ in range(200):
-        if hi - lo <= rtol * hi:
-            break
-        mid = math.sqrt(lo * hi)
-        if mass(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    s_star, saturated = generalized_inverse_info(mass, 1.0, tol=0.0)
+    return 0.0 if saturated else top / s_star
 
 
 def holder_margin(u: DiscreteMeasureSpace, v: DiscreteMeasureSpace, young: YoungFunction) -> float:

@@ -12,8 +12,9 @@ the discrete weak form residual max_phi |sum <A_eps(Xu), X phi>| over unit
 node bumps phi, with A_eps(z) = F_eps(|z|) z, so the stopping test and the
 weak-solution contract coincide.  That A_eps is `operator.regularized_operator`,
 the map `operator-check` certifies.  `_weak_form` is the one assembly of
-vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual`, the barrier study
-and the p=2 harmonic start differ only in the radial weight w.
+vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual` and the barrier
+study differ only in the radial weight w.  The harmonic start is the solve of
+the same problem with g(t) = t (p = 2), so the minimizer is the one L-BFGS loop.
 
 `_weak_form` runs in slabs of consecutive cell planes along x_1, sized so that
 one scalar cell field of a slab takes `_SLAB_BYTES`: each slab forms Xu, |Xu|,
@@ -27,14 +28,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import Grid, ScalarField
-from .heisenberg import GroupPoint, group_multiply
+from .heisenberg import GroupPoint, horizontal, horizontal_adjoint, translate
 from .operator import regularized_energy_density, regularized_weight
-from .orlicz import OrliczTriple
+from .orlicz import OrliczTriple, catalog_structure_function
 
 __all__ = [
     "DirichletProblem",
@@ -57,7 +58,7 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """A failed CG harmonic start; also raised by callers that insist on a converged solve."""
+    """A failed harmonic start; also raised by callers that insist on a converged solve."""
 
 
 INIT_MODES = ("zero", "boundary", "harmonic")
@@ -130,10 +131,11 @@ def _axis_cell_derivative_T(grid: Grid, w: np.ndarray, axis: int) -> np.ndarray:
     return _dif_T(out, axis)
 
 
-def _cell_coord(grid: Grid, k: int, first: int, planes: int) -> np.ndarray:
-    """grid.cell_coord(k) on the cell planes first..first+planes-1 of axis 0."""
-    coord = grid.cell_coord(k)
-    return coord[first:first + planes] if k == 0 else coord
+def _cell_coords(grid: Grid, first: int, planes: int) -> list[np.ndarray]:
+    """grid.cell_coord(k) of every axis, on the cell planes first..first+planes-1 of axis 0."""
+    coords = [grid.cell_coord(k) for k in range(grid.dim)]
+    coords[0] = coords[0][first:first + planes]
+    return coords
 
 
 def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
@@ -142,16 +144,8 @@ def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
     ``values`` holds the grid's node planes along axis 0 from plane ``first``
     on (all of them by default); the result covers the cells between them.
     """
-    n = grid.n
-    dt = _axis_cell_derivative(grid, values, grid.dim - 1)
-    planes = dt.shape[0]
-    out = np.empty((2 * n,) + dt.shape)
-    for i in range(n):
-        out[i] = (_axis_cell_derivative(grid, values, i)
-                  - 0.5 * _cell_coord(grid, n + i, first, planes) * dt)
-        out[n + i] = (_axis_cell_derivative(grid, values, n + i)
-                      + 0.5 * _cell_coord(grid, i, first, planes) * dt)
-    return out
+    derivs = [_axis_cell_derivative(grid, values, k) for k in range(grid.dim)]
+    return horizontal(derivs, _cell_coords(grid, first, derivs[0].shape[0]))
 
 
 def cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarray:
@@ -161,16 +155,12 @@ def cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarr
     result covers the node planes around them.
     """
     n = grid.n
-    t_axis = grid.dim - 1
-    planes = w.shape[1]
-    t_load = np.zeros(w.shape[1:])
     out = np.zeros(tuple(s + 1 for s in w.shape[1:]))
     for i in range(n):
         out += _axis_cell_derivative_T(grid, w[i], i)
         out += _axis_cell_derivative_T(grid, w[n + i], n + i)
-        t_load += (-0.5 * _cell_coord(grid, n + i, first, planes) * w[i]
-                   + 0.5 * _cell_coord(grid, i, first, planes) * w[n + i])
-    out += _axis_cell_derivative_T(grid, t_load, t_axis)
+    t_load = horizontal_adjoint(w, _cell_coords(grid, first, w.shape[1]))
+    out += _axis_cell_derivative_T(grid, t_load, grid.dim - 1)
     return out
 
 
@@ -290,31 +280,15 @@ def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
 
 
 def _harmonic_init(prob: DirichletProblem) -> np.ndarray:
-    """Quadratic-energy (p=2) extension of the boundary data, via CG on the cell operators."""
-    from scipy.sparse.linalg import LinearOperator, cg
+    """Quadratic-energy extension of the boundary data: the p=2 solve of the same problem.
 
-    grid = prob.grid
-    mask = prob.interior
-    m = int(mask.sum())
-
-    def quad_grad(full):
-        return _weak_form(grid, full, np.ones_like)[1]
-
-    def matvec(x):
-        full = np.zeros(grid.shape)
-        full[mask] = x
-        return quad_grad(full)[mask]
-
-    base = prob.boundary.values.copy()
-    base[mask] = 0.0
-    rhs = -quad_grad(base)[mask]
-    x0 = np.zeros(m)
-    sol, info = cg(LinearOperator((m, m), matvec=matvec), rhs, x0=x0, rtol=1e-10, maxiter=10 * m)
-    if info != 0:
-        raise NonConvergenceError(f"CG for the harmonic start failed (info={info})")
-    out = base.copy()
-    out[mask] = sol
-    return out
+    For p = 2, F_eps is 1 and G_eps(r) = r^2/2, so this minimizes (1/2) sum_cells |Xu|^2 vol.
+    """
+    quadratic = OrliczTriple(catalog_structure_function("power:p=2"))
+    sol, rep = solve_dirichlet(replace(prob, triple=quadratic))
+    if not rep.converged:
+        raise NonConvergenceError(f"the p=2 solve for the harmonic start stopped: {rep.stop_reason}")
+    return sol.values
 
 
 def solve_dirichlet(prob: DirichletProblem, init="zero"):
@@ -567,30 +541,25 @@ class GaugeBallDomain:
         if n != 1:
             raise NotImplementedError("boundary sampling implemented for n = 1")
         r = self.radius
-        c = GroupPoint(np.asarray(self.center, dtype=float))
         m_s = max(3, int(math.sqrt(m / 2)))
         m_th = max(4, int(m / (2 * m_s)))
-        pts = []
-        for s in np.linspace(0.0, r, m_s):
-            tmag = r * r - s * s
-            for th in np.linspace(0.0, 2 * math.pi, m_th, endpoint=False):
-                x = np.array([s * math.cos(th), s * math.sin(th)])
-                for sign in (1.0, -1.0):
-                    if tmag == 0.0 and sign < 0:
-                        continue  # the equator edge only once
-                    w = GroupPoint.from_xt(x, sign * tmag)
-                    pts.append(group_multiply(c, w).coords)
-        return np.asarray(pts)
+        s = np.linspace(0.0, r, m_s)[:, None, None]
+        th = np.linspace(0.0, 2 * math.pi, m_th, endpoint=False)[None, :, None]
+        sign = np.array([1.0, -1.0])
+        tmag = r * r - s * s
+        shape = (m_s, m_th, 2)
+        keep = np.broadcast_to((tmag != 0.0) | (sign > 0), shape)  # the equator edge only once
+        w = [np.broadcast_to(v, shape)[keep] for v in (s * np.cos(th), s * np.sin(th), sign * tmag)]
+        # boundary points c . w of the ball about c are the translates of w by c^{-1}
+        return np.stack(translate(-np.asarray(self.center, dtype=float), w), axis=1)
 
     def inward_normal(self, y: np.ndarray) -> np.ndarray:
         n = self._n()
         c = np.asarray(self.center, dtype=float)
-        rel_x = y[:2 * n] - c[:2 * n]
-        area = float(np.dot(c[:n], y[n:2 * n]) - np.dot(c[n:2 * n], y[:n]))
-        tau = y[-1] - c[-1] - 0.5 * area
+        rel = translate(c, y)
         grad = np.empty(2 * n + 1)
-        sgn = np.sign(tau)  # 0 on the equator edge: the subgradient choice drops the t part
-        grad[:2 * n] = 2.0 * rel_x
+        sgn = np.sign(rel[-1])  # 0 on the equator edge: the subgradient choice drops the t part
+        grad[:2 * n] = 2.0 * np.array(rel[:-1])
         # chain rule through the affine vertical part of the left translation
         grad[:n] += sgn * 0.5 * c[n:2 * n]
         grad[n:2 * n] -= sgn * 0.5 * c[:n]

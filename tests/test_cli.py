@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import solab.cli as cli
 import solab.verify as vf
@@ -89,6 +88,17 @@ def test_config_validation_errors(tmp_path):
                                "init = foo", empty_inner)):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, BASE + extra + "\n", f"audit{i}.txt"))
+    # malformed values: each used to crash with a traceback (exit 1) or pass silently
+    for i, extra in enumerate(("seed = -1", "epsilon = x", "resolution = abc", "refinements = 1.5",
+                               "gammas = 1", "resolution = 9.7", "residual_tol = -1",
+                               "max_iters = 0", "sigma = true", "center = [0, 0, nan]")):
+        with pytest.raises(ConfigError):
+            load_config(write_cfg(tmp_path, BASE + extra + "\n", f"value{i}.txt"))
+    data = {"structure": "power:p=2", "boundary": "affine:x1=1", "sigma": "0.5"}
+    with pytest.raises(ConfigError):
+        load_config(write_cfg(tmp_path, json.dumps(data), "sigma.json"))
+    with pytest.raises(ConfigError):
+        load_config(write_cfg(tmp_path, BASE), overrides={"seed": -1})
 
 
 def test_config_overrides(tmp_path):
@@ -96,11 +106,32 @@ def test_config_overrides(tmp_path):
     assert cfg.seed == 7 and cfg.refinements == 1
 
 
+def test_readme_cli_section_matches_the_program(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## CLI", 1)[1]
+    blocks = dict(re.findall(r"```(\w*)\n(.*?)```", section, re.S))
+    cfg = load_config(write_cfg(tmp_path, blocks[""]))  # the example config
+    assert cfg.structure == "power:p=3" and cfg.refinements == 2
+    commands = re.findall(r"^solab (\S+)", blocks["sh"], re.M)
+    flags = re.findall(r"`(--[\w-]+) \w+`", section.split("Flags:", 1)[1].split("\n\n", 1)[0])
+    assert len(commands) == 5 and len(flags) == 4
+    values = {"--config": "cfg.txt", "--out": "out", "--seed": "1", "--refinements": "1"}
+    for command in commands:  # argparse exits 2 on an unknown command or flag
+        cli._parser().parse_args([command] + [x for flag in flags for x in (flag, values[flag])])
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_label_exits_2(tmp_path):
     path = write_cfg(tmp_path, BASE.replace("power:p=2", "foo"))
     assert cli.main(["orlicz-check", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["orlicz-check", "operator-check"])
+def test_negative_seed_exits_2(tmp_path, command):
+    path = write_cfg(tmp_path, BASE)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path), "--seed", "-1"]) == 2
 
 
 def test_sigma_one_exits_2(tmp_path):
@@ -261,27 +292,29 @@ def test_operator_check_passes_catalog(tmp_path, label, n):
 
 def test_solve_bytes_independent_of_blas_threads(tmp_path):
     # at 33^3 the L-BFGS vectors are long enough for OpenBLAS to split a dot product over
-    # threads, which reorders its sum; the solver's reductions must not go through BLAS
-    path = write_cfg(tmp_path, "structure = power:p=3\nboundary = poly2:x1=0.5,x1t=0.4,x2=0.2\n"
-                               "resolution = 33\nepsilon = 1e-4\n")
+    # threads, which reorders its sum; the solver's reductions, including those of the
+    # p=2 solve behind the harmonic start, must not go through BLAS
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-m", "solab.cli", "solve", "--config", path,
-                               "--out", str(out)], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        outputs.append([(out / name).read_bytes() for name in ("solution.bin", "solve_report.json")])
-    assert outputs[0] == outputs[1]
+    for init in ("zero", "harmonic"):
+        path = write_cfg(tmp_path, "structure = power:p=3\nboundary = poly2:x1=0.5,x1t=0.4,x2=0.2\n"
+                                   f"resolution = 33\nepsilon = 1e-4\ninit = {init}\n", f"{init}.txt")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{init}{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "solab.cli", "solve", "--config", path,
+                                   "--out", str(out)], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outputs.append([(out / name).read_bytes() for name in ("solution.bin", "solve_report.json")])
+        assert outputs[0] == outputs[1], init
 
 
-def test_harmonic_init_cg_failure_exits_1(tmp_path, monkeypatch):
-    monkeypatch.setattr(scipy.sparse.linalg, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
-    path = write_cfg(tmp_path, BASE + "init = harmonic\n")
+def test_harmonic_init_failure_exits_1(tmp_path):
+    # one iteration cannot converge the p=2 solve behind the harmonic start
+    path = write_cfg(tmp_path, BASE + "init = harmonic\nmax_iters = 1\n")
     out = tmp_path / "h"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 1
-    assert not (out / "solve_report.json").exists()  # raised before any solve
+    assert not (out / "solve_report.json").exists()  # raised before the main solve
 
 
 def test_solve_affine_family_is_exact(tmp_path):

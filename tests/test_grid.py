@@ -52,6 +52,16 @@ def test_gradient_exactness_suite(grid17):
     assert np.max(np.abs(xq.values[1] - x1)) <= 1e-12
 
 
+def test_gradient_of_t_is_the_frame_n2():
+    # dyadic nodes: the stencils of u = t are exact, so X u = (-x_{n+i}/2, x_i/2) bit for bit
+    grid = gr.Grid.from_box(2, [(-1, 1)] * 5, 5)
+    u = gr.ScalarField(grid, grid.coord(4) * np.ones(grid.shape))
+    xu = gr.horizontal_gradient(u).values
+    for i in range(2):
+        assert np.array_equal(xu[i], np.broadcast_to(-grid.coord(2 + i) / 2, grid.shape))
+        assert np.array_equal(xu[2 + i], np.broadcast_to(grid.coord(i) / 2, grid.shape))
+
+
 def test_vertical_derivative_examples(grid17):
     g = grid17
     assert np.max(np.abs(gr.vertical_derivative(field_from(g, lambda a, b, c: c)).values - 1)) <= 1e-12
@@ -145,6 +155,15 @@ def test_gauge_distance_matches_pointwise(grid9):
     for idx in [(0, 0, 0), (4, 4, 4), (8, 2, 5)]:
         p = GroupPoint(np.array([grid9.axis(0)[idx[0]], grid9.axis(1)[idx[1]], grid9.axis(2)[idx[2]]]))
         assert rho[idx] == pytest.approx(quasi_distance(p, center), abs=1e-13)
+
+
+def test_gauge_distance_matches_pointwise_n2(rng):
+    grid = gr.Grid.from_box(2, [(-1, 1), (-0.5, 1.5), (-1, 1), (-2, 0), (-1, 2)], 7)
+    center = GroupPoint(rng.uniform(-0.5, 0.5, size=5))
+    rho = gr.gauge_distance_field(grid, center)
+    for idx in zip(*(rng.integers(0, 7, size=50) for _ in range(5))):
+        p = GroupPoint(np.array([grid.axis(k)[i] for k, i in enumerate(idx)]))
+        assert abs(rho[idx] - quasi_distance(p, center)) <= 1e-15
 
 
 def test_ball_volume_scaling():

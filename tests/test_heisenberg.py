@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from solab.heisenberg import (GroupPoint, HeisenbergConfig, dilate,
                               group_inverse, group_multiply, homogeneous_norm,
-                              origin, quasi_distance)
+                              origin, quasi_distance, translate)
 
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -42,6 +42,18 @@ def test_multiply_hand_value():
     # t-component picks up half the symplectic area
     r = group_multiply(pt3(1, 0, 0), pt3(0, 1, 0))
     assert np.allclose(r.coords, [1, 1, 0.5], atol=1e-15)
+
+
+def test_translate_values():
+    c = np.array([0.3, -1.2, 0.7, 2.0, 0.1])  # a point of H^2
+    assert translate(c, c) == [0.0] * 5
+    # translating q by p^{-1} multiplies: (1, 0, 0) . (0, 1, 0) = (1, 1, 1/2)
+    assert translate(-np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])) == [1.0, 1.0, 0.5]
+    # broadcastable arrays: three points at once, the twist sum_i c_i x_{n+i} - c_{n+i} x_i
+    xs = [np.array([0.0, 1.0, 2.0]), np.zeros(3), np.ones(3)]
+    assert np.array_equal(translate([0.0, 2.0, 0.0], xs)[-1], 1.0 + 0.5 * 2.0 * xs[0])
+    with pytest.raises(ValueError):
+        translate(c, xs)
 
 
 def test_identity_and_inverse():

@@ -72,7 +72,7 @@ def test_structure_margins_linear_exact():
     assert spec.L == 1.0
     z = np.array([1.0, 2.0])
     xi = np.array([0.3, -0.4])
-    lower, upper, growth = op.structure_margins(spec, tr, z, xi)
+    lower, upper, growth = op.structure_margins(spec, z, xi)
     assert abs(lower) <= 1e-14 and abs(upper) <= 1e-14 and abs(growth) <= 1e-14
 
 
@@ -82,7 +82,7 @@ def test_structure_margins_p3_nonnegative(rng):
     assert spec.L == pytest.approx(2.0)  # max{1, g0} with delta >= 1
     z = sample_points(rng, 10_000)
     xi = rng.normal(size=z.shape)
-    lower, upper, growth = op.structure_margins(spec, tr, z, xi)
+    lower, upper, growth = op.structure_margins(spec, z, xi)
     assert lower.min() >= -1e-9 * np.max(np.abs(upper))
     assert upper.min() >= -1e-9 * np.max(np.abs(upper))
     assert growth.min() >= -1e-12
@@ -94,7 +94,7 @@ def test_structure_margin_orthogonal_direction():
     spec = op.prototype_operator(tr)
     z = np.array([2.0, 0.0])
     xi = np.array([0.0, 5.0])
-    lower, _, _ = op.structure_margins(spec, tr, z, xi)
+    lower, _, _ = op.structure_margins(spec, z, xi)
     assert lower == pytest.approx(0.0, abs=1e-12)
 
 
@@ -105,7 +105,7 @@ def test_structure_margins_delta_below_one(rng):
     assert spec.L == pytest.approx(2.0)  # max{1,g0}/min{1,delta} = 1/(1/2)
     z = sample_points(rng, 5000)
     xi = rng.normal(size=z.shape)
-    lower, upper, _ = op.structure_margins(spec, tr, z, xi)
+    lower, upper, _ = op.structure_margins(spec, z, xi)
     assert lower.min() >= -1e-9 * np.max(np.abs(upper))
     assert upper.min() >= -1e-9 * np.max(np.abs(upper))
 
@@ -148,7 +148,7 @@ def test_ellipticity_values():
     assert op.ellipticity_margin(spec, tr, np.zeros(2)) == pytest.approx(0.0)
     z = np.array([2.0, 0.0])
     # <A,z> = 4, G(2) = 2
-    assert op.ellipticity_margin(spec, tr, z, c_fit=1.0) == pytest.approx(2.0)
+    assert op.ellipticity_margin(spec, tr, z) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("label", ["power:p=1.5", "power:p=3", "loglin:alpha=1,beta=1,a=2.718281828"])
@@ -156,7 +156,7 @@ def test_ellipticity_prototype_dominates_G(label, rng):
     tr = triple_for(label)
     spec = op.prototype_operator(tr)
     z = sample_points(rng, 3000)
-    margins = op.ellipticity_margin(spec, tr, z, c_fit=1.0)
+    margins = op.ellipticity_margin(spec, tr, z)
     assert margins.min() >= -1e-9 * (1 + np.max(np.abs(margins)))
 
 
@@ -255,7 +255,7 @@ def test_regularized_structure_margins_hold(rng):
     spec, params = op.regularized_operator(tr, 0.05)
     z = sample_points(rng, 3000, r_lo=1e-3, r_hi=1e2)
     xi = rng.normal(size=z.shape)
-    lower, upper, growth = op.structure_margins(spec, tr, z, xi)
+    lower, upper, growth = op.structure_margins(spec, z, xi)
     scale = np.max(np.abs(upper))
     assert lower.min() >= -1e-9 * scale
     assert upper.min() >= -1e-9 * scale

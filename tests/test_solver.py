@@ -8,7 +8,7 @@ import solab.solver as sv
 from conftest import field_from, triple_for
 from oracles import gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace
 from solab.grid import Grid, ScalarField, refine_values
-from solab.heisenberg import GroupPoint
+from solab.heisenberg import GroupPoint, group_multiply
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
 
 
@@ -25,6 +25,20 @@ def test_cell_gradient_adjoint(rng, grid9):
     lhs = float(np.sum(sv.cell_gradient(grid9, u) * w))
     rhs = float(np.sum(u * sv.cell_gradient_adjoint(grid9, w)))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_cell_frame_n2(rng):
+    # dyadic nodes: the cell stencils of u = t are exact, so X u = (-x_{n+i}/2, x_i/2) bit for bit
+    grid = Grid.from_box(2, [(-1, 1)] * 5, 5)
+    xc = sv.cell_gradient(grid, grid.coord(4) * np.ones(grid.shape))
+    cells = xc.shape[1:]
+    for i in range(2):
+        assert np.array_equal(xc[i], np.broadcast_to(-grid.cell_coord(2 + i) / 2, cells))
+        assert np.array_equal(xc[2 + i], np.broadcast_to(grid.cell_coord(i) / 2, cells))
+    u = rng.normal(size=grid.shape)
+    w = rng.normal(size=xc.shape)
+    lhs = float(np.sum(sv.cell_gradient(grid, u) * w))
+    assert lhs == pytest.approx(float(np.sum(u * sv.cell_gradient_adjoint(grid, w))), rel=1e-12)
 
 
 def test_cell_gradient_exact_on_affine(grid9):
@@ -377,3 +391,20 @@ def test_gauge_ball_reported_constant():
     best = sv.best_strong_convexity_constant(dom, boundary_samples=400)
     assert np.isfinite(best) and best >= 0.0
     assert sv.strong_convexity_margin(dom, 0.0, 400) >= -1e-12
+
+
+def test_gauge_ball_boundary_points_are_group_products():
+    # reference: the pointwise construction c . w, w on the gauge sphere of radius r about 0
+    dom = sv.GaugeBallDomain(center=(0.3, -0.7, 0.2), radius=0.9)
+    c = GroupPoint(np.array(dom.center))
+    expected = []
+    for s in np.linspace(0.0, dom.radius, 10):
+        tmag = dom.radius * dom.radius - s * s
+        for th in np.linspace(0.0, 2 * math.pi, 10, endpoint=False):
+            for sign in (1.0, -1.0):
+                if tmag != 0.0 or sign > 0:
+                    w = GroupPoint(np.array([s * math.cos(th), s * math.sin(th), sign * tmag]))
+                    expected.append(group_multiply(c, w).coords)
+    pts = dom.boundary_points(200)  # 10 radii x 10 angles x 2 signs, the equator edge once
+    assert pts.shape == (190, 3)
+    assert np.allclose(pts, expected, rtol=0, atol=1e-15)
