@@ -55,10 +55,12 @@ class _LogCumTable:
     Knot values come from per-panel Gauss-Legendre sums (the panels are narrow
     in log t, so each is essentially exact); derivatives d(log y)/d(log t) =
     t*w(t)/y(t) are exact, which keeps the interpolation error ~(dtau)^4.
-    Outside the table the local power law is continued.
+    The knots cover [1e-12, 1e9] at 128 per decade; outside the table the
+    local power law is continued.
     """
 
-    def __init__(self, w, t_min: float = 1e-12, t_max: float = 1e9, per_decade: int = 128):
+    def __init__(self, w):
+        t_min, t_max, per_decade = 1e-12, 1e9, 128
         tau = np.linspace(math.log(t_min), math.log(t_max),
                           int(per_decade * math.log10(t_max / t_min)) + 1)
         knots = np.exp(tau)
@@ -247,10 +249,10 @@ def young_from_structure(triple: OrliczTriple) -> YoungFunction:
     )
 
 
-def generalized_inverse_info(psi, t, tol: float = 1e-10, bracket_cap: float = 1e150):
+def generalized_inverse_info(psi, t, tol: float = 1e-10):
     """Generalized inverse inf{s >= 0 : psi(s) > t} with a saturation flag.
 
-    Bracketing by geometric growth followed by bisection to absolute
+    Bracketing by geometric growth (up to 1e150) followed by bisection to absolute
     tolerance ``tol``, or to adjacent floats where their spacing exceeds it.
     Where psi never exceeds t inside the bracket the bracket top is returned
     and flagged saturated.
@@ -265,7 +267,7 @@ def generalized_inverse_info(psi, t, tol: float = 1e-10, bracket_cap: float = 1e
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(300):
             exceeded = np.asarray(psi(hi)) > tt
-            grow = ~exceeded & (hi < bracket_cap)
+            grow = ~exceeded & (hi < 1e150)
             if not np.any(grow):
                 break
             lo = np.where(grow, hi, lo)

@@ -1,17 +1,20 @@
 """Variational finite-difference solver for the Dirichlet problem div_H A(Xu) = 0.
 
 The discretization is cell-based: on every grid cell the horizontal gradient
-is formed from forward differences averaged over the transverse corner pairs
-(the standard staggering cure against odd-even decoupling), and the energy
+is formed from forward differences averaged over the neighbour pairs of the
+transverse axes (`_halves`), that is, the gradient of the trilinear
+interpolant at the cell centroid, and the energy
 
     E(u) = sum_cells G_eps(|Xu|) * cell_volume
 
-is minimized over the interior node values by L-BFGS descent with Armijo
-backtracking (armijo 1e-4, halving).  The assembled gradient of E is exactly
-the discrete weak form residual max_phi |sum <A_eps(Xu), X phi>| over unit
-node bumps phi, with A_eps(z) = F_eps(|z|) z, so the stopping test and the
-weak-solution contract coincide.  That A_eps is `operator.regularized_operator`,
-the map `operator-check` certifies.  `_weak_form` is the one assembly of
+is minimized over the interior node values by L-BFGS descent with halving
+backtracking and one acceptance rule, Armijo (1e-4) plus a float-noise
+allowance; when 40 halvings fail the solve stops with 'line_search_stall'.
+The assembled gradient of E is exactly the discrete weak form residual
+max_phi |sum <A_eps(Xu), X phi>| over unit node bumps phi, with
+A_eps(z) = F_eps(|z|) z, so the stopping test and the weak-solution contract
+coincide.  That A_eps is `operator.regularized_operator`, the map
+`operator-check` certifies.  `_weak_form` is the one assembly of
 vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual` and the barrier
 study differ only in the radial weight w.  The harmonic start is the solve of
 the same problem with g(t) = t (p = 2), so the minimizer is the one L-BFGS loop.
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import Grid, ScalarField
-from .heisenberg import GroupPoint, horizontal, horizontal_adjoint, translate
+from .heisenberg import GroupPoint, horizontal, horizontal_adjoint
 from .operator import regularized_energy_density, regularized_weight
 from .orlicz import OrliczTriple, catalog_structure_function
 
@@ -51,7 +54,6 @@ __all__ = [
     "barrier_field",
     "barrier_residual_study",
     "EuclideanBallDomain",
-    "GaugeBallDomain",
     "strong_convexity_margin",
     "best_strong_convexity_constant",
 ]
@@ -61,7 +63,7 @@ class NonConvergenceError(RuntimeError):
     """A failed harmonic start; also raised by callers that insist on a converged solve."""
 
 
-INIT_MODES = ("zero", "boundary", "harmonic")
+INIT_MODES = ("zero", "harmonic")
 
 
 # --------------------------------------------------------------------------
@@ -69,66 +71,13 @@ INIT_MODES = ("zero", "boundary", "harmonic")
 # --------------------------------------------------------------------------
 
 
-def _avg(v: np.ndarray, axis: int) -> np.ndarray:
-    lo = [slice(None)] * v.ndim
-    hi = [slice(None)] * v.ndim
+def _halves(ndim: int, axis: int) -> tuple[tuple, tuple]:
+    """Index tuples of the lower and the upper member of every neighbour pair along ``axis``."""
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
     lo[axis] = slice(None, -1)
     hi[axis] = slice(1, None)
-    out = v[tuple(lo)] + v[tuple(hi)]
-    out *= 0.5
-    return out
-
-
-def _dif(v: np.ndarray, axis: int) -> np.ndarray:
-    lo = [slice(None)] * v.ndim
-    hi = [slice(None)] * v.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return v[tuple(hi)] - v[tuple(lo)]
-
-
-def _avg_T(v: np.ndarray, axis: int) -> np.ndarray:
-    shape = list(v.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lo = [slice(None)] * v.ndim
-    hi = [slice(None)] * v.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(lo)] += v
-    out[tuple(hi)] += v
-    out *= 0.5  # halving is exact, so this equals adding 0.5 * v twice
-    return out
-
-
-def _dif_T(v: np.ndarray, axis: int) -> np.ndarray:
-    shape = list(v.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lo = [slice(None)] * v.ndim
-    hi = [slice(None)] * v.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(lo)] -= v
-    out[tuple(hi)] += v
-    return out
-
-
-def _axis_cell_derivative(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    out = _dif(values, axis)
-    out /= grid.spacing[axis]
-    for b in range(grid.dim):
-        if b != axis:
-            out = _avg(out, b)
-    return out
-
-
-def _axis_cell_derivative_T(grid: Grid, w: np.ndarray, axis: int) -> np.ndarray:
-    out = w / grid.spacing[axis]
-    for b in range(grid.dim):
-        if b != axis:
-            out = _avg_T(out, b)
-    return _dif_T(out, axis)
+    return tuple(lo), tuple(hi)
 
 
 def _cell_coords(grid: Grid, first: int, planes: int) -> list[np.ndarray]:
@@ -143,8 +92,20 @@ def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
 
     ``values`` holds the grid's node planes along axis 0 from plane ``first``
     on (all of them by default); the result covers the cells between them.
+    Axis k's derivative is the edge difference along k, averaged over the
+    neighbour pairs of every other axis in turn.
     """
-    derivs = [_axis_cell_derivative(grid, values, k) for k in range(grid.dim)]
+    derivs = []
+    for k in range(grid.dim):
+        lo, hi = _halves(grid.dim, k)
+        d = values[hi] - values[lo]
+        d /= grid.spacing[k]
+        for b in range(grid.dim):
+            if b != k:
+                lo, hi = _halves(grid.dim, b)
+                d = d[lo] + d[hi]
+                d *= 0.5
+        derivs.append(d)
     return horizontal(derivs, _cell_coords(grid, first, derivs[0].shape[0]))
 
 
@@ -152,15 +113,30 @@ def cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarr
     """Adjoint of cell_gradient: cell vector fields to node values.
 
     ``w`` covers the cell planes along axis 0 from plane ``first`` on; the
-    result covers the node planes around them.
+    result covers the node planes around them.  Each axis load is spread back
+    over the neighbour pairs of the other axes, then over its own edges.
     """
-    n = grid.n
-    out = np.zeros(tuple(s + 1 for s in w.shape[1:]))
-    for i in range(n):
-        out += _axis_cell_derivative_T(grid, w[i], i)
-        out += _axis_cell_derivative_T(grid, w[n + i], n + i)
+    n, dim = grid.n, grid.dim
     t_load = horizontal_adjoint(w, _cell_coords(grid, first, w.shape[1]))
-    out += _axis_cell_derivative_T(grid, t_load, grid.dim - 1)
+    loads = [(w[k], k) for i in range(n) for k in (i, n + i)] + [(t_load, dim - 1)]
+    out = np.zeros(tuple(s + 1 for s in w.shape[1:]))
+    for load, k in loads:
+        part = load / grid.spacing[k]
+        for b in range(dim):
+            if b != k:
+                lo, hi = _halves(dim, b)
+                shape = list(part.shape)
+                shape[b] += 1
+                spread = np.zeros(shape)
+                spread[lo] += part
+                spread[hi] += part
+                spread *= 0.5  # halving is exact, so this equals adding 0.5 * part twice
+                part = spread
+        lo, hi = _halves(dim, k)
+        edges = np.zeros(out.shape)
+        edges[lo] -= part
+        edges[hi] += part
+        out += edges
     return out
 
 
@@ -174,8 +150,7 @@ class DirichletProblem:
     """Dirichlet data for div_H A_eps(Xu) = 0 on the interior nodes of the grid.
 
     ``boundary`` is a full-grid field whose values on the boundary nodes are
-    the Dirichlet data (interior values are only used as an initial guess by
-    ``init='boundary'``).
+    the Dirichlet data; its interior values are ignored.
     """
 
     grid: Grid
@@ -294,27 +269,23 @@ def _harmonic_init(prob: DirichletProblem) -> np.ndarray:
 def solve_dirichlet(prob: DirichletProblem, init="zero"):
     """Minimize the regularized energy over the interior values.
 
-    ``init`` is 'zero' (zero-fill), 'boundary' (keep the extension stored in
-    the boundary field), 'harmonic' (quadratic-energy extension) or a full
-    array of start values.  Returns the solution field and a SolveReport;
-    an exhausted iteration budget or a stalled line search is flagged (with
-    its stop_reason), not raised.
+    ``init`` is 'zero' (zero interior), 'harmonic' (quadratic-energy
+    extension) or a full array whose interior values are the start.  Returns
+    the solution field and a SolveReport; an exhausted iteration budget or a
+    stalled line search is flagged (with its stop_reason), not raised.
     """
     grid = prob.grid
     mask = prob.interior
-    u = prob.boundary.values.copy()
     if isinstance(init, str):
         if init not in INIT_MODES:
             raise ValueError(f"unknown init {init!r}")
-        if init == "zero":
-            u[mask] = 0.0
-        elif init == "harmonic":
-            u = _harmonic_init(prob)
+        start = _harmonic_init(prob) if init == "harmonic" else np.zeros(grid.shape)
     else:
-        arr = np.asarray(init, dtype=float)
-        if arr.shape != grid.shape:
+        start = np.asarray(init, dtype=float)
+        if start.shape != grid.shape:
             raise ValueError("init array shape mismatch")
-        u[mask] = arr[mask]
+    u = prob.boundary.values.copy()
+    u[mask] = start[mask]
 
     f_eps = regularized_weight(prob.triple, prob.eps)
     g_eps = regularized_energy_density(prob.triple, prob.eps)
@@ -358,30 +329,19 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
             gd = _dot(grad, d)
 
         alpha = 1.0
-        accepted = False
         # near the minimizer genuine decreases drop below the float resolution
         # of the energy; the allowance keeps full steps acceptable there while
         # the gradient is still being polished
         noise = 4.0 * np.finfo(float).eps * (abs(energy) + 1.0)
-        best = None
         for _ in range(40):
             x_new = x + alpha * d
             e_new, g_new, cap_new = evaluate(x_new)
-            if best is None or e_new < best[0]:
-                best = (e_new, x_new, g_new, cap_new)
             if e_new <= energy + 1e-4 * alpha * gd + noise:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            e_new, x_new, g_new, cap_new = best
-            r_new = float(np.max(np.abs(g_new)))
-            # last resort: a strict residual improvement at flat energy
-            if e_new <= energy + noise and r_new < res:
-                accepted = True
-            else:
-                stop_reason = "line_search_stall"
-                break
+        else:
+            stop_reason = "line_search_stall"
+            break
         s_vec = x_new - x
         y_vec = g_new - grad
         sy = _dot(s_vec, y_vec)
@@ -526,75 +486,26 @@ class EuclideanBallDomain:
         return v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
-class GaugeBallDomain:
-    """Gauge-norm ball (convex: the squared gauge is convex and the translation is affine)."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    def _n(self) -> int:
-        return (len(self.center) - 1) // 2
-
-    def boundary_points(self, m: int) -> np.ndarray:
-        n = self._n()
-        if n != 1:
-            raise NotImplementedError("boundary sampling implemented for n = 1")
-        r = self.radius
-        m_s = max(3, int(math.sqrt(m / 2)))
-        m_th = max(4, int(m / (2 * m_s)))
-        s = np.linspace(0.0, r, m_s)[:, None, None]
-        th = np.linspace(0.0, 2 * math.pi, m_th, endpoint=False)[None, :, None]
-        sign = np.array([1.0, -1.0])
-        tmag = r * r - s * s
-        shape = (m_s, m_th, 2)
-        keep = np.broadcast_to((tmag != 0.0) | (sign > 0), shape)  # the equator edge only once
-        w = [np.broadcast_to(v, shape)[keep] for v in (s * np.cos(th), s * np.sin(th), sign * tmag)]
-        # boundary points c . w of the ball about c are the translates of w by c^{-1}
-        return np.stack(translate(-np.asarray(self.center, dtype=float), w), axis=1)
-
-    def inward_normal(self, y: np.ndarray) -> np.ndarray:
-        n = self._n()
-        c = np.asarray(self.center, dtype=float)
-        rel = translate(c, y)
-        grad = np.empty(2 * n + 1)
-        sgn = np.sign(rel[-1])  # 0 on the equator edge: the subgradient choice drops the t part
-        grad[:2 * n] = 2.0 * np.array(rel[:-1])
-        # chain rule through the affine vertical part of the left translation
-        grad[:n] += sgn * 0.5 * c[n:2 * n]
-        grad[n:2 * n] -= sgn * 0.5 * c[:n]
-        grad[-1] = sgn
-        norm = np.linalg.norm(grad)
-        if norm == 0:
-            raise ValueError("degenerate boundary point")
-        return -grad / norm
+def _boundary_pairs(domain, boundary_samples: int):
+    """Per sampled boundary point y: (x - y).b(y) and |x - y|^2 over the other sampled x."""
+    pts = domain.boundary_points(boundary_samples)
+    for y in pts:
+        b = domain.inward_normal(y)
+        diff = pts - y
+        d2 = np.sum(diff * diff, axis=1)
+        live = d2 > 0
+        if live.any():
+            yield diff[live] @ b, d2[live]
 
 
 def strong_convexity_margin(domain, eps0: float, boundary_samples: int = 512) -> float:
     """min over sampled boundary pairs (x, y) of b(y).(x - y) - eps0 |x - y|^2."""
-    pts = domain.boundary_points(boundary_samples)
-    worst = math.inf
-    for y in pts:
-        b = domain.inward_normal(y)
-        diff = pts - y
-        d2 = np.sum(diff * diff, axis=1)
-        live = d2 > 0
-        margins = diff[live] @ b - eps0 * d2[live]
-        if margins.size:
-            worst = min(worst, float(margins.min()))
-    return worst
+    return min((float((proj - eps0 * d2).min()) for proj, d2 in _boundary_pairs(domain, boundary_samples)),
+               default=math.inf)
 
 
 def best_strong_convexity_constant(domain, boundary_samples: int = 512) -> float:
     """Largest eps0 with nonnegative margin on the sampled pairs (clipped at 0)."""
-    pts = domain.boundary_points(boundary_samples)
-    best = math.inf
-    for y in pts:
-        b = domain.inward_normal(y)
-        diff = pts - y
-        d2 = np.sum(diff * diff, axis=1)
-        live = d2 > 0
-        ratios = (diff[live] @ b) / d2[live]
-        if ratios.size:
-            best = min(best, float(ratios.min()))
+    best = min((float((proj / d2).min()) for proj, d2 in _boundary_pairs(domain, boundary_samples)),
+               default=math.inf)
     return max(best, 0.0)

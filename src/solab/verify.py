@@ -195,7 +195,8 @@ def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float
     """sup_{B_{sigma r}} G(|Xu|) * (1-sigma)^Q / average_{B_r} G(|Xu|).
 
     For an affine t-independent solution G(|Xu|) is constant and the ratio is
-    exactly (1-sigma)^Q.
+    exactly (1-sigma)^Q.  Where G(|Xu|) vanishes on B_r the ratio is 0: the
+    bound 0 <= c * 0 holds for every c.
     """
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0,1)")
@@ -209,6 +210,8 @@ def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float
         raise ValueError("inner ball contains no grid nodes")
     sup_inner = float(np.max(sf.g_xu[inner_mask]))
     avg = ball_average(ScalarField(grid, sf.g_xu), outer)
+    if avg == 0.0:
+        return 0.0
     return sup_inner * (1.0 - sigma) ** Q / avg
 
 

@@ -85,7 +85,7 @@ def test_config_validation_errors(tmp_path):
         load_config(str(tmp_path / "missing.txt"))
     empty_inner = "center = [0.1, 0.1, 0.05]\nsigma = 0.01\nradius = 0.5\neta_outer = 0.45"
     for i, extra in enumerate(("gammas = [-1]", "omegas = [0.5]", "radius = 1.5", "eta_outer = 1.5",
-                               "init = foo", empty_inner)):
+                               "init = foo", "init = boundary", empty_inner)):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, BASE + extra + "\n", f"audit{i}.txt"))
     # malformed values: each used to crash with a traceback (exit 1) or pass silently
@@ -202,6 +202,17 @@ def test_audit_and_estimate_commands(tmp_path):
     assert cli.main(["estimate", "--config", path, "--out", str(est)]) in (0, 1)
     assert (est / "estimate_ratio.csv").exists()
     assert not (est / "audit_report.csv").exists()
+
+
+def test_zero_boundary_data_report_ratio_zero(tmp_path):
+    # u = 0, so G(|Xu|) vanishes on every ball: the sup-bound holds as 0 <= c * 0
+    path = write_cfg(tmp_path, BASE.replace("poly2:x1=0.5,x1t=0.3", "affine:c0=0"))
+    for command in ("estimate", "audit"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 0, command
+        report = json.loads((out / "audit_report.json").read_text())
+        assert [row["ratio"] for row in report["lipschitz_ratios"]] == [0.0, 0.0]
+        assert report["lipschitz_stable_25pct"] and report["all_pass"]
 
 
 def test_audit_computes_fields_once_per_level(tmp_path, monkeypatch):

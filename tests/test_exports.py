@@ -49,6 +49,36 @@ def test_no_unused_imports():
     assert not unused, f"unused imports: {unused}"
 
 
+def test_no_unused_private_names():
+    # every module-level private function, class or constant is referenced in the
+    # package somewhere outside its own definition, so a helper left behind fails here
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(solab.__file__).parent.glob("*.py"))}
+
+    def references(node):
+        names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        names += [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+        names += [alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for alias in n.names]
+        return names
+
+    everywhere = [name for tree in trees.values() for name in references(tree)]
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = references(node)
+            unused += [f"{module}.{name}" for name in defined
+                       if name.startswith("_") and not name.startswith("__")
+                       and everywhere.count(name) == own.count(name)]
+    assert not unused, f"private names with no reference: {unused}"
+
+
 def test_regularized_operator_exported():
     # the solver's eps-regularization is public under one name, in the module and the package
     operator = importlib.import_module("solab.operator")

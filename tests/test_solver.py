@@ -7,7 +7,7 @@ import pytest
 import solab.solver as sv
 from conftest import field_from, triple_for
 from oracles import gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace
-from solab.grid import Grid, ScalarField, refine_values
+from solab.grid import GaugeBall, Grid, ScalarField, refine_values
 from solab.heisenberg import GroupPoint, group_multiply
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
 
@@ -387,7 +387,7 @@ def test_euclidean_ball_constant():
 
 
 def test_gauge_ball_reported_constant():
-    dom = sv.GaugeBallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
+    dom = GaugeBall(center=(0.0, 0.0, 0.0), radius=1.0)
     best = sv.best_strong_convexity_constant(dom, boundary_samples=400)
     assert np.isfinite(best) and best >= 0.0
     assert sv.strong_convexity_margin(dom, 0.0, 400) >= -1e-12
@@ -395,7 +395,7 @@ def test_gauge_ball_reported_constant():
 
 def test_gauge_ball_boundary_points_are_group_products():
     # reference: the pointwise construction c . w, w on the gauge sphere of radius r about 0
-    dom = sv.GaugeBallDomain(center=(0.3, -0.7, 0.2), radius=0.9)
+    dom = GaugeBall(center=(0.3, -0.7, 0.2), radius=0.9)
     c = GroupPoint(np.array(dom.center))
     expected = []
     for s in np.linspace(0.0, dom.radius, 10):
