@@ -65,6 +65,15 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_checks(out, stem, checks, **fields) -> int:
+    """Write ``<stem>_report.json`` and ``.csv`` from the checks and extra fields; return the exit code."""
+    rows = [{"name": n, "value": v, "criterion": c, "pass": p} for n, v, c, p in checks]
+    payload = dict(fields, checks=rows, all_pass=all(p for *_, p in checks))
+    _write_json(os.path.join(out, f"{stem}_report.json"), payload)
+    _write_csv(os.path.join(out, f"{stem}_report.csv"), ["check", "value", "criterion", "pass"], checks)
+    return EXIT_PASS if payload["all_pass"] else EXIT_NONCONV
+
+
 # --------------------------------------------------------------------------
 # orlicz-check
 # --------------------------------------------------------------------------
@@ -132,19 +141,8 @@ def cmd_orlicz_check(cfg: ExperimentConfig, out: str) -> int:
     err_ent = abs(oz.conjugate(entropy, 1.0) - (math.e - 2.0))
     checks.append(("entropy_exp_conjugate", err_ent, "<= 1e-8", err_ent <= 1e-8))
 
-    payload = {
-        "structure": cfg.structure,
-        "delta": g.delta,
-        "g0": g.g0,
-        "delta_estimate": d_est,
-        "g0_estimate": g0_est,
-        "doubling_constant": c2,
-        "checks": [{"name": n, "value": v, "criterion": c, "pass": p} for n, v, c, p in checks],
-        "all_pass": all(p for *_, p in checks),
-    }
-    _write_json(os.path.join(out, "orlicz_report.json"), payload)
-    _write_csv(os.path.join(out, "orlicz_report.csv"), ["check", "value", "criterion", "pass"], checks)
-    return EXIT_PASS if payload["all_pass"] else EXIT_NONCONV
+    return _write_checks(out, "orlicz", checks, structure=cfg.structure, delta=g.delta, g0=g.g0,
+                         delta_estimate=d_est, g0_estimate=g0_est, doubling_constant=c2)
 
 
 # --------------------------------------------------------------------------
@@ -272,20 +270,12 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     checks.append(("regularized_sup_diff_decreasing", float(sup_decreasing), "strictly (or 0)",
                    sup_decreasing))
 
-    payload = {
-        "structure": cfg.structure,
-        "seed": cfg.seed,
-        "checks": [{"name": n, "value": v, "criterion": c, "pass": p} for n, v, c, p in checks],
-        "p_laplace": [{"p": p, "gap_min": a, "ratio_min": b} for p, a, b in plap_rows],
-        "regularization": [{"eps": e, "m1": m1, "m2": m2, "L_tilde": lt, "sup_diff": sd}
-                           for e, m1, m2, lt, sd in reg_rows],
-        "all_pass": all(p for *_, p in checks),
-    }
-    _write_json(os.path.join(out, "operator_report.json"), payload)
-    _write_csv(os.path.join(out, "operator_report.csv"), ["check", "value", "criterion", "pass"], checks)
     _write_csv(os.path.join(out, "operator_regularization.csv"),
                ["eps", "m1", "m2", "L_tilde", "sup_diff"], reg_rows)
-    return EXIT_PASS if payload["all_pass"] else EXIT_NONCONV
+    return _write_checks(out, "operator", checks, structure=cfg.structure, seed=cfg.seed,
+                         p_laplace=[{"p": p, "gap_min": a, "ratio_min": b} for p, a, b in plap_rows],
+                         regularization=[{"eps": e, "m1": m1, "m2": m2, "L_tilde": lt, "sup_diff": sd}
+                                         for e, m1, m2, lt, sd in reg_rows])
 
 
 # --------------------------------------------------------------------------

@@ -158,15 +158,8 @@ class HorizontalField:
 
 
 def axis_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order derivative along one axis: central inside, one-sided on the faces."""
-    if values.shape[axis] < 3:
-        raise ValueError("need at least 3 nodes along the differenced axis")
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    """Second-order ``np.gradient`` along one axis: central inside, one-sided on the faces."""
+    return np.gradient(values, h, axis=axis, edge_order=2)
 
 
 def vertical_derivative(u: ScalarField) -> ScalarField:
@@ -429,9 +422,6 @@ class CutoffFunction:
     t_deriv: ScalarField
     k_eta: float
     grad_sup: float
-    center: tuple[float, ...]
-    r_inner: float
-    r_outer: float
 
     @property
     def support_mask(self) -> np.ndarray:
@@ -487,10 +477,7 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     t_deriv = ScalarField(grid, scale * sgn * np.ones(grid.shape))
     grad_sup = float(np.max(grad.norm()))
     k_eta = grad_sup ** 2 + float(np.max(np.abs(eta.values * t_deriv.values)))
-    return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta,
-                          grad_sup=grad_sup,
-                          center=tuple(c), r_inner=float(r_inner),
-                          r_outer=float(r_outer))
+    return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta, grad_sup=grad_sup)
 
 
 # --------------------------------------------------------------------------
@@ -545,7 +532,5 @@ def save_field_csv(path, field: ScalarField):
     coords = np.meshgrid(*[grid.axis(k) for k in range(grid.dim)], indexing="ij")
     cols = [c.ravel() for c in coords] + [field.values.ravel()]
     names = [f"x{i + 1}" for i in range(2 * grid.n)] + ["t", "value"]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header=",".join(names), comments="")

@@ -12,7 +12,9 @@ no quadrature) and Luxemburg norms are numerical operations, so that the
 classical inequalities (Young, the complementary-pair bound, the generalised
 Hoelder inequality, the five growth-lemma items) are audited on sampled data.
 Every inversion (inverses, conjugates, Luxemburg norms) is one bisection,
-`generalized_inverse_info`.
+`generalized_inverse_info`.  The audits use fixed slacks: 1e-6 on the
+exponent window (`verify_exponents`) and 1e-9 relative on the growth-lemma
+comparisons (`lemma_gG_audit`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "lemma_gG_audit",
     "GrowthLemmaReport",
     "catalog_structure_function",
-    "catalog_labels",
     "parse_label",
     "young_from_structure",
 ]
@@ -185,11 +186,11 @@ class OrliczTriple:
         return out
 
 
-def verify_exponents(g: StructureFunction, t_samples, tol: float = 1e-6):
+def verify_exponents(g: StructureFunction, t_samples):
     """Estimate (delta, g0) as the extrema of t g'(t)/g(t) over the samples.
 
     Returns ``(delta_est, g0_est, ok)`` where ok means the estimates lie
-    inside the declared window [delta - tol, g0 + tol].
+    inside the declared window widened by 1e-6, [delta - 1e-6, g0 + 1e-6].
     """
     t = np.asarray(t_samples, dtype=float)
     if t.size == 0 or np.any(t <= 0):
@@ -204,7 +205,7 @@ def verify_exponents(g: StructureFunction, t_samples, tol: float = 1e-6):
         dv = (g(t + h) - g(t - h)) / (2 * h)
     ratio = t * dv / gv
     delta_est, g0_est = float(ratio.min()), float(ratio.max())
-    ok = bool(delta_est >= g.delta - tol and g0_est <= g.g0 + tol)
+    ok = bool(delta_est >= g.delta - 1e-6 and g0_est <= g.g0 + 1e-6)
     return delta_est, g0_est, ok
 
 
@@ -289,9 +290,9 @@ def generalized_inverse_info(psi, t, tol: float = 1e-10):
     return vals.reshape(t_arr.shape), saturated.reshape(t_arr.shape)
 
 
-def generalized_inverse(psi, t, tol: float = 1e-10):
-    """inf{s >= 0 : psi(s) > t}; coincides with the inverse for continuous strictly increasing psi."""
-    vals, _ = generalized_inverse_info(psi, t, tol=tol)
+def generalized_inverse(psi, t):
+    """inf{s >= 0 : psi(s) > t} to 1e-10; the inverse when psi is continuous and strictly increasing."""
+    vals, _ = generalized_inverse_info(psi, t)
     return vals
 
 
@@ -355,11 +356,10 @@ def doubling_constant(fn, t_samples) -> float:
     t = np.asarray(t_samples, dtype=float)
     if np.any(t <= 0):
         raise ValueError("samples must be positive")
-    caller = fn.eval if isinstance(fn, StructureFunction) else fn
-    v1 = np.asarray(caller(t), dtype=float)
+    v1 = np.asarray(fn(t), dtype=float)
     if np.any(v1 == 0):
         raise ValueError("function vanishes at a positive sample")
-    v2 = np.asarray(caller(2.0 * t), dtype=float)
+    v2 = np.asarray(fn(2.0 * t), dtype=float)
     return float(np.max(v2 / v1))
 
 
@@ -443,12 +443,12 @@ class GrowthLemmaReport:
                     self.slope_monotone, self.cross_term])
 
 
-def lemma_gG_audit(triple: OrliczTriple, t: float, s: float, tol: float = 1e-9) -> GrowthLemmaReport:
+def lemma_gG_audit(triple: OrliczTriple, t: float, s: float) -> GrowthLemmaReport:
     """Check the five structural inequalities tying g, G and the exponents at (s, t).
 
     (1) midpoint convexity of G; (2) t g(t)/(1+g0) <= G(t) <= t g(t);
     (3) g(s) <= g(t) <= (t/s)^g0 g(s); (4) G(t)/t nondecreasing;
-    (5) t g(s) <= t g(t) + s g(s).  All comparisons carry relative slack.
+    (5) t g(s) <= t g(t) + s g(s).  All comparisons carry relative slack 1e-9.
     """
     if not (0 <= s < t):
         raise ValueError("need 0 <= s < t")
@@ -459,7 +459,7 @@ def lemma_gG_audit(triple: OrliczTriple, t: float, s: float, tol: float = 1e-9) 
     Gmid = float(triple.G(0.5 * (s + t)))
 
     def leq(a, b):
-        return a <= b + tol * (abs(a) + abs(b)) + 1e-300
+        return a <= b + 1e-9 * (abs(a) + abs(b)) + 1e-300
 
     convexity = leq(Gmid, 0.5 * (Gs + Gt))
     sandwich = leq(t * gt / (1.0 + g0), Gt) and leq(Gt, t * gt)
@@ -482,7 +482,7 @@ class UnknownLabelError(KeyError):
 
 
 def parse_label(label: str) -> tuple[str, dict[str, float]]:
-    """Split ``"name:key=val,key=val"`` into the name and a float parameter map."""
+    """Split ``"name:key=val,key=val"`` into the name and a finite float parameter map."""
     name, _, rest = label.partition(":")
     params: dict[str, float] = {}
     if rest:
@@ -491,9 +491,12 @@ def parse_label(label: str) -> tuple[str, dict[str, float]]:
             if not key or not val:
                 raise UnknownLabelError(f"malformed catalog label {label!r}")
             try:
-                params[key.strip()] = float(val)
+                value = float(val)
             except ValueError as exc:
                 raise UnknownLabelError(f"non-numeric parameter in {label!r}") from exc
+            if not math.isfinite(value):
+                raise UnknownLabelError(f"non-finite parameter in {label!r}")
+            params[key.strip()] = value
     return name.strip(), params
 
 
@@ -635,10 +638,6 @@ _CATALOG = {
     "sinlog": (_sinlog, {"a": 2.5, "b": 1.0}),
     "glued": (_glued, {"alpha": 1.5, "beta": 2.5, "eps": 0.5, "k1": 1.0, "k2": 2.0}),
 }
-
-
-def catalog_labels() -> tuple[str, ...]:
-    return tuple(_CATALOG)
 
 
 def catalog_structure_function(label: str) -> StructureFunction:

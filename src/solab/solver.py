@@ -369,8 +369,8 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
     return ScalarField(grid, u.copy()), report
 
 
-def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem, init="zero") -> float:
-    """Solve both problems and return min over the interior of (u - v).
+def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem) -> float:
+    """Solve both problems from a zero start and return min over the interior of (u - v).
 
     Precondition: shared grid/operator and boundary data ordered u0 >= v0
     nodewise on the mask complement.
@@ -382,8 +382,8 @@ def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem, init="z
     off = ~prob_u.interior
     if np.any(prob_u.boundary.values[off] < prob_v.boundary.values[off] - 1e-12):
         raise ValueError("boundary data are not ordered: need u0 >= v0 on the boundary")
-    u, ru = solve_dirichlet(prob_u, init=init)
-    v, rv = solve_dirichlet(prob_v, init=init)
+    u, ru = solve_dirichlet(prob_u)
+    v, rv = solve_dirichlet(prob_v)
     if not (ru.converged and rv.converged):
         raise NonConvergenceError("comparison solves did not converge")
     gap = u.values - v.values

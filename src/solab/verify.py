@@ -4,9 +4,10 @@ Every audit evaluates both sides of one inequality against a cutoff, reports
 the fitted constant lhs/rhs, and (when run across refinements) a stability
 verdict.  The proven constants are existential — they depend only on
 (n, g0, L) — so a pass never asserts a numeric target: it asserts that the
-fitted constant is finite and stable under mesh refinement, and that sides
-which vanish analytically (t-independent data for the vertical integrands,
-affine data for the Hessian integrands) vanish numerically.
+fitted constant is finite and stable under mesh refinement (consecutive
+levels within a factor 2, ``stability_pass``), and that sides which vanish
+analytically (t-independent data for the vertical integrands, affine data
+for the Hessian integrands) vanish numerically.
 
 All seven post-solve consumers (the sup-bound ratio, the iteration trace and
 the five audits) read one ``SolutionFields`` (Xu, Tu, X(Tu), XXu, G(|Xu|),
@@ -96,8 +97,8 @@ def _report(name: str, lhs: float, rhs: float, gamma: float, **extras) -> AuditR
                        gamma=gamma, passed=passed, degenerate=degenerate, extras=extras)
 
 
-def stability_pass(history, factor: float = 2.0) -> bool:
-    """Consecutive fitted constants must stay within the given band (zeros pass)."""
+def stability_pass(history) -> bool:
+    """Consecutive fitted constants must stay within a factor 2 of each other (zeros pass)."""
     vals = [v for v in history if np.isfinite(v)]
     if len(vals) != len(list(history)):
         return False
@@ -107,7 +108,7 @@ def stability_pass(history, factor: float = 2.0) -> bool:
         if b == 0 or a == 0:
             return False
         r = a / b
-        if not (1.0 / factor <= r <= factor):
+        if not (0.5 <= r <= 2.0):
             return False
     return True
 
@@ -117,7 +118,7 @@ def _lhs_negligible(report: AuditReport) -> bool:
     return report.lhs <= 1e-12 * (1.0 + report.rhs)
 
 
-def attach_refinement(reports: list[AuditReport], factor: float = 2.0) -> AuditReport:
+def attach_refinement(reports: list[AuditReport]) -> AuditReport:
     """Combine per-level reports of the same audit into the finest-level one.
 
     Levels whose left side sits at the analytic-zero floor (lhs <= 1e-12(1+rhs))
@@ -134,7 +135,7 @@ def attach_refinement(reports: list[AuditReport], factor: float = 2.0) -> AuditR
         final.passed = True
         final.degenerate = True
     else:
-        final.passed = bool(all(np.isfinite(live))) and stability_pass(live, factor)
+        final.passed = bool(all(np.isfinite(live))) and stability_pass(live)
     return final
 
 

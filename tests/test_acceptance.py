@@ -286,7 +286,7 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
                 ok &= np.isfinite(rep.fitted_constant)
                 per_audit.setdefault((name, kw["gamma"]), []).append(rep)
         for key, reps in per_audit.items():
-            ok &= vf.attach_refinement(reps, factor=2.0).passed
+            ok &= vf.attach_refinement(reps).passed
     # degenerate sides: T-audits vanish on t-independent, X-audits on affine data
     grid = Grid.from_box(1, [(-1, 1)] * 3, 17)
     tr2 = triple_for("power:p=2")

@@ -94,6 +94,15 @@ def test_config_validation_errors(tmp_path):
                                "max_iters = 0", "sigma = true", "center = [0, 0, nan]")):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, BASE + extra + "\n", f"value{i}.txt"))
+    # non-finite label parameters: each used to crash the command (exit 1) instead of exit 2
+    for i, extra in enumerate(("structure = power:p=inf", "structure = sinlog:a=inf",
+                               "structure = glued:beta=inf", "boundary = affine:x1=nan",
+                               "boundary = affine:x1=inf", "boundary = sine:amp=nan")):
+        path = write_cfg(tmp_path, BASE + extra + "\n", f"label{i}.txt")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        command = "orlicz-check" if extra.startswith("structure") else "solve"
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / f"label{i}")]) == 2
     data = {"structure": "power:p=2", "boundary": "affine:x1=1", "sigma": "0.5"}
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, json.dumps(data), "sigma.json"))
@@ -106,11 +115,16 @@ def test_config_overrides(tmp_path):
     assert cfg.seed == 7 and cfg.refinements == 1
 
 
-def test_readme_cli_section_matches_the_program(tmp_path):
+def readme_cli():
+    """The README's CLI section and its code blocks by language ("" is the example config)."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme) as fh:
         section = fh.read().split("## CLI", 1)[1]
-    blocks = dict(re.findall(r"```(\w*)\n(.*?)```", section, re.S))
+    return section, dict(re.findall(r"```(\w*)\n(.*?)```", section, re.S))
+
+
+def test_readme_cli_section_matches_the_program(tmp_path):
+    section, blocks = readme_cli()
     cfg = load_config(write_cfg(tmp_path, blocks[""]))  # the example config
     assert cfg.structure == "power:p=3" and cfg.refinements == 2
     commands = re.findall(r"^solab (\S+)", blocks["sh"], re.M)
@@ -213,6 +227,18 @@ def test_zero_boundary_data_report_ratio_zero(tmp_path):
         report = json.loads((out / "audit_report.json").read_text())
         assert [row["ratio"] for row in report["lipschitz_ratios"]] == [0.0, 0.0]
         assert report["lipschitz_stable_25pct"] and report["all_pass"]
+
+
+def test_zero_data_singular_weight_audits_with_f_eps(tmp_path):
+    # p = 1.5 makes F singular at 0 and u = 0 makes Xu vanish, so solution_fields
+    # falls back to the problem's regularized weight F_eps on every level
+    text = readme_cli()[1][""] + ("structure = power:p=1.5\nboundary = affine:c0=0\n"
+                                  "resolution = 9\nrefinements = 1\n")
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    report = json.loads((out / "audit_report.json").read_text())
+    assert [row["ratio"] for row in report["lipschitz_ratios"]] == [0.0, 0.0]
+    assert report["audits"] and all(row["weight"] == "F_eps" for row in report["audits"])
 
 
 def test_audit_computes_fields_once_per_level(tmp_path, monkeypatch):

@@ -11,6 +11,13 @@ import pytest
 import solab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(solab.__path__))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _loads(node):
+    """Names read under an ast node: loaded names and attribute names."""
+    return ([n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+            + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -56,10 +63,8 @@ def test_no_unused_private_names():
              for path in sorted(Path(solab.__file__).parent.glob("*.py"))}
 
     def references(node):
-        names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
-        names += [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
-        names += [alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for alias in n.names]
-        return names
+        return _loads(node) + [alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+                               for alias in n.names]
 
     everywhere = [name for tree in trees.values() for name in references(tree)]
     unused = []
@@ -79,6 +84,23 @@ def test_no_unused_private_names():
     assert not unused, f"private names with no reference: {unused}"
 
 
+def test_no_unused_exports():
+    # every exported name is read in the package, the tests or the benchmark outside its
+    # own definition; the __all__ entry and the package __init__ re-export do not count
+    files = [path for path in sorted(Path(solab.__file__).parent.glob("*.py")) if path.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    everywhere = [name for path in files for name in _loads(ast.parse(path.read_text()))]
+    unused = []
+    for module_name in MODULES:
+        module = importlib.import_module(f"solab.{module_name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        own = {node.name: _loads(node) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        unused += [f"{module_name}.{name}" for name in getattr(module, "__all__", ())
+                   if everywhere.count(name) == own.get(name, []).count(name)]
+    assert not unused, f"exported names with no reader: {unused}"
+
+
 def test_regularized_operator_exported():
     # the solver's eps-regularization is public under one name, in the module and the package
     operator = importlib.import_module("solab.operator")
@@ -89,7 +111,7 @@ def test_regularized_operator_exported():
 
 def test_benchmark_tracer_bindings_resolve():
     # the benchmark tracer patches solab names; a refactor that drops one must fail here
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
