@@ -13,6 +13,9 @@ The eps-regularization A_eps(z) = F_eps(|z|) z, F_eps(t) = F(min(t + eps, 1/eps)
 is the operator of the energy G_eps that the solver minimizes; `operator-check`
 certifies the same map.  Its weight has the finite positive limits m1 = F(eps)
 and m2 = F(1/eps), and its ellipticity bracket is closed-form, not fitted.
+The energy density G_eps composes closed forms of G and H where the law has
+them; otherwise it is one cumulative table per (triple, eps), so each call
+is a single table lookup.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .orlicz import OrliczTriple
+from .orlicz import OrliczTriple, _LogCumTable
 
 __all__ = [
     "OperatorSpec",
@@ -230,21 +233,37 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
     """G_eps(t) = int_0^t s F_eps(s) ds, the energy density of the regularized operator.
 
     Split at T = 1/eps - eps where the weight saturates:
-        t <= T:  G_eps(t) = [G(t+eps) - G(eps)] - eps [H(t+eps) - H(eps)]
-        t  > T:  G_eps(t) = G_eps(T) + F(1/eps) (t^2 - T^2) / 2.
+        t <= T:  G_eps(t) = B(t)
+        t  > T:  G_eps(t) = B(T) + F(1/eps) (t^2 - T^2) / 2,
+    where B(t) = int_0^t w with w(s) = s g(s+eps)/(s+eps), equal to s F_eps(s) up to T.
+    A law with a closed-form G composes closed forms,
+        B(t) = [G(t+eps) - G(eps)] - eps [H(t+eps) - H(eps)].
+    A table law reads B from one `_LogCumTable` of w, built on the first call
+    for each (triple, eps) and kept on the triple; it builds no H table and
+    does not cancel at small t.  The table integrates w unclipped, since the
+    saturation min would put a kink at T into the spline.  NaN stays NaN.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
     T = 1.0 / eps - eps
-    g_eps_ref = float(triple.G(eps))
-    h_eps_ref = float(triple.H(eps))
-    m2 = float(triple.g(np.asarray(1.0 / eps)) * eps)
-    cap = (float(triple.G(1.0 / eps)) - g_eps_ref) - eps * (float(triple.H(1.0 / eps)) - h_eps_ref)
+    g = triple.g
+    m2 = float(g(np.asarray(1.0 / eps)) * eps)
+    if g.closed_G is None:
+        body_at = triple._table_G_eps.get(eps)
+        if body_at is None:
+            body_at = triple._table_G_eps[eps] = _LogCumTable(lambda s: s * g(s + eps) / (s + eps))
+        cap = body_at(T)
+    else:
+        g_eps_ref = float(triple.G(eps))
+        h_eps_ref = float(triple.H(eps))
+        cap = (float(triple.G(1.0 / eps)) - g_eps_ref) - eps * (float(triple.H(1.0 / eps)) - h_eps_ref)
+
+        def body_at(core):
+            return (triple.G(core + eps) - g_eps_ref) - eps * (triple.H(core + eps) - h_eps_ref)
 
     def g_eps(t):
         t = np.asarray(t, dtype=float)
-        core = np.minimum(t, T)
-        body = (triple.G(core + eps) - g_eps_ref) - eps * (triple.H(core + eps) - h_eps_ref)
+        body = body_at(np.minimum(t, T))
         tail = np.where(t > T, cap + 0.5 * m2 * (t * t - T * T) - body, 0.0)
         out = body + tail
         return float(out) if out.ndim == 0 else out

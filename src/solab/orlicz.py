@@ -56,8 +56,11 @@ class _LogCumTable:
     Knot values come from per-panel Gauss-Legendre sums (the panels are narrow
     in log t, so each is essentially exact); derivatives d(log y)/d(log t) =
     t*w(t)/y(t) are exact, which keeps the interpolation error ~(dtau)^4.
-    The knots cover [1e-12, 1e9] at 128 per decade; outside the table the
-    local power law is continued.
+    The knots are uniform in tau = log t over [1e-12, 1e9] at 128 per decade,
+    and each interval stores its Hermite cubic in monomial form, so a lookup
+    is the index arithmetic x = (tau - tau_0)/dtau, four coefficient gathers,
+    a Horner evaluation and one exp.  Outside the table the local power law
+    is continued.  t <= 0 maps to 0 and NaN stays NaN.
     """
 
     def __init__(self, w):
@@ -79,28 +82,46 @@ class _LogCumTable:
         y = y0 + np.concatenate([[0.0], np.cumsum(panel)])
         if np.any(y <= 0) or not np.all(np.isfinite(y)):
             raise ValueError("cumulative integral must be positive and finite")
-        self.tau = tau
+        self.tau0 = tau[0]
         self.dtau = tau[1] - tau[0]
-        self.logy = np.log(y)
-        self.slope = knots * np.asarray(w(knots)) / y
+        logy = np.log(y)
+        # log-log slopes per unit of x, the interval coordinate
+        m = self.dtau * knots * np.asarray(w(knots)) / y
+        dp = np.diff(logy)
+        # Hermite cubic on interval j in s = x - j: c0 + s (c1 + s (c2 + s c3))
+        self.coef = (logy[:-1], m[:-1], 3.0 * dp - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * dp)
+        self.end_slopes = (float(m[0]), float(m[-1]))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        pos = t_arr > 0
-        tau = np.log(np.where(pos, t_arr, 1.0))
-        j = np.clip(np.floor((tau - self.tau[0]) / self.dtau), 0, self.tau.size - 2).astype(np.intp)
-        lo, hi = self.tau[j], self.tau[j + 1]
-        dt = hi - lo
-        s = np.clip((tau - lo) / dt, 0.0, 1.0)
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        val = (h00 * self.logy[j] + h10 * dt * self.slope[j]
-               + h01 * self.logy[j + 1] + h11 * dt * self.slope[j + 1])
-        val += self.slope[j] * np.minimum(tau - lo, 0.0) + self.slope[j + 1] * np.maximum(tau - hi, 0.0)
-        out = np.where(pos, np.exp(val), 0.0)
-        return float(out) if out.ndim == 0 else out
+        flat = t_arr.ravel()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.log(flat)
+        s -= self.tau0
+        s /= self.dtau
+        c0, c1, c2, c3 = self.coef
+        # fmax sends NaN to interval 0; the NaN itself stays in s
+        j = np.fmin(np.fmax(s, 0.0), c0.size - 1).astype(np.intp)
+        s -= j
+        # t outside [1e-12, 1e9], t <= 0 and NaN all leave s outside [0, 1]
+        outside = s.size > 0 and not (s.min() >= 0.0 and s.max() <= 1.0)
+        if outside:
+            lo, hi = self.end_slopes
+            ext = lo * np.minimum(s, 0.0) + hi * np.maximum(s - 1.0, 0.0)
+            s = np.clip(s, 0.0, 1.0)
+        val = c3[j]
+        val *= s
+        val += c2[j]
+        val *= s
+        val += c1[j]
+        val *= s
+        val += c0[j]
+        if outside:
+            val += ext
+        np.exp(val, out=val)
+        if outside:
+            val[flat <= 0] = 0.0
+        return float(val[0]) if t_arr.ndim == 0 else val.reshape(t_arr.shape)
 
 
 # --------------------------------------------------------------------------
@@ -146,6 +167,8 @@ class OrliczTriple:
         self.g = g
         self._table_G: _LogCumTable | None = None
         self._table_H: _LogCumTable | None = None
+        # G_eps tables of `operator.regularized_energy_density`, one per eps
+        self._table_G_eps: dict[float, _LogCumTable] = {}
         if g.delta > 1.0:
             self.f_zero: float | None = 0.0
         elif g.delta == 1.0:
@@ -621,9 +644,10 @@ def _glued(alpha: float, beta: float, eps: float, k1: float, k2: float) -> Struc
 
     def closed_H(t):
         t = np.asarray(t, dtype=float)
-        safe = np.where(t > 0, t, 1.0)
+        # NaN fails t <= 0 and passes through
+        safe = np.where(t <= 0, 1.0, t)
         out = piecewise(safe, H1, lambda s: H2(s) + d2, lambda s: H3(s) + d3)
-        return np.where(t > 0, out, 0.0)
+        return np.where(t <= 0, 0.0, out)
 
     # on power+constant pieces the log-derivative is monotone, so the window
     # is exactly [a1, a3)

@@ -5,7 +5,8 @@ Kohn-Laplace system is assembled from sparse Kronecker products (the solver
 uses slicing-based operators), Jacobians come from central differences,
 integrals of growth laws come from scipy's adaptive quadrature (conjugates
 included: the library uses the Fenchel-Young equality, the reference
-integrates the inverse), and the p-Laplace solver is checked against the
+integrates the inverse; regularized energy densities included: the library
+looks them up in a cumulative table), and the p-Laplace solver is checked against the
 closed-form gauge fundamental solution.
 """
 
@@ -87,6 +88,18 @@ def quad_reference(f, t: float, points=None) -> float:
     """High-accuracy scipy.quad reference for integrals from 0 to t."""
     val, err = scipy.integrate.quad(lambda s: float(f(np.asarray(s))), 0.0, t,
                                     points=points, epsabs=1e-14, epsrel=1e-13, limit=400)
+    return val
+
+
+def energy_density_reference(g, eps: float, t: float) -> float:
+    """G_eps(t) = int_0^t s F(min(s + eps, 1/eps)) ds by scipy quad, split where the weight bends and saturates."""
+    def integrand(s):
+        arg = min(s + eps, 1.0 / eps)
+        return s * float(g(np.asarray(arg))) / arg
+
+    points = [p for p in (eps, 1.0 / eps - eps) if 0 < p < t]
+    val, err = scipy.integrate.quad(integrand, 0.0, t, points=points or None,
+                                    epsabs=0.0, epsrel=1e-13, limit=400)
     return val
 
 

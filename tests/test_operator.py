@@ -3,7 +3,7 @@ import pytest
 
 import solab.operator as op
 from conftest import CATALOG_LABELS, triple_for
-from oracles import fd_jacobian
+from oracles import energy_density_reference, fd_jacobian
 
 
 def sample_points(rng, m, d=2, r_lo=1e-2, r_hi=1e2):
@@ -291,6 +291,29 @@ def test_energy_density_derivative_is_t_F_eps(label):
         dens = t_smooth * op.regularized_weight(tr, eps)(t_smooth)
         fd = (g_eps(t_smooth + h) - g_eps(t_smooth - h)) / (2 * h)
         assert float(np.max(np.abs(fd - dens) / dens)) <= 1e-6
+
+
+@pytest.mark.parametrize("label", ["loglin:alpha=1,beta=1,a=2.718281828", "sinlog:a=2.5,b=1"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_energy_density_table_matches_quadrature(label, eps):
+    # the table laws read G_eps from one table of int_0^t s F_eps; composing
+    # G(t+eps) - G(eps) instead cancels at small t
+    tr = triple_for(label)
+    g_eps = op.regularized_energy_density(tr, eps)
+    for t in np.geomspace(1e-10, 2.0 / eps, 13):
+        ref = energy_density_reference(tr.g, eps, t)
+        assert abs(g_eps(t) - ref) <= 1e-9 * ref, t
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_nan_propagates(label):
+    # a NaN |Xu| must not turn into a finite energy
+    tr = triple_for(label)
+    t = np.array([np.nan, 1.0])
+    for fn in (tr.G, tr.H, op.regularized_energy_density(tr, 1e-4)):
+        out = fn(t)
+        assert np.isnan(out[0]) and np.isfinite(out[1])
+        assert np.isnan(fn(np.nan))
 
 
 def test_regularization_params_validation():

@@ -82,6 +82,48 @@ def test_table_matches_quadrature(label):
         assert float(tr.G(t)) == pytest.approx(ref, rel=2e-8)
 
 
+def hermite_reference(table, t):
+    """The Hermite-basis lookup the Horner form replaced, on the table's knot values and slopes."""
+    c0, c1, c2, c3 = table.coef
+    logy = np.append(c0, c0[-1] + c1[-1] + c2[-1] + c3[-1])
+    slope = np.append(c1, c1[-1] + 2 * c2[-1] + 3 * c3[-1]) / table.dtau
+    knots = np.linspace(math.log(1e-12), math.log(1e9), logy.size)
+    t_arr = np.asarray(t, dtype=float)
+    pos = t_arr > 0
+    tau = np.log(np.where(pos, t_arr, 1.0))
+    j = np.clip(np.floor((tau - knots[0]) / table.dtau), 0, knots.size - 2).astype(np.intp)
+    lo, hi = knots[j], knots[j + 1]
+    dt = hi - lo
+    s = np.clip((tau - lo) / dt, 0.0, 1.0)
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    val = h00 * logy[j] + h10 * dt * slope[j] + h01 * logy[j + 1] + h11 * dt * slope[j + 1]
+    val += slope[j] * np.minimum(tau - lo, 0.0) + slope[j + 1] * np.maximum(tau - hi, 0.0)
+    return np.where(pos, np.exp(val), 0.0)
+
+
+@pytest.mark.parametrize("label", ["loglin:alpha=1,beta=1,a=2.718281828", "sinlog:a=2.5,b=1"])
+def test_horner_lookup_matches_hermite_basis(label, rng):
+    tr = triple_for(label)
+    tr.G(1.0)
+    table = tr._table_G
+    inside = np.exp(rng.uniform(math.log(1e-12), math.log(1e9), 5000)).reshape(50, 100)
+    edges = np.array([0.0, 1e-30, 1e-13, 1e-12, 1e-12 * (1 + 1e-9), 1.0, 1e9 * (1 - 1e-9), 1e9, 1e10, 1e15])
+    for t in (inside, edges, np.exp(np.linspace(math.log(1e-12), math.log(1e9), 2689))):
+        ref = hermite_reference(table, t)
+        out = table(t)
+        assert out.shape == t.shape
+        assert np.all(np.abs(out - ref) <= 1e-11 * ref)
+    for t in (0.37, np.asarray(4e-13), np.asarray(2e11)):
+        out = table(t)
+        ref = float(hermite_reference(table, t))
+        assert isinstance(out, float) and abs(out - ref) <= 1e-11 * ref
+    assert table(0.0) == 0.0 and table(-1.0) == 0.0
+    assert table(np.array([])).shape == (0,)
+
+
 def test_F_zero_policy():
     assert triple_for("power:p=3").F(0.0) == 0.0          # delta > 1
     assert triple_for("power:p=2").F(0.0) == pytest.approx(1.0)  # delta = 1

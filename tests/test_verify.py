@@ -239,9 +239,10 @@ def test_moser_trace_validation(tdep_solution):
 def test_singular_weight_falls_back_to_regularized():
     g = Grid.from_box(1, [(-1, 1)] * 3, 17)
     tr = triple_for("power:p=1.5")
-    bc = field_from(g, lambda a, b, c: 0.4 * a + 0.3 * c * a)
-    prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc)
-    sol, rep = sv.solve_dirichlet(prob)
-    sf = vf.solution_fields(sol, tr, eps=prob.eps)
-    assert sf.weight_kind in ("F", "F_eps")
-    assert np.all(np.isfinite(sf.f_xu))
+    # |Xu| > 0 at every node keeps the raw F; Xu = 0 somewhere, where F is singular, falls back
+    for data, kind in ((lambda a, b, c: 0.4 * a + 0.3 * c * a, "F"), (lambda a, b, c: 0.0 * a, "F_eps")):
+        prob = sv.DirichletProblem(grid=g, triple=tr, boundary=field_from(g, data))
+        sol, rep = sv.solve_dirichlet(prob)
+        sf = vf.solution_fields(sol, tr, eps=prob.eps)
+        assert sf.weight_kind == kind
+        assert np.all(np.isfinite(sf.f_xu))
