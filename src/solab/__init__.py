@@ -7,13 +7,12 @@ grids and stencils (grid), the variational Dirichlet solver (solver),
 inequality audits (verify), and the command-line drivers (cli).
 """
 
-from .heisenberg import (GroupPoint, HeisenbergConfig, dilate, group_inverse,
-                         group_multiply, homogeneous_norm, origin, quasi_distance)
-from .orlicz import (DiscreteMeasureSpace, OrliczTriple, StructureFunction,
-                     YoungFunction, big_G, catalog_structure_function,
-                     conjugate, conjugate_young, doubling_constant,
-                     generalized_inverse, holder_margin, lemma_gG_audit,
-                     luxemburg_norm, verify_exponents, young_gap)
+from .heisenberg import (GroupPoint, dilate, group_inverse, group_multiply,
+                         homogeneous_norm, origin, quasi_distance)
+from .orlicz import (OrliczTriple, StructureFunction, YoungFunction,
+                     catalog_structure_function, conjugate, conjugate_young,
+                     doubling_constant, generalized_inverse, lemma_gG_audit,
+                     verify_exponents, young_gap)
 from .operator import (OperatorSpec, RegularizationParams, ellipticity_margin,
                        monotonicity_gap, p_laplace_gap, prototype_A,
                        prototype_DA, prototype_operator, regularized_operator,

@@ -17,7 +17,6 @@ volume scaling studies are meaningful at desk resolutions.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,8 +251,7 @@ def gauge_distance_field(grid: Grid, center, offsets=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaugeBall:
-    """Ball of the gauge quasi-distance: an integration region, and a convex domain
-    (squared gauge convex, translation affine) whose boundary the solver samples."""
+    """Ball of the gauge quasi-distance, used as an integration region."""
 
     center: tuple[float, ...]
     radius: float
@@ -279,40 +277,6 @@ class GaugeBall:
         t_span = self.radius ** 2 + twist
         ok &= (c[-1] - t_span >= grid.lo[-1]) and (c[-1] + t_span <= grid.hi[-1])
         return bool(ok)
-
-    def boundary_points(self, m: int) -> np.ndarray:
-        """About m points of the boundary sphere (n = 1): polar radius, angle and t sign."""
-        if len(self.center) != 3:
-            raise NotImplementedError("boundary sampling implemented for n = 1")
-        r = self.radius
-        m_s = max(3, int(math.sqrt(m / 2)))
-        m_th = max(4, int(m / (2 * m_s)))
-        s = np.linspace(0.0, r, m_s)[:, None, None]
-        th = np.linspace(0.0, 2 * math.pi, m_th, endpoint=False)[None, :, None]
-        sign = np.array([1.0, -1.0])
-        tmag = r * r - s * s
-        shape = (m_s, m_th, 2)
-        keep = np.broadcast_to((tmag != 0.0) | (sign > 0), shape)  # the equator edge only once
-        w = [np.broadcast_to(v, shape)[keep] for v in (s * np.cos(th), s * np.sin(th), sign * tmag)]
-        # boundary points c . w of the ball about c are the translates of w by c^{-1}
-        return np.stack(translate(-np.asarray(self.center), w), axis=1)
-
-    def inward_normal(self, y: np.ndarray) -> np.ndarray:
-        """Unit inward normal at a boundary point: minus the normalized gradient of the squared gauge."""
-        n = (len(self.center) - 1) // 2
-        c = np.asarray(self.center)
-        rel = translate(c, y)
-        grad = np.empty(2 * n + 1)
-        sgn = np.sign(rel[-1])  # 0 on the equator edge: the subgradient choice drops the t part
-        grad[:2 * n] = 2.0 * np.array(rel[:-1])
-        # chain rule through the affine vertical part of the left translation
-        grad[:n] += sgn * 0.5 * c[n:2 * n]
-        grad[n:2 * n] -= sgn * 0.5 * c[:n]
-        grad[-1] = sgn
-        norm = np.linalg.norm(grad)
-        if norm == 0:
-            raise ValueError("degenerate boundary point")
-        return -grad / norm
 
 
 def ball_node_mask(grid: Grid, ball: GaugeBall) -> np.ndarray:
@@ -426,11 +390,6 @@ class CutoffFunction:
     @property
     def support_mask(self) -> np.ndarray:
         return self.eta.values > 0.0
-
-    @functools.cached_property
-    def hess_sup(self) -> float:
-        """sup of |XX eta| (Frobenius), from the discrete horizontal Hessian."""
-        return float(np.max(hessian_frobenius(horizontal_hessian(self.eta))))
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "HeisenbergConfig",
     "GroupPoint",
     "origin",
     "group_multiply",
@@ -35,26 +34,6 @@ __all__ = [
     "quasi_distance",
     "dilate",
 ]
-
-
-@dataclass(frozen=True)
-class HeisenbergConfig:
-    """Group index n with the homogeneous dimension Q = 2n + 2."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"group index n must be a positive integer, got {self.n!r}")
-
-    @property
-    def Q(self) -> int:
-        return 2 * self.n + 2
-
-    @property
-    def dim(self) -> int:
-        """Topological dimension 2n + 1 of the underlying space."""
-        return 2 * self.n + 1
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Structure functions, Young functions, conjugation and Luxemburg norms.
+"""Structure functions, Young functions and conjugation.
 
 The growth law of the operator class is a structure function g with
 g(0) = 0 and bounded logarithmic derivative
@@ -7,14 +7,13 @@ g(0) = 0 and bounded logarithmic derivative
 
 From g we derive the energy density G(t) = integral of g over [0, t] (closed
 form or one cumulative table) and the degeneracy weight F(t) = g(t)/t.  Young
-functions, generalized inverses, conjugates (by the Fenchel-Young equality,
-no quadrature) and Luxemburg norms are numerical operations, so that the
-classical inequalities (Young, the complementary-pair bound, the generalised
-Hoelder inequality, the five growth-lemma items) are audited on sampled data.
-Every inversion (inverses, conjugates, Luxemburg norms) is one bisection,
-`generalized_inverse_info`.  The audits use fixed slacks: 1e-6 on the
-exponent window (`verify_exponents`) and 1e-9 relative on the growth-lemma
-comparisons (`lemma_gG_audit`).
+functions, generalized inverses and conjugates (by the Fenchel-Young
+equality, no quadrature) are numerical operations, so that the classical
+inequalities (Young, the complementary-pair bound, the five growth-lemma
+items) are audited on sampled data.  Every inversion (inverses, conjugates)
+is `generalized_inverse`, one bisection.  The audits use fixed slacks: 1e-6
+on the exponent window (`verify_exponents`) and 1e-9 relative on the
+growth-lemma comparisons (`lemma_gG_audit`).
 """
 
 from __future__ import annotations
@@ -29,19 +28,14 @@ __all__ = [
     "StructureFunction",
     "OrliczTriple",
     "YoungFunction",
-    "DiscreteMeasureSpace",
     "UnknownLabelError",
     "verify_exponents",
-    "big_G",
     "generalized_inverse",
-    "generalized_inverse_info",
     "conjugate",
     "conjugate_young",
     "young_gap",
     "comp_prop_margin",
     "doubling_constant",
-    "luxemburg_norm",
-    "holder_margin",
     "lemma_gG_audit",
     "GrowthLemmaReport",
     "catalog_structure_function",
@@ -181,6 +175,7 @@ class OrliczTriple:
         return self.g.label
 
     def G(self, t):
+        """G(t) = int_0^t g on the domain t >= 0; at t < 0 the value is unspecified and differs per family."""
         if self.g.closed_G is not None:
             return self.g.closed_G(np.asarray(t, dtype=float))
         if self._table_G is None:
@@ -232,15 +227,6 @@ def verify_exponents(g: StructureFunction, t_samples):
     return delta_est, g0_est, ok
 
 
-def big_G(triple: OrliczTriple, t):
-    """G(t) for t >= 0: the registered closed form, else the cumulative table of g."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("G is defined for t >= 0")
-    out = triple.G(t_arr)
-    return out if t_arr.ndim else float(out)
-
-
 # --------------------------------------------------------------------------
 # Young functions
 # --------------------------------------------------------------------------
@@ -254,7 +240,6 @@ class YoungFunction:
     label: str = ""
     closed_eval: Callable = field(kw_only=True)
     is_N_function: bool = True
-    is_doubling: bool = True
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -269,20 +254,17 @@ def young_from_structure(triple: OrliczTriple) -> YoungFunction:
         label=f"G[{triple.label}]",
         closed_eval=triple.G,
         is_N_function=True,
-        is_doubling=True,
     )
 
 
-def generalized_inverse_info(psi, t, tol: float = 1e-10):
-    """Generalized inverse inf{s >= 0 : psi(s) > t} with a saturation flag.
+def generalized_inverse(psi, t):
+    """inf{s >= 0 : psi(s) > t}; the inverse when psi is continuous and strictly increasing.
 
     Bracketing by geometric growth (up to 1e150) followed by bisection to absolute
-    tolerance ``tol``, or to adjacent floats where their spacing exceeds it.
-    Where psi never exceeds t inside the bracket the bracket top is returned
-    and flagged saturated.
+    tolerance 1e-10, or to adjacent floats where their spacing exceeds it.  Where
+    psi never exceeds t inside the bracket the bracket top is returned.
     """
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
     tt = np.atleast_1d(t_arr).astype(float)
     if np.any(tt < 0):
         raise ValueError("generalized inverse is defined for t >= 0")
@@ -296,27 +278,19 @@ def generalized_inverse_info(psi, t, tol: float = 1e-10):
                 break
             lo = np.where(grow, hi, lo)
             hi = np.where(grow, hi * 4.0, hi)
-        saturated = ~(np.asarray(psi(hi)) > tt)
-        lo = np.where(saturated, hi, lo)
+        # a saturated bracket collapses onto its top
+        lo = np.where(np.asarray(psi(hi)) > tt, lo, hi)
         for _ in range(600):
             mid = 0.5 * (lo + hi)
-            # a midpoint equal to an endpoint cannot move it (float spacing exceeds tol there)
-            open_ = ((hi - lo) > tol) & (mid != lo) & (mid != hi)
+            # a midpoint equal to an endpoint cannot move it (float spacing exceeds 1e-10 there)
+            open_ = ((hi - lo) > 1e-10) & (mid != lo) & (mid != hi)
             if not np.any(open_):
                 break
             gt = np.asarray(psi(mid)) > tt
             hi = np.where(open_ & gt, mid, hi)
             lo = np.where(open_ & ~gt, mid, lo)
     vals = 0.5 * (lo + hi)
-    if scalar:
-        return float(vals[0]), bool(saturated[0])
-    return vals.reshape(t_arr.shape), saturated.reshape(t_arr.shape)
-
-
-def generalized_inverse(psi, t):
-    """inf{s >= 0 : psi(s) > t} to 1e-10; the inverse when psi is continuous and strictly increasing."""
-    vals, _ = generalized_inverse_info(psi, t)
-    return vals
+    return float(vals[0]) if t_arr.ndim == 0 else vals.reshape(t_arr.shape)
 
 
 def conjugate(young: YoungFunction, s):
@@ -334,23 +308,13 @@ def conjugate(young: YoungFunction, s):
 def conjugate_young(young: YoungFunction) -> YoungFunction:
     """The conjugate as a Young function (integrand = generalized inverse of psi).
 
-    The doubling flag of the conjugate is measured by sampling Psi*(2t)/Psi*(t)
-    on a log grid; the N-function property transfers from the original pair.
+    The N-function property transfers from the original pair.
     """
-    inv = lambda tau: generalized_inverse(young.integrand, tau)
-    conj = lambda s: conjugate(young, s)
-    probe = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 17))
-    v1 = conj(probe)
-    v2 = conj(2 * probe)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(v1 > 0, v2 / np.maximum(v1, 1e-300), np.inf)
-    c2 = float(np.max(ratios))
     return YoungFunction(
-        integrand=inv,
+        integrand=lambda tau: generalized_inverse(young.integrand, tau),
         label=f"conj[{young.label}]",
-        closed_eval=conj,
+        closed_eval=lambda s: conjugate(young, s),
         is_N_function=young.is_N_function,
-        is_doubling=bool(c2 < 1e6),
     )
 
 
@@ -384,65 +348,6 @@ def doubling_constant(fn, t_samples) -> float:
         raise ValueError("function vanishes at a positive sample")
     v2 = np.asarray(fn(2.0 * t), dtype=float)
     return float(np.max(v2 / v1))
-
-
-# --------------------------------------------------------------------------
-# discrete Orlicz norms
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteMeasureSpace:
-    """Sampled values with nonnegative quadrature weights (finite total mass)."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if v.shape != w.shape:
-            raise ValueError("values and weights must have matching shapes")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be nonnegative and finite")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "weights", w)
-
-
-def luxemburg_norm(space: DiscreteMeasureSpace, young: YoungFunction) -> float:
-    """Gauge inf{k > 0 : sum_k w_k Psi(|u_k|/k) <= 1}, through the generalized inverse.
-
-    With s = max|u|/k the mass sum_k w_k Psi(s |u_k|/max|u|) is nondecreasing in s,
-    so the gauge is max|u| / inf{s : mass(s) > 1}; a saturated bracket means a
-    gauge below the representable scale, reported as 0.
-    """
-    if not young.is_doubling:
-        raise ValueError(f"{young.label!r} is not doubling; Luxemburg norms are restricted to doubling Young functions")
-    u = np.abs(space.values)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite samples")
-    w = space.weights
-    active = w > 0
-    if not np.any(active & (u > 0)):
-        return 0.0
-    u, w = u[active], w[active]
-    top = float(np.max(u))
-    shape = u / top
-
-    def mass(s):
-        with np.errstate(divide="ignore"):
-            return np.einsum("...i,i", young(np.multiply.outer(s, shape)), w)
-
-    s_star, saturated = generalized_inverse_info(mass, 1.0, tol=0.0)
-    return 0.0 if saturated else top / s_star
-
-
-def holder_margin(u: DiscreteMeasureSpace, v: DiscreteMeasureSpace, young: YoungFunction) -> float:
-    """2 ||u||_Psi ||v||_Psi* - sum w |u v|; nonnegative by the generalised Hoelder inequality."""
-    if u.weights.shape != v.weights.shape or not np.array_equal(u.weights, v.weights):
-        raise ValueError("the two samples must share quadrature weights")
-    pairing = float(np.dot(u.weights, np.abs(u.values * v.values)))
-    return 2.0 * luxemburg_norm(u, young) * luxemburg_norm(v, conjugate_young(young)) - pairing
 
 
 # --------------------------------------------------------------------------

@@ -53,9 +53,6 @@ __all__ = [
     "comparison_check",
     "barrier_field",
     "barrier_residual_study",
-    "EuclideanBallDomain",
-    "strong_convexity_margin",
-    "best_strong_convexity_constant",
 ]
 
 
@@ -455,57 +452,3 @@ def barrier_residual_study(L: ScalarField, triple: OrliczTriple, refinements: in
         residuals.append(float(np.max(np.abs(res_field[grid.interior_mask()]))))
         grid = grid.refined()
     return residuals
-
-
-# --------------------------------------------------------------------------
-# strong convexity of domains
-# --------------------------------------------------------------------------
-
-
-def _fibonacci_sphere(m: int) -> np.ndarray:
-    k = np.arange(m) + 0.5
-    phi = np.arccos(1.0 - 2.0 * k / m)
-    theta = math.pi * (1.0 + math.sqrt(5.0)) * k
-    return np.stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=1)
-
-
-@dataclass(frozen=True)
-class EuclideanBallDomain:
-    """Round ball in R^(2n+1); the strong-convexity oracle: best eps0 = 1/(2R)."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    def boundary_points(self, m: int) -> np.ndarray:
-        if len(self.center) != 3:
-            raise NotImplementedError("deterministic sphere sampling implemented for n = 1")
-        return np.asarray(self.center) + self.radius * _fibonacci_sphere(m)
-
-    def inward_normal(self, y: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.center) - y
-        return v / np.linalg.norm(v)
-
-
-def _boundary_pairs(domain, boundary_samples: int):
-    """Per sampled boundary point y: (x - y).b(y) and |x - y|^2 over the other sampled x."""
-    pts = domain.boundary_points(boundary_samples)
-    for y in pts:
-        b = domain.inward_normal(y)
-        diff = pts - y
-        d2 = np.sum(diff * diff, axis=1)
-        live = d2 > 0
-        if live.any():
-            yield diff[live] @ b, d2[live]
-
-
-def strong_convexity_margin(domain, eps0: float, boundary_samples: int = 512) -> float:
-    """min over sampled boundary pairs (x, y) of b(y).(x - y) - eps0 |x - y|^2."""
-    return min((float((proj - eps0 * d2).min()) for proj, d2 in _boundary_pairs(domain, boundary_samples)),
-               default=math.inf)
-
-
-def best_strong_convexity_constant(domain, boundary_samples: int = 512) -> float:
-    """Largest eps0 with nonnegative margin on the sampled pairs (clipped at 0)."""
-    best = min((float((proj / d2).min()) for proj, d2 in _boundary_pairs(domain, boundary_samples)),
-               default=math.inf)
-    return max(best, 0.0)

@@ -11,7 +11,7 @@ import pytest
 import solab.cli as cli
 import solab.verify as vf
 from conftest import CATALOG_LABELS
-from solab.config import ConfigError, ExperimentConfig, load_config
+from solab.config import ConfigError, load_config
 from solab.grid import Grid, load_field_binary
 from solab.orlicz import catalog_structure_function
 from solab.problems import boundary_field

@@ -39,11 +39,12 @@ def test_package_imports_resolve():
 
 
 def test_no_unused_imports():
-    # every name a module imports at top level is used in it (the package __init__ re-exports)
+    # every name a module or test file imports at top level is used in it (the package
+    # __init__ re-exports)
+    paths = [path for path in sorted(Path(solab.__file__).parent.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
     unused = []
-    for path in sorted(Path(solab.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text())
         imported = []
         for node in tree.body:
@@ -52,7 +53,7 @@ def test_no_unused_imports():
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported += [alias.asname or alias.name for alias in node.names]
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+        unused += [f"{path.parent.name}/{path.name}: {name}" for name in imported if name not in used]
     assert not unused, f"unused imports: {unused}"
 
 
@@ -84,21 +85,39 @@ def test_no_unused_private_names():
     assert not unused, f"private names with no reference: {unused}"
 
 
+# exported names whose only reader is their own unit test file, kept on purpose
+DOCUMENTED_API = {
+    "heisenberg.origin": "documented group calculus",
+    "heisenberg.group_multiply": "documented group calculus",
+    "heisenberg.group_inverse": "documented group calculus",
+    "heisenberg.dilate": "documented group calculus",
+    "heisenberg.homogeneous_norm": "documented group calculus",
+    "grid.horizontal_divergence": "the integration-by-parts cross-check in tests/test_grid.py",
+    "solver.discrete_energy": "cross-checks SolveReport.final_energy in tests/test_solver.py",
+}
+
+
 def test_no_unused_exports():
     # every exported name is read in the package, the tests or the benchmark outside its
-    # own definition; the __all__ entry and the package __init__ re-export do not count
+    # own definition; the __all__ entry, the package __init__ re-export and the module's
+    # own unit test file tests/test_<module>.py do not count, except for DOCUMENTED_API
     files = [path for path in sorted(Path(solab.__file__).parent.glob("*.py")) if path.name != "__init__.py"]
     files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    everywhere = [name for path in files for name in _loads(ast.parse(path.read_text()))]
+    loads = {path: _loads(ast.parse(path.read_text())) for path in files}
     unused = []
     for module_name in MODULES:
         module = importlib.import_module(f"solab.{module_name}")
         tree = ast.parse(Path(module.__file__).read_text())
         own = {node.name: _loads(node) for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        own_test = ROOT / "tests" / f"test_{module_name}.py"
+        everywhere = [name for path, names in loads.items() if path != own_test for name in names]
         unused += [f"{module_name}.{name}" for name in getattr(module, "__all__", ())
                    if everywhere.count(name) == own.get(name, []).count(name)]
-    assert not unused, f"exported names with no reader: {unused}"
+    flagged = [name for name in unused if name not in DOCUMENTED_API]
+    assert not flagged, f"exported names with no reader outside their own unit tests: {flagged}"
+    stale = [name for name in DOCUMENTED_API if name not in unused]
+    assert not stale, f"DOCUMENTED_API entries not exported, or read elsewhere now: {stale}"
 
 
 def test_regularized_operator_exported():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solab.heisenberg import (GroupPoint, HeisenbergConfig, dilate,
-                              group_inverse, group_multiply, homogeneous_norm,
-                              origin, quasi_distance, translate)
+from solab.heisenberg import (GroupPoint, dilate, group_inverse,
+                              group_multiply, homogeneous_norm, origin,
+                              quasi_distance, translate)
 
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -17,14 +17,6 @@ def pt3(a, b, c):
 
 
 points = st.builds(pt3, coord, coord, coord)
-
-
-def test_config_invariants():
-    cfg = HeisenbergConfig(n=1)
-    assert cfg.Q == 4 and cfg.dim == 3
-    assert HeisenbergConfig(n=3).Q == 8
-    with pytest.raises(ValueError):
-        HeisenbergConfig(n=0)
 
 
 def test_group_point_validation():

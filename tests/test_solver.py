@@ -7,8 +7,8 @@ import pytest
 import solab.solver as sv
 from conftest import field_from, triple_for
 from oracles import gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace
-from solab.grid import GaugeBall, Grid, ScalarField, refine_values
-from solab.heisenberg import GroupPoint, group_multiply
+from solab.grid import Grid, ScalarField, refine_values
+from solab.heisenberg import GroupPoint
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
 
 
@@ -374,37 +374,3 @@ def test_barrier_study_flags_degenerate_gradient():
                          np.array([1.0, 0.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
         sv.barrier_residual_study(L, triple_for("power:p=1.5"), 0)
-
-
-# ---------------------------------------------------------------- convexity of domains
-
-def test_euclidean_ball_constant():
-    dom = sv.EuclideanBallDomain(center=(0.0, 0.0, 0.0), radius=2.0)
-    best = sv.best_strong_convexity_constant(dom, boundary_samples=400)
-    assert best == pytest.approx(1.0 / (2 * 2.0), rel=1e-3)
-    assert sv.strong_convexity_margin(dom, best * 0.999, 400) >= 0.0
-    assert sv.strong_convexity_margin(dom, best * 1.5, 400) < 0.0
-
-
-def test_gauge_ball_reported_constant():
-    dom = GaugeBall(center=(0.0, 0.0, 0.0), radius=1.0)
-    best = sv.best_strong_convexity_constant(dom, boundary_samples=400)
-    assert np.isfinite(best) and best >= 0.0
-    assert sv.strong_convexity_margin(dom, 0.0, 400) >= -1e-12
-
-
-def test_gauge_ball_boundary_points_are_group_products():
-    # reference: the pointwise construction c . w, w on the gauge sphere of radius r about 0
-    dom = GaugeBall(center=(0.3, -0.7, 0.2), radius=0.9)
-    c = GroupPoint(np.array(dom.center))
-    expected = []
-    for s in np.linspace(0.0, dom.radius, 10):
-        tmag = dom.radius * dom.radius - s * s
-        for th in np.linspace(0.0, 2 * math.pi, 10, endpoint=False):
-            for sign in (1.0, -1.0):
-                if tmag != 0.0 or sign > 0:
-                    w = GroupPoint(np.array([s * math.cos(th), s * math.sin(th), sign * tmag]))
-                    expected.append(group_multiply(c, w).coords)
-    pts = dom.boundary_points(200)  # 10 radii x 10 angles x 2 signs, the equator edge once
-    assert pts.shape == (190, 3)
-    assert np.allclose(pts, expected, rtol=0, atol=1e-15)
