@@ -14,9 +14,8 @@ from .orlicz import (OrliczTriple, StructureFunction, YoungFunction,
                      doubling_constant, generalized_inverse, lemma_gG_audit,
                      verify_exponents, young_gap)
 from .operator import (OperatorSpec, RegularizationParams, ellipticity_margin,
-                       monotonicity_gap, p_laplace_gap, prototype_A,
-                       prototype_DA, prototype_operator, regularized_operator,
-                       structure_margins)
+                       monotonicity_gap, p_laplace_gap, prototype_operator,
+                       regularized_operator, structure_margins)
 from .grid import (CutoffFunction, GaugeBall, Grid, HorizontalField,
                    ScalarField, commutator_residual, horizontal_divergence,
                    horizontal_gradient, integrate, make_cutoff,

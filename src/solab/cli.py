@@ -170,8 +170,7 @@ def _jacobian_vs_fd(op: op_mod.OperatorSpec, z) -> float:
 
 
 def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
-    g = catalog_structure_function(cfg.structure)
-    triple = OrliczTriple(g)
+    triple = OrliczTriple(catalog_structure_function(cfg.structure))
     spec = op_mod.prototype_operator(triple)
     rng = np.random.default_rng(cfg.seed)
     checks: list[tuple[str, float, str, bool]] = []
@@ -191,9 +190,9 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     checks.append(("jacobian_asymmetry", float(asym.max()), "<= 1e-10", float(asym.max()) <= 1e-10))
 
     eigs = np.linalg.eigvalsh(0.5 * (da + np.swapaxes(da, 1, 2)))
-    fv = triple.g(np.linalg.norm(z, axis=1)) / np.linalg.norm(z, axis=1)
-    lo_ok = float(np.min(eigs[:, 0] / (min(1.0, g.delta) * fv)))
-    hi_ok = float(np.max(eigs[:, -1] / (max(1.0, g.g0) * fv)))
+    r = np.linalg.norm(z, axis=1)
+    lo_ok = float(np.min(eigs[:, 0] / spec.lower_weight(r)))
+    hi_ok = float(np.max(eigs[:, -1] / spec.upper_weight(r)))
     checks.append(("eigen_bracket_low", lo_ok, ">= 1 - 1e-6", lo_ok >= 1.0 - 1e-6))
     checks.append(("eigen_bracket_high", hi_ok, "<= 1 + 1e-6", hi_ok <= 1.0 + 1e-6))
 
@@ -205,12 +204,12 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
                    float(np.min(lower / norm)) >= -1e-9))
     checks.append(("structure_upper_margin", float(np.min(upper / norm)), ">= -1e-9",
                    float(np.min(upper / norm)) >= -1e-9))
-    growth_rel = growth / (1.0 + np.linalg.norm(op_mod.prototype_A(triple, z2), axis=-1))
+    growth_rel = growth / (1.0 + np.linalg.norm(spec.A(z2), axis=-1))
     checks.append(("growth_margin", float(np.min(growth_rel)), ">= -1e-9",
                    float(np.min(growth_rel)) >= -1e-9))
 
     w2 = sample_z(10_000)
-    gap, case, fitted = op_mod.monotonicity_gap(spec, triple, z2, w2)
+    gap, fitted = op_mod.monotonicity_gap(spec, z2, w2)
     gap_min = float(np.min(gap))
     checks.append(("monotonicity_gap_min", gap_min, ">= -1e-12", gap_min >= -1e-12))
     fit_min = float(np.nanmin(fitted))
@@ -241,7 +240,7 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
         reg_rows.append((eps, params.m1, params.m2, params.L_tilde, sup_diff))
         sup_decreasing &= sup_diff < prev_sup or sup_diff == 0.0  # 0 when F is constant (p = 2)
         prev_sup = sup_diff
-        m1_ref = float(triple.g(np.asarray(eps)) / eps)
+        m1_ref = triple.F(eps)
         m2_ref = float(triple.g(np.asarray(1.0 / eps)) * eps)
         checks.append((f"regularized_m1_eps={eps:g}", params.m1, "== F(eps)",
                        abs(params.m1 - m1_ref) <= 1e-12 * (1 + abs(m1_ref))))

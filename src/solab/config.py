@@ -112,10 +112,10 @@ class ExperimentConfig:
             raise ConfigError("refinements must be nonnegative")
         if self.moser_levels < 2:
             raise ConfigError("moser_levels must be at least 2")
-        if any(gamma < 0 for gamma in self.gammas):
-            raise ConfigError("gammas must be nonnegative")
-        if any(omega < 1 for omega in self.omegas):
-            raise ConfigError("omegas must be >= 1")
+        if not self.gammas or any(gamma < 0 for gamma in self.gammas):
+            raise ConfigError("gammas must be a nonempty list of nonnegative numbers")
+        if not self.omegas or any(omega < 1 for omega in self.omegas):
+            raise ConfigError("omegas must be a nonempty list of numbers >= 1")
         if self.init not in INIT_MODES:
             raise ConfigError(f"init must be one of {', '.join(INIT_MODES)}")
         grid = Grid.from_box(self.n, self.box, self.resolutions())

@@ -385,7 +385,6 @@ class CutoffFunction:
     grad: HorizontalField
     t_deriv: ScalarField
     k_eta: float
-    grad_sup: float
 
     @property
     def support_mask(self) -> np.ndarray:
@@ -434,9 +433,8 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
         grad_vals[n + i] = scale * (2.0 * rel[n + i] + sgn * (0.5 * rel[i]))
     grad = HorizontalField(grid, grad_vals)
     t_deriv = ScalarField(grid, scale * sgn * np.ones(grid.shape))
-    grad_sup = float(np.max(grad.norm()))
-    k_eta = grad_sup ** 2 + float(np.max(np.abs(eta.values * t_deriv.values)))
-    return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta, grad_sup=grad_sup)
+    k_eta = float(np.max(grad.norm())) ** 2 + float(np.max(np.abs(eta.values * t_deriv.values)))
+    return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta)
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""The degenerate operator class, its Jacobian, and the eps-regularization.
+"""The degenerate operator class: one radial map, its Jacobian, and the eps-regularization.
 
-The prototype map A(z) = g(|z|) z / |z| has Jacobian
+Every operator here is radial, A(z) = w(|z|) z, and its Jacobian is
 
-    DA(z) = F(|z|) I + (g'(|z|) - F(|z|)) z z^T / |z|^2,     F(t) = g(t)/t,
+    DA(z) = w(r) I + s(r) z z^T / r^2,     r = |z|,  s(r) = r w'(r),
 
-whose eigenvalues are g'(|z|) (along z) and F(|z|) (on the orthogonal
-complement), hence they lie in [min{1,delta}, max{1,g0}] * F(|z|).  All
+with eigenvalue w + s along z and w on the orthogonal complement.
+`OperatorSpec` writes A and DA once; the two constructors supply w and s.
+The prototype A(z) = g(|z|) z / |z| has w = F = g/t, so its eigenvalues
+g'(|z|) and F(|z|) lie in [min{1,delta}, max{1,g0}] * F(|z|).  All
 structure, monotonicity and ellipticity checks below are numerical audits
 with fitted constants: the theory only asserts their existence.
 
@@ -30,8 +32,6 @@ from .orlicz import OrliczTriple, _LogCumTable
 __all__ = [
     "OperatorSpec",
     "RegularizationParams",
-    "prototype_A",
-    "prototype_DA",
     "prototype_operator",
     "structure_margins",
     "monotonicity_gap",
@@ -43,21 +43,42 @@ __all__ = [
 ]
 
 
+def _norm(z: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(z * z, axis=-1))
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A map A with symmetric Jacobian DA and its ellipticity weights.
+    """The radial map A(z) = w(|z|) z, given by its weight w and slope s(r) = r w'(r).
 
-    ``lower_weight``/``upper_weight`` are the radial functions w(|z|)
-    bracketing the Rayleigh quotient of DA; L = sup upper/lower is the
-    ellipticity ratio.  For prototypes they are min{1,delta} F and
-    max{1,g0} F, so the bracket holds with constant one on each side.
+    ``lo``/``hi`` bracket the Jacobian: lo w(|z|) <= eig DA(z) <= hi w(|z|),
+    so ``lower_weight``/``upper_weight`` bound its Rayleigh quotient and
+    hi/lo is the ellipticity ratio.
     """
 
-    A: Callable
-    DA: Callable
-    L: float
-    lower_weight: Callable
-    upper_weight: Callable
+    weight: Callable
+    slope: Callable
+    lo: float
+    hi: float
+
+    def A(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        return np.asarray(self.weight(_norm(z)))[..., None] * z
+
+    def DA(self, z) -> np.ndarray:
+        """w I + s z z^T / |z|^2; the rank-one part is 0 at z = 0."""
+        z = np.asarray(z, dtype=float)
+        r = _norm(z)
+        r2 = np.where(r > 0, r * r, 1.0)
+        outer = z[..., :, None] * z[..., None, :] / r2[..., None, None]
+        return (np.asarray(self.weight(r))[..., None, None] * np.eye(z.shape[-1])
+                + np.asarray(self.slope(r))[..., None, None] * outer)
+
+    def lower_weight(self, t):
+        return self.lo * self.weight(t)
+
+    def upper_weight(self, t):
+        return self.hi * self.weight(t)
 
 
 @dataclass(frozen=True)
@@ -79,46 +100,20 @@ class RegularizationParams:
             raise ValueError("m1, m2 must be finite and positive")
 
 
-def _norm(z: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(z * z, axis=-1))
-
-
-def prototype_A(triple: OrliczTriple, z) -> np.ndarray:
-    """g(|z|) z / |z| with the continuous extension 0 at z = 0."""
-    z = np.asarray(z, dtype=float)
-    r = _norm(z)
-    safe = np.where(r > 0, r, 1.0)
-    scale = np.where(r > 0, triple.g(safe) / safe, 0.0)
-    return scale[..., None] * z
-
-
-def prototype_DA(triple: OrliczTriple, z) -> np.ndarray:
-    """Closed-form Jacobian of the prototype map; undefined at z = 0."""
-    z = np.asarray(z, dtype=float)
-    r = _norm(z)
-    if np.any(r == 0):
-        raise ValueError("prototype Jacobian is degenerate at z = 0; regularize first")
-    if triple.g.deriv is None:
-        raise ValueError("structure function must carry a derivative for the closed-form Jacobian")
-    d = z.shape[-1]
-    fv = triple.g(r) / r
-    gp = triple.g.deriv(r)
-    eye = np.eye(d)
-    outer = z[..., :, None] * z[..., None, :] / (r * r)[..., None, None]
-    return fv[..., None, None] * eye + (gp - fv)[..., None, None] * outer
-
-
 def prototype_operator(triple: OrliczTriple) -> OperatorSpec:
-    """OperatorSpec for the prototype of the given growth law."""
-    delta, g0 = triple.g.delta, triple.g.g0
-    lo, hi = min(1.0, delta), max(1.0, g0)
-    return OperatorSpec(
-        A=lambda z: prototype_A(triple, z),
-        DA=lambda z: prototype_DA(triple, z),
-        L=hi / lo,
-        lower_weight=lambda t: lo * triple.F(t),
-        upper_weight=lambda t: hi * triple.F(t),
-    )
+    """The prototype g(|z|) z / |z|: w = g(r)/r with 0 at r = 0, s = g' - g/r, undefined at r = 0."""
+    g = triple.g
+
+    def weight(r):
+        safe = np.where(r > 0, r, 1.0)
+        return np.where(r > 0, g(safe) / safe, 0.0)
+
+    def slope(r):
+        if np.any(r == 0):
+            raise ValueError("prototype Jacobian is degenerate at z = 0; regularize first")
+        return g.deriv(r) - weight(r)
+
+    return OperatorSpec(weight=weight, slope=slope, lo=min(1.0, g.delta), hi=max(1.0, g.g0))
 
 
 def structure_margins(op: OperatorSpec, z, xi):
@@ -143,12 +138,12 @@ def structure_margins(op: OperatorSpec, z, xi):
     return lower, upper, growth
 
 
-def monotonicity_gap(op: OperatorSpec, triple: OrliczTriple, z, w):
-    """Gap <A(z)-A(w), z-w> with the near/far case split and the fitted lower constant.
+def monotonicity_gap(op: OperatorSpec, z, w):
+    """Gap <A(z)-A(w), z-w> and the fitted lower constant.
 
-    fitted_lower normalizes the gap by |z-w|^2 F(|z|) in the near case
-    (|z-w| <= 2|z|) and by |z-w|^2 F(|z-w|) in the far case; pairs with
-    z = w get gap 0 and a NaN (flagged) constant.
+    fitted normalizes the gap by |z-w|^2 op.weight(|z|) in the near case
+    (|z-w| <= 2|z|) and by |z-w|^2 op.weight(|z-w|) in the far case; pairs
+    with z = w get gap 0 and a NaN (flagged) constant.
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -157,18 +152,15 @@ def monotonicity_gap(op: OperatorSpec, triple: OrliczTriple, z, w):
     diff = z - w
     gap = np.sum((op.A(z) - op.A(w)) * diff, axis=-1)
     dn = _norm(diff)
-    near = dn <= 2.0 * _norm(z)
-    case = np.where(near, "near", "far")
-    ref_r = np.where(near, _norm(z), dn)
+    ref_r = np.where(dn <= 2.0 * _norm(z), _norm(z), dn)
     degenerate = dn == 0
-    safe_r = np.where(ref_r > 0, ref_r, 1.0)
-    denom = np.where(degenerate, np.nan, dn * dn * triple.g(safe_r) / safe_r)
+    denom = np.where(degenerate, np.nan, dn * dn * op.weight(ref_r))
     with np.errstate(invalid="ignore", divide="ignore"):
         fitted = gap / denom
     gap = np.where(degenerate, 0.0, gap)
     if z.ndim == 1:
-        return float(gap), str(case), float(fitted)
-    return gap, case, fitted
+        return float(gap), float(fitted)
+    return gap, fitted
 
 
 def ellipticity_margin(op: OperatorSpec, triple: OrliczTriple, z):
@@ -272,12 +264,9 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
 
 
 def regularized_operator(triple: OrliczTriple, eps: float):
-    """The solver's regularized operator A_eps(z) = F_eps(|z|) z in closed form, with its constants.
+    """The solver's regularized operator A_eps(z) = F_eps(|z|) z, with its constants.
 
-    With r = |z| and s = min(r + eps, 1/eps), the Jacobian is
-
-        DA_eps(z) = F_eps(r) I + F_eps'(r) r z z^T / r^2     (0 z z^T at z = 0).
-
+    With r = |z| and s = min(r + eps, 1/eps), the slope is r F_eps'(r), 0 past saturation.
     Below saturation the radial eigenvalue over F_eps is (1 - r/s) + (r/s) s g'(s)/g(s),
     a convex combination of 1 and a value in [delta, g0]; past saturation it is 1.
     So the bracket weights min{1,delta} F_eps and max{1,g0} F_eps are exact, and
@@ -287,37 +276,16 @@ def regularized_operator(triple: OrliczTriple, eps: float):
     g = triple.g
     lo, hi = min(1.0, g.delta), max(1.0, g.g0)
 
-    def f_eps_prime(t):
-        arg = t + eps
+    def slope(r):
+        arg = r + eps
         inside = arg < 1.0 / eps
         safe = np.where(inside, arg, 1.0)
-        return np.where(inside, (g.deriv(safe) - g(safe) / safe) / safe, 0.0)
+        return np.where(inside, (g.deriv(safe) - f_eps(r)) / safe, 0.0) * r
 
-    def a_eps(z):
-        z = np.asarray(z, dtype=float)
-        return np.asarray(f_eps(_norm(z)))[..., None] * z
-
-    def da_eps(z):
-        if g.deriv is None:
-            raise ValueError("structure function must carry a derivative for the closed-form Jacobian")
-        z = np.asarray(z, dtype=float)
-        r = _norm(z)
-        unit = z / np.where(r > 0, r, 1.0)[..., None]
-        outer = unit[..., :, None] * unit[..., None, :]
-        return (np.asarray(f_eps(r))[..., None, None] * np.eye(z.shape[-1])
-                + (f_eps_prime(r) * r)[..., None, None] * outer)
-
-    spec = OperatorSpec(
-        A=a_eps,
-        DA=da_eps,
-        L=hi / lo,
-        lower_weight=lambda t: lo * f_eps(t),
-        upper_weight=lambda t: hi * f_eps(t),
-    )
     params = RegularizationParams(
         eps=eps,
         m1=float(f_eps(0.0)),
         m2=float(triple.g(np.asarray(1.0 / eps)) * eps),
         L_tilde=max(hi, 1.0 / lo),
     )
-    return spec, params
+    return OperatorSpec(weight=f_eps, slope=slope, lo=lo, hi=hi), params

@@ -127,17 +127,17 @@ class _LogCumTable:
 class StructureFunction:
     """Growth law g with its derivative and exponent window [delta, g0].
 
-    ``eval`` and ``deriv`` must accept numpy arrays.  ``deriv`` may be None,
-    in which case exponent estimation falls back to central differences.
-    Closed forms for the antiderivatives G = int g and H = int g/t may be
-    registered to bypass the cumulative tables.
+    ``eval`` and ``deriv`` must accept numpy arrays.  A closed form for the
+    antiderivative G = int g may be registered to bypass the cumulative
+    table; a law that registers one also registers the closed form of
+    H = int g/t, the only form `OrliczTriple.H` evaluates.
     """
 
     eval: Callable
+    deriv: Callable
     delta: float
     g0: float
     label: str
-    deriv: Callable | None = None
     closed_G: Callable | None = None
     closed_H: Callable | None = None
 
@@ -160,7 +160,6 @@ class OrliczTriple:
     def __init__(self, g: StructureFunction):
         self.g = g
         self._table_G: _LogCumTable | None = None
-        self._table_H: _LogCumTable | None = None
         # G_eps tables of `operator.regularized_energy_density`, one per eps
         self._table_G_eps: dict[float, _LogCumTable] = {}
         if g.delta > 1.0:
@@ -183,12 +182,8 @@ class OrliczTriple:
         return self._table_G(t)
 
     def H(self, t):
-        """Antiderivative of F = g(t)/t (finite at 0 since delta > 0)."""
-        if self.g.closed_H is not None:
-            return self.g.closed_H(np.asarray(t, dtype=float))
-        if self._table_H is None:
-            self._table_H = _LogCumTable(self.F)
-        return self._table_H(t)
+        """Antiderivative of F = g(t)/t (finite at 0 since delta > 0), from the law's closed form."""
+        return self.g.closed_H(np.asarray(t, dtype=float))
 
     def F(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -216,12 +211,7 @@ def verify_exponents(g: StructureFunction, t_samples):
     gv = g(t)
     if np.any(gv == 0):
         raise ValueError(f"{g.label!r} vanishes at a positive sample: not a valid structure function")
-    if g.deriv is not None:
-        dv = g.deriv(t)
-    else:
-        h = 1e-6 * np.maximum(t, 1.0)
-        dv = (g(t + h) - g(t - h)) / (2 * h)
-    ratio = t * dv / gv
+    ratio = t * g.deriv(t) / gv
     delta_est, g0_est = float(ratio.min()), float(ratio.max())
     ok = bool(delta_est >= g.delta - 1e-6 and g0_est <= g.g0 + 1e-6)
     return delta_est, g0_est, ok
@@ -239,7 +229,6 @@ class YoungFunction:
     integrand: Callable
     label: str = ""
     closed_eval: Callable = field(kw_only=True)
-    is_N_function: bool = True
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -253,7 +242,6 @@ def young_from_structure(triple: OrliczTriple) -> YoungFunction:
         integrand=triple.g.eval,
         label=f"G[{triple.label}]",
         closed_eval=triple.G,
-        is_N_function=True,
     )
 
 
@@ -306,15 +294,11 @@ def conjugate(young: YoungFunction, s):
 
 
 def conjugate_young(young: YoungFunction) -> YoungFunction:
-    """The conjugate as a Young function (integrand = generalized inverse of psi).
-
-    The N-function property transfers from the original pair.
-    """
+    """The conjugate as a Young function (integrand = generalized inverse of psi)."""
     return YoungFunction(
         integrand=lambda tau: generalized_inverse(young.integrand, tau),
         label=f"conj[{young.label}]",
         closed_eval=lambda s: conjugate(young, s),
-        is_N_function=young.is_N_function,
     )
 
 
@@ -328,8 +312,6 @@ def young_gap(young: YoungFunction, s, t) -> float:
 
 def comp_prop_margin(young: YoungFunction, t) -> float:
     """Margin Psi(t) - Psi*(Psi(t)/t) of the complementary-pair bound; needs an N-function."""
-    if not young.is_N_function:
-        raise ValueError(f"{young.label!r} is not an N-function; the complementary bound does not apply")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("t must be positive")

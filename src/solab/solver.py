@@ -37,7 +37,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField
 from .heisenberg import GroupPoint, horizontal, horizontal_adjoint
-from .operator import regularized_energy_density, regularized_weight
+from .operator import prototype_operator, regularized_energy_density, regularized_weight
 from .orlicz import OrliczTriple, catalog_structure_function
 
 __all__ = [
@@ -178,8 +178,11 @@ class SolveReport:
     energy_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
     gradient_cap_observed: float = 0.0
-    converged: bool = True
     stop_reason: str = "tol"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
 
 # Bytes of one scalar cell field per slab of `_weak_form`.  Slab temporaries
@@ -360,7 +363,6 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         energy_history=history,
         residual_history=res_history,
         gradient_cap_observed=cap,
-        converged=bool(converged),
         stop_reason="tol" if converged else stop_reason,
     )
     return ScalarField(grid, u.copy()), report
@@ -438,11 +440,7 @@ def barrier_residual_study(L: ScalarField, triple: OrliczTriple, refinements: in
     if refinements < 0:
         raise ValueError("refinements must be nonnegative")
     v0, vec = _affine_coefficients(L)
-
-    def weight(r):  # g(r)/r with 0 at r = 0: the raw operator `prototype_A`
-        safe = np.where(r > 0, r, 1.0)
-        return np.where(r > 0, triple.g(safe) / safe, 0.0)
-
+    weight = prototype_operator(triple).weight
     residuals = []
     grid = L.grid
     for _ in range(refinements + 1):

@@ -2,7 +2,8 @@
 
 These deliberately take different code paths from the library: the linear
 Kohn-Laplace system is assembled from sparse Kronecker products (the solver
-uses slicing-based operators), Jacobians come from central differences,
+uses slicing-based operators), Jacobians come from central differences or,
+for the prototype, from its closed form F I + (g' - F) z z^T / r^2,
 integrals of growth laws come from scipy's adaptive quadrature (conjugates
 included: the library uses the Fenchel-Young equality, the reference
 integrates the inverse; regularized energy densities included: the library
@@ -82,6 +83,14 @@ def fd_jacobian(a_map, z: np.ndarray, h_rel: float = 1e-6) -> np.ndarray:
         zm = z.copy(); zm[..., j] -= h
         out[..., j] = (a_map(zp) - a_map(zm)) / (2 * h)[..., None]
     return out
+
+
+def prototype_jacobian(g, z: np.ndarray) -> np.ndarray:
+    """Closed-form Jacobian F I + (g' - F) z z^T / r^2 of g(|z|) z/|z|, F = g(r)/r, at z != 0."""
+    r = np.linalg.norm(z, axis=-1)
+    f = g(r) / r
+    outer = np.einsum("...i,...j->...ij", z, z) / (r * r)[..., None, None]
+    return f[..., None, None] * np.eye(z.shape[-1]) + (g.deriv(r) - f)[..., None, None] * outer
 
 
 def quad_reference(f, t: float, points=None) -> float:

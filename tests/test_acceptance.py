@@ -126,20 +126,20 @@ def test_criterion_3_operator(rng):
         dirs = rng.normal(size=(1000, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         z = radii[:, None] * dirs
-        da = op.prototype_DA(tr, z)
-        fd = fd_jacobian(lambda v: op.prototype_A(tr, v), z)
+        spec = op.prototype_operator(tr)
+        da = spec.DA(z)
+        fd = fd_jacobian(spec.A, z)
         rel = np.max(np.abs(da - fd), axis=(1, 2)) / np.max(np.abs(da), axis=(1, 2))
         ok &= float(rel.max()) <= 1e-5
         eigs = np.linalg.eigvalsh(0.5 * (da + np.swapaxes(da, 1, 2)))
         fv = g(radii) / radii
         ok &= bool(np.all(eigs[:, 0] >= min(1.0, g.delta) * fv * (1 - 1e-6)))
         ok &= bool(np.all(eigs[:, -1] <= max(1.0, g.g0) * fv * (1 + 1e-6)))
-        spec = op.prototype_operator(tr)
         z2 = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 10_000))[:, None] * \
             (lambda d: d / np.linalg.norm(d, axis=1, keepdims=True))(rng.normal(size=(10_000, 2)))
         w2 = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 10_000))[:, None] * \
             (lambda d: d / np.linalg.norm(d, axis=1, keepdims=True))(rng.normal(size=(10_000, 2)))
-        gap, _, fitted = op.monotonicity_gap(spec, tr, z2, w2)
+        gap, fitted = op.monotonicity_gap(spec, z2, w2)
         ok &= bool(gap.min() >= 0.0) and float(np.nanmin(fitted)) > 0.0
     assert report(3, ok, "DA vs finite differences <= 1e-5 at 1e3 points; eigenvalue bracket "
                   "with 1e-6 slack; monotonicity gap >= 0 at 1e4 pairs, fitted lower > 0")

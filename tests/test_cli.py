@@ -88,6 +88,12 @@ def test_config_validation_errors(tmp_path):
                                "init = foo", "init = boundary", empty_inner)):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, BASE + extra + "\n", f"audit{i}.txt"))
+    # an audit with no gamma or no omega audits nothing; it used to pass with "all_pass": true
+    for i, extra in enumerate(("gammas = []", "omegas = []")):
+        path = write_cfg(tmp_path, BASE + extra + "\n", f"empty{i}.txt")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert cli.main(["audit", "--config", path, "--out", str(tmp_path / f"empty{i}")]) == 2
     # malformed values: each used to crash with a traceback (exit 1) or pass silently
     for i, extra in enumerate(("seed = -1", "epsilon = x", "resolution = abc", "refinements = 1.5",
                                "gammas = 1", "resolution = 9.7", "residual_tol = -1",

@@ -120,6 +120,28 @@ def test_no_unused_exports():
     assert not stale, f"DOCUMENTED_API entries not exported, or read elsewhere now: {stale}"
 
 
+def test_no_unread_fields():
+    # every dataclass field in the package is read as an attribute somewhere in the package
+    # or the benchmark (the class's own methods included; the tests do not count)
+    package = sorted(Path(solab.__file__).parent.glob("*.py"))
+    reads = {node.attr for path in package + sorted((ROOT / "perfbench").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+    def is_dataclass(cls):
+        return any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                   for d in cls.decorator_list)
+
+    unread = [f"{path.stem}.{cls.name}.{stmt.target.id}" for path in package
+              for cls in ast.walk(ast.parse(path.read_text()))
+              if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in reads]
+    assert not unread, f"dataclass fields no program code reads: {unread}"
+
+
 def test_regularized_operator_exported():
     # the solver's eps-regularization is public under one name, in the module and the package
     operator = importlib.import_module("solab.operator")
