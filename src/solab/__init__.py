@@ -23,9 +23,8 @@ from .grid import (CutoffFunction, GaugeBall, Grid, HorizontalField,
 from .solver import (DirichletProblem, SolveReport, barrier_field,
                      barrier_residual_study, comparison_check,
                      discrete_energy, solve_dirichlet, weak_residual)
-from .verify import (AuditReport, MoserSchedule, caccioppoli_T_audit,
-                     caccioppoli_X_audit, horizontal_estimate_audit,
-                     lipschitz_ratio, moser_trace, reverse_audit,
-                     vertical_estimate_audit)
+from .verify import (AuditReport, caccioppoli_T_audit, caccioppoli_X_audit,
+                     horizontal_estimate_audit, lipschitz_ratio, moser_trace,
+                     reverse_audit, vertical_estimate_audit)
 
 __version__ = "0.1.0"

@@ -362,7 +362,7 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
         fields = vf.solution_fields(sol, triple, cfg.epsilon)
         ratio = vf.lipschitz_ratio(fields, cfg.center, cfg.radius, cfg.sigma)
         ratio_rows.append((level, h, ratio))
-        trace = vf.moser_trace(fields, cfg.center, cfg.radius, cfg.sigma, cfg.moser_levels)
+        trace = vf.moser_trace(fields, cfg.center, cfg.radius, cfg.sigma, levels=8)
         final_moser = trace
         moser_rows.extend((level, h, row["gamma"], row["radius"], row["exponent"],
                            row["norm"], row["inner_norm"]) for row in trace["levels"])

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .grid import GaugeBall, Grid, ball_node_mask
-from .orlicz import UnknownLabelError, catalog_structure_function, parse_label
-from .problems import boundary_family_names
+from .orlicz import UnknownLabelError, catalog_structure_function
+from .problems import boundary_field
 from .solver import INIT_MODES
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config"]
@@ -49,7 +49,7 @@ def _is_list(v, item) -> bool:
 # (keys, test, what the value must be); bool is not counted as a number
 _VALUE_KINDS = [
     (("structure", "boundary", "init", "out"), lambda v: isinstance(v, str), "a string"),
-    (("n", "refinements", "moser_levels", "max_iters", "seed"), _is_int, "an integer"),
+    (("n", "refinements", "max_iters", "seed"), _is_int, "an integer"),
     (("epsilon", "sigma", "radius", "eta_inner", "eta_outer"), _is_real, "a finite real number"),
     (("gammas", "omegas", "center"), lambda v: _is_list(v, _is_real), "a list of finite real numbers"),
     (("box",), lambda v: _is_list(v, lambda e: _is_list(e, _is_real)), "a list of [lo, hi] extents"),
@@ -73,7 +73,6 @@ class ExperimentConfig:
     radius: float = 0.8
     eta_inner: float = 0.3
     eta_outer: float = 0.6
-    moser_levels: int = 8
     refinements: int = 2
     seed: int = 1234
     residual_tol: float | None = None
@@ -110,12 +109,11 @@ class ExperimentConfig:
             raise ConfigError("radius must be positive")
         if self.refinements < 0:
             raise ConfigError("refinements must be nonnegative")
-        if self.moser_levels < 2:
-            raise ConfigError("moser_levels must be at least 2")
-        if not self.gammas or any(gamma < 0 for gamma in self.gammas):
-            raise ConfigError("gammas must be a nonempty list of nonnegative numbers")
-        if not self.omegas or any(omega < 1 for omega in self.omegas):
-            raise ConfigError("omegas must be a nonempty list of numbers >= 1")
+        # a repeated gamma or omega would audit one inequality twice under one report key
+        if not self.gammas or min(self.gammas) < 0 or len(set(self.gammas)) < len(self.gammas):
+            raise ConfigError("gammas must be a nonempty list of distinct nonnegative numbers")
+        if not self.omegas or min(self.omegas) < 1 or len(set(self.omegas)) < len(self.omegas):
+            raise ConfigError("omegas must be a nonempty list of distinct numbers >= 1")
         if self.init not in INIT_MODES:
             raise ConfigError(f"init must be one of {', '.join(INIT_MODES)}")
         grid = Grid.from_box(self.n, self.box, self.resolutions())
@@ -129,12 +127,11 @@ class ExperimentConfig:
             catalog_structure_function(self.structure)
         except UnknownLabelError as exc:
             raise ConfigError(str(exc)) from exc
+        # sampled on the first grid: finer grids span the same box, so they see the same extremes
         try:
-            name, _ = parse_label(self.boundary)
-        except UnknownLabelError as exc:
-            raise ConfigError(str(exc)) from exc
-        if name not in boundary_family_names():
-            raise ConfigError(f"unknown boundary family {name!r}")
+            boundary_field(self.boundary, grid)
+        except (UnknownLabelError, ValueError) as exc:
+            raise ConfigError(f"boundary {self.boundary!r}: {exc}") from exc
         return self
 
     def resolutions(self) -> list[int]:

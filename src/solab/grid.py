@@ -58,6 +58,8 @@ class Grid:
     hi: tuple[float, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("the Heisenberg group H^n needs n >= 1")
         d = 2 * self.n + 1
         if len(self.shape) != d or len(self.lo) != d or len(self.hi) != d:
             raise ValueError(f"expected {d} axes for n={self.n}")

@@ -392,7 +392,7 @@ class UnknownLabelError(KeyError):
 
 
 def parse_label(label: str) -> tuple[str, dict[str, float]]:
-    """Split ``"name:key=val,key=val"`` into the name and a finite float parameter map."""
+    """Split ``"name:key=val,key=val"`` into the name and a finite float map with unique keys."""
     name, _, rest = label.partition(":")
     params: dict[str, float] = {}
     if rest:
@@ -406,7 +406,10 @@ def parse_label(label: str) -> tuple[str, dict[str, float]]:
                 raise UnknownLabelError(f"non-numeric parameter in {label!r}") from exc
             if not math.isfinite(value):
                 raise UnknownLabelError(f"non-finite parameter in {label!r}")
-            params[key.strip()] = value
+            key = key.strip()
+            if key in params:
+                raise UnknownLabelError(f"repeated parameter {key!r} in {label!r}")
+            params[key] = value
     return name.strip(), params
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .grid import Grid, ScalarField
 from .orlicz import UnknownLabelError, parse_label
 
-__all__ = ["boundary_field", "boundary_family_names"]
+__all__ = ["boundary_field"]
 
 
 def _affine_part(grid: Grid, params: dict) -> np.ndarray:
@@ -69,10 +69,6 @@ def _sine(grid: Grid, params: dict) -> np.ndarray:
 
 
 _FAMILIES = {"affine": _affine, "poly2": _poly2, "sine": _sine}
-
-
-def boundary_family_names() -> tuple[str, ...]:
-    return tuple(_FAMILIES)
 
 
 def boundary_field(label: str, grid: Grid) -> ScalarField:

@@ -9,6 +9,10 @@ levels within a factor 2, ``stability_pass``), and that sides which vanish
 analytically (t-independent data for the vertical integrands, affine data
 for the Hessian integrands) vanish numerically.
 
+The main estimate sup_{B_{sigma r}} G(|Xu|) <= c (1-sigma)^{-Q} avg_{B_r} G(|Xu|)
+is one pass: ``lipschitz_ratio`` fits c and ``moser_trace`` climbs the Moser
+ladder; both take B_{sigma r} from ``_inner_ball``, and ``integrate`` checks B_r.
+
 All seven post-solve consumers (the sup-bound ratio, the iteration trace and
 the five audits) read one ``SolutionFields`` (Xu, Tu, X(Tu), XXu, G(|Xu|),
 G(|Tu|) and F(|Xu|) of a solution).  ``solution_fields`` is the only code
@@ -31,7 +35,6 @@ from .orlicz import OrliczTriple
 
 __all__ = [
     "AuditReport",
-    "MoserSchedule",
     "SolutionFields",
     "solution_fields",
     "lipschitz_ratio",
@@ -192,105 +195,71 @@ def solution_fields(u: ScalarField, triple: OrliczTriple, eps: float | None = No
 # --------------------------------------------------------------------------
 
 
+def _inner_ball(sf: SolutionFields, center, r: float, sigma: float):
+    """B_{sigma r}, its node mask and sup_{B_{sigma r}} G(|Xu|); sigma in (0,1), mask nonempty."""
+    if not 0 < sigma < 1:
+        raise ValueError("sigma must lie in (0,1)")
+    ball = GaugeBall.at(center, sigma * r)
+    mask = ball_node_mask(sf.u.grid, ball)
+    if not mask.any():
+        raise ValueError("inner ball contains no grid nodes")
+    return ball, mask, float(np.max(sf.g_xu[mask]))
+
+
 def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float:
     """sup_{B_{sigma r}} G(|Xu|) * (1-sigma)^Q / average_{B_r} G(|Xu|).
 
     For an affine t-independent solution G(|Xu|) is constant and the ratio is
     exactly (1-sigma)^Q.  Where G(|Xu|) vanishes on B_r the ratio is 0: the
-    bound 0 <= c * 0 holds for every c.
+    bound 0 <= c * 0 holds for every c.  B_r must fit the grid.
     """
-    if not 0 < sigma < 1:
-        raise ValueError("sigma must lie in (0,1)")
     grid = sf.u.grid
-    Q = 2 * grid.n + 2
-    outer = GaugeBall.at(center, r)
-    if not outer.fits_inside(grid):
-        raise ValueError("ball reaches outside the domain")
-    inner_mask = ball_node_mask(grid, GaugeBall.at(center, sigma * r))
-    if not inner_mask.any():
-        raise ValueError("inner ball contains no grid nodes")
-    sup_inner = float(np.max(sf.g_xu[inner_mask]))
-    avg = ball_average(ScalarField(grid, sf.g_xu), outer)
+    _, _, sup_inner = _inner_ball(sf, center, r, sigma)
+    avg = ball_average(ScalarField(grid, sf.g_xu), GaugeBall.at(center, r))
     if avg == 0.0:
         return 0.0
-    return sup_inner * (1.0 - sigma) ** Q / avg
-
-
-@dataclass(frozen=True)
-class MoserSchedule:
-    """Exponent/radius ladder: kappa = Q/(Q-2), gamma_i = 3 kappa^i - 2, shrinking radii."""
-
-    Q: int
-    sigma: float
-    r: float
-    levels: int
-
-    def __post_init__(self):
-        if self.Q <= 2:
-            raise ValueError("homogeneous dimension must exceed 2")
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must lie in (0,1)")
-        if self.levels < 2:
-            raise ValueError("need at least two iteration levels")
-
-    @property
-    def kappa(self) -> float:
-        return self.Q / (self.Q - 2)
-
-    @property
-    def gammas(self) -> np.ndarray:
-        i = np.arange(self.levels)
-        return 3.0 * self.kappa ** i - 2.0
-
-    @property
-    def radii(self) -> np.ndarray:
-        i = np.arange(self.levels)
-        return self.sigma * self.r + (1.0 - self.sigma) * self.r / 2.0 ** i
+    return sup_inner * (1.0 - sigma) ** (2 * grid.n + 2) / avg
 
 
 def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int) -> dict:
-    """Normalized L^{gamma_i+2} norms of w = G(|Xu|) along the iteration ladder.
+    """Normalized L^{gamma_i+2} norms of w = G(|Xu|) along the Moser ladder.
 
-    The norms are evaluated with the max factored out so that high exponents
-    stay stable; on a fixed ball they are nondecreasing in the exponent and
-    converge to the sup, which is also reported for the inner ball.
+    The ladder has kappa = Q/(Q-2), exponents gamma_i = 3 kappa^i - 2 and radii
+    r_i = sigma r + (1-sigma) r / 2^i for i < levels (levels >= 2), so r_0 = r
+    and B_r must fit the grid.  The norms are evaluated with the max factored
+    out so that high exponents stay stable; on a fixed ball they are
+    nondecreasing in the exponent and converge to the sup, which is also
+    reported for the inner ball.
     """
+    if levels < 2:
+        raise ValueError("need at least two iteration levels")
     grid = sf.u.grid
-    sched = MoserSchedule(Q=2 * grid.n + 2, sigma=sigma, r=r, levels=levels)
-    if not GaugeBall.at(center, r).fits_inside(grid):
-        raise ValueError("ball reaches outside the domain")
-    inner_ball = GaugeBall.at(center, sigma * r)
-    inner_mask = ball_node_mask(grid, inner_ball)
-    if not inner_mask.any():
-        raise ValueError("schedule exceeds grid resolution: empty inner ball")
+    inner_ball, inner_mask, inner_sup = _inner_ball(sf, center, r, sigma)
+    Q = 2 * grid.n + 2
+    i = np.arange(levels)
+    gammas = 3.0 * (Q / (Q - 2)) ** i - 2.0
+    radii = sigma * r + (1.0 - sigma) * r / 2.0 ** i
     w = sf.g_xu
 
     def graded_norm(ball, mask, p):
         wmax = float(np.max(w[mask]))
-        if wmax == 0.0:
-            return 0.0
         # cap at the ball sup: nodes outside the mask only contribute through
         # partially covered shell cells, and powering them would overflow
-        scaled = ScalarField(grid, np.minimum(w / wmax, 1.0) ** p)
-        return wmax * ball_average(scaled, ball) ** (1.0 / p)
+        scaled = np.minimum(w / wmax, 1.0) ** p if wmax > 0 else np.zeros(grid.shape)
+        # averaged even where w = 0 on the ball: the average checks that the ball fits the grid
+        return wmax * ball_average(ScalarField(grid, scaled), ball) ** (1.0 / p)
 
     rows = []
-    for gamma, radius in zip(sched.gammas, sched.radii):
+    for gamma, radius in zip(gammas, radii):
         p = gamma + 2.0
+        # r_i >= sigma r, so the mask holds the inner ball's nodes
         ball = GaugeBall.at(center, radius)
-        mask = ball_node_mask(grid, ball)
-        if not mask.any():
-            raise ValueError("schedule exceeds grid resolution: empty schedule ball")
         rows.append({"gamma": float(gamma), "radius": float(radius), "exponent": float(p),
-                     "norm": graded_norm(ball, mask, p),
+                     "norm": graded_norm(ball, ball_node_mask(grid, ball), p),
                      # same exponent on the fixed inner ball: nondecreasing in p
                      # by power-mean monotonicity, converging to the inner sup
                      "inner_norm": graded_norm(inner_ball, inner_mask, p)})
-    return {
-        "kappa": sched.kappa,
-        "levels": rows,
-        "inner_sup": float(np.max(w[inner_mask])),
-    }
+    return {"levels": rows, "inner_sup": inner_sup}
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,22 @@ def test_config_validation_errors(tmp_path):
             load_config(path)
         command = "orlicz-check" if extra.startswith("structure") else "solve"
         assert cli.main([command, "--config", path, "--out", str(tmp_path / f"label{i}")]) == 2
+    # each used to be accepted: a repeated gamma or omega duplicated every audit row, a repeated
+    # label key ran with its last value, and moser_levels was a key no command varied
+    for i, extra in enumerate(("gammas = [1, 1.0]", "omegas = [1, 1]", "structure = power:p=3,p=4",
+                               "moser_levels = 8")):
+        path = write_cfg(tmp_path, BASE + extra + "\n", f"repeat{i}.txt")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert cli.main(["audit", "--config", path, "--out", str(tmp_path / f"repeat{i}")]) == 2
+    # boundary data is sampled on the grid: an undefined quadratic term used to pass orlicz-check
+    # (exit 0), and data overflowing on the box used to crash solve (exit 1)
+    for i, (command, extra) in enumerate((("orlicz-check", "boundary = poly2:zz=1"),
+                                          ("solve", "boundary = affine:x1=1e308,x2=1e308"))):
+        path = write_cfg(tmp_path, BASE + extra + "\n", f"boundary{i}.txt")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / f"boundary{i}")]) == 2
     data = {"structure": "power:p=2", "boundary": "affine:x1=1", "sigma": "0.5"}
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, json.dumps(data), "sigma.json"))
@@ -320,7 +336,9 @@ def test_orlicz_check_passes_catalog(tmp_path, label):
 @pytest.mark.parametrize("label", CATALOG_LABELS)
 def test_operator_check_passes_catalog(tmp_path, label, n):
     d = 2 * n + 1
-    cfg = BASE.replace("power:p=2", label) + f"n = {n}\nbox = {[[-1, 1]] * d}\ncenter = {[0] * d}\n"
+    # the quadratic poly2 terms of BASE are defined for n = 1 only; the report does not read the boundary
+    cfg = (BASE.replace("power:p=2", label).replace("poly2:x1=0.5,x1t=0.3", "affine:x1=0.5")
+           + f"n = {n}\nbox = {[[-1, 1]] * d}\ncenter = {[0] * d}\n")
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "op"
     assert cli.main(["operator-check", "--config", path, "--out", str(out)]) == 0

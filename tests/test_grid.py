@@ -17,6 +17,8 @@ def test_grid_validation():
         gr.Grid(1, (9, 9), (-1, -1), (1, 1))             # wrong axis count
     with pytest.raises(ValueError):
         gr.Grid(1, (9, 9, 9), (1, -1, -1), (1, 1, 1))    # empty extent
+    with pytest.raises(ValueError):
+        gr.Grid(0, (9,), (0.0,), (1.0,))                 # H^0: no horizontal directions
     g = gr.Grid.from_box(1, [(-1, 1), (-2, 2), (0, 1)], 9)
     assert g.shape == (9, 9, 9)
     assert np.allclose(g.spacing, [0.25, 0.5, 0.125])

@@ -289,6 +289,8 @@ def test_label_parsing():
     assert name == "loglin" and params == {"alpha": 1.0, "beta": 2.0, "a": 3.0}
     with pytest.raises(oz.UnknownLabelError):
         oz.parse_label("power:p")
+    with pytest.raises(oz.UnknownLabelError):
+        oz.parse_label("power:p=3,p=4")  # used to keep the last value
 
 
 def test_unknown_labels_rejected():

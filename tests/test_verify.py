@@ -35,21 +35,14 @@ def affine_solution():
 # ---------------------------------------------------------------- schedule
 
 def test_moser_schedule_arithmetic():
-    sched = vf.MoserSchedule(Q=4, sigma=0.5, r=0.8, levels=4)
-    assert sched.kappa == pytest.approx(2.0)
-    assert np.allclose(sched.gammas, [1.0, 4.0, 10.0, 22.0])
-    radii = sched.radii
-    assert np.all(np.diff(radii) < 0) and radii[0] == pytest.approx(0.8)
-    assert radii[-1] > 0.4  # decreasing toward sigma r
-
-
-def test_moser_schedule_validation():
-    with pytest.raises(ValueError):
-        vf.MoserSchedule(Q=2, sigma=0.5, r=1.0, levels=3)
-    with pytest.raises(ValueError):
-        vf.MoserSchedule(Q=4, sigma=1.0, r=1.0, levels=3)
-    with pytest.raises(ValueError):
-        vf.MoserSchedule(Q=4, sigma=0.5, r=1.0, levels=1)
+    # H^1 has Q = 4, so kappa = 2: gamma_i = 3 * 2^i - 2 and r_i = sigma r + (1 - sigma) r / 2^i
+    g = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    tr = triple_for("power:p=2")
+    u = field_from(g, lambda a, b, c: 0.8 * a)
+    rows = vf.moser_trace(vf.solution_fields(u, tr), [0, 0, 0], 0.8, 0.5, levels=4)["levels"]
+    assert [row["gamma"] for row in rows] == [1.0, 4.0, 10.0, 22.0]
+    assert [row["exponent"] for row in rows] == [3.0, 6.0, 12.0, 24.0]
+    assert [row["radius"] for row in rows] == pytest.approx([0.8, 0.6, 0.5, 0.45], rel=1e-15)
 
 
 # ---------------------------------------------------------------- ratio
@@ -229,7 +222,13 @@ def test_moser_trace_validation(tdep_solution):
     with pytest.raises(ValueError):
         vf.moser_trace(sf, [0, 0, 0], 0.8, 0.5, levels=1)
     with pytest.raises(ValueError):
+        vf.moser_trace(sf, [0, 0, 0], 0.8, 1.0, levels=3)
+    with pytest.raises(ValueError):
         vf.moser_trace(sf, [0, 0, 0], 3.0, 0.5, levels=3)
+    # B_r outside the grid is rejected even where G(|Xu|) = 0 on every ball
+    flat = vf.solution_fields(ScalarField(sol.grid, np.zeros(sol.grid.shape)), tr)
+    with pytest.raises(ValueError):
+        vf.moser_trace(flat, [0, 0, 0], 3.0, 0.5, levels=3)
 
 
 # ---------------------------------------------------------------- weight fallback
