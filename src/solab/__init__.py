@@ -20,9 +20,9 @@ from .grid import (CutoffFunction, GaugeBall, Grid, HorizontalField,
                    ScalarField, commutator_residual, horizontal_divergence,
                    horizontal_gradient, integrate, make_cutoff,
                    td_bound_margin, vertical_derivative)
-from .solver import (DirichletProblem, SolveReport, barrier_field,
-                     barrier_residual_study, comparison_check,
-                     discrete_energy, solve_dirichlet, weak_residual)
+from .solver import (DirichletProblem, SolveReport, barrier_residual_study,
+                     comparison_check, discrete_energy, solve_dirichlet,
+                     weak_residual)
 from .verify import (AuditReport, caccioppoli_T_audit, caccioppoli_X_audit,
                      horizontal_estimate_audit, lipschitz_ratio, moser_trace,
                      reverse_audit, vertical_estimate_audit)

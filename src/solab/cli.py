@@ -106,7 +106,7 @@ def cmd_orlicz_check(cfg: ExperimentConfig, out: str) -> int:
     pair_hi = pair_lo * np.exp(rng.uniform(0.01, 3.0, size=1000))
     lemma_fail = 0
     for s, t in zip(pair_lo, pair_hi):
-        if not oz.lemma_gG_audit(triple, float(t), float(s)).all_hold:
+        if not oz.lemma_gG_audit(triple, float(t), float(s)):
             lemma_fail += 1
     checks.append(("growth_lemma_failures", float(lemma_fail), "== 0", lemma_fail == 0))
 
@@ -133,11 +133,10 @@ def cmd_orlicz_check(cfg: ExperimentConfig, out: str) -> int:
     cp_min = float(np.min(margins / (1.0 + young(t_cp))))
     checks.append(("complementary_pair_margin", cp_min, ">= -1e-8", cp_min >= -1e-8))
 
-    quad = oz.YoungFunction(integrand=lambda s: s, label="quad", closed_eval=lambda t: t * t / 2)
+    quad = oz.YoungFunction(integrand=lambda s: s, closed_eval=lambda t: t * t / 2)
     checks.append(("quad_self_conjugate", abs(oz.conjugate(quad, 1.0) - 0.5), "<= 1e-8",
                    abs(oz.conjugate(quad, 1.0) - 0.5) <= 1e-8))
-    entropy = oz.YoungFunction(integrand=np.log1p, label="entropy",
-                               closed_eval=lambda t: (1 + t) * np.log1p(t) - t)
+    entropy = oz.YoungFunction(integrand=np.log1p, closed_eval=lambda t: (1 + t) * np.log1p(t) - t)
     err_ent = abs(oz.conjugate(entropy, 1.0) - (math.e - 2.0))
     checks.append(("entropy_exp_conjugate", err_ent, "<= 1e-8", err_ent <= 1e-8))
 
@@ -282,24 +281,19 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def _build_grid(cfg: ExperimentConfig, level: int = 0) -> Grid:
-    res = [(r - 1) * 2 ** level + 1 for r in cfg.resolutions()]
-    return Grid.from_box(cfg.n, cfg.box, res)
-
-
-def _solve_level(cfg: ExperimentConfig, triple: OrliczTriple, level: int, warm=None):
-    grid = _build_grid(cfg, level)
+def _solve_level(cfg: ExperimentConfig, triple: OrliczTriple, grid: Grid, warm=None):
+    """Solve the configured problem on ``grid``, from the prolonged ``warm`` solution if given."""
     prob = sv.DirichletProblem(grid=grid, triple=triple,
                                boundary=boundary_field(cfg.boundary, grid),
                                eps=cfg.epsilon, residual_tol=cfg.residual_tol,
                                max_iters=cfg.max_iters)
     init = cfg.init if warm is None else refine_values(warm.values)
-    return prob, *sv.solve_dirichlet(prob, init=init)
+    return sv.solve_dirichlet(prob, init=init)
 
 
 def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
-    prob, sol, report = _solve_level(cfg, triple, 0)
+    sol, report = _solve_level(cfg, triple, Grid.from_box(cfg.n, cfg.box, cfg.resolutions()))
     save_field_binary(os.path.join(out, "solution.bin"), sol)
     save_field_csv(os.path.join(out, "solution.csv"), sol)
     _write_json(os.path.join(out, "solve_report.json"), {
@@ -349,13 +343,14 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
     moser_rows = []
     csv_rows = []
     all_converged = True
-    warm = None
+    grid = Grid.from_box(cfg.n, cfg.box, cfg.resolutions())
+    sol = None
     final_moser = None
     for level in range(levels):
-        prob, sol, report = _solve_level(cfg, triple, level, warm=warm)
-        warm = sol
+        if level:
+            grid = grid.refined()
+        sol, report = _solve_level(cfg, triple, grid, warm=sol)
         all_converged &= report.converged
-        grid = prob.grid
         h = float(np.max(grid.spacing))
         # built before the fields: the cutoff's temporaries (29 MB at 65^3) would stack on them
         eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer) if jobs else None

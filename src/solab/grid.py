@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import GroupPoint, gauge_squared, horizontal, translate
+from .heisenberg import gauge_squared, horizontal, translate
 
 __all__ = [
     "Grid",
@@ -233,12 +233,6 @@ def td_bound_margin(u: ScalarField) -> float:
 # --------------------------------------------------------------------------
 
 
-def _center_coords(center) -> np.ndarray:
-    if isinstance(center, GroupPoint):
-        return np.asarray(center.coords, dtype=float)
-    return np.asarray(center, dtype=float)
-
-
 def gauge_distance_field(grid: Grid, center, offsets=None) -> np.ndarray:
     """Left-invariant gauge distance ||center^{-1} . x|| at every node.
 
@@ -248,7 +242,7 @@ def gauge_distance_field(grid: Grid, center, offsets=None) -> np.ndarray:
     coords = grid.coords()
     if offsets is not None:
         coords = [x + o for x, o in zip(coords, np.asarray(offsets, dtype=float))]
-    return np.sqrt(gauge_squared(translate(_center_coords(center), coords)))
+    return np.sqrt(gauge_squared(translate(center, coords)))
 
 
 @dataclass(frozen=True)
@@ -265,7 +259,7 @@ class GaugeBall:
 
     @classmethod
     def at(cls, center, radius: float) -> "GaugeBall":
-        return cls(tuple(np.asarray(_center_coords(center), dtype=float)), float(radius))
+        return cls(center, float(radius))
 
     def fits_inside(self, grid: Grid) -> bool:
         c = np.asarray(self.center)
@@ -417,9 +411,8 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     ball = GaugeBall.at(center, r_outer)
     if not ball.fits_inside(grid):
         raise ValueError("outer ball reaches outside the grid")
-    c = _center_coords(center)
     n = grid.n
-    rel = translate(c, grid.coords())
+    rel = translate(center, grid.coords())
     rho = np.sqrt(gauge_squared(rel))
     width = r_outer - r_inner
     s = (rho - r_inner) / width

@@ -19,7 +19,7 @@ growth-lemma comparisons (`lemma_gG_audit`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "comp_prop_margin",
     "doubling_constant",
     "lemma_gG_audit",
-    "GrowthLemmaReport",
     "catalog_structure_function",
     "parse_label",
     "young_from_structure",
@@ -227,8 +226,7 @@ class YoungFunction:
     """Convex Psi(t) = int_0^t psi of a nondecreasing integrand psi; ``closed_eval`` evaluates Psi."""
 
     integrand: Callable
-    label: str = ""
-    closed_eval: Callable = field(kw_only=True)
+    closed_eval: Callable
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -240,7 +238,6 @@ def young_from_structure(triple: OrliczTriple) -> YoungFunction:
     """G as a Young function (integrand g); doubling with constant 2^g0."""
     return YoungFunction(
         integrand=triple.g.eval,
-        label=f"G[{triple.label}]",
         closed_eval=triple.G,
     )
 
@@ -297,7 +294,6 @@ def conjugate_young(young: YoungFunction) -> YoungFunction:
     """The conjugate as a Young function (integrand = generalized inverse of psi)."""
     return YoungFunction(
         integrand=lambda tau: generalized_inverse(young.integrand, tau),
-        label=f"conj[{young.label}]",
         closed_eval=lambda s: conjugate(young, s),
     )
 
@@ -337,24 +333,8 @@ def doubling_constant(fn, t_samples) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthLemmaReport:
-    """Outcome of the five growth-lemma checks at a pair 0 <= s < t."""
-
-    convexity: bool
-    sandwich: bool
-    monotone_power_bound: bool
-    slope_monotone: bool
-    cross_term: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return all([self.convexity, self.sandwich, self.monotone_power_bound,
-                    self.slope_monotone, self.cross_term])
-
-
-def lemma_gG_audit(triple: OrliczTriple, t: float, s: float) -> GrowthLemmaReport:
-    """Check the five structural inequalities tying g, G and the exponents at (s, t).
+def lemma_gG_audit(triple: OrliczTriple, t: float, s: float) -> bool:
+    """Whether the five structural inequalities tying g, G and the exponents hold at (s, t).
 
     (1) midpoint convexity of G; (2) t g(t)/(1+g0) <= G(t) <= t g(t);
     (3) g(s) <= g(t) <= (t/s)^g0 g(s); (4) G(t)/t nondecreasing;
@@ -379,7 +359,7 @@ def lemma_gG_audit(triple: OrliczTriple, t: float, s: float) -> GrowthLemmaRepor
         monotone = leq(gs, gt) and leq(gt, (t / s) ** g0 * gs)
     slope = True if s == 0 else leq(Gs / s, Gt / t)
     cross = leq(t * gs, t * gt + s * gs)
-    return GrowthLemmaReport(convexity, sandwich, monotone, slope, cross)
+    return convexity and sandwich and monotone and slope and cross
 
 
 # --------------------------------------------------------------------------

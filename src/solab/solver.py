@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, ScalarField
-from .heisenberg import GroupPoint, horizontal, horizontal_adjoint
+from .grid import Grid, ScalarField, refine_values
+from .heisenberg import horizontal, horizontal_adjoint
 from .operator import prototype_operator, regularized_energy_density, regularized_weight
 from .orlicz import OrliczTriple, catalog_structure_function
 
@@ -51,7 +51,6 @@ __all__ = [
     "weak_residual",
     "solve_dirichlet",
     "comparison_check",
-    "barrier_field",
     "barrier_residual_study",
 ]
 
@@ -394,59 +393,30 @@ def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem) -> floa
 # --------------------------------------------------------------------------
 
 
-def _affine_samples(grid: Grid, value: float, vec, base) -> np.ndarray:
-    """value + vec.(x - base) at the grid nodes."""
-    vals = np.full(grid.shape, float(value))
-    for k in range(grid.dim):
-        vals = vals + vec[k] * (grid.coord(k) - base[k])
-    return vals
-
-
-def barrier_field(grid: Grid, base: GroupPoint, value: float, gradient, b, K: float) -> ScalarField:
-    """Euclidean-affine barrier value + (gradient + K b).(x - base) sampled on the grid."""
-    b = np.asarray(b, dtype=float)
-    if abs(float(np.linalg.norm(b)) - 1.0) > 1e-12:
-        raise ValueError("b must be a unit vector")
-    vec = np.asarray(gradient, dtype=float) + float(K) * b
-    if vec.size != grid.dim:
-        raise ValueError("gradient dimension mismatch")
-    return ScalarField(grid, _affine_samples(grid, value, vec, np.asarray(base.coords, dtype=float)))
-
-
-def _affine_coefficients(L: ScalarField):
-    grid = L.grid
-    corner_idx = (0,) * grid.dim
-    v0 = L.values[corner_idx]
-    vec = np.empty(grid.dim)
-    for k in range(grid.dim):
-        idx = [0] * grid.dim
-        idx[k] = 1
-        vec[k] = (L.values[tuple(idx)] - v0) / grid.spacing[k]
-    rebuilt = _affine_samples(grid, v0, vec, grid.lo)
-    scale = 1.0 + float(np.max(np.abs(L.values)))
-    if np.max(np.abs(rebuilt - L.values)) > 1e-9 * scale:
-        raise ValueError("field is not affine")
-    return float(v0), vec
-
-
 def barrier_residual_study(L: ScalarField, triple: OrliczTriple, refinements: int) -> list[float]:
     """Weak residual of an affine field under the raw operator, across mesh halvings.
 
     Affine fields solve the equation exactly (their horizontal Hessian is
     skew-symmetric), so the discrete residual is pure truncation error and
-    must decrease with order >= 1.  Raises when the horizontal gradient
-    degenerates somewhere while F is singular at 0 (rerun with eps > 0).
+    must decrease with order >= 1.  L counts as affine when its edge
+    differences along every axis are constant to 1e-9 (1 + max |L|); each
+    halving is `Grid.refined` with L prolonged by `refine_values`, which is
+    exact on affine data.  Raises when the horizontal gradient degenerates
+    somewhere while F is singular at 0 (rerun with eps > 0).
     """
     if refinements < 0:
         raise ValueError("refinements must be nonnegative")
-    v0, vec = _affine_coefficients(L)
+    grid, values = L.grid, L.values
+    scale = 1.0 + float(np.max(np.abs(values)))
+    if any(np.ptp(np.diff(values, axis=k)) > 1e-9 * scale for k in range(grid.dim)):
+        raise ValueError("field is not affine")
     weight = prototype_operator(triple).weight
     residuals = []
-    grid = L.grid
-    for _ in range(refinements + 1):
-        (r_min, _, _), res_field = _weak_form(grid, _affine_samples(grid, v0, vec, grid.lo), weight)
+    for level in range(refinements + 1):
+        if level:
+            grid, values = grid.refined(), refine_values(values)
+        (r_min, _, _), res_field = _weak_form(grid, values, weight)
         if r_min < 1e-12 and triple.f_zero is None:
             raise ValueError("|XL| vanishes on the grid and F is singular at 0; rerun regularized")
         residuals.append(float(np.max(np.abs(res_field[grid.interior_mask()]))))
-        grid = grid.refined()
     return residuals

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -55,8 +56,17 @@ def test_boundary_family_errors(grid9):
     from solab.orlicz import UnknownLabelError
     with pytest.raises(UnknownLabelError):
         boundary_field("nope:a=1", grid9)
-    with pytest.raises(UnknownLabelError):
-        boundary_field("affine:bogus=1", grid9)
+    for label in ("affine:bogus=1", "poly2:bogus=1", "sine:bogus=1"):
+        with pytest.raises(UnknownLabelError):
+            boundary_field(label, grid9)
+
+
+def test_overflowing_boundary_data_raise_without_warning(grid9):
+    # affine samples that overflow on the box fail the finiteness check, not numpy's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            boundary_field("affine:x1=1e308,x2=1e308", grid9)
 
 
 # ---------------------------------------------------------------- config

@@ -152,7 +152,7 @@ def test_td_bound_refinement():
 
 def test_gauge_distance_matches_pointwise(grid9):
     center = GroupPoint(np.array([0.2, -0.1, 0.3]))
-    rho = gr.gauge_distance_field(grid9, center)
+    rho = gr.gauge_distance_field(grid9, center.coords)
     for idx in [(0, 0, 0), (4, 4, 4), (8, 2, 5)]:
         p = GroupPoint(np.array([grid9.axis(0)[idx[0]], grid9.axis(1)[idx[1]], grid9.axis(2)[idx[2]]]))
         assert rho[idx] == pytest.approx(quasi_distance(p, center), abs=1e-13)
@@ -161,7 +161,7 @@ def test_gauge_distance_matches_pointwise(grid9):
 def test_gauge_distance_matches_pointwise_n2(rng):
     grid = gr.Grid.from_box(2, [(-1, 1), (-0.5, 1.5), (-1, 1), (-2, 0), (-1, 2)], 7)
     center = GroupPoint(rng.uniform(-0.5, 0.5, size=5))
-    rho = gr.gauge_distance_field(grid, center)
+    rho = gr.gauge_distance_field(grid, center.coords)
     for idx in zip(*(rng.integers(0, 7, size=50) for _ in range(5))):
         p = GroupPoint(np.array([grid.axis(k)[i] for k, i in enumerate(idx)]))
         assert abs(rho[idx] - quasi_distance(p, center)) <= 1e-15

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,8 +16,8 @@ from conftest import CATALOG_LABELS, POWER_LABELS, triple_for
 from oracles import conjugate_reference, quad_reference
 
 QUAD = oz.YoungFunction(integrand=lambda s: np.asarray(s, float),
-                        label="t^2/2", closed_eval=lambda t: t * t / 2)
-ENTROPY = oz.YoungFunction(integrand=np.log1p, label="(1+t)log(1+t)-t",
+                        closed_eval=lambda t: t * t / 2)
+ENTROPY = oz.YoungFunction(integrand=np.log1p,
                            closed_eval=lambda t: (1 + t) * np.log1p(t) - t)
 
 
@@ -168,7 +169,7 @@ def test_entropy_conjugate_is_exponential():
 
 def test_conjugate_scaling_rule():
     c = 2.5
-    scaled = oz.YoungFunction(integrand=lambda s: c * np.asarray(s, float), label="c quad",
+    scaled = oz.YoungFunction(integrand=lambda s: c * np.asarray(s, float),
                               closed_eval=lambda t: c * t * t / 2)
     for t in (0.5, 1.0, 3.0):
         assert oz.conjugate(scaled, t) == pytest.approx(c * oz.conjugate(QUAD, t / c), rel=1e-8)
@@ -259,12 +260,19 @@ def test_doubling_rejects_zero_samples():
 def test_growth_lemma_linear_equalities():
     tr = triple_for("power:p=2")
     for s, t in [(0.0, 1.0), (0.5, 2.0), (1.0, 1.5)]:
-        assert oz.lemma_gG_audit(tr, t, s).all_hold
+        assert oz.lemma_gG_audit(tr, t, s) is True
 
 
 def test_growth_lemma_zero_s_boundary():
-    rep = oz.lemma_gG_audit(triple_for("power:p=3"), 2.0, 0.0)
-    assert rep.all_hold  # upper power bound saturates without division
+    # upper power bound saturates without division
+    assert oz.lemma_gG_audit(triple_for("power:p=3"), 2.0, 0.0) is True
+
+
+def test_growth_lemma_detects_a_violation():
+    # G = 1.5 t^3 exceeds t g(t) = t^3: the upper sandwich bound fails
+    g = oz.catalog_structure_function("power:p=3")
+    bad = oz.OrliczTriple(dataclasses.replace(g, closed_G=lambda t: 1.5 * t ** 3))
+    assert oz.lemma_gG_audit(bad, 2.0, 1.0) is False
 
 
 def test_growth_lemma_rejects_bad_pair():
@@ -279,7 +287,7 @@ def test_growth_lemma_catalog_samples(label, rng):
     lo = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 100))
     hi = lo * np.exp(rng.uniform(0.01, 3.0, 100))
     for s, t in zip(lo, hi):
-        assert oz.lemma_gG_audit(tr, float(t), float(s)).all_hold
+        assert oz.lemma_gG_audit(tr, float(t), float(s))
 
 
 # ---------------------------------------------------------------- catalog

@@ -8,8 +8,8 @@ import solab.solver as sv
 from conftest import field_from, triple_for
 from oracles import gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace
 from solab.grid import Grid, ScalarField, refine_values
-from solab.heisenberg import GroupPoint
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
+from solab.problems import boundary_field
 
 
 def make_problem(grid, label, expr, **kw):
@@ -302,18 +302,8 @@ def test_comparison_rejects_unordered(grid9):
 
 # ---------------------------------------------------------------- barriers
 
-def test_barrier_field_zero_case(grid9):
-    L = sv.barrier_field(grid9, GroupPoint(np.zeros(3)), 0.0, np.zeros(3),
-                         np.array([1.0, 0, 0]), 0.0)
-    assert np.max(np.abs(L.values)) == 0.0
-    with pytest.raises(ValueError):
-        sv.barrier_field(grid9, GroupPoint(np.zeros(3)), 0.0, np.zeros(3),
-                         np.array([2.0, 0, 0]), 1.0)  # not unit
-
-
 def test_barrier_t_free_has_constant_gradient(grid9):
-    L = sv.barrier_field(grid9, GroupPoint(np.zeros(3)), 0.3, np.array([0.5, -0.2, 0.0]),
-                         np.array([0.0, 1.0, 0.0]), 0.7)
+    L = boundary_field("affine:c0=0.3,x1=0.5,x2=0.5", grid9)
     xc = sv.cell_gradient(grid9, L.values)
     assert np.max(np.abs(xc[0] - xc[0].flat[0])) <= 1e-13
     assert np.max(np.abs(xc[1] - xc[1].flat[0])) <= 1e-13
@@ -322,8 +312,7 @@ def test_barrier_t_free_has_constant_gradient(grid9):
 def test_barrier_hessian_skew(grid17):
     from solab.grid import horizontal_hessian
     c = 0.8
-    L = sv.barrier_field(grid17, GroupPoint(np.zeros(3)), 0.0, np.array([0.4, 0.1, c]),
-                         np.array([0.0, 0.0, 1.0]), 0.0)
+    L = boundary_field(f"affine:x1=0.4,x2=0.1,t={c}", grid17)
     hess = horizontal_hessian(L)
     sym = 0.5 * (hess + np.swapaxes(hess, 0, 1))
     assert np.max(np.abs(sym)) <= 1e-9
@@ -331,8 +320,7 @@ def test_barrier_hessian_skew(grid17):
 
 
 def test_barrier_residual_study_exact_when_t_free(grid9):
-    L = sv.barrier_field(grid9, GroupPoint(np.zeros(3)), 0.1, np.array([0.5, -0.2, 0.0]),
-                         np.array([1.0, 0.0, 0.0]), 0.0)
+    L = boundary_field("affine:c0=0.1,x1=0.5,x2=-0.2", grid9)
     residuals = sv.barrier_residual_study(L, triple_for("power:p=2"), refinements=2)
     assert all(r <= 1e-10 for r in residuals)
 
@@ -342,8 +330,8 @@ def test_barrier_residual_study_exact_when_t_free(grid9):
 def test_barrier_residual_exact_for_power_laws(label, vec, grid9):
     # the cell scheme reproduces affine barriers exactly when A(XL) is
     # polynomial in the coordinates: the residual sits at the round-off floor
-    L = sv.barrier_field(grid9, GroupPoint(np.zeros(3)), 0.0, np.array(vec),
-                         np.array([1.0, 0.0, 0.0]), 0.0)
+    x1, x2, t = vec
+    L = boundary_field(f"affine:x1={x1},x2={x2},t={t}", grid9)
     res = sv.barrier_residual_study(L, triple_for(label), refinements=2)
     assert all(r <= 1e-12 for r in res)
 
@@ -352,8 +340,7 @@ def test_barrier_residual_exact_for_power_laws(label, vec, grid9):
 def test_barrier_residual_order_transcendental(label, grid9):
     # with transcendental growth the truncation error is real and must
     # decrease with order >= 1 per halving
-    L = sv.barrier_field(grid9, GroupPoint(np.zeros(3)), 0.0, np.array([1.0, 0.0, 1.0]),
-                         np.array([1.0, 0.0, 0.0]), 0.0)
+    L = boundary_field("affine:x1=1,t=1", grid9)
     res = sv.barrier_residual_study(L, triple_for(label), refinements=2)
     assert all(r > 0 for r in res)
     for a, b in zip(res, res[1:]):
@@ -370,7 +357,6 @@ def test_barrier_study_flags_degenerate_gradient():
     # an even node count puts a cell center at the origin, where XL of pure-t
     # data vanishes; p=1.5 has singular F there
     g10 = Grid.from_box(1, [(-1, 1)] * 3, 10)
-    L = sv.barrier_field(g10, GroupPoint(np.zeros(3)), 0.0, np.array([0.0, 0.0, 1.0]),
-                         np.array([1.0, 0.0, 0.0]), 0.0)
+    L = boundary_field("affine:t=1", g10)
     with pytest.raises(ValueError):
         sv.barrier_residual_study(L, triple_for("power:p=1.5"), 0)
