@@ -2,14 +2,18 @@
 
 The discretization is cell-based: on every grid cell the horizontal gradient
 is formed from forward differences averaged over the neighbour pairs of the
-transverse axes (`_halves`), that is, the gradient of the trilinear
-interpolant at the cell centroid, and the energy
+transverse axes, that is, the gradient of the trilinear interpolant at the
+cell centroid, and the energy
 
     E(u) = sum_cells G_eps(|Xu|) * cell_volume
 
 is minimized over the interior node values by L-BFGS descent with halving
 backtracking and one acceptance rule, Armijo (1e-4) plus a float-noise
 allowance; when 40 halvings fail the solve stops with 'line_search_stall'.
+L-BFGS keeps 5 curvature pairs: 3-7 are adequate (Liu-Nocedal, Math. Prog.
+45, 1989), and each stored pair adds two dots and two updates over the
+interior vector to the two-loop recursion, which with 10 pairs cost as much
+as one energy evaluation at 65^3.
 The assembled gradient of E is exactly the discrete weak form residual
 max_phi |sum <A_eps(Xu), X phi>| over unit node bumps phi, with
 A_eps(z) = F_eps(|z|) z, so the stopping test and the weak-solution contract
@@ -25,10 +29,19 @@ the weight and the energy density from its own node planes and adds its part
 into the one nodal output, the only full-grid array an evaluation allocates.
 Slab temporaries stay in the allocator's free lists, where full-grid ones were
 unmapped and page-faulted back in on every evaluation.
+
+The averages are regrouped into one chain of pair sums: axis k's derivative
+pair-sums the nodes along axes 0..k-1 (a prefix shared by all axes), takes
+the edge difference along k, pair-sums along the later axes and scales once
+by 0.5^(d-1)/h_k, 11 passes over a slab for n = 1 where averaging each axis
+separately took 18.  The adjoint runs the same chain backwards with one
+accumulator (about 13 passes, against 39).  The scales and cell-centre
+coordinates are built once per grid (`_frame`), not once per slab.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -67,20 +80,35 @@ INIT_MODES = ("zero", "harmonic")
 # --------------------------------------------------------------------------
 
 
-def _halves(ndim: int, axis: int) -> tuple[tuple, tuple]:
+def _halves(axis: int) -> tuple[tuple, tuple]:
     """Index tuples of the lower and the upper member of every neighbour pair along ``axis``."""
-    lo = [slice(None)] * ndim
-    hi = [slice(None)] * ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return tuple(lo), tuple(hi)
+    lead = (slice(None),) * axis
+    return lead + (slice(None, -1),), lead + (slice(1, None),)
+
+
+def _pair_adjoint(a: np.ndarray, axis: int, op) -> np.ndarray:
+    """Transpose along ``axis`` of the pair sum (op np.add) or the edge difference (np.subtract)."""
+    lead = (slice(None),) * axis
+    shape = list(a.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    lo, hi = _halves(axis)
+    op(a[lo], a[hi], out=out[lead + (slice(1, -1),)])
+    out[lead + (-1,)] = a[lead + (-1,)]
+    out[lead + (0,)] = a[lead + (0,)] if op is np.add else -a[lead + (0,)]
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _frame(grid: Grid) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The stencil scale c_k = 0.5^(d-1)/h_k and grid.cell_coord(k) of every axis k."""
+    return 0.5 ** (grid.dim - 1) / grid.spacing, [grid.cell_coord(k) for k in range(grid.dim)]
 
 
 def _cell_coords(grid: Grid, first: int, planes: int) -> list[np.ndarray]:
     """grid.cell_coord(k) of every axis, on the cell planes first..first+planes-1 of axis 0."""
-    coords = [grid.cell_coord(k) for k in range(grid.dim)]
-    coords[0] = coords[0][first:first + planes]
-    return coords
+    coords = _frame(grid)[1]
+    return [coords[0][first:first + planes]] + coords[1:]
 
 
 def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
@@ -88,20 +116,23 @@ def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
 
     ``values`` holds the grid's node planes along axis 0 from plane ``first``
     on (all of them by default); the result covers the cells between them.
-    Axis k's derivative is the edge difference along k, averaged over the
-    neighbour pairs of every other axis in turn.
+    Axis k's derivative is c_k S_{k+1..d-1}(Δ_k P_k): the edge difference
+    along k of the prefix P_k (the nodes pair-summed along axes 0..k-1, one
+    chain shared by all axes), pair-summed along the later axes.
     """
+    scales = _frame(grid)[0]
     derivs = []
+    prefix = values
     for k in range(grid.dim):
-        lo, hi = _halves(grid.dim, k)
-        d = values[hi] - values[lo]
-        d /= grid.spacing[k]
-        for b in range(grid.dim):
-            if b != k:
-                lo, hi = _halves(grid.dim, b)
-                d = d[lo] + d[hi]
-                d *= 0.5
+        lo, hi = _halves(k)
+        d = prefix[hi] - prefix[lo]
+        for b in range(k + 1, grid.dim):
+            lo_b, hi_b = _halves(b)
+            d = d[lo_b] + d[hi_b]
+        d *= scales[k]
         derivs.append(d)
+        if k + 1 < grid.dim:
+            prefix = prefix[lo] + prefix[hi]
     return horizontal(derivs, _cell_coords(grid, first, derivs[0].shape[0]))
 
 
@@ -109,31 +140,23 @@ def cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarr
     """Adjoint of cell_gradient: cell vector fields to node values.
 
     ``w`` covers the cell planes along axis 0 from plane ``first`` on; the
-    result covers the node planes around them.  Each axis load is spread back
-    over the neighbour pairs of the other axes, then over its own edges.
+    result covers the node planes around them.  The transpose runs from axis
+    d-1 down to 0: axis k's scaled load is spread over the later axes and
+    over its own edges to prefix level k, added to the one accumulator, and
+    the sum spread along axis k-1 to the level below.
     """
-    n, dim = grid.n, grid.dim
-    t_load = horizontal_adjoint(w, _cell_coords(grid, first, w.shape[1]))
-    loads = [(w[k], k) for i in range(n) for k in (i, n + i)] + [(t_load, dim - 1)]
-    out = np.zeros(tuple(s + 1 for s in w.shape[1:]))
-    for load, k in loads:
-        part = load / grid.spacing[k]
-        for b in range(dim):
-            if b != k:
-                lo, hi = _halves(dim, b)
-                shape = list(part.shape)
-                shape[b] += 1
-                spread = np.zeros(shape)
-                spread[lo] += part
-                spread[hi] += part
-                spread *= 0.5  # halving is exact, so this equals adding 0.5 * part twice
-                part = spread
-        lo, hi = _halves(dim, k)
-        edges = np.zeros(out.shape)
-        edges[lo] -= part
-        edges[hi] += part
-        out += edges
-    return out
+    scales = _frame(grid)[0]
+    loads = list(w) + [horizontal_adjoint(w, _cell_coords(grid, first, w.shape[1]))]
+    acc = None
+    for k in reversed(range(grid.dim)):
+        part = loads[k] * scales[k]
+        for b in range(k + 1, grid.dim):
+            part = _pair_adjoint(part, b, np.add)
+        part = _pair_adjoint(part, k, np.subtract)
+        if acc is not None:
+            part += acc
+        acc = _pair_adjoint(part, k - 1, np.add) if k else part
+    return acc
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +323,7 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
     tol = prob.residual_tol if prob.residual_tol is not None else 1e-8 * (1.0 + res)
     history = [energy]
     res_history = [res]
-    memory = deque(maxlen=10)  # curvature pairs (s, y, 1/<s,y>), oldest first
+    memory = deque(maxlen=5)  # curvature pairs (s, y, 1/<s,y>), oldest first
     iters = 0
     converged = res <= tol
     stop_reason = "max_iters"

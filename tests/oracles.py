@@ -2,7 +2,9 @@
 
 These deliberately take different code paths from the library: the linear
 Kohn-Laplace system is assembled from sparse Kronecker products (the solver
-uses slicing-based operators), Jacobians come from central differences or,
+uses slicing-based operators), the cell gradient and its adjoint average each
+axis derivative over the other axes one at a time (the solver shares one
+chain of pair sums across axes), Jacobians come from central differences or,
 for the prototype, from its closed form F I + (g' - F) z z^T / r^2,
 integrals of growth laws come from scipy's adaptive quadrature (conjugates
 included: the library uses the Fenchel-Young equality, the reference
@@ -18,6 +20,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from solab.grid import Grid
+from solab.heisenberg import horizontal, horizontal_adjoint
 
 
 def _diff_matrix(m: int, h: float) -> scipy.sparse.csr_matrix:
@@ -47,6 +50,62 @@ def kohn_laplace_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     X2 = dx2 + scipy.sparse.diags(0.5 * x1c) @ dt
     vol = grid.cell_volume
     return (vol * (X1.T @ X1 + X2.T @ X2)).tocsr()
+
+
+def _halves(ndim: int, axis: int) -> tuple[tuple, tuple]:
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
+def _cell_coords(grid: Grid, first: int, planes: int) -> list[np.ndarray]:
+    coords = [grid.cell_coord(k) for k in range(grid.dim)]
+    coords[0] = coords[0][first:first + planes]
+    return coords
+
+
+def averaging_cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
+    """Cell-centre X u: each edge difference averaged over the neighbour pairs of every other axis in turn."""
+    derivs = []
+    for k in range(grid.dim):
+        lo, hi = _halves(grid.dim, k)
+        d = values[hi] - values[lo]
+        d /= grid.spacing[k]
+        for b in range(grid.dim):
+            if b != k:
+                lo, hi = _halves(grid.dim, b)
+                d = d[lo] + d[hi]
+                d *= 0.5
+        derivs.append(d)
+    return horizontal(derivs, _cell_coords(grid, first, derivs[0].shape[0]))
+
+
+def averaging_cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarray:
+    """Transpose of averaging_cell_gradient, one axis load at a time, each spread over every other axis."""
+    n, dim = grid.n, grid.dim
+    t_load = horizontal_adjoint(w, _cell_coords(grid, first, w.shape[1]))
+    loads = [(w[k], k) for i in range(n) for k in (i, n + i)] + [(t_load, dim - 1)]
+    out = np.zeros(tuple(s + 1 for s in w.shape[1:]))
+    for load, k in loads:
+        part = load / grid.spacing[k]
+        for b in range(dim):
+            if b != k:
+                lo, hi = _halves(dim, b)
+                shape = list(part.shape)
+                shape[b] += 1
+                spread = np.zeros(shape)
+                spread[lo] += part
+                spread[hi] += part
+                spread *= 0.5
+                part = spread
+        lo, hi = _halves(dim, k)
+        edges = np.zeros(out.shape)
+        edges[lo] -= part
+        edges[hi] += part
+        out += edges
+    return out
 
 
 def solve_kohn_laplace(grid: Grid, boundary_values: np.ndarray, interior_mask: np.ndarray) -> np.ndarray:

@@ -38,13 +38,13 @@ RTOL = 1e-10
 # degenerate flag with the fitted constant at each level
 EXPECTED = {
     "power:p=3": {
-        "energies": [0.7110377707660838, 0.7152054137749035],
-        "ratios": [0.05486877662244427, 0.06984959290914029],
+        "energies": [0.7110377707660915, 0.7152054137746882],
+        "ratios": [0.05486885883793076, 0.06984883323094268],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.07344539056299207, 0.16086665559013705]),
-            "caccioppoli_T:gamma=2": (False, [0.1162544586981304, 0.21537104289209377]),
-            "caccioppoli_X:gamma=1": (False, [0.004721130036098992, 0.0026467168949775447]),
-            "caccioppoli_X:gamma=2": (False, [0.003922215005706422, 0.0023162343163041217]),
+            "caccioppoli_T:gamma=1": (False, [0.07344532663303811, 0.1608661473460023]),
+            "caccioppoli_T:gamma=2": (False, [0.1162542034547608, 0.2153703322870253]),
+            "caccioppoli_X:gamma=1": (False, [0.0047211105266737425, 0.002646653201671222]),
+            "caccioppoli_X:gamma=2": (False, [0.003922198960412952, 0.002316182739901877]),
             "horizontal_estimate:gamma=1": (True, None),
             "horizontal_estimate:gamma=2": (True, None),
             "reverse:gamma=1,omega=1": (True, None),
@@ -56,20 +56,20 @@ EXPECTED = {
         },
     },
     "loglin:alpha=1,beta=1,a=2.718281828": {
-        "energies": [1.752552202924269, 1.7589019855326893],
-        "ratios": [0.059151604255885726, 0.06925430135014295],
+        "energies": [1.752552202924255, 1.7589019855325865],
+        "ratios": [0.05915162846509758, 0.06925358593924234],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.14209465528225523, 0.2612596375042105]),
-            "caccioppoli_T:gamma=2": (False, [0.16129552967088695, 0.3555783410787821]),
-            "caccioppoli_X:gamma=1": (False, [0.003776915011266131, 0.0022124599417440265]),
-            "caccioppoli_X:gamma=2": (False, [0.0032696109114998574, 0.0019951491399618697]),
-            "horizontal_estimate:gamma=1": (False, [7.804999027445747e-11, 3.5682379077226535e-11]),
+            "caccioppoli_T:gamma=1": (False, [0.14209438942106184, 0.26126041517942084]),
+            "caccioppoli_T:gamma=2": (False, [0.16129555604741908, 0.355579552661771]),
+            "caccioppoli_X:gamma=1": (False, [0.003776917243109635, 0.002212432164409061]),
+            "caccioppoli_X:gamma=2": (False, [0.0032696130209650003, 0.0019951250634095944]),
+            "horizontal_estimate:gamma=1": (False, [7.80500731465084e-11, 3.5681942966643377e-11]),
             "horizontal_estimate:gamma=2": (True, None),
-            "reverse:gamma=1,omega=1": (False, [1.75644167089471e-06, 6.832470506452427e-07]),
-            "reverse:gamma=1,omega=2": (False, [8.753922220899299e-07, 3.4061965617899067e-07]),
+            "reverse:gamma=1,omega=1": (False, [1.7564284955571966e-06, 6.832310636711017e-07]),
+            "reverse:gamma=1,omega=2": (False, [8.753856602620326e-07, 3.406116878269315e-07]),
             "reverse:gamma=2,omega=1": (True, None),
             "reverse:gamma=2,omega=2": (True, None),
-            "vertical_estimate:gamma=1": (False, [6.14043566049169e-10, 1.288123056467648e-10]),
+            "vertical_estimate:gamma=1": (False, [6.140403704589936e-10, 1.2881027212760674e-10]),
             "vertical_estimate:gamma=2": (True, None),
         },
     },

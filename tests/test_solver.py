@@ -6,7 +6,8 @@ import pytest
 
 import solab.solver as sv
 from conftest import field_from, triple_for
-from oracles import gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace
+from oracles import (averaging_cell_gradient, averaging_cell_gradient_adjoint, gauge_fundamental_solution,
+                     kohn_laplace_matrix, solve_kohn_laplace)
 from solab.grid import Grid, ScalarField, refine_values
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
 from solab.problems import boundary_field
@@ -25,6 +26,38 @@ def test_cell_gradient_adjoint(rng, grid9):
     lhs = float(np.sum(sv.cell_gradient(grid9, u) * w))
     rhs = float(np.sum(u * sv.cell_gradient_adjoint(grid9, w)))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+# unequal extents, so every axis has its own spacing and the frame coefficients are off-centre
+_BOXES = {1: [(-1, 1), (-0.5, 1.5), (-2, 1)], 2: [(-1, 1), (-0.5, 1.5), (-1, 0.5), (0, 2), (-2, 1)]}
+
+
+def _close_to(new, ref):
+    return float(np.max(np.abs(new - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n, res, first, planes", [
+    (1, 9, 0, 8), (1, 17, 0, 16), (1, 17, 5, 3), (1, 9, 7, 1), (2, 5, 0, 4), (2, 5, 2, 2)])
+def test_cell_stencil_matches_averaging_oracle(rng, n, res, first, planes):
+    # the prefix-sum stencil regroups the averaging stencil's sums, on whole grids and on slabs
+    grid = Grid.from_box(n, _BOXES[n], res)
+    u = rng.normal(size=(planes + 1,) + grid.shape[1:])
+    w = rng.normal(size=(2 * n, planes) + tuple(s - 1 for s in grid.shape[1:]))
+    assert _close_to(sv.cell_gradient(grid, u, first), averaging_cell_gradient(grid, u, first))
+    assert _close_to(sv.cell_gradient_adjoint(grid, w, first), averaging_cell_gradient_adjoint(grid, w, first))
+
+
+@pytest.mark.parametrize("n, res", [(1, 9), (2, 5)])
+def test_cell_stencil_adjoint_on_edge_unit_loads(n, res):
+    # a unit load in a corner or edge cell reaches boundary nodes, where the transposes have their end planes
+    grid = Grid.from_box(n, _BOXES[n], res)
+    cells = tuple(s - 1 for s in grid.shape)
+    corners = [(0,) * grid.dim, (-1,) * grid.dim, (0,) + (-1,) * (grid.dim - 2) + (0,), (-1,) + (0,) * (grid.dim - 1)]
+    for comp in range(2 * n):
+        for cell in corners:
+            w = np.zeros((2 * n,) + cells)
+            w[(comp,) + cell] = 1.0
+            assert _close_to(sv.cell_gradient_adjoint(grid, w), averaging_cell_gradient_adjoint(grid, w)), (comp, cell)
 
 
 def test_cell_frame_n2(rng):
