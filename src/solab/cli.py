@@ -302,6 +302,8 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
         "resolution": cfg.resolutions(),
         "epsilon": cfg.epsilon,
         "iterations": report.iterations,
+        "evaluations": report.evaluations,
+        "restarts": report.restarts,
         "final_energy": report.final_energy,
         "weak_residual": report.weak_residual,
         "gradient_cap_observed": report.gradient_cap_observed,

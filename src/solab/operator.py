@@ -224,7 +224,7 @@ def regularized_weight(triple: OrliczTriple, eps: float) -> Callable:
 def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
     """G_eps(t) = int_0^t s F_eps(s) ds, the energy density of the regularized operator.
 
-    Split at T = 1/eps - eps where the weight saturates:
+    Split at T = 1/eps - eps where the weight saturates (inputs all below T skip the tail):
         t <= T:  G_eps(t) = B(t)
         t  > T:  G_eps(t) = B(T) + F(1/eps) (t^2 - T^2) / 2,
     where B(t) = int_0^t w with w(s) = s g(s+eps)/(s+eps), equal to s F_eps(s) up to T.
@@ -255,9 +255,9 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
 
     def g_eps(t):
         t = np.asarray(t, dtype=float)
-        body = body_at(np.minimum(t, T))
-        tail = np.where(t > T, cap + 0.5 * m2 * (t * t - T * T) - body, 0.0)
-        out = body + tail
+        past = not np.max(t, initial=-np.inf) <= T  # some t saturates, or is NaN
+        body = np.asarray(body_at(np.minimum(t, T) if past else t))
+        out = body + np.where(t > T, cap + 0.5 * m2 * (t * t - T * T) - body, 0.0) if past else body
         return float(out) if out.ndim == 0 else out
 
     return g_eps

@@ -10,10 +10,10 @@ cell centroid, and the energy
 is minimized over the interior node values by L-BFGS descent with halving
 backtracking and one acceptance rule, Armijo (1e-4) plus a float-noise
 allowance; when 40 halvings fail the solve stops with 'line_search_stall'.
-L-BFGS keeps 5 curvature pairs: 3-7 are adequate (Liu-Nocedal, Math. Prog.
-45, 1989), and each stored pair adds two dots and two updates over the
-interior vector to the two-loop recursion, which with 10 pairs cost as much
-as one energy evaluation at 65^3.
+L-BFGS keeps 3 curvature pairs: 3-7 are adequate (Liu-Nocedal, Math. Prog.
+45, 1989), more left the 65^3 iteration count of the README ladder flat, and
+each costs two dots and two vector updates per iteration in the two-loop
+recursion (`_lbfgs_direction`, which writes into preallocated vectors).
 The assembled gradient of E is exactly the discrete weak form residual
 max_phi |sum <A_eps(Xu), X phi>| over unit node bumps phi, with
 A_eps(z) = F_eps(|z|) z, so the stopping test and the weak-solution contract
@@ -195,6 +195,8 @@ class SolveReport:
     """Outcome of one solve; ``stop_reason`` is 'tol', 'max_iters' or 'line_search_stall'."""
 
     iterations: int
+    evaluations: int  # energy-and-gradient evaluations, line-search trials included
+    restarts: int  # steepest-descent restarts on a non-descent L-BFGS direction
     final_energy: float
     weak_residual: float
     energy_history: list[float] = field(default_factory=list)
@@ -251,6 +253,28 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
+def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """-H grad by the L-BFGS two-loop recursion, written into ``q``; ``scratch`` is work space.
+
+    H is gamma I updated by the pairs (s, y, 1/<s,y>) of ``memory``, oldest first, with
+    gamma = <s,y>/<y,y> of the newest pair, or 1/max(res, 1) without pairs.
+    """
+    np.copyto(q, grad)
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * _dot(s, q)
+        alphas.append(a)
+        q -= np.multiply(y, a, out=scratch)
+    if memory:
+        s, y, _ = memory[-1]
+        q *= _dot(s, y) / _dot(y, y)
+    else:
+        q *= 1.0 / max(res, 1.0)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += np.multiply(s, a - rho * _dot(y, q), out=scratch)
+    return np.negative(q, out=q)
+
+
 def _energy_and_gradient(grid: Grid, values: np.ndarray, f_eps, g_eps):
     (_, r_max, g_sum), grad = _weak_form(grid, values, f_eps, g_eps)
     return grid.cell_volume * g_sum, grad, r_max
@@ -297,7 +321,6 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
     stalled line search is flagged (with its stop_reason), not raised.
     """
     grid = prob.grid
-    mask = prob.interior
     if isinstance(init, str):
         if init not in INIT_MODES:
             raise ValueError(f"unknown init {init!r}")
@@ -307,46 +330,35 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         if start.shape != grid.shape:
             raise ValueError("init array shape mismatch")
     u = prob.boundary.values.copy()
-    u[mask] = start[mask]
+    inner = (slice(1, -1),) * grid.dim
+    unknowns = u[inner]  # the interior nodes as a view; flattened in C order, as u[prob.interior] is
+    unknowns[...] = start[inner]
 
     f_eps = regularized_weight(prob.triple, prob.eps)
     g_eps = regularized_energy_density(prob.triple, prob.eps)
 
     def evaluate(x):
-        u[mask] = x
+        unknowns[...] = x.reshape(unknowns.shape)
         energy, grad_full, cap = _energy_and_gradient(grid, u, f_eps, g_eps)
-        return energy, grad_full[mask], cap
+        return energy, grad_full[inner].ravel(), cap
 
-    x = u[mask].copy()
+    x = unknowns.flatten()  # a copy, also where the view is contiguous (one interior node)
+    q, scratch = np.empty_like(x), np.empty_like(x)
     energy, grad, cap = evaluate(x)
     res = float(np.max(np.abs(grad))) if grad.size else 0.0
     tol = prob.residual_tol if prob.residual_tol is not None else 1e-8 * (1.0 + res)
     history = [energy]
     res_history = [res]
-    memory = deque(maxlen=5)  # curvature pairs (s, y, 1/<s,y>), oldest first
-    iters = 0
-    converged = res <= tol
+    memory = deque(maxlen=3)  # curvature pairs (s, y, 1/<s,y>), oldest first
+    iters, evaluations, restarts = 0, 1, 0  # the start is the first evaluation
     stop_reason = "max_iters"
 
-    while not converged and iters < prob.max_iters:
-        # two-loop recursion
-        q = grad.copy()
-        alphas = []
-        for s, y, rho in reversed(memory):
-            a = rho * _dot(s, q)
-            alphas.append(a)
-            q -= a * y
-        if memory:
-            s, y, _ = memory[-1]
-            q *= _dot(s, y) / _dot(y, y)
-        else:
-            q *= 1.0 / max(res, 1.0)
-        for (s, y, rho), a in zip(memory, reversed(alphas)):
-            q += s * (a - rho * _dot(y, q))
-        d = -q
+    while not res <= tol and iters < prob.max_iters:  # a NaN residual is not converged
+        d = _lbfgs_direction(grad, memory, res, q, scratch)
         gd = _dot(grad, d)
         if gd >= 0:  # stale curvature; restart from steepest descent
             memory.clear()
+            restarts += 1
             d = -grad / max(res, 1.0)
             gd = _dot(grad, d)
 
@@ -358,6 +370,7 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         for _ in range(40):
             x_new = x + alpha * d
             e_new, g_new, cap_new = evaluate(x_new)
+            evaluations += 1
             if e_new <= energy + 1e-4 * alpha * gd + noise:
                 break
             alpha *= 0.5
@@ -374,18 +387,18 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         history.append(energy)
         res_history.append(res)
         iters += 1
-        if res <= tol:
-            converged = True
 
-    u[mask] = x
+    unknowns[...] = x.reshape(unknowns.shape)
     report = SolveReport(
         iterations=iters,
+        evaluations=evaluations,
+        restarts=restarts,
         final_energy=energy,
         weak_residual=res,
         energy_history=history,
         residual_history=res_history,
         gradient_cap_observed=cap,
-        stop_reason="tol" if converged else stop_reason,
+        stop_reason="tol" if res <= tol else stop_reason,
     )
     return ScalarField(grid, u.copy()), report
 

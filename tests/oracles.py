@@ -10,7 +10,9 @@ integrals of growth laws come from scipy's adaptive quadrature (conjugates
 included: the library uses the Fenchel-Young equality, the reference
 integrates the inverse; regularized energy densities included: the library
 looks them up in a cumulative table), and the p-Laplace solver is checked against the
-closed-form gauge fundamental solution.
+closed-form gauge fundamental solution.  The L-BFGS two-loop recursion is
+checked against the dense BFGS inverse-Hessian update, and G_eps against its
+two-branch formula evaluated on every call.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ import scipy.sparse.linalg
 
 from solab.grid import Grid
 from solab.heisenberg import horizontal, horizontal_adjoint
+from solab.orlicz import _LogCumTable
 
 
 def _diff_matrix(m: int, h: float) -> scipy.sparse.csr_matrix:
@@ -188,3 +191,46 @@ def conjugate_reference(g, s: float) -> float:
     val, err = scipy.integrate.quad(inverse, 0.0, s, points=points or None,
                                     epsabs=0.0, epsrel=1e-13, limit=400)
     return val
+
+
+def bfgs_inverse_hessian(pairs, gamma: float, n: int) -> np.ndarray:
+    """Dense BFGS inverse Hessian: gamma I updated by the pairs (s, y), oldest first.
+
+    H <- V^T H V + rho s s^T with V = I - rho y s^T and rho = 1/<s,y>.
+    """
+    h = gamma * np.eye(n)
+    for s, y in pairs:
+        rho = 1.0 / float(s @ y)
+        v = np.eye(n) - rho * np.outer(y, s)
+        h = v.T @ h @ v + rho * np.outer(s, s)
+    return h
+
+
+def two_branch_energy_density(triple, eps: float):
+    """G_eps(t) = B(min(t, T)) plus, where t > T = 1/eps - eps, the quadratic tail, on every call.
+
+    The composition of `operator.regularized_energy_density` with both branches
+    always evaluated; the table laws get their own table of s g(s+eps)/(s+eps).
+    """
+    T = 1.0 / eps - eps
+    g = triple.g
+    m2 = float(g(np.asarray(1.0 / eps)) * eps)
+    if g.closed_G is None:
+        body_at = _LogCumTable(lambda s: s * g(s + eps) / (s + eps))
+        cap = body_at(T)
+    else:
+        g_eps_ref = float(triple.G(eps))
+        h_eps_ref = float(triple.H(eps))
+        cap = (float(triple.G(1.0 / eps)) - g_eps_ref) - eps * (float(triple.H(1.0 / eps)) - h_eps_ref)
+
+        def body_at(core):
+            return (triple.G(core + eps) - g_eps_ref) - eps * (triple.H(core + eps) - h_eps_ref)
+
+    def g_eps(t):
+        t = np.asarray(t, dtype=float)
+        body = body_at(np.minimum(t, T))
+        tail = np.where(t > T, cap + 0.5 * m2 * (t * t - T * T) - body, 0.0)
+        out = body + tail
+        return float(out) if out.ndim == 0 else out
+
+    return g_eps

@@ -380,6 +380,24 @@ def test_solve_bytes_independent_of_blas_threads(tmp_path):
         assert outputs[0] == outputs[1], init
 
 
+def test_solve_report_counters_repeat_across_blas_threads(tmp_path):
+    # every accepted step costs one evaluation at least, and the start costs one more
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = write_cfg(tmp_path, "structure = loglin:alpha=1,beta=1,a=2.718281828\n"
+                               "boundary = poly2:x1=0.5,x1t=0.4,x2=0.2\nresolution = 17\nepsilon = 1e-4\n")
+    counts = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "solab.cli", "solve", "--config", path, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["evaluations"] >= report["iterations"] + 1
+        counts.append((report["iterations"], report["evaluations"], report["restarts"]))
+    assert counts[0] == counts[1]
+
+
 def test_harmonic_init_failure_exits_1(tmp_path):
     # one iteration cannot converge the p=2 solve behind the harmonic start
     path = write_cfg(tmp_path, BASE + "init = harmonic\nmax_iters = 1\n")

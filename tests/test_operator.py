@@ -3,7 +3,7 @@ import pytest
 
 import solab.operator as op
 from conftest import CATALOG_LABELS, triple_for
-from oracles import energy_density_reference, fd_jacobian, prototype_jacobian
+from oracles import energy_density_reference, fd_jacobian, prototype_jacobian, two_branch_energy_density
 
 
 def sample_points(rng, m, d=2, r_lo=1e-2, r_hi=1e2):
@@ -304,6 +304,23 @@ def test_energy_density_table_matches_quadrature(label, eps):
     for t in np.geomspace(1e-10, 2.0 / eps, 13):
         ref = energy_density_reference(tr.g, eps, t)
         assert abs(g_eps(t) - ref) <= 1e-9 * ref, t
+
+
+@pytest.mark.parametrize("label", ["power:p=3", "glued:alpha=1.5,beta=2.5,eps=0.5,k1=1,k2=2",
+                                   "loglin:alpha=1,beta=1,a=2.718281828"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_energy_density_skips_tail_only_below_saturation(label, eps):
+    # below T = 1/eps - eps G_eps evaluates the body alone; any point past T, or NaN, takes both branches
+    tr = triple_for(label)
+    g_eps, ref = op.regularized_energy_density(tr, eps), two_branch_energy_density(tr, eps)
+    T = 1.0 / eps - eps
+    below = np.geomspace(1e-6, T, 40)
+    mixed = np.concatenate([below, [1.5 * T, 2.0 / eps]])
+    for t in (below, below.reshape(4, 10), mixed, np.append(below, np.nan), np.append(mixed, np.nan), np.array([])):
+        np.testing.assert_array_equal(g_eps(t), ref(t))
+    for t in (0.0, 0.5, T, 2.0 / eps, np.nan):
+        out = g_eps(np.asarray(t))
+        assert type(out) is float and (out == ref(t) or np.isnan(out) and np.isnan(ref(t))), t
 
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)

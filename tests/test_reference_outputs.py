@@ -38,13 +38,13 @@ RTOL = 1e-10
 # degenerate flag with the fitted constant at each level
 EXPECTED = {
     "power:p=3": {
-        "energies": [0.7110377707660915, 0.7152054137746882],
-        "ratios": [0.05486885883793076, 0.06984883323094268],
+        "energies": [0.7110377707661324, 0.7152054137740687],
+        "ratios": [0.054868604665992, 0.06985039003904021],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.07344532663303811, 0.1608661473460023]),
-            "caccioppoli_T:gamma=2": (False, [0.1162542034547608, 0.2153703322870253]),
-            "caccioppoli_X:gamma=1": (False, [0.0047211105266737425, 0.002646653201671222]),
-            "caccioppoli_X:gamma=2": (False, [0.003922198960412952, 0.002316182739901877]),
+            "caccioppoli_T:gamma=1": (False, [0.07344539919990457, 0.16086633752401647]),
+            "caccioppoli_T:gamma=2": (False, [0.11625443848288987, 0.21537039830575208]),
+            "caccioppoli_X:gamma=1": (False, [0.004721169324500755, 0.0026467685864314874]),
+            "caccioppoli_X:gamma=2": (False, [0.003922246400377841, 0.0023162784982171847]),
             "horizontal_estimate:gamma=1": (True, None),
             "horizontal_estimate:gamma=2": (True, None),
             "reverse:gamma=1,omega=1": (True, None),
@@ -56,20 +56,20 @@ EXPECTED = {
         },
     },
     "loglin:alpha=1,beta=1,a=2.718281828": {
-        "energies": [1.752552202924255, 1.7589019855325865],
-        "ratios": [0.05915162846509758, 0.06925358593924234],
+        "energies": [1.7525522029243037, 1.7589019855327694],
+        "ratios": [0.059151620940589116, 0.06925404030792706],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.14209438942106184, 0.26126041517942084]),
-            "caccioppoli_T:gamma=2": (False, [0.16129555604741908, 0.355579552661771]),
-            "caccioppoli_X:gamma=1": (False, [0.003776917243109635, 0.002212432164409061]),
-            "caccioppoli_X:gamma=2": (False, [0.0032696130209650003, 0.0019951250634095944]),
-            "horizontal_estimate:gamma=1": (False, [7.80500731465084e-11, 3.5681942966643377e-11]),
+            "caccioppoli_T:gamma=1": (False, [0.14209436206069825, 0.2612595788622527]),
+            "caccioppoli_T:gamma=2": (False, [0.16129536642516942, 0.3555782869003261]),
+            "caccioppoli_X:gamma=1": (False, [0.0037769583247757362, 0.0022124564236398457]),
+            "caccioppoli_X:gamma=2": (False, [0.0032696515757762597, 0.0019951443472539685]),
+            "horizontal_estimate:gamma=1": (False, [7.805087836278496e-11, 3.56823180404095e-11]),
             "horizontal_estimate:gamma=2": (True, None),
-            "reverse:gamma=1,omega=1": (False, [1.7564284955571966e-06, 6.832310636711017e-07]),
-            "reverse:gamma=1,omega=2": (False, [8.753856602620326e-07, 3.406116878269315e-07]),
+            "reverse:gamma=1,omega=1": (False, [1.756436333525814e-06, 6.832733105397185e-07]),
+            "reverse:gamma=1,omega=2": (False, [8.753895684888408e-07, 3.406327410640552e-07]),
             "reverse:gamma=2,omega=1": (True, None),
             "reverse:gamma=2,omega=2": (True, None),
-            "vertical_estimate:gamma=1": (False, [6.140403704589936e-10, 1.2881027212760674e-10]),
+            "vertical_estimate:gamma=1": (False, [6.140420713424526e-10, 1.2881482621479115e-10]),
             "vertical_estimate:gamma=2": (True, None),
         },
     },
