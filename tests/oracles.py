@@ -193,12 +193,13 @@ def conjugate_reference(g, s: float) -> float:
     return val
 
 
-def bfgs_inverse_hessian(pairs, gamma: float, n: int) -> np.ndarray:
-    """Dense BFGS inverse Hessian: gamma I updated by the pairs (s, y), oldest first.
+def bfgs_inverse_hessian(pairs, h0, n: int) -> np.ndarray:
+    """Dense BFGS inverse Hessian: diag(h0) updated by the pairs (s, y), oldest first.
 
+    ``h0`` is a scalar (h0 I) or a vector of n diagonal entries.
     H <- V^T H V + rho s s^T with V = I - rho y s^T and rho = 1/<s,y>.
     """
-    h = gamma * np.eye(n)
+    h = np.diag(np.broadcast_to(np.asarray(h0, dtype=float), (n,)))
     for s, y in pairs:
         rho = 1.0 / float(s @ y)
         v = np.eye(n) - rho * np.outer(y, s)

@@ -380,6 +380,24 @@ def test_solve_bytes_independent_of_blas_threads(tmp_path):
         assert outputs[0] == outputs[1], init
 
 
+def test_warm_estimate_bytes_independent_of_blas_threads(tmp_path):
+    # the 33^3 level starts from the prolonged 17^3 solution, so it runs the diagonal
+    # metric's reductions on vectors long enough for OpenBLAS to split a dot product
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = write_cfg(tmp_path, readme_cli()[1][""] + "refinements = 1\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "solab.cli", "estimate", "--config", path,
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode in (0, 1), done.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("estimate_ratio.csv", "moser_trace.csv", "audit_report.json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][2])["converged"]
+
+
 def test_solve_report_counters_repeat_across_blas_threads(tmp_path):
     # every accepted step costs one evaluation at least, and the start costs one more
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

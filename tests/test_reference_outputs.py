@@ -38,13 +38,13 @@ RTOL = 1e-10
 # degenerate flag with the fitted constant at each level
 EXPECTED = {
     "power:p=3": {
-        "energies": [0.7110377707661324, 0.7152054137740687],
-        "ratios": [0.054868604665992, 0.06985039003904021],
+        "energies": [0.7110377707661324, 0.7152054137745482],
+        "ratios": [0.054868604665992, 0.06984945574602938],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.07344539919990457, 0.16086633752401647]),
-            "caccioppoli_T:gamma=2": (False, [0.11625443848288987, 0.21537039830575208]),
-            "caccioppoli_X:gamma=1": (False, [0.004721169324500755, 0.0026467685864314874]),
-            "caccioppoli_X:gamma=2": (False, [0.003922246400377841, 0.0023162784982171847]),
+            "caccioppoli_T:gamma=1": (False, [0.07344539919990457, 0.16086643099346057]),
+            "caccioppoli_T:gamma=2": (False, [0.11625443848288987, 0.21537099904234858]),
+            "caccioppoli_X:gamma=1": (False, [0.004721169324500755, 0.002646781865512337]),
+            "caccioppoli_X:gamma=2": (False, [0.003922246400377841, 0.002316280099815175]),
             "horizontal_estimate:gamma=1": (True, None),
             "horizontal_estimate:gamma=2": (True, None),
             "reverse:gamma=1,omega=1": (True, None),
@@ -56,20 +56,20 @@ EXPECTED = {
         },
     },
     "loglin:alpha=1,beta=1,a=2.718281828": {
-        "energies": [1.7525522029243037, 1.7589019855327694],
-        "ratios": [0.059151620940589116, 0.06925404030792706],
+        "energies": [1.7525522029243037, 1.7589019855336456],
+        "ratios": [0.059151620940589116, 0.06925403821189856],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.14209436206069825, 0.2612595788622527]),
-            "caccioppoli_T:gamma=2": (False, [0.16129536642516942, 0.3555782869003261]),
-            "caccioppoli_X:gamma=1": (False, [0.0037769583247757362, 0.0022124564236398457]),
-            "caccioppoli_X:gamma=2": (False, [0.0032696515757762597, 0.0019951443472539685]),
-            "horizontal_estimate:gamma=1": (False, [7.805087836278496e-11, 3.56823180404095e-11]),
+            "caccioppoli_T:gamma=1": (False, [0.14209436206069825, 0.2612607387268791]),
+            "caccioppoli_T:gamma=2": (False, [0.16129536642516942, 0.3555801018122892]),
+            "caccioppoli_X:gamma=1": (False, [0.0037769583247757362, 0.0022124399740880924]),
+            "caccioppoli_X:gamma=2": (False, [0.0032696515757762597, 0.001995126482786554]),
+            "horizontal_estimate:gamma=1": (False, [7.805087836278496e-11, 3.5682024477982044e-11]),
             "horizontal_estimate:gamma=2": (True, None),
-            "reverse:gamma=1,omega=1": (False, [1.756436333525814e-06, 6.832733105397185e-07]),
-            "reverse:gamma=1,omega=2": (False, [8.753895684888408e-07, 3.406327410640552e-07]),
+            "reverse:gamma=1,omega=1": (False, [1.756436333525814e-06, 6.832866834950853e-07]),
+            "reverse:gamma=1,omega=2": (False, [8.753895684888408e-07, 3.4063940985851235e-07]),
             "reverse:gamma=2,omega=1": (True, None),
             "reverse:gamma=2,omega=2": (True, None),
-            "vertical_estimate:gamma=1": (False, [6.140420713424526e-10, 1.2881482621479115e-10]),
+            "vertical_estimate:gamma=1": (False, [6.140420713424526e-10, 1.288102207077871e-10]),
             "vertical_estimate:gamma=2": (True, None),
         },
     },

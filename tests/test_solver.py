@@ -264,23 +264,95 @@ def test_energy_evaluation_allocates_no_full_grid_temporaries(label, bound):
     assert peak < bound * u.nbytes, peak / u.nbytes
 
 
-@pytest.mark.parametrize("pairs", [0, 1, 2, 3])
-def test_lbfgs_direction_matches_dense_bfgs(rng, pairs):
-    # the in-place two-loop recursion against the dense inverse-Hessian update of gamma I
+def _two_loop_against_dense_bfgs(rng, pairs, metric):
+    """The in-place two-loop recursion against the dense update of gamma I, or of gamma M."""
     n = 20
     m = rng.normal(size=(n, n))
     hess = m @ m.T / n + np.eye(n)
+    weights = np.ones(n) if metric is None else metric
     steps = [rng.normal(size=n) for _ in range(pairs)]
     memory = deque(((s, hess @ s, 1.0 / float(s @ hess @ s)) for s in steps), maxlen=3)
     grad = 3.0 * rng.normal(size=n)
     res = float(np.max(np.abs(grad)))
-    gamma = float(steps[-1] @ memory[-1][1]) / float(memory[-1][1] @ memory[-1][1]) if pairs else 1.0 / res
-    ref = -bfgs_inverse_hessian([(s, y) for s, y, _ in memory], gamma, n) @ grad
+    y = memory[-1][1] if pairs else None
+    gamma = float(steps[-1] @ y) / float(y @ (weights * y)) if pairs else 1.0 / res
+    ref = -bfgs_inverse_hessian([(s, y) for s, y, _ in memory], gamma * weights, n) @ grad
     before = grad.copy()
     q, scratch = np.empty(n), np.empty(n)
-    d = sv._lbfgs_direction(grad, memory, res, q, scratch)
+    d = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
     assert d is q and np.array_equal(grad, before)
     assert float(np.max(np.abs(d - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 2, 3])
+def test_lbfgs_direction_matches_dense_bfgs(rng, pairs):
+    _two_loop_against_dense_bfgs(rng, pairs, None)
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 2, 3])
+def test_lbfgs_direction_with_diagonal_metric_matches_dense_bfgs(rng, pairs):
+    # a metric spanning six orders of magnitude, like F_eps sums near degenerate points
+    _two_loop_against_dense_bfgs(rng, pairs, np.exp(rng.uniform(-7, 7, size=20)))
+
+
+def test_weight_sums_are_the_cell_sums_at_every_node(rng):
+    # the slab loop adds each node's F_eps over its 8 cells; here against the 8 corner shifts
+    # of the whole-grid cell weights, with a partial slab after the full ones
+    grid = Grid.from_box(1, [(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
+    assert 20 % sv._slab_planes(grid) != 0
+    f_eps = regularized_weight(triple_for("power:p=3"), 1e-4)
+    u = rng.normal(size=grid.shape)
+    sums = np.zeros(grid.shape)
+    sv._weak_form(grid, u, f_eps, weight_sums=sums)
+    cells = f_eps(np.sqrt(np.sum(sv.cell_gradient(grid, u) ** 2, axis=0)))
+    want = np.zeros(grid.shape)
+    for corner in np.ndindex(2, 2, 2):
+        want[tuple(slice(c, c + n) for c, n in zip(corner, cells.shape))] += cells
+    assert np.max(np.abs(sums - want)) <= 1e-12 * np.max(want)
+
+
+def _warm_start(label, residual_tol=None):
+    """A 17^3 problem and the prolonged 9^3 solution of the same data, its array start."""
+    expr = lambda a, b, c: np.sin(2 * a) * b + 0.4 * c  # noqa: E731
+    coarse = make_problem(Grid.from_box(1, [(-1, 1)] * 3, 9), label, expr, residual_tol=residual_tol)
+    sol, rep = sv.solve_dirichlet(coarse)
+    assert rep.converged
+    return make_problem(coarse.grid.refined(), label, expr, residual_tol=residual_tol), refine_values(sol.values)
+
+
+def test_quadratic_law_metric_is_exactly_one(monkeypatch):
+    # F_eps = 1 for p = 2, so every interior node sums 8 ones and the normalized D^-1 is 1
+    prob, start = _warm_start("power:p=2")
+    direction, metrics = sv._lbfgs_direction, []
+
+    def recorded(grad, memory, res, q, scratch, metric=None):
+        metrics.append(metric)
+        return direction(grad, memory, res, q, scratch, metric)
+
+    monkeypatch.setattr(sv, "_lbfgs_direction", recorded)
+    _, rep = sv.solve_dirichlet(prob, init=start)
+    assert rep.converged and len(metrics) == rep.iterations
+    assert metrics[0].shape == (int(prob.interior.sum()),) and np.all(metrics[0] == 1.0)
+    assert all(metric is metrics[0] for metric in metrics)
+
+
+def test_zero_interior_array_start_is_the_zero_start(rng, grid9):
+    # D from a zero interior weighs every interior node by F_eps(0), so such a start keeps gamma I
+    prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c)
+    start = rng.normal(size=grid9.shape)
+    start[prob.interior] = 0.0
+    sol_zero, rep_zero = sv.solve_dirichlet(prob, init="zero")
+    sol_array, rep_array = sv.solve_dirichlet(prob, init=start)
+    assert rep_array == rep_zero and np.array_equal(sol_array.values, sol_zero.values)
+
+
+def test_warm_metric_solve_matches_cold_solve():
+    prob, start = _warm_start("power:p=4", residual_tol=1e-11)
+    cold, rep_cold = sv.solve_dirichlet(prob)
+    warm, rep_warm = sv.solve_dirichlet(prob, init=start)
+    assert rep_cold.converged and rep_warm.converged
+    assert rep_warm.iterations < rep_cold.iterations
+    assert np.max(np.abs(warm.values - cold.values)) <= 1e-8
 
 
 def test_solve_report_counts_evaluations(monkeypatch, grid9):
