@@ -282,13 +282,12 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 
 
 def _solve_level(cfg: ExperimentConfig, triple: OrliczTriple, grid: Grid, warm=None):
-    """Solve the configured problem on ``grid``, from the prolonged ``warm`` solution if given."""
+    """Solve the configured problem on ``grid``, from the prolonged ``warm`` solution or the nested start."""
     prob = sv.DirichletProblem(grid=grid, triple=triple,
                                boundary=boundary_field(cfg.boundary, grid),
                                eps=cfg.epsilon, residual_tol=cfg.residual_tol,
                                max_iters=cfg.max_iters)
-    init = cfg.init if warm is None else refine_values(warm.values)
-    return sv.solve_dirichlet(prob, init=init)
+    return sv.solve_dirichlet(prob, init=None if warm is None else refine_values(warm.values))
 
 
 def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
@@ -311,6 +310,8 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
         "stop_reason": report.stop_reason,
         "energy_history_head": report.energy_history[:16],
         "energy_history_tail": report.energy_history[-16:],
+        # only a nested start has coarser solves to list; zero-start reports keep their keys
+        **({"start_levels": report.start_levels} if report.start_levels else {}),
     })
     return EXIT_PASS if report.converged else EXIT_NONCONV
 
@@ -458,9 +459,6 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownLabelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except sv.NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONV
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields
 from .grid import GaugeBall, Grid, ball_node_mask
 from .orlicz import UnknownLabelError, catalog_structure_function
 from .problems import boundary_field
-from .solver import INIT_MODES
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config"]
 
@@ -48,7 +47,7 @@ def _is_list(v, item) -> bool:
 
 # (keys, test, what the value must be); bool is not counted as a number
 _VALUE_KINDS = [
-    (("structure", "boundary", "init", "out"), lambda v: isinstance(v, str), "a string"),
+    (("structure", "boundary", "out"), lambda v: isinstance(v, str), "a string"),
     (("n", "refinements", "max_iters", "seed"), _is_int, "an integer"),
     (("epsilon", "sigma", "radius", "eta_inner", "eta_outer"), _is_real, "a finite real number"),
     (("gammas", "omegas", "center"), lambda v: _is_list(v, _is_real), "a list of finite real numbers"),
@@ -77,7 +76,6 @@ class ExperimentConfig:
     seed: int = 1234
     residual_tol: float | None = None
     max_iters: int = 100_000
-    init: str = "zero"
     out: str = "."
 
     def validate(self) -> "ExperimentConfig":
@@ -114,8 +112,6 @@ class ExperimentConfig:
             raise ConfigError("gammas must be a nonempty list of distinct nonnegative numbers")
         if not self.omegas or min(self.omegas) < 1 or len(set(self.omegas)) < len(self.omegas):
             raise ConfigError("omegas must be a nonempty list of distinct numbers >= 1")
-        if self.init not in INIT_MODES:
-            raise ConfigError(f"init must be one of {', '.join(INIT_MODES)}")
         grid = Grid.from_box(self.n, self.box, self.resolutions())
         for key in ("radius", "eta_outer"):
             if not GaugeBall.at(self.center, getattr(self, key)).fits_inside(grid):

@@ -20,22 +20,24 @@ A_eps(z) = F_eps(|z|) z, so the stopping test and the weak-solution contract
 coincide.  That A_eps is `operator.regularized_operator`, the map
 `operator-check` certifies.  `_weak_form` is the one assembly of
 vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual` and the barrier
-study differ only in the radial weight w.  The harmonic start is the solve of
-the same problem with g(t) = t (p = 2), so the minimizer is the one L-BFGS loop.
+study differ only in the radial weight w.  A solve without a start array
+is a nested iteration (Hackbusch, Multi-Grid Methods and Applications, 1985,
+ch. 5): with an even cell count of at least 32 on every axis it starts from
+the prolonged solve on the grid with half the cells, else from zero.
 
-The initial inverse Hessian H_0 depends on the start.  A zero or harmonic
-start keeps gamma I.  A start from an array with a nonzero interior (the
-audit ladder's prolonged coarser solution) fixes one diagonal metric for the
-whole solve: D_i, the sum of F_eps(|Xu|) over the cells of node i, is added
-up in the slab loop of the start's evaluation, and H_0 = gamma D^-1, with
-D^-1 scaled to mean 1 and gamma = <s,y>/<y, D^-1 y> (diagonally scaled
-L-BFGS, Gilbert-Lemarechal, Math. Prog. 45, 1989).  The weight F(|Xu|)
-vanishes (p > 2) or blows up (p < 2) where Xu -> 0, so the energy Hessian's
-diagonal spans orders of magnitude, and D follows it.  For p = 2, F_eps = 1
-and D^-1 is exactly 1.  A zero start must not build D: Xu = 0 on every inner
-cell there, so D would weigh the inner nodes by F_eps(0) and only the
-boundary layer by the data (the README data at 17^3, p = 3, took 19,012
-iterations with that metric, against 109 with gamma I).
+The initial inverse Hessian H_0 depends on the start.  A zero start keeps
+gamma I.  A start with a nonzero interior (a prolonged coarser solution)
+fixes one diagonal metric for the whole solve: D_i, the sum of F_eps(|Xu|)
+over the cells of node i, is added up in the slab loop of the start's
+evaluation, and H_0 = gamma D^-1, with D^-1 scaled to mean 1 and
+gamma = <s,y>/<y, D^-1 y> (diagonally scaled L-BFGS, Gilbert-Lemarechal,
+Math. Prog. 45, 1989).  The weight F(|Xu|) vanishes (p > 2) or blows up
+(p < 2) where Xu -> 0, so the energy Hessian's diagonal spans orders of magnitude,
+and D follows it.  For p = 2, F_eps = 1 and D^-1 is exactly 1.  A zero start
+must not build D: Xu = 0 on every inner cell there, so D would weigh the
+inner nodes by F_eps(0) and only the boundary layer by the data (the README
+data at 17^3, p = 3, took 19,012 iterations with that metric, against 109
+with gamma I).
 
 `_weak_form` runs in slabs of consecutive cell planes along x_1, sized so that
 one scalar cell field of a slab takes `_SLAB_BYTES`: each slab forms Xu, |Xu|,
@@ -66,13 +68,12 @@ import numpy as np
 from .grid import Grid, ScalarField, refine_values
 from .heisenberg import horizontal, horizontal_adjoint
 from .operator import prototype_operator, regularized_energy_density, regularized_weight
-from .orlicz import OrliczTriple, catalog_structure_function
+from .orlicz import OrliczTriple
 
 __all__ = [
     "DirichletProblem",
     "SolveReport",
     "NonConvergenceError",
-    "INIT_MODES",
     "cell_gradient",
     "cell_gradient_adjoint",
     "discrete_energy",
@@ -84,10 +85,7 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """A failed harmonic start; also raised by callers that insist on a converged solve."""
-
-
-INIT_MODES = ("zero", "harmonic")
+    """Raised by callers that insist on a converged solve."""
 
 
 # --------------------------------------------------------------------------
@@ -218,6 +216,7 @@ class SolveReport:
     residual_history: list[float] = field(default_factory=list)
     gradient_cap_observed: float = 0.0
     stop_reason: str = "tol"
+    start_levels: list[dict] = field(default_factory=list)  # coarser solves of a nested start, coarsest first
 
     @property
     def converged(self) -> bool:
@@ -332,34 +331,36 @@ def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
     return float(np.max(np.abs(res[prob.interior])))
 
 
-def _harmonic_init(prob: DirichletProblem) -> np.ndarray:
-    """Quadratic-energy extension of the boundary data: the p=2 solve of the same problem.
+def _nested_start(prob: DirichletProblem) -> tuple[np.ndarray, list[dict]]:
+    """The nested start and the records of its coarser solves; one that does not converge is not raised.
 
-    For p = 2, F_eps is 1 and G_eps(r) = r^2/2, so this minimizes (1/2) sum_cells |Xu|^2 vol.
-    """
-    quadratic = OrliczTriple(catalog_structure_function("power:p=2"))
-    sol, rep = solve_dirichlet(replace(prob, triple=quadratic))
-    if not rep.converged:
-        raise NonConvergenceError(f"the p=2 solve for the harmonic start stopped: {rep.stop_reason}")
-    return sol.values
-
-
-def solve_dirichlet(prob: DirichletProblem, init="zero"):
-    """Minimize the regularized energy over the interior values.
-
-    ``init`` is 'zero' (zero interior), 'harmonic' (quadratic-energy
-    extension) or a full array whose interior values are the start; an array
-    with a nonzero interior also fixes the diagonal L-BFGS metric.  Returns
-    the solution field and a SolveReport; an exhausted iteration budget or a
-    stalled line search is flagged (with its stop_reason), not raised.
+    The coarse grid has half the cells per axis and the fine boundary data at every other node.
     """
     grid = prob.grid
-    if isinstance(init, str):
-        if init not in INIT_MODES:
-            raise ValueError(f"unknown init {init!r}")
-        start = _harmonic_init(prob) if init == "harmonic" else np.zeros(grid.shape)
+    if any((s - 1) % 2 or s - 1 < 32 for s in grid.shape):
+        return np.zeros(grid.shape), []
+    coarse = Grid(grid.n, tuple((s + 1) // 2 for s in grid.shape), grid.lo, grid.hi)
+    boundary = ScalarField(coarse, prob.boundary.values[(slice(None, None, 2),) * grid.dim])
+    sol, rep = solve_dirichlet(replace(prob, grid=coarse, boundary=boundary), init=None)
+    level = {"shape": list(coarse.shape), "iterations": rep.iterations,
+             "evaluations": rep.evaluations, "stop_reason": rep.stop_reason}
+    return refine_values(sol.values), rep.start_levels + [level]
+
+
+def solve_dirichlet(prob: DirichletProblem, init=None):
+    """Minimize the regularized energy over the interior values.
+
+    ``init`` is a full array whose interior values are the start, or None for
+    the nested start (`_nested_start`); a start with a nonzero interior also
+    fixes the diagonal L-BFGS metric.  Returns the solution field and a
+    SolveReport; an exhausted iteration budget or a stalled line search is
+    flagged (with its stop_reason), not raised.
+    """
+    grid = prob.grid
+    if init is None:
+        start, start_levels = _nested_start(prob)
     else:
-        start = np.asarray(init, dtype=float)
+        start, start_levels = np.asarray(init, dtype=float), []
         if start.shape != grid.shape:
             raise ValueError("init array shape mismatch")
     u = prob.boundary.values.copy()
@@ -377,11 +378,11 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
 
     x = unknowns.flatten()  # a copy, also where the view is contiguous (one interior node)
     q, scratch = np.empty_like(x), np.empty_like(x)
-    # a nonzero array start (a prolonged coarser solution) fixes the diagonal metric;
+    # a nonzero start (a prolonged coarser solution) fixes the diagonal metric;
     # a zero interior would make F_eps(0) the weight of every interior node.  The
     # metric is allocated with the other vectors, before the start's temporaries:
     # allocated after them it raised the audit's peak RSS by 3 MB
-    warm = not isinstance(init, str) and bool(np.any(x))
+    warm = bool(np.any(x))
     metric = np.empty_like(x) if warm else None
     weight_sums = np.zeros(grid.shape) if warm else None
     energy, grad, cap = evaluate(x, weight_sums)
@@ -443,12 +444,13 @@ def solve_dirichlet(prob: DirichletProblem, init="zero"):
         residual_history=res_history,
         gradient_cap_observed=cap,
         stop_reason="tol" if res <= tol else stop_reason,
+        start_levels=start_levels,
     )
     return ScalarField(grid, u.copy()), report
 
 
 def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem) -> float:
-    """Solve both problems from a zero start and return min over the interior of (u - v).
+    """Solve both problems (nested start) and return min over the interior of (u - v).
 
     Precondition: shared grid/operator and boundary data ordered u0 >= v0
     nodewise on the mask complement.

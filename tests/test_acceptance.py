@@ -54,7 +54,7 @@ def solution_chains():
             grid = Grid.from_box(1, [(-1, 1)] * 3, res)
             prob = sv.DirichletProblem(grid=grid, triple=tr,
                                        boundary=oscillatory_data(grid))
-            init = "zero" if warm is None else refine_values(warm.values)
+            init = None if warm is None else refine_values(warm.values)
             sol, rep = sv.solve_dirichlet(prob, init=init)
             assert rep.converged, f"{label} at {res}^3 did not converge"
             warm = sol
@@ -169,8 +169,9 @@ def test_criterion_4_solver_exactness():
     prob3 = sv.DirichletProblem(grid=grid11, triple=triple_for("power:p=3"),
                                 boundary=field_from(grid11, lambda a, b, c: a * b + 0.2 * c),
                                 residual_tol=1e-11)
-    sa, ra = sv.solve_dirichlet(prob3, init="zero")
-    sb, rb = sv.solve_dirichlet(prob3, init="harmonic")
+    start = np.random.default_rng(4).uniform(-1.0, 1.0, size=grid11.shape)
+    sa, ra = sv.solve_dirichlet(prob3, init=None)
+    sb, rb = sv.solve_dirichlet(prob3, init=start)
     ok &= ra.converged and rb.converged
     ok &= float(np.max(np.abs(sa.values - sb.values))) <= 1e-8
     assert report(4, ok, "affine data reproduced (residual <= 1e-10, node error <= 1e-9) for "

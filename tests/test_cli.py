@@ -95,7 +95,8 @@ def test_config_validation_errors(tmp_path):
         load_config(str(tmp_path / "missing.txt"))
     empty_inner = "center = [0.1, 0.1, 0.05]\nsigma = 0.01\nradius = 0.5\neta_outer = 0.45"
     for i, extra in enumerate(("gammas = [-1]", "omegas = [0.5]", "radius = 1.5", "eta_outer = 1.5",
-                               "init = foo", "init = boundary", empty_inner)):
+                               "init = foo", "init = boundary", "init = zero", "init = harmonic",
+                               empty_inner)):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, BASE + extra + "\n", f"audit{i}.txt"))
     # an audit with no gamma or no omega audits nothing; it used to pass with "all_pass": true
@@ -364,20 +365,20 @@ def test_operator_check_passes_catalog(tmp_path, label, n):
 def test_solve_bytes_independent_of_blas_threads(tmp_path):
     # at 33^3 the L-BFGS vectors are long enough for OpenBLAS to split a dot product over
     # threads, which reorders its sum; the solver's reductions, including those of the
-    # p=2 solve behind the harmonic start, must not go through BLAS
+    # 17^3 solve behind the nested start, must not go through BLAS
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    for init in ("zero", "harmonic"):
-        path = write_cfg(tmp_path, "structure = power:p=3\nboundary = poly2:x1=0.5,x1t=0.4,x2=0.2\n"
-                                   f"resolution = 33\nepsilon = 1e-4\ninit = {init}\n", f"{init}.txt")
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{init}{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            done = subprocess.run([sys.executable, "-m", "solab.cli", "solve", "--config", path,
-                                   "--out", str(out)], env=env, capture_output=True, text=True)
-            assert done.returncode == 0, done.stderr
-            outputs.append([(out / name).read_bytes() for name in ("solution.bin", "solve_report.json")])
-        assert outputs[0] == outputs[1], init
+    path = write_cfg(tmp_path, "structure = power:p=3\nboundary = poly2:x1=0.5,x1t=0.4,x2=0.2\n"
+                               "resolution = 33\nepsilon = 1e-4\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "solab.cli", "solve", "--config", path,
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in ("solution.bin", "solve_report.json")])
+    assert outputs[0] == outputs[1]
+    assert [level["shape"] for level in json.loads(outputs[0][1])["start_levels"]] == [[17, 17, 17]]
 
 
 def test_warm_estimate_bytes_independent_of_blas_threads(tmp_path):
@@ -416,12 +417,17 @@ def test_solve_report_counters_repeat_across_blas_threads(tmp_path):
     assert counts[0] == counts[1]
 
 
-def test_harmonic_init_failure_exits_1(tmp_path):
-    # one iteration cannot converge the p=2 solve behind the harmonic start
-    path = write_cfg(tmp_path, BASE + "init = harmonic\nmax_iters = 1\n")
-    out = tmp_path / "h"
+def test_nested_start_failure_is_recorded(tmp_path):
+    # one iteration converges neither the 17^3 solve behind the nested start nor the 33^3 solve;
+    # the coarse level's stop reason is reported, not raised
+    path = write_cfg(tmp_path, BASE + "resolution = 33\nmax_iters = 1\n")
+    out = tmp_path / "nested"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 1
-    assert not (out / "solve_report.json").exists()  # raised before the main solve
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["stop_reason"] == "max_iters" and not report["converged"]
+    assert report["start_levels"] == [{"shape": [17, 17, 17], "iterations": 1,
+                                       "evaluations": report["start_levels"][0]["evaluations"],
+                                       "stop_reason": "max_iters"}]
 
 
 def test_solve_affine_family_is_exact(tmp_path):

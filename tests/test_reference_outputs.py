@@ -86,7 +86,7 @@ def audit_run(request, tmp_path_factory):
     reports, calls = [], {"table_builds": 0, "H": 0}
     solve, build, big_h = sv.solve_dirichlet, oz._LogCumTable.__init__, oz.OrliczTriple.H
 
-    def capture(prob, init="zero"):
+    def capture(prob, init=None):
         sol, rep = solve(prob, init=init)
         reports.append(rep)
         return sol, rep

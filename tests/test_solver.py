@@ -161,11 +161,12 @@ def test_energy_history_monotone_to_roundoff(grid11):
     assert np.all(np.diff(h) <= 8 * np.finfo(float).eps * (np.abs(h[:-1]) + 1.0))
 
 
-def test_initializations_agree(grid11):
+def test_initializations_agree(rng, grid11):
     prob = make_problem(grid11, "power:p=3", lambda a, b, c: a * b + 0.2 * c,
                         residual_tol=1e-11)
-    s1, r1 = sv.solve_dirichlet(prob, init="zero")
-    s2, r2 = sv.solve_dirichlet(prob, init="harmonic")
+    start = rng.uniform(-1.0, 1.0, size=grid11.shape)
+    s1, r1 = sv.solve_dirichlet(prob, init=None)
+    s2, r2 = sv.solve_dirichlet(prob, init=start)
     assert r1.converged and r2.converged
     assert np.max(np.abs(s1.values - s2.values)) <= 1e-8
 
@@ -341,9 +342,39 @@ def test_zero_interior_array_start_is_the_zero_start(rng, grid9):
     prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c)
     start = rng.normal(size=grid9.shape)
     start[prob.interior] = 0.0
-    sol_zero, rep_zero = sv.solve_dirichlet(prob, init="zero")
+    sol_zero, rep_zero = sv.solve_dirichlet(prob, init=None)
     sol_array, rep_array = sv.solve_dirichlet(prob, init=start)
     assert rep_array == rep_zero and np.array_equal(sol_array.values, sol_zero.values)
+
+
+def _readme_problem(shape, label="power:p=3"):
+    grid = Grid.from_box(1, [(-1, 1)] * 3, shape)
+    return sv.DirichletProblem(grid=grid, triple=triple_for(label),
+                               boundary=boundary_field("poly2:x1=0.5,x1t=0.4,x2=0.2", grid))
+
+
+def test_cold_solve_is_the_nested_ladder():
+    # 32 cells per axis: the cold 33^3 solve starts from the prolonged cold 17^3 solve, whose
+    # boundary is the 33^3 data at every other node, the same values the 17^3 grid samples
+    prob17, prob33 = _readme_problem(17), _readme_problem(33)
+    sol17, rep17 = sv.solve_dirichlet(prob17, init=None)
+    ladder, rep_ladder = sv.solve_dirichlet(prob33, init=refine_values(sol17.values))
+    cold, rep_cold = sv.solve_dirichlet(prob33, init=None)
+    assert rep17.converged and rep17.start_levels == [] and rep_ladder.start_levels == []
+    assert np.array_equal(cold.values, ladder.values)
+    assert rep_cold.final_energy == rep_ladder.final_energy
+    assert rep_cold.iterations == rep_ladder.iterations and rep_cold.converged
+    assert rep_cold.start_levels == [{"shape": [17, 17, 17], "iterations": rep17.iterations,
+                                      "evaluations": rep17.evaluations, "stop_reason": "tol"}]
+
+
+def test_short_axis_starts_from_zero():
+    # 20 cells along x_1 are fewer than 32, so the grid is not halved and the start is zero
+    prob = _readme_problem([21, 33, 33])
+    cold, rep_cold = sv.solve_dirichlet(prob, init=None)
+    zero, rep_zero = sv.solve_dirichlet(prob, init=np.zeros(prob.grid.shape))
+    assert rep_cold.start_levels == [] and rep_cold == rep_zero
+    assert np.array_equal(cold.values, zero.values)
 
 
 def test_warm_metric_solve_matches_cold_solve():
@@ -402,7 +433,7 @@ def test_error_against_gauge_fundamental_solution(p):
         exact = gauge_fundamental_solution(p, grid.coord(0), grid.coord(1), grid.coord(2))
         prob = sv.DirichletProblem(grid=grid, triple=triple_for(f"power:p={p:g}"),
                                    boundary=ScalarField(grid, exact * np.ones(grid.shape)), eps=1e-6)
-        sol, rep = sv.solve_dirichlet(prob, init="zero" if warm is None else refine_values(warm.values))
+        sol, rep = sv.solve_dirichlet(prob, init=None if warm is None else refine_values(warm.values))
         assert rep.converged
         warm = sol
         diff = (sol.values - exact)[prob.interior]
