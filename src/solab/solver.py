@@ -23,27 +23,25 @@ vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual` and the barrier
 study differ only in the radial weight w.  A solve without a start array
 is a nested iteration (Hackbusch, Multi-Grid Methods and Applications, 1985,
 ch. 5): with an even cell count of at least 32 on every axis it starts from
-the prolonged solve on the grid with half the cells, else from zero.
+the prolonged solve on the grid with half the cells, else from the problem's
+own boundary field, interior values included.
 
-The initial inverse Hessian H_0 depends on the start.  A zero start keeps
-gamma I.  A start with a nonzero interior (a prolonged coarser solution)
-fixes one diagonal metric for the whole solve: D_i, the sum of F_eps(|Xu|)
-over the cells of node i, is added up in the slab loop of the start's
-evaluation, and H_0 = gamma D^-1, with D^-1 scaled to mean 1 and
+The start fixes one diagonal metric for the whole solve: D_i, the sum of
+F_eps(|Xu|) over the cells of node i, is added up in the slab loop of the
+start's evaluation, and H_0 = gamma D^-1, with D^-1 scaled to mean 1 and
 gamma = <s,y>/<y, D^-1 y> (diagonally scaled L-BFGS, Gilbert-Lemarechal,
-Math. Prog. 45, 1989).  The weight F(|Xu|) vanishes (p > 2) or blows up
+Math. Prog. 45, 1989); without pairs, at the first step and at a restart,
+gamma is 1/max(res, 1).  The weight F(|Xu|) vanishes (p > 2) or blows up
 (p < 2) where Xu -> 0, so the energy Hessian's diagonal spans orders of magnitude,
-and D follows it.  For p = 2, F_eps = 1 and D^-1 is exactly 1.  A zero start
-must not build D: Xu = 0 on every inner cell there, so D would weigh the
-inner nodes by F_eps(0) and only the boundary layer by the data (the README
-data at 17^3, p = 3, took 19,012 iterations with that metric, against 109
-with gamma I).
+and D follows it.  For p = 2, F_eps = 1 and D^-1 is exactly 1.  A start
+whose interior has Xu = 0 weighs its inner nodes by F_eps(0) alone, so a
+start must carry the scale of the data, as the boundary field does.
 
 `_weak_form` runs in slabs of consecutive cell planes along x_1, sized so that
 one scalar cell field of a slab takes `_SLAB_BYTES`: each slab forms Xu, |Xu|,
 the weight and the energy density from its own node planes and adds its part
 into the one nodal output, the only full-grid array an evaluation allocates
-(the start of a warm solve adds D's node sums into a second one).
+(the start's evaluation adds D's node sums into a second one).
 Slab temporaries stay in the allocator's free lists, where full-grid ones were
 unmapped and page-faulted back in on every evaluation.
 
@@ -182,7 +180,11 @@ class DirichletProblem:
     """Dirichlet data for div_H A_eps(Xu) = 0 on the interior nodes of the grid.
 
     ``boundary`` is a full-grid field whose values on the boundary nodes are
-    the Dirichlet data; its interior values are ignored.
+    the Dirichlet data; its interior values are the cold start.  Precondition:
+    they carry the data's scale, as those of `problems.boundary_field` do.  The
+    start fixes the L-BFGS metric, and an interior with Xu = 0 weighs every
+    inner node by F_eps(0): from a zero interior the README data at 9^3, p = 3,
+    take 4,155 iterations against 57 from the boundary field.
     """
 
     grid: Grid
@@ -277,13 +279,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarray,
-                     metric: np.ndarray | None = None) -> np.ndarray:
+                     metric: np.ndarray) -> np.ndarray:
     """-H grad by the L-BFGS two-loop recursion, written into ``q``; ``scratch`` is work space.
 
     H is H_0 updated by the pairs (s, y, 1/<s,y>) of ``memory``, oldest first.  H_0 is
-    gamma I with gamma = <s,y>/<y,y> of the newest pair, or, given a diagonal
-    ``metric`` M, gamma M with gamma = <s,y>/<y,My> (<s,y> read off the stored
-    1/<s,y>); without pairs gamma is 1/max(res, 1).
+    gamma M for the diagonal ``metric`` M, with gamma = <s,y>/<y,My> of the newest pair
+    (<s,y> read off the stored 1/<s,y>); without pairs gamma is 1/max(res, 1).
     """
     np.copyto(q, grad)
     alphas = []
@@ -291,13 +292,9 @@ def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarra
         a = rho * _dot(s, q)
         alphas.append(a)
         q -= np.multiply(y, a, out=scratch)
-    if metric is not None:
-        q *= metric
+    q *= metric
     if not memory:
         q *= 1.0 / max(res, 1.0)
-    elif metric is None:
-        s, y, _ = memory[-1]
-        q *= _dot(s, y) / _dot(y, y)
     else:
         _, y, rho = memory[-1]
         q *= 1.0 / (rho * float(np.einsum("i,i,i", y, metric, y)))  # one pass, outside BLAS
@@ -338,7 +335,7 @@ def _nested_start(prob: DirichletProblem) -> tuple[np.ndarray, list[dict]]:
     """
     grid = prob.grid
     if any((s - 1) % 2 or s - 1 < 32 for s in grid.shape):
-        return np.zeros(grid.shape), []
+        return prob.boundary.values, []
     coarse = Grid(grid.n, tuple((s + 1) // 2 for s in grid.shape), grid.lo, grid.hi)
     boundary = ScalarField(coarse, prob.boundary.values[(slice(None, None, 2),) * grid.dim])
     sol, rep = solve_dirichlet(replace(prob, grid=coarse, boundary=boundary), init=None)
@@ -351,10 +348,11 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     """Minimize the regularized energy over the interior values.
 
     ``init`` is a full array whose interior values are the start, or None for
-    the nested start (`_nested_start`); a start with a nonzero interior also
-    fixes the diagonal L-BFGS metric.  Returns the solution field and a
-    SolveReport; an exhausted iteration budget or a stalled line search is
-    flagged (with its stop_reason), not raised.
+    the nested start (`_nested_start`).  The start also fixes the diagonal
+    L-BFGS metric, so a start must carry the data's scale (see
+    `DirichletProblem`).  Returns the
+    solution field and a SolveReport; an exhausted iteration budget or a
+    stalled line search is flagged (with its stop_reason), not raised.
     """
     grid = prob.grid
     if init is None:
@@ -377,18 +375,13 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         return energy, grad_full[inner].ravel(), cap
 
     x = unknowns.flatten()  # a copy, also where the view is contiguous (one interior node)
-    q, scratch = np.empty_like(x), np.empty_like(x)
-    # a nonzero start (a prolonged coarser solution) fixes the diagonal metric;
-    # a zero interior would make F_eps(0) the weight of every interior node.  The
-    # metric is allocated with the other vectors, before the start's temporaries:
-    # allocated after them it raised the audit's peak RSS by 3 MB
-    warm = bool(np.any(x))
-    metric = np.empty_like(x) if warm else None
-    weight_sums = np.zeros(grid.shape) if warm else None
+    # the metric is allocated with the other vectors, before the start's
+    # temporaries: allocated after them it raised the audit's peak RSS by 3 MB
+    q, scratch, metric = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    weight_sums = np.zeros(grid.shape)
     energy, grad, cap = evaluate(x, weight_sums)
-    if warm:  # D^-1 scaled to mean 1
-        np.reciprocal(weight_sums[inner], out=metric.reshape(unknowns.shape))
-        metric /= np.mean(metric)
+    np.reciprocal(weight_sums[inner], out=metric.reshape(unknowns.shape))  # D^-1 scaled to mean 1
+    metric /= np.mean(metric)
     del weight_sums
     res = float(np.max(np.abs(grad))) if grad.size else 0.0
     tol = prob.residual_tol if prob.residual_tol is not None else 1e-8 * (1.0 + res)
@@ -401,10 +394,10 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     while not res <= tol and iters < prob.max_iters:  # a NaN residual is not converged
         d = _lbfgs_direction(grad, memory, res, q, scratch, metric)
         gd = _dot(grad, d)
-        if gd >= 0:  # stale curvature; restart from steepest descent
+        if gd >= 0:  # stale curvature; restart from the scaled steepest descent
             memory.clear()
             restarts += 1
-            d = -grad / max(res, 1.0)
+            d = _lbfgs_direction(grad, memory, res, q, scratch, metric)
             gd = _dot(grad, d)
 
         alpha = 1.0

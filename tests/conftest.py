@@ -48,3 +48,17 @@ def field_from(grid: Grid, expr) -> ScalarField:
     """Sample an expression of (x1, x2, t) on the grid."""
     x1, x2, t = grid.coord(0), grid.coord(1), grid.coord(2)
     return ScalarField(grid, expr(x1, x2, t) * np.ones(grid.shape))
+
+
+def bumped_start(field: ScalarField, height: float = 0.1) -> np.ndarray:
+    """``field`` plus a smooth bump that vanishes on the box boundary.
+
+    A cold solve starts from the boundary field, so data that already solves the problem
+    would take no iteration; this start is off the solution and keeps the data's scale.
+    """
+    grid = field.grid
+    bump = np.ones(grid.shape)
+    for axis, (lo, hi) in enumerate(zip(grid.lo, grid.hi)):
+        x = grid.coord(axis)
+        bump = bump * (4.0 * (x - lo) * (hi - x) / (hi - lo) ** 2)
+    return field.values + height * bump

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import solab.cli as cli
+import solab.solver as sv
 import solab.verify as vf
-from conftest import CATALOG_LABELS
+from conftest import CATALOG_LABELS, bumped_start
 from solab.config import ConfigError, load_config
 from solab.grid import Grid, load_field_binary
 from solab.orlicz import catalog_structure_function
@@ -274,6 +275,17 @@ def test_zero_data_singular_weight_audits_with_f_eps(tmp_path):
     assert report["audits"] and all(row["weight"] == "F_eps" for row in report["audits"])
 
 
+def test_constant_data_estimate_is_exact(tmp_path):
+    # the cold start is the boundary field, here the exact solution u = 1, so Xu = 0 on both
+    # levels and the sup-bound ratio is 0 <= c * 0, not algebraic error outside the 25% band
+    text = readme_cli()[1][""] + "boundary = affine:c0=1\nresolution = 9\nrefinements = 1\n"
+    out = tmp_path / "estimate"
+    assert cli.main(["estimate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    report = json.loads((out / "audit_report.json").read_text())
+    assert [row["ratio"] for row in report["lipschitz_ratios"]] == [0.0, 0.0]
+    assert report["lipschitz_stable_25pct"] and report["all_pass"]
+
+
 def test_audit_computes_fields_once_per_level(tmp_path, monkeypatch):
     calls = {"solution_fields": 0, "horizontal_gradient": 0}
     for name in calls:
@@ -430,14 +442,18 @@ def test_nested_start_failure_is_recorded(tmp_path):
                                        "stop_reason": "max_iters"}]
 
 
-def test_solve_affine_family_is_exact(tmp_path):
+def test_solve_affine_family_is_exact(tmp_path, monkeypatch):
+    # the boundary field is the exact solution, so the cold solve gets a bumped start to work from
+    solve = sv.solve_dirichlet
+    monkeypatch.setattr(sv, "solve_dirichlet", lambda prob, init=None: solve(
+        prob, init=bumped_start(prob.boundary) if init is None else init))
     path = write_cfg(tmp_path, BASE.replace("boundary = poly2:x1=0.5,x1t=0.3",
                                             "boundary = affine:x1=0.7,x2=-0.2,c0=0.1")
                      + "residual_tol = 1e-12\n")
     out = tmp_path / "affine"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "solve_report.json").read_text())
-    assert report["weak_residual"] <= 1e-10
+    assert report["iterations"] > 0 and report["weak_residual"] <= 1e-10
 
 
 def test_worker_count_env(monkeypatch):

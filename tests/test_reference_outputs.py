@@ -38,13 +38,13 @@ RTOL = 1e-10
 # degenerate flag with the fitted constant at each level
 EXPECTED = {
     "power:p=3": {
-        "energies": [0.7110377707661324, 0.7152054137745482],
-        "ratios": [0.054868604665992, 0.06984945574602938],
+        "energies": [0.7110377707660667, 0.7152054137745477],
+        "ratios": [0.05486862994346956, 0.06984945815843047],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.07344539919990457, 0.16086643099346057]),
-            "caccioppoli_T:gamma=2": (False, [0.11625443848288987, 0.21537099904234858]),
-            "caccioppoli_X:gamma=1": (False, [0.004721169324500755, 0.002646781865512337]),
-            "caccioppoli_X:gamma=2": (False, [0.003922246400377841, 0.002316280099815175]),
+            "caccioppoli_T:gamma=1": (False, [0.07344519700327615, 0.16086643090488603]),
+            "caccioppoli_T:gamma=2": (False, [0.11625409195137718, 0.21537099903038923]),
+            "caccioppoli_X:gamma=1": (False, [0.004721205817555035, 0.0026467818909819527]),
+            "caccioppoli_X:gamma=2": (False, [0.003922277685687674, 0.002316280125398377]),
             "horizontal_estimate:gamma=1": (True, None),
             "horizontal_estimate:gamma=2": (True, None),
             "reverse:gamma=1,omega=1": (True, None),
@@ -56,20 +56,20 @@ EXPECTED = {
         },
     },
     "loglin:alpha=1,beta=1,a=2.718281828": {
-        "energies": [1.7525522029243037, 1.7589019855336456],
-        "ratios": [0.059151620940589116, 0.06925403821189856],
+        "energies": [1.7525522029242584, 1.7589019855341599],
+        "ratios": [0.05915168601074111, 0.06925314431675678],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.14209436206069825, 0.2612607387268791]),
-            "caccioppoli_T:gamma=2": (False, [0.16129536642516942, 0.3555801018122892]),
-            "caccioppoli_X:gamma=1": (False, [0.0037769583247757362, 0.0022124399740880924]),
-            "caccioppoli_X:gamma=2": (False, [0.0032696515757762597, 0.001995126482786554]),
-            "horizontal_estimate:gamma=1": (False, [7.805087836278496e-11, 3.5682024477982044e-11]),
+            "caccioppoli_T:gamma=1": (False, [0.14209438209458522, 0.2612609214983443]),
+            "caccioppoli_T:gamma=2": (False, [0.16129543755093864, 0.3555802003233709]),
+            "caccioppoli_X:gamma=1": (False, [0.00377695146547559, 0.0022124010149149657]),
+            "caccioppoli_X:gamma=2": (False, [0.0032696426477758847, 0.0019950942001500877]),
+            "horizontal_estimate:gamma=1": (False, [7.805090167366145e-11, 3.568139917145798e-11]),
             "horizontal_estimate:gamma=2": (True, None),
-            "reverse:gamma=1,omega=1": (False, [1.756436333525814e-06, 6.832866834950853e-07]),
-            "reverse:gamma=1,omega=2": (False, [8.753895684888408e-07, 3.4063940985851235e-07]),
+            "reverse:gamma=1,omega=1": (False, [1.7564409353572467e-06, 6.832635125665748e-07]),
+            "reverse:gamma=1,omega=2": (False, [8.753918572639564e-07, 3.4062785723028513e-07]),
             "reverse:gamma=2,omega=1": (True, None),
             "reverse:gamma=2,omega=2": (True, None),
-            "vertical_estimate:gamma=1": (False, [6.140420713424526e-10, 1.288102207077871e-10]),
+            "vertical_estimate:gamma=1": (False, [6.140447964002585e-10, 1.2880968980468757e-10]),
             "vertical_estimate:gamma=2": (True, None),
         },
     },

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import solab.solver as sv
-from conftest import field_from, triple_for
+from conftest import bumped_start, field_from, triple_for
 from oracles import (averaging_cell_gradient, averaging_cell_gradient_adjoint, bfgs_inverse_hessian,
                      gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace)
 from solab.grid import Grid, ScalarField, refine_values
@@ -121,8 +121,8 @@ def test_energy_nonnegative(rng, grid9):
 def test_affine_data_reproduced(label, grid9):
     prob = make_problem(grid9, label, lambda a, b, c: 0.7 * a - 0.3 * b + 0.1,
                         residual_tol=1e-12)
-    sol, rep = sv.solve_dirichlet(prob)
-    assert rep.converged and rep.stop_reason == "tol"
+    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(prob.boundary))
+    assert rep.converged and rep.stop_reason == "tol" and rep.iterations > 0
     assert rep.weak_residual <= 1e-10
     assert np.max(np.abs(sol.values - prob.boundary.values)) <= 1e-9
 
@@ -149,9 +149,9 @@ def test_residual_history_decreases(grid9):
 def test_matches_direct_linear_solve(grid9):
     prob = make_problem(grid9, "power:p=2", lambda a, b, c: a * b + 0.4 * c,
                         residual_tol=1e-13)
-    sol, rep = sv.solve_dirichlet(prob)
+    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(prob.boundary))
     direct = solve_kohn_laplace(grid9, prob.boundary.values, prob.interior)
-    assert np.max(np.abs(sol.values - direct)) <= 1e-8
+    assert rep.iterations > 0 and np.max(np.abs(sol.values - direct)) <= 1e-8
 
 
 def test_energy_history_monotone_to_roundoff(grid11):
@@ -266,18 +266,17 @@ def test_energy_evaluation_allocates_no_full_grid_temporaries(label, bound):
 
 
 def _two_loop_against_dense_bfgs(rng, pairs, metric):
-    """The in-place two-loop recursion against the dense update of gamma I, or of gamma M."""
+    """The in-place two-loop recursion against the dense update of gamma M."""
     n = 20
     m = rng.normal(size=(n, n))
     hess = m @ m.T / n + np.eye(n)
-    weights = np.ones(n) if metric is None else metric
     steps = [rng.normal(size=n) for _ in range(pairs)]
     memory = deque(((s, hess @ s, 1.0 / float(s @ hess @ s)) for s in steps), maxlen=3)
     grad = 3.0 * rng.normal(size=n)
     res = float(np.max(np.abs(grad)))
     y = memory[-1][1] if pairs else None
-    gamma = float(steps[-1] @ y) / float(y @ (weights * y)) if pairs else 1.0 / res
-    ref = -bfgs_inverse_hessian([(s, y) for s, y, _ in memory], gamma * weights, n) @ grad
+    gamma = float(steps[-1] @ y) / float(y @ (metric * y)) if pairs else 1.0 / res
+    ref = -bfgs_inverse_hessian([(s, y) for s, y, _ in memory], gamma * metric, n) @ grad
     before = grad.copy()
     q, scratch = np.empty(n), np.empty(n)
     d = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
@@ -287,7 +286,8 @@ def _two_loop_against_dense_bfgs(rng, pairs, metric):
 
 @pytest.mark.parametrize("pairs", [0, 1, 2, 3])
 def test_lbfgs_direction_matches_dense_bfgs(rng, pairs):
-    _two_loop_against_dense_bfgs(rng, pairs, None)
+    # the metric = ones case, the unscaled H_0 = gamma I
+    _two_loop_against_dense_bfgs(rng, pairs, np.ones(20))
 
 
 @pytest.mark.parametrize("pairs", [0, 1, 2, 3])
@@ -326,7 +326,7 @@ def test_quadratic_law_metric_is_exactly_one(monkeypatch):
     prob, start = _warm_start("power:p=2")
     direction, metrics = sv._lbfgs_direction, []
 
-    def recorded(grad, memory, res, q, scratch, metric=None):
+    def recorded(grad, memory, res, q, scratch, metric):
         metrics.append(metric)
         return direction(grad, memory, res, q, scratch, metric)
 
@@ -337,14 +337,26 @@ def test_quadratic_law_metric_is_exactly_one(monkeypatch):
     assert all(metric is metrics[0] for metric in metrics)
 
 
-def test_zero_interior_array_start_is_the_zero_start(rng, grid9):
-    # D from a zero interior weighs every interior node by F_eps(0), so such a start keeps gamma I
+def test_cold_start_is_the_boundary_field(rng, grid9):
+    # 8 cells per axis are not halved, so the cold start is the boundary field, interior included;
+    # an array start's values off the interior are replaced by the data
     prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c)
     start = rng.normal(size=grid9.shape)
-    start[prob.interior] = 0.0
-    sol_zero, rep_zero = sv.solve_dirichlet(prob, init=None)
+    start[prob.interior] = prob.boundary.values[prob.interior]
+    sol_cold, rep_cold = sv.solve_dirichlet(prob, init=None)
     sol_array, rep_array = sv.solve_dirichlet(prob, init=start)
-    assert rep_array == rep_zero and np.array_equal(sol_array.values, sol_zero.values)
+    assert rep_array == rep_cold and np.array_equal(sol_array.values, sol_cold.values)
+
+
+def test_flat_start_keeps_the_f_eps_zero_metric():
+    # the precondition on a start: a zero interior builds D from F_eps(0) at every inner node and
+    # from the data only in the boundary layer; the solve still converges, tens of times slower
+    prob = _readme_problem(9)
+    cold, rep_cold = sv.solve_dirichlet(prob)
+    flat, rep_flat = sv.solve_dirichlet(prob, init=np.zeros(prob.grid.shape))
+    assert rep_cold.converged and rep_flat.converged
+    assert rep_flat.iterations > 20 * rep_cold.iterations
+    assert np.max(np.abs(flat.values - cold.values)) <= 1e-6
 
 
 def _readme_problem(shape, label="power:p=3"):
@@ -368,13 +380,13 @@ def test_cold_solve_is_the_nested_ladder():
                                       "evaluations": rep17.evaluations, "stop_reason": "tol"}]
 
 
-def test_short_axis_starts_from_zero():
-    # 20 cells along x_1 are fewer than 32, so the grid is not halved and the start is zero
+def test_short_axis_starts_from_the_boundary_field():
+    # 20 cells along x_1 are fewer than 32, so the grid is not halved and the start is the data
     prob = _readme_problem([21, 33, 33])
     cold, rep_cold = sv.solve_dirichlet(prob, init=None)
-    zero, rep_zero = sv.solve_dirichlet(prob, init=np.zeros(prob.grid.shape))
-    assert rep_cold.start_levels == [] and rep_cold == rep_zero
-    assert np.array_equal(cold.values, zero.values)
+    data, rep_data = sv.solve_dirichlet(prob, init=prob.boundary.values)
+    assert rep_cold.start_levels == [] and rep_cold == rep_data
+    assert np.array_equal(cold.values, data.values)
 
 
 def test_warm_metric_solve_matches_cold_solve():
@@ -382,8 +394,26 @@ def test_warm_metric_solve_matches_cold_solve():
     cold, rep_cold = sv.solve_dirichlet(prob)
     warm, rep_warm = sv.solve_dirichlet(prob, init=start)
     assert rep_cold.converged and rep_warm.converged
-    assert rep_warm.iterations < rep_cold.iterations
     assert np.max(np.abs(warm.values - cold.values)) <= 1e-8
+
+
+def test_non_descent_direction_restarts(monkeypatch):
+    # one uphill direction after pairs exist: the solve clears its pairs, restarts from the
+    # scaled steepest descent and reaches the solution of the unforced solve
+    prob, start = _warm_start("power:p=3", residual_tol=1e-11)
+    plain, rep_plain = sv.solve_dirichlet(prob, init=start)
+    direction, forced = sv._lbfgs_direction, []
+
+    def uphill_once(grad, memory, res, q, scratch, metric):
+        if memory and not forced:
+            forced.append(True)
+            return grad.copy()
+        return direction(grad, memory, res, q, scratch, metric)
+
+    monkeypatch.setattr(sv, "_lbfgs_direction", uphill_once)
+    sol, rep = sv.solve_dirichlet(prob, init=start)
+    assert forced and rep_plain.restarts == 0 and rep.restarts == 1 and rep.converged
+    assert np.max(np.abs(sol.values - plain.values)) <= 1e-8
 
 
 def test_solve_report_counts_evaluations(monkeypatch, grid9):

@@ -3,7 +3,7 @@ import pytest
 
 import solab.solver as sv
 import solab.verify as vf
-from conftest import field_from, triple_for
+from conftest import bumped_start, field_from, triple_for
 from solab.grid import Grid, ScalarField, make_cutoff, refine_values, td_bound_margin
 
 
@@ -26,8 +26,8 @@ def affine_solution():
     tr = triple_for("power:p=2")
     bc = field_from(g, lambda a, b, c: 0.6 * a - 0.25 * b + 0.1)
     prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-12)
-    sol, rep = sv.solve_dirichlet(prob)
-    assert rep.converged
+    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(bc))
+    assert rep.converged and rep.iterations > 0
     eta = make_cutoff(g, [0, 0, 0], 0.25, 0.65)
     return sol, tr, eta
 
@@ -92,7 +92,8 @@ def test_t_audits_degenerate_on_t_independent():
     tr = triple_for("power:p=2")
     bc = field_from(g, lambda a, b, c: a * b + 0.3 * a)
     prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-11)
-    sol, rep = sv.solve_dirichlet(prob)
+    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(bc))
+    assert rep.iterations > 0
     eta = make_cutoff(g, [0, 0, 0], 0.25, 0.65)
     sf = vf.solution_fields(sol, tr)
     rT = vf.caccioppoli_T_audit(sf, eta, 0.0)
