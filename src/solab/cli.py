@@ -24,9 +24,12 @@ from . import orlicz as oz
 from . import solver as sv
 from . import verify as vf
 from .config import ConfigError, ExperimentConfig, load_config
-from .grid import Grid, make_cutoff, refine_values, save_field_binary, save_field_csv
+from . import grid as gr
+from .grid import Grid, make_cutoff, save_field_binary, save_field_csv
 from .orlicz import OrliczTriple, UnknownLabelError, catalog_structure_function
 from .problems import boundary_field
+
+refine_values = gr.refine_values  # unused here: perfbench/tracer.py patches it with grid's (ROADMAP item 5)
 
 EXIT_PASS = 0
 EXIT_NONCONV = 1
@@ -281,18 +284,16 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def _solve_level(cfg: ExperimentConfig, triple: OrliczTriple, grid: Grid, warm=None):
-    """Solve the configured problem on ``grid``, from the prolonged ``warm`` solution or the nested start."""
-    prob = sv.DirichletProblem(grid=grid, triple=triple,
-                               boundary=boundary_field(cfg.boundary, grid),
-                               eps=cfg.epsilon, residual_tol=cfg.residual_tol,
-                               max_iters=cfg.max_iters)
-    return sv.solve_dirichlet(prob, init=None if warm is None else refine_values(warm.values))
+def _problem(cfg: ExperimentConfig, triple: OrliczTriple, grid: Grid) -> sv.DirichletProblem:
+    """The configured Dirichlet problem on ``grid``."""
+    return sv.DirichletProblem(grid=grid, triple=triple, boundary=boundary_field(cfg.boundary, grid),
+                               eps=cfg.epsilon, residual_tol=cfg.residual_tol, max_iters=cfg.max_iters)
 
 
 def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
-    sol, report = _solve_level(cfg, triple, Grid.from_box(cfg.n, cfg.box, cfg.resolutions()))
+    grid = Grid.from_box(cfg.n, cfg.box, cfg.resolutions())
+    sol, report = sv.solve_dirichlet(_problem(cfg, triple, grid), init=None)
     save_field_binary(os.path.join(out, "solution.bin"), sol)
     save_field_csv(os.path.join(out, "solution.csv"), sol)
     _write_json(os.path.join(out, "solve_report.json"), {
@@ -310,7 +311,7 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
         "stop_reason": report.stop_reason,
         "energy_history_head": report.energy_history[:16],
         "energy_history_tail": report.energy_history[-16:],
-        # only a nested start has coarser solves to list; zero-start reports keep their keys
+        # a grid that is not halved has no coarser solves, so its report omits start_levels
         **({"start_levels": report.start_levels} if report.start_levels else {}),
     })
     return EXIT_PASS if report.converged else EXIT_NONCONV
@@ -340,19 +341,16 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
     workers = worker_count()
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
     jobs = [] if estimate_only else _audit_jobs(cfg)
-    levels = cfg.refinements + 1
     per_level: dict[tuple, list[vf.AuditReport]] = {}
     ratio_rows = []
     moser_rows = []
     csv_rows = []
     all_converged = True
-    grid = Grid.from_box(cfg.n, cfg.box, cfg.resolutions())
-    sol = None
-    final_moser = None
-    for level in range(levels):
-        if level:
-            grid = grid.refined()
-        sol, report = _solve_level(cfg, triple, grid, warm=sol)
+    grids = [Grid.from_box(cfg.n, cfg.box, cfg.resolutions())]
+    for _ in range(cfg.refinements):
+        grids.append(grids[-1].refined())
+    for level, (sol, report) in enumerate(sv.solve_ladder([_problem(cfg, triple, g) for g in grids])):
+        grid = sol.grid
         all_converged &= report.converged
         h = float(np.max(grid.spacing))
         # built before the fields: the cutoff's temporaries (29 MB at 65^3) would stack on them
@@ -361,7 +359,6 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
         ratio = vf.lipschitz_ratio(fields, cfg.center, cfg.radius, cfg.sigma)
         ratio_rows.append((level, h, ratio))
         trace = vf.moser_trace(fields, cfg.center, cfg.radius, cfg.sigma, levels=8)
-        final_moser = trace
         moser_rows.extend((level, h, row["gamma"], row["radius"], row["exponent"],
                            row["norm"], row["inner_norm"]) for row in trace["levels"])
         if jobs:
@@ -384,9 +381,10 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
     # an all-zero history (G(|Xu|) = 0 on the ball at every level) is the degenerate pass
     lo, hi = min(ratios), max(ratios)
     ratio_ok = all(np.isfinite(ratios)) and (hi == 0 or 0 < lo and hi <= 1.25 * lo)
-    sup = final_moser["inner_sup"]
-    last_norm = final_moser["levels"][-1]["inner_norm"]
+    sup = trace["inner_sup"]  # the finest level's trace
+    last_norm = trace["levels"][-1]["inner_norm"]
     moser_ok = sup == 0 or abs(last_norm - sup) <= 0.05 * sup
+    all_pass = bool(all_converged and ratio_ok and moser_ok and all(r.passed for r in finals))
 
     _write_csv(os.path.join(out, "estimate_ratio.csv"), ["level", "h", "lipschitz_ratio"], ratio_rows)
     _write_csv(os.path.join(out, "moser_trace.csv"),
@@ -409,12 +407,9 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
         "moser_final_vs_sup": {"final_inner_norm": last_norm, "inner_sup": sup, "pass": bool(moser_ok)},
         "audits": [r.as_record() for r in finals],
         "converged": bool(all_converged),
-        "all_pass": bool(all_converged and ratio_ok and moser_ok and all(r.passed for r in finals)),
+        "all_pass": all_pass,
     })
-    if not all_converged:
-        return EXIT_NONCONV
-    ok = ratio_ok and moser_ok and all(r.passed for r in finals)
-    return EXIT_PASS if ok else EXIT_NONCONV
+    return EXIT_PASS if all_pass else EXIT_NONCONV
 
 
 # --------------------------------------------------------------------------

@@ -20,11 +20,11 @@ A_eps(z) = F_eps(|z|) z, so the stopping test and the weak-solution contract
 coincide.  That A_eps is `operator.regularized_operator`, the map
 `operator-check` certifies.  `_weak_form` is the one assembly of
 vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual` and the barrier
-study differ only in the radial weight w.  A solve without a start array
-is a nested iteration (Hackbusch, Multi-Grid Methods and Applications, 1985,
-ch. 5): with an even cell count of at least 32 on every axis it starts from
-the prolonged solve on the grid with half the cells, else from the problem's
-own boundary field, interior values included.
+study differ only in the radial weight w.  Nested iteration (Hackbusch,
+Multi-Grid Methods and Applications, 1985, ch. 5) is `solve_ladder`, which
+serves `solab audit`'s levels and every solve without a start array that
+has an even cell count of at least 32 on every axis; any other cold solve
+starts from the problem's own boundary field, interior values included.
 
 The start fixes one diagonal metric for the whole solve: D_i, the sum of
 F_eps(|Xu|) over the cells of node i, is added up in the slab loop of the
@@ -77,6 +77,7 @@ __all__ = [
     "discrete_energy",
     "weak_residual",
     "solve_dirichlet",
+    "solve_ladder",
     "comparison_check",
     "barrier_residual_study",
 ]
@@ -328,39 +329,49 @@ def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
     return float(np.max(np.abs(res[prob.interior])))
 
 
-def _nested_start(prob: DirichletProblem) -> tuple[np.ndarray, list[dict]]:
-    """The nested start and the records of its coarser solves; one that does not converge is not raised.
+def solve_ladder(problems: list[DirichletProblem]) -> list[tuple[ScalarField, SolveReport]]:
+    """(solution, report) per problem, each grid the refinement of the one before.
 
-    The coarse grid has half the cells per axis and the fine boundary data at every other node.
+    The first problem gets the cold start, each later one the `refine_values`
+    prolongation of the solution before it.  Every level calls the module-level
+    `solve_dirichlet` with ``init`` passed; one that does not converge is reported.
     """
-    grid = prob.grid
-    if any((s - 1) % 2 or s - 1 < 32 for s in grid.shape):
-        return prob.boundary.values, []
-    coarse = Grid(grid.n, tuple((s + 1) // 2 for s in grid.shape), grid.lo, grid.hi)
-    boundary = ScalarField(coarse, prob.boundary.values[(slice(None, None, 2),) * grid.dim])
-    sol, rep = solve_dirichlet(replace(prob, grid=coarse, boundary=boundary), init=None)
-    level = {"shape": list(coarse.shape), "iterations": rep.iterations,
-             "evaluations": rep.evaluations, "stop_reason": rep.stop_reason}
-    return refine_values(sol.values), rep.start_levels + [level]
+    solves = []
+    for prob in problems:
+        solves.append(solve_dirichlet(prob, init=refine_values(solves[-1][0].values) if solves else None))
+    return solves
 
 
 def solve_dirichlet(prob: DirichletProblem, init=None):
     """Minimize the regularized energy over the interior values.
 
     ``init`` is a full array whose interior values are the start, or None for
-    the nested start (`_nested_start`).  The start also fixes the diagonal
-    L-BFGS metric, so a start must carry the data's scale (see
-    `DirichletProblem`).  Returns the
-    solution field and a SolveReport; an exhausted iteration budget or a
-    stalled line search is flagged (with its stop_reason), not raised.
+    the cold start: while every axis has an even count of at least 32 cells,
+    the last level of `solve_ladder` up from the grids with half, a quarter,
+    ... of the cells (the data at every other node; ``start_levels`` lists
+    their solves), else the boundary field.  The start also fixes the L-BFGS
+    metric, so it must carry the data's scale (see `DirichletProblem`).
+    Returns the solution field and a SolveReport; an exhausted iteration
+    budget or a stalled line search is flagged (stop_reason), not raised.
     """
     grid = prob.grid
     if init is None:
-        start, start_levels = _nested_start(prob)
-    else:
-        start, start_levels = np.asarray(init, dtype=float), []
-        if start.shape != grid.shape:
-            raise ValueError("init array shape mismatch")
+        ladder = [prob]
+        while all(s - 1 >= 32 and (s - 1) % 2 == 0 for s in ladder[0].grid.shape):
+            fine = ladder[0]
+            coarse = Grid(grid.n, tuple((s + 1) // 2 for s in fine.grid.shape), grid.lo, grid.hi)
+            boundary = ScalarField(coarse, fine.boundary.values[(slice(None, None, 2),) * grid.dim])
+            ladder.insert(0, replace(fine, grid=coarse, boundary=boundary))
+        if len(ladder) > 1:
+            *below, (sol, report) = solve_ladder(ladder)
+            report.start_levels = [{"shape": list(s.grid.shape), "iterations": r.iterations,
+                                    "evaluations": r.evaluations, "stop_reason": r.stop_reason}
+                                   for s, r in below]
+            return sol, report
+        init = prob.boundary.values
+    start = np.asarray(init, dtype=float)
+    if start.shape != grid.shape:
+        raise ValueError("init array shape mismatch")
     u = prob.boundary.values.copy()
     inner = (slice(1, -1),) * grid.dim
     unknowns = u[inner]  # the interior nodes as a view; flattened in C order, as u[prob.interior] is
@@ -437,7 +448,6 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         residual_history=res_history,
         gradient_cap_observed=cap,
         stop_reason="tol" if res <= tol else stop_reason,
-        start_levels=start_levels,
     )
     return ScalarField(grid, u.copy()), report
 

@@ -16,7 +16,7 @@ import solab.verify as vf
 from conftest import bumped_start, field_from, triple_for
 from oracles import fd_jacobian, solve_kohn_laplace
 from solab.grid import (GaugeBall, Grid, ScalarField, commutator_residual,
-                        integrate, make_cutoff, refine_values)
+                        integrate, make_cutoff)
 
 CENTER = [0.0, 0.0, 0.0]
 RADIUS = 0.8
@@ -44,22 +44,15 @@ def oscillatory_data(grid):
 
 @pytest.fixture(scope="module")
 def solution_chains():
-    """Warm-started solves of the oscillatory t-dependent problem at 17/33/65."""
+    """The oscillatory t-dependent problem solved by `solve_ladder` at 17/33/65."""
     chains = {}
     for label in ESTIMATE_LABELS:
         tr = triple_for(label)
-        levels = []
-        warm = None
-        for res in (17, 33, 65):
-            grid = Grid.from_box(1, [(-1, 1)] * 3, res)
-            prob = sv.DirichletProblem(grid=grid, triple=tr,
-                                       boundary=oscillatory_data(grid))
-            init = None if warm is None else refine_values(warm.values)
-            sol, rep = sv.solve_dirichlet(prob, init=init)
-            assert rep.converged, f"{label} at {res}^3 did not converge"
-            warm = sol
-            levels.append((grid, prob, sol))
-        chains[label] = levels
+        problems = [sv.DirichletProblem(grid=grid, triple=tr, boundary=oscillatory_data(grid))
+                    for grid in (Grid.from_box(1, [(-1, 1)] * 3, res) for res in (17, 33, 65))]
+        solves = sv.solve_ladder(problems)
+        assert all(rep.converged for _, rep in solves), f"{label}: {[rep.stop_reason for _, rep in solves]}"
+        chains[label] = [(prob.grid, prob, sol) for prob, (sol, _) in zip(problems, solves)]
     return chains
 
 

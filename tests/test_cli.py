@@ -429,17 +429,19 @@ def test_solve_report_counters_repeat_across_blas_threads(tmp_path):
     assert counts[0] == counts[1]
 
 
-def test_nested_start_failure_is_recorded(tmp_path):
-    # one iteration converges neither the 17^3 solve behind the nested start nor the 33^3 solve;
-    # the coarse level's stop reason is reported, not raised
-    path = write_cfg(tmp_path, BASE + "resolution = 33\nmax_iters = 1\n")
-    out = tmp_path / "nested"
-    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 1
-    report = json.loads((out / "solve_report.json").read_text())
-    assert report["stop_reason"] == "max_iters" and not report["converged"]
-    assert report["start_levels"] == [{"shape": [17, 17, 17], "iterations": 1,
-                                       "evaluations": report["start_levels"][0]["evaluations"],
-                                       "stop_reason": "max_iters"}]
+def test_audit_passes_init_at_every_level(tmp_path, monkeypatch):
+    # the benchmark wraps solve_dirichlet as capture(prob, init="zero"): every level passes init
+    solve, calls = sv.solve_dirichlet, []
+
+    def init_required(prob, *, init):
+        calls.append((prob.grid.shape, init))
+        return solve(prob, init=init)
+
+    monkeypatch.setattr(sv, "solve_dirichlet", init_required)
+    path = write_cfg(tmp_path, BASE)
+    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "a")]) in (0, 1)
+    assert [shape for shape, _ in calls] == [(9, 9, 9), (17, 17, 17)]
+    assert calls[0][1] is None and isinstance(calls[1][1], np.ndarray)
 
 
 def test_solve_affine_family_is_exact(tmp_path, monkeypatch):
@@ -473,6 +475,6 @@ def test_bad_solab_threads_exits_2_before_solving(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before SOLAB_THREADS was validated")
 
-    monkeypatch.setattr(cli, "_solve_level", no_solve)
+    monkeypatch.setattr(sv, "solve_dirichlet", no_solve)
     path = write_cfg(tmp_path, BASE)
     assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "a")]) == 2

@@ -359,25 +359,26 @@ def test_flat_start_keeps_the_f_eps_zero_metric():
     assert np.max(np.abs(flat.values - cold.values)) <= 1e-6
 
 
-def _readme_problem(shape, label="power:p=3"):
+def _readme_problem(shape, label="power:p=3", **kw):
     grid = Grid.from_box(1, [(-1, 1)] * 3, shape)
     return sv.DirichletProblem(grid=grid, triple=triple_for(label),
-                               boundary=boundary_field("poly2:x1=0.5,x1t=0.4,x2=0.2", grid))
+                               boundary=boundary_field("poly2:x1=0.5,x1t=0.4,x2=0.2", grid), **kw)
 
 
 def test_cold_solve_is_the_nested_ladder():
-    # 32 cells per axis: the cold 33^3 solve starts from the prolonged cold 17^3 solve, whose
-    # boundary is the 33^3 data at every other node, the same values the 17^3 grid samples
-    prob17, prob33 = _readme_problem(17), _readme_problem(33)
-    sol17, rep17 = sv.solve_dirichlet(prob17, init=None)
-    ladder, rep_ladder = sv.solve_dirichlet(prob33, init=refine_values(sol17.values))
-    cold, rep_cold = sv.solve_dirichlet(prob33, init=None)
-    assert rep17.converged and rep17.start_levels == [] and rep_ladder.start_levels == []
-    assert np.array_equal(cold.values, ladder.values)
-    assert rep_cold.final_energy == rep_ladder.final_energy
-    assert rep_cold.iterations == rep_ladder.iterations and rep_cold.converged
-    assert rep_cold.start_levels == [{"shape": [17, 17, 17], "iterations": rep17.iterations,
-                                      "evaluations": rep17.evaluations, "stop_reason": "tol"}]
+    # 32 cells per axis: a cold 33^3 solve is the last level of the ladder 17^3 -> 33^3, whose
+    # 17^3 data are the 33^3 data at every other node; with one iteration neither level
+    # converges, and the 33^3 level still starts from the prolonged 17^3 level
+    for max_iters, stop in ((100_000, "tol"), (1, "max_iters")):
+        probs = [_readme_problem(res, max_iters=max_iters) for res in (17, 33)]
+        (sol17, rep17), (ladder, rep_ladder) = sv.solve_ladder(probs)
+        cold, rep_cold = sv.solve_dirichlet(probs[1], init=None)
+        assert np.array_equal(cold.values, ladder.values) and rep_ladder.stop_reason == stop
+        assert (rep_cold.final_energy, rep_cold.iterations) == (rep_ladder.final_energy, rep_ladder.iterations)
+        assert rep_cold.start_levels == [{"shape": [17, 17, 17], "iterations": rep17.iterations,
+                                          "evaluations": rep17.evaluations, "stop_reason": stop}]
+    prolonged, _ = sv.solve_dirichlet(probs[1], init=refine_values(sol17.values))
+    assert np.array_equal(ladder.values, prolonged.values)
 
 
 def test_short_axis_starts_from_the_boundary_field():
@@ -456,18 +457,16 @@ def test_regularization_consistency(grid9):
 @pytest.mark.parametrize("p", [3.0, 1.5])
 def test_error_against_gauge_fundamental_solution(p):
     # p-harmonic off the origin; the box keeps |x| >= 1/4, so for p = 1.5 max |u| = 4^5
-    errors = []
-    warm = None
+    problems = []
     for res in (9, 17, 33):
         grid = Grid.from_box(1, [(0.25, 1.25), (-0.5, 0.5), (-0.5, 0.5)], res)
         exact = gauge_fundamental_solution(p, grid.coord(0), grid.coord(1), grid.coord(2))
-        prob = sv.DirichletProblem(grid=grid, triple=triple_for(f"power:p={p:g}"),
-                                   boundary=ScalarField(grid, exact * np.ones(grid.shape)), eps=1e-6)
-        sol, rep = sv.solve_dirichlet(prob, init=None if warm is None else refine_values(warm.values))
-        assert rep.converged
-        warm = sol
-        diff = (sol.values - exact)[prob.interior]
-        errors.append(math.sqrt(float(np.mean(diff * diff))))
+        problems.append(sv.DirichletProblem(grid=grid, triple=triple_for(f"power:p={p:g}"),
+                                            boundary=ScalarField(grid, exact * np.ones(grid.shape)), eps=1e-6))
+    solves = sv.solve_ladder(problems)
+    assert all(rep.converged for _, rep in solves)
+    errors = [math.sqrt(float(np.mean((sol.values - prob.boundary.values)[prob.interior] ** 2)))
+              for prob, (sol, _) in zip(problems, solves)]
     # measured rms: p = 3: 4.2e-2, 1.6e-2, 5.0e-3; p = 1.5: 12.5, 5.1, 1.4
     assert all(coarse >= 2.0 * fine for coarse, fine in zip(errors, errors[1:])), errors
 

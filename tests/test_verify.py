@@ -4,7 +4,7 @@ import pytest
 import solab.solver as sv
 import solab.verify as vf
 from conftest import bumped_start, field_from, triple_for
-from solab.grid import Grid, ScalarField, make_cutoff, refine_values, td_bound_margin
+from solab.grid import Grid, ScalarField, make_cutoff, td_bound_margin
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ def test_audit_stability_under_refinement(tdep_solution):
     g33 = Grid.from_box(1, [(-1, 1)] * 3, 33)
     bc = field_from(g33, lambda a, b, c: 0.5 * a + 0.4 * c * a + 0.2 * b)
     prob33 = sv.DirichletProblem(grid=g33, triple=tr, boundary=bc)
-    sol33, rep33 = sv.solve_dirichlet(prob33, init=refine_values(sol.values))
+    sol33 = sv.solve_ladder([prob, prob33])[1][0]
     eta33 = make_cutoff(g33, [0, 0, 0], 0.25, 0.65)
     sf17, sf33 = vf.solution_fields(sol, tr), vf.solution_fields(sol33, tr)
     for fn, kw in [(vf.caccioppoli_T_audit, {"gamma": 0.0}),
