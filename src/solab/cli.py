@@ -293,7 +293,7 @@ def _problem(cfg: ExperimentConfig, triple: OrliczTriple, grid: Grid) -> sv.Diri
 def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
     grid = Grid.from_box(cfg.n, cfg.box, cfg.resolutions())
-    sol, report = sv.solve_dirichlet(_problem(cfg, triple, grid), init=None)
+    (sol, report), = sv.solve_ladder([_problem(cfg, triple, grid)])
     save_field_binary(os.path.join(out, "solution.bin"), sol)
     save_field_csv(os.path.join(out, "solution.csv"), sol)
     _write_json(os.path.join(out, "solve_report.json"), {
@@ -323,16 +323,15 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
 
 
 def _audit_jobs(cfg: ExperimentConfig):
-    jobs = []
+    """(audit, keyword arguments) pairs; each audit's report carries its own name, gamma and omega."""
     for gamma in cfg.gammas:
-        jobs.append(("caccioppoli_T", vf.caccioppoli_T_audit, {"gamma": gamma}))
-        jobs.append(("caccioppoli_X", vf.caccioppoli_X_audit, {"gamma": gamma}))
+        yield vf.caccioppoli_T_audit, {"gamma": gamma}
+        yield vf.caccioppoli_X_audit, {"gamma": gamma}
         if gamma >= 1:
-            jobs.append(("horizontal_estimate", vf.horizontal_estimate_audit, {"gamma": gamma}))
-            jobs.append(("vertical_estimate", vf.vertical_estimate_audit, {"gamma": gamma}))
+            yield vf.horizontal_estimate_audit, {"gamma": gamma}
+            yield vf.vertical_estimate_audit, {"gamma": gamma}
             for omega in cfg.omegas:
-                jobs.append(("reverse", vf.reverse_audit, {"gamma": gamma, "omega": omega}))
-    return jobs
+                yield vf.reverse_audit, {"gamma": gamma, "omega": omega}
 
 
 def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> int:
@@ -340,11 +339,12 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
         raise ConfigError("audit needs at least 2 refinement levels (refinements >= 1)")
     workers = worker_count()
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
-    jobs = [] if estimate_only else _audit_jobs(cfg)
+    jobs = [] if estimate_only else list(_audit_jobs(cfg))
     per_level: dict[tuple, list[vf.AuditReport]] = {}
     ratio_rows = []
     moser_rows = []
     csv_rows = []
+    plot_rows = []
     all_converged = True
     grids = [Grid.from_box(cfg.n, cfg.box, cfg.resolutions())]
     for _ in range(cfg.refinements):
@@ -362,18 +362,15 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
         moser_rows.extend((level, h, row["gamma"], row["radius"], row["exponent"],
                            row["norm"], row["inner_norm"]) for row in trace["levels"])
         if jobs:
-            def run(job):
-                name, fn, kw = job
-                return fn(fields, eta, **kw)
-
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, jobs))
-            for (name, _, kw), rep in zip(jobs, results):
-                key = (name, kw.get("gamma"), kw.get("omega"))
-                per_level.setdefault(key, []).append(rep)
-                csv_rows.append((name, kw.get("gamma", ""), rep.lhs, rep.rhs,
-                                 rep.fitted_constant, h, rep.passed,
-                                 kw.get("omega", ""), level))
+                results = list(pool.map(lambda job: job[0](fields, eta, **job[1]), jobs))
+            for rep in results:
+                omega = rep.extras.get("omega", "")
+                per_level.setdefault((rep.name, rep.gamma, omega), []).append(rep)
+                # rows are taken now: attach_refinement later rewrites the finest report's flags
+                csv_rows.append((rep.name, rep.gamma, rep.lhs, rep.rhs, rep.fitted_constant, h,
+                                 rep.passed, omega, level))
+                plot_rows.append((rep.name, rep.gamma, omega, level, h, rep.fitted_constant))
 
     finals = [vf.attach_refinement(reps) for key, reps in sorted(per_level.items(),
                                                                  key=lambda kv: str(kv[0]))]
@@ -394,7 +391,6 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
                    ["name", "gamma", "lhs", "rhs", "fitted_constant", "h", "pass",
                     "omega", "level"],
                    csv_rows)
-        plot_rows = [(row[0], row[1], row[7], row[8], row[5], row[4]) for row in csv_rows]
         _write_csv(os.path.join(out, "plot_fitted_vs_h.csv"),
                    ["name", "gamma", "omega", "level", "h", "fitted_constant"], plot_rows)
     _write_json(os.path.join(out, "audit_report.json"), {

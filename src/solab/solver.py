@@ -21,10 +21,11 @@ coincide.  That A_eps is `operator.regularized_operator`, the map
 `operator-check` certifies.  `_weak_form` is the one assembly of
 vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual` and the barrier
 study differ only in the radial weight w.  Nested iteration (Hackbusch,
-Multi-Grid Methods and Applications, 1985, ch. 5) is `solve_ladder`, which
-serves `solab audit`'s levels and every solve without a start array that
-has an even cell count of at least 32 on every axis; any other cold solve
-starts from the problem's own boundary field, interior values included.
+Multi-Grid Methods and Applications, 1985, ch. 5) is `solve_ladder`, the
+one code that nests: it halves its first problem while every axis has an
+even cell count of at least 32 and serves `solab solve`, `solab audit` and
+`comparison_check`.  `solve_dirichlet` solves one grid, from a start array
+or else from the problem's own boundary field, interior values included.
 
 The start fixes one diagonal metric for the whole solve: D_i, the sum of
 F_eps(|Xu|) over the cells of node i, is added up in the slab loop of the
@@ -181,7 +182,8 @@ class DirichletProblem:
     """Dirichlet data for div_H A_eps(Xu) = 0 on the interior nodes of the grid.
 
     ``boundary`` is a full-grid field whose values on the boundary nodes are
-    the Dirichlet data; its interior values are the cold start.  Precondition:
+    the Dirichlet data; its interior values are the start of a solve without
+    an ``init`` array, and of the coarsest level of `solve_ladder`.  Precondition:
     they carry the data's scale, as those of `problems.boundary_field` do.  The
     start fixes the L-BFGS metric, and an interior with Xu = 0 weighs every
     inner node by F_eps(0): from a zero interior the README data at 9^3, p = 3,
@@ -332,44 +334,44 @@ def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
 def solve_ladder(problems: list[DirichletProblem]) -> list[tuple[ScalarField, SolveReport]]:
     """(solution, report) per problem, each grid the refinement of the one before.
 
-    The first problem gets the cold start, each later one the `refine_values`
-    prolongation of the solution before it.  Every level calls the module-level
-    `solve_dirichlet` with ``init`` passed; one that does not converge is reported.
+    While every axis of the first grid has an even count of at least 32
+    cells, the problem on the grid with half the cells (the data at every
+    other node) is solved before it; these coarser solves are recorded,
+    coarsest first, in the first report's ``start_levels``.  The coarsest
+    level starts from its boundary field, each later one from the
+    `refine_values` prolongation of the solution before it.  Every level is
+    one call to the module-level `solve_dirichlet` with ``init`` passed; one
+    that does not converge is reported, not raised.
     """
+    ladder = list(problems)
+    while ladder and all(s - 1 >= 32 and (s - 1) % 2 == 0 for s in ladder[0].grid.shape):
+        fine = ladder[0]
+        grid = Grid(fine.grid.n, tuple((s + 1) // 2 for s in fine.grid.shape), fine.grid.lo, fine.grid.hi)
+        boundary = ScalarField(grid, fine.boundary.values[(slice(None, None, 2),) * grid.dim])
+        ladder.insert(0, replace(fine, grid=grid, boundary=boundary))
     solves = []
-    for prob in problems:
+    for prob in ladder:
         solves.append(solve_dirichlet(prob, init=refine_values(solves[-1][0].values) if solves else None))
-    return solves
+    below = len(ladder) - len(problems)
+    if below:
+        solves[below][1].start_levels = [{"shape": list(s.grid.shape), "iterations": r.iterations,
+                                          "evaluations": r.evaluations, "stop_reason": r.stop_reason}
+                                         for s, r in solves[:below]]
+    return solves[below:]
 
 
 def solve_dirichlet(prob: DirichletProblem, init=None):
-    """Minimize the regularized energy over the interior values.
+    """Minimize the regularized energy over the interior values of one grid.
 
-    ``init`` is a full array whose interior values are the start, or None for
-    the cold start: while every axis has an even count of at least 32 cells,
-    the last level of `solve_ladder` up from the grids with half, a quarter,
-    ... of the cells (the data at every other node; ``start_levels`` lists
-    their solves), else the boundary field.  The start also fixes the L-BFGS
-    metric, so it must carry the data's scale (see `DirichletProblem`).
-    Returns the solution field and a SolveReport; an exhausted iteration
-    budget or a stalled line search is flagged (stop_reason), not raised.
+    ``init`` is a full array whose interior values are the start, or None
+    for the problem's boundary field; a nested start is `solve_ladder`'s.
+    The start also fixes the L-BFGS metric, so it must carry the data's
+    scale (see `DirichletProblem`).  Returns the solution field and a
+    SolveReport; an exhausted iteration budget or a stalled line search is
+    flagged (stop_reason), not raised.
     """
     grid = prob.grid
-    if init is None:
-        ladder = [prob]
-        while all(s - 1 >= 32 and (s - 1) % 2 == 0 for s in ladder[0].grid.shape):
-            fine = ladder[0]
-            coarse = Grid(grid.n, tuple((s + 1) // 2 for s in fine.grid.shape), grid.lo, grid.hi)
-            boundary = ScalarField(coarse, fine.boundary.values[(slice(None, None, 2),) * grid.dim])
-            ladder.insert(0, replace(fine, grid=coarse, boundary=boundary))
-        if len(ladder) > 1:
-            *below, (sol, report) = solve_ladder(ladder)
-            report.start_levels = [{"shape": list(s.grid.shape), "iterations": r.iterations,
-                                    "evaluations": r.evaluations, "stop_reason": r.stop_reason}
-                                   for s, r in below]
-            return sol, report
-        init = prob.boundary.values
-    start = np.asarray(init, dtype=float)
+    start = np.asarray(prob.boundary.values if init is None else init, dtype=float)
     if start.shape != grid.shape:
         raise ValueError("init array shape mismatch")
     u = prob.boundary.values.copy()
@@ -453,7 +455,7 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
 
 
 def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem) -> float:
-    """Solve both problems (nested start) and return min over the interior of (u - v).
+    """Solve both problems by `solve_ladder` (nested start); return min over the interior of (u - v).
 
     Precondition: shared grid/operator and boundary data ordered u0 >= v0
     nodewise on the mask complement.
@@ -465,8 +467,8 @@ def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem) -> floa
     off = ~prob_u.interior
     if np.any(prob_u.boundary.values[off] < prob_v.boundary.values[off] - 1e-12):
         raise ValueError("boundary data are not ordered: need u0 >= v0 on the boundary")
-    u, ru = solve_dirichlet(prob_u)
-    v, rv = solve_dirichlet(prob_v)
+    (u, ru), = solve_ladder([prob_u])
+    (v, rv), = solve_ladder([prob_v])
     if not (ru.converged and rv.converged):
         raise NonConvergenceError("comparison solves did not converge")
     gap = u.values - v.values

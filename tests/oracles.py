@@ -12,7 +12,10 @@ integrates the inverse; regularized energy densities included: the library
 looks them up in a cumulative table), and the p-Laplace solver is checked against the
 closed-form gauge fundamental solution.  The L-BFGS two-loop recursion is
 checked against the dense BFGS inverse-Hessian update, and G_eps against its
-two-branch formula evaluated on every call.
+two-branch formula evaluated on every call.  The audit integrals are checked
+on a manufactured field whose derivatives are written in closed form,
+against a closed-form cutoff and tensor Gauss-Legendre quadrature on gauge
+balls (the library samples the cutoff at nodes and sums trapezoid weights).
 """
 
 import numpy as np
@@ -235,3 +238,78 @@ def two_branch_energy_density(triple, eps: float):
         return float(out) if out.ndim == 0 else out
 
     return g_eps
+
+
+def manufactured_fields(x1, x2, t):
+    """u = 0.5 x1 + 0.2 x2 + 0.4 x1 t (the README data) and |Xu|, Tu, |X(Tu)|, |XXu| in closed form.
+
+    Xu = (0.5 + 0.4 t - 0.2 x1 x2, 0.2 + 0.2 x1^2), Tu = 0.4 x1, X(Tu) = (0.4, 0), and the
+    horizontal Hessian X_j X_i u has X1X1u = -0.4 x2, X2X1u = 0, X1X2u = 0.4 x1, X2X2u = 0
+    (X1X2u - X2X1u = Tu).  Every X-derivative is a polynomial of degree <= 2 in each
+    variable, where the library's node stencils are exact.
+    """
+    u = 0.5 * x1 + 0.2 * x2 + 0.4 * x1 * t
+    xu = np.hypot(0.5 + 0.4 * t - 0.2 * x1 * x2, 0.2 + 0.2 * x1 * x1)
+    return u, xu, 0.4 * x1, 0.4 + 0.0 * x1, 0.4 * np.hypot(x1, x2)
+
+
+def _smoothstep(s):
+    """S(s) = 6s^5 - 15s^4 + 10s^3 on [0, 1], 0 below, 1 above; and S'(s) = 30 s^2 (1-s)^2 inside."""
+    s = np.clip(s, 0.0, 1.0)
+    return s ** 3 * (6.0 * s * s - 15.0 * s + 10.0), 30.0 * s * s * (1.0 - s) ** 2
+
+
+def gauge_cutoff(r_inner: float, r_outer: float, x1, x2, t):
+    """eta = 1 - S((rho - r_inner)/w), w = r_outer - r_inner, about the origin of H^1: eta, |X eta|^2, |T eta|.
+
+    rho^2 = x1^2 + x2^2 + |t| has X(rho^2) = (2 x1 - sgn(t) x2/2, 2 x2 + sgn(t) x1/2), of squared
+    length 17 |x|^2/4 whatever the sign of t, so |X rho| = sqrt(17) |x|/(4 rho); T rho = sgn(t)/(2 rho).
+    """
+    rho = np.sqrt(x1 * x1 + x2 * x2 + np.abs(t))
+    w = r_outer - r_inner
+    step, slope = _smoothstep((rho - r_inner) / w)
+    safe = np.where(rho > 0, rho, 1.0)
+    x_eta_sq = (slope / w) ** 2 * 17.0 * (x1 * x1 + x2 * x2) / (16.0 * safe * safe)
+    return 1.0 - step, x_eta_sq, slope / (2.0 * w * safe)
+
+
+def cutoff_cost(r_inner: float, r_outer: float) -> float:
+    """K_eta = sup |X eta|^2 + sup |eta T eta| of `gauge_cutoff`.
+
+    |X eta|^2 peaks on t = 0 (|x| = rho) where S' peaks, S'(1/2) = 15/8; eta |T eta| is a function
+    of rho alone, maximized by scipy's bounded scalar search.
+    """
+    w = r_outer - r_inner
+
+    def minus_eta_t_eta(s):
+        step, slope = _smoothstep(np.asarray(s))
+        return -float((1.0 - step) * slope / (2.0 * w * (r_inner + w * s)))
+
+    best = scipy.optimize.minimize_scalar(minus_eta_t_eta, bounds=(0.0, 1.0), method="bounded",
+                                          options={"xatol": 1e-12})
+    return 17.0 / 16.0 * (15.0 / (8.0 * w)) ** 2 - best.fun
+
+
+def gauge_ball_quadrature(radius: float, splits=(), order: int = 24):
+    """Points (x1, x2, t) and weights of tensor Gauss-Legendre on the gauge ball rho <= radius of H^1.
+
+    Gauge-polar coordinates x = rho c (cos th, sin th), t = +-rho^2 (1 - c^2), with c in [0, 1] and
+    one chart per sign of t, follow the ball (|t| <= radius^2 - |x|^2) and have Jacobian 2 rho^3 c.
+    The t = 0 split separates the charts, where X rho and T rho jump; ``splits`` are the radii
+    where an integrand's rho-dependence loses smoothness (a cutoff's inner radius).
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+
+    def segment(a, b):
+        return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
+
+    cuts = [0.0, *splits, radius]
+    rho, w_rho = map(np.concatenate, zip(*(segment(a, b) for a, b in zip(cuts, cuts[1:]))))
+    c, w_c = segment(0.0, 1.0)
+    th, w_th = segment(0.0, 2.0 * np.pi)
+    rho, c, th = np.meshgrid(rho, c, th, indexing="ij")
+    weight = (2.0 * rho ** 3 * c * np.einsum("i,j,k->ijk", w_rho, w_c, w_th)).ravel()
+    x1, x2 = (rho * c * np.cos(th)).ravel(), (rho * c * np.sin(th)).ravel()
+    height = (rho * rho * (1.0 - c * c)).ravel()
+    return (np.concatenate([x1, x1]), np.concatenate([x2, x2]), np.concatenate([height, -height]),
+            np.concatenate([weight, weight]))

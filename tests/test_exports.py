@@ -150,12 +150,17 @@ def test_regularized_operator_exported():
     assert not hasattr(operator, "regularize")
 
 
-def test_benchmark_tracer_bindings_resolve():
-    # the benchmark tracer patches solab names; a refactor that drops one must fail here
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _benchmark_tracer():
+    """The benchmark's tracer module, loaded from perfbench/tracer.py without importing perfbench."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    return tracer_mod
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # the benchmark tracer patches solab names; a refactor that drops one must fail here
+    tracer_mod = _benchmark_tracer()
     tracer = tracer_mod.Tracer("tier1")
     verify = importlib.import_module("solab.verify")
     original = verify.solution_fields
@@ -165,3 +170,25 @@ def test_benchmark_tracer_bindings_resolve():
     finally:
         tracer.restore()
     assert verify.solution_fields is original
+
+
+def test_benchmark_tracer_sees_one_span_per_solved_level(tmp_path):
+    # a cold 33^3 solve is the ladder 17^3 -> 33^3: two solver.solve spans side by side, so the
+    # tracer's per-level rows (outermost spans) see both levels; a solve_dirichlet that called
+    # back into the ladder would show three spans, two of them nested in the third
+    cli = importlib.import_module("solab.cli")
+    config = importlib.import_module("solab.config")
+    path = tmp_path / "cfg.txt"
+    path.write_text("structure = power:p=3\nboundary = poly2:x1=0.5,x1t=0.4,x2=0.2\n"
+                    "resolution = 33\nepsilon = 1e-4\n")
+    cfg = config.load_config(str(path))
+    tracer_mod = _benchmark_tracer()
+    tracer = tracer_mod.Tracer("tier1")
+    try:
+        tracer_mod.install_solab(tracer)
+        assert cli.cmd_solve(cfg, str(tmp_path)) == cli.EXIT_PASS
+    finally:
+        tracer.restore()
+    solves = [span for span in tracer.spans if span[1] == "solver.solve"]
+    assert len(solves) == 2
+    assert tracer_mod.outermost(tracer.spans, "solver.solve") == solves

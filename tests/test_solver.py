@@ -366,17 +366,18 @@ def _readme_problem(shape, label="power:p=3", **kw):
 
 
 def test_cold_solve_is_the_nested_ladder():
-    # 32 cells per axis: a cold 33^3 solve is the last level of the ladder 17^3 -> 33^3, whose
-    # 17^3 data are the 33^3 data at every other node; with one iteration neither level
-    # converges, and the 33^3 level still starts from the prolonged 17^3 level
+    # 32 cells per axis: solve_ladder halves a 33^3 problem, so solving it alone is the ladder
+    # 17^3 -> 33^3, whose 17^3 data are the 33^3 data at every other node; with one iteration
+    # neither level converges, and the 33^3 level still starts from the prolonged 17^3 level
     for max_iters, stop in ((100_000, "tol"), (1, "max_iters")):
         probs = [_readme_problem(res, max_iters=max_iters) for res in (17, 33)]
         (sol17, rep17), (ladder, rep_ladder) = sv.solve_ladder(probs)
-        cold, rep_cold = sv.solve_dirichlet(probs[1], init=None)
+        (cold, rep_cold), = sv.solve_ladder([probs[1]])
         assert np.array_equal(cold.values, ladder.values) and rep_ladder.stop_reason == stop
         assert (rep_cold.final_energy, rep_cold.iterations) == (rep_ladder.final_energy, rep_ladder.iterations)
         assert rep_cold.start_levels == [{"shape": [17, 17, 17], "iterations": rep17.iterations,
                                           "evaluations": rep17.evaluations, "stop_reason": stop}]
+        assert rep17.start_levels == [] and rep_ladder.start_levels == []
     prolonged, _ = sv.solve_dirichlet(probs[1], init=refine_values(sol17.values))
     assert np.array_equal(ladder.values, prolonged.values)
 
@@ -384,9 +385,30 @@ def test_cold_solve_is_the_nested_ladder():
 def test_short_axis_starts_from_the_boundary_field():
     # 20 cells along x_1 are fewer than 32, so the grid is not halved and the start is the data
     prob = _readme_problem([21, 33, 33])
-    cold, rep_cold = sv.solve_dirichlet(prob, init=None)
+    (cold, rep_cold), = sv.solve_ladder([prob])
     data, rep_data = sv.solve_dirichlet(prob, init=prob.boundary.values)
     assert rep_cold.start_levels == [] and rep_cold == rep_data
+    assert np.array_equal(cold.values, data.values)
+
+
+def test_solve_dirichlet_solves_one_level(monkeypatch):
+    # solve_ladder alone nests: each level is one call of the module-level solve_dirichlet, and
+    # a solve_dirichlet without a start array solves its own grid from the boundary field
+    solve, shapes = sv.solve_dirichlet, []
+
+    def counted(prob, init=None):
+        shapes.append(prob.grid.shape[0])
+        return solve(prob, init=init)
+
+    prob = _readme_problem(33, max_iters=1)
+    monkeypatch.setattr(sv, "solve_dirichlet", counted)
+    assert sv.solve_ladder([]) == [] and shapes == []
+    sv.solve_ladder([prob])
+    assert shapes == [17, 33]
+    monkeypatch.setattr(sv, "solve_ladder", None)  # a call back into the ladder would raise
+    cold, rep_cold = sv.solve_dirichlet(prob)
+    data, rep_data = solve(prob, init=prob.boundary.values)
+    assert shapes == [17, 33, 33] and rep_cold.start_levels == [] and rep_cold == rep_data
     assert np.array_equal(cold.values, data.values)
 
 

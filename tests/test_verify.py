@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import solab.solver as sv
 import solab.verify as vf
 from conftest import bumped_start, field_from, triple_for
-from solab.grid import Grid, ScalarField, make_cutoff, td_bound_margin
+from oracles import cutoff_cost, gauge_ball_quadrature, gauge_cutoff, manufactured_fields
+from solab.grid import Grid, GaugeBall, ScalarField, ball_average, make_cutoff, td_bound_margin
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,112 @@ def test_vertical_cross_check_td_bound(tdep_solution):
     sol, _, _, _ = tdep_solution
     h = float(np.max(sol.grid.spacing))
     assert td_bound_margin(sol) >= -25 * h
+
+
+# ---------------------------------------------------------------- audit integrals against the oracle
+
+# the README audit's cutoff radii and ball radius, about the origin; power:p=3 in closed form
+_R_INNER, _R_OUTER, _RADIUS = 0.25, 0.65, 0.8
+_G, _F, _G0 = (lambda s: s ** 3 / 3.0), (lambda s: s), 2.0
+_AUDITS = {"caccioppoli_T": (vf.caccioppoli_T_audit, {}), "caccioppoli_X": (vf.caccioppoli_X_audit, {}),
+           "reverse": (vf.reverse_audit, {"omega": 1.0}),
+           "horizontal_estimate": (vf.horizontal_estimate_audit, {}),
+           "vertical_estimate": (vf.vertical_estimate_audit, {})}
+
+
+@pytest.fixture(scope="module")
+def audit_oracle():
+    """Both sides of the five audits at gamma = 1, omega = 1, the ball average and K_eta, by Gauss-Legendre."""
+    k_eta = cutoff_cost(_R_INNER, _R_OUTER)
+    x1, x2, t, w = gauge_ball_quadrature(_R_OUTER, splits=(_R_INNER,))
+    _, xu, tu, xtu, hess = manufactured_fields(x1, x2, t)
+    eta, x_eta_sq, t_eta = gauge_cutoff(_R_INNER, _R_OUTER, x1, x2, t)
+    p = 2.0  # gamma + 1
+    core = _G(xu) ** p * _F(xu)
+    support = float(np.sum(w * core * xu ** 2))  # the whole quadrature ball is supp eta
+    hessian_energy = float(np.sum(w * eta ** 2 * core * hess ** 2))
+    vertical_arg = eta * np.abs(tu) / math.sqrt(k_eta)  # omega = 1 in the reverse audit
+    ref = {
+        "caccioppoli_T.lhs": float(np.sum(w * eta ** 2 * _G(np.abs(tu)) ** p * _F(xu) * xtu ** 2)),
+        "caccioppoli_T.rhs": float(np.sum(w * _G(np.abs(tu)) ** p * _F(xu) * tu ** 2 * x_eta_sq)) / p ** 2,
+        "caccioppoli_X.lhs": hessian_energy,
+        "caccioppoli_X.rhs": float(np.sum(w * core * xu ** 2 * (x_eta_sq + eta * t_eta)
+                                          + p ** 4 * w * eta ** 2 * core * tu ** 2)),
+        "reverse.lhs": float(np.sum(w * eta ** 2 * _G(vertical_arg) ** p * _F(xu) * hess ** 2)),
+        "reverse.rhs": hessian_energy,
+        "horizontal_estimate.lhs": hessian_energy,
+        "horizontal_estimate.rhs": p ** (10.0 * (1.0 + _G0)) * k_eta * support,
+        "vertical_estimate.lhs": float(np.sum(w * eta ** 2 * _G(vertical_arg) ** p * _F(xu) * tu ** 2)),
+        "vertical_estimate.rhs": k_eta * support,
+        "k_eta": k_eta,
+    }
+    x1, x2, t, w = gauge_ball_quadrature(_RADIUS)
+    ref["ball_average"] = float(np.sum(w * _G(manufactured_fields(x1, x2, t)[1]))) / (math.pi * _RADIUS ** 4)
+    return ref
+
+
+def _manufactured_level(res):
+    grid = Grid.from_box(1, [(-1, 1)] * 3, res)
+    u = ScalarField(grid, manufactured_fields(*grid.coords())[0])
+    return vf.solution_fields(u, triple_for("power:p=3")), make_cutoff(grid, [0, 0, 0], _R_INNER, _R_OUTER)
+
+
+@pytest.fixture(scope="module")
+def audit_levels():
+    """The library's values of the oracle's quantities on the manufactured field at 17/33/65 (no solve)."""
+    values = {}
+    for res in (17, 33, 65):
+        sf, eta = _manufactured_level(res)
+        for name, (fn, kw) in _AUDITS.items():
+            rep = fn(sf, eta, gamma=1.0, **kw)
+            values.setdefault(f"{name}.lhs", []).append(rep.lhs)
+            values.setdefault(f"{name}.rhs", []).append(rep.rhs)
+        values.setdefault("k_eta", []).append(eta.k_eta)
+        values.setdefault("ball_average", []).append(
+            ball_average(ScalarField(sf.u.grid, sf.g_xu), GaugeBall.at([0, 0, 0], _RADIUS)))
+    return values
+
+
+def test_manufactured_field_is_exact_at_the_nodes():
+    # the node stencils are exact on the manufactured field, and make_cutoff's eta and its
+    # derivatives match the oracle's off the t = 0 plane, so the integral tests below measure
+    # quadrature and the cutoff's t = 0 plane; there sgn(0) = 0 drops T eta and the sgn(t)
+    # parts of X eta, where both one-sided limits have |X eta|^2 = 17/16 times that value
+    sf, eta = _manufactured_level(17)
+    coords = sf.u.grid.coords()
+    _, xu, tu, xtu, hess = manufactured_fields(*coords)
+    for got, want in ((sf.xu_norm, xu), (sf.tu, tu), (sf.xtu_norm, xtu), (sf.hess_norm, hess)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    eta_ref, x_eta_sq, t_eta = gauge_cutoff(_R_INNER, _R_OUTER, *coords)
+    off = np.broadcast_to(coords[2] != 0, sf.u.grid.shape)
+    assert np.max(np.abs(eta.eta.values - eta_ref)) <= 1e-14
+    assert np.max(np.abs(eta.grad.norm() ** 2 - x_eta_sq)[off]) <= 1e-11 * np.max(x_eta_sq)
+    assert np.max(np.abs(np.abs(eta.t_deriv.values) - t_eta)[off]) <= 1e-11 * np.max(t_eta)
+    assert np.all(eta.t_deriv.values[~off] == 0)
+    assert np.allclose((eta.grad.norm() ** 2)[~off], 16.0 / 17.0 * x_eta_sq[~off], rtol=1e-12, atol=0)
+
+
+# measured relative errors at 17/33/65 of the sides that do not converge with order 1
+_MISSES = {
+    "caccioppoli_X.rhs": "2.5e-2, 2.9e-2, 1.8e-2 (orders -0.20, 0.70): the |eta T eta| term reads "
+                         "-31%, -16%, -8% (T eta = 0 on the t = 0 plane) against +21%, +5.4%, +1.3% "
+                         "of the (gamma+1)^4 Tu term",
+    "horizontal_estimate.rhs": "1.0e-2, 5.1e-2, 5.7e-2: K_eta's -5.1% and the node mask of supp eta "
+                               "(+6.5e-2, +1.3e-4, -7.2e-3)",
+    "vertical_estimate.rhs": "1.0e-2, 5.1e-2, 5.7e-2: K_eta's -5.1% and the node mask of supp eta "
+                             "(+6.5e-2, +1.3e-4, -7.2e-3)",
+    "k_eta": "5.18e-2, 5.08e-2, 5.07e-2 low: sup |X eta|^2 sits on t = 0, where the node value "
+             "is 16/17 of the one-sided limits",
+}
+
+
+@pytest.mark.parametrize("quantity", [
+    pytest.param(q, marks=pytest.mark.xfail(strict=True, reason=_MISSES[q])) if q in _MISSES else q
+    for q in [f"{name}.{side}" for name in _AUDITS for side in ("lhs", "rhs")] + ["ball_average", "k_eta"]])
+def test_audit_quantity_converges_to_the_oracle(quantity, audit_oracle, audit_levels):
+    errors = [abs(v / audit_oracle[quantity] - 1.0) for v in audit_levels[quantity]]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 1.0, (errors, orders)
 
 
 # ---------------------------------------------------------------- refinement logic
