@@ -375,7 +375,7 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
     finals = [vf.attach_refinement(reps) for key, reps in sorted(per_level.items(),
                                                                  key=lambda kv: str(kv[0]))]
     ratios = [r for *_, r in ratio_rows]
-    # an all-zero history (G(|Xu|) = 0 on the ball at every level) is the degenerate pass
+    # an all-zero history (G(|Xu|) = 0 on the ball at every level) passes: 0 <= c * 0 for every c
     lo, hi = min(ratios), max(ratios)
     ratio_ok = all(np.isfinite(ratios)) and (hi == 0 or 0 < lo and hi <= 1.25 * lo)
     sup = trace["inner_sup"]  # the finest level's trace

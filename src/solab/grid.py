@@ -337,27 +337,20 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> np.ndarray:
 
 
 def integrate(f, region=None) -> float:
-    """Trapezoid-type weighted node sum of a field over the box, a mask or a gauge ball."""
-    if isinstance(f, ScalarField):
-        grid, values = f.grid, f.values
-    else:
+    """Trapezoid-type weighted node sum of a field over the box (``None``) or a gauge ball."""
+    if not isinstance(f, ScalarField):
         raise TypeError("integrate expects a ScalarField")
-    w = _trapezoid_weights(grid)
+    grid = f.grid
     if region is None:
-        return float(np.sum(w * values))
-    if isinstance(region, GaugeBall):
-        if not region.fits_inside(grid):
-            raise ValueError("integration ball reaches outside the grid")
-        w_ball = _ball_weights(grid, region)
-        if not np.any(w_ball > 0):
-            raise ValueError("empty integration region")
-        return float(np.sum(w_ball * values))
-    mask = np.asarray(region, dtype=bool)
-    if mask.shape != grid.shape:
-        raise ValueError("mask shape does not match grid")
-    if not mask.any():
+        return float(np.sum(_trapezoid_weights(grid) * f.values))
+    if not isinstance(region, GaugeBall):
+        raise TypeError("an integration region is the box (None) or a GaugeBall")
+    if not region.fits_inside(grid):
+        raise ValueError("integration ball reaches outside the grid")
+    w_ball = _ball_weights(grid, region)
+    if not np.any(w_ball > 0):
         raise ValueError("empty integration region")
-    return float(np.sum(w * values * mask))
+    return float(np.sum(w_ball * f.values))
 
 
 def ball_average(f: ScalarField, ball: GaugeBall) -> float:
@@ -373,18 +366,16 @@ def ball_average(f: ScalarField, ball: GaugeBall) -> float:
 class CutoffFunction:
     """Radial gauge bump: 1 on the inner ball, 0 outside the outer ball.
 
-    Carries the measured discrete derivative fields and the cost constant
-    K_eta = ||X eta||_inf^2 + ||eta T eta||_inf.
+    Carries the derivative fields, the cost constant
+    K_eta = ||X eta||_inf^2 + ||eta T eta||_inf, and supp eta: the outer
+    gauge ball, the region of the audits' supp eta integrals.
     """
 
     eta: ScalarField
     grad: HorizontalField
     t_deriv: ScalarField
     k_eta: float
-
-    @property
-    def support_mask(self) -> np.ndarray:
-        return self.eta.values > 0.0
+    ball: GaugeBall
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
@@ -404,13 +395,17 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     The derivative fields X eta and T eta are evaluated in closed form (chain
     rule through the smoothstep and the gauge distance), so the stored cost
     constant K_eta samples the continuum cutoff and is stable under grid
-    refinement; the discrete stencils applied to eta agree to O(h^2).
+    refinement; the discrete stencils applied to eta agree to O(h^2).  On the
+    plane tau = 0, where |tau| has no derivative, they take the tau -> 0+
+    limits; both one-sided limits of |X eta|^2 agree there.
     """
     if not (0 < r_inner < r_outer):
         raise ValueError("need 0 < r_inner < r_outer (degenerate annulus rejected)")
     ball = GaugeBall.at(center, r_outer)
     if not ball.fits_inside(grid):
         raise ValueError("outer ball reaches outside the grid")
+    # supp eta's quadrature weights are cached now, before any full-grid temporaries
+    _ball_weights(grid, ball)
     n = grid.n
     rel = translate(center, grid.coords())
     rho = np.sqrt(gauge_squared(rel))
@@ -419,7 +414,7 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     eta = ScalarField(grid, 1.0 - _smoothstep(s))
     # chain rule: X eta = -S'(s)/width * X rho with X rho = (X q)/(2 rho),
     # q = |x - c|_spatial^2 + |tau|, tau the translated vertical coordinate
-    sgn = np.sign(rel[-1])
+    sgn = np.where(rel[-1] < 0, -1.0, 1.0)
     safe_rho = np.where(rho > 0, rho, 1.0)
     scale = np.where(rho > 0, -_smoothstep_slope(s) / (width * 2.0 * safe_rho), 0.0)
     grad_vals = np.empty((2 * n,) + grid.shape)
@@ -429,7 +424,7 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     grad = HorizontalField(grid, grad_vals)
     t_deriv = ScalarField(grid, scale * sgn * np.ones(grid.shape))
     k_eta = float(np.max(grad.norm())) ** 2 + float(np.max(np.abs(eta.values * t_deriv.values)))
-    return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta)
+    return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta, ball=ball)
 
 
 # --------------------------------------------------------------------------

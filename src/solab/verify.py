@@ -5,9 +5,11 @@ the fitted constant lhs/rhs, and (when run across refinements) a stability
 verdict.  The proven constants are existential — they depend only on
 (n, g0, L) — so a pass never asserts a numeric target: it asserts that the
 fitted constant is finite and stable under mesh refinement (consecutive
-levels within a factor 2, ``stability_pass``), and that sides which vanish
-analytically (t-independent data for the vertical integrands, affine data
-for the Hessian integrands) vanish numerically.
+levels within a factor 2, ``stability_pass``).  One rule exempts a left side:
+it is an analytic zero when one of the derivative fields it is a product of
+(X(Tu), Tu or XXu) reads at most ``_ZERO_RTOL`` times |Xu| on supp eta, as
+Tu does on t-independent data and XXu on affine data.  Integrals over
+supp eta are taken over the cutoff's outer gauge ball.
 
 The main estimate sup_{B_{sigma r}} G(|Xu|) <= c (1-sigma)^{-Q} avg_{B_r} G(|Xu|)
 is one pass: ``lipschitz_ratio`` fits c and ``moser_trace`` climbs the Moser
@@ -48,16 +50,22 @@ __all__ = [
     "stability_pass",
 ]
 
-_DEGENERATE_FLOOR = 1e-14
+# sup over supp eta against sup |Xu| there: converged solves leave at most 5.1e-7 where
+# the field is exactly 0 (X(Tu) on affine t-dependent data, 65^3), and the smallest
+# genuine field measured is 1.8e-3 (Tu on poly2:x1=0.5,x2=0.2,x1x2=0.3, p=3, 33^3)
+_ZERO_RTOL = 1e-5
 
 
 @dataclass
 class AuditReport:
     """Evaluated sides of one inequality plus the fitted constant.
 
-    ``passed`` means: fitted constant finite (or the audit is degenerate with
-    both sides at round-off level), and, once a refinement history is
-    attached, the history stays within the declared stability band.
+    ``reason`` is ``"judged"``, or ``"analytic zero: <field> at algebraic
+    error"`` when the left side is a product with a field that vanishes
+    analytically on supp eta; such a side reads the solve's algebraic error,
+    so its fitted constant is 0.  ``passed`` means: a judged fitted constant
+    is finite, and, once a refinement history is attached, the judged levels
+    stay within the declared stability band.
     """
 
     name: str
@@ -66,7 +74,7 @@ class AuditReport:
     fitted_constant: float
     gamma: float
     passed: bool
-    degenerate: bool = False
+    reason: str = "judged"
     extras: dict = field(default_factory=dict)
     refinement_history: list[float] = field(default_factory=list)
 
@@ -78,67 +86,52 @@ class AuditReport:
             "rhs": self.rhs,
             "fitted_constant": self.fitted_constant,
             "pass": self.passed,
-            "degenerate": self.degenerate,
+            "reason": self.reason,
             "refinement_history": list(self.refinement_history),
         }
         rec.update(self.extras)
         return rec
 
 
-def _report(name: str, lhs: float, rhs: float, gamma: float, **extras) -> AuditReport:
-    degenerate = lhs < _DEGENERATE_FLOOR and rhs < _DEGENERATE_FLOOR
-    if degenerate:
-        fitted = 0.0
-        passed = True
-    elif rhs > 0:
-        fitted = lhs / rhs
-        passed = bool(np.isfinite(fitted))
+def _report(name: str, sf: SolutionFields, eta: CutoffFunction, factors: tuple[str, ...],
+            lhs: float, rhs: float, gamma: float, **extras) -> AuditReport:
+    """The report of one audit whose left side is a product with the named derivative fields."""
+    inside = eta.eta.values > 0.0  # the nodes of supp eta
+
+    def sup(values):  # sup |values| on supp eta, with no full-grid temporary of floats
+        return max(np.max(values, where=inside, initial=0.0), -np.min(values, where=inside, initial=0.0))
+
+    fields = {"X(Tu)": sf.xtu_norm, "Tu": sf.tu, "XXu": sf.hess_norm}
+    floor = _ZERO_RTOL * sup(sf.xu_norm)
+    zero = next((f for f in factors if sup(fields[f]) <= floor), None)
+    if zero is not None:
+        reason, fitted = f"analytic zero: {zero} at algebraic error", 0.0
     else:
-        fitted = math.inf
-        passed = False
-    return AuditReport(name=name, lhs=lhs, rhs=rhs, fitted_constant=fitted,
-                       gamma=gamma, passed=passed, degenerate=degenerate, extras=extras)
+        reason, fitted = "judged", lhs / rhs if rhs > 0 else math.inf
+    return AuditReport(name=name, lhs=lhs, rhs=rhs, fitted_constant=fitted, gamma=gamma,
+                       passed=bool(np.isfinite(fitted)), reason=reason,
+                       extras={**extras, "weight": sf.weight_kind})
 
 
 def stability_pass(history) -> bool:
-    """Consecutive fitted constants must stay within a factor 2 of each other (zeros pass)."""
-    vals = [v for v in history if np.isfinite(v)]
-    if len(vals) != len(list(history)):
-        return False
-    for a, b in zip(vals, vals[1:]):
-        if a < _DEGENERATE_FLOOR and b < _DEGENERATE_FLOOR:
-            continue
-        if b == 0 or a == 0:
-            return False
-        r = a / b
-        if not (0.5 <= r <= 2.0):
-            return False
-    return True
-
-
-def _lhs_negligible(report: AuditReport) -> bool:
-    # the invariant scale for analytically-zero left sides
-    return report.lhs <= 1e-12 * (1.0 + report.rhs)
+    """Consecutive fitted constants must be finite, positive and within a factor 2 of each other."""
+    vals = list(history)
+    return bool(np.all(np.isfinite(vals))) and all(
+        b > 0 and 0.5 * b <= a <= 2.0 * b for a, b in zip(vals, vals[1:]))
 
 
 def attach_refinement(reports: list[AuditReport]) -> AuditReport:
     """Combine per-level reports of the same audit into the finest-level one.
 
-    Levels whose left side sits at the analytic-zero floor (lhs <= 1e-12(1+rhs))
-    carry no information about the constant and are excluded from the
-    stability judgment.
+    The history keeps every level; the stability band judges the levels whose
+    left side is judged, since an analytic zero carries no information about
+    the constant.
     """
     if not reports:
         raise ValueError("no reports to combine")
-    history = [r.fitted_constant for r in reports]
     final = reports[-1]
-    final.refinement_history = history
-    live = [r.fitted_constant for r in reports if not (_lhs_negligible(r) or r.degenerate)]
-    if not live:
-        final.passed = True
-        final.degenerate = True
-    else:
-        final.passed = bool(all(np.isfinite(live))) and stability_pass(live)
+    final.refinement_history = [r.fitted_constant for r in reports]
+    final.passed = stability_pass([r.fitted_constant for r in reports if r.reason == "judged"])
     return final
 
 
@@ -267,6 +260,16 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
 # --------------------------------------------------------------------------
 
 
+def _hessian_energy(sf: SolutionFields, eta: CutoffFunction, p: float) -> float:
+    """int eta^2 G(|Xu|)^p F(|Xu|) |XXu|^2."""
+    return integrate(ScalarField(sf.u.grid, eta.eta.values ** 2 * sf.g_xu ** p * sf.f_xu * sf.hess_norm ** 2))
+
+
+def _support_energy(sf: SolutionFields, eta: CutoffFunction, p: float) -> float:
+    """int_{supp eta} G(|Xu|)^p |Xu|^2 F(|Xu|)."""
+    return integrate(ScalarField(sf.u.grid, sf.g_xu ** p * sf.xu_norm ** 2 * sf.f_xu), eta.ball)
+
+
 def caccioppoli_T_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
     """Vertical-derivative energy inequality.
 
@@ -279,7 +282,7 @@ def caccioppoli_T_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     p = gamma + 1.0
     lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * sf.g_tu ** p * sf.f_xu * sf.xtu_norm ** 2))
     rhs = integrate(ScalarField(grid, sf.g_tu ** p * sf.f_xu * sf.tu ** 2 * eta.grad.norm() ** 2)) / p ** 2
-    return _report("caccioppoli_T", lhs, rhs, gamma, weight=sf.weight_kind)
+    return _report("caccioppoli_T", sf, eta, ("X(Tu)",), lhs, rhs, gamma)
 
 
 def caccioppoli_X_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
@@ -294,11 +297,10 @@ def caccioppoli_X_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     grid = sf.u.grid
     p = gamma + 1.0
     core = sf.g_xu ** p * sf.f_xu
-    lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * core * sf.hess_norm ** 2))
     cut_cost = eta.grad.norm() ** 2 + np.abs(eta.eta.values * eta.t_deriv.values)
     rhs = integrate(ScalarField(grid, core * sf.xu_norm ** 2 * cut_cost))
     rhs += p ** 4 * integrate(ScalarField(grid, eta.eta.values ** 2 * core * sf.tu ** 2))
-    return _report("caccioppoli_X", lhs, rhs, gamma, weight=sf.weight_kind)
+    return _report("caccioppoli_X", sf, eta, ("XXu",), _hessian_energy(sf, eta, p), rhs, gamma)
 
 
 def reverse_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float,
@@ -317,16 +319,14 @@ def reverse_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float,
         raise ValueError("omega must be >= 1")
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
-    grid = sf.u.grid
     p = gamma + 1.0
     arg = eta.eta.values * np.abs(sf.tu) / math.sqrt(omega * eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
-    base = sf.f_xu * sf.hess_norm ** 2 * eta.eta.values ** 2
-    lhs = integrate(ScalarField(grid, g_arg ** p * base))
-    rhs = omega ** (-p / 2.0) * integrate(ScalarField(grid, sf.g_xu ** p * base))
+    lhs = integrate(ScalarField(sf.u.grid, g_arg ** p * sf.f_xu * sf.hess_norm ** 2 * eta.eta.values ** 2))
+    rhs = omega ** (-p / 2.0) * _hessian_energy(sf, eta, p)
     envelope = p ** (p * (1.0 + sf.triple.g.g0))
-    return _report("reverse", lhs, rhs, gamma, omega=omega, envelope_gamma_factor=envelope,
-                   weight=sf.weight_kind)
+    return _report("reverse", sf, eta, ("Tu", "XXu"), lhs, rhs, gamma, omega=omega,
+                   envelope_gamma_factor=envelope)
 
 
 def horizontal_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
@@ -339,13 +339,10 @@ def horizontal_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: fl
         raise ValueError("needs gamma >= 1")
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
-    grid = sf.u.grid
     p = gamma + 1.0
-    core = sf.g_xu ** p * sf.f_xu
-    lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * core * sf.hess_norm ** 2))
     amp = p ** (10.0 * (1.0 + sf.triple.g.g0)) * eta.k_eta
-    rhs = amp * integrate(ScalarField(grid, core * sf.xu_norm ** 2), eta.support_mask)
-    return _report("horizontal_estimate", lhs, rhs, gamma, weight=sf.weight_kind)
+    return _report("horizontal_estimate", sf, eta, ("XXu",), _hessian_energy(sf, eta, p),
+                   amp * _support_energy(sf, eta, p), gamma)
 
 
 def vertical_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
@@ -358,11 +355,9 @@ def vertical_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: floa
         raise ValueError("needs gamma >= 1")
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
-    grid = sf.u.grid
     p = gamma + 1.0
     arg = eta.eta.values * np.abs(sf.tu) / math.sqrt(eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
-    lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2))
-    rhs = eta.k_eta * integrate(ScalarField(grid, sf.g_xu ** p * sf.xu_norm ** 2 * sf.f_xu),
-                                eta.support_mask)
-    return _report("vertical_estimate", lhs, rhs, gamma, weight=sf.weight_kind)
+    lhs = integrate(ScalarField(sf.u.grid, eta.eta.values ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2))
+    return _report("vertical_estimate", sf, eta, ("Tu",), lhs, eta.k_eta * _support_energy(sf, eta, p),
+                   gamma)

@@ -276,11 +276,11 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
             sf = vf.solution_fields(sol, tr, prob.eps)
             for name, fn, kw in audits:
                 rep = fn(sf, eta, **kw)
-                ok &= np.isfinite(rep.fitted_constant)
+                ok &= np.isfinite(rep.fitted_constant) and rep.reason == "judged"
                 per_audit.setdefault((name, kw["gamma"]), []).append(rep)
         for key, reps in per_audit.items():
             ok &= vf.attach_refinement(reps).passed
-    # degenerate sides: T-audits vanish on t-independent, X-audits on affine data
+    # analytic zeros: T-audits vanish on t-independent, X-audits on affine data
     grid = Grid.from_box(1, [(-1, 1)] * 3, 17)
     tr2 = triple_for("power:p=2")
     eta = make_cutoff(grid, CENTER, 0.25, 0.65)
@@ -290,9 +290,10 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
     sol_ti, rep_ti = sv.solve_dirichlet(tindep, init=bumped_start(tindep.boundary))
     ok &= rep_ti.iterations > 0
     sf_ti = vf.solution_fields(sol_ti, tr2)
-    for rep in (vf.caccioppoli_T_audit(sf_ti, eta, 0.0),
-                vf.vertical_estimate_audit(sf_ti, eta, 1.0)):
+    for rep, factor in ((vf.caccioppoli_T_audit(sf_ti, eta, 0.0), "X(Tu)"),
+                        (vf.vertical_estimate_audit(sf_ti, eta, 1.0), "Tu")):
         ok &= rep.lhs <= 1e-12 * (1.0 + rep.rhs)
+        ok &= rep.reason == f"analytic zero: {factor} at algebraic error"
     affine = sv.DirichletProblem(grid=grid, triple=tr2,
                                  boundary=field_from(grid, lambda a, b, c: 0.5 * a - 0.2 * b),
                                  residual_tol=1e-12)
@@ -302,9 +303,11 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
     for rep in (vf.caccioppoli_X_audit(sf_af, eta, 0.0),
                 vf.horizontal_estimate_audit(sf_af, eta, 1.0)):
         ok &= rep.lhs <= 1e-12 * (1.0 + rep.rhs)
+        ok &= rep.reason == "analytic zero: XXu at algebraic error"
     assert report(8, ok, "vertical/horizontal Caccioppoli, self-improved horizontal and "
                   "vertical estimates: fitted constants finite and within a factor 2 across "
-                  "one refinement for p in {2,3}; analytically-zero sides at the 1e-12 floor")
+                  "one refinement for p in {2,3}, every row judged; analytically-zero sides at "
+                  "the 1e-12 floor and named by their vanishing field")
 
 
 # ---------------------------------------------------------------- criterion 9

@@ -286,6 +286,25 @@ def test_constant_data_estimate_is_exact(tmp_path):
     assert report["lipschitz_stable_25pct"] and report["all_pass"]
 
 
+@pytest.mark.parametrize("boundary, zeros", [
+    # t-independent affine data: Tu and XXu vanish, and with Tu its derivative X(Tu)
+    ("affine:x1=0.5,x2=-0.2", {"caccioppoli_T": "X(Tu)", "caccioppoli_X": "XXu",
+                               "horizontal_estimate": "XXu", "reverse": "Tu", "vertical_estimate": "Tu"}),
+    # Tu = 0.3 is constant, so only X(Tu) vanishes
+    ("affine:x1=0.5,x2=-0.2,t=0.3", {"caccioppoli_T": "X(Tu)"}),
+])
+def test_affine_audit_names_its_analytic_zeros(tmp_path, boundary, zeros):
+    text = readme_cli()[1][""] + f"boundary = {boundary}\nrefinements = 1\n"
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    rows = json.loads((out / "audit_report.json").read_text())["audits"]
+    assert len(rows) == 12
+    for row in rows:
+        zero = zeros.get(row["name"])
+        assert row["reason"] == (f"analytic zero: {zero} at algebraic error" if zero else "judged"), row
+        assert row["pass"], row
+
+
 def test_audit_computes_fields_once_per_level(tmp_path, monkeypatch):
     calls = {"solution_fields": 0, "horizontal_gradient": 0}
     for name in calls:

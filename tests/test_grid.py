@@ -225,8 +225,8 @@ def test_integrate_errors(grid9):
     one = gr.ScalarField(grid9, np.ones(grid9.shape))
     with pytest.raises(ValueError):
         gr.integrate(one, gr.GaugeBall.at([0, 0, 0], 5.0))  # reaches outside
-    with pytest.raises(ValueError):
-        gr.integrate(one, np.zeros(grid9.shape, dtype=bool))  # empty mask
+    with pytest.raises(TypeError):
+        gr.integrate(one, np.ones(grid9.shape, dtype=bool))  # a region is the box or a ball
     with pytest.raises(TypeError):
         gr.integrate(np.ones(grid9.shape))
 

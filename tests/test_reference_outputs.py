@@ -3,10 +3,10 @@
 Byte-identity of reports is checked by `diff -r` across trees; these values
 carry the same check into the suite.  They are compared at a tight relative
 tolerance, not as bytes, since bytes can depend on the CPU's SIMD path.
-Degenerate audits (sides that vanish analytically) report round-off as their
-fitted constant, so only their flag is pinned.  A change to the
-discretization, the solver or the G_eps tables re-records these values and
-says so.
+Every audit row is judged on these data, so each pins its reason and the
+fitted constant at both levels.  A change to the discretization, the
+solver, the G_eps tables or the audit rule re-records these values and says
+so.
 """
 
 import json
@@ -39,42 +39,42 @@ RTOL = 1e-10
 ROOT = Path(__file__).resolve().parents[1]
 
 # per level (9^3, 17^3): final energies, Lipschitz ratios, and per audit its
-# degenerate flag with the fitted constant at each level
+# reason with the fitted constant at each level
 EXPECTED = {
     "power:p=3": {
         "energies": [0.7110377707660667, 0.7152054137745477],
         "ratios": [0.05486862994346956, 0.06984945815843047],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.07344519700327615, 0.16086643090488603]),
-            "caccioppoli_T:gamma=2": (False, [0.11625409195137718, 0.21537099903038923]),
-            "caccioppoli_X:gamma=1": (False, [0.004721205817555035, 0.0026467818909819527]),
-            "caccioppoli_X:gamma=2": (False, [0.003922277685687674, 0.002316280125398377]),
-            "horizontal_estimate:gamma=1": (True, None),
-            "horizontal_estimate:gamma=2": (True, None),
-            "reverse:gamma=1,omega=1": (True, None),
-            "reverse:gamma=1,omega=2": (True, None),
-            "reverse:gamma=2,omega=1": (True, None),
-            "reverse:gamma=2,omega=2": (True, None),
-            "vertical_estimate:gamma=1": (True, None),
-            "vertical_estimate:gamma=2": (True, None),
+            "caccioppoli_T:gamma=1": ("judged", [0.06912569228907085, 0.15212944297302533]),
+            "caccioppoli_T:gamma=2": ("judged", [0.1094157416219074, 0.20321593292268103]),
+            "caccioppoli_X:gamma=1": ("judged", [0.004080061631290048, 0.0024354349185809862]),
+            "caccioppoli_X:gamma=2": ("judged", [0.0034584442979212135, 0.0021563214486922965]),
+            "horizontal_estimate:gamma=1": ("judged", [6.55716701648762e-13, 3.224688260621243e-13]),
+            "horizontal_estimate:gamma=2": ("judged", [2.360603261645398e-18, 1.2318712063198647e-18]),
+            "reverse:gamma=1,omega=1": ("judged", [1.9137986838565808e-09, 9.18421971386513e-10]),
+            "reverse:gamma=1,omega=2": ("judged", [4.784496709641452e-10, 2.2960549284662807e-10]),
+            "reverse:gamma=2,omega=1": ("judged", [1.100966410968329e-13, 5.267783152106427e-14]),
+            "reverse:gamma=2,omega=2": ("judged", [1.376208013710411e-14, 6.584728940133026e-15]),
+            "vertical_estimate:gamma=1": ("judged", [4.586447554461346e-13, 1.3680658979180458e-13]),
+            "vertical_estimate:gamma=2": ("judged", [1.914200048016737e-17, 5.9168256759978476e-18]),
         },
     },
     "loglin:alpha=1,beta=1,a=2.718281828": {
         "energies": [1.7525522029242584, 1.7589019855341599],
         "ratios": [0.05915168601074111, 0.06925314431675678],
         "audits": {
-            "caccioppoli_T:gamma=1": (False, [0.14209438209458522, 0.2612609214983443]),
-            "caccioppoli_T:gamma=2": (False, [0.16129543755093864, 0.3555802003233709]),
-            "caccioppoli_X:gamma=1": (False, [0.00377695146547559, 0.0022124010149149657]),
-            "caccioppoli_X:gamma=2": (False, [0.0032696426477758847, 0.0019950942001500877]),
-            "horizontal_estimate:gamma=1": (False, [7.805090167366145e-11, 3.568139917145798e-11]),
-            "horizontal_estimate:gamma=2": (True, None),
-            "reverse:gamma=1,omega=1": (False, [1.7564409353572467e-06, 6.832635125665748e-07]),
-            "reverse:gamma=1,omega=2": (False, [8.753918572639564e-07, 3.4062785723028513e-07]),
-            "reverse:gamma=2,omega=1": (True, None),
-            "reverse:gamma=2,omega=2": (True, None),
-            "vertical_estimate:gamma=1": (False, [6.140447964002585e-10, 1.2880968980468757e-10]),
-            "vertical_estimate:gamma=2": (True, None),
+            "caccioppoli_T:gamma=1": ("judged", [0.13374267570490195, 0.24771553618664033]),
+            "caccioppoli_T:gamma=2": ("judged", [0.15180907975864977, 0.3362537285725409]),
+            "caccioppoli_X:gamma=1": ("judged", [0.003238403431999362, 0.0020226903357685785]),
+            "caccioppoli_X:gamma=2": ("judged", [0.002850423314838585, 0.0018396786410338338]),
+            "horizontal_estimate:gamma=1": ("judged", [7.080924233666574e-11, 3.5371447913191594e-11]),
+            "horizontal_estimate:gamma=2": ("judged", [4.740238674105325e-15, 2.4462548409026685e-15]),
+            "reverse:gamma=1,omega=1": ("judged", [1.2450479781102595e-06, 6.156862522006745e-07]),
+            "reverse:gamma=1,omega=2": ("judged", [6.206820437575806e-07, 3.0696146830446183e-07]),
+            "reverse:gamma=2,omega=1": ("judged", [1.7390222140586448e-09, 8.067871579622413e-10]),
+            "reverse:gamma=2,omega=2": ("judged", [6.120763139918272e-10, 2.839623604765286e-10]),
+            "vertical_estimate:gamma=1": ("judged", [3.948733288690943e-10, 1.1506102518810089e-10]),
+            "vertical_estimate:gamma=2": ("judged", [4.614146133317143e-13, 1.3069838731099844e-13]),
         },
     },
 }
@@ -122,10 +122,9 @@ def test_reduced_audit_matches_reference(audit_run):
     audits = {row["name"] + f":gamma={row['gamma']}" + (f",omega={row['omega']}" if "omega" in row else ""): row
               for row in report["audits"]}
     assert sorted(audits) == sorted(expected["audits"])
-    for key, (degenerate, history) in expected["audits"].items():
-        assert audits[key]["degenerate"] is degenerate, key
-        if not degenerate:
-            assert audits[key]["refinement_history"] == pytest.approx(history, rel=RTOL), key
+    for key, (reason, history) in expected["audits"].items():
+        assert audits[key]["reason"] == reason, key
+        assert audits[key]["refinement_history"] == pytest.approx(history, rel=RTOL), key
 
 
 def test_table_builds_per_law(audit_run):
