@@ -179,7 +179,7 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 
     def sample_z(m):
         radii = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=m))
-        dirs = rng.normal(size=(m, 2 * cfg.n))
+        dirs = rng.normal(size=(m, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return radii[:, None] * dirs
 
@@ -292,7 +292,7 @@ def _problem(cfg: ExperimentConfig, triple: OrliczTriple, grid: Grid) -> sv.Diri
 
 def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
-    grid = Grid.from_box(cfg.n, cfg.box, cfg.resolutions())
+    grid = Grid.from_box(cfg.box, cfg.resolutions())
     (sol, report), = sv.solve_ladder([_problem(cfg, triple, grid)])
     save_field_binary(os.path.join(out, "solution.bin"), sol)
     save_field_csv(os.path.join(out, "solution.csv"), sol)
@@ -346,7 +346,7 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
     csv_rows = []
     plot_rows = []
     all_converged = True
-    grids = [Grid.from_box(cfg.n, cfg.box, cfg.resolutions())]
+    grids = [Grid.from_box(cfg.box, cfg.resolutions())]
     for _ in range(cfg.refinements):
         grids.append(grids[-1].refined())
     for level, (sol, report) in enumerate(sv.solve_ladder([_problem(cfg, triple, g) for g in grids])):

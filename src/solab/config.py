@@ -1,8 +1,8 @@
 """Experiment configuration: plain-text key=value or JSON documents.
 
-A config names the structure function, the grid, the boundary family and the
-audit parameters.  Example (key=value form; JSON with the same keys is also
-accepted):
+A config names the structure function, the grid on a box of H^1 (axes x, y,
+t), the boundary family and the audit parameters.  Example (key=value form;
+JSON with the same keys is also accepted):
 
     structure = power:p=3
     boundary = poly2:x1=0.5,x1t=0.4,x2=0.2
@@ -48,7 +48,7 @@ def _is_list(v, item) -> bool:
 # (keys, test, what the value must be); bool is not counted as a number
 _VALUE_KINDS = [
     (("structure", "boundary", "out"), lambda v: isinstance(v, str), "a string"),
-    (("n", "refinements", "max_iters", "seed"), _is_int, "an integer"),
+    (("refinements", "max_iters", "seed"), _is_int, "an integer"),
     (("epsilon", "sigma", "radius", "eta_inner", "eta_outer"), _is_real, "a finite real number"),
     (("gammas", "omegas", "center"), lambda v: _is_list(v, _is_real), "a list of finite real numbers"),
     (("box",), lambda v: _is_list(v, lambda e: _is_list(e, _is_real)), "a list of [lo, hi] extents"),
@@ -61,7 +61,6 @@ _VALUE_KINDS = [
 class ExperimentConfig:
     structure: str = "power:p=2"
     boundary: str = "affine:x1=1"
-    n: int = 1
     box: list = field(default_factory=lambda: [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
     resolution: int | list = 9
     epsilon: float = 1e-4
@@ -83,17 +82,14 @@ class ExperimentConfig:
             for key in keys:
                 if not ok(getattr(self, key)):
                     raise ConfigError(f"{key} must be {kind}")
-        if self.n < 1:
-            raise ConfigError("n must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be positive")
-        d = 2 * self.n + 1
-        if len(self.box) != d or any(len(ext) != 2 or ext[0] >= ext[1] for ext in self.box):
-            raise ConfigError(f"box must list {d} nondegenerate extents")
+        if len(self.box) != 3 or any(len(ext) != 2 or ext[0] >= ext[1] for ext in self.box):
+            raise ConfigError("box must list 3 nondegenerate extents")
         res = self.resolutions()
-        if len(res) != d or any(r < 9 for r in res):
+        if len(res) != 3 or any(r < 9 for r in res):
             raise ConfigError("resolutions must be >= 9 per axis")
         if not 0 < self.sigma < 1:
             raise ConfigError("sigma must lie in the open interval (0,1)")
@@ -101,8 +97,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must lie in (0,1)")
         if not 0 < self.eta_inner < self.eta_outer:
             raise ConfigError("need 0 < eta_inner < eta_outer")
-        if len(self.center) != d:
-            raise ConfigError(f"center must have {d} coordinates")
+        if len(self.center) != 3:
+            raise ConfigError("center must have 3 coordinates")
         if self.radius <= 0:
             raise ConfigError("radius must be positive")
         if self.refinements < 0:
@@ -112,12 +108,12 @@ class ExperimentConfig:
             raise ConfigError("gammas must be a nonempty list of distinct nonnegative numbers")
         if not self.omegas or min(self.omegas) < 1 or len(set(self.omegas)) < len(self.omegas):
             raise ConfigError("omegas must be a nonempty list of distinct numbers >= 1")
-        grid = Grid.from_box(self.n, self.box, self.resolutions())
+        grid = Grid.from_box(self.box, self.resolutions())
         for key in ("radius", "eta_outer"):
-            if not GaugeBall.at(self.center, getattr(self, key)).fits_inside(grid):
+            if not GaugeBall(self.center, getattr(self, key)).fits_inside(grid):
                 raise ConfigError(f"the gauge ball of {key} around center leaves the box")
         # refined grids keep every coarse node, so one check on the first grid suffices
-        if not ball_node_mask(grid, GaugeBall.at(self.center, self.sigma * self.radius)).any():
+        if not ball_node_mask(grid, GaugeBall(self.center, self.sigma * self.radius)).any():
             raise ConfigError("the gauge ball of sigma * radius around center contains no grid node")
         try:
             catalog_structure_function(self.structure)
@@ -132,7 +128,7 @@ class ExperimentConfig:
 
     def resolutions(self) -> list[int]:
         if isinstance(self.resolution, int):
-            return [self.resolution] * (2 * self.n + 1)
+            return [self.resolution] * 3
         return list(self.resolution)
 
 

@@ -1,11 +1,11 @@
-"""Box grids in R^(2n+1), horizontal/vertical stencils, cutoffs and quadrature.
+"""Box grids in H^1 = R^3, horizontal/vertical stencils, cutoffs and quadrature.
 
-Node-centered fields on a uniform box; the axis order is (x_1, ..., x_2n, t).
+Node-centered fields on a uniform box; the axis order is (x, y, t).
 Horizontal derivatives combine axis derivatives with the coordinate-weighted
 vertical derivative:
 
-    X_i u     = D_{x_i} u     - (x_{n+i}/2) D_t u,
-    X_{n+i} u = D_{x_{n+i}} u + (x_i/2)     D_t u,
+    X u = D_x u - (y/2) D_t u,
+    Y u = D_y u + (x/2) D_t u,
 
 using second-order central differences in the interior and one-sided
 second-order stencils on the faces, so the stencils are exact on polynomials
@@ -50,43 +50,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform node-centered grid over a box; t is the last axis."""
+    """Uniform node-centered grid over a box with axes (x, y, t)."""
 
-    n: int
     shape: tuple[int, ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
+    dim = 3
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("the Heisenberg group H^n needs n >= 1")
-        d = 2 * self.n + 1
-        if len(self.shape) != d or len(self.lo) != d or len(self.hi) != d:
-            raise ValueError(f"expected {d} axes for n={self.n}")
+        if len(self.shape) != 3 or len(self.lo) != 3 or len(self.hi) != 3:
+            raise ValueError("expected 3 axes (x, y, t)")
         if any(s < 3 for s in self.shape):
             raise ValueError("need at least 3 nodes per axis")
         if any(b <= a for a, b in zip(self.lo, self.hi)):
             raise ValueError("box extents must have positive length")
 
     @classmethod
-    def from_box(cls, n: int, box, resolution) -> "Grid":
+    def from_box(cls, box, resolution) -> "Grid":
         """Build a grid from per-axis extents and node counts.
 
         ``resolution`` is one node count for all axes or a sequence.
         """
         box = [(float(a), float(b)) for a, b in box]
-        d = 2 * n + 1
-        if len(box) != d:
-            raise ValueError(f"expected {d} box extents")
+        if len(box) != 3:
+            raise ValueError("expected 3 box extents")
         if np.isscalar(resolution):
-            res = [int(resolution)] * d
+            res = [int(resolution)] * 3
         else:
             res = [int(r) for r in resolution]
-        return cls(n=n, shape=tuple(res), lo=tuple(a for a, _ in box), hi=tuple(b for _, b in box))
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n + 1
+        return cls(shape=tuple(res), lo=tuple(a for a, _ in box), hi=tuple(b for _, b in box))
 
     @property
     def spacing(self) -> np.ndarray:
@@ -119,7 +111,7 @@ class Grid:
 
     def refined(self) -> "Grid":
         """Grid with every axis spacing halved (shape 2N-1)."""
-        return Grid(self.n, tuple(2 * s - 1 for s in self.shape), self.lo, self.hi)
+        return Grid(tuple(2 * s - 1 for s in self.shape), self.lo, self.hi)
 
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.shape, dtype=bool)
@@ -143,15 +135,15 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class HorizontalField:
-    """2n components per node, stored with the component axis first."""
+    """The (X, Y) components per node, stored with the component axis first."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (2 * self.grid.n,) + self.grid.shape:
-            raise ValueError(f"expected shape {(2 * self.grid.n,) + self.grid.shape}, got {v.shape}")
+        if v.shape != (2,) + self.grid.shape:
+            raise ValueError(f"expected shape {(2,) + self.grid.shape}, got {v.shape}")
         object.__setattr__(self, "values", v)
 
     def norm(self) -> np.ndarray:
@@ -177,21 +169,20 @@ def horizontal_gradient(u: ScalarField) -> HorizontalField:
 
 
 def horizontal_divergence(fh: HorizontalField) -> ScalarField:
-    """sum_k X_k f_k."""
+    """X f_0 + Y f_1."""
     grid = fh.grid
-    total = np.zeros(grid.shape)
-    for k in range(2 * grid.n):
-        total += _horizontal_components(grid, fh.values[k])[k]
-    return ScalarField(grid, total)
+    return ScalarField(grid, _horizontal_components(grid, fh.values[0])[0]
+                       + _horizontal_components(grid, fh.values[1])[1])
 
 
-def horizontal_hessian(u: ScalarField) -> np.ndarray:
-    """Discrete horizontal Hessian, shape (2n, 2n, *grid): entry [i, j] = X_j X_i u."""
-    grid = u.grid
-    xu = _horizontal_components(grid, u.values)
-    out = np.empty((2 * grid.n, 2 * grid.n) + grid.shape)
-    for i in range(2 * grid.n):
-        out[i] = _horizontal_components(grid, xu[i])
+def horizontal_hessian(xu: HorizontalField) -> np.ndarray:
+    """Discrete horizontal Hessian from the field Xu, shape (2, 2, *grid).
+
+    Entry [i, j] is X_j X_i u, with X_0 = X and X_1 = Y.
+    """
+    out = np.empty((2,) + xu.values.shape)
+    for i in range(2):
+        out[i] = _horizontal_components(xu.grid, xu.values[i])
     return out
 
 
@@ -204,25 +195,20 @@ def _interior(values: np.ndarray) -> np.ndarray:
 
 
 def commutator_residual(u: ScalarField) -> float:
-    """max over the interior of |X_i X_{n+i} u - X_{n+i} X_i u - Tu|.
+    """max over the interior of |XYu - YXu - Tu|.
 
-    The exact commutator is the vertical derivative; on smooth samples the
-    residual is pure truncation error and vanishes with order >= 1 under
-    refinement.
+    The exact commutator [X, Y] is the vertical derivative T; on smooth
+    samples the residual is pure truncation error and vanishes with order
+    >= 1 under refinement.
     """
-    n = u.grid.n
-    hess = horizontal_hessian(u)
-    tu = vertical_derivative(u).values
-    worst = 0.0
-    for i in range(n):
-        resid = hess[n + i, i] - hess[i, n + i] - tu
-        worst = max(worst, float(np.max(np.abs(_interior(resid)))))
-    return worst
+    hess = horizontal_hessian(horizontal_gradient(u))
+    resid = hess[1, 0] - hess[0, 1] - vertical_derivative(u).values
+    return float(np.max(np.abs(_interior(resid))))
 
 
 def td_bound_margin(u: ScalarField) -> float:
     """min over the interior of 2 |XXu| - |Tu| (nonnegative up to truncation error)."""
-    hess = horizontal_hessian(u)
+    hess = horizontal_hessian(horizontal_gradient(u))
     tu = vertical_derivative(u).values
     margin = 2.0 * hessian_frobenius(hess) - np.abs(tu)
     return float(np.min(_interior(margin)))
@@ -256,23 +242,16 @@ class GaugeBall:
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-    @classmethod
-    def at(cls, center, radius: float) -> "GaugeBall":
-        return cls(center, float(radius))
+        object.__setattr__(self, "radius", float(self.radius))
 
     def fits_inside(self, grid: Grid) -> bool:
-        c = np.asarray(self.center)
-        n = grid.n
-        ok = True
-        for i in range(2 * n):
-            ok &= (c[i] - self.radius >= grid.lo[i]) and (c[i] + self.radius <= grid.hi[i])
+        x, y, _ = self.center
+        r = self.radius
         # the vertical extent of the gauge ball scales quadratically, plus the
         # twist of the left translation
-        twist = 0.5 * self.radius * float(np.sum(np.abs(c[:2 * n])))
-        t_span = self.radius ** 2 + twist
-        ok &= (c[-1] - t_span >= grid.lo[-1]) and (c[-1] + t_span <= grid.hi[-1])
-        return bool(ok)
+        t_span = r ** 2 + 0.5 * r * (abs(x) + abs(y))
+        return all(c - s >= lo and c + s <= hi
+                   for c, s, lo, hi in zip(self.center, (r, r, t_span), grid.lo, grid.hi))
 
 
 def ball_node_mask(grid: Grid, ball: GaugeBall) -> np.ndarray:
@@ -401,12 +380,11 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     """
     if not (0 < r_inner < r_outer):
         raise ValueError("need 0 < r_inner < r_outer (degenerate annulus rejected)")
-    ball = GaugeBall.at(center, r_outer)
+    ball = GaugeBall(center, r_outer)
     if not ball.fits_inside(grid):
         raise ValueError("outer ball reaches outside the grid")
     # supp eta's quadrature weights are cached now, before any full-grid temporaries
     _ball_weights(grid, ball)
-    n = grid.n
     rel = translate(center, grid.coords())
     rho = np.sqrt(gauge_squared(rel))
     width = r_outer - r_inner
@@ -417,10 +395,10 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     sgn = np.where(rel[-1] < 0, -1.0, 1.0)
     safe_rho = np.where(rho > 0, rho, 1.0)
     scale = np.where(rho > 0, -_smoothstep_slope(s) / (width * 2.0 * safe_rho), 0.0)
-    grad_vals = np.empty((2 * n,) + grid.shape)
-    for i in range(n):  # X_i tau = -(x_{n+i} - c_{n+i})/2, X_{n+i} tau = (x_i - c_i)/2
-        grad_vals[i] = scale * (2.0 * rel[i] + sgn * (-0.5 * rel[n + i]))
-        grad_vals[n + i] = scale * (2.0 * rel[n + i] + sgn * (0.5 * rel[i]))
+    # X tau = -(y - c_y)/2, Y tau = (x - c_x)/2
+    grad_vals = np.empty((2,) + grid.shape)
+    grad_vals[0] = scale * (2.0 * rel[0] + sgn * (-0.5 * rel[1]))
+    grad_vals[1] = scale * (2.0 * rel[1] + sgn * (0.5 * rel[0]))
     grad = HorizontalField(grid, grad_vals)
     t_deriv = ScalarField(grid, scale * sgn * np.ones(grid.shape))
     k_eta = float(np.max(grad.norm())) ** 2 + float(np.max(np.abs(eta.values * t_deriv.values)))
@@ -445,9 +423,12 @@ def refine_values(values: np.ndarray) -> np.ndarray:
 
 
 def save_field_binary(path, field: ScalarField):
-    """Flat layout: header (n, axis sizes, spacings) as float64 LE, then C-order values."""
+    """Flat layout: header (1, the 3 axis sizes, the 3 spacings) as float64 LE, then C-order values.
+
+    The leading 1 is the n of H^n: dumps keep the layout of the general H^n header.
+    """
     grid = field.grid
-    header = np.array([grid.n, *grid.shape, *grid.spacing], dtype="<f8")
+    header = np.array([1, *grid.shape, *grid.spacing], dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
@@ -456,17 +437,15 @@ def save_field_binary(path, field: ScalarField):
 def load_field_binary(path, grid: Grid) -> ScalarField:
     """Read a field dump and validate its header against the given grid."""
     raw = np.fromfile(path, dtype="<f8")
-    if raw.size < 1:
-        raise ValueError(f"{path}: truncated field file")
-    n = int(raw[0])
-    d = 2 * n + 1
-    if raw.size < 1 + 2 * d:
+    if raw.size < 7:
         raise ValueError(f"{path}: truncated field header")
-    shape = tuple(int(s) for s in raw[1:1 + d])
-    spacing = raw[1 + d:1 + 2 * d]
-    values = raw[1 + 2 * d:]
-    if n != grid.n or shape != grid.shape:
-        raise ValueError(f"{path}: grid mismatch (file n={n}, shape={shape})")
+    if raw[0] != 1:
+        raise ValueError(f"{path}: header starts with {raw[0]:g}, not 1 (a field on H^1)")
+    shape = tuple(int(s) for s in raw[1:4])
+    spacing = raw[4:7]
+    values = raw[7:]
+    if shape != grid.shape:
+        raise ValueError(f"{path}: grid mismatch (file shape={shape})")
     if not np.allclose(spacing, grid.spacing, rtol=1e-12, atol=1e-15):
         raise ValueError(f"{path}: spacing mismatch")
     if values.size != int(np.prod(shape)):
@@ -478,6 +457,6 @@ def save_field_csv(path, field: ScalarField):
     grid = field.grid
     coords = np.meshgrid(*[grid.axis(k) for k in range(grid.dim)], indexing="ij")
     cols = [c.ravel() for c in coords] + [field.values.ravel()]
-    names = [f"x{i + 1}" for i in range(2 * grid.n)] + ["t", "value"]
+    names = ["x1", "x2", "t", "value"]
     np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
                header=",".join(names), comments="")

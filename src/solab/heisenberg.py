@@ -1,17 +1,17 @@
-"""Group-algebraic and metric primitives of the Heisenberg group H^n.
+"""Group-algebraic and metric primitives of the Heisenberg group H^1.
 
-Points of H^n are identified with R^(2n+1): the first 2n coordinates are
-horizontal, the last one is the vertical coordinate t.  The group product is
+Points of H^1 are identified with R^3 as (x, y, t): x and y are horizontal,
+t is the vertical coordinate.  The group product is
 
-    (x, t) . (y, s) = (x + y, t + s + (1/2) * sum_i (x_i y_{n+i} - x_{n+i} y_i)),
+    (x, y, t) . (x', y', t') = (x + x', y + y', t + t' + (x y' - y x')/2),
 
-the gauge norm is ||(x, t)|| = (sum x_i^2 + |t|)^(1/2), and the anisotropic
-dilation scales horizontal coordinates linearly and t quadratically.  All
-values are immutable after construction.  The left-invariant frame is
-X_i = d/dx_i - (x_{n+i}/2) d/dt and X_{n+i} = d/dx_{n+i} + (x_i/2) d/dt.
+the gauge norm is ||(x, y, t)|| = (x^2 + y^2 + |t|)^(1/2), and the
+anisotropic dilation scales x and y linearly and t quadratically.  All values
+are immutable after construction.  The left-invariant frame is
+X = d/dx - (y/2) d/dt and Y = d/dy + (x/2) d/dt.
 
 `translate`, `gauge_squared`, `horizontal` and `horizontal_adjoint` take points
-as 2n+1 broadcastable arrays with t last: the grid stencils, the gauge balls
+as three broadcastable arrays (x, y, t): the grid stencils, the gauge balls
 and the solver's cell operators all use these four.
 """
 
@@ -38,86 +38,60 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupPoint:
-    """A point of H^n stored as a flat length-(2n+1) array with t last."""
+    """A point (x, y, t) of H^1 stored as a flat length-3 array."""
 
     coords: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.size < 3 or c.size % 2 == 0:
-            raise ValueError(f"coordinates must be a flat array of odd length >= 3, got shape {c.shape}")
+        if c.shape != (3,):
+            raise ValueError(f"coordinates must be a flat array (x, y, t), got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coordinates must be finite")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
-    @classmethod
-    def from_xt(cls, x, t: float) -> "GroupPoint":
-        x = np.asarray(x, dtype=float)
-        return cls(np.concatenate([x.ravel(), [float(t)]]))
-
-    @property
-    def n(self) -> int:
-        return (self.coords.size - 1) // 2
-
-    @property
-    def x(self) -> np.ndarray:
-        """Horizontal coordinates (length 2n)."""
-        return self.coords[:-1]
-
     @property
     def t(self) -> float:
         return float(self.coords[-1])
 
 
-def origin(n: int) -> GroupPoint:
-    return GroupPoint(np.zeros(2 * n + 1))
-
-
-def _check_same_group(p: GroupPoint, q: GroupPoint):
-    if p.n != q.n:
-        raise ValueError(f"dimension mismatch: points of H^{p.n} and H^{q.n}")
+def origin() -> GroupPoint:
+    return GroupPoint(np.zeros(3))
 
 
 def translate(center, coords) -> list:
-    """center^{-1} . p = (x - c, t - c_t - w(c, x)/2), w(c, x) = sum_i c_i x_{n+i} - c_{n+i} x_i."""
-    c = np.asarray(center, dtype=float)
-    n = len(coords) // 2
-    if c.size != len(coords):
-        raise ValueError("center dimension does not match the points")
-    area = sum(c[i] * coords[n + i] - c[n + i] * coords[i] for i in range(n))
-    return [coords[k] - c[k] for k in range(2 * n)] + [coords[-1] - c[-1] - 0.5 * area]
+    """center^{-1} . p = (x - a, y - b, t - c - (a y - b x)/2) for center (a, b, c)."""
+    a, b, c = np.asarray(center, dtype=float)
+    x, y, t = coords
+    return [x - a, y - b, t - c - 0.5 * (a * y - b * x)]
 
 
 def gauge_squared(coords):
-    """Squared gauge sum x_i^2 + |t|."""
-    total = coords[0] ** 2
-    for x in coords[1:-1]:
-        total = total + x ** 2
-    return total + np.abs(coords[-1])
+    """Squared gauge x^2 + y^2 + |t|."""
+    x, y, t = coords
+    return x ** 2 + y ** 2 + np.abs(t)
 
 
 def horizontal(derivs, coords) -> np.ndarray:
-    """X from the 2n+1 axis derivatives D (t last) at ``coords``, shape (2n, *shape)."""
-    n = len(derivs) // 2
-    dt = derivs[-1]
-    out = np.empty((2 * n,) + np.shape(dt))
-    for i in range(n):
-        out[i] = derivs[i] - 0.5 * coords[n + i] * dt
-        out[n + i] = derivs[n + i] + 0.5 * coords[i] * dt
+    """(X, Y) from the axis derivatives (D_x, D_y, D_t) at ``coords``, shape (2, *shape)."""
+    dx, dy, dt = derivs
+    x, y, _ = coords
+    out = np.empty((2,) + np.shape(dt))
+    out[0] = dx - 0.5 * y * dt
+    out[1] = dy + 0.5 * x * dt
     return out
 
 
 def horizontal_adjoint(w, coords):
-    """The t-axis load sum_i (x_i w_{n+i} - x_{n+i} w_i)/2 of X^T w = sum_k D_k^T w_k + D_t^T(load)."""
-    n = len(w) // 2
-    return sum(-0.5 * coords[n + i] * w[i] + 0.5 * coords[i] * w[n + i] for i in range(n))
+    """The t-axis load (x w_1 - y w_0)/2 of (X, Y)^T w = D_x^T w_0 + D_y^T w_1 + D_t^T(load)."""
+    x, y, _ = coords
+    return -0.5 * y * w[0] + 0.5 * x * w[1]
 
 
 def group_multiply(p: GroupPoint, q: GroupPoint) -> GroupPoint:
     """Group product p.q, the translate of q by p^{-1}; the identity is the origin."""
-    _check_same_group(p, q)
     return GroupPoint(np.array(translate(-p.coords, q.coords)))
 
 
@@ -127,18 +101,18 @@ def group_inverse(p: GroupPoint) -> GroupPoint:
 
 
 def homogeneous_norm(p: GroupPoint) -> float:
-    """Gauge norm (sum of squared horizontal coordinates plus |t|)^(1/2)."""
+    """Gauge norm (x^2 + y^2 + |t|)^(1/2)."""
     return float(np.sqrt(gauge_squared(p.coords)))
 
 
 def quasi_distance(p: GroupPoint, q: GroupPoint) -> float:
     """Left-invariant gauge quasi-distance ||q^{-1} . p||; zero iff p equals q."""
-    _check_same_group(p, q)
     return float(np.sqrt(gauge_squared(translate(q.coords, p.coords))))
 
 
 def dilate(p: GroupPoint, lam: float) -> GroupPoint:
-    """Anisotropic dilation (x, t) -> (lam*x, lam^2*t); the gauge norm is 1-homogeneous under it."""
+    """Anisotropic dilation (x, y, t) -> (lam*x, lam*y, lam^2*t); the gauge norm is 1-homogeneous under it."""
     if not lam > 0:
         raise ValueError(f"dilation factor must be positive, got {lam}")
-    return GroupPoint.from_xt(lam * p.x, lam * lam * p.t)
+    x, y, t = p.coords
+    return GroupPoint(np.array([lam * x, lam * y, lam * lam * t]))

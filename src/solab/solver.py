@@ -49,7 +49,7 @@ unmapped and page-faulted back in on every evaluation.
 The averages are regrouped into one chain of pair sums: axis k's derivative
 pair-sums the nodes along axes 0..k-1 (a prefix shared by all axes), takes
 the edge difference along k, pair-sums along the later axes and scales once
-by 0.5^(d-1)/h_k, 11 passes over a slab for n = 1 where averaging each axis
+by 0.5^(d-1)/h_k, 11 passes over a slab where averaging each axis
 separately took 18.  The adjoint runs the same chain backwards with one
 accumulator (about 13 passes, against 39).  The scales and cell-centre
 coordinates are built once per grid (`_frame`), not once per slab.
@@ -125,7 +125,7 @@ def _cell_coords(grid: Grid, first: int, planes: int) -> list[np.ndarray]:
 
 
 def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
-    """Horizontal gradient at cell centers, shape (2n, *cellshape).
+    """Horizontal gradient (X, Y) at cell centers, shape (2, *cellshape).
 
     ``values`` holds the grid's node planes along axis 0 from plane ``first``
     on (all of them by default); the result covers the cells between them.
@@ -346,7 +346,7 @@ def solve_ladder(problems: list[DirichletProblem]) -> list[tuple[ScalarField, So
     ladder = list(problems)
     while ladder and all(s - 1 >= 32 and (s - 1) % 2 == 0 for s in ladder[0].grid.shape):
         fine = ladder[0]
-        grid = Grid(fine.grid.n, tuple((s + 1) // 2 for s in fine.grid.shape), fine.grid.lo, fine.grid.hi)
+        grid = Grid(tuple((s + 1) // 2 for s in fine.grid.shape), fine.grid.lo, fine.grid.hi)
         boundary = ScalarField(grid, fine.boundary.values[(slice(None, None, 2),) * grid.dim])
         ladder.insert(0, replace(fine, grid=grid, boundary=boundary))
     solves = []

@@ -2,18 +2,19 @@
 
 Every audit evaluates both sides of one inequality against a cutoff, reports
 the fitted constant lhs/rhs, and (when run across refinements) a stability
-verdict.  The proven constants are existential — they depend only on
-(n, g0, L) — so a pass never asserts a numeric target: it asserts that the
-fitted constant is finite and stable under mesh refinement (consecutive
+verdict.  The proven constants are existential — they depend only on g0, L
+and the group H^1 — so a pass never asserts a numeric target: it asserts that
+the fitted constant is finite and stable under mesh refinement (consecutive
 levels within a factor 2, ``stability_pass``).  One rule exempts a left side:
 it is an analytic zero when one of the derivative fields it is a product of
 (X(Tu), Tu or XXu) reads at most ``_ZERO_RTOL`` times |Xu| on supp eta, as
 Tu does on t-independent data and XXu on affine data.  Integrals over
 supp eta are taken over the cutoff's outer gauge ball.
 
-The main estimate sup_{B_{sigma r}} G(|Xu|) <= c (1-sigma)^{-Q} avg_{B_r} G(|Xu|)
-is one pass: ``lipschitz_ratio`` fits c and ``moser_trace`` climbs the Moser
-ladder; both take B_{sigma r} from ``_inner_ball``, and ``integrate`` checks B_r.
+The main estimate sup_{B_{sigma r}} G(|Xu|) <= c (1-sigma)^{-Q} avg_{B_r} G(|Xu|),
+with Q = 4 the homogeneous dimension of H^1, is one pass: ``lipschitz_ratio``
+fits c and ``moser_trace`` climbs the Moser ladder; both take B_{sigma r} from
+``_inner_ball``, and ``integrate`` checks B_r.
 
 All seven post-solve consumers (the sup-bound ratio, the iteration trace and
 the five audits) read one ``SolutionFields`` (Xu, Tu, X(Tu), XXu, G(|Xu|),
@@ -54,6 +55,8 @@ __all__ = [
 # the field is exactly 0 (X(Tu) on affine t-dependent data, 65^3), and the smallest
 # genuine field measured is 1.8e-3 (Tu on poly2:x1=0.5,x2=0.2,x1x2=0.3, p=3, 33^3)
 _ZERO_RTOL = 1e-5
+
+_Q = 4
 
 
 @dataclass
@@ -167,7 +170,7 @@ def solution_fields(u: ScalarField, triple: OrliczTriple, eps: float | None = No
     xu_norm = xu.norm()
     tu_field = vertical_derivative(u)
     xtu_norm = horizontal_gradient(tu_field).norm()
-    hess_norm = hessian_frobenius(horizontal_hessian(u))
+    hess_norm = hessian_frobenius(horizontal_hessian(xu))
     if triple.f_zero is not None or not np.any(xu_norm == 0):
         f_xu = np.asarray(triple.F(xu_norm))
         kind = "F"
@@ -192,7 +195,7 @@ def _inner_ball(sf: SolutionFields, center, r: float, sigma: float):
     """B_{sigma r}, its node mask and sup_{B_{sigma r}} G(|Xu|); sigma in (0,1), mask nonempty."""
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0,1)")
-    ball = GaugeBall.at(center, sigma * r)
+    ball = GaugeBall(center, sigma * r)
     mask = ball_node_mask(sf.u.grid, ball)
     if not mask.any():
         raise ValueError("inner ball contains no grid nodes")
@@ -208,10 +211,10 @@ def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float
     """
     grid = sf.u.grid
     _, _, sup_inner = _inner_ball(sf, center, r, sigma)
-    avg = ball_average(ScalarField(grid, sf.g_xu), GaugeBall.at(center, r))
+    avg = ball_average(ScalarField(grid, sf.g_xu), GaugeBall(center, r))
     if avg == 0.0:
         return 0.0
-    return sup_inner * (1.0 - sigma) ** (2 * grid.n + 2) / avg
+    return sup_inner * (1.0 - sigma) ** _Q / avg
 
 
 def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int) -> dict:
@@ -228,9 +231,8 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
         raise ValueError("need at least two iteration levels")
     grid = sf.u.grid
     inner_ball, inner_mask, inner_sup = _inner_ball(sf, center, r, sigma)
-    Q = 2 * grid.n + 2
     i = np.arange(levels)
-    gammas = 3.0 * (Q / (Q - 2)) ** i - 2.0
+    gammas = 3.0 * (_Q / (_Q - 2)) ** i - 2.0
     radii = sigma * r + (1.0 - sigma) * r / 2.0 ** i
     w = sf.g_xu
 
@@ -246,7 +248,7 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
     for gamma, radius in zip(gammas, radii):
         p = gamma + 2.0
         # r_i >= sigma r, so the mask holds the inner ball's nodes
-        ball = GaugeBall.at(center, radius)
+        ball = GaugeBall(center, radius)
         rows.append({"gamma": float(gamma), "radius": float(radius), "exponent": float(p),
                      "norm": graded_norm(ball, ball_node_mask(grid, ball), p),
                      # same exponent on the fixed inner ball: nondecreasing in p

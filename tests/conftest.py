@@ -31,17 +31,17 @@ def rng():
 
 @pytest.fixture
 def grid9():
-    return Grid.from_box(1, [(-1, 1)] * 3, 9)
+    return Grid.from_box([(-1, 1)] * 3, 9)
 
 
 @pytest.fixture
 def grid11():
-    return Grid.from_box(1, [(-1, 1)] * 3, 11)
+    return Grid.from_box([(-1, 1)] * 3, 11)
 
 
 @pytest.fixture
 def grid17():
-    return Grid.from_box(1, [(-1, 1)] * 3, 17)
+    return Grid.from_box([(-1, 1)] * 3, 17)
 
 
 def field_from(grid: Grid, expr) -> ScalarField:

@@ -41,7 +41,6 @@ def _avg_matrix(m: int) -> scipy.sparse.csr_matrix:
 
 def kohn_laplace_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     """Stiffness matrix of the quadratic (p=2) cell energy, via kron assembly."""
-    assert grid.n == 1
     n1, n2, n3 = grid.shape
     h1, h2, h3 = grid.spacing
     dx1 = scipy.sparse.kron(scipy.sparse.kron(_diff_matrix(n1, h1), _avg_matrix(n2)), _avg_matrix(n3))
@@ -90,9 +89,9 @@ def averaging_cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> n
 
 def averaging_cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarray:
     """Transpose of averaging_cell_gradient, one axis load at a time, each spread over every other axis."""
-    n, dim = grid.n, grid.dim
+    dim = grid.dim
     t_load = horizontal_adjoint(w, _cell_coords(grid, first, w.shape[1]))
-    loads = [(w[k], k) for i in range(n) for k in (i, n + i)] + [(t_load, dim - 1)]
+    loads = [(w[0], 0), (w[1], 1), (t_load, 2)]
     out = np.zeros(tuple(s + 1 for s in w.shape[1:]))
     for load, k in loads:
         part = load / grid.spacing[k]

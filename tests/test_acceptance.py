@@ -1,7 +1,7 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
 One test per criterion; each prints a [criterion N] PASS/FAIL line (run with
--s to stream them).  Desk scale: n = 1, grids up to 65^3.
+-s to stream them).  Desk scale: H^1, grids up to 65^3.
 """
 
 import math
@@ -49,7 +49,7 @@ def solution_chains():
     for label in ESTIMATE_LABELS:
         tr = triple_for(label)
         problems = [sv.DirichletProblem(grid=grid, triple=tr, boundary=oscillatory_data(grid))
-                    for grid in (Grid.from_box(1, [(-1, 1)] * 3, res) for res in (17, 33, 65))]
+                    for grid in (Grid.from_box([(-1, 1)] * 3, res) for res in (17, 33, 65))]
         solves = sv.solve_ladder(problems)
         assert all(rep.converged for _, rep in solves), f"{label}: {[rep.stop_reason for _, rep in solves]}"
         chains[label] = [(prob.grid, prob, sol) for prob, (sol, _) in zip(problems, solves)]
@@ -142,7 +142,7 @@ def test_criterion_3_operator(rng):
 
 def test_criterion_4_solver_exactness():
     ok = True
-    grid = Grid.from_box(1, [(-1, 1)] * 3, 9)
+    grid = Grid.from_box([(-1, 1)] * 3, 9)
     bc = field_from(grid, lambda a, b, c: 0.7 * a - 0.3 * b + 0.1)
     for label in ALL_LABELS:
         prob = sv.DirichletProblem(grid=grid, triple=triple_for(label), boundary=bc,
@@ -159,7 +159,7 @@ def test_criterion_4_solver_exactness():
     ok &= rep2.iterations > 0
     direct = solve_kohn_laplace(grid, bc2.values, prob2.interior)
     ok &= float(np.max(np.abs(sol2.values - direct))) <= 1e-8
-    grid11 = Grid.from_box(1, [(-1, 1)] * 3, 11)
+    grid11 = Grid.from_box([(-1, 1)] * 3, 11)
     prob3 = sv.DirichletProblem(grid=grid11, triple=triple_for("power:p=3"),
                                 boundary=field_from(grid11, lambda a, b, c: a * b + 0.2 * c),
                                 residual_tol=1e-11)
@@ -176,15 +176,15 @@ def test_criterion_4_solver_exactness():
 # ---------------------------------------------------------------- criterion 5
 
 def test_criterion_5_barriers():
-    from solab.grid import horizontal_hessian
+    from solab.grid import horizontal_gradient, horizontal_hessian
     from solab.problems import boundary_field
     ok = True
-    grid = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    grid = Grid.from_box([(-1, 1)] * 3, 17)
     L = boundary_field("affine:x1=0.5,x2=0.2,t=0.8", grid)
-    hess = horizontal_hessian(L)
+    hess = horizontal_hessian(horizontal_gradient(L))
     sym = 0.5 * (hess + np.swapaxes(hess, 0, 1))
     ok &= float(np.max(np.abs(sym))) <= 1e-9
-    base = Grid.from_box(1, [(-1, 1)] * 3, 9)
+    base = Grid.from_box([(-1, 1)] * 3, 9)
     L9 = boundary_field("affine:x1=1,t=1", base)
     for label in ("power:p=2", "power:p=4"):
         res = sv.barrier_residual_study(L9, triple_for(label), refinements=2)
@@ -200,7 +200,7 @@ def test_criterion_5_barriers():
 
 def test_criterion_6_comparison():
     ok = True
-    grid = Grid.from_box(1, [(-1, 1)] * 3, 11)
+    grid = Grid.from_box([(-1, 1)] * 3, 11)
     x1, x2, t = grid.coord(0), grid.coord(1), grid.coord(2)
     base = 0.4 * x1 + 0.2 * np.sin(1.5 * x1) * np.cos(x2) + 0.15 * t * x1
     offsets = [1.0,
@@ -236,7 +236,7 @@ def test_criterion_7_main_estimate(solution_chains):
         spread = max(ratios) / min(ratios) - 1.0
         spreads[label] = (ratios, spread)
         ok &= spread <= 0.25
-    grid = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    grid = Grid.from_box([(-1, 1)] * 3, 17)
     bc = field_from(grid, lambda a, b, c: 0.6 * a - 0.2 * b + 0.3)
     prob = sv.DirichletProblem(grid=grid, triple=triple_for("power:p=2"), boundary=bc,
                                residual_tol=1e-12)
@@ -281,7 +281,7 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
         for key, reps in per_audit.items():
             ok &= vf.attach_refinement(reps).passed
     # analytic zeros: T-audits vanish on t-independent, X-audits on affine data
-    grid = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    grid = Grid.from_box([(-1, 1)] * 3, 17)
     tr2 = triple_for("power:p=2")
     eta = make_cutoff(grid, CENTER, 0.25, 0.65)
     tindep = sv.DirichletProblem(grid=grid, triple=tr2,
@@ -316,13 +316,13 @@ def test_criterion_9_geometry():
     ok = True
     res = []
     for m in (9, 17, 33):
-        g = Grid.from_box(1, [(-1, 1)] * 3, m)
+        g = Grid.from_box([(-1, 1)] * 3, m)
         res.append(commutator_residual(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c))))
     ok &= all(a / b >= 2.0 for a, b in zip(res, res[1:]))
-    g65 = Grid.from_box(1, [(-1, 1)] * 3, 65)
+    g65 = Grid.from_box([(-1, 1)] * 3, 65)
     one = ScalarField(g65, np.ones(g65.shape))
-    ratio = (integrate(one, GaugeBall.at(CENTER, 0.8))
-             / integrate(one, GaugeBall.at(CENTER, 0.4)))
+    ratio = (integrate(one, GaugeBall(CENTER, 0.8))
+             / integrate(one, GaugeBall(CENTER, 0.4)))
     ok &= abs(ratio - 16.0) <= 1.6
     assert report(9, ok, f"commutator residual decays with order >= 1 "
                   f"({res[0]:.2e} -> {res[2]:.2e}); ball-volume ratio {ratio:.3f} within "

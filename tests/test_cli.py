@@ -14,7 +14,7 @@ import solab.solver as sv
 import solab.verify as vf
 from conftest import CATALOG_LABELS, bumped_start
 from solab.config import ConfigError, load_config
-from solab.grid import Grid, load_field_binary
+from solab.grid import Grid, ScalarField, load_field_binary, save_field_binary
 from solab.orlicz import catalog_structure_function
 from solab.problems import boundary_field
 
@@ -129,6 +129,12 @@ def test_config_validation_errors(tmp_path):
         with pytest.raises(ConfigError):
             load_config(path)
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path / f"repeat{i}")]) == 2
+    # the group is H^1: a config naming n, even n = 1, names an unknown key
+    for i, extra in enumerate(("n = 1", "n = 2")):
+        path = write_cfg(tmp_path, BASE + extra + "\n", f"n{i}.txt")
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['n'\]"):
+            load_config(path)
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path / f"n{i}")]) == 2
     # boundary data is sampled on the grid: an undefined quadratic term used to pass orlicz-check
     # (exit 0), and data overflowing on the box used to crash solve (exit 1)
     for i, (command, extra) in enumerate((("orlicz-check", "boundary = poly2:zz=1"),
@@ -149,11 +155,16 @@ def test_config_overrides(tmp_path):
     assert cfg.seed == 7 and cfg.refinements == 1
 
 
-def readme_cli():
-    """The README's CLI section and its code blocks by language ("" is the example config)."""
+def readme_section(title):
+    """The README from the heading ``## title`` on."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme) as fh:
-        section = fh.read().split("## CLI", 1)[1]
+        return fh.read().split(f"## {title}", 1)[1]
+
+
+def readme_cli():
+    """The README's CLI section and its code blocks by language ("" is the example config)."""
+    section = readme_section("CLI")
     return section, dict(re.findall(r"```(\w*)\n(.*?)```", section, re.S))
 
 
@@ -167,6 +178,14 @@ def test_readme_cli_section_matches_the_program(tmp_path):
     values = {"--config": "cfg.txt", "--out": "out", "--seed": "1", "--refinements": "1"}
     for command in commands:  # argparse exits 2 on an unknown command or flag
         cli._parser().parse_args([command] + [x for flag in flags for x in (flag, values[flag])])
+
+
+def test_readme_dump_header_matches_the_writer(tmp_path):
+    names = re.search(r"header `\[(.*?)\]`", readme_section("Field dump format")).group(1).split(", ")
+    grid = Grid.from_box([(-1, 1), (-2, 2), (0, 1)], (9, 5, 3))
+    save_field_binary(tmp_path / "f.bin", ScalarField(grid, np.zeros(grid.shape)))
+    values = {"1": 1.0, "N_1": 9, "N_2": 5, "N_3": 3, "h_1": 0.25, "h_2": 1.0, "h_3": 0.5}
+    assert [values[name] for name in names] == list(np.fromfile(tmp_path / "f.bin", dtype="<f8")[:7])
 
 
 # ---------------------------------------------------------------- exit codes
@@ -207,7 +226,7 @@ def test_solve_writes_loadable_dump(tmp_path):
     path = write_cfg(tmp_path, BASE)
     out = tmp_path / "ok"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
-    grid = Grid.from_box(1, [(-1, 1)] * 3, 9)
+    grid = Grid.from_box([(-1, 1)] * 3, 9)
     sol = load_field_binary(out / "solution.bin", grid)
     assert np.isfinite(sol.values).all()
     report = json.loads((out / "solve_report.json").read_text())
@@ -374,14 +393,9 @@ def test_orlicz_check_passes_catalog(tmp_path, label):
     assert json.loads((out / "orlicz_report.json").read_text())["all_pass"]
 
 
-@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("label", CATALOG_LABELS)
-def test_operator_check_passes_catalog(tmp_path, label, n):
-    d = 2 * n + 1
-    # the quadratic poly2 terms of BASE are defined for n = 1 only; the report does not read the boundary
-    cfg = (BASE.replace("power:p=2", label).replace("poly2:x1=0.5,x1t=0.3", "affine:x1=0.5")
-           + f"n = {n}\nbox = {[[-1, 1]] * d}\ncenter = {[0] * d}\n")
-    path = write_cfg(tmp_path, cfg)
+def test_operator_check_passes_catalog(tmp_path, label):
+    path = write_cfg(tmp_path, BASE.replace("power:p=2", label))
     out = tmp_path / "op"
     assert cli.main(["operator-check", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "operator_report.json").read_text())

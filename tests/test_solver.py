@@ -30,45 +30,42 @@ def test_cell_gradient_adjoint(rng, grid9):
 
 
 # unequal extents, so every axis has its own spacing and the frame coefficients are off-centre
-_BOXES = {1: [(-1, 1), (-0.5, 1.5), (-2, 1)], 2: [(-1, 1), (-0.5, 1.5), (-1, 0.5), (0, 2), (-2, 1)]}
+_BOX = [(-1, 1), (-0.5, 1.5), (-2, 1)]
 
 
 def _close_to(new, ref):
     return float(np.max(np.abs(new - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("n, res, first, planes", [
-    (1, 9, 0, 8), (1, 17, 0, 16), (1, 17, 5, 3), (1, 9, 7, 1), (2, 5, 0, 4), (2, 5, 2, 2)])
-def test_cell_stencil_matches_averaging_oracle(rng, n, res, first, planes):
+@pytest.mark.parametrize("res, first, planes", [(9, 0, 8), (17, 0, 16), (17, 5, 3), (9, 7, 1)])
+def test_cell_stencil_matches_averaging_oracle(rng, res, first, planes):
     # the prefix-sum stencil regroups the averaging stencil's sums, on whole grids and on slabs
-    grid = Grid.from_box(n, _BOXES[n], res)
+    grid = Grid.from_box(_BOX, res)
     u = rng.normal(size=(planes + 1,) + grid.shape[1:])
-    w = rng.normal(size=(2 * n, planes) + tuple(s - 1 for s in grid.shape[1:]))
+    w = rng.normal(size=(2, planes) + tuple(s - 1 for s in grid.shape[1:]))
     assert _close_to(sv.cell_gradient(grid, u, first), averaging_cell_gradient(grid, u, first))
     assert _close_to(sv.cell_gradient_adjoint(grid, w, first), averaging_cell_gradient_adjoint(grid, w, first))
 
 
-@pytest.mark.parametrize("n, res", [(1, 9), (2, 5)])
-def test_cell_stencil_adjoint_on_edge_unit_loads(n, res):
+def test_cell_stencil_adjoint_on_edge_unit_loads():
     # a unit load in a corner or edge cell reaches boundary nodes, where the transposes have their end planes
-    grid = Grid.from_box(n, _BOXES[n], res)
+    grid = Grid.from_box(_BOX, 9)
     cells = tuple(s - 1 for s in grid.shape)
-    corners = [(0,) * grid.dim, (-1,) * grid.dim, (0,) + (-1,) * (grid.dim - 2) + (0,), (-1,) + (0,) * (grid.dim - 1)]
-    for comp in range(2 * n):
+    corners = [(0, 0, 0), (-1, -1, -1), (0, -1, 0), (-1, 0, 0)]
+    for comp in range(2):
         for cell in corners:
-            w = np.zeros((2 * n,) + cells)
+            w = np.zeros((2,) + cells)
             w[(comp,) + cell] = 1.0
             assert _close_to(sv.cell_gradient_adjoint(grid, w), averaging_cell_gradient_adjoint(grid, w)), (comp, cell)
 
 
-def test_cell_frame_n2(rng):
-    # dyadic nodes: the cell stencils of u = t are exact, so X u = (-x_{n+i}/2, x_i/2) bit for bit
-    grid = Grid.from_box(2, [(-1, 1)] * 5, 5)
-    xc = sv.cell_gradient(grid, grid.coord(4) * np.ones(grid.shape))
+def test_cell_frame(rng):
+    # dyadic nodes: the cell stencils of u = t are exact, so (Xu, Yu) = (-y/2, x/2) bit for bit
+    grid = Grid.from_box([(-1, 1)] * 3, 5)
+    xc = sv.cell_gradient(grid, grid.coord(2) * np.ones(grid.shape))
     cells = xc.shape[1:]
-    for i in range(2):
-        assert np.array_equal(xc[i], np.broadcast_to(-grid.cell_coord(2 + i) / 2, cells))
-        assert np.array_equal(xc[2 + i], np.broadcast_to(grid.cell_coord(i) / 2, cells))
+    assert np.array_equal(xc[0], np.broadcast_to(-grid.cell_coord(1) / 2, cells))
+    assert np.array_equal(xc[1], np.broadcast_to(grid.cell_coord(0) / 2, cells))
     u = rng.normal(size=grid.shape)
     w = rng.normal(size=xc.shape)
     lhs = float(np.sum(sv.cell_gradient(grid, u) * w))
@@ -91,7 +88,7 @@ def test_problem_validation(grid9):
     bc = field_from(grid9, lambda a, b, c: a)
     with pytest.raises(ValueError):
         sv.DirichletProblem(grid=grid9, triple=triple_for("power:p=2"), boundary=bc, eps=2.0)
-    other = Grid.from_box(1, [(-1, 1)] * 3, 11)
+    other = Grid.from_box([(-1, 1)] * 3, 11)
     with pytest.raises(ValueError):
         sv.DirichletProblem(grid=other, triple=triple_for("power:p=2"), boundary=bc)
 
@@ -222,7 +219,7 @@ def test_problem_operator_is_the_regularized_operator(grid9, rng):
 def test_weak_form_slabs_match_the_assembled_operator(rng):
     # 20 cell planes along x_1, so a partial slab follows the full ones; the box
     # is off-center in x_1, the coefficient of X_2
-    grid = Grid.from_box(1, [(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
+    grid = Grid.from_box([(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
     step = sv._slab_planes(grid)
     assert step < 20 and 20 % step != 0
     u = rng.normal(size=grid.shape)
@@ -232,13 +229,14 @@ def test_weak_form_slabs_match_the_assembled_operator(rng):
 
 
 def test_energy_gradient_is_directional_derivative_across_slabs(rng):
-    # n = 2, where X_3 carries the x_1 coefficient; 6 cell planes along x_1
-    grid = Grid.from_box(2, [(-0.3, 1.2), (-1, 1), (-1, 1), (-1, 1), (-1, 1)], (7, 9, 9, 9, 9))
-    assert sv._slab_planes(grid) < 6
+    # 6 cell planes along x, off-centre so that Y carries the x coefficient: a full
+    # slab of 4 planes, then a partial one of 2
+    grid = Grid.from_box([(-0.3, 1.2), (-1, 1), (-1, 1)], (7, 65, 65))
+    assert sv._slab_planes(grid) == 4
     tr = triple_for("power:p=3")
     f_eps, g_eps = regularized_weight(tr, 1e-4), regularized_energy_density(tr, 1e-4)
-    x = [grid.coord(k) for k in range(grid.dim)]
-    u = (np.sin(x[0]) * x[2] + x[1] * x[3] + 0.3 * x[4]) + 0.01 * rng.normal(size=grid.shape)
+    x, y, t = grid.coords()
+    u = (np.sin(x) * y + x * t + 0.3 * t) + 0.01 * rng.normal(size=grid.shape)
     d = rng.normal(size=grid.shape)
     _, grad, _ = sv._energy_and_gradient(grid, u, f_eps, g_eps)
     h = 1e-5
@@ -251,7 +249,7 @@ def test_energy_gradient_is_directional_derivative_across_slabs(rng):
 def test_energy_evaluation_allocates_no_full_grid_temporaries(label, bound):
     # peak allocation of one evaluation at 33^3, in node arrays: 4.67 for both laws;
     # with full-grid temporaries it was 9.8 (power) and 18.5 (loglin)
-    grid = Grid.from_box(1, [(-1, 1)] * 3, 33)
+    grid = Grid.from_box([(-1, 1)] * 3, 33)
     tr = triple_for(label)
     f_eps, g_eps = regularized_weight(tr, 1e-4), regularized_energy_density(tr, 1e-4)
     u = grid.coord(0) * grid.coord(2) + 0.5 * grid.coord(1) * np.ones(grid.shape)
@@ -299,7 +297,7 @@ def test_lbfgs_direction_with_diagonal_metric_matches_dense_bfgs(rng, pairs):
 def test_weight_sums_are_the_cell_sums_at_every_node(rng):
     # the slab loop adds each node's F_eps over its 8 cells; here against the 8 corner shifts
     # of the whole-grid cell weights, with a partial slab after the full ones
-    grid = Grid.from_box(1, [(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
+    grid = Grid.from_box([(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
     assert 20 % sv._slab_planes(grid) != 0
     f_eps = regularized_weight(triple_for("power:p=3"), 1e-4)
     u = rng.normal(size=grid.shape)
@@ -315,7 +313,7 @@ def test_weight_sums_are_the_cell_sums_at_every_node(rng):
 def _warm_start(label, residual_tol=None):
     """A 17^3 problem and the prolonged 9^3 solution of the same data, its array start."""
     expr = lambda a, b, c: np.sin(2 * a) * b + 0.4 * c  # noqa: E731
-    coarse = make_problem(Grid.from_box(1, [(-1, 1)] * 3, 9), label, expr, residual_tol=residual_tol)
+    coarse = make_problem(Grid.from_box([(-1, 1)] * 3, 9), label, expr, residual_tol=residual_tol)
     sol, rep = sv.solve_dirichlet(coarse)
     assert rep.converged
     return make_problem(coarse.grid.refined(), label, expr, residual_tol=residual_tol), refine_values(sol.values)
@@ -360,7 +358,7 @@ def test_flat_start_keeps_the_f_eps_zero_metric():
 
 
 def _readme_problem(shape, label="power:p=3", **kw):
-    grid = Grid.from_box(1, [(-1, 1)] * 3, shape)
+    grid = Grid.from_box([(-1, 1)] * 3, shape)
     return sv.DirichletProblem(grid=grid, triple=triple_for(label),
                                boundary=boundary_field("poly2:x1=0.5,x1t=0.4,x2=0.2", grid), **kw)
 
@@ -481,7 +479,7 @@ def test_error_against_gauge_fundamental_solution(p):
     # p-harmonic off the origin; the box keeps |x| >= 1/4, so for p = 1.5 max |u| = 4^5
     problems = []
     for res in (9, 17, 33):
-        grid = Grid.from_box(1, [(0.25, 1.25), (-0.5, 0.5), (-0.5, 0.5)], res)
+        grid = Grid.from_box([(0.25, 1.25), (-0.5, 0.5), (-0.5, 0.5)], res)
         exact = gauge_fundamental_solution(p, grid.coord(0), grid.coord(1), grid.coord(2))
         problems.append(sv.DirichletProblem(grid=grid, triple=triple_for(f"power:p={p:g}"),
                                             boundary=ScalarField(grid, exact * np.ones(grid.shape)), eps=1e-6))
@@ -531,10 +529,10 @@ def test_barrier_t_free_has_constant_gradient(grid9):
 
 
 def test_barrier_hessian_skew(grid17):
-    from solab.grid import horizontal_hessian
+    from solab.grid import horizontal_gradient, horizontal_hessian
     c = 0.8
     L = boundary_field(f"affine:x1=0.4,x2=0.1,t={c}", grid17)
-    hess = horizontal_hessian(L)
+    hess = horizontal_hessian(horizontal_gradient(L))
     sym = 0.5 * (hess + np.swapaxes(hess, 0, 1))
     assert np.max(np.abs(sym)) <= 1e-9
     assert np.max(np.abs(hess[0, 1] + c / 2)) <= 1e-9  # off-diagonal is +-(t coeff)/2
@@ -577,7 +575,7 @@ def test_barrier_study_rejects_nonaffine(grid9):
 def test_barrier_study_flags_degenerate_gradient():
     # an even node count puts a cell center at the origin, where XL of pure-t
     # data vanishes; p=1.5 has singular F there
-    g10 = Grid.from_box(1, [(-1, 1)] * 3, 10)
+    g10 = Grid.from_box([(-1, 1)] * 3, 10)
     L = boundary_field("affine:t=1", g10)
     with pytest.raises(ValueError):
         sv.barrier_residual_study(L, triple_for("power:p=1.5"), 0)

@@ -13,7 +13,7 @@ from solab.grid import Grid, GaugeBall, ScalarField, ball_average, make_cutoff, 
 @pytest.fixture(scope="module")
 def tdep_solution():
     """p=2 solution with genuine t-dependence on a 17^3 grid."""
-    g = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    g = Grid.from_box([(-1, 1)] * 3, 17)
     tr = triple_for("power:p=2")
     bc = field_from(g, lambda a, b, c: 0.5 * a + 0.4 * c * a + 0.2 * b)
     prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-10)
@@ -25,7 +25,7 @@ def tdep_solution():
 
 @pytest.fixture(scope="module")
 def affine_solution():
-    g = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    g = Grid.from_box([(-1, 1)] * 3, 17)
     tr = triple_for("power:p=2")
     bc = field_from(g, lambda a, b, c: 0.6 * a - 0.25 * b + 0.1)
     prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-12)
@@ -39,7 +39,7 @@ def affine_solution():
 
 def test_moser_schedule_arithmetic():
     # H^1 has Q = 4, so kappa = 2: gamma_i = 3 * 2^i - 2 and r_i = sigma r + (1 - sigma) r / 2^i
-    g = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    g = Grid.from_box([(-1, 1)] * 3, 17)
     tr = triple_for("power:p=2")
     u = field_from(g, lambda a, b, c: 0.8 * a)
     rows = vf.moser_trace(vf.solution_fields(u, tr), [0, 0, 0], 0.8, 0.5, levels=4)["levels"]
@@ -91,7 +91,7 @@ def test_audits_finite_on_tdep_solution(tdep_solution):
 
 
 def test_t_audits_degenerate_on_t_independent():
-    g = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    g = Grid.from_box([(-1, 1)] * 3, 17)
     tr = triple_for("power:p=2")
     bc = field_from(g, lambda a, b, c: a * b + 0.3 * a)
     prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-11)
@@ -198,7 +198,7 @@ def audit_oracle():
 
 
 def _manufactured_level(res):
-    grid = Grid.from_box(1, [(-1, 1)] * 3, res)
+    grid = Grid.from_box([(-1, 1)] * 3, res)
     u = ScalarField(grid, manufactured_fields(*grid.coords())[0])
     return vf.solution_fields(u, triple_for("power:p=3")), make_cutoff(grid, [0, 0, 0], _R_INNER, _R_OUTER)
 
@@ -215,7 +215,7 @@ def audit_levels():
             values.setdefault(f"{name}.rhs", []).append(rep.rhs)
         values.setdefault("k_eta", []).append(eta.k_eta)
         values.setdefault("ball_average", []).append(
-            ball_average(ScalarField(sf.u.grid, sf.g_xu), GaugeBall.at([0, 0, 0], _RADIUS)))
+            ball_average(ScalarField(sf.u.grid, sf.g_xu), GaugeBall([0, 0, 0], _RADIUS)))
     return values
 
 
@@ -277,7 +277,7 @@ def test_attach_refinement_band_failure():
 
 def test_audit_stability_under_refinement(tdep_solution):
     sol, tr, eta17, prob = tdep_solution
-    g33 = Grid.from_box(1, [(-1, 1)] * 3, 33)
+    g33 = Grid.from_box([(-1, 1)] * 3, 33)
     bc = field_from(g33, lambda a, b, c: 0.5 * a + 0.4 * c * a + 0.2 * b)
     prob33 = sv.DirichletProblem(grid=g33, triple=tr, boundary=bc)
     sol33 = sv.solve_ladder([prob, prob33])[1][0]
@@ -293,7 +293,7 @@ def test_audit_stability_under_refinement(tdep_solution):
 # ---------------------------------------------------------------- moser trace
 
 def test_moser_trace_constant_field():
-    g = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    g = Grid.from_box([(-1, 1)] * 3, 17)
     tr = triple_for("power:p=2")
     u = field_from(g, lambda a, b, c: 0.8 * a)  # |Xu| = 0.8 everywhere
     trace = vf.moser_trace(vf.solution_fields(u, tr), [0, 0, 0], 0.8, 0.5, levels=4)
@@ -333,7 +333,7 @@ def test_moser_trace_validation(tdep_solution):
 # ---------------------------------------------------------------- weight fallback
 
 def test_singular_weight_falls_back_to_regularized():
-    g = Grid.from_box(1, [(-1, 1)] * 3, 17)
+    g = Grid.from_box([(-1, 1)] * 3, 17)
     tr = triple_for("power:p=1.5")
     # |Xu| > 0 at every node keeps the raw F; Xu = 0 somewhere, where F is singular, falls back
     for data, kind in ((lambda a, b, c: 0.4 * a + 0.3 * c * a, "F"), (lambda a, b, c: 0.0 * a, "F_eps")):
