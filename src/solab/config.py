@@ -133,7 +133,7 @@ class ExperimentConfig:
 
 
 def _parse_keyvalue(text: str) -> dict:
-    out: dict = {}
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -143,10 +143,23 @@ def _parse_keyvalue(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value")
         key = key.strip()
         val = val.strip()
+        if key in lines:
+            raise ConfigError(f"config key {key!r} repeated on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         try:
             out[key] = json.loads(val)
         except json.JSONDecodeError:
             out[key] = val  # bare strings (labels, paths)
+    return out
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for JSON configs: a repeated key is an error, not its last value."""
+    out: dict = {}
+    for key, val in pairs:
+        if key in out:
+            raise ConfigError(f"config key {key!r} repeated")
+        out[key] = val
     return out
 
 
@@ -160,7 +173,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
     else:

@@ -32,7 +32,6 @@ __all__ = [
     "axis_derivative",
     "horizontal_gradient",
     "vertical_derivative",
-    "horizontal_divergence",
     "horizontal_hessian",
     "hessian_frobenius",
     "commutator_residual",
@@ -166,13 +165,6 @@ def _horizontal_components(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def horizontal_gradient(u: ScalarField) -> HorizontalField:
     return HorizontalField(u.grid, _horizontal_components(u.grid, u.values))
-
-
-def horizontal_divergence(fh: HorizontalField) -> ScalarField:
-    """X f_0 + Y f_1."""
-    grid = fh.grid
-    return ScalarField(grid, _horizontal_components(grid, fh.values[0])[0]
-                       + _horizontal_components(grid, fh.values[1])[1])
 
 
 def horizontal_hessian(xu: HorizontalField) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import operator
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import solab
 import solab.cli as cli
 import solab.solver as sv
 import solab.verify as vf
@@ -23,6 +25,20 @@ def write_cfg(tmp_path, text, name="cfg.txt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def with_keys(text, extra):
+    """The config ``text`` with each ``key = value`` line of ``extra`` in its key's place, or appended."""
+    lines = text.splitlines()
+    keys = [line.partition("=")[0].strip() for line in lines]
+    for line in extra.splitlines():
+        key = line.partition("=")[0].strip()
+        if key in keys:
+            lines[keys.index(key)] = line
+        else:
+            lines.append(line)
+            keys.append(key)
+    return "\n".join(lines) + "\n"
 
 
 BASE = """
@@ -85,13 +101,13 @@ def test_config_keyvalue_and_json(tmp_path):
 
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, BASE + "sigma = 1\n", "s1.txt"))
+        load_config(write_cfg(tmp_path, with_keys(BASE, "sigma = 1"), "s1.txt"))
     with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, BASE + "resolution = 5\n", "r5.txt"))
+        load_config(write_cfg(tmp_path, with_keys(BASE, "resolution = 5"), "r5.txt"))
     with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, BASE + "structure = foo\n", "sf.txt"))
+        load_config(write_cfg(tmp_path, with_keys(BASE, "structure = foo"), "sf.txt"))
     with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, BASE + "bogus_key = 3\n", "bk.txt"))
+        load_config(write_cfg(tmp_path, with_keys(BASE, "bogus_key = 3"), "bk.txt"))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.txt"))
     empty_inner = "center = [0.1, 0.1, 0.05]\nsigma = 0.01\nradius = 0.5\neta_outer = 0.45"
@@ -99,10 +115,10 @@ def test_config_validation_errors(tmp_path):
                                "init = foo", "init = boundary", "init = zero", "init = harmonic",
                                empty_inner)):
         with pytest.raises(ConfigError):
-            load_config(write_cfg(tmp_path, BASE + extra + "\n", f"audit{i}.txt"))
+            load_config(write_cfg(tmp_path, with_keys(BASE, extra), f"audit{i}.txt"))
     # an audit with no gamma or no omega audits nothing; it used to pass with "all_pass": true
     for i, extra in enumerate(("gammas = []", "omegas = []")):
-        path = write_cfg(tmp_path, BASE + extra + "\n", f"empty{i}.txt")
+        path = write_cfg(tmp_path, with_keys(BASE, extra), f"empty{i}.txt")
         with pytest.raises(ConfigError):
             load_config(path)
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path / f"empty{i}")]) == 2
@@ -111,12 +127,12 @@ def test_config_validation_errors(tmp_path):
                                "gammas = 1", "resolution = 9.7", "residual_tol = -1",
                                "max_iters = 0", "sigma = true", "center = [0, 0, nan]")):
         with pytest.raises(ConfigError):
-            load_config(write_cfg(tmp_path, BASE + extra + "\n", f"value{i}.txt"))
+            load_config(write_cfg(tmp_path, with_keys(BASE, extra), f"value{i}.txt"))
     # non-finite label parameters: each used to crash the command (exit 1) instead of exit 2
     for i, extra in enumerate(("structure = power:p=inf", "structure = sinlog:a=inf",
                                "structure = glued:beta=inf", "boundary = affine:x1=nan",
                                "boundary = affine:x1=inf", "boundary = sine:amp=nan")):
-        path = write_cfg(tmp_path, BASE + extra + "\n", f"label{i}.txt")
+        path = write_cfg(tmp_path, with_keys(BASE, extra), f"label{i}.txt")
         with pytest.raises(ConfigError):
             load_config(path)
         command = "orlicz-check" if extra.startswith("structure") else "solve"
@@ -125,13 +141,24 @@ def test_config_validation_errors(tmp_path):
     # label key ran with its last value, and moser_levels was a key no command varied
     for i, extra in enumerate(("gammas = [1, 1.0]", "omegas = [1, 1]", "structure = power:p=3,p=4",
                                "moser_levels = 8")):
-        path = write_cfg(tmp_path, BASE + extra + "\n", f"repeat{i}.txt")
+        path = write_cfg(tmp_path, with_keys(BASE, extra), f"repeat{i}.txt")
         with pytest.raises(ConfigError):
             load_config(path)
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path / f"repeat{i}")]) == 2
+    # a repeated config key used to run with its last value, in both forms
+    lines = BASE.count("\n")
+    path = write_cfg(tmp_path, BASE + "structure = loglin\n", "twice.txt")
+    with pytest.raises(ConfigError, match=rf"'structure' repeated on lines 2 and {lines + 1}"):
+        load_config(path)
+    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "twice")]) == 2
+    path = write_cfg(tmp_path, '{"structure": "power:p=3", "boundary": "affine:x1=1", '
+                               '"structure": "loglin"}', "twice.json")
+    with pytest.raises(ConfigError, match="'structure' repeated"):
+        load_config(path)
+    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "twice_json")]) == 2
     # the group is H^1: a config naming n, even n = 1, names an unknown key
     for i, extra in enumerate(("n = 1", "n = 2")):
-        path = write_cfg(tmp_path, BASE + extra + "\n", f"n{i}.txt")
+        path = write_cfg(tmp_path, with_keys(BASE, extra), f"n{i}.txt")
         with pytest.raises(ConfigError, match=r"unknown config keys: \['n'\]"):
             load_config(path)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path / f"n{i}")]) == 2
@@ -139,7 +166,7 @@ def test_config_validation_errors(tmp_path):
     # (exit 0), and data overflowing on the box used to crash solve (exit 1)
     for i, (command, extra) in enumerate((("orlicz-check", "boundary = poly2:zz=1"),
                                           ("solve", "boundary = affine:x1=1e308,x2=1e308"))):
-        path = write_cfg(tmp_path, BASE + extra + "\n", f"boundary{i}.txt")
+        path = write_cfg(tmp_path, with_keys(BASE, extra), f"boundary{i}.txt")
         with pytest.raises(ConfigError):
             load_config(path)
         assert cli.main([command, "--config", path, "--out", str(tmp_path / f"boundary{i}")]) == 2
@@ -180,6 +207,11 @@ def test_readme_cli_section_matches_the_program(tmp_path):
         cli._parser().parse_args([command] + [x for flag in flags for x in (flag, values[flag])])
 
 
+def test_readme_layout_lists_every_module():
+    rows = re.findall(r"^\| `solab\.(\w+)` \|", readme_section("Layout").split("\n## ", 1)[0], re.M)
+    assert sorted(rows) == sorted(m.name for m in pkgutil.iter_modules(solab.__path__))
+
+
 def test_readme_dump_header_matches_the_writer(tmp_path):
     names = re.search(r"header `\[(.*?)\]`", readme_section("Field dump format")).group(1).split(", ")
     grid = Grid.from_box([(-1, 1), (-2, 2), (0, 1)], (9, 5, 3))
@@ -202,7 +234,7 @@ def test_negative_seed_exits_2(tmp_path, command):
 
 
 def test_sigma_one_exits_2(tmp_path):
-    path = write_cfg(tmp_path, BASE + "sigma = 1\n")
+    path = write_cfg(tmp_path, with_keys(BASE, "sigma = 1"))
     assert cli.main(["audit", "--config", path, "--out", str(tmp_path)]) == 2
 
 
@@ -214,7 +246,7 @@ def test_io_failure_exits_3(tmp_path):
 
 
 def test_solve_non_convergence_exits_1(tmp_path):
-    path = write_cfg(tmp_path, BASE + "max_iters = 1\nresidual_tol = 1e-14\n")
+    path = write_cfg(tmp_path, with_keys(BASE, "max_iters = 1\nresidual_tol = 1e-14"))
     out = tmp_path / "nc"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 1
     report = json.loads((out / "solve_report.json").read_text())
@@ -285,8 +317,8 @@ def test_zero_boundary_data_report_ratio_zero(tmp_path):
 def test_zero_data_singular_weight_audits_with_f_eps(tmp_path):
     # p = 1.5 makes F singular at 0 and u = 0 makes Xu vanish, so solution_fields
     # falls back to the problem's regularized weight F_eps on every level
-    text = readme_cli()[1][""] + ("structure = power:p=1.5\nboundary = affine:c0=0\n"
-                                  "resolution = 9\nrefinements = 1\n")
+    text = with_keys(readme_cli()[1][""], "structure = power:p=1.5\nboundary = affine:c0=0\n"
+                                          "resolution = 9\nrefinements = 1")
     out = tmp_path / "audit"
     assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     report = json.loads((out / "audit_report.json").read_text())
@@ -297,7 +329,7 @@ def test_zero_data_singular_weight_audits_with_f_eps(tmp_path):
 def test_constant_data_estimate_is_exact(tmp_path):
     # the cold start is the boundary field, here the exact solution u = 1, so Xu = 0 on both
     # levels and the sup-bound ratio is 0 <= c * 0, not algebraic error outside the 25% band
-    text = readme_cli()[1][""] + "boundary = affine:c0=1\nresolution = 9\nrefinements = 1\n"
+    text = with_keys(readme_cli()[1][""], "boundary = affine:c0=1\nresolution = 9\nrefinements = 1")
     out = tmp_path / "estimate"
     assert cli.main(["estimate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     report = json.loads((out / "audit_report.json").read_text())
@@ -313,7 +345,7 @@ def test_constant_data_estimate_is_exact(tmp_path):
     ("affine:x1=0.5,x2=-0.2,t=0.3", {"caccioppoli_T": "X(Tu)"}),
 ])
 def test_affine_audit_names_its_analytic_zeros(tmp_path, boundary, zeros):
-    text = readme_cli()[1][""] + f"boundary = {boundary}\nrefinements = 1\n"
+    text = with_keys(readme_cli()[1][""], f"boundary = {boundary}\nrefinements = 1")
     out = tmp_path / "audit"
     assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     rows = json.loads((out / "audit_report.json").read_text())["audits"]
@@ -430,7 +462,7 @@ def test_warm_estimate_bytes_independent_of_blas_threads(tmp_path):
     # the 33^3 level starts from the prolonged 17^3 solution, so it runs the diagonal
     # metric's reductions on vectors long enough for OpenBLAS to split a dot product
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = write_cfg(tmp_path, readme_cli()[1][""] + "refinements = 1\n")
+    path = write_cfg(tmp_path, with_keys(readme_cli()[1][""], "refinements = 1"))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / threads

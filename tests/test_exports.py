@@ -27,22 +27,9 @@ def test_module_all_resolves(name):
     assert not missing, f"solab.{name}.__all__ names missing attributes: {missing}"
 
 
-def test_package_imports_resolve():
-    tree = ast.parse(Path(solab.__file__).read_text())
-    imported = [(node.module, alias.name) for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert imported
-    missing = [f"{mod}.{n}" for mod, n in imported
-               if not hasattr(importlib.import_module(f"solab.{mod}"), n) or not hasattr(solab, n)]
-    assert not missing, f"solab/__init__.py imports names that do not resolve: {missing}"
-
-
 def test_no_unused_imports():
-    # every name a module or test file imports at top level is used in it (the package
-    # __init__ re-exports)
-    paths = [path for path in sorted(Path(solab.__file__).parent.glob("*.py")) if path.name != "__init__.py"]
-    paths += sorted((ROOT / "tests").glob("*.py"))
+    # every name a module or test file imports at top level is used in it
+    paths = sorted(Path(solab.__file__).parent.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = []
     for path in paths:
         tree = ast.parse(path.read_text())
@@ -87,22 +74,16 @@ def test_no_unused_private_names():
 
 # exported names whose only reader is their own unit test file, kept on purpose
 DOCUMENTED_API = {
-    "heisenberg.origin": "documented group calculus",
-    "heisenberg.group_multiply": "documented group calculus",
-    "heisenberg.group_inverse": "documented group calculus",
-    "heisenberg.dilate": "documented group calculus",
-    "heisenberg.homogeneous_norm": "documented group calculus",
-    "grid.horizontal_divergence": "the integration-by-parts cross-check in tests/test_grid.py",
     "solver.discrete_energy": "cross-checks SolveReport.final_energy in tests/test_solver.py",
 }
 
 
 def test_no_unused_exports():
     # every exported name is read in the package, the tests or the benchmark outside its
-    # own definition; the __all__ entry, the package __init__ re-export and the module's
-    # own unit test file tests/test_<module>.py do not count, except for DOCUMENTED_API
-    files = [path for path in sorted(Path(solab.__file__).parent.glob("*.py")) if path.name != "__init__.py"]
-    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    # own definition; the __all__ entry and the module's own unit test file
+    # tests/test_<module>.py do not count, except for DOCUMENTED_API
+    files = sorted(Path(solab.__file__).parent.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    files += sorted((ROOT / "perfbench").glob("*.py"))
     loads = {path: _loads(ast.parse(path.read_text())) for path in files}
     unused = []
     for module_name in MODULES:
@@ -143,10 +124,10 @@ def test_no_unread_fields():
 
 
 def test_regularized_operator_exported():
-    # the solver's eps-regularization is public under one name, in the module and the package
+    # the solver's eps-regularization is public under one name and one import path, its module's
     operator = importlib.import_module("solab.operator")
     assert "regularized_operator" in operator.__all__
-    assert solab.regularized_operator is operator.regularized_operator
+    assert not hasattr(solab, "regularized_operator")
     assert not hasattr(operator, "regularize")
 
 

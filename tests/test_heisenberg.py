@@ -5,35 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solab.heisenberg import (GroupPoint, dilate, group_inverse,
-                              group_multiply, homogeneous_norm, origin,
-                              quasi_distance, translate)
+from solab.heisenberg import gauge_squared, translate
 
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
+points = st.tuples(coord, coord, coord).map(np.array)
 
 
-def pt3(a, b, c):
-    return GroupPoint(np.array([a, b, c], dtype=float))
+def multiply(p, q):
+    """The group product p . q: q translated by p^{-1} = -p."""
+    return np.array(translate(-np.asarray(p, dtype=float), q))
 
 
-points = st.builds(pt3, coord, coord, coord)
-
-
-def test_group_point_validation():
-    with pytest.raises(ValueError):
-        GroupPoint(np.array([1.0, 2.0]))  # no t
-    with pytest.raises(ValueError):
-        GroupPoint(np.array([1.0, np.inf, 0.0]))
-    p = pt3(1, 2, 3)
-    assert np.array_equal(p.coords, [1.0, 2.0, 3.0]) and p.t == 3.0
-    with pytest.raises(ValueError):
-        p.coords[0] = 5.0  # immutable
+def distance(p, q):
+    """The gauge distance ||q^{-1} . p||."""
+    return float(np.sqrt(gauge_squared(translate(q, p))))
 
 
 def test_multiply_hand_value():
     # t-component picks up half the symplectic area
-    r = group_multiply(pt3(1, 0, 0), pt3(0, 1, 0))
-    assert np.allclose(r.coords, [1, 1, 0.5], atol=1e-15)
+    assert np.array_equal(multiply([1, 0, 0], [0, 1, 0]), [1, 1, 0.5])
+    # (1, 2, 3) . (4, 5, 6) = (5, 7, 9 + (1*5 - 2*4)/2)
+    assert np.array_equal(multiply([1, 2, 3], [4, 5, 6]), [5, 7, 7.5])
 
 
 def test_translate_values():
@@ -47,17 +39,16 @@ def test_translate_values():
 
 
 def test_identity_and_inverse():
-    p = pt3(0.3, -1.2, 0.7)
-    assert np.allclose(group_multiply(origin(), p).coords, p.coords)
-    assert np.allclose(group_multiply(p, group_inverse(p)).coords, 0.0, atol=1e-15)
-    assert np.allclose(group_inverse(pt3(1, 2, 3)).coords, [-1, -2, -3])
-    assert np.allclose(group_inverse(group_inverse(p)).coords, p.coords)
+    # the origin is the identity and -p is the two-sided inverse of p
+    p = np.array([0.3, -1.2, 0.7])
+    assert np.array_equal(multiply(np.zeros(3), p), p)
+    assert np.array_equal(multiply(p, np.zeros(3)), p)
+    assert np.array_equal(multiply(p, -p), np.zeros(3))
+    assert np.array_equal(multiply(-p, p), np.zeros(3))
 
 
 def test_dimension_mismatch():
-    # a point of H^2 is neither a GroupPoint nor a center or point of translate
-    with pytest.raises(ValueError):
-        GroupPoint(np.zeros(5))
+    # a point of H^2 is neither a center nor a point of translate
     xs = [np.array([0.0, 1.0, 2.0]), np.zeros(3), np.ones(3)]
     with pytest.raises(ValueError):
         translate(np.zeros(5), xs)
@@ -66,52 +57,57 @@ def test_dimension_mismatch():
 
 
 def test_norm_values():
-    assert homogeneous_norm(origin()) == 0.0
-    assert homogeneous_norm(pt3(1, 0, 0)) == 1.0
-    assert homogeneous_norm(pt3(0, 0, 4)) == 2.0
-
-
-def test_quasi_distance_values():
-    p, q = pt3(1, 0, 0), pt3(0, 1, 0)
-    # q^{-1} p = (1, -1, -0.5): norm^2 = 2.5
-    assert quasi_distance(p, q) == pytest.approx(math.sqrt(2.5), abs=1e-14)
-    assert quasi_distance(p, p) == 0.0
-    assert quasi_distance(p, origin()) == homogeneous_norm(p)
+    assert gauge_squared([0.0, 0.0, 0.0]) == 0.0
+    assert gauge_squared([1.0, 0.0, 0.0]) == 1.0
+    assert gauge_squared([0.0, 0.0, 4.0]) == gauge_squared([0.0, 0.0, -4.0]) == 4.0
 
 
 def test_dilate_values():
-    p = pt3(1, 0, 1)
-    assert np.allclose(dilate(p, 1.0).coords, p.coords)
-    assert np.allclose(dilate(p, 2.0).coords, [2, 0, 4])
-    with pytest.raises(ValueError):
-        dilate(p, 0.0)
-    with pytest.raises(ValueError):
-        dilate(p, -1.0)
+    # the dilation (x, y, t) -> (2x, 2y, 4t) takes (1, 0, 1) to (2, 0, 4) and doubles the gauge
+    assert gauge_squared([2.0, 0.0, 4.0]) == 4 * gauge_squared([1.0, 0.0, 1.0]) == 8.0
+
+
+def test_gauge_distance_values():
+    p, q = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    # q^{-1} p = (1, -1, 0.5): norm^2 = 2.5
+    assert distance(p, q) == pytest.approx(math.sqrt(2.5), abs=1e-14)
+    assert distance(p, p) == 0.0
+    assert distance(p, np.zeros(3)) == math.sqrt(gauge_squared(p))
 
 
 @settings(max_examples=150, deadline=None)
 @given(points, points, points)
 def test_associativity(p, q, r):
-    lhs = group_multiply(group_multiply(p, q), r)
-    rhs = group_multiply(p, group_multiply(q, r))
-    scale = 1.0 + np.max(np.abs(lhs.coords))
-    assert np.max(np.abs(lhs.coords - rhs.coords)) <= 1e-12 * scale
+    lhs = multiply(multiply(p, q), r)
+    rhs = multiply(p, multiply(q, r))
+    scale = 1.0 + np.max(np.abs(lhs))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
 @settings(max_examples=150, deadline=None)
 @given(points, st.floats(min_value=1e-3, max_value=1e3))
 def test_norm_homogeneous_under_dilation(p, lam):
-    assert homogeneous_norm(dilate(p, lam)) == pytest.approx(
-        lam * homogeneous_norm(p), rel=1e-12, abs=1e-12)
+    x, y, t = p
+    assert gauge_squared([lam * x, lam * y, lam * lam * t]) == pytest.approx(
+        lam * lam * gauge_squared(p), rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(points, points)
 def test_distance_separates_points(p, q):
-    d = quasi_distance(p, q)
+    d = distance(p, q)
     assert d >= 0
-    if np.array_equal(p.coords, q.coords):
+    if np.array_equal(p, q):
         assert d == 0.0
-    elif np.max(np.abs(p.coords - q.coords)) > 1e-120:
+    elif np.max(np.abs(p - q)) > 1e-120:
         # below that the squared differences underflow to exactly zero
         assert d > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(points, points, points)
+def test_distance_left_invariant(g, p, q):
+    # ||(g q)^{-1} . g p|| = ||q^{-1} . p||: a gauge ball centred at g is g times the ball at 0
+    gp, gq = multiply(g, p), multiply(g, q)
+    scale = 1.0 + max(np.max(gp[:2] ** 2), np.max(gq[:2] ** 2), abs(gp[2]), abs(gq[2]))
+    assert abs(distance(gp, gq) ** 2 - distance(p, q) ** 2) <= 1e-12 * scale
