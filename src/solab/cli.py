@@ -1,8 +1,9 @@
 """Command-line orchestration.
 
-Commands: orlicz-check, operator-check, solve, audit, estimate (audit
-restricted to the main-estimate quantities).  All numeric output is CSV with
-17 significant digits plus JSON reports; identical config + seed produces
+Commands: orlicz-check, operator-check, solve, audit.  Each takes two flags,
+``--config`` (a ``key = value`` file, the only place a setting is given) and
+``--out`` (the output directory, default ``.``).  All numeric output is CSV
+with 17 significant digits plus JSON reports; an identical config produces
 byte-identical files.  Exit codes: 0 pass, 1 numeric non-convergence,
 2 config error, 3 IO error.  SOLAB_THREADS caps worker parallelism for the
 independent audits; a value that is not a positive integer is a config error.
@@ -25,7 +26,7 @@ from . import solver as sv
 from . import verify as vf
 from .config import ConfigError, ExperimentConfig, load_config
 from . import grid as gr
-from .grid import Grid, make_cutoff, save_field_binary, save_field_csv
+from .grid import Grid, make_cutoff, save_field_binary
 from .orlicz import OrliczTriple, UnknownLabelError, catalog_structure_function
 from .problems import boundary_field
 
@@ -90,7 +91,7 @@ def cmd_orlicz_check(cfg: ExperimentConfig, out: str) -> int:
     checks: list[tuple[str, float, str, bool]] = []
 
     t_dense = np.geomspace(1e-3, 1e3, 2000)
-    d_est, g0_est, ok = oz.verify_exponents(g, t_dense)
+    d_est, g0_est = oz.verify_exponents(g, t_dense)
     checks.append(("exponent_window_low", d_est, f">= {g.delta - 1e-6}", d_est >= g.delta - 1e-6))
     checks.append(("exponent_window_high", g0_est, f"<= {g.g0 + 1e-6}", g0_est <= g.g0 + 1e-6))
 
@@ -295,7 +296,6 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
     grid = Grid.from_box(cfg.box, cfg.resolutions())
     (sol, report), = sv.solve_ladder([_problem(cfg, triple, grid)])
     save_field_binary(os.path.join(out, "solution.bin"), sol)
-    save_field_csv(os.path.join(out, "solution.csv"), sol)
     _write_json(os.path.join(out, "solve_report.json"), {
         "structure": cfg.structure,
         "boundary": cfg.boundary,
@@ -318,7 +318,7 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
 
 
 # --------------------------------------------------------------------------
-# audit / estimate
+# audit
 # --------------------------------------------------------------------------
 
 
@@ -334,13 +334,14 @@ def _audit_jobs(cfg: ExperimentConfig):
                 yield vf.reverse_audit, {"gamma": gamma, "omega": omega}
 
 
-def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> int:
+def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
     if cfg.refinements < 1:
         raise ConfigError("audit needs at least 2 refinement levels (refinements >= 1)")
     workers = worker_count()
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
-    jobs = [] if estimate_only else list(_audit_jobs(cfg))
+    jobs = list(_audit_jobs(cfg))
     per_level: dict[tuple, list[vf.AuditReport]] = {}
+    level_records = []
     ratio_rows = []
     moser_rows = []
     csv_rows = []
@@ -353,24 +354,28 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
         grid = sol.grid
         all_converged &= report.converged
         h = float(np.max(grid.spacing))
+        level_records.append({"level": level, "shape": list(grid.shape), "h": h,
+                              "iterations": report.iterations, "evaluations": report.evaluations,
+                              "restarts": report.restarts, "stop_reason": report.stop_reason,
+                              "final_energy": report.final_energy,
+                              "weak_residual": report.weak_residual})
         # built before the fields: the cutoff's temporaries (29 MB at 65^3) would stack on them
-        eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer) if jobs else None
+        eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
         fields = vf.solution_fields(sol, triple, cfg.epsilon)
         ratio = vf.lipschitz_ratio(fields, cfg.center, cfg.radius, cfg.sigma)
         ratio_rows.append((level, h, ratio))
         trace = vf.moser_trace(fields, cfg.center, cfg.radius, cfg.sigma, levels=8)
         moser_rows.extend((level, h, row["gamma"], row["radius"], row["exponent"],
                            row["norm"], row["inner_norm"]) for row in trace["levels"])
-        if jobs:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda job: job[0](fields, eta, **job[1]), jobs))
-            for rep in results:
-                omega = rep.extras.get("omega", "")
-                per_level.setdefault((rep.name, rep.gamma, omega), []).append(rep)
-                # rows are taken now: attach_refinement later rewrites the finest report's flags
-                csv_rows.append((rep.name, rep.gamma, rep.lhs, rep.rhs, rep.fitted_constant, h,
-                                 rep.passed, omega, level))
-                plot_rows.append((rep.name, rep.gamma, omega, level, h, rep.fitted_constant))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda job: job[0](fields, eta, **job[1]), jobs))
+        for rep in results:
+            omega = rep.extras.get("omega", "")
+            per_level.setdefault((rep.name, rep.gamma, omega), []).append(rep)
+            # rows are taken now: attach_refinement later rewrites the finest report's flags
+            csv_rows.append((rep.name, rep.gamma, rep.lhs, rep.rhs, rep.fitted_constant, h,
+                             rep.passed, omega, level))
+            plot_rows.append((rep.name, rep.gamma, omega, level, h, rep.fitted_constant))
 
     finals = [vf.attach_refinement(reps) for key, reps in sorted(per_level.items(),
                                                                  key=lambda kv: str(kv[0]))]
@@ -386,18 +391,17 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
     _write_csv(os.path.join(out, "estimate_ratio.csv"), ["level", "h", "lipschitz_ratio"], ratio_rows)
     _write_csv(os.path.join(out, "moser_trace.csv"),
                ["level", "h", "gamma", "radius", "exponent", "norm", "inner_norm"], moser_rows)
-    if not estimate_only:
-        _write_csv(os.path.join(out, "audit_report.csv"),
-                   ["name", "gamma", "lhs", "rhs", "fitted_constant", "h", "pass",
-                    "omega", "level"],
-                   csv_rows)
-        _write_csv(os.path.join(out, "plot_fitted_vs_h.csv"),
-                   ["name", "gamma", "omega", "level", "h", "fitted_constant"], plot_rows)
+    _write_csv(os.path.join(out, "audit_report.csv"),
+               ["name", "gamma", "lhs", "rhs", "fitted_constant", "h", "pass", "omega", "level"],
+               csv_rows)
+    _write_csv(os.path.join(out, "plot_fitted_vs_h.csv"),
+               ["name", "gamma", "omega", "level", "h", "fitted_constant"], plot_rows)
     _write_json(os.path.join(out, "audit_report.json"), {
         "structure": cfg.structure,
         "boundary": cfg.boundary,
         "sigma": cfg.sigma,
         "metric": "gauge",  # all balls use the homogeneous gauge norm
+        "levels": level_records,
         "lipschitz_ratios": [{"level": l, "h": h, "ratio": r} for l, h, r in ratio_rows],
         "lipschitz_stable_25pct": bool(ratio_ok),
         "moser_final_vs_sup": {"final_inner_norm": last_norm, "inner_sup": sup, "pass": bool(moser_ok)},
@@ -412,41 +416,31 @@ def cmd_audit(cfg: ExperimentConfig, out: str, estimate_only: bool = False) -> i
 # entry point
 # --------------------------------------------------------------------------
 
+COMMANDS = {
+    "orlicz-check": (cmd_orlicz_check, "structure/Young-function audit suite"),
+    "operator-check": (cmd_operator_check, "operator structure and regularization sweeps"),
+    "solve": (cmd_solve, "solve the configured Dirichlet problem"),
+    "audit": (cmd_audit, "solve over refinements and audit every inequality"),
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="solab",
                                  description="sub-elliptic Orlicz laboratory: checks, solves, audits")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in [("orlicz-check", "structure/Young-function audit suite"),
-                      ("operator-check", "operator structure and regularization sweeps"),
-                      ("solve", "solve the configured Dirichlet problem"),
-                      ("audit", "solve over refinements and audit every inequality"),
-                      ("estimate", "audit restricted to the sup-bound ratio and the iteration trace")]:
+    for name, (_, doc) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", required=True, help="JSON or key=value config file")
-        p.add_argument("--out", default=None, help="output directory (default: config's out)")
-        p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
-        p.add_argument("--refinements", type=int, default=None, help="override refinement count")
+        p.add_argument("--config", required=True, help="key = value config file")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
     return ap
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, overrides={"seed": args.seed, "refinements": args.refinements})
-        out = args.out if args.out is not None else cfg.out
-        os.makedirs(out, exist_ok=True)
-        if args.command == "orlicz-check":
-            return cmd_orlicz_check(cfg, out)
-        if args.command == "operator-check":
-            return cmd_operator_check(cfg, out)
-        if args.command == "solve":
-            return cmd_solve(cfg, out)
-        if args.command == "audit":
-            return cmd_audit(cfg, out, estimate_only=False)
-        if args.command == "estimate":
-            return cmd_audit(cfg, out, estimate_only=True)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cfg = load_config(args.config)
+        os.makedirs(args.out, exist_ok=True)
+        return COMMANDS[args.command][0](cfg, args.out)
     except (ConfigError, UnknownLabelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,8 +1,9 @@
-"""Experiment configuration: plain-text key=value or JSON documents.
+"""Experiment configuration: one plain-text ``key = value`` document.
 
 A config names the structure function, the grid on a box of H^1 (axes x, y,
-t), the boundary family and the audit parameters.  Example (key=value form;
-JSON with the same keys is also accepted):
+t), the boundary family and the audit parameters; it is the only place a
+setting is given.  Each value is read as JSON, or else as a bare string.
+Example:
 
     structure = power:p=3
     boundary = poly2:x1=0.5,x1t=0.4,x2=0.2
@@ -47,7 +48,7 @@ def _is_list(v, item) -> bool:
 
 # (keys, test, what the value must be); bool is not counted as a number
 _VALUE_KINDS = [
-    (("structure", "boundary", "out"), lambda v: isinstance(v, str), "a string"),
+    (("structure", "boundary"), lambda v: isinstance(v, str), "a string"),
     (("refinements", "max_iters", "seed"), _is_int, "an integer"),
     (("epsilon", "sigma", "radius", "eta_inner", "eta_outer"), _is_real, "a finite real number"),
     (("gammas", "omegas", "center"), lambda v: _is_list(v, _is_real), "a list of finite real numbers"),
@@ -75,7 +76,6 @@ class ExperimentConfig:
     seed: int = 1234
     residual_tol: float | None = None
     max_iters: int = 100_000
-    out: str = "."
 
     def validate(self) -> "ExperimentConfig":
         for keys, ok, kind in _VALUE_KINDS:
@@ -149,41 +149,19 @@ def _parse_keyvalue(text: str) -> dict:
         try:
             out[key] = json.loads(val)
         except json.JSONDecodeError:
-            out[key] = val  # bare strings (labels, paths)
+            out[key] = val  # bare strings (labels)
     return out
 
 
-def _unique_keys(pairs: list) -> dict:
-    """``object_pairs_hook`` for JSON configs: a repeated key is an error, not its last value."""
-    out: dict = {}
-    for key, val in pairs:
-        if key in out:
-            raise ConfigError(f"config key {key!r} repeated")
-        out[key] = val
-    return out
-
-
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Load a JSON or key=value config file and validate it."""
+def load_config(path) -> ExperimentConfig:
+    """Load a ``key = value`` config file and validate it."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from exc
-    else:
-        data = _parse_keyvalue(text)
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
+    data = _parse_keyvalue(text)
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = ExperimentConfig(**data)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg.validate()
+    return ExperimentConfig(**data).validate()

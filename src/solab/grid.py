@@ -43,7 +43,6 @@ __all__ = [
     "ball_node_mask",
     "save_field_binary",
     "load_field_binary",
-    "save_field_csv",
 ]
 
 
@@ -415,12 +414,9 @@ def refine_values(values: np.ndarray) -> np.ndarray:
 
 
 def save_field_binary(path, field: ScalarField):
-    """Flat layout: header (1, the 3 axis sizes, the 3 spacings) as float64 LE, then C-order values.
-
-    The leading 1 is the n of H^n: dumps keep the layout of the general H^n header.
-    """
+    """Flat layout: header (the 3 axis sizes, the 3 spacings) as float64 LE, then C-order values."""
     grid = field.grid
-    header = np.array([1, *grid.shape, *grid.spacing], dtype="<f8")
+    header = np.array([*grid.shape, *grid.spacing], dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
@@ -429,13 +425,11 @@ def save_field_binary(path, field: ScalarField):
 def load_field_binary(path, grid: Grid) -> ScalarField:
     """Read a field dump and validate its header against the given grid."""
     raw = np.fromfile(path, dtype="<f8")
-    if raw.size < 7:
+    if raw.size < 6:
         raise ValueError(f"{path}: truncated field header")
-    if raw[0] != 1:
-        raise ValueError(f"{path}: header starts with {raw[0]:g}, not 1 (a field on H^1)")
-    shape = tuple(int(s) for s in raw[1:4])
-    spacing = raw[4:7]
-    values = raw[7:]
+    shape = tuple(int(s) for s in raw[:3])
+    spacing = raw[3:6]
+    values = raw[6:]
     if shape != grid.shape:
         raise ValueError(f"{path}: grid mismatch (file shape={shape})")
     if not np.allclose(spacing, grid.spacing, rtol=1e-12, atol=1e-15):
@@ -443,12 +437,3 @@ def load_field_binary(path, grid: Grid) -> ScalarField:
     if values.size != int(np.prod(shape)):
         raise ValueError(f"{path}: value count does not match shape")
     return ScalarField(grid, values.reshape(shape))
-
-
-def save_field_csv(path, field: ScalarField):
-    grid = field.grid
-    coords = np.meshgrid(*[grid.axis(k) for k in range(grid.dim)], indexing="ij")
-    cols = [c.ravel() for c in coords] + [field.values.ravel()]
-    names = ["x1", "x2", "t", "value"]
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
-               header=",".join(names), comments="")

@@ -11,9 +11,9 @@ functions, generalized inverses and conjugates (by the Fenchel-Young
 equality, no quadrature) are numerical operations, so that the classical
 inequalities (Young, the complementary-pair bound, the five growth-lemma
 items) are audited on sampled data.  Every inversion (inverses, conjugates)
-is `generalized_inverse`, one bisection.  The audits use fixed slacks: 1e-6
-on the exponent window (`verify_exponents`) and 1e-9 relative on the
-growth-lemma comparisons (`lemma_gG_audit`).
+is `generalized_inverse`, one bisection.  `verify_exponents` estimates the
+exponent window from samples, and the growth-lemma comparisons
+(`lemma_gG_audit`) use a fixed 1e-9 relative slack.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ class OrliczTriple:
 def verify_exponents(g: StructureFunction, t_samples):
     """Estimate (delta, g0) as the extrema of t g'(t)/g(t) over the samples.
 
-    Returns ``(delta_est, g0_est, ok)`` where ok means the estimates lie
-    inside the declared window widened by 1e-6, [delta - 1e-6, g0 + 1e-6].
+    Returns ``(delta_est, g0_est)``; `solab orlicz-check` judges them against
+    the declared window widened by 1e-6, [delta - 1e-6, g0 + 1e-6].
     """
     t = np.asarray(t_samples, dtype=float)
     if t.size == 0 or np.any(t <= 0):
@@ -211,9 +211,7 @@ def verify_exponents(g: StructureFunction, t_samples):
     if np.any(gv == 0):
         raise ValueError(f"{g.label!r} vanishes at a positive sample: not a valid structure function")
     ratio = t * g.deriv(t) / gv
-    delta_est, g0_est = float(ratio.min()), float(ratio.max())
-    ok = bool(delta_est >= g.delta - 1e-6 and g0_est <= g.g0 + 1e-6)
-    return delta_est, g0_est, ok
+    return float(ratio.min()), float(ratio.max())
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import operator
 import os
@@ -92,11 +93,13 @@ def test_config_keyvalue_and_json(tmp_path):
     p1 = write_cfg(tmp_path, BASE)
     cfg = load_config(p1)
     assert cfg.structure == "power:p=2" and cfg.seed == 42
+    # key = value is the one config form: a JSON document is a config error
     data = {"structure": "power:p=3", "boundary": "affine:x1=1", "resolution": 11}
-    p2 = tmp_path / "cfg.json"
-    p2.write_text(json.dumps(data))
-    cfg2 = load_config(str(p2))
-    assert cfg2.structure == "power:p=3" and cfg2.resolutions() == [11, 11, 11]
+    for i, text in enumerate((json.dumps(data), json.dumps(data, indent=2))):
+        path = write_cfg(tmp_path, text, f"cfg{i}.json")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path / f"json{i}")]) == 2
 
 
 def test_config_validation_errors(tmp_path):
@@ -145,23 +148,19 @@ def test_config_validation_errors(tmp_path):
         with pytest.raises(ConfigError):
             load_config(path)
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path / f"repeat{i}")]) == 2
-    # a repeated config key used to run with its last value, in both forms
+    # a repeated config key used to run with its last value
     lines = BASE.count("\n")
     path = write_cfg(tmp_path, BASE + "structure = loglin\n", "twice.txt")
     with pytest.raises(ConfigError, match=rf"'structure' repeated on lines 2 and {lines + 1}"):
         load_config(path)
     assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "twice")]) == 2
-    path = write_cfg(tmp_path, '{"structure": "power:p=3", "boundary": "affine:x1=1", '
-                               '"structure": "loglin"}', "twice.json")
-    with pytest.raises(ConfigError, match="'structure' repeated"):
-        load_config(path)
-    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "twice_json")]) == 2
-    # the group is H^1: a config naming n, even n = 1, names an unknown key
-    for i, extra in enumerate(("n = 1", "n = 2")):
-        path = write_cfg(tmp_path, with_keys(BASE, extra), f"n{i}.txt")
-        with pytest.raises(ConfigError, match=r"unknown config keys: \['n'\]"):
+    # the group is H^1: a config naming n, even n = 1, names an unknown key; the output
+    # directory is --out's alone, so a config naming out names an unknown key too
+    for i, (key, extra) in enumerate((("n", "n = 1"), ("n", "n = 2"), ("out", "out = elsewhere"))):
+        path = write_cfg(tmp_path, with_keys(BASE, extra), f"unknown{i}.txt")
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
             load_config(path)
-        assert cli.main(["solve", "--config", path, "--out", str(tmp_path / f"n{i}")]) == 2
+        assert cli.main(["solve", "--config", path, "--out", str(tmp_path / f"unknown{i}")]) == 2
     # boundary data is sampled on the grid: an undefined quadratic term used to pass orlicz-check
     # (exit 0), and data overflowing on the box used to crash solve (exit 1)
     for i, (command, extra) in enumerate((("orlicz-check", "boundary = poly2:zz=1"),
@@ -170,16 +169,8 @@ def test_config_validation_errors(tmp_path):
         with pytest.raises(ConfigError):
             load_config(path)
         assert cli.main([command, "--config", path, "--out", str(tmp_path / f"boundary{i}")]) == 2
-    data = {"structure": "power:p=2", "boundary": "affine:x1=1", "sigma": "0.5"}
     with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, json.dumps(data), "sigma.json"))
-    with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, BASE), overrides={"seed": -1})
-
-
-def test_config_overrides(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, BASE), overrides={"seed": 7, "refinements": None})
-    assert cfg.seed == 7 and cfg.refinements == 1
+        load_config(write_cfg(tmp_path, with_keys(BASE, 'sigma = "0.5"'), "sigma.txt"))
 
 
 def readme_section(title):
@@ -199,12 +190,15 @@ def test_readme_cli_section_matches_the_program(tmp_path):
     section, blocks = readme_cli()
     cfg = load_config(write_cfg(tmp_path, blocks[""]))  # the example config
     assert cfg.structure == "power:p=3" and cfg.refinements == 2
-    commands = re.findall(r"^solab (\S+)", blocks["sh"], re.M)
+    # each README command line with its flags, against each subcommand's parser, both ways
+    readme = {m[0]: sorted(re.findall(r"(--[\w-]+) ", m[1]))
+              for m in re.findall(r"^solab (\S+)(.*)$", blocks["sh"], re.M)}
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    program = {name: sorted(opt for a in p._actions for opt in a.option_strings
+                            if opt not in ("-h", "--help")) for name, p in sub.choices.items()}
+    assert readme == program
     flags = re.findall(r"`(--[\w-]+) \w+`", section.split("Flags:", 1)[1].split("\n\n", 1)[0])
-    assert len(commands) == 5 and len(flags) == 4
-    values = {"--config": "cfg.txt", "--out": "out", "--seed": "1", "--refinements": "1"}
-    for command in commands:  # argparse exits 2 on an unknown command or flag
-        cli._parser().parse_args([command] + [x for flag in flags for x in (flag, values[flag])])
+    assert sorted(flags) == sorted({flag for opts in program.values() for flag in opts})
 
 
 def test_readme_layout_lists_every_module():
@@ -216,8 +210,8 @@ def test_readme_dump_header_matches_the_writer(tmp_path):
     names = re.search(r"header `\[(.*?)\]`", readme_section("Field dump format")).group(1).split(", ")
     grid = Grid.from_box([(-1, 1), (-2, 2), (0, 1)], (9, 5, 3))
     save_field_binary(tmp_path / "f.bin", ScalarField(grid, np.zeros(grid.shape)))
-    values = {"1": 1.0, "N_1": 9, "N_2": 5, "N_3": 3, "h_1": 0.25, "h_2": 1.0, "h_3": 0.5}
-    assert [values[name] for name in names] == list(np.fromfile(tmp_path / "f.bin", dtype="<f8")[:7])
+    values = {"N_1": 9, "N_2": 5, "N_3": 3, "h_1": 0.25, "h_2": 1.0, "h_3": 0.5}
+    assert [values[name] for name in names] == list(np.fromfile(tmp_path / "f.bin", dtype="<f8")[:6])
 
 
 # ---------------------------------------------------------------- exit codes
@@ -229,8 +223,12 @@ def test_unknown_label_exits_2(tmp_path):
 
 @pytest.mark.parametrize("command", ["orlicz-check", "operator-check"])
 def test_negative_seed_exits_2(tmp_path, command):
-    path = write_cfg(tmp_path, BASE)
-    assert cli.main([command, "--config", path, "--out", str(tmp_path), "--seed", "-1"]) == 2
+    path = write_cfg(tmp_path, with_keys(BASE, "seed = -1"))
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    # the seed is a config key only: argparse exits 2 on the flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", write_cfg(tmp_path, BASE), "--out", str(tmp_path), "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_sigma_one_exits_2(tmp_path):
@@ -269,49 +267,63 @@ def test_solve_writes_loadable_dump(tmp_path):
 # ---------------------------------------------------------------- determinism
 
 def test_operator_check_deterministic(tmp_path):
-    path = write_cfg(tmp_path, BASE)
+    path = write_cfg(tmp_path, with_keys(BASE, "seed = 9"))
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
-    assert cli.main(["operator-check", "--config", path, "--out", str(out1), "--seed", "9"]) == 0
-    assert cli.main(["operator-check", "--config", path, "--out", str(out2), "--seed", "9"]) == 0
+    assert cli.main(["operator-check", "--config", path, "--out", str(out1)]) == 0
+    assert cli.main(["operator-check", "--config", path, "--out", str(out2)]) == 0
     for name in ("operator_report.csv", "operator_regularization.csv", "operator_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_operator_check_seed_changes_samples(tmp_path):
-    path = write_cfg(tmp_path, BASE)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert cli.main(["operator-check", "--config", path, "--out", str(out1), "--seed", "1"]) == 0
-    assert cli.main(["operator-check", "--config", path, "--out", str(out2), "--seed", "2"]) == 0
+    for seed, out in ((1, out1), (2, out2)):
+        path = write_cfg(tmp_path, with_keys(BASE, f"seed = {seed}"), f"seed{seed}.txt")
+        assert cli.main(["operator-check", "--config", path, "--out", str(out)]) == 0
     assert (out1 / "operator_report.csv").read_bytes() != (out2 / "operator_report.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- audit command
 
-def test_audit_and_estimate_commands(tmp_path):
+def test_audit_command(tmp_path):
     path = write_cfg(tmp_path, BASE)
     out = tmp_path / "audit"
     code = cli.main(["audit", "--config", path, "--out", str(out)])
     report = json.loads((out / "audit_report.json").read_text())
     assert report["converged"]
     assert code in (0, 1)
-    assert (out / "audit_report.csv").exists()
-    assert (out / "plot_fitted_vs_h.csv").exists()
-    assert (out / "estimate_ratio.csv").exists()
-    est = tmp_path / "estimate"
-    assert cli.main(["estimate", "--config", path, "--out", str(est)]) in (0, 1)
-    assert (est / "estimate_ratio.csv").exists()
-    assert not (est / "audit_report.csv").exists()
+    assert sorted(os.listdir(out)) == ["audit_report.csv", "audit_report.json", "estimate_ratio.csv",
+                                       "moser_trace.csv", "plot_fitted_vs_h.csv"]
+    assert [(lv["level"], lv["shape"], lv["stop_reason"]) for lv in report["levels"]] == [
+        (0, [9, 9, 9], "tol"), (1, [17, 17, 17], "tol")]
+
+
+def test_audit_names_the_level_that_stopped(tmp_path):
+    # README config at 9^3 -> 17^3: the levels take 57 and 83 iterations, so max_iters = 70
+    # stops the second one, and the report says which level stopped and why
+    text = with_keys(readme_cli()[1][""], "resolution = 9\nrefinements = 1\nmax_iters = 70")
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    report = json.loads((out / "audit_report.json").read_text())
+    assert not report["converged"]
+    levels = report["levels"]
+    assert [(lv["level"], lv["shape"], lv["stop_reason"]) for lv in levels] == [
+        (0, [9, 9, 9], "tol"), (1, [17, 17, 17], "max_iters")]
+    assert levels[0]["iterations"] < 70 and levels[1]["iterations"] == 70
+    assert levels[1]["h"] == pytest.approx(levels[0]["h"] / 2)
+    for lv in levels:
+        assert lv["evaluations"] >= lv["iterations"] + 1 and lv["restarts"] >= 0
+        assert np.isfinite(lv["final_energy"]) and lv["weak_residual"] > 0
 
 
 def test_zero_boundary_data_report_ratio_zero(tmp_path):
     # u = 0, so G(|Xu|) vanishes on every ball: the sup-bound holds as 0 <= c * 0
     path = write_cfg(tmp_path, BASE.replace("poly2:x1=0.5,x1t=0.3", "affine:c0=0"))
-    for command in ("estimate", "audit"):
-        out = tmp_path / command
-        assert cli.main([command, "--config", path, "--out", str(out)]) == 0, command
-        report = json.loads((out / "audit_report.json").read_text())
-        assert [row["ratio"] for row in report["lipschitz_ratios"]] == [0.0, 0.0]
-        assert report["lipschitz_stable_25pct"] and report["all_pass"]
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "audit_report.json").read_text())
+    assert [row["ratio"] for row in report["lipschitz_ratios"]] == [0.0, 0.0]
+    assert report["lipschitz_stable_25pct"] and report["all_pass"]
 
 
 def test_zero_data_singular_weight_audits_with_f_eps(tmp_path):
@@ -330,8 +342,8 @@ def test_constant_data_estimate_is_exact(tmp_path):
     # the cold start is the boundary field, here the exact solution u = 1, so Xu = 0 on both
     # levels and the sup-bound ratio is 0 <= c * 0, not algebraic error outside the 25% band
     text = with_keys(readme_cli()[1][""], "boundary = affine:c0=1\nresolution = 9\nrefinements = 1")
-    out = tmp_path / "estimate"
-    assert cli.main(["estimate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     report = json.loads((out / "audit_report.json").read_text())
     assert [row["ratio"] for row in report["lipschitz_ratios"]] == [0.0, 0.0]
     assert report["lipschitz_stable_25pct"] and report["all_pass"]
@@ -368,10 +380,8 @@ def test_audit_computes_fields_once_per_level(tmp_path, monkeypatch):
         monkeypatch.setattr(vf, name, counted)
     path = write_cfg(tmp_path, BASE)
     # refinements = 1: two levels; per level one fields pass, which takes X of u and of Tu
-    for command in ("audit", "estimate"):
-        assert cli.main([command, "--config", path, "--out", str(tmp_path / command)]) in (0, 1)
-        assert calls == {"solution_fields": 2, "horizontal_gradient": 4}, command
-        calls.update(solution_fields=0, horizontal_gradient=0)
+    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "audit")]) in (0, 1)
+    assert calls == {"solution_fields": 2, "horizontal_gradient": 4}
 
 
 def test_audit_reports_byte_identical(tmp_path):
@@ -467,7 +477,7 @@ def test_warm_estimate_bytes_independent_of_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / threads
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-m", "solab.cli", "estimate", "--config", path,
+        done = subprocess.run([sys.executable, "-m", "solab.cli", "audit", "--config", path,
                                "--out", str(out)], env=env, capture_output=True, text=True)
         assert done.returncode in (0, 1), done.stderr
         outputs.append([(out / name).read_bytes()

@@ -244,8 +244,8 @@ def test_binary_roundtrip(tmp_path, grid9):
     loaded = gr.load_field_binary(path, grid9)
     assert np.array_equal(loaded.values, f.values)
     raw = np.fromfile(path, dtype="<f8")
-    assert raw[0] == 1.0 and tuple(raw[1:4].astype(int)) == grid9.shape
-    assert np.allclose(raw[4:7], grid9.spacing)
+    assert tuple(raw[:3].astype(int)) == grid9.shape and raw.size == 6 + 9 ** 3
+    assert np.allclose(raw[3:6], grid9.spacing)
 
 
 def test_binary_grid_mismatch(tmp_path, grid9, grid11):
@@ -254,22 +254,12 @@ def test_binary_grid_mismatch(tmp_path, grid9, grid11):
     gr.save_field_binary(path, f)
     with pytest.raises(ValueError):
         gr.load_field_binary(path, grid11)
-    # a header that does not start with 1 is not a field on H^1
+    # a dump in the older seven-entry layout, [1, N_1, N_2, N_3, h_1, h_2, h_3], reads as
+    # shape (1, N_1, N_2) and is rejected
     raw = np.fromfile(path, dtype="<f8")
-    for lead in (2.0, 0.0):
-        raw[0] = lead
-        raw.tofile(path)
-        with pytest.raises(ValueError, match="not 1"):
-            gr.load_field_binary(path, grid9)
-
-
-def test_csv_dump(tmp_path, grid9):
-    f = field_from(grid9, lambda a, b, c: a)
-    path = tmp_path / "field.csv"
-    gr.save_field_csv(path, f)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x1,x2,t,value"
-    assert len(lines) == 1 + 9 ** 3
+    np.concatenate([[1.0], raw]).tofile(path)
+    with pytest.raises(ValueError, match=r"grid mismatch \(file shape=\(1, 9, 9\)\)"):
+        gr.load_field_binary(path, grid9)
 
 
 def test_refine_values_is_trilinear(grid9):

@@ -8,6 +8,7 @@ import solab.verify as vf
 from conftest import bumped_start, field_from, triple_for
 from oracles import cutoff_cost, gauge_ball_quadrature, gauge_cutoff, manufactured_fields
 from solab.grid import Grid, GaugeBall, ScalarField, ball_average, make_cutoff, td_bound_margin
+from solab.problems import boundary_field
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,23 @@ def test_lipschitz_ratio_affine(affine_solution):
     ratio = vf.lipschitz_ratio(vf.solution_fields(sol, tr), [0, 0, 0], 0.8, 0.5)
     assert ratio == pytest.approx(0.5 ** 4, abs=1e-9)
 
+
+
+def test_lipschitz_ratio_is_uniform_over_data_for_solutions_only():
+    # negative control: along sine data with growing frequency k the solutions' sup-bound
+    # ratio stays put (the constant depends on the structure, not on u), while the ratio of
+    # the boundary fields, smooth fields that are not solutions, grows with k
+    grid = Grid.from_box([(-1, 1)] * 3, 33)
+    tr = triple_for("power:p=3")
+    solutions, boundaries = [], []
+    for k in (2, 4, 8):
+        bc = boundary_field(f"sine:amp={1 / k:g},kx={k},ky=0,x1=0.6,t=0.3", grid)
+        (sol, rep), = sv.solve_ladder([sv.DirichletProblem(grid=grid, triple=tr, boundary=bc, eps=1e-4)])
+        assert rep.converged
+        for field, ratios in ((sol, solutions), (bc, boundaries)):
+            ratios.append(vf.lipschitz_ratio(vf.solution_fields(field, tr, 1e-4), [0, 0, 0], 0.8, 0.5))
+    assert max(solutions) <= 1.25 * min(solutions), solutions
+    assert boundaries[2] >= 2 * boundaries[0], boundaries
 
 def test_lipschitz_ratio_shift_invariant(tdep_solution):
     sol, tr, _, prob = tdep_solution
