@@ -306,6 +306,8 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
         "restarts": report.restarts,
         "final_energy": report.final_energy,
         "weak_residual": report.weak_residual,
+        "rejected_pairs": report.rejected_pairs,
+        "tol": report.tol,
         "gradient_cap_observed": report.gradient_cap_observed,
         "converged": report.converged,
         "stop_reason": report.stop_reason,
@@ -358,7 +360,8 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
                               "iterations": report.iterations, "evaluations": report.evaluations,
                               "restarts": report.restarts, "stop_reason": report.stop_reason,
                               "final_energy": report.final_energy,
-                              "weak_residual": report.weak_residual})
+                              "weak_residual": report.weak_residual,
+                              "rejected_pairs": report.rejected_pairs, "tol": report.tol})
         # built before the fields: the cutoff's temporaries (29 MB at 65^3) would stack on them
         eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
         fields = vf.solution_fields(sol, triple, cfg.epsilon)

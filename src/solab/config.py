@@ -139,9 +139,10 @@ def _parse_keyvalue(text: str) -> dict:
         if not line:
             continue
         key, sep, val = line.partition("=")
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected key = value")
         key = key.strip()
+        # a key is an identifier, so a line of a JSON document fails here, not as an unknown key
+        if not sep or not key.isidentifier():
+            raise ConfigError(f"line {lineno}: expected key = value")
         val = val.strip()
         if key in lines:
             raise ConfigError(f"config key {key!r} repeated on lines {lines[key]} and {lineno}")

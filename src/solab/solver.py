@@ -210,13 +210,20 @@ class DirichletProblem:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve; ``stop_reason`` is 'tol', 'max_iters' or 'line_search_stall'."""
+    """Outcome of one solve; ``stop_reason`` is 'tol', 'max_iters' or 'line_search_stall'.
+
+    Every evaluation after the start's is one line-search trial and each
+    iteration accepts one trial, so the rejected trials (backtracks) number
+    evaluations - 1 - iterations; they are not stored twice.
+    """
 
     iterations: int
     evaluations: int  # energy-and-gradient evaluations, line-search trials included
     restarts: int  # steepest-descent restarts on a non-descent L-BFGS direction
     final_energy: float
     weak_residual: float
+    rejected_pairs: int  # curvature pairs not stored because <s, y> <= 1e-300
+    tol: float  # the stopping tolerance on the weak residual
     energy_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
     gradient_cap_observed: float = 0.0
@@ -401,7 +408,7 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     history = [energy]
     res_history = [res]
     memory = deque(maxlen=3)  # curvature pairs (s, y, 1/<s,y>), oldest first
-    iters, evaluations, restarts = 0, 1, 0  # the start is the first evaluation
+    iters, evaluations, restarts, rejected_pairs = 0, 1, 0, 0  # the start is the first evaluation
     stop_reason = "max_iters"
 
     while not res <= tol and iters < prob.max_iters:  # a NaN residual is not converged
@@ -433,6 +440,8 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         sy = _dot(s_vec, y_vec)
         if sy > 1e-300:
             memory.append((s_vec, y_vec, 1.0 / sy))
+        else:
+            rejected_pairs += 1
         x, energy, grad, cap = x_new, e_new, g_new, cap_new
         res = float(np.max(np.abs(grad)))
         history.append(energy)
@@ -446,6 +455,8 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         restarts=restarts,
         final_energy=energy,
         weak_residual=res,
+        rejected_pairs=rejected_pairs,
+        tol=float(tol),
         energy_history=history,
         residual_history=res_history,
         gradient_cap_observed=cap,

@@ -10,9 +10,11 @@ integrals of growth laws come from scipy's adaptive quadrature (conjugates
 included: the library uses the Fenchel-Young equality, the reference
 integrates the inverse; regularized energy densities included: the library
 looks them up in a cumulative table), and the p-Laplace solver is checked against the
-closed-form gauge fundamental solution.  The L-BFGS two-loop recursion is
-checked against the dense BFGS inverse-Hessian update, and G_eps against its
-two-branch formula evaluated on every call.  The audit integrals are checked
+closed-form gauge fundamental solution.  The generalized inverse is checked
+against plain bisection on the same bracket (the library takes ITP steps).
+The L-BFGS two-loop recursion is checked against the dense BFGS
+inverse-Hessian update, and G_eps against its two-branch formula evaluated on
+every call.  The audit integrals are checked
 on a manufactured field whose derivatives are written in closed form,
 against a closed-form cutoff and tensor Gauss-Legendre quadrature on gauge
 balls (the library samples the cutoff at nodes and sums trapezoid weights).
@@ -193,6 +195,42 @@ def conjugate_reference(g, s: float) -> float:
     val, err = scipy.integrate.quad(inverse, 0.0, s, points=points or None,
                                     epsabs=0.0, epsrel=1e-13, limit=400)
     return val
+
+
+def bisection_inverse(psi, t):
+    """inf{s >= 0 : psi(s) > t} by plain bisection, with the bracket and stopping rule of the library.
+
+    The bracket grows x4 from 1 up to 1e150, and midpoints halve it until its
+    width is at most 1e-10 or its ends are adjacent floats.  The bracket top
+    is evaluated a second time for the saturation test.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    tt = np.atleast_1d(t_arr).astype(float)
+    if np.any(tt < 0):
+        raise ValueError("generalized inverse is defined for t >= 0")
+    hi = np.ones_like(tt)
+    lo = np.zeros_like(tt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(300):
+            exceeded = np.asarray(psi(hi)) > tt
+            grow = ~exceeded & (hi < 1e150)
+            if not np.any(grow):
+                break
+            lo = np.where(grow, hi, lo)
+            hi = np.where(grow, hi * 4.0, hi)
+        # a saturated bracket collapses onto its top
+        lo = np.where(np.asarray(psi(hi)) > tt, lo, hi)
+        for _ in range(600):
+            mid = 0.5 * (lo + hi)
+            # a midpoint equal to an endpoint cannot move it (float spacing exceeds 1e-10 there)
+            open_ = ((hi - lo) > 1e-10) & (mid != lo) & (mid != hi)
+            if not np.any(open_):
+                break
+            gt = np.asarray(psi(mid)) > tt
+            hi = np.where(open_ & gt, mid, hi)
+            lo = np.where(open_ & ~gt, mid, lo)
+    vals = 0.5 * (lo + hi)
+    return float(vals[0]) if t_arr.ndim == 0 else vals.reshape(t_arr.shape)
 
 
 def bfgs_inverse_hessian(pairs, h0, n: int) -> np.ndarray:

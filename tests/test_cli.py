@@ -93,11 +93,11 @@ def test_config_keyvalue_and_json(tmp_path):
     p1 = write_cfg(tmp_path, BASE)
     cfg = load_config(p1)
     assert cfg.structure == "power:p=2" and cfg.seed == 42
-    # key = value is the one config form: a JSON document is a config error
+    # key = value is the one config form: a JSON document, on one line or indented, fails on its first line
     data = {"structure": "power:p=3", "boundary": "affine:x1=1", "resolution": 11}
     for i, text in enumerate((json.dumps(data), json.dumps(data, indent=2))):
         path = write_cfg(tmp_path, text, f"cfg{i}.json")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^line 1: expected key = value$"):
             load_config(path)
         assert cli.main(["solve", "--config", path, "--out", str(tmp_path / f"json{i}")]) == 2
 
@@ -249,6 +249,7 @@ def test_solve_non_convergence_exits_1(tmp_path):
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 1
     report = json.loads((out / "solve_report.json").read_text())
     assert not report["converged"] and report["stop_reason"] == "max_iters"
+    assert report["tol"] == 1e-14 < report["weak_residual"] and report["rejected_pairs"] == 0
     assert (out / "solution.bin").exists()  # partial dump still written
 
 
@@ -314,6 +315,9 @@ def test_audit_names_the_level_that_stopped(tmp_path):
     for lv in levels:
         assert lv["evaluations"] >= lv["iterations"] + 1 and lv["restarts"] >= 0
         assert np.isfinite(lv["final_energy"]) and lv["weak_residual"] > 0
+        assert lv["rejected_pairs"] >= 0 and lv["tol"] > 0
+    assert levels[0]["weak_residual"] <= levels[0]["tol"]
+    assert levels[1]["weak_residual"] > levels[1]["tol"]
 
 
 def test_zero_boundary_data_report_ratio_zero(tmp_path):

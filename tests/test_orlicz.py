@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import solab.orlicz as oz
 from conftest import CATALOG_LABELS, POWER_LABELS, triple_for
-from oracles import conjugate_reference, quad_reference
+from oracles import bisection_inverse, conjugate_reference, quad_reference
 
 QUAD = oz.YoungFunction(integrand=lambda s: np.asarray(s, float),
                         closed_eval=lambda t: t * t / 2)
@@ -143,6 +143,73 @@ def test_generalized_inverse_stops_at_float_spacing():
     t = oz.generalized_inverse(psi, 1e6)
     assert abs(t - 1e6) <= np.spacing(1e6)
     assert len(calls) < 100
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_generalized_inverse_matches_bisection_oracle(label):
+    g = triple_for(label).g
+    t = np.geomspace(1e-3, 1e3, 25)
+    assert np.max(np.abs(oz.generalized_inverse(g.eval, t) - bisection_inverse(g.eval, t))) <= 1e-10
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_nested_integrand_matches_bisection_oracle(label):
+    # the integrand of the conjugate is the engine; compare it with the oracle at every
+    # point where the outer search of a double conjugate evaluates it
+    g = triple_for(label).g
+    conj = oz.conjugate_young(oz.young_from_structure(triple_for(label)))
+    seen = []
+
+    def recording(tau):
+        seen.append(np.array(tau, dtype=float))
+        return conj.integrand(tau)
+
+    oz.generalized_inverse(recording, np.geomspace(1e-2, 1e2, 4))
+    tau = np.concatenate(seen)
+    assert np.max(np.abs(conj.integrand(tau) - bisection_inverse(g.eval, tau))) <= 1e-10
+
+
+def test_generalized_inverse_crosses_a_plateau():
+    # psi = t on [1, 2]: the infimum of {psi > t} is the plateau's right end
+    plateau = lambda s: np.minimum(s, 1.0) + np.maximum(s - 2.0, 0.0)
+    assert oz.generalized_inverse(plateau, 1.0) == pytest.approx(2.0, abs=5e-11)
+
+
+@pytest.mark.parametrize("jump, low, high", [(1.0, 0.0, 2.0), (0.3, 0.0, 1e6), (0.999, 1e-6, 1e9), (7e3, 0.5, 1.5)])
+def test_generalized_inverse_worst_case_on_a_step(jump, low, high):
+    # interpolation is useless across a jump; the projection keeps the steps within bisection's
+    step = lambda s: np.where(np.asarray(s, float) >= jump, high, low)
+    t = 0.5 * (low + high)
+    counts = []
+    for inverse in (oz.generalized_inverse, bisection_inverse):
+        calls = []
+
+        def psi(s):
+            calls.append(1)
+            return step(s)
+
+        assert inverse(psi, t) == pytest.approx(jump, abs=5e-11 + np.spacing(jump))
+        counts.append(len(calls))
+    assert counts[0] <= counts[1] + 2
+
+
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_double_conjugate_evaluation_count(label, monkeypatch):
+    # the double conjugate nests the inverse, so a return to bisection's step count fails here
+    # (the engine makes 11-32% of the oracle's g evaluations on these laws)
+    g = triple_for(label).g
+    points = []
+    counted = dataclasses.replace(g, eval=lambda t: points.append(np.size(t)) or g.eval(t))
+    young = oz.young_from_structure(oz.OrliczTriple(counted))
+    young(1.0)  # builds the G table of the laws without a closed form
+    t = np.geomspace(1e-2, 1e2, 4)
+    counts = []
+    for inverse in (oz.generalized_inverse, bisection_inverse):
+        monkeypatch.setattr(oz, "generalized_inverse", inverse)
+        points.clear()
+        oz.conjugate(oz.conjugate_young(young), t)
+        counts.append(sum(points))
+    assert counts[0] <= 0.4 * counts[1]
 
 
 def test_inverse_sandwich():

@@ -452,6 +452,18 @@ def test_solve_report_counts_evaluations(monkeypatch, grid9):
     assert rep.evaluations == len(calls) >= rep.iterations + 1
 
 
+def test_solve_report_counts_rejected_pairs_and_tol(monkeypatch, grid9):
+    # <s, y> read as 0 rejects every curvature pair, so each iteration counts one rejection
+    prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c, max_iters=5)
+    _, plain = sv.solve_dirichlet(prob)
+    dot = sv._dot
+    monkeypatch.setattr(sv, "_dot", lambda a, b: min(dot(a, b), 0.0))
+    _, rep = sv.solve_dirichlet(prob)
+    assert plain.rejected_pairs == 0
+    assert rep.stop_reason == "max_iters" and rep.iterations == rep.rejected_pairs == 5
+    assert rep.tol == plain.tol == 1e-8 * (1.0 + rep.residual_history[0])
+
+
 @pytest.mark.parametrize("label", ["power:p=3", "loglin"])
 def test_weak_residual_is_the_solver_residual(grid9, label):
     prob = make_problem(grid9, label, lambda a, b, c: np.sin(2 * a) * b + 0.4 * c)
