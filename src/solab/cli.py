@@ -138,8 +138,8 @@ def cmd_orlicz_check(cfg: ExperimentConfig, out: str) -> int:
     checks.append(("complementary_pair_margin", cp_min, ">= -1e-8", cp_min >= -1e-8))
 
     quad = oz.YoungFunction(integrand=lambda s: s, closed_eval=lambda t: t * t / 2)
-    checks.append(("quad_self_conjugate", abs(oz.conjugate(quad, 1.0) - 0.5), "<= 1e-8",
-                   abs(oz.conjugate(quad, 1.0) - 0.5) <= 1e-8))
+    err_quad = abs(oz.conjugate(quad, 1.0) - 0.5)
+    checks.append(("quad_self_conjugate", err_quad, "<= 1e-8", err_quad <= 1e-8))
     entropy = oz.YoungFunction(integrand=np.log1p, closed_eval=lambda t: (1 + t) * np.log1p(t) - t)
     err_ent = abs(oz.conjugate(entropy, 1.0) - (math.e - 2.0))
     checks.append(("entropy_exp_conjugate", err_ent, "<= 1e-8", err_ent <= 1e-8))
@@ -189,8 +189,9 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     rel = _jacobian_vs_fd(spec, z)
     checks.append(("jacobian_vs_fd", rel, "<= 1e-5", rel <= 1e-5))
 
-    asym = np.max(np.abs(da - np.swapaxes(da, 1, 2)), axis=(1, 2)) / np.max(np.abs(da), axis=(1, 2))
-    checks.append(("jacobian_asymmetry", float(asym.max()), "<= 1e-10", float(asym.max()) <= 1e-10))
+    asym = float(np.max(np.max(np.abs(da - np.swapaxes(da, 1, 2)), axis=(1, 2))
+                        / np.max(np.abs(da), axis=(1, 2))))
+    checks.append(("jacobian_asymmetry", asym, "<= 1e-10", asym <= 1e-10))
 
     eigs = np.linalg.eigvalsh(0.5 * (da + np.swapaxes(da, 1, 2)))
     r = np.linalg.norm(z, axis=1)
@@ -201,15 +202,14 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 
     z2 = sample_z(10_000)
     xi = rng.normal(size=z2.shape)
+    xi2, r2 = np.sum(xi * xi, axis=-1), np.linalg.norm(z2, axis=-1)
     lower, upper, growth = op_mod.structure_margins(spec, z2, xi)
-    norm = np.sum(xi * xi, axis=-1) * spec.upper_weight(np.linalg.norm(z2, axis=-1))
-    checks.append(("structure_lower_margin", float(np.min(lower / norm)), ">= -1e-9",
-                   float(np.min(lower / norm)) >= -1e-9))
-    checks.append(("structure_upper_margin", float(np.min(upper / norm)), ">= -1e-9",
-                   float(np.min(upper / norm)) >= -1e-9))
-    growth_rel = growth / (1.0 + np.linalg.norm(spec.A(z2), axis=-1))
-    checks.append(("growth_margin", float(np.min(growth_rel)), ">= -1e-9",
-                   float(np.min(growth_rel)) >= -1e-9))
+    norm = xi2 * spec.upper_weight(r2)
+    lower_min, upper_min = float(np.min(lower / norm)), float(np.min(upper / norm))
+    checks.append(("structure_lower_margin", lower_min, ">= -1e-9", lower_min >= -1e-9))
+    checks.append(("structure_upper_margin", upper_min, ">= -1e-9", upper_min >= -1e-9))
+    growth_min = float(np.min(growth / (1.0 + np.linalg.norm(spec.A(z2), axis=-1))))
+    checks.append(("growth_margin", growth_min, ">= -1e-9", growth_min >= -1e-9))
 
     w2 = sample_z(10_000)
     gap, fitted = op_mod.monotonicity_gap(spec, z2, w2)
@@ -225,9 +225,9 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     plap_rows = []
     for p in (1.5, 2.0, 3.0):
         gaps, ratios = op_mod.p_laplace_gap(p, z2, w2)
-        plap_rows.append((p, float(np.min(gaps)), float(np.min(ratios))))
-        checks.append((f"p_laplace_ratio_min_p={p:g}", float(np.min(ratios)), "> 0",
-                       float(np.min(ratios)) > 0))
+        ratio_min = float(np.min(ratios))
+        plap_rows.append((p, float(np.min(gaps)), ratio_min))
+        checks.append((f"p_laplace_ratio_min_p={p:g}", ratio_min, "> 0", ratio_min > 0))
 
     reg_rows = []
     probe = sample_z(2000)
@@ -235,8 +235,6 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     sup_decreasing = True
     reg_jac = 0.0
     t = np.geomspace(1e-4, 1e4, 400)
-    xi2 = np.sum(xi * xi, axis=-1)
-    r2 = np.linalg.norm(z2, axis=-1)
     for eps in (1e-2, 5e-3, 2.5e-3, 1e-3):
         rspec, params = op_mod.regularized_operator(triple, eps)
         sup_diff = float(np.max(np.linalg.norm(rspec.A(probe) - spec.A(probe), axis=-1)))
@@ -259,7 +257,7 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 
         # difference quotients must not straddle the saturation kink of F_eps at 1/eps - eps
         kink = 1.0 / eps - eps
-        smooth = np.abs(np.linalg.norm(z, axis=-1) - kink) > 1e-3 * kink
+        smooth = np.abs(r - kink) > 1e-3 * kink
         reg_jac = max(reg_jac, _jacobian_vs_fd(rspec, z[smooth]))
         ts = t[np.abs(t - kink) > 1e-4 * t]
         hs = 1e-4 * ts
@@ -375,7 +373,6 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
         for rep in results:
             omega = rep.extras.get("omega", "")
             per_level.setdefault((rep.name, rep.gamma, omega), []).append(rep)
-            # rows are taken now: attach_refinement later rewrites the finest report's flags
             csv_rows.append((rep.name, rep.gamma, rep.lhs, rep.rhs, rep.fitted_constant, h,
                              rep.passed, omega, level))
             plot_rows.append((rep.name, rep.gamma, omega, level, h, rep.fitted_constant))

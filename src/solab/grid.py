@@ -34,15 +34,12 @@ __all__ = [
     "vertical_derivative",
     "horizontal_hessian",
     "hessian_frobenius",
-    "commutator_residual",
-    "td_bound_margin",
     "gauge_distance_field",
     "make_cutoff",
     "integrate",
     "ball_average",
     "ball_node_mask",
     "save_field_binary",
-    "load_field_binary",
 ]
 
 
@@ -111,11 +108,6 @@ class Grid:
         """Grid with every axis spacing halved (shape 2N-1)."""
         return Grid(tuple(2 * s - 1 for s in self.shape), self.lo, self.hi)
 
-    def interior_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[(slice(1, -1),) * self.dim] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -179,30 +171,6 @@ def horizontal_hessian(xu: HorizontalField) -> np.ndarray:
 
 def hessian_frobenius(hess: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(hess ** 2, axis=(0, 1)))
-
-
-def _interior(values: np.ndarray) -> np.ndarray:
-    return values[(slice(1, -1),) * values.ndim]
-
-
-def commutator_residual(u: ScalarField) -> float:
-    """max over the interior of |XYu - YXu - Tu|.
-
-    The exact commutator [X, Y] is the vertical derivative T; on smooth
-    samples the residual is pure truncation error and vanishes with order
-    >= 1 under refinement.
-    """
-    hess = horizontal_hessian(horizontal_gradient(u))
-    resid = hess[1, 0] - hess[0, 1] - vertical_derivative(u).values
-    return float(np.max(np.abs(_interior(resid))))
-
-
-def td_bound_margin(u: ScalarField) -> float:
-    """min over the interior of 2 |XXu| - |Tu| (nonnegative up to truncation error)."""
-    hess = horizontal_hessian(horizontal_gradient(u))
-    tu = vertical_derivative(u).values
-    margin = 2.0 * hessian_frobenius(hess) - np.abs(tu)
-    return float(np.min(_interior(margin)))
 
 
 # --------------------------------------------------------------------------
@@ -420,20 +388,3 @@ def save_field_binary(path, field: ScalarField):
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-
-def load_field_binary(path, grid: Grid) -> ScalarField:
-    """Read a field dump and validate its header against the given grid."""
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size < 6:
-        raise ValueError(f"{path}: truncated field header")
-    shape = tuple(int(s) for s in raw[:3])
-    spacing = raw[3:6]
-    values = raw[6:]
-    if shape != grid.shape:
-        raise ValueError(f"{path}: grid mismatch (file shape={shape})")
-    if not np.allclose(spacing, grid.spacing, rtol=1e-12, atol=1e-15):
-        raise ValueError(f"{path}: spacing mismatch")
-    if values.size != int(np.prod(shape)):
-        raise ValueError(f"{path}: value count does not match shape")
-    return ScalarField(grid, values.reshape(shape))

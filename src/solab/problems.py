@@ -11,8 +11,8 @@ The coordinates of H^1 are x1 = x, x2 = y and t.  A nonzero t (or
 x1t/x2t/tt) coefficient produces genuinely t-dependent solutions with
 Tu != 0; pure affine t-independent data is reproduced exactly by the solver.
 Affine data with any t coefficient still solve the equation exactly (their
-horizontal Hessian is skew), so the barriers of
-`solver.barrier_residual_study` are ``affine:`` fields.
+horizontal Hessian is skew), so ``affine:`` fields are the affine barriers of
+the comparison argument.
 
 t-independent non-affine data (``sine:``, ``poly2:`` without t terms) do not
 give t-independent solutions: the t-faces of the box hold the Dirichlet data

@@ -18,14 +18,13 @@ The assembled gradient of E is exactly the discrete weak form residual
 max_phi |sum <A_eps(Xu), X phi>| over unit node bumps phi, with
 A_eps(z) = F_eps(|z|) z, so the stopping test and the weak-solution contract
 coincide.  That A_eps is `operator.regularized_operator`, the map
-`operator-check` certifies.  `_weak_form` is the one assembly of
-vol * X^T(w(|Xu|) Xu): the energy gradient, `weak_residual` and the barrier
-study differ only in the radial weight w.  Nested iteration (Hackbusch,
+`operator-check` certifies.  `_weak_form` is the one assembly of the energy
+and its gradient vol * X^T(w(|Xu|) Xu).  Nested iteration (Hackbusch,
 Multi-Grid Methods and Applications, 1985, ch. 5) is `solve_ladder`, the
 one code that nests: it halves its first problem while every axis has an
-even cell count of at least 32 and serves `solab solve`, `solab audit` and
-`comparison_check`.  `solve_dirichlet` solves one grid, from a start array
-or else from the problem's own boundary field, interior values included.
+even cell count of at least 32 and serves `solab solve` and `solab audit`.
+`solve_dirichlet` solves one grid, from a start array or else from the
+problem's own boundary field, interior values included.
 
 The start fixes one diagonal metric for the whole solve: D_i, the sum of
 F_eps(|Xu|) over the cells of node i, is added up in the slab loop of the
@@ -66,26 +65,17 @@ import numpy as np
 
 from .grid import Grid, ScalarField, refine_values
 from .heisenberg import horizontal, horizontal_adjoint
-from .operator import prototype_operator, regularized_energy_density, regularized_weight
+from .operator import regularized_energy_density, regularized_weight
 from .orlicz import OrliczTriple
 
 __all__ = [
     "DirichletProblem",
     "SolveReport",
-    "NonConvergenceError",
     "cell_gradient",
     "cell_gradient_adjoint",
-    "discrete_energy",
-    "weak_residual",
     "solve_dirichlet",
     "solve_ladder",
-    "comparison_check",
-    "barrier_residual_study",
 ]
-
-
-class NonConvergenceError(RuntimeError):
-    """Raised by callers that insist on a converged solve."""
 
 
 # --------------------------------------------------------------------------
@@ -203,10 +193,6 @@ class DirichletProblem:
         if not (0 < self.eps < 1):
             raise ValueError("eps must lie in (0,1)")
 
-    @property
-    def interior(self) -> np.ndarray:
-        return self.grid.interior_mask()
-
 
 @dataclass
 class SolveReport:
@@ -247,28 +233,26 @@ def _slab_planes(grid: Grid) -> int:
     return max(1, _SLAB_BYTES // plane_bytes)
 
 
-def _weak_form(grid: Grid, values: np.ndarray, weight, density=None, weight_sums=None):
-    """The nodal weak form vol * X^T(weight(r) Xu), r = |Xu| per cell, slab by slab.
+def _weak_form(grid: Grid, values: np.ndarray, weight, density, weight_sums=None):
+    """The energy vol * sum density(r) and its gradient, the nodal weak form vol * X^T(weight(r) Xu).
 
-    Slabs are runs of `_slab_planes` cell planes along axis 0; each adds its
-    part into the node planes around it.  Returns ((min r, max r, sum of
-    density(r) over the cells, 0.0 without ``density``), nodal array).  A
-    full-grid ``weight_sums`` gets every node's sum of weight(r) over its
-    cells added in, the transposed pair sums along all axes.
+    r = |Xu| per cell.  Slabs are runs of `_slab_planes` cell planes along
+    axis 0; each adds its part into the node planes around it.  Returns
+    (energy, nodal array, max r).  A full-grid ``weight_sums`` gets every
+    node's sum of weight(r) over its cells added in, the transposed pair sums
+    along all axes.
     """
     vol = grid.cell_volume
     cells = grid.shape[0] - 1
     step = _slab_planes(grid)
     out = np.zeros(grid.shape)
-    r_min, r_max, total = math.inf, 0.0, 0.0
+    r_max, total = 0.0, 0.0
     for lo in range(0, cells, step):
         hi = min(lo + step, cells)
         xc = cell_gradient(grid, values[lo:hi + 1], lo)
         r = np.sqrt(np.sum(xc * xc, axis=0))
-        r_min = min(r_min, float(r.min()))
         r_max = max(r_max, float(r.max()))
-        if density is not None:
-            total += float(np.sum(density(r)))
+        total += float(np.sum(density(r)))
         w = weight(r)
         del r  # free before the adjoint's temporaries, and xc before the next slab's
         if weight_sums is not None:
@@ -280,7 +264,7 @@ def _weak_form(grid: Grid, values: np.ndarray, weight, density=None, weight_sums
         del w
         out[lo:hi + 1] += vol * cell_gradient_adjoint(grid, xc, lo)
         del xc
-    return (r_min, r_max, total), out
+    return vol * total, out, r_max
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -311,31 +295,6 @@ def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarra
     for (s, y, rho), a in zip(memory, reversed(alphas)):
         q += np.multiply(s, a - rho * _dot(y, q), out=scratch)
     return np.negative(q, out=q)
-
-
-def _energy_and_gradient(grid: Grid, values: np.ndarray, f_eps, g_eps, weight_sums=None):
-    (_, r_max, g_sum), grad = _weak_form(grid, values, f_eps, g_eps, weight_sums)
-    return grid.cell_volume * g_sum, grad, r_max
-
-
-def discrete_energy(u: ScalarField, prob: DirichletProblem) -> float:
-    """Energy sum_cells G_eps(|Xu|) * cellvolume; u must carry the Dirichlet data."""
-    if u.grid != prob.grid:
-        raise ValueError("field grid mismatch")
-    off = ~prob.interior
-    if not np.allclose(u.values[off], prob.boundary.values[off], rtol=0, atol=1e-12):
-        raise ValueError("field does not match the boundary data off the interior mask")
-    f_eps = regularized_weight(prob.triple, prob.eps)
-    g_eps = regularized_energy_density(prob.triple, prob.eps)
-    return _energy_and_gradient(prob.grid, u.values, f_eps, g_eps)[0]
-
-
-def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
-    """max over interior node bumps phi of |sum <A_eps(Xu), X phi> cellvolume|."""
-    if u.grid != prob.grid:
-        raise ValueError("field grid mismatch")
-    res = _weak_form(prob.grid, u.values, regularized_weight(prob.triple, prob.eps))[1]
-    return float(np.max(np.abs(res[prob.interior])))
 
 
 def solve_ladder(problems: list[DirichletProblem]) -> list[tuple[ScalarField, SolveReport]]:
@@ -383,7 +342,7 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         raise ValueError("init array shape mismatch")
     u = prob.boundary.values.copy()
     inner = (slice(1, -1),) * grid.dim
-    unknowns = u[inner]  # the interior nodes as a view; flattened in C order, as u[prob.interior] is
+    unknowns = u[inner]  # the interior nodes as a view
     unknowns[...] = start[inner]
 
     f_eps = regularized_weight(prob.triple, prob.eps)
@@ -391,7 +350,7 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
 
     def evaluate(x, weight_sums=None):
         unknowns[...] = x.reshape(unknowns.shape)
-        energy, grad_full, cap = _energy_and_gradient(grid, u, f_eps, g_eps, weight_sums)
+        energy, grad_full, cap = _weak_form(grid, u, f_eps, g_eps, weight_sums)
         return energy, grad_full[inner].ravel(), cap
 
     x = unknowns.flatten()  # a copy, also where the view is contiguous (one interior node)
@@ -463,58 +422,3 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         stop_reason="tol" if res <= tol else stop_reason,
     )
     return ScalarField(grid, u.copy()), report
-
-
-def comparison_check(prob_u: DirichletProblem, prob_v: DirichletProblem) -> float:
-    """Solve both problems by `solve_ladder` (nested start); return min over the interior of (u - v).
-
-    Precondition: shared grid/operator and boundary data ordered u0 >= v0
-    nodewise on the mask complement.
-    """
-    if prob_u.grid != prob_v.grid or prob_u.eps != prob_v.eps:
-        raise ValueError("comparison requires a shared grid and regularization")
-    if prob_u.triple.label != prob_v.triple.label:
-        raise ValueError("comparison requires a shared operator")
-    off = ~prob_u.interior
-    if np.any(prob_u.boundary.values[off] < prob_v.boundary.values[off] - 1e-12):
-        raise ValueError("boundary data are not ordered: need u0 >= v0 on the boundary")
-    (u, ru), = solve_ladder([prob_u])
-    (v, rv), = solve_ladder([prob_v])
-    if not (ru.converged and rv.converged):
-        raise NonConvergenceError("comparison solves did not converge")
-    gap = u.values - v.values
-    return float(np.min(gap[prob_u.interior]))
-
-
-# --------------------------------------------------------------------------
-# barriers
-# --------------------------------------------------------------------------
-
-
-def barrier_residual_study(L: ScalarField, triple: OrliczTriple, refinements: int) -> list[float]:
-    """Weak residual of an affine field under the raw operator, across mesh halvings.
-
-    Affine fields solve the equation exactly (their horizontal Hessian is
-    skew-symmetric), so the discrete residual is pure truncation error and
-    must decrease with order >= 1.  L counts as affine when its edge
-    differences along every axis are constant to 1e-9 (1 + max |L|); each
-    halving is `Grid.refined` with L prolonged by `refine_values`, which is
-    exact on affine data.  Raises when the horizontal gradient degenerates
-    somewhere while F is singular at 0 (rerun with eps > 0).
-    """
-    if refinements < 0:
-        raise ValueError("refinements must be nonnegative")
-    grid, values = L.grid, L.values
-    scale = 1.0 + float(np.max(np.abs(values)))
-    if any(np.ptp(np.diff(values, axis=k)) > 1e-9 * scale for k in range(grid.dim)):
-        raise ValueError("field is not affine")
-    weight = prototype_operator(triple).weight
-    residuals = []
-    for level in range(refinements + 1):
-        if level:
-            grid, values = grid.refined(), refine_values(values)
-        (r_min, _, _), res_field = _weak_form(grid, values, weight)
-        if r_min < 1e-12 and triple.f_zero is None:
-            raise ValueError("|XL| vanishes on the grid and F is singular at 0; rerun regularized")
-        residuals.append(float(np.max(np.abs(res_field[grid.interior_mask()]))))
-    return residuals

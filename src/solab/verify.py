@@ -26,7 +26,7 @@ regularized-weight fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,18 +124,16 @@ def stability_pass(history) -> bool:
 
 
 def attach_refinement(reports: list[AuditReport]) -> AuditReport:
-    """Combine per-level reports of the same audit into the finest-level one.
+    """A copy of the finest-level report carrying the refinement history of all levels.
 
     The history keeps every level; the stability band judges the levels whose
     left side is judged, since an analytic zero carries no information about
-    the constant.
+    the constant.  The input reports are left as they are.
     """
     if not reports:
         raise ValueError("no reports to combine")
-    final = reports[-1]
-    final.refinement_history = [r.fitted_constant for r in reports]
-    final.passed = stability_pass([r.fitted_constant for r in reports if r.reason == "judged"])
-    return final
+    return replace(reports[-1], refinement_history=[r.fitted_constant for r in reports],
+                   passed=stability_pass([r.fitted_constant for r in reports if r.reason == "judged"]))
 
 
 # --------------------------------------------------------------------------

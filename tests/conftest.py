@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from solab.grid import Grid, ScalarField
+import solab.solver as sv
+from solab.grid import (Grid, ScalarField, hessian_frobenius, horizontal_gradient, horizontal_hessian,
+                        refine_values, vertical_derivative)
+from solab.operator import prototype_operator, regularized_energy_density, regularized_weight
 from solab.orlicz import OrliczTriple, catalog_structure_function
 
 # labels exercised across the suites; the two catalog examples from the
@@ -13,6 +16,9 @@ CATALOG_LABELS = POWER_LABELS + [
     "sinlog:a=2.5,b=1",
     "glued:alpha=1.5,beta=2.5,eps=0.5,k1=1,k2=2",
 ]
+
+# the interior nodes of a field's values, the unknowns of a solve
+INTERIOR = (slice(1, -1),) * 3
 
 _TRIPLES: dict[str, OrliczTriple] = {}
 
@@ -62,3 +68,43 @@ def bumped_start(field: ScalarField, height: float = 0.1) -> np.ndarray:
         x = grid.coord(axis)
         bump = bump * (4.0 * (x - lo) * (hi - x) / (hi - lo) ** 2)
     return field.values + height * bump
+
+
+def energy_and_residual(prob, values: np.ndarray) -> tuple[float, float]:
+    """The solver's energy of ``values`` under prob's A_eps, and its weak residual:
+    the largest nodal weak form at an interior node."""
+    energy, grad, _ = sv._weak_form(prob.grid, values, regularized_weight(prob.triple, prob.eps),
+                                    regularized_energy_density(prob.triple, prob.eps))
+    return energy, float(np.max(np.abs(grad[INTERIOR])))
+
+
+def barrier_residuals(L: ScalarField, triple: OrliczTriple, refinements: int) -> list[float]:
+    """Weak residual of affine data L under the raw operator F(|z|) z, on L's grid and each halving.
+
+    A halving is `Grid.refined` with L prolonged by `refine_values`, which is exact on affine data.
+    """
+    weight = prototype_operator(triple).weight
+    grid, values = L.grid, L.values
+    residuals = []
+    for level in range(refinements + 1):
+        if level:
+            grid, values = grid.refined(), refine_values(values)
+        grad = sv._weak_form(grid, values, weight, triple.G)[1]
+        residuals.append(float(np.max(np.abs(grad[INTERIOR]))))
+    return residuals
+
+
+def comparison_gap(prob_u, prob_v) -> float:
+    """min over the interior nodes of u - v, for the converged solutions u, v of the two problems."""
+    (u, rep_u), = sv.solve_ladder([prob_u])
+    (v, rep_v), = sv.solve_ladder([prob_v])
+    assert rep_u.converged and rep_v.converged
+    return float(np.min((u.values - v.values)[INTERIOR]))
+
+
+def commutator_and_td_margin(u: ScalarField) -> tuple[float, float]:
+    """max over the interior of |XYu - YXu - Tu| ([X, Y] = T), and min of 2 |XXu| - |Tu|."""
+    hess = horizontal_hessian(horizontal_gradient(u))
+    tu = vertical_derivative(u).values
+    return (float(np.max(np.abs((hess[1, 0] - hess[0, 1] - tu)[INTERIOR]))),
+            float(np.min((2.0 * hessian_frobenius(hess) - np.abs(tu))[INTERIOR])))

@@ -115,10 +115,12 @@ def averaging_cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -
     return out
 
 
-def solve_kohn_laplace(grid: Grid, boundary_values: np.ndarray, interior_mask: np.ndarray) -> np.ndarray:
-    """Direct sparse solve of the discrete p=2 Dirichlet problem."""
+def solve_kohn_laplace(grid: Grid, boundary_values: np.ndarray) -> np.ndarray:
+    """Direct sparse solve of the discrete p=2 Dirichlet problem on the interior nodes."""
     H = kohn_laplace_matrix(grid)
-    mask = interior_mask.ravel()
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[1:-1, 1:-1, 1:-1] = True
+    mask = mask.ravel()
     ub = boundary_values.ravel().copy()
     ub[mask] = 0.0
     rhs = -(H @ ub)[mask]

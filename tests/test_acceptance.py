@@ -13,10 +13,10 @@ import solab.operator as op
 import solab.orlicz as oz
 import solab.solver as sv
 import solab.verify as vf
-from conftest import bumped_start, field_from, triple_for
+from conftest import (barrier_residuals, bumped_start, commutator_and_td_margin, comparison_gap, field_from,
+                      triple_for)
 from oracles import fd_jacobian, solve_kohn_laplace
-from solab.grid import (GaugeBall, Grid, ScalarField, commutator_residual,
-                        integrate, make_cutoff)
+from solab.grid import GaugeBall, Grid, ScalarField, integrate, make_cutoff
 
 CENTER = [0.0, 0.0, 0.0]
 RADIUS = 0.8
@@ -157,7 +157,7 @@ def test_criterion_4_solver_exactness():
                                 residual_tol=1e-13)
     sol2, rep2 = sv.solve_dirichlet(prob2, init=bumped_start(bc2))
     ok &= rep2.iterations > 0
-    direct = solve_kohn_laplace(grid, bc2.values, prob2.interior)
+    direct = solve_kohn_laplace(grid, bc2.values)
     ok &= float(np.max(np.abs(sol2.values - direct))) <= 1e-8
     grid11 = Grid.from_box([(-1, 1)] * 3, 11)
     prob3 = sv.DirichletProblem(grid=grid11, triple=triple_for("power:p=3"),
@@ -187,7 +187,7 @@ def test_criterion_5_barriers():
     base = Grid.from_box([(-1, 1)] * 3, 9)
     L9 = boundary_field("affine:x1=1,t=1", base)
     for label in ("power:p=2", "power:p=4"):
-        res = sv.barrier_residual_study(L9, triple_for(label), refinements=2)
+        res = barrier_residuals(L9, triple_for(label), 2)
         floor = [r <= 1e-12 for r in res]
         decays = all(a / b >= 2.0 for a, b in zip(res, res[1:]) if b > 0)
         ok &= all(floor) or decays
@@ -216,7 +216,7 @@ def test_criterion_6_comparison():
                                      boundary=ScalarField(grid, (base + off) * np.ones(grid.shape)))
             pv = sv.DirichletProblem(grid=grid, triple=tr,
                                      boundary=ScalarField(grid, base * np.ones(grid.shape)))
-            gap = sv.comparison_check(pu, pv)
+            gap = comparison_gap(pu, pv)
             worst = min(worst, gap)
             ok &= gap >= -1e-8
     assert report(6, ok, f"5 ordered boundary pairs x p in {{1.5,2,3}}: min(u - v) = "
@@ -317,7 +317,7 @@ def test_criterion_9_geometry():
     res = []
     for m in (9, 17, 33):
         g = Grid.from_box([(-1, 1)] * 3, m)
-        res.append(commutator_residual(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c))))
+        res.append(commutator_and_td_margin(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
     ok &= all(a / b >= 2.0 for a, b in zip(res, res[1:]))
     g65 = Grid.from_box([(-1, 1)] * 3, 65)
     one = ScalarField(g65, np.ones(g65.shape))

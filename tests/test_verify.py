@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 import solab.solver as sv
 import solab.verify as vf
-from conftest import bumped_start, field_from, triple_for
+from conftest import bumped_start, commutator_and_td_margin, field_from, triple_for
 from oracles import cutoff_cost, gauge_ball_quadrature, gauge_cutoff, manufactured_fields
-from solab.grid import Grid, GaugeBall, ScalarField, ball_average, make_cutoff, td_bound_margin
+from solab.grid import Grid, GaugeBall, ScalarField, ball_average, make_cutoff
 from solab.problems import boundary_field
 
 
@@ -170,7 +171,7 @@ def test_reverse_omega_trend(tdep_solution):
 def test_vertical_cross_check_td_bound(tdep_solution):
     sol, _, _, _ = tdep_solution
     h = float(np.max(sol.grid.spacing))
-    assert td_bound_margin(sol) >= -25 * h
+    assert commutator_and_td_margin(sol)[1] >= -25 * h
 
 
 # ---------------------------------------------------------------- audit integrals against the oracle
@@ -290,7 +291,10 @@ def test_attach_refinement_band_failure():
                               gamma=1.0, passed=True),
                vf.AuditReport(name="x", lhs=3.0, rhs=1.0, fitted_constant=3.0,
                               gamma=1.0, passed=True)]
-    assert not vf.attach_refinement(reports).passed
+    before = [dataclasses.replace(r) for r in reports]
+    combined = vf.attach_refinement(reports)
+    assert not combined.passed and combined.refinement_history == [1.0, 3.0]
+    assert reports == before  # the per-level reports keep their own flags
 
 
 def test_audit_stability_under_refinement(tdep_solution):
