@@ -5,8 +5,9 @@ Commands: orlicz-check, operator-check, solve, audit.  Each takes two flags,
 ``--out`` (the output directory, default ``.``).  All numeric output is CSV
 with 17 significant digits plus JSON reports; an identical config produces
 byte-identical files.  Exit codes: 0 pass, 1 numeric non-convergence,
-2 config error, 3 IO error.  SOLAB_THREADS caps worker parallelism for the
-independent audits; a value that is not a positive integer is a config error.
+2 config error, 3 IO error.  The independent audits of one level run on a
+pool of ``worker_count()`` threads, one per CPU; ``map`` keeps their order,
+so the reports do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ EXIT_IO = 3
 
 
 def worker_count() -> int:
-    cap = os.environ.get("SOLAB_THREADS")
-    cpus = os.cpu_count() or 1
-    if not cap:
-        return cpus
-    if not cap.strip().isdecimal() or int(cap) < 1:
-        raise ConfigError(f"SOLAB_THREADS must be a positive integer, got {cap!r}")
-    return min(cpus, int(cap))
+    return os.cpu_count() or 1
 
 
 def _fmt(value) -> str:
@@ -293,7 +288,7 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
     grid = Grid.from_box(cfg.box, cfg.resolutions())
     (sol, report), = sv.solve_ladder([_problem(cfg, triple, grid)])
-    save_field_binary(os.path.join(out, "solution.bin"), sol)
+    save_field_binary(os.path.join(out, "solution.bin"), grid, sol)
     _write_json(os.path.join(out, "solve_report.json"), {
         "structure": cfg.structure,
         "boundary": cfg.boundary,
@@ -337,7 +332,6 @@ def _audit_jobs(cfg: ExperimentConfig):
 def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
     if cfg.refinements < 1:
         raise ConfigError("audit needs at least 2 refinement levels (refinements >= 1)")
-    workers = worker_count()
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
     jobs = list(_audit_jobs(cfg))
     per_level: dict[tuple, list[vf.AuditReport]] = {}
@@ -350,8 +344,8 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
     grids = [Grid.from_box(cfg.box, cfg.resolutions())]
     for _ in range(cfg.refinements):
         grids.append(grids[-1].refined())
-    for level, (sol, report) in enumerate(sv.solve_ladder([_problem(cfg, triple, g) for g in grids])):
-        grid = sol.grid
+    solves = sv.solve_ladder([_problem(cfg, triple, g) for g in grids])
+    for level, (grid, (sol, report)) in enumerate(zip(grids, solves)):
         all_converged &= report.converged
         h = float(np.max(grid.spacing))
         level_records.append({"level": level, "shape": list(grid.shape), "h": h,
@@ -362,13 +356,13 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
                               "rejected_pairs": report.rejected_pairs, "tol": report.tol})
         # built before the fields: the cutoff's temporaries (29 MB at 65^3) would stack on them
         eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
-        fields = vf.solution_fields(sol, triple, cfg.epsilon)
+        fields = vf.solution_fields(grid, sol, triple, cfg.epsilon)
         ratio = vf.lipschitz_ratio(fields, cfg.center, cfg.radius, cfg.sigma)
         ratio_rows.append((level, h, ratio))
         trace = vf.moser_trace(fields, cfg.center, cfg.radius, cfg.sigma, levels=8)
         moser_rows.extend((level, h, row["gamma"], row["radius"], row["exponent"],
                            row["norm"], row["inner_norm"]) for row in trace["levels"])
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             results = list(pool.map(lambda job: job[0](fields, eta, **job[1]), jobs))
         for rep in results:
             omega = rep.extras.get("omega", "")

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .grid import GaugeBall, Grid, ball_node_mask
+from .grid import GaugeBall, Grid, ball_node_mask, gauge_distance_field
 from .orlicz import UnknownLabelError, catalog_structure_function
 from .problems import boundary_field
 
@@ -115,6 +115,12 @@ class ExperimentConfig:
         # refined grids keep every coarse node, so one check on the first grid suffices
         if not ball_node_mask(grid, GaugeBall(self.center, self.sigma * self.radius)).any():
             raise ConfigError("the gauge ball of sigma * radius around center contains no grid node")
+        # K_eta > 0 exactly when a node lies inside the cutoff's annulus, where |X eta| > 0 off
+        # the t-axis and |eta T eta| > 0 on it
+        rho = gauge_distance_field(grid, self.center)
+        if not ((self.eta_inner < rho) & (rho < self.eta_outer)).any():
+            raise ConfigError("the cutoff annulus eta_inner < rho < eta_outer around center "
+                              "contains no grid node (K_eta = 0)")
         try:
             catalog_structure_function(self.structure)
         except UnknownLabelError as exc:

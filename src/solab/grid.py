@@ -1,8 +1,9 @@
 """Box grids in H^1 = R^3, horizontal/vertical stencils, cutoffs and quadrature.
 
-Node-centered fields on a uniform box; the axis order is (x, y, t).
-Horizontal derivatives combine axis derivatives with the coordinate-weighted
-vertical derivative:
+A node field is a numpy array of the grid's shape, passed beside its
+``Grid``; a horizontal field has its (X, Y) components on a leading axis of
+length 2.  The axis order is (x, y, t).  Horizontal derivatives combine axis
+derivatives with the coordinate-weighted vertical derivative:
 
     X u = D_x u - (y/2) D_t u,
     Y u = D_y u + (x/2) D_t u,
@@ -25,14 +26,13 @@ from .heisenberg import gauge_squared, horizontal, translate
 
 __all__ = [
     "Grid",
-    "ScalarField",
-    "HorizontalField",
     "CutoffFunction",
     "GaugeBall",
     "axis_derivative",
     "horizontal_gradient",
     "vertical_derivative",
     "horizontal_hessian",
+    "horizontal_norm",
     "hessian_frobenius",
     "gauge_distance_field",
     "make_cutoff",
@@ -109,64 +109,35 @@ class Grid:
         return Grid(tuple(2 * s - 1 for s in self.shape), self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"value shape {v.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class HorizontalField:
-    """The (X, Y) components per node, stored with the component axis first."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (2,) + self.grid.shape:
-            raise ValueError(f"expected shape {(2,) + self.grid.shape}, got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    def norm(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.values ** 2, axis=0))
-
-
 def axis_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order ``np.gradient`` along one axis: central inside, one-sided on the faces."""
     return np.gradient(values, h, axis=axis, edge_order=2)
 
 
-def vertical_derivative(u: ScalarField) -> ScalarField:
-    return ScalarField(u.grid, axis_derivative(u.values, u.grid.spacing[-1], u.grid.dim - 1))
+def vertical_derivative(grid: Grid, u: np.ndarray) -> np.ndarray:
+    return axis_derivative(u, grid.spacing[-1], grid.dim - 1)
 
 
-def _horizontal_components(grid: Grid, values: np.ndarray) -> np.ndarray:
-    derivs = [axis_derivative(values, grid.spacing[k], k) for k in range(grid.dim)]
+def horizontal_gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """The (X u, Y u) components per node, shape (2, *grid)."""
+    derivs = [axis_derivative(u, grid.spacing[k], k) for k in range(grid.dim)]
     return horizontal(derivs, grid.coords())
 
 
-def horizontal_gradient(u: ScalarField) -> HorizontalField:
-    return HorizontalField(u.grid, _horizontal_components(u.grid, u.values))
-
-
-def horizontal_hessian(xu: HorizontalField) -> np.ndarray:
+def horizontal_hessian(grid: Grid, xu: np.ndarray) -> np.ndarray:
     """Discrete horizontal Hessian from the field Xu, shape (2, 2, *grid).
 
     Entry [i, j] is X_j X_i u, with X_0 = X and X_1 = Y.
     """
-    out = np.empty((2,) + xu.values.shape)
+    out = np.empty((2,) + xu.shape)
     for i in range(2):
-        out[i] = _horizontal_components(xu.grid, xu.values[i])
+        out[i] = horizontal_gradient(grid, xu[i])
     return out
+
+
+def horizontal_norm(v: np.ndarray) -> np.ndarray:
+    """|v| per node of a horizontal field v, shape (2, *grid)."""
+    return np.sqrt(np.sum(v ** 2, axis=0))
 
 
 def hessian_frobenius(hess: np.ndarray) -> np.ndarray:
@@ -274,13 +245,10 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> np.ndarray:
     return _trapezoid_weights(grid) * coverage
 
 
-def integrate(f, region=None) -> float:
+def integrate(grid: Grid, f: np.ndarray, region=None) -> float:
     """Trapezoid-type weighted node sum of a field over the box (``None``) or a gauge ball."""
-    if not isinstance(f, ScalarField):
-        raise TypeError("integrate expects a ScalarField")
-    grid = f.grid
     if region is None:
-        return float(np.sum(_trapezoid_weights(grid) * f.values))
+        return float(np.sum(_trapezoid_weights(grid) * f))
     if not isinstance(region, GaugeBall):
         raise TypeError("an integration region is the box (None) or a GaugeBall")
     if not region.fits_inside(grid):
@@ -288,11 +256,11 @@ def integrate(f, region=None) -> float:
     w_ball = _ball_weights(grid, region)
     if not np.any(w_ball > 0):
         raise ValueError("empty integration region")
-    return float(np.sum(w_ball * f.values))
+    return float(np.sum(w_ball * f))
 
 
-def ball_average(f: ScalarField, ball: GaugeBall) -> float:
-    return integrate(f, ball) / float(np.sum(_ball_weights(f.grid, ball)))
+def ball_average(grid: Grid, f: np.ndarray, ball: GaugeBall) -> float:
+    return integrate(grid, f, ball) / float(np.sum(_ball_weights(grid, ball)))
 
 
 # --------------------------------------------------------------------------
@@ -309,9 +277,9 @@ class CutoffFunction:
     gauge ball, the region of the audits' supp eta integrals.
     """
 
-    eta: ScalarField
-    grad: HorizontalField
-    t_deriv: ScalarField
+    eta: np.ndarray
+    grad: np.ndarray  # X eta, shape (2, *grid)
+    t_deriv: np.ndarray
     k_eta: float
     ball: GaugeBall
 
@@ -348,19 +316,18 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     rho = np.sqrt(gauge_squared(rel))
     width = r_outer - r_inner
     s = (rho - r_inner) / width
-    eta = ScalarField(grid, 1.0 - _smoothstep(s))
+    eta = 1.0 - _smoothstep(s)
     # chain rule: X eta = -S'(s)/width * X rho with X rho = (X q)/(2 rho),
     # q = |x - c|_spatial^2 + |tau|, tau the translated vertical coordinate
     sgn = np.where(rel[-1] < 0, -1.0, 1.0)
     safe_rho = np.where(rho > 0, rho, 1.0)
     scale = np.where(rho > 0, -_smoothstep_slope(s) / (width * 2.0 * safe_rho), 0.0)
     # X tau = -(y - c_y)/2, Y tau = (x - c_x)/2
-    grad_vals = np.empty((2,) + grid.shape)
-    grad_vals[0] = scale * (2.0 * rel[0] + sgn * (-0.5 * rel[1]))
-    grad_vals[1] = scale * (2.0 * rel[1] + sgn * (0.5 * rel[0]))
-    grad = HorizontalField(grid, grad_vals)
-    t_deriv = ScalarField(grid, scale * sgn * np.ones(grid.shape))
-    k_eta = float(np.max(grad.norm())) ** 2 + float(np.max(np.abs(eta.values * t_deriv.values)))
+    grad = np.empty((2,) + grid.shape)
+    grad[0] = scale * (2.0 * rel[0] + sgn * (-0.5 * rel[1]))
+    grad[1] = scale * (2.0 * rel[1] + sgn * (0.5 * rel[0]))
+    t_deriv = scale * sgn * np.ones(grid.shape)
+    k_eta = float(np.max(horizontal_norm(grad))) ** 2 + float(np.max(np.abs(eta * t_deriv)))
     return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta, ball=ball)
 
 
@@ -381,10 +348,9 @@ def refine_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def save_field_binary(path, field: ScalarField):
+def save_field_binary(path, grid: Grid, values: np.ndarray):
     """Flat layout: header (the 3 axis sizes, the 3 spacings) as float64 LE, then C-order values."""
-    grid = field.grid
     header = np.array([*grid.shape, *grid.spacing], dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())

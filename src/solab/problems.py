@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import Grid
 from .orlicz import UnknownLabelError, parse_label
 
 __all__ = ["boundary_field"]
@@ -64,12 +64,12 @@ def _sine(grid: Grid, params: dict) -> np.ndarray:
 _FAMILIES = {"affine": _affine_part, "poly2": _poly2, "sine": _sine}
 
 
-def boundary_field(label: str, grid: Grid) -> ScalarField:
-    """Sample a named analytic family on the grid (full-grid extension).
+def boundary_field(label: str, grid: Grid) -> np.ndarray:
+    """Sample a named analytic family on the grid: an array of the grid's shape.
 
     Each family pops the parameters it reads; any left over are unknown.
-    Data that overflow on the box fail the field's finiteness check
-    (ValueError) without a numpy warning.
+    Data that overflow on the box raise ValueError, without a numpy warning:
+    this is where values from outside the program enter a field.
     """
     name, params = parse_label(label)
     if name not in _FAMILIES:
@@ -79,4 +79,6 @@ def boundary_field(label: str, grid: Grid) -> ScalarField:
         vals = _FAMILIES[name](grid, params) * np.ones(grid.shape)
     if params:
         raise UnknownLabelError(f"unknown {name} parameters {sorted(params)}")
-    return ScalarField(grid, vals)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field values must be finite")
+    return vals

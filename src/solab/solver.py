@@ -63,7 +63,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, ScalarField, refine_values
+from .grid import Grid, refine_values
 from .heisenberg import horizontal, horizontal_adjoint
 from .operator import regularized_energy_density, regularized_weight
 from .orlicz import OrliczTriple
@@ -171,7 +171,7 @@ def cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarr
 class DirichletProblem:
     """Dirichlet data for div_H A_eps(Xu) = 0 on the interior nodes of the grid.
 
-    ``boundary`` is a full-grid field whose values on the boundary nodes are
+    ``boundary`` is an array of the grid's shape whose boundary node values are
     the Dirichlet data; its interior values are the start of a solve without
     an ``init`` array, and of the coarsest level of `solve_ladder`.  Precondition:
     they carry the data's scale, as those of `problems.boundary_field` do.  The
@@ -182,14 +182,14 @@ class DirichletProblem:
 
     grid: Grid
     triple: OrliczTriple
-    boundary: ScalarField
+    boundary: np.ndarray
     eps: float = 1e-4
     residual_tol: float | None = None
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if self.boundary.grid != self.grid:
-            raise ValueError("boundary field lives on a different grid")
+        if self.boundary.shape != self.grid.shape:
+            raise ValueError(f"boundary shape {self.boundary.shape} is not the grid's {self.grid.shape}")
         if not (0 < self.eps < 1):
             raise ValueError("eps must lie in (0,1)")
 
@@ -297,8 +297,8 @@ def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarra
     return np.negative(q, out=q)
 
 
-def solve_ladder(problems: list[DirichletProblem]) -> list[tuple[ScalarField, SolveReport]]:
-    """(solution, report) per problem, each grid the refinement of the one before.
+def solve_ladder(problems: list[DirichletProblem]) -> list[tuple[np.ndarray, SolveReport]]:
+    """(solution values, report) per problem, each grid the refinement of the one before.
 
     While every axis of the first grid has an even count of at least 32
     cells, the problem on the grid with half the cells (the data at every
@@ -313,14 +313,14 @@ def solve_ladder(problems: list[DirichletProblem]) -> list[tuple[ScalarField, So
     while ladder and all(s - 1 >= 32 and (s - 1) % 2 == 0 for s in ladder[0].grid.shape):
         fine = ladder[0]
         grid = Grid(tuple((s + 1) // 2 for s in fine.grid.shape), fine.grid.lo, fine.grid.hi)
-        boundary = ScalarField(grid, fine.boundary.values[(slice(None, None, 2),) * grid.dim])
+        boundary = fine.boundary[(slice(None, None, 2),) * grid.dim]
         ladder.insert(0, replace(fine, grid=grid, boundary=boundary))
     solves = []
     for prob in ladder:
-        solves.append(solve_dirichlet(prob, init=refine_values(solves[-1][0].values) if solves else None))
+        solves.append(solve_dirichlet(prob, init=refine_values(solves[-1][0]) if solves else None))
     below = len(ladder) - len(problems)
     if below:
-        solves[below][1].start_levels = [{"shape": list(s.grid.shape), "iterations": r.iterations,
+        solves[below][1].start_levels = [{"shape": list(s.shape), "iterations": r.iterations,
                                           "evaluations": r.evaluations, "stop_reason": r.stop_reason}
                                          for s, r in solves[:below]]
     return solves[below:]
@@ -332,15 +332,15 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     ``init`` is a full array whose interior values are the start, or None
     for the problem's boundary field; a nested start is `solve_ladder`'s.
     The start also fixes the L-BFGS metric, so it must carry the data's
-    scale (see `DirichletProblem`).  Returns the solution field and a
+    scale (see `DirichletProblem`).  Returns the solution values and a
     SolveReport; an exhausted iteration budget or a stalled line search is
     flagged (stop_reason), not raised.
     """
     grid = prob.grid
-    start = np.asarray(prob.boundary.values if init is None else init, dtype=float)
+    start = np.asarray(prob.boundary if init is None else init, dtype=float)
     if start.shape != grid.shape:
         raise ValueError("init array shape mismatch")
-    u = prob.boundary.values.copy()
+    u = np.array(prob.boundary, dtype=float)
     inner = (slice(1, -1),) * grid.dim
     unknowns = u[inner]  # the interior nodes as a view
     unknowns[...] = start[inner]
@@ -421,4 +421,4 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         gradient_cap_observed=cap,
         stop_reason="tol" if res <= tol else stop_reason,
     )
-    return ScalarField(grid, u.copy()), report
+    return u, report

@@ -5,7 +5,8 @@ the fitted constant lhs/rhs, and (when run across refinements) a stability
 verdict.  The proven constants are existential — they depend only on g0, L
 and the group H^1 — so a pass never asserts a numeric target: it asserts that
 the fitted constant is finite and stable under mesh refinement (consecutive
-levels within a factor 2, ``stability_pass``).  One rule exempts a left side:
+levels within a factor 2, ``stability_pass``).  A side that is not finite
+(an integrand that overflows) fails its row.  One rule exempts a left side:
 it is an analytic zero when one of the derivative fields it is a product of
 (X(Tu), Tu or XXu) reads at most ``_ZERO_RTOL`` times |Xu| on supp eta, as
 Tu does on t-independent data and XXu on affine data.  Integrals over
@@ -17,10 +18,10 @@ fits c and ``moser_trace`` climbs the Moser ladder; both take B_{sigma r} from
 ``_inner_ball``, and ``integrate`` checks B_r.
 
 All seven post-solve consumers (the sup-bound ratio, the iteration trace and
-the five audits) read one ``SolutionFields`` (Xu, Tu, X(Tu), XXu, G(|Xu|),
-G(|Tu|) and F(|Xu|) of a solution).  ``solution_fields`` is the only code
-that differentiates a computed solution, and it also decides the
-regularized-weight fallback.
+the five audits) read one ``SolutionFields``: the grid and the node arrays
+|Xu|, Tu, |X(Tu)|, |XXu|, G(|Xu|), G(|Tu|) and F(|Xu|) of a solution.
+``solution_fields`` is the only code that differentiates a computed
+solution, and it also decides the regularized-weight fallback.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import (CutoffFunction, GaugeBall, ScalarField, ball_average,
-                   ball_node_mask, hessian_frobenius, horizontal_gradient,
-                   horizontal_hessian, integrate, vertical_derivative)
+from .grid import (CutoffFunction, GaugeBall, Grid, ball_average, ball_node_mask,
+                   hessian_frobenius, horizontal_gradient, horizontal_hessian,
+                   horizontal_norm, integrate, vertical_derivative)
 from .operator import regularized_weight
 from .orlicz import OrliczTriple
 
@@ -63,11 +64,12 @@ _Q = 4
 class AuditReport:
     """Evaluated sides of one inequality plus the fitted constant.
 
-    ``reason`` is ``"judged"``, or ``"analytic zero: <field> at algebraic
-    error"`` when the left side is a product with a field that vanishes
-    analytically on supp eta; such a side reads the solve's algebraic error,
-    so its fitted constant is 0.  ``passed`` means: a judged fitted constant
-    is finite, and, once a refinement history is attached, the judged levels
+    ``reason`` is ``"judged"``, ``"not finite"`` when a side is not (its fitted
+    constant is NaN), or ``"analytic zero: <field> at algebraic error"`` when
+    the left side is a product with a field that vanishes analytically on
+    supp eta; such a side reads the solve's algebraic error, so its fitted
+    constant is 0.  ``passed`` means: the fitted constant is finite, and, once
+    a refinement history is attached, the levels that are not analytic zeros
     stay within the declared stability band.
     """
 
@@ -99,7 +101,7 @@ class AuditReport:
 def _report(name: str, sf: SolutionFields, eta: CutoffFunction, factors: tuple[str, ...],
             lhs: float, rhs: float, gamma: float, **extras) -> AuditReport:
     """The report of one audit whose left side is a product with the named derivative fields."""
-    inside = eta.eta.values > 0.0  # the nodes of supp eta
+    inside = eta.eta > 0.0  # the nodes of supp eta
 
     def sup(values):  # sup |values| on supp eta, with no full-grid temporary of floats
         return max(np.max(values, where=inside, initial=0.0), -np.min(values, where=inside, initial=0.0))
@@ -107,7 +109,9 @@ def _report(name: str, sf: SolutionFields, eta: CutoffFunction, factors: tuple[s
     fields = {"X(Tu)": sf.xtu_norm, "Tu": sf.tu, "XXu": sf.hess_norm}
     floor = _ZERO_RTOL * sup(sf.xu_norm)
     zero = next((f for f in factors if sup(fields[f]) <= floor), None)
-    if zero is not None:
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):  # first: an analytic zero would pass the row
+        reason, fitted = "not finite", math.nan
+    elif zero is not None:
         reason, fitted = f"analytic zero: {zero} at algebraic error", 0.0
     else:
         reason, fitted = "judged", lhs / rhs if rhs > 0 else math.inf
@@ -126,14 +130,15 @@ def stability_pass(history) -> bool:
 def attach_refinement(reports: list[AuditReport]) -> AuditReport:
     """A copy of the finest-level report carrying the refinement history of all levels.
 
-    The history keeps every level; the stability band judges the levels whose
-    left side is judged, since an analytic zero carries no information about
-    the constant.  The input reports are left as they are.
+    The history keeps every level; the stability band judges all levels but
+    the analytic zeros, which carry no information about the constant.  The
+    input reports are left as they are.
     """
     if not reports:
         raise ValueError("no reports to combine")
     return replace(reports[-1], refinement_history=[r.fitted_constant for r in reports],
-                   passed=stability_pass([r.fitted_constant for r in reports if r.reason == "judged"]))
+                   passed=stability_pass([r.fitted_constant for r in reports
+                                          if not r.reason.startswith("analytic zero")]))
 
 
 # --------------------------------------------------------------------------
@@ -145,7 +150,7 @@ def attach_refinement(reports: list[AuditReport]) -> AuditReport:
 class SolutionFields:
     """Node-based derived fields shared by the ratio, the trace and the audits."""
 
-    u: ScalarField
+    grid: Grid
     triple: OrliczTriple
     xu_norm: np.ndarray
     tu: np.ndarray
@@ -157,30 +162,28 @@ class SolutionFields:
     weight_kind: str
 
 
-def solution_fields(u: ScalarField, triple: OrliczTriple, eps: float | None = None) -> SolutionFields:
-    """Compute Xu, Tu, X(Tu), XXu, G(|Xu|), G(|Tu|) and F(|Xu|) of a solution.
+def solution_fields(grid: Grid, u: np.ndarray, triple: OrliczTriple, eps: float) -> SolutionFields:
+    """Compute Xu, Tu, X(Tu), XXu, G(|Xu|), G(|Tu|) and F(|Xu|) of a solution u on grid.
 
     The degeneracy weight is the raw F with its limit policy at 0; when F is
     singular there (delta < 1) the problem's regularized weight is used and
     recorded, since the audited solution came from the regularized equation.
     """
-    xu = horizontal_gradient(u)
-    xu_norm = xu.norm()
-    tu_field = vertical_derivative(u)
-    xtu_norm = horizontal_gradient(tu_field).norm()
-    hess_norm = hessian_frobenius(horizontal_hessian(xu))
+    xu = horizontal_gradient(grid, u)
+    xu_norm = horizontal_norm(xu)
+    tu = vertical_derivative(grid, u)
+    xtu_norm = horizontal_norm(horizontal_gradient(grid, tu))
+    hess_norm = hessian_frobenius(horizontal_hessian(grid, xu))
     if triple.f_zero is not None or not np.any(xu_norm == 0):
         f_xu = np.asarray(triple.F(xu_norm))
         kind = "F"
     else:
-        if eps is None:
-            raise ValueError("F is singular at 0 on this solution; pass the problem's eps")
         f_xu = np.asarray(regularized_weight(triple, eps)(xu_norm))
         kind = "F_eps"
-    return SolutionFields(u=u, triple=triple, xu_norm=xu_norm, tu=tu_field.values,
+    return SolutionFields(grid=grid, triple=triple, xu_norm=xu_norm, tu=tu,
                           xtu_norm=xtu_norm, hess_norm=hess_norm,
                           g_xu=np.asarray(triple.G(xu_norm)),
-                          g_tu=np.asarray(triple.G(np.abs(tu_field.values))),
+                          g_tu=np.asarray(triple.G(np.abs(tu))),
                           f_xu=f_xu, weight_kind=kind)
 
 
@@ -194,7 +197,7 @@ def _inner_ball(sf: SolutionFields, center, r: float, sigma: float):
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0,1)")
     ball = GaugeBall(center, sigma * r)
-    mask = ball_node_mask(sf.u.grid, ball)
+    mask = ball_node_mask(sf.grid, ball)
     if not mask.any():
         raise ValueError("inner ball contains no grid nodes")
     return ball, mask, float(np.max(sf.g_xu[mask]))
@@ -207,9 +210,8 @@ def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float
     exactly (1-sigma)^Q.  Where G(|Xu|) vanishes on B_r the ratio is 0: the
     bound 0 <= c * 0 holds for every c.  B_r must fit the grid.
     """
-    grid = sf.u.grid
     _, _, sup_inner = _inner_ball(sf, center, r, sigma)
-    avg = ball_average(ScalarField(grid, sf.g_xu), GaugeBall(center, r))
+    avg = ball_average(sf.grid, sf.g_xu, GaugeBall(center, r))
     if avg == 0.0:
         return 0.0
     return sup_inner * (1.0 - sigma) ** _Q / avg
@@ -227,7 +229,7 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
     """
     if levels < 2:
         raise ValueError("need at least two iteration levels")
-    grid = sf.u.grid
+    grid = sf.grid
     inner_ball, inner_mask, inner_sup = _inner_ball(sf, center, r, sigma)
     i = np.arange(levels)
     gammas = 3.0 * (_Q / (_Q - 2)) ** i - 2.0
@@ -240,7 +242,7 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
         # partially covered shell cells, and powering them would overflow
         scaled = np.minimum(w / wmax, 1.0) ** p if wmax > 0 else np.zeros(grid.shape)
         # averaged even where w = 0 on the ball: the average checks that the ball fits the grid
-        return wmax * ball_average(ScalarField(grid, scaled), ball) ** (1.0 / p)
+        return wmax * ball_average(grid, scaled, ball) ** (1.0 / p)
 
     rows = []
     for gamma, radius in zip(gammas, radii):
@@ -262,12 +264,12 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
 
 def _hessian_energy(sf: SolutionFields, eta: CutoffFunction, p: float) -> float:
     """int eta^2 G(|Xu|)^p F(|Xu|) |XXu|^2."""
-    return integrate(ScalarField(sf.u.grid, eta.eta.values ** 2 * sf.g_xu ** p * sf.f_xu * sf.hess_norm ** 2))
+    return integrate(sf.grid, eta.eta ** 2 * sf.g_xu ** p * sf.f_xu * sf.hess_norm ** 2)
 
 
 def _support_energy(sf: SolutionFields, eta: CutoffFunction, p: float) -> float:
     """int_{supp eta} G(|Xu|)^p |Xu|^2 F(|Xu|)."""
-    return integrate(ScalarField(sf.u.grid, sf.g_xu ** p * sf.xu_norm ** 2 * sf.f_xu), eta.ball)
+    return integrate(sf.grid, sf.g_xu ** p * sf.xu_norm ** 2 * sf.f_xu, eta.ball)
 
 
 def caccioppoli_T_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -> AuditReport:
@@ -278,10 +280,9 @@ def caccioppoli_T_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    grid = sf.u.grid
     p = gamma + 1.0
-    lhs = integrate(ScalarField(grid, eta.eta.values ** 2 * sf.g_tu ** p * sf.f_xu * sf.xtu_norm ** 2))
-    rhs = integrate(ScalarField(grid, sf.g_tu ** p * sf.f_xu * sf.tu ** 2 * eta.grad.norm() ** 2)) / p ** 2
+    lhs = integrate(sf.grid, eta.eta ** 2 * sf.g_tu ** p * sf.f_xu * sf.xtu_norm ** 2)
+    rhs = integrate(sf.grid, sf.g_tu ** p * sf.f_xu * sf.tu ** 2 * horizontal_norm(eta.grad) ** 2) / p ** 2
     return _report("caccioppoli_T", sf, eta, ("X(Tu)",), lhs, rhs, gamma)
 
 
@@ -294,12 +295,11 @@ def caccioppoli_X_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    grid = sf.u.grid
     p = gamma + 1.0
     core = sf.g_xu ** p * sf.f_xu
-    cut_cost = eta.grad.norm() ** 2 + np.abs(eta.eta.values * eta.t_deriv.values)
-    rhs = integrate(ScalarField(grid, core * sf.xu_norm ** 2 * cut_cost))
-    rhs += p ** 4 * integrate(ScalarField(grid, eta.eta.values ** 2 * core * sf.tu ** 2))
+    cut_cost = horizontal_norm(eta.grad) ** 2 + np.abs(eta.eta * eta.t_deriv)
+    rhs = integrate(sf.grid, core * sf.xu_norm ** 2 * cut_cost)
+    rhs += p ** 4 * integrate(sf.grid, eta.eta ** 2 * core * sf.tu ** 2)
     return _report("caccioppoli_X", sf, eta, ("XXu",), _hessian_energy(sf, eta, p), rhs, gamma)
 
 
@@ -320,11 +320,11 @@ def reverse_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float,
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
-    arg = eta.eta.values * np.abs(sf.tu) / math.sqrt(omega * eta.k_eta)
+    arg = eta.eta * np.abs(sf.tu) / math.sqrt(omega * eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
-    lhs = integrate(ScalarField(sf.u.grid, g_arg ** p * sf.f_xu * sf.hess_norm ** 2 * eta.eta.values ** 2))
+    lhs = integrate(sf.grid, g_arg ** p * sf.f_xu * sf.hess_norm ** 2 * eta.eta ** 2)
     rhs = omega ** (-p / 2.0) * _hessian_energy(sf, eta, p)
-    envelope = p ** (p * (1.0 + sf.triple.g.g0))
+    envelope = float(np.float64(p) ** (p * (1.0 + sf.triple.g.g0)))  # inf where it overflows
     return _report("reverse", sf, eta, ("Tu", "XXu"), lhs, rhs, gamma, omega=omega,
                    envelope_gamma_factor=envelope)
 
@@ -340,7 +340,7 @@ def horizontal_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: fl
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
-    amp = p ** (10.0 * (1.0 + sf.triple.g.g0)) * eta.k_eta
+    amp = float(np.float64(p) ** (10.0 * (1.0 + sf.triple.g.g0))) * eta.k_eta  # inf where it overflows
     return _report("horizontal_estimate", sf, eta, ("XXu",), _hessian_energy(sf, eta, p),
                    amp * _support_energy(sf, eta, p), gamma)
 
@@ -356,8 +356,8 @@ def vertical_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: floa
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
-    arg = eta.eta.values * np.abs(sf.tu) / math.sqrt(eta.k_eta)
+    arg = eta.eta * np.abs(sf.tu) / math.sqrt(eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
-    lhs = integrate(ScalarField(sf.u.grid, eta.eta.values ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2))
+    lhs = integrate(sf.grid, eta.eta ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2)
     return _report("vertical_estimate", sf, eta, ("Tu",), lhs, eta.k_eta * _support_energy(sf, eta, p),
                    gamma)

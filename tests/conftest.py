@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import solab.solver as sv
-from solab.grid import (Grid, ScalarField, hessian_frobenius, horizontal_gradient, horizontal_hessian,
-                        refine_values, vertical_derivative)
+from solab.grid import (Grid, hessian_frobenius, horizontal_gradient, horizontal_hessian, refine_values,
+                        vertical_derivative)
 from solab.operator import prototype_operator, regularized_energy_density, regularized_weight
 from solab.orlicz import OrliczTriple, catalog_structure_function
 
@@ -50,24 +50,23 @@ def grid17():
     return Grid.from_box([(-1, 1)] * 3, 17)
 
 
-def field_from(grid: Grid, expr) -> ScalarField:
+def field_from(grid: Grid, expr) -> np.ndarray:
     """Sample an expression of (x1, x2, t) on the grid."""
     x1, x2, t = grid.coord(0), grid.coord(1), grid.coord(2)
-    return ScalarField(grid, expr(x1, x2, t) * np.ones(grid.shape))
+    return expr(x1, x2, t) * np.ones(grid.shape)
 
 
-def bumped_start(field: ScalarField, height: float = 0.1) -> np.ndarray:
-    """``field`` plus a smooth bump that vanishes on the box boundary.
+def bumped_start(grid: Grid, values: np.ndarray, height: float = 0.1) -> np.ndarray:
+    """``values`` plus a smooth bump that vanishes on the box boundary.
 
     A cold solve starts from the boundary field, so data that already solves the problem
     would take no iteration; this start is off the solution and keeps the data's scale.
     """
-    grid = field.grid
     bump = np.ones(grid.shape)
     for axis, (lo, hi) in enumerate(zip(grid.lo, grid.hi)):
         x = grid.coord(axis)
         bump = bump * (4.0 * (x - lo) * (hi - x) / (hi - lo) ** 2)
-    return field.values + height * bump
+    return values + height * bump
 
 
 def energy_and_residual(prob, values: np.ndarray) -> tuple[float, float]:
@@ -78,13 +77,12 @@ def energy_and_residual(prob, values: np.ndarray) -> tuple[float, float]:
     return energy, float(np.max(np.abs(grad[INTERIOR])))
 
 
-def barrier_residuals(L: ScalarField, triple: OrliczTriple, refinements: int) -> list[float]:
-    """Weak residual of affine data L under the raw operator F(|z|) z, on L's grid and each halving.
+def barrier_residuals(grid: Grid, values: np.ndarray, triple: OrliczTriple, refinements: int) -> list[float]:
+    """Weak residual of affine data under the raw operator F(|z|) z, on ``grid`` and each halving.
 
-    A halving is `Grid.refined` with L prolonged by `refine_values`, which is exact on affine data.
+    A halving is `Grid.refined` with the data prolonged by `refine_values`, exact on affine data.
     """
     weight = prototype_operator(triple).weight
-    grid, values = L.grid, L.values
     residuals = []
     for level in range(refinements + 1):
         if level:
@@ -99,12 +97,12 @@ def comparison_gap(prob_u, prob_v) -> float:
     (u, rep_u), = sv.solve_ladder([prob_u])
     (v, rep_v), = sv.solve_ladder([prob_v])
     assert rep_u.converged and rep_v.converged
-    return float(np.min((u.values - v.values)[INTERIOR]))
+    return float(np.min((u - v)[INTERIOR]))
 
 
-def commutator_and_td_margin(u: ScalarField) -> tuple[float, float]:
+def commutator_and_td_margin(grid: Grid, u: np.ndarray) -> tuple[float, float]:
     """max over the interior of |XYu - YXu - Tu| ([X, Y] = T), and min of 2 |XXu| - |Tu|."""
-    hess = horizontal_hessian(horizontal_gradient(u))
-    tu = vertical_derivative(u).values
+    hess = horizontal_hessian(grid, horizontal_gradient(grid, u))
+    tu = vertical_derivative(grid, u)
     return (float(np.max(np.abs((hess[1, 0] - hess[0, 1] - tu)[INTERIOR]))),
             float(np.min((2.0 * hessian_frobenius(hess) - np.abs(tu))[INTERIOR])))

@@ -16,7 +16,7 @@ import solab.verify as vf
 from conftest import (barrier_residuals, bumped_start, commutator_and_td_margin, comparison_gap, field_from,
                       triple_for)
 from oracles import fd_jacobian, solve_kohn_laplace
-from solab.grid import GaugeBall, Grid, ScalarField, integrate, make_cutoff
+from solab.grid import GaugeBall, Grid, integrate, make_cutoff
 
 CENTER = [0.0, 0.0, 0.0]
 RADIUS = 0.8
@@ -147,18 +147,18 @@ def test_criterion_4_solver_exactness():
     for label in ALL_LABELS:
         prob = sv.DirichletProblem(grid=grid, triple=triple_for(label), boundary=bc,
                                    residual_tol=1e-12)
-        sol, rep = sv.solve_dirichlet(prob, init=bumped_start(bc))
+        sol, rep = sv.solve_dirichlet(prob, init=bumped_start(grid, bc))
         ok &= rep.converged and rep.iterations > 0 and rep.weak_residual <= 1e-10
-        ok &= float(np.max(np.abs(sol.values - bc.values))) <= 1e-9
+        ok &= float(np.max(np.abs(sol - bc))) <= 1e-9
         h = np.asarray(rep.energy_history)
         ok &= bool(np.all(np.diff(h) <= 8 * np.finfo(float).eps * (np.abs(h[:-1]) + 1.0)))
     bc2 = field_from(grid, lambda a, b, c: a * b + 0.4 * c)
     prob2 = sv.DirichletProblem(grid=grid, triple=triple_for("power:p=2"), boundary=bc2,
                                 residual_tol=1e-13)
-    sol2, rep2 = sv.solve_dirichlet(prob2, init=bumped_start(bc2))
+    sol2, rep2 = sv.solve_dirichlet(prob2, init=bumped_start(grid, bc2))
     ok &= rep2.iterations > 0
-    direct = solve_kohn_laplace(grid, bc2.values)
-    ok &= float(np.max(np.abs(sol2.values - direct))) <= 1e-8
+    direct = solve_kohn_laplace(grid, bc2)
+    ok &= float(np.max(np.abs(sol2 - direct))) <= 1e-8
     grid11 = Grid.from_box([(-1, 1)] * 3, 11)
     prob3 = sv.DirichletProblem(grid=grid11, triple=triple_for("power:p=3"),
                                 boundary=field_from(grid11, lambda a, b, c: a * b + 0.2 * c),
@@ -167,7 +167,7 @@ def test_criterion_4_solver_exactness():
     sa, ra = sv.solve_dirichlet(prob3, init=None)
     sb, rb = sv.solve_dirichlet(prob3, init=start)
     ok &= ra.converged and rb.converged
-    ok &= float(np.max(np.abs(sa.values - sb.values))) <= 1e-8
+    ok &= float(np.max(np.abs(sa - sb))) <= 1e-8
     assert report(4, ok, "affine data reproduced (residual <= 1e-10, node error <= 1e-9) for "
                   "every catalog g; p=2 matches the direct sparse solve to 1e-8 on 9^3; "
                   "energy history monotone; two initializations agree to 1e-8")
@@ -181,13 +181,13 @@ def test_criterion_5_barriers():
     ok = True
     grid = Grid.from_box([(-1, 1)] * 3, 17)
     L = boundary_field("affine:x1=0.5,x2=0.2,t=0.8", grid)
-    hess = horizontal_hessian(horizontal_gradient(L))
+    hess = horizontal_hessian(grid, horizontal_gradient(grid, L))
     sym = 0.5 * (hess + np.swapaxes(hess, 0, 1))
     ok &= float(np.max(np.abs(sym))) <= 1e-9
     base = Grid.from_box([(-1, 1)] * 3, 9)
     L9 = boundary_field("affine:x1=1,t=1", base)
     for label in ("power:p=2", "power:p=4"):
-        res = barrier_residuals(L9, triple_for(label), 2)
+        res = barrier_residuals(base, L9, triple_for(label), 2)
         floor = [r <= 1e-12 for r in res]
         decays = all(a / b >= 2.0 for a, b in zip(res, res[1:]) if b > 0)
         ok &= all(floor) or decays
@@ -213,9 +213,8 @@ def test_criterion_6_comparison():
         tr = triple_for(f"power:p={p:g}")
         for off in offsets:
             pu = sv.DirichletProblem(grid=grid, triple=tr,
-                                     boundary=ScalarField(grid, (base + off) * np.ones(grid.shape)))
-            pv = sv.DirichletProblem(grid=grid, triple=tr,
-                                     boundary=ScalarField(grid, base * np.ones(grid.shape)))
+                                     boundary=(base + off) * np.ones(grid.shape))
+            pv = sv.DirichletProblem(grid=grid, triple=tr, boundary=base * np.ones(grid.shape))
             gap = comparison_gap(pu, pv)
             worst = min(worst, gap)
             ok &= gap >= -1e-8
@@ -229,9 +228,9 @@ def test_criterion_7_main_estimate(solution_chains):
     ok = True
     spreads = {}
     for label, levels in solution_chains.items():
-        ratios = [vf.lipschitz_ratio(vf.solution_fields(sol, triple_for(label), prob.eps),
+        ratios = [vf.lipschitz_ratio(vf.solution_fields(grid, sol, triple_for(label), prob.eps),
                                      CENTER, RADIUS, SIGMA)
-                  for _, prob, sol in levels]
+                  for grid, prob, sol in levels]
         ok &= all(np.isfinite(ratios)) and min(ratios) > 0
         spread = max(ratios) / min(ratios) - 1.0
         spreads[label] = (ratios, spread)
@@ -240,13 +239,13 @@ def test_criterion_7_main_estimate(solution_chains):
     bc = field_from(grid, lambda a, b, c: 0.6 * a - 0.2 * b + 0.3)
     prob = sv.DirichletProblem(grid=grid, triple=triple_for("power:p=2"), boundary=bc,
                                residual_tol=1e-12)
-    sol_aff, rep_aff = sv.solve_dirichlet(prob, init=bumped_start(bc))
+    sol_aff, rep_aff = sv.solve_dirichlet(prob, init=bumped_start(grid, bc))
     ok &= rep_aff.iterations > 0
-    ratio_aff = vf.lipschitz_ratio(vf.solution_fields(sol_aff, triple_for("power:p=2")),
+    ratio_aff = vf.lipschitz_ratio(vf.solution_fields(grid, sol_aff, triple_for("power:p=2"), prob.eps),
                                    CENTER, RADIUS, SIGMA)
     ok &= abs(ratio_aff - (1 - SIGMA) ** 4) <= 1e-9
-    _, prob65, sol65 = solution_chains["power:p=2"][-1]
-    trace = vf.moser_trace(vf.solution_fields(sol65, triple_for("power:p=2"), prob65.eps),
+    grid65, prob65, sol65 = solution_chains["power:p=2"][-1]
+    trace = vf.moser_trace(vf.solution_fields(grid65, sol65, triple_for("power:p=2"), prob65.eps),
                            CENTER, RADIUS, SIGMA, levels=8)
     sup = trace["inner_sup"]
     final = trace["levels"][-1]["inner_norm"]
@@ -273,7 +272,7 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
         per_audit = {}
         for grid, prob, sol in solution_chains[label][:2]:  # 17^3 and 33^3
             eta = make_cutoff(grid, CENTER, 0.25, 0.65)
-            sf = vf.solution_fields(sol, tr, prob.eps)
+            sf = vf.solution_fields(grid, sol, tr, prob.eps)
             for name, fn, kw in audits:
                 rep = fn(sf, eta, **kw)
                 ok &= np.isfinite(rep.fitted_constant) and rep.reason == "judged"
@@ -287,9 +286,9 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
     tindep = sv.DirichletProblem(grid=grid, triple=tr2,
                                  boundary=field_from(grid, lambda a, b, c: a * b + 0.3 * a),
                                  residual_tol=1e-11)
-    sol_ti, rep_ti = sv.solve_dirichlet(tindep, init=bumped_start(tindep.boundary))
+    sol_ti, rep_ti = sv.solve_dirichlet(tindep, init=bumped_start(tindep.grid, tindep.boundary))
     ok &= rep_ti.iterations > 0
-    sf_ti = vf.solution_fields(sol_ti, tr2)
+    sf_ti = vf.solution_fields(grid, sol_ti, tr2, tindep.eps)
     for rep, factor in ((vf.caccioppoli_T_audit(sf_ti, eta, 0.0), "X(Tu)"),
                         (vf.vertical_estimate_audit(sf_ti, eta, 1.0), "Tu")):
         ok &= rep.lhs <= 1e-12 * (1.0 + rep.rhs)
@@ -297,9 +296,9 @@ def test_criterion_8_caccioppoli_audits(solution_chains):
     affine = sv.DirichletProblem(grid=grid, triple=tr2,
                                  boundary=field_from(grid, lambda a, b, c: 0.5 * a - 0.2 * b),
                                  residual_tol=1e-12)
-    sol_af, rep_af = sv.solve_dirichlet(affine, init=bumped_start(affine.boundary))
+    sol_af, rep_af = sv.solve_dirichlet(affine, init=bumped_start(affine.grid, affine.boundary))
     ok &= rep_af.iterations > 0
-    sf_af = vf.solution_fields(sol_af, tr2)
+    sf_af = vf.solution_fields(grid, sol_af, tr2, affine.eps)
     for rep in (vf.caccioppoli_X_audit(sf_af, eta, 0.0),
                 vf.horizontal_estimate_audit(sf_af, eta, 1.0)):
         ok &= rep.lhs <= 1e-12 * (1.0 + rep.rhs)
@@ -317,12 +316,11 @@ def test_criterion_9_geometry():
     res = []
     for m in (9, 17, 33):
         g = Grid.from_box([(-1, 1)] * 3, m)
-        res.append(commutator_and_td_margin(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
+        res.append(commutator_and_td_margin(g, field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
     ok &= all(a / b >= 2.0 for a, b in zip(res, res[1:]))
     g65 = Grid.from_box([(-1, 1)] * 3, 65)
-    one = ScalarField(g65, np.ones(g65.shape))
-    ratio = (integrate(one, GaugeBall(CENTER, 0.8))
-             / integrate(one, GaugeBall(CENTER, 0.4)))
+    one = np.ones(g65.shape)
+    ratio = integrate(g65, one, GaugeBall(CENTER, 0.8)) / integrate(g65, one, GaugeBall(CENTER, 0.4))
     ok &= abs(ratio - 16.0) <= 1.6
     assert report(9, ok, f"commutator residual decays with order >= 1 "
                   f"({res[0]:.2e} -> {res[2]:.2e}); ball-volume ratio {ratio:.3f} within "

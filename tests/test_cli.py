@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import operator
 import os
 import pkgutil
@@ -17,7 +18,7 @@ import solab.solver as sv
 import solab.verify as vf
 from conftest import CATALOG_LABELS, bumped_start
 from solab.config import ConfigError, load_config
-from solab.grid import Grid, ScalarField, save_field_binary
+from solab.grid import Grid, save_field_binary
 from solab.orlicz import catalog_structure_function
 from solab.problems import boundary_field
 
@@ -63,11 +64,11 @@ refinements = 1
 def test_boundary_families(grid9):
     f = boundary_field("affine:c0=1,x1=2,t=0.5", grid9)
     expected = 1 + 2 * grid9.coord(0) + 0.5 * grid9.coord(2)
-    assert np.allclose(f.values, expected * np.ones(grid9.shape))
+    assert np.allclose(f, expected * np.ones(grid9.shape))
     q = boundary_field("poly2:x1x2=1", grid9)
-    assert np.allclose(q.values, grid9.coord(0) * grid9.coord(1) * np.ones(grid9.shape))
+    assert np.allclose(q, grid9.coord(0) * grid9.coord(1) * np.ones(grid9.shape))
     s = boundary_field("sine:amp=0.5,kx=1,ky=2", grid9)
-    assert np.isfinite(s.values).all()
+    assert np.isfinite(s).all()
 
 
 def test_boundary_family_errors(grid9):
@@ -148,6 +149,11 @@ def test_config_validation_errors(tmp_path):
         with pytest.raises(ConfigError):
             load_config(path)
         assert cli.main(["audit", "--config", path, "--out", str(tmp_path / f"repeat{i}")]) == 2
+    # a cutoff annulus with no node inside has K_eta = 0: the audit used to solve, then raise (exit 1)
+    text = with_keys(readme_cli()[1][""], "eta_inner = 0.5\neta_outer = 0.51\nresolution = 9")
+    with pytest.raises(ConfigError, match="K_eta = 0"):
+        load_config(write_cfg(tmp_path, text, "annulus.txt"))
+    assert cli.main(["audit", "--config", str(tmp_path / "annulus.txt"), "--out", str(tmp_path / "a")]) == 2
     # a repeated config key used to run with its last value
     lines = BASE.count("\n")
     path = write_cfg(tmp_path, BASE + "structure = loglin\n", "twice.txt")
@@ -209,7 +215,7 @@ def test_readme_layout_lists_every_module():
 def test_readme_dump_header_matches_the_writer(tmp_path):
     names = re.search(r"header `\[(.*?)\]`", readme_section("Field dump format")).group(1).split(", ")
     grid = Grid.from_box([(-1, 1), (-2, 2), (0, 1)], (9, 5, 3))
-    save_field_binary(tmp_path / "f.bin", ScalarField(grid, np.zeros(grid.shape)))
+    save_field_binary(tmp_path / "f.bin", grid, np.zeros(grid.shape))
     values = {"N_1": 9, "N_2": 5, "N_3": 3, "h_1": 0.25, "h_2": 1.0, "h_3": 0.5}
     assert [values[name] for name in names] == list(np.fromfile(tmp_path / "f.bin", dtype="<f8")[:6])
 
@@ -352,6 +358,22 @@ def test_constant_data_audit_is_exact(tmp_path):
     report = json.loads((out / "audit_report.json").read_text())
     assert [row["ratio"] for row in report["lipschitz_ratios"]] == [0.0, 0.0]
     assert report["lipschitz_stable_25pct"] and report["all_pass"]
+
+
+# the audit jobs run on a thread pool, which np.errstate set in the test does not reach
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_overflowing_audit_fails_its_rows(tmp_path):
+    # G(|Xu|)^61 and the reverse envelope 61^244 overflow at gamma = 60: the audit used to exit 1
+    # with a traceback; now it writes its report, and no row with a side that is not finite passes
+    text = "structure = power:p=4\nboundary = affine:x1=100,t=50\nresolution = 9\nrefinements = 1\ngammas = [1, 60]"
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    rows = json.loads((out / "audit_report.json").read_text())["audits"]
+    assert all(not row["pass"] and row["reason"] == "not finite" for row in rows if row["gamma"] == 60)
+    levels = [line.split(",") for line in (out / "audit_report.csv").read_text().splitlines()[1:]]
+    sides = [(row["lhs"], row["rhs"], row["pass"]) for row in rows] + [
+        (float(row[2]), float(row[3]), row[6] == "1") for row in levels]
+    assert not any(passed for lhs, rhs, passed in sides if not (math.isfinite(lhs) and math.isfinite(rhs)))
 
 
 @pytest.mark.parametrize("boundary, zeros", [
@@ -528,7 +550,7 @@ def test_solve_affine_family_is_exact(tmp_path, monkeypatch):
     # the boundary field is the exact solution, so the cold solve gets a bumped start to work from
     solve = sv.solve_dirichlet
     monkeypatch.setattr(sv, "solve_dirichlet", lambda prob, init=None: solve(
-        prob, init=bumped_start(prob.boundary) if init is None else init))
+        prob, init=bumped_start(prob.grid, prob.boundary) if init is None else init))
     path = write_cfg(tmp_path, BASE.replace("boundary = poly2:x1=0.5,x1t=0.3",
                                             "boundary = affine:x1=0.7,x2=-0.2,c0=0.1")
                      + "residual_tol = 1e-12\n")
@@ -536,25 +558,3 @@ def test_solve_affine_family_is_exact(tmp_path, monkeypatch):
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "solve_report.json").read_text())
     assert report["iterations"] > 0 and report["weak_residual"] <= 1e-10
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SOLAB_THREADS", "1")
-    assert cli.worker_count() == 1
-    for bad in ("notanint", "0", "-2", "1.5"):
-        monkeypatch.setenv("SOLAB_THREADS", bad)
-        with pytest.raises(ConfigError):
-            cli.worker_count()
-    monkeypatch.delenv("SOLAB_THREADS")
-    assert cli.worker_count() >= 1
-
-
-def test_bad_solab_threads_exits_2_before_solving(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOLAB_THREADS", "notanint")
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before SOLAB_THREADS was validated")
-
-    monkeypatch.setattr(sv, "solve_dirichlet", no_solve)
-    path = write_cfg(tmp_path, BASE)
-    assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "a")]) == 2

@@ -12,12 +12,7 @@ import solab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(solab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _loads(node):
-    """Names read under an ast node: loaded names and attribute names."""
-    return ([n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
-            + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
+PACKAGE = {path.stem: path.read_text() for path in sorted(Path(solab.__file__).parent.glob("*.py"))}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,48 +39,77 @@ def test_no_unused_imports():
     assert not unused, f"unused imports: {unused}"
 
 
+def _module_reads(tree, own, modules):
+    """(module, name) reads of one file: ``from solab.m import name`` or ``from .m import name``,
+    ``alias.name`` with ``alias`` bound to module m, and in module ``own`` a bare load outside the
+    name's definition.  An attribute of any other object, like ``report.weak_residual``, reads none."""
+    reads, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            head, _, rest = (node.module or "").partition(".")
+            source = (node.module or "") if node.level else rest if head == "solab" else None
+            if source in modules:
+                reads |= {(source, alias.name) for alias in node.names}
+            elif source == "":  # from solab import m [as alias], from . import m [as alias]
+                aliases |= {alias.asname or alias.name: alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname: a.name[6:] for a in node.names if a.asname and a.name.startswith("solab.")}
+    reads |= {(aliases[node.value.id], node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    for stmt in tree.body if own else []:
+        reads |= {(own, node.id) for node in ast.walk(stmt) if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load) and node.id != getattr(stmt, "name", None)}
+    return reads
+
+
+def _defined(stmt):
+    """The names a module-level statement defines: its function, its class or its assigned names."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def unread_exports(package: dict, others: list, tracer: str) -> list:
+    """The ``__all__`` names of the package modules (name -> source) that no program code reads; the
+    benchmark's sources ``others`` and ``tracer`` count, and a string in ``tracer`` reads its name."""
+    reads = set().union(*(_module_reads(ast.parse(src), m, package) for m, src in package.items()),
+                        *(_module_reads(ast.parse(src), None, package) for src in others + [tracer]))
+    patched = {node.value for node in ast.walk(ast.parse(tracer)) if isinstance(node, ast.Constant)}
+    return [f"{m}.{name}" for m, src in package.items() for stmt in ast.parse(src).body
+            if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "__all__"
+            for name in ast.literal_eval(stmt.value) if (m, name) not in reads and name not in patched]
+
+
 def test_no_unused_private_names():
-    # every module-level private function, class or constant is referenced in the
-    # package somewhere outside its own definition, so a helper left behind fails here
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(Path(solab.__file__).parent.glob("*.py"))}
-
-    def references(node):
-        return _loads(node) + [alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
-                               for alias in n.names]
-
-    everywhere = [name for tree in trees.values() for name in references(tree)]
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            own = references(node)
-            unused += [f"{module}.{name}" for name in defined
-                       if name.startswith("_") and not name.startswith("__")
-                       and everywhere.count(name) == own.count(name)]
+    # every module-level private function, class or constant is read, as its module's name, in the
+    # package outside its own definition, so a helper left behind fails here
+    reads = set().union(*(_module_reads(ast.parse(src), m, PACKAGE) for m, src in PACKAGE.items()))
+    unused = [f"{m}.{name}" for m, src in PACKAGE.items() for stmt in ast.parse(src).body
+              for name in _defined(stmt) if name[:1] == "_" and name[:2] != "__" and (m, name) not in reads]
     assert not unused, f"private names with no reference: {unused}"
 
 
 def test_no_unused_exports():
-    # every exported name is read in the package or the benchmark outside its own
-    # definition and its __all__ entry: a public name that only tests read is not program code
-    files = sorted(Path(solab.__file__).parent.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    everywhere = [name for path in files for name in _loads(ast.parse(path.read_text()))]
-    unused = []
-    for module_name in MODULES:
-        module = importlib.import_module(f"solab.{module_name}")
-        tree = ast.parse(Path(module.__file__).read_text())
-        own = {node.name: _loads(node) for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        unused += [f"{module_name}.{name}" for name in getattr(module, "__all__", ())
-                   if everywhere.count(name) == own.get(name, []).count(name)]
+    # every exported name is read as its module's name by the package or the benchmark, outside its
+    # own definition and its __all__ entry: a public name that only tests read is not program code
+    others = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")) if path.stem != "tracer"]
+    unused = unread_exports(PACKAGE, others, (ROOT / "perfbench" / "tracer.py").read_text())
     assert not unused, f"exported names no program or benchmark code reads: {unused}"
+
+
+def test_export_lint_resolves_reads_to_modules():
+    # a report's attribute and a bare name in another module do not read solver.weak_residual
+    package = {"solver": '__all__ = ["weak_residual", "solve", "helper"]\n'
+                         "def weak_residual(): return weak_residual()\ndef solve(): return helper()\n",
+               "cli": "from . import solver as sv\ndef main(report, weak_residual):\n"
+                      "    return sv.solve(), report.weak_residual, weak_residual\n"}
+    assert unread_exports(package, [], "") == ["solver.weak_residual"]
+    for other, tracer in (("from solab.solver import weak_residual", ""), ("", '("weak_residual",)'),
+                          ("import solab.solver as s\ns.weak_residual", ""),
+                          ("from solab import solver\nsolver.weak_residual", "")):
+        assert unread_exports(package, [other], tracer) == [], other
+    assert unread_exports(dict(package, grid="from .solver import weak_residual"), [], "") == []
 
 
 def test_no_unread_fields():

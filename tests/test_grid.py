@@ -23,15 +23,6 @@ def test_grid_validation():
     assert np.allclose(g.spacing, [0.25, 0.5, 0.125])
 
 
-def test_field_validation(grid9):
-    with pytest.raises(ValueError):
-        gr.ScalarField(grid9, np.zeros((3, 3, 3)))
-    with pytest.raises(ValueError):
-        gr.ScalarField(grid9, np.full(grid9.shape, np.nan))
-    with pytest.raises(ValueError):
-        gr.HorizontalField(grid9, np.zeros(grid9.shape))
-
-
 # ---------------------------------------------------------------- stencils
 
 def test_gradient_exactness_suite(grid17):
@@ -39,41 +30,39 @@ def test_gradient_exactness_suite(grid17):
     x1, x2, t = g.coord(0), g.coord(1), g.coord(2)
     ones = np.ones(g.shape)
     # constants and coordinates
-    assert np.max(np.abs(gr.horizontal_gradient(gr.ScalarField(g, 3.0 * ones)).values)) <= 1e-12
-    xu = gr.horizontal_gradient(field_from(g, lambda a, b, c: a))
-    assert np.max(np.abs(xu.values[0] - 1)) <= 1e-12 and np.max(np.abs(xu.values[1])) <= 1e-12
+    assert np.max(np.abs(gr.horizontal_gradient(g, 3.0 * ones))) <= 1e-12
+    xu = gr.horizontal_gradient(g, field_from(g, lambda a, b, c: a))
+    assert np.max(np.abs(xu[0] - 1)) <= 1e-12 and np.max(np.abs(xu[1])) <= 1e-12
     # the vertical coordinate picks up the rotation coefficients
-    xt = gr.horizontal_gradient(field_from(g, lambda a, b, c: c))
-    assert np.max(np.abs(xt.values[0] + x2 / 2)) <= 1e-12
-    assert np.max(np.abs(xt.values[1] - x1 / 2)) <= 1e-12
+    xt = gr.horizontal_gradient(g, field_from(g, lambda a, b, c: c))
+    assert np.max(np.abs(xt[0] + x2 / 2)) <= 1e-12
+    assert np.max(np.abs(xt[1] - x1 / 2)) <= 1e-12
     # quadratic in the differenced variables
-    xq = gr.horizontal_gradient(field_from(g, lambda a, b, c: a * b))
-    assert np.max(np.abs(xq.values[0] - x2)) <= 1e-12
-    assert np.max(np.abs(xq.values[1] - x1)) <= 1e-12
+    xq = gr.horizontal_gradient(g, field_from(g, lambda a, b, c: a * b))
+    assert np.max(np.abs(xq[0] - x2)) <= 1e-12
+    assert np.max(np.abs(xq[1] - x1)) <= 1e-12
 
 
 def test_gradient_of_t_is_the_frame():
     # dyadic nodes: the stencils of u = t are exact, so (Xu, Yu) = (-y/2, x/2) bit for bit
     grid = gr.Grid.from_box([(-1, 1)] * 3, 5)
-    u = gr.ScalarField(grid, grid.coord(2) * np.ones(grid.shape))
-    xu = gr.horizontal_gradient(u).values
+    xu = gr.horizontal_gradient(grid, grid.coord(2) * np.ones(grid.shape))
     assert np.array_equal(xu[0], np.broadcast_to(-grid.coord(1) / 2, grid.shape))
     assert np.array_equal(xu[1], np.broadcast_to(grid.coord(0) / 2, grid.shape))
 
 
 def test_vertical_derivative_examples(grid17):
     g = grid17
-    assert np.max(np.abs(gr.vertical_derivative(field_from(g, lambda a, b, c: c)).values - 1)) <= 1e-12
-    assert np.max(np.abs(gr.vertical_derivative(field_from(g, lambda a, b, c: a)).values)) <= 1e-12
-    tsq = gr.vertical_derivative(field_from(g, lambda a, b, c: c * c))
-    assert np.max(np.abs(tsq.values - 2 * g.coord(2))) <= 1e-10  # exact: stencil order 2
+    assert np.max(np.abs(gr.vertical_derivative(g, field_from(g, lambda a, b, c: c)) - 1)) <= 1e-12
+    assert np.max(np.abs(gr.vertical_derivative(g, field_from(g, lambda a, b, c: a)))) <= 1e-12
+    tsq = gr.vertical_derivative(g, field_from(g, lambda a, b, c: c * c))
+    assert np.max(np.abs(tsq - 2 * g.coord(2))) <= 1e-10  # exact: stencil order 2
 
 
 def test_small_grid_rejected():
     g = gr.Grid.from_box([(-1, 1)] * 3, (9, 9, 3))
-    u = gr.ScalarField(g, np.zeros(g.shape))
     # 3 nodes along t is the minimum; 2 would already fail Grid validation
-    assert gr.vertical_derivative(u).values.shape == g.shape
+    assert gr.vertical_derivative(g, np.zeros(g.shape)).shape == g.shape
     with pytest.raises(ValueError):
         gr.axis_derivative(np.zeros((9, 9, 2)), 0.1, 2)
 
@@ -82,21 +71,21 @@ def test_small_grid_rejected():
 
 def test_commutator_affine_exact(grid9):
     u = field_from(grid9, lambda a, b, c: 1 + 2 * a - b + 3 * c)
-    assert commutator_and_td_margin(u)[0] <= 1e-10
+    assert commutator_and_td_margin(grid9, u)[0] <= 1e-10
 
 
 def test_commutator_trilinear_exact():
     # degree <= 1 per variable: every stencil is exact, so the residual is zero
     for m in (9, 17):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
-        assert commutator_and_td_margin(field_from(g, lambda a, b, c: a * b * c))[0] <= 1e-12
+        assert commutator_and_td_margin(g, field_from(g, lambda a, b, c: a * b * c))[0] <= 1e-12
 
 
 def test_commutator_refines_with_order_one():
     res = []
     for m in (9, 17, 33):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
-        res.append(commutator_and_td_margin(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
+        res.append(commutator_and_td_margin(g, field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
     ratios = [res[i] / res[i + 1] for i in range(2)]
     assert all(1.5 <= r <= 4.5 for r in ratios)
 
@@ -105,7 +94,7 @@ def test_commutator_monotone_on_smooth():
     res = []
     for m in (9, 17, 33, 65):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
-        res.append(commutator_and_td_margin(field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
+        res.append(commutator_and_td_margin(g, field_from(g, lambda a, b, c: np.sin(a) * np.cos(c)))[0])
     assert all(a > b for a, b in zip(res, res[1:]))
 
 
@@ -113,14 +102,14 @@ def test_commutator_monotone_on_smooth():
 
 def test_td_bound_t_independent(grid17):
     u = field_from(grid17, lambda a, b, c: a * b + a ** 2)
-    assert commutator_and_td_margin(u)[1] >= 0.0
+    assert commutator_and_td_margin(grid17, u)[1] >= 0.0
 
 
 def test_td_bound_linear_t(grid17):
     # |Tu| = c while the skew Hessian contributes c/sqrt(2) per entry
     u = field_from(grid17, lambda a, b, c: 0.5 * c)
     h = float(np.max(grid17.spacing))
-    assert commutator_and_td_margin(u)[1] >= -10 * h
+    assert commutator_and_td_margin(grid17, u)[1] >= -10 * h
 
 
 def test_td_bound_refinement():
@@ -128,7 +117,7 @@ def test_td_bound_refinement():
     for m in (9, 17, 33):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
         u = field_from(g, lambda a, b, c: np.sin(a + b) * np.cos(c) + 0.3 * c)
-        vals.append(commutator_and_td_margin(u)[1])
+        vals.append(commutator_and_td_margin(g, u)[1])
     h0 = 2.0 / 8
     assert all(v >= -20 * h0 / 2 ** k for k, v in enumerate(vals))
 
@@ -147,49 +136,47 @@ def test_gauge_distance_matches_pointwise(grid9):
 
 def test_ball_volume_scaling():
     g = gr.Grid.from_box([(-1, 1)] * 3, 65)
-    one = gr.ScalarField(g, np.ones(g.shape))
+    one = np.ones(g.shape)
     for r in (0.4, 0.8):
-        vol = gr.integrate(one, gr.GaugeBall([0, 0, 0], r))
+        vol = gr.integrate(g, one, gr.GaugeBall([0, 0, 0], r))
         assert vol == pytest.approx(math.pi * r ** 4, rel=5e-3)
-    ratio = (gr.integrate(one, gr.GaugeBall([0, 0, 0], 0.8))
-             / gr.integrate(one, gr.GaugeBall([0, 0, 0], 0.4)))
+    ratio = (gr.integrate(g, one, gr.GaugeBall([0, 0, 0], 0.8))
+             / gr.integrate(g, one, gr.GaugeBall([0, 0, 0], 0.4)))
     assert ratio == pytest.approx(16.0, rel=0.1)
 
 
 def test_integrate_box_and_linearity(grid9):
-    one = gr.ScalarField(grid9, np.ones(grid9.shape))
-    assert gr.integrate(one) == pytest.approx(8.0, abs=1e-10)
+    assert gr.integrate(grid9, np.ones(grid9.shape)) == pytest.approx(8.0, abs=1e-10)
     f = field_from(grid9, lambda a, b, c: a * a + c)
     h = field_from(grid9, lambda a, b, c: np.cos(a))
-    lin = gr.integrate(gr.ScalarField(grid9, 2 * f.values + 3 * h.values))
-    assert lin == pytest.approx(2 * gr.integrate(f) + 3 * gr.integrate(h), rel=1e-12)
+    lin = gr.integrate(grid9, 2 * f + 3 * h)
+    assert lin == pytest.approx(2 * gr.integrate(grid9, f) + 3 * gr.integrate(grid9, h), rel=1e-12)
 
 
 def test_integrate_monotone(grid9):
     f = field_from(grid9, lambda a, b, c: a * a)
     g2 = field_from(grid9, lambda a, b, c: a * a + 0.5)
     ball = gr.GaugeBall([0, 0, 0], 0.6)
-    assert gr.integrate(g2, ball) >= gr.integrate(f, ball)
+    assert gr.integrate(grid9, g2, ball) >= gr.integrate(grid9, f, ball)
 
 
 def test_ball_average_is_the_weighted_mean(grid17):
     # concentric balls share their corner distances; the volume is the weight sum
     f = field_from(grid17, lambda a, b, c: np.cos(a) + b * c)
-    one = gr.ScalarField(grid17, np.ones(grid17.shape))
+    one = np.ones(grid17.shape)
     for center in ([0, 0, 0], [0.1, -0.1, 0.05]):
         for r in (0.3, 0.5, 0.7):
             ball = gr.GaugeBall(center, r)
-            assert gr.ball_average(f, ball) == gr.integrate(f, ball) / gr.integrate(one, ball)
+            assert (gr.ball_average(grid17, f, ball)
+                    == gr.integrate(grid17, f, ball) / gr.integrate(grid17, one, ball))
 
 
 def test_integrate_errors(grid9):
-    one = gr.ScalarField(grid9, np.ones(grid9.shape))
+    one = np.ones(grid9.shape)
     with pytest.raises(ValueError):
-        gr.integrate(one, gr.GaugeBall([0, 0, 0], 5.0))  # reaches outside
+        gr.integrate(grid9, one, gr.GaugeBall([0, 0, 0], 5.0))  # reaches outside
     with pytest.raises(TypeError):
-        gr.integrate(one, np.ones(grid9.shape, dtype=bool))  # a region is the box or a ball
-    with pytest.raises(TypeError):
-        gr.integrate(np.ones(grid9.shape))
+        gr.integrate(grid9, one, np.ones(grid9.shape, dtype=bool))  # a region is the box or a ball
 
 
 # ---------------------------------------------------------------- cutoff
@@ -207,14 +194,14 @@ def test_cutoff_values_and_bounds():
     g = gr.Grid.from_box([(-1, 1)] * 3, 33)
     cf = gr.make_cutoff(g, [0, 0, 0], 0.3, 0.6)
     center_idx = tuple(s // 2 for s in g.shape)
-    assert cf.eta.values[center_idx] == 1.0
-    assert cf.eta.values[0, 0, 0] == 0.0
-    assert np.all((cf.eta.values >= 0) & (cf.eta.values <= 1))
-    grad_sup = np.max(cf.grad.norm())
+    assert cf.eta[center_idx] == 1.0
+    assert cf.eta[0, 0, 0] == 0.0
+    assert np.all((cf.eta >= 0) & (cf.eta <= 1))
+    grad_sup = np.max(gr.horizontal_norm(cf.grad))
     assert grad_sup * (0.6 - 0.3) <= 4.0
-    hess = gr.horizontal_hessian(gr.horizontal_gradient(cf.eta))
+    hess = gr.horizontal_hessian(g, gr.horizontal_gradient(g, cf.eta))
     assert np.max(gr.hessian_frobenius(hess)) * (0.6 - 0.3) ** 2 <= 16.0
-    assert cf.k_eta == pytest.approx(grad_sup ** 2 + np.max(np.abs(cf.eta.values * cf.t_deriv.values)))
+    assert cf.k_eta == pytest.approx(grad_sup ** 2 + np.max(np.abs(cf.eta * cf.t_deriv)))
 
 
 def test_cutoff_analytic_vs_discrete_gradient():
@@ -222,8 +209,7 @@ def test_cutoff_analytic_vs_discrete_gradient():
     for m in (17, 33):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
         cf = gr.make_cutoff(g, [0.1, 0.0, 0.05], 0.3, 0.6)
-        disc = gr.horizontal_gradient(cf.eta)
-        errs.append(float(np.max(np.abs(disc.values - cf.grad.values))))
+        errs.append(float(np.max(np.abs(gr.horizontal_gradient(g, cf.eta) - cf.grad))))
     assert errs[1] < errs[0]  # analytic fields are the stencil limit
 
 
@@ -240,11 +226,11 @@ def test_cutoff_k_eta_stable_under_refinement():
 def test_binary_roundtrip(tmp_path, grid9):
     f = field_from(grid9, lambda a, b, c: a + 2 * b - c * c)
     path = tmp_path / "field.bin"
-    gr.save_field_binary(path, f)
+    gr.save_field_binary(path, grid9, f)
     raw = np.fromfile(path, dtype="<f8")
     assert tuple(raw[:3].astype(int)) == grid9.shape and raw.size == 6 + 9 ** 3
     assert np.allclose(raw[3:6], grid9.spacing)
-    assert np.array_equal(raw[6:].reshape(grid9.shape), f.values)
+    assert np.array_equal(raw[6:].reshape(grid9.shape), f)
 
 
 def test_refine_values_is_trilinear(grid9):

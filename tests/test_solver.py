@@ -10,7 +10,7 @@ from conftest import (INTERIOR, barrier_residuals, bumped_start, comparison_gap,
                       field_from, triple_for)
 from oracles import (averaging_cell_gradient, averaging_cell_gradient_adjoint, bfgs_inverse_hessian,
                      gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace)
-from solab.grid import Grid, ScalarField, refine_values
+from solab.grid import Grid, refine_values
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
 from solab.problems import boundary_field
 
@@ -90,21 +90,21 @@ def test_problem_validation(grid9):
     with pytest.raises(ValueError):
         sv.DirichletProblem(grid=grid9, triple=triple_for("power:p=2"), boundary=bc, eps=2.0)
     other = Grid.from_box([(-1, 1)] * 3, 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not the grid's"):
         sv.DirichletProblem(grid=other, triple=triple_for("power:p=2"), boundary=bc)
 
 
 def test_discrete_energy_values(grid9):
     prob = make_problem(grid9, "power:p=2", lambda a, b, c: 0 * a + 1.0)
-    assert energy_and_residual(prob, prob.boundary.values)[0] == pytest.approx(0.0, abs=1e-15)  # Xu = 0
+    assert energy_and_residual(prob, prob.boundary)[0] == pytest.approx(0.0, abs=1e-15)  # Xu = 0
     lin = make_problem(grid9, "power:p=2", lambda a, b, c: a)
     # G_eps(1) ~ 1/2 over the unit gradient: energy ~ volume/2
-    assert energy_and_residual(lin, lin.boundary.values)[0] == pytest.approx(4.0, rel=1e-3)
+    assert energy_and_residual(lin, lin.boundary)[0] == pytest.approx(4.0, rel=1e-3)
 
 
 def test_energy_nonnegative(rng, grid9):
     prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(a) + 0.2 * c)
-    u = prob.boundary.values.copy()
+    u = prob.boundary.copy()
     u[INTERIOR] += 0.1 * rng.normal(size=u[INTERIOR].shape)
     assert energy_and_residual(prob, u)[0] >= 0.0
 
@@ -115,16 +115,16 @@ def test_energy_nonnegative(rng, grid9):
 def test_affine_data_reproduced(label, grid9):
     prob = make_problem(grid9, label, lambda a, b, c: 0.7 * a - 0.3 * b + 0.1,
                         residual_tol=1e-12)
-    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(prob.boundary))
+    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(prob.grid, prob.boundary))
     assert rep.converged and rep.stop_reason == "tol" and rep.iterations > 0
     assert rep.weak_residual <= 1e-10
-    assert np.max(np.abs(sol.values - prob.boundary.values)) <= 1e-9
+    assert np.max(np.abs(sol - prob.boundary)) <= 1e-9
 
 
 def test_weak_residual_affine_and_perturbed(grid9):
     prob = make_problem(grid9, "power:p=3", lambda a, b, c: 0.5 * a + 0.2 * b)
-    assert energy_and_residual(prob, prob.boundary.values)[1] <= 1e-10
-    bumped = prob.boundary.values.copy()
+    assert energy_and_residual(prob, prob.boundary)[1] <= 1e-10
+    bumped = prob.boundary.copy()
     bumped[4, 4, 4] += 0.05
     assert energy_and_residual(prob, bumped)[1] > 1e-4
 
@@ -142,9 +142,9 @@ def test_residual_history_decreases(grid9):
 def test_matches_direct_linear_solve(grid9):
     prob = make_problem(grid9, "power:p=2", lambda a, b, c: a * b + 0.4 * c,
                         residual_tol=1e-13)
-    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(prob.boundary))
-    direct = solve_kohn_laplace(grid9, prob.boundary.values)
-    assert rep.iterations > 0 and np.max(np.abs(sol.values - direct)) <= 1e-8
+    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(prob.grid, prob.boundary))
+    direct = solve_kohn_laplace(grid9, prob.boundary)
+    assert rep.iterations > 0 and np.max(np.abs(sol - direct)) <= 1e-8
 
 
 def test_energy_history_monotone_to_roundoff(grid11):
@@ -161,7 +161,7 @@ def test_initializations_agree(rng, grid11):
     s1, r1 = sv.solve_dirichlet(prob, init=None)
     s2, r2 = sv.solve_dirichlet(prob, init=start)
     assert r1.converged and r2.converged
-    assert np.max(np.abs(s1.values - s2.values)) <= 1e-8
+    assert np.max(np.abs(s1 - s2)) <= 1e-8
 
 
 def test_translation_invariance(grid9):
@@ -171,7 +171,7 @@ def test_translation_invariance(grid9):
                            residual_tol=1e-12)
     s0, _ = sv.solve_dirichlet(base)
     s1, _ = sv.solve_dirichlet(shifted)
-    assert np.max(np.abs(s1.values - s0.values - 2.5)) <= 1e-9
+    assert np.max(np.abs(s1 - s0 - 2.5)) <= 1e-9
 
 
 def test_iteration_budget_flagged(grid9):
@@ -314,7 +314,7 @@ def _warm_start(label, residual_tol=None):
     coarse = make_problem(Grid.from_box([(-1, 1)] * 3, 9), label, expr, residual_tol=residual_tol)
     sol, rep = sv.solve_dirichlet(coarse)
     assert rep.converged
-    return make_problem(coarse.grid.refined(), label, expr, residual_tol=residual_tol), refine_values(sol.values)
+    return make_problem(coarse.grid.refined(), label, expr, residual_tol=residual_tol), refine_values(sol)
 
 
 def test_quadratic_law_metric_is_exactly_one(monkeypatch):
@@ -329,7 +329,7 @@ def test_quadratic_law_metric_is_exactly_one(monkeypatch):
     monkeypatch.setattr(sv, "_lbfgs_direction", recorded)
     _, rep = sv.solve_dirichlet(prob, init=start)
     assert rep.converged and len(metrics) == rep.iterations
-    assert metrics[0].shape == (prob.boundary.values[INTERIOR].size,) and np.all(metrics[0] == 1.0)
+    assert metrics[0].shape == (prob.boundary[INTERIOR].size,) and np.all(metrics[0] == 1.0)
     assert all(metric is metrics[0] for metric in metrics)
 
 
@@ -338,10 +338,10 @@ def test_cold_start_is_the_boundary_field(rng, grid9):
     # an array start's values off the interior are replaced by the data
     prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c)
     start = rng.normal(size=grid9.shape)
-    start[INTERIOR] = prob.boundary.values[INTERIOR]
+    start[INTERIOR] = prob.boundary[INTERIOR]
     sol_cold, rep_cold = sv.solve_dirichlet(prob, init=None)
     sol_array, rep_array = sv.solve_dirichlet(prob, init=start)
-    assert rep_array == rep_cold and np.array_equal(sol_array.values, sol_cold.values)
+    assert rep_array == rep_cold and np.array_equal(sol_array, sol_cold)
 
 
 def test_flat_start_keeps_the_f_eps_zero_metric():
@@ -352,7 +352,7 @@ def test_flat_start_keeps_the_f_eps_zero_metric():
     flat, rep_flat = sv.solve_dirichlet(prob, init=np.zeros(prob.grid.shape))
     assert rep_cold.converged and rep_flat.converged
     assert rep_flat.iterations > 20 * rep_cold.iterations
-    assert np.max(np.abs(flat.values - cold.values)) <= 1e-6
+    assert np.max(np.abs(flat - cold)) <= 1e-6
 
 
 def _readme_problem(shape, label="power:p=3", **kw):
@@ -369,22 +369,22 @@ def test_cold_solve_is_the_nested_ladder():
         probs = [_readme_problem(res, max_iters=max_iters) for res in (17, 33)]
         (sol17, rep17), (ladder, rep_ladder) = sv.solve_ladder(probs)
         (cold, rep_cold), = sv.solve_ladder([probs[1]])
-        assert np.array_equal(cold.values, ladder.values) and rep_ladder.stop_reason == stop
+        assert np.array_equal(cold, ladder) and rep_ladder.stop_reason == stop
         assert (rep_cold.final_energy, rep_cold.iterations) == (rep_ladder.final_energy, rep_ladder.iterations)
         assert rep_cold.start_levels == [{"shape": [17, 17, 17], "iterations": rep17.iterations,
                                           "evaluations": rep17.evaluations, "stop_reason": stop}]
         assert rep17.start_levels == [] and rep_ladder.start_levels == []
-    prolonged, _ = sv.solve_dirichlet(probs[1], init=refine_values(sol17.values))
-    assert np.array_equal(ladder.values, prolonged.values)
+    prolonged, _ = sv.solve_dirichlet(probs[1], init=refine_values(sol17))
+    assert np.array_equal(ladder, prolonged)
 
 
 def test_short_axis_starts_from_the_boundary_field():
     # 20 cells along x_1 are fewer than 32, so the grid is not halved and the start is the data
     prob = _readme_problem([21, 33, 33])
     (cold, rep_cold), = sv.solve_ladder([prob])
-    data, rep_data = sv.solve_dirichlet(prob, init=prob.boundary.values)
+    data, rep_data = sv.solve_dirichlet(prob, init=prob.boundary)
     assert rep_cold.start_levels == [] and rep_cold == rep_data
-    assert np.array_equal(cold.values, data.values)
+    assert np.array_equal(cold, data)
 
 
 def test_solve_dirichlet_solves_one_level(monkeypatch):
@@ -403,9 +403,9 @@ def test_solve_dirichlet_solves_one_level(monkeypatch):
     assert shapes == [17, 33]
     monkeypatch.setattr(sv, "solve_ladder", None)  # a call back into the ladder would raise
     cold, rep_cold = sv.solve_dirichlet(prob)
-    data, rep_data = solve(prob, init=prob.boundary.values)
+    data, rep_data = solve(prob, init=prob.boundary)
     assert shapes == [17, 33, 33] and rep_cold.start_levels == [] and rep_cold == rep_data
-    assert np.array_equal(cold.values, data.values)
+    assert np.array_equal(cold, data)
 
 
 def test_warm_metric_solve_matches_cold_solve():
@@ -413,7 +413,7 @@ def test_warm_metric_solve_matches_cold_solve():
     cold, rep_cold = sv.solve_dirichlet(prob)
     warm, rep_warm = sv.solve_dirichlet(prob, init=start)
     assert rep_cold.converged and rep_warm.converged
-    assert np.max(np.abs(warm.values - cold.values)) <= 1e-8
+    assert np.max(np.abs(warm - cold)) <= 1e-8
 
 
 def test_non_descent_direction_restarts(monkeypatch):
@@ -432,7 +432,7 @@ def test_non_descent_direction_restarts(monkeypatch):
     monkeypatch.setattr(sv, "_lbfgs_direction", uphill_once)
     sol, rep = sv.solve_dirichlet(prob, init=start)
     assert forced and rep_plain.restarts == 0 and rep.restarts == 1 and rep.converged
-    assert np.max(np.abs(sol.values - plain.values)) <= 1e-8
+    assert np.max(np.abs(sol - plain)) <= 1e-8
 
 
 def test_solve_report_counts_evaluations(monkeypatch, grid9):
@@ -467,7 +467,7 @@ def test_weak_residual_is_the_solver_residual(grid9, label):
     prob = make_problem(grid9, label, lambda a, b, c: np.sin(2 * a) * b + 0.4 * c)
     sol, rep = sv.solve_dirichlet(prob)
     assert rep.converged
-    assert energy_and_residual(prob, sol.values) == (rep.final_energy, rep.weak_residual)
+    assert energy_and_residual(prob, sol) == (rep.final_energy, rep.weak_residual)
 
 
 def test_regularization_consistency(grid9):
@@ -477,9 +477,9 @@ def test_regularization_consistency(grid9):
         prob = make_problem(grid9, "power:p=1.5", lambda a, b, c: a * b + 0.2 * c,
                             eps=eps, residual_tol=1e-11)
         sols[eps], _ = sv.solve_dirichlet(prob)
-    d1 = np.max(np.abs(sols[0.04].values - sols[0.02].values))
-    d2 = np.max(np.abs(sols[0.02].values - sols[0.01].values))
-    d3 = np.max(np.abs(sols[0.01].values - sols[0.005].values))
+    d1 = np.max(np.abs(sols[0.04] - sols[0.02]))
+    d2 = np.max(np.abs(sols[0.02] - sols[0.01]))
+    d3 = np.max(np.abs(sols[0.01] - sols[0.005]))
     assert d2 <= d1 and d3 <= d2
 
 
@@ -491,10 +491,10 @@ def test_error_against_gauge_fundamental_solution(p):
         grid = Grid.from_box([(0.25, 1.25), (-0.5, 0.5), (-0.5, 0.5)], res)
         exact = gauge_fundamental_solution(p, grid.coord(0), grid.coord(1), grid.coord(2))
         problems.append(sv.DirichletProblem(grid=grid, triple=triple_for(f"power:p={p:g}"),
-                                            boundary=ScalarField(grid, exact * np.ones(grid.shape)), eps=1e-6))
+                                            boundary=exact * np.ones(grid.shape), eps=1e-6))
     solves = sv.solve_ladder(problems)
     assert all(rep.converged for _, rep in solves)
-    errors = [math.sqrt(float(np.mean((sol.values - prob.boundary.values)[INTERIOR] ** 2)))
+    errors = [math.sqrt(float(np.mean((sol - prob.boundary)[INTERIOR] ** 2)))
               for prob, (sol, _) in zip(problems, solves)]
     # measured rms: p = 3: 4.2e-2, 1.6e-2, 5.0e-3; p = 1.5: 12.5, 5.1, 1.4
     assert all(coarse >= 2.0 * fine for coarse, fine in zip(errors, errors[1:])), errors
@@ -526,7 +526,7 @@ def test_comparison_ordered_smooth_pair(grid9):
 
 def test_barrier_t_free_has_constant_gradient(grid9):
     L = boundary_field("affine:c0=0.3,x1=0.5,x2=0.5", grid9)
-    xc = sv.cell_gradient(grid9, L.values)
+    xc = sv.cell_gradient(grid9, L)
     assert np.max(np.abs(xc[0] - xc[0].flat[0])) <= 1e-13
     assert np.max(np.abs(xc[1] - xc[1].flat[0])) <= 1e-13
 
@@ -535,7 +535,7 @@ def test_barrier_hessian_skew(grid17):
     from solab.grid import horizontal_gradient, horizontal_hessian
     c = 0.8
     L = boundary_field(f"affine:x1=0.4,x2=0.1,t={c}", grid17)
-    hess = horizontal_hessian(horizontal_gradient(L))
+    hess = horizontal_hessian(grid17, horizontal_gradient(grid17, L))
     sym = 0.5 * (hess + np.swapaxes(hess, 0, 1))
     assert np.max(np.abs(sym)) <= 1e-9
     assert np.max(np.abs(hess[0, 1] + c / 2)) <= 1e-9  # off-diagonal is +-(t coeff)/2
@@ -543,7 +543,7 @@ def test_barrier_hessian_skew(grid17):
 
 def test_barrier_residual_study_exact_when_t_free(grid9):
     L = boundary_field("affine:c0=0.1,x1=0.5,x2=-0.2", grid9)
-    residuals = barrier_residuals(L, triple_for("power:p=2"), 2)
+    residuals = barrier_residuals(grid9, L, triple_for("power:p=2"), 2)
     assert all(r <= 1e-10 for r in residuals)
 
 
@@ -554,7 +554,7 @@ def test_barrier_residual_exact_for_power_laws(label, vec, grid9):
     # polynomial in the coordinates: the residual sits at the round-off floor
     x1, x2, t = vec
     L = boundary_field(f"affine:x1={x1},x2={x2},t={t}", grid9)
-    res = barrier_residuals(L, triple_for(label), 2)
+    res = barrier_residuals(grid9, L, triple_for(label), 2)
     assert all(r <= 1e-12 for r in res)
 
 
@@ -563,7 +563,7 @@ def test_barrier_residual_order_transcendental(label, grid9):
     # with transcendental growth the truncation error is real and must
     # decrease with order >= 1 per halving
     L = boundary_field("affine:x1=1,t=1", grid9)
-    res = barrier_residuals(L, triple_for(label), 2)
+    res = barrier_residuals(grid9, L, triple_for(label), 2)
     assert all(r > 0 for r in res)
     for a, b in zip(res, res[1:]):
         assert a / b >= 2.0

@@ -8,33 +8,37 @@ import solab.solver as sv
 import solab.verify as vf
 from conftest import bumped_start, commutator_and_td_margin, field_from, triple_for
 from oracles import cutoff_cost, gauge_ball_quadrature, gauge_cutoff, manufactured_fields
-from solab.grid import Grid, GaugeBall, ScalarField, ball_average, make_cutoff
+from solab.grid import Grid, GaugeBall, ball_average, horizontal_norm, make_cutoff
 from solab.problems import boundary_field
+
+EPS = 1e-4  # DirichletProblem's default eps
+
+
+def fields_of(grid, u, label="power:p=2"):
+    return vf.solution_fields(grid, u, triple_for(label), EPS)
 
 
 @pytest.fixture(scope="module")
 def tdep_solution():
     """p=2 solution with genuine t-dependence on a 17^3 grid."""
     g = Grid.from_box([(-1, 1)] * 3, 17)
-    tr = triple_for("power:p=2")
     bc = field_from(g, lambda a, b, c: 0.5 * a + 0.4 * c * a + 0.2 * b)
-    prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-10)
+    prob = sv.DirichletProblem(grid=g, triple=triple_for("power:p=2"), boundary=bc, residual_tol=1e-10)
     sol, rep = sv.solve_dirichlet(prob)
     assert rep.converged
     eta = make_cutoff(g, [0, 0, 0], 0.25, 0.65)
-    return sol, tr, eta, prob
+    return sol, eta, prob
 
 
 @pytest.fixture(scope="module")
 def affine_solution():
     g = Grid.from_box([(-1, 1)] * 3, 17)
-    tr = triple_for("power:p=2")
     bc = field_from(g, lambda a, b, c: 0.6 * a - 0.25 * b + 0.1)
-    prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-12)
-    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(bc))
+    prob = sv.DirichletProblem(grid=g, triple=triple_for("power:p=2"), boundary=bc, residual_tol=1e-12)
+    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(g, bc))
     assert rep.converged and rep.iterations > 0
     eta = make_cutoff(g, [0, 0, 0], 0.25, 0.65)
-    return sol, tr, eta
+    return sol, eta, prob
 
 
 # ---------------------------------------------------------------- schedule
@@ -42,9 +46,8 @@ def affine_solution():
 def test_moser_schedule_arithmetic():
     # H^1 has Q = 4, so kappa = 2: gamma_i = 3 * 2^i - 2 and r_i = sigma r + (1 - sigma) r / 2^i
     g = Grid.from_box([(-1, 1)] * 3, 17)
-    tr = triple_for("power:p=2")
     u = field_from(g, lambda a, b, c: 0.8 * a)
-    rows = vf.moser_trace(vf.solution_fields(u, tr), [0, 0, 0], 0.8, 0.5, levels=4)["levels"]
+    rows = vf.moser_trace(fields_of(g, u), [0, 0, 0], 0.8, 0.5, levels=4)["levels"]
     assert [row["gamma"] for row in rows] == [1.0, 4.0, 10.0, 22.0]
     assert [row["exponent"] for row in rows] == [3.0, 6.0, 12.0, 24.0]
     assert [row["radius"] for row in rows] == pytest.approx([0.8, 0.6, 0.5, 0.45], rel=1e-15)
@@ -53,8 +56,8 @@ def test_moser_schedule_arithmetic():
 # ---------------------------------------------------------------- ratio
 
 def test_lipschitz_ratio_affine(affine_solution):
-    sol, tr, _ = affine_solution
-    ratio = vf.lipschitz_ratio(vf.solution_fields(sol, tr), [0, 0, 0], 0.8, 0.5)
+    sol, _, prob = affine_solution
+    ratio = vf.lipschitz_ratio(fields_of(prob.grid, sol), [0, 0, 0], 0.8, 0.5)
     assert ratio == pytest.approx(0.5 ** 4, abs=1e-9)
 
 
@@ -71,21 +74,20 @@ def test_lipschitz_ratio_is_uniform_over_data_for_solutions_only():
         (sol, rep), = sv.solve_ladder([sv.DirichletProblem(grid=grid, triple=tr, boundary=bc, eps=1e-4)])
         assert rep.converged
         for field, ratios in ((sol, solutions), (bc, boundaries)):
-            ratios.append(vf.lipschitz_ratio(vf.solution_fields(field, tr, 1e-4), [0, 0, 0], 0.8, 0.5))
+            ratios.append(vf.lipschitz_ratio(vf.solution_fields(grid, field, tr, 1e-4), [0, 0, 0], 0.8, 0.5))
     assert max(solutions) <= 1.25 * min(solutions), solutions
     assert boundaries[2] >= 2 * boundaries[0], boundaries
 
 def test_lipschitz_ratio_shift_invariant(tdep_solution):
-    sol, tr, _, prob = tdep_solution
-    shifted = ScalarField(sol.grid, sol.values + 3.7)
-    r1 = vf.lipschitz_ratio(vf.solution_fields(sol, tr), [0, 0, 0], 0.8, 0.5)
-    r2 = vf.lipschitz_ratio(vf.solution_fields(shifted, tr), [0, 0, 0], 0.8, 0.5)
+    sol, _, prob = tdep_solution
+    r1 = vf.lipschitz_ratio(fields_of(prob.grid, sol), [0, 0, 0], 0.8, 0.5)
+    r2 = vf.lipschitz_ratio(fields_of(prob.grid, sol + 3.7), [0, 0, 0], 0.8, 0.5)
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 def test_lipschitz_ratio_validation(tdep_solution):
-    sol, tr, _, _ = tdep_solution
-    sf = vf.solution_fields(sol, tr)
+    sol, _, prob = tdep_solution
+    sf = fields_of(prob.grid, sol)
     with pytest.raises(ValueError):
         vf.lipschitz_ratio(sf, [0, 0, 0], 0.8, 1.0)
     with pytest.raises(ValueError):
@@ -95,8 +97,8 @@ def test_lipschitz_ratio_validation(tdep_solution):
 # ---------------------------------------------------------------- audits
 
 def test_audits_finite_on_tdep_solution(tdep_solution):
-    sol, tr, eta, prob = tdep_solution
-    sf = vf.solution_fields(sol, tr)
+    sol, eta, prob = tdep_solution
+    sf = fields_of(prob.grid, sol)
     for fn, kw in [(vf.caccioppoli_T_audit, {"gamma": 0.0}),
                    (vf.caccioppoli_X_audit, {"gamma": 0.0}),
                    (vf.caccioppoli_X_audit, {"gamma": 1.0}),
@@ -111,13 +113,12 @@ def test_audits_finite_on_tdep_solution(tdep_solution):
 
 def test_t_audits_degenerate_on_t_independent():
     g = Grid.from_box([(-1, 1)] * 3, 17)
-    tr = triple_for("power:p=2")
     bc = field_from(g, lambda a, b, c: a * b + 0.3 * a)
-    prob = sv.DirichletProblem(grid=g, triple=tr, boundary=bc, residual_tol=1e-11)
-    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(bc))
+    prob = sv.DirichletProblem(grid=g, triple=triple_for("power:p=2"), boundary=bc, residual_tol=1e-11)
+    sol, rep = sv.solve_dirichlet(prob, init=bumped_start(g, bc))
     assert rep.iterations > 0
     eta = make_cutoff(g, [0, 0, 0], 0.25, 0.65)
-    sf = vf.solution_fields(sol, tr)
+    sf = fields_of(g, sol)
     rT = vf.caccioppoli_T_audit(sf, eta, 0.0)
     rV = vf.vertical_estimate_audit(sf, eta, 1.0)
     rR = vf.reverse_audit(sf, eta, 1.0, 1.0)
@@ -128,8 +129,8 @@ def test_t_audits_degenerate_on_t_independent():
 
 
 def test_x_audits_degenerate_on_affine(affine_solution):
-    sol, tr, eta = affine_solution
-    sf = vf.solution_fields(sol, tr)
+    sol, eta, prob = affine_solution
+    sf = fields_of(prob.grid, sol)
     rX = vf.caccioppoli_X_audit(sf, eta, 0.0)
     rH = vf.horizontal_estimate_audit(sf, eta, 1.0)
     for r in (rX, rH):
@@ -138,17 +139,26 @@ def test_x_audits_degenerate_on_affine(affine_solution):
         assert r.reason == "analytic zero: XXu at algebraic error"
 
 
+def test_overflowing_sides_fail_their_row():
+    # G(|Xu|)^61 overflows for |Xu| ~ 100; the rule runs before the analytic-zero rule, which
+    # X(Tu) = 0 on affine data would meet
+    g = Grid.from_box([(-1, 1)] * 3, 9)
+    sf = fields_of(g, field_from(g, lambda a, b, c: 100 * a + 50 * c), "power:p=4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = vf.caccioppoli_T_audit(sf, make_cutoff(g, [0, 0, 0], 0.3, 0.6), 60.0)
+    assert rep.reason == "not finite" and not rep.passed and math.isnan(rep.fitted_constant)
+
+
 def test_fitted_constants_shift_invariant(tdep_solution):
-    sol, tr, eta, _ = tdep_solution
-    shifted = ScalarField(sol.grid, sol.values - 1.3)
-    a = vf.caccioppoli_X_audit(vf.solution_fields(sol, tr), eta, 1.0)
-    b = vf.caccioppoli_X_audit(vf.solution_fields(shifted, tr), eta, 1.0)
+    sol, eta, prob = tdep_solution
+    a = vf.caccioppoli_X_audit(fields_of(prob.grid, sol), eta, 1.0)
+    b = vf.caccioppoli_X_audit(fields_of(prob.grid, sol - 1.3), eta, 1.0)
     assert a.fitted_constant == pytest.approx(b.fitted_constant, rel=1e-12)
 
 
 def test_audit_parameter_validation(tdep_solution):
-    sol, tr, eta, _ = tdep_solution
-    sf = vf.solution_fields(sol, tr)
+    sol, eta, prob = tdep_solution
+    sf = fields_of(prob.grid, sol)
     with pytest.raises(ValueError):
         vf.caccioppoli_T_audit(sf, eta, -1.0)
     with pytest.raises(ValueError):
@@ -161,17 +171,17 @@ def test_audit_parameter_validation(tdep_solution):
 
 def test_reverse_omega_trend(tdep_solution):
     # doubling omega must halve (or better) the lhs/rhs ratio for gamma = 1
-    sol, tr, eta, _ = tdep_solution
-    sf = vf.solution_fields(sol, tr)
+    sol, eta, prob = tdep_solution
+    sf = fields_of(prob.grid, sol)
     r1 = vf.reverse_audit(sf, eta, 1.0, 1.0)
     r2 = vf.reverse_audit(sf, eta, 1.0, 2.0)
     assert r2.fitted_constant <= r1.fitted_constant / 2.0 * (1 + 1e-9)
 
 
 def test_vertical_cross_check_td_bound(tdep_solution):
-    sol, _, _, _ = tdep_solution
-    h = float(np.max(sol.grid.spacing))
-    assert commutator_and_td_margin(sol)[1] >= -25 * h
+    sol, _, prob = tdep_solution
+    h = float(np.max(prob.grid.spacing))
+    assert commutator_and_td_margin(prob.grid, sol)[1] >= -25 * h
 
 
 # ---------------------------------------------------------------- audit integrals against the oracle
@@ -218,8 +228,8 @@ def audit_oracle():
 
 def _manufactured_level(res):
     grid = Grid.from_box([(-1, 1)] * 3, res)
-    u = ScalarField(grid, manufactured_fields(*grid.coords())[0])
-    return vf.solution_fields(u, triple_for("power:p=3")), make_cutoff(grid, [0, 0, 0], _R_INNER, _R_OUTER)
+    u = manufactured_fields(*grid.coords())[0]
+    return fields_of(grid, u, "power:p=3"), make_cutoff(grid, [0, 0, 0], _R_INNER, _R_OUTER)
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +244,7 @@ def audit_levels():
             values.setdefault(f"{name}.rhs", []).append(rep.rhs)
         values.setdefault("k_eta", []).append(eta.k_eta)
         values.setdefault("ball_average", []).append(
-            ball_average(ScalarField(sf.u.grid, sf.g_xu), GaugeBall([0, 0, 0], _RADIUS)))
+            ball_average(sf.grid, sf.g_xu, GaugeBall([0, 0, 0], _RADIUS)))
     return values
 
 
@@ -243,16 +253,16 @@ def test_manufactured_field_is_exact_at_the_nodes():
     # derivatives match the oracle's, on the t = 0 plane its t -> 0+ limits, so the integral
     # tests below measure quadrature alone
     sf, eta = _manufactured_level(17)
-    coords = sf.u.grid.coords()
+    coords = sf.grid.coords()
     _, xu, tu, xtu, hess = manufactured_fields(*coords)
     for got, want in ((sf.xu_norm, xu), (sf.tu, tu), (sf.xtu_norm, xtu), (sf.hess_norm, hess)):
         assert np.max(np.abs(got - want)) <= 1e-12
     eta_ref, x_eta_sq, t_eta = gauge_cutoff(_R_INNER, _R_OUTER, *coords)
-    assert np.max(np.abs(eta.eta.values - eta_ref)) <= 1e-14
-    assert np.max(np.abs(eta.grad.norm() ** 2 - x_eta_sq)) <= 1e-11 * np.max(x_eta_sq)
+    assert np.max(np.abs(eta.eta - eta_ref)) <= 1e-14
+    assert np.max(np.abs(horizontal_norm(eta.grad) ** 2 - x_eta_sq)) <= 1e-11 * np.max(x_eta_sq)
     # eta falls with rho and T rho = sgn(t)/(2 rho), so T eta = -sgn(t) |T eta|, with sgn(0) = +1
     sgn = np.where(coords[2] < 0, -1.0, 1.0)
-    assert np.max(np.abs(eta.t_deriv.values + sgn * t_eta)) <= 1e-11 * np.max(t_eta)
+    assert np.max(np.abs(eta.t_deriv + sgn * t_eta)) <= 1e-11 * np.max(t_eta)
 
 
 @pytest.mark.parametrize("quantity", [f"{name}.{side}" for name in _AUDITS for side in ("lhs", "rhs")]
@@ -295,16 +305,18 @@ def test_attach_refinement_band_failure():
     combined = vf.attach_refinement(reports)
     assert not combined.passed and combined.refinement_history == [1.0, 3.0]
     assert reports == before  # the per-level reports keep their own flags
+    overflow = dataclasses.replace(reports[0], lhs=math.inf, fitted_constant=math.nan, reason="not finite")
+    assert not vf.attach_refinement([reports[0], overflow]).passed  # a level that is not finite fails
 
 
 def test_audit_stability_under_refinement(tdep_solution):
-    sol, tr, eta17, prob = tdep_solution
+    sol, eta17, prob = tdep_solution
     g33 = Grid.from_box([(-1, 1)] * 3, 33)
     bc = field_from(g33, lambda a, b, c: 0.5 * a + 0.4 * c * a + 0.2 * b)
-    prob33 = sv.DirichletProblem(grid=g33, triple=tr, boundary=bc)
+    prob33 = sv.DirichletProblem(grid=g33, triple=prob.triple, boundary=bc)
     sol33 = sv.solve_ladder([prob, prob33])[1][0]
     eta33 = make_cutoff(g33, [0, 0, 0], 0.25, 0.65)
-    sf17, sf33 = vf.solution_fields(sol, tr), vf.solution_fields(sol33, tr)
+    sf17, sf33 = fields_of(prob.grid, sol), fields_of(g33, sol33)
     for fn, kw in [(vf.caccioppoli_T_audit, {"gamma": 0.0}),
                    (vf.caccioppoli_X_audit, {"gamma": 1.0}),
                    (vf.horizontal_estimate_audit, {"gamma": 1.0})]:
@@ -318,7 +330,7 @@ def test_moser_trace_constant_field():
     g = Grid.from_box([(-1, 1)] * 3, 17)
     tr = triple_for("power:p=2")
     u = field_from(g, lambda a, b, c: 0.8 * a)  # |Xu| = 0.8 everywhere
-    trace = vf.moser_trace(vf.solution_fields(u, tr), [0, 0, 0], 0.8, 0.5, levels=4)
+    trace = vf.moser_trace(fields_of(g, u), [0, 0, 0], 0.8, 0.5, levels=4)
     expected = float(tr.G(0.8))
     for row in trace["levels"]:
         assert row["norm"] == pytest.approx(expected, rel=1e-9)
@@ -327,8 +339,8 @@ def test_moser_trace_constant_field():
 
 
 def test_moser_trace_monotone_and_converges(tdep_solution):
-    sol, tr, _, _ = tdep_solution
-    trace = vf.moser_trace(vf.solution_fields(sol, tr), [0, 0, 0], 0.8, 0.5, levels=8)
+    sol, _, prob = tdep_solution
+    trace = vf.moser_trace(fields_of(prob.grid, sol), [0, 0, 0], 0.8, 0.5, levels=8)
     inner = [row["inner_norm"] for row in trace["levels"]]
     assert all(a <= b * (1 + 1e-9) for a, b in zip(inner, inner[1:]))
     assert abs(inner[-1] - trace["inner_sup"]) <= 0.05 * trace["inner_sup"]
@@ -338,8 +350,8 @@ def test_moser_trace_monotone_and_converges(tdep_solution):
 
 
 def test_moser_trace_validation(tdep_solution):
-    sol, tr, _, _ = tdep_solution
-    sf = vf.solution_fields(sol, tr)
+    sol, _, prob = tdep_solution
+    sf = fields_of(prob.grid, sol)
     with pytest.raises(ValueError):
         vf.moser_trace(sf, [0, 0, 0], 0.8, 0.5, levels=1)
     with pytest.raises(ValueError):
@@ -347,7 +359,7 @@ def test_moser_trace_validation(tdep_solution):
     with pytest.raises(ValueError):
         vf.moser_trace(sf, [0, 0, 0], 3.0, 0.5, levels=3)
     # B_r outside the grid is rejected even where G(|Xu|) = 0 on every ball
-    flat = vf.solution_fields(ScalarField(sol.grid, np.zeros(sol.grid.shape)), tr)
+    flat = fields_of(prob.grid, np.zeros(prob.grid.shape))
     with pytest.raises(ValueError):
         vf.moser_trace(flat, [0, 0, 0], 3.0, 0.5, levels=3)
 
@@ -361,6 +373,6 @@ def test_singular_weight_falls_back_to_regularized():
     for data, kind in ((lambda a, b, c: 0.4 * a + 0.3 * c * a, "F"), (lambda a, b, c: 0.0 * a, "F_eps")):
         prob = sv.DirichletProblem(grid=g, triple=tr, boundary=field_from(g, data))
         sol, rep = sv.solve_dirichlet(prob)
-        sf = vf.solution_fields(sol, tr, eps=prob.eps)
+        sf = vf.solution_fields(g, sol, tr, prob.eps)
         assert sf.weight_kind == kind
         assert np.all(np.isfinite(sf.f_xu))
