@@ -354,7 +354,6 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
                               "final_energy": report.final_energy,
                               "weak_residual": report.weak_residual,
                               "rejected_pairs": report.rejected_pairs, "tol": report.tol})
-        # built before the fields: the cutoff's temporaries (29 MB at 65^3) would stack on them
         eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
         fields = vf.solution_fields(grid, sol, triple, cfg.epsilon)
         ratio = vf.lipschitz_ratio(fields, cfg.center, cfg.radius, cfg.sigma)

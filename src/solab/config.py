@@ -113,7 +113,7 @@ class ExperimentConfig:
             if not GaugeBall(self.center, getattr(self, key)).fits_inside(grid):
                 raise ConfigError(f"the gauge ball of {key} around center leaves the box")
         # refined grids keep every coarse node, so one check on the first grid suffices
-        if not ball_node_mask(grid, GaugeBall(self.center, self.sigma * self.radius)).any():
+        if not ball_node_mask(grid, GaugeBall(self.center, self.sigma * self.radius))[1].any():
             raise ConfigError("the gauge ball of sigma * radius around center contains no grid node")
         # K_eta > 0 exactly when a node lies inside the cutoff's annulus, where |X eta| > 0 off
         # the t-axis and |eta T eta| > 0 on it

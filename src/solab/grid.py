@@ -12,7 +12,9 @@ using second-order central differences in the interior and one-sided
 second-order stencils on the faces, so the stencils are exact on polynomials
 of degree <= 2 in the differenced variable.  Quadrature is a trapezoid-type
 node-weight sum; gauge balls get fractional boundary-cell weights so that
-volume scaling studies are meaningful at desk resolutions.
+volume scaling studies are meaningful at desk resolutions.  Ball weights, node
+masks and cutoffs live on the ball's node box: the index slices of the nodes
+whose cells can meet the ball.
 """
 
 from __future__ import annotations
@@ -86,15 +88,16 @@ class Grid:
     def axis(self, k: int) -> np.ndarray:
         return np.linspace(self.lo[k], self.hi[k], self.shape[k])
 
-    def coord(self, k: int) -> np.ndarray:
-        """Node coordinate along axis k, broadcastable to the grid shape."""
+    def coord(self, k: int, box=None) -> np.ndarray:
+        """Node coordinate along axis k, broadcastable to the grid shape (or to a node box's)."""
+        ax = self.axis(k) if box is None else self.axis(k)[box[k]]
         shape = [1] * self.dim
-        shape[k] = self.shape[k]
-        return self.axis(k).reshape(shape)
+        shape[k] = ax.size
+        return ax.reshape(shape)
 
-    def coords(self) -> list[np.ndarray]:
-        """Node coordinates of every axis (t last), broadcastable to the grid shape."""
-        return [self.coord(k) for k in range(self.dim)]
+    def coords(self, box=None) -> list[np.ndarray]:
+        """Node coordinates of every axis (t last), broadcastable to the grid shape (or a node box's)."""
+        return [self.coord(k, box) for k in range(self.dim)]
 
     def cell_coord(self, k: int) -> np.ndarray:
         """Cell-center coordinate along axis k, broadcastable to the cell shape."""
@@ -149,13 +152,13 @@ def hessian_frobenius(hess: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def gauge_distance_field(grid: Grid, center, offsets=None) -> np.ndarray:
-    """Left-invariant gauge distance ||center^{-1} . x|| at every node.
+def gauge_distance_field(grid: Grid, center, offsets=None, box=None) -> np.ndarray:
+    """Left-invariant gauge distance ||center^{-1} . x|| at every node (of a node box).
 
     ``offsets`` optionally shifts every node by a constant vector (used for
     sub-cell sampling).
     """
-    coords = grid.coords()
+    coords = grid.coords(box)
     if offsets is not None:
         coords = [x + o for x, o in zip(coords, np.asarray(offsets, dtype=float))]
     return np.sqrt(gauge_squared(translate(center, coords)))
@@ -174,57 +177,59 @@ class GaugeBall:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
 
-    def fits_inside(self, grid: Grid) -> bool:
+    def spans(self) -> tuple[float, float, float]:
+        """Half-widths of the ball along (x, y, t) about its center."""
         x, y, _ = self.center
         r = self.radius
         # the vertical extent of the gauge ball scales quadratically, plus the
         # twist of the left translation
-        t_span = r ** 2 + 0.5 * r * (abs(x) + abs(y))
+        return r, r, r ** 2 + 0.5 * r * (abs(x) + abs(y))
+
+    def fits_inside(self, grid: Grid) -> bool:
         return all(c - s >= lo and c + s <= hi
-                   for c, s, lo, hi in zip(self.center, (r, r, t_span), grid.lo, grid.hi))
+                   for c, s, lo, hi in zip(self.center, self.spans(), grid.lo, grid.hi))
 
 
-def ball_node_mask(grid: Grid, ball: GaugeBall) -> np.ndarray:
-    return gauge_distance_field(grid, np.asarray(ball.center)) <= ball.radius
+def _ball_box(grid: Grid, ball: GaugeBall) -> tuple[slice, ...]:
+    """Index slices of the nodes whose cells can meet the ball, padded by one node."""
+    c, s = np.asarray(ball.center), np.asarray(ball.spans())
+    first = np.floor((c - s - grid.lo) / grid.spacing - 0.5) - 1
+    last = np.ceil((c + s - grid.lo) / grid.spacing + 0.5) + 1
+    return tuple(slice(max(int(a), 0), min(int(b) + 1, n)) for a, b, n in zip(first, last, grid.shape))
 
 
-@functools.lru_cache(maxsize=32)
-def _trapezoid_weights(grid: Grid) -> np.ndarray:
-    w = np.ones(grid.shape)
+def ball_node_mask(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The ball's node box and the mask of the nodes on it that lie in the ball."""
+    box = _ball_box(grid, ball)
+    return box, gauge_distance_field(grid, np.asarray(ball.center), box=box) <= ball.radius
+
+
+def _trapezoid_weights(grid: Grid, box) -> np.ndarray:
+    w = 1.0
     for k in range(grid.dim):
-        axis_w = np.ones(grid.shape[k])
-        axis_w[0] = axis_w[-1] = 0.5
+        axis_w = np.full(grid.shape[k], grid.spacing[k])
+        axis_w[[0, -1]] *= 0.5
         shape = [1] * grid.dim
-        shape[k] = grid.shape[k]
-        w = w * (axis_w * grid.spacing[k]).reshape(shape)
+        shape[k] = -1
+        w = w * axis_w[box[k]].reshape(shape)
     return w
 
 
 @functools.lru_cache(maxsize=4)
-def _corner_extrema(grid: Grid, center: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max gauge distance from center over the 2^d corners of each node cell."""
-    h = grid.spacing
-    corner_min = np.full(grid.shape, np.inf)
-    corner_max = np.full(grid.shape, -np.inf)
-    for signs in np.ndindex(*(2,) * grid.dim):
-        off = (np.asarray(signs) - 0.5) * h
-        rho = gauge_distance_field(grid, np.asarray(center), offsets=off)
-        corner_min = np.minimum(corner_min, rho)
-        corner_max = np.maximum(corner_max, rho)
-    return corner_min, corner_max
-
-
-@functools.lru_cache(maxsize=32)
-def _ball_weights(grid: Grid, ball: GaugeBall) -> np.ndarray:
-    """Trapezoid weight times the fraction of each node cell inside the ball.
+def _ball_weights(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The ball's node box and, on it, trapezoid weights times the fraction of each node cell in the ball.
 
     The fraction is exact 0/1 away from the shell and counted on 4^d
-    sub-cell points in shell cells; the corner distances are shared by every
-    ball about the same center.
+    sub-cell points in shell cells.
     """
     sub = 4
     h = grid.spacing
-    corner_min, corner_max = _corner_extrema(grid, ball.center)
+    box = _ball_box(grid, ball)
+    # min and max gauge distance over the 2^d corners of each node cell
+    corner_min, corner_max = np.inf, -np.inf
+    for signs in np.ndindex(*(2,) * grid.dim):
+        rho = gauge_distance_field(grid, np.asarray(ball.center), (np.asarray(signs) - 0.5) * h, box)
+        corner_min, corner_max = np.minimum(corner_min, rho), np.maximum(corner_max, rho)
     # the gauge ball is convex, so a cell is inside iff all its corners are;
     # the outer test pads by one cell's worth of variation to be safe
     inside = corner_max <= ball.radius
@@ -234,7 +239,7 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> np.ndarray:
     coverage = inside.astype(float)
     if np.any(shell):
         idx = np.nonzero(shell)
-        pts = np.stack([grid.axis(k)[idx[k]] for k in range(grid.dim)], axis=-1)
+        pts = np.stack([grid.axis(k)[box[k]][idx[k]] for k in range(grid.dim)], axis=-1)
         count = np.zeros(pts.shape[0])
         steps = (np.arange(sub) + 0.5) / sub - 0.5
         for offs in np.ndindex(*(sub,) * grid.dim):
@@ -242,25 +247,31 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> np.ndarray:
             q = pts + shift
             count += gauge_squared(translate(ball.center, list(q.T))) <= ball.radius ** 2
         coverage[idx] = count / float(sub ** grid.dim)
-    return _trapezoid_weights(grid) * coverage
+    return box, _trapezoid_weights(grid, box) * coverage
 
 
 def integrate(grid: Grid, f: np.ndarray, region=None) -> float:
-    """Trapezoid-type weighted node sum of a field over the box (``None``) or a gauge ball."""
-    if region is None:
-        return float(np.sum(_trapezoid_weights(grid) * f))
-    if not isinstance(region, GaugeBall):
-        raise TypeError("an integration region is the box (None) or a GaugeBall")
-    if not region.fits_inside(grid):
-        raise ValueError("integration ball reaches outside the grid")
-    w_ball = _ball_weights(grid, region)
-    if not np.any(w_ball > 0):
-        raise ValueError("empty integration region")
-    return float(np.sum(w_ball * f))
+    """Trapezoid-type weighted node sum of f over the grid (``None``), a node box or a gauge ball.
+
+    A ball is summed on its node box; f is on the whole grid (read on the box as a view) or on the box."""
+    if isinstance(region, GaugeBall):
+        if not region.fits_inside(grid):
+            raise ValueError("integration ball reaches outside the grid")
+        box, w = _ball_weights(grid, region)
+        if not np.any(w > 0):
+            raise ValueError("empty integration region")
+    elif region is None or isinstance(region, tuple):  # a node box is a tuple of index slices
+        box = region or (slice(None),) * grid.dim
+        w = _trapezoid_weights(grid, box)
+    else:
+        raise TypeError("an integration region is the grid (None), a node box or a GaugeBall")
+    if f.shape == grid.shape:
+        f = f[box]
+    return float(np.sum(w * f))
 
 
 def ball_average(grid: Grid, f: np.ndarray, ball: GaugeBall) -> float:
-    return integrate(grid, f, ball) / float(np.sum(_ball_weights(grid, ball)))
+    return integrate(grid, f, ball) / float(np.sum(_ball_weights(grid, ball)[1]))
 
 
 # --------------------------------------------------------------------------
@@ -278,10 +289,11 @@ class CutoffFunction:
     """
 
     eta: np.ndarray
-    grad: np.ndarray  # X eta, shape (2, *grid)
+    grad: np.ndarray  # X eta, shape (2, *box)
     t_deriv: np.ndarray
     k_eta: float
     ball: GaugeBall
+    box: tuple[slice, ...]  # the outer ball's node box: the fields live on it and are 0 off it
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
@@ -310,9 +322,8 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     ball = GaugeBall(center, r_outer)
     if not ball.fits_inside(grid):
         raise ValueError("outer ball reaches outside the grid")
-    # supp eta's quadrature weights are cached now, before any full-grid temporaries
-    _ball_weights(grid, ball)
-    rel = translate(center, grid.coords())
+    box = _ball_box(grid, ball)
+    rel = translate(center, grid.coords(box))
     rho = np.sqrt(gauge_squared(rel))
     width = r_outer - r_inner
     s = (rho - r_inner) / width
@@ -323,12 +334,12 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     safe_rho = np.where(rho > 0, rho, 1.0)
     scale = np.where(rho > 0, -_smoothstep_slope(s) / (width * 2.0 * safe_rho), 0.0)
     # X tau = -(y - c_y)/2, Y tau = (x - c_x)/2
-    grad = np.empty((2,) + grid.shape)
+    grad = np.empty((2,) + eta.shape)
     grad[0] = scale * (2.0 * rel[0] + sgn * (-0.5 * rel[1]))
     grad[1] = scale * (2.0 * rel[1] + sgn * (0.5 * rel[0]))
-    t_deriv = scale * sgn * np.ones(grid.shape)
+    t_deriv = scale * sgn * np.ones(eta.shape)
     k_eta = float(np.max(horizontal_norm(grad))) ** 2 + float(np.max(np.abs(eta * t_deriv)))
-    return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta, ball=ball)
+    return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta, ball=ball, box=box)
 
 
 # --------------------------------------------------------------------------

@@ -9,13 +9,14 @@ levels within a factor 2, ``stability_pass``).  A side that is not finite
 (an integrand that overflows) fails its row.  One rule exempts a left side:
 it is an analytic zero when one of the derivative fields it is a product of
 (X(Tu), Tu or XXu) reads at most ``_ZERO_RTOL`` times |Xu| on supp eta, as
-Tu does on t-independent data and XXu on affine data.  Integrals over
-supp eta are taken over the cutoff's outer gauge ball.
+Tu does on t-independent data and XXu on affine data.  Every audit integrand
+carries eta, X eta or T eta, so the audits read the fields on the cutoff's
+node box; integrals over supp eta are taken over the cutoff's outer gauge ball.
 
 The main estimate sup_{B_{sigma r}} G(|Xu|) <= c (1-sigma)^{-Q} avg_{B_r} G(|Xu|),
 with Q = 4 the homogeneous dimension of H^1, is one pass: ``lipschitz_ratio``
 fits c and ``moser_trace`` climbs the Moser ladder; both take B_{sigma r} from
-``_inner_ball``, and ``integrate`` checks B_r.
+``_inner_ball``, and ``integrate`` checks B_r; every ball is read on its node box.
 
 All seven post-solve consumers (the sup-bound ratio, the iteration trace and
 the five audits) read one ``SolutionFields``: the grid and the node arrays
@@ -193,14 +194,14 @@ def solution_fields(grid: Grid, u: np.ndarray, triple: OrliczTriple, eps: float)
 
 
 def _inner_ball(sf: SolutionFields, center, r: float, sigma: float):
-    """B_{sigma r}, its node mask and sup_{B_{sigma r}} G(|Xu|); sigma in (0,1), mask nonempty."""
+    """B_{sigma r}, its node box and mask and sup_{B_{sigma r}} G(|Xu|); sigma in (0,1), mask nonempty."""
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0,1)")
     ball = GaugeBall(center, sigma * r)
-    mask = ball_node_mask(sf.grid, ball)
+    box, mask = ball_node_mask(sf.grid, ball)
     if not mask.any():
         raise ValueError("inner ball contains no grid nodes")
-    return ball, mask, float(np.max(sf.g_xu[mask]))
+    return ball, (box, mask), float(np.max(sf.g_xu[box][mask]))
 
 
 def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float:
@@ -230,17 +231,18 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
     if levels < 2:
         raise ValueError("need at least two iteration levels")
     grid = sf.grid
-    inner_ball, inner_mask, inner_sup = _inner_ball(sf, center, r, sigma)
+    inner_ball, inner_nodes, inner_sup = _inner_ball(sf, center, r, sigma)
     i = np.arange(levels)
     gammas = 3.0 * (_Q / (_Q - 2)) ** i - 2.0
     radii = sigma * r + (1.0 - sigma) * r / 2.0 ** i
     w = sf.g_xu
 
-    def graded_norm(ball, mask, p):
-        wmax = float(np.max(w[mask]))
+    def graded_norm(ball, box, mask, p):
+        wb = w[box]
+        wmax = float(np.max(wb[mask]))
         # cap at the ball sup: nodes outside the mask only contribute through
         # partially covered shell cells, and powering them would overflow
-        scaled = np.minimum(w / wmax, 1.0) ** p if wmax > 0 else np.zeros(grid.shape)
+        scaled = np.minimum(wb / wmax, 1.0) ** p if wmax > 0 else np.zeros(wb.shape)
         # averaged even where w = 0 on the ball: the average checks that the ball fits the grid
         return wmax * ball_average(grid, scaled, ball) ** (1.0 / p)
 
@@ -250,10 +252,10 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
         # r_i >= sigma r, so the mask holds the inner ball's nodes
         ball = GaugeBall(center, radius)
         rows.append({"gamma": float(gamma), "radius": float(radius), "exponent": float(p),
-                     "norm": graded_norm(ball, ball_node_mask(grid, ball), p),
+                     "norm": graded_norm(ball, *ball_node_mask(grid, ball), p),
                      # same exponent on the fixed inner ball: nondecreasing in p
                      # by power-mean monotonicity, converging to the inner sup
-                     "inner_norm": graded_norm(inner_ball, inner_mask, p)})
+                     "inner_norm": graded_norm(inner_ball, *inner_nodes, p)})
     return {"levels": rows, "inner_sup": inner_sup}
 
 
@@ -262,13 +264,18 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
 # --------------------------------------------------------------------------
 
 
+def _on_box(sf: SolutionFields, eta: CutoffFunction) -> SolutionFields:
+    """The node arrays of sf on the cutoff's node box, as views."""
+    return replace(sf, **{k: v[eta.box] for k, v in vars(sf).items() if isinstance(v, np.ndarray)})
+
+
 def _hessian_energy(sf: SolutionFields, eta: CutoffFunction, p: float) -> float:
-    """int eta^2 G(|Xu|)^p F(|Xu|) |XXu|^2."""
-    return integrate(sf.grid, eta.eta ** 2 * sf.g_xu ** p * sf.f_xu * sf.hess_norm ** 2)
+    """int eta^2 G(|Xu|)^p F(|Xu|) |XXu|^2, with sf on the cutoff's node box."""
+    return integrate(sf.grid, eta.eta ** 2 * sf.g_xu ** p * sf.f_xu * sf.hess_norm ** 2, eta.box)
 
 
 def _support_energy(sf: SolutionFields, eta: CutoffFunction, p: float) -> float:
-    """int_{supp eta} G(|Xu|)^p |Xu|^2 F(|Xu|)."""
+    """int_{supp eta} G(|Xu|)^p |Xu|^2 F(|Xu|), with sf on the cutoff's node box."""
     return integrate(sf.grid, sf.g_xu ** p * sf.xu_norm ** 2 * sf.f_xu, eta.ball)
 
 
@@ -281,8 +288,10 @@ def caccioppoli_T_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     p = gamma + 1.0
-    lhs = integrate(sf.grid, eta.eta ** 2 * sf.g_tu ** p * sf.f_xu * sf.xtu_norm ** 2)
-    rhs = integrate(sf.grid, sf.g_tu ** p * sf.f_xu * sf.tu ** 2 * horizontal_norm(eta.grad) ** 2) / p ** 2
+    sf = _on_box(sf, eta)
+    lhs = integrate(sf.grid, eta.eta ** 2 * sf.g_tu ** p * sf.f_xu * sf.xtu_norm ** 2, eta.box)
+    rhs = integrate(sf.grid, sf.g_tu ** p * sf.f_xu * sf.tu ** 2 * horizontal_norm(eta.grad) ** 2,
+                    eta.box) / float(np.float64(p) ** 2)  # inf where it overflows
     return _report("caccioppoli_T", sf, eta, ("X(Tu)",), lhs, rhs, gamma)
 
 
@@ -296,10 +305,11 @@ def caccioppoli_X_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     p = gamma + 1.0
+    sf = _on_box(sf, eta)
     core = sf.g_xu ** p * sf.f_xu
     cut_cost = horizontal_norm(eta.grad) ** 2 + np.abs(eta.eta * eta.t_deriv)
-    rhs = integrate(sf.grid, core * sf.xu_norm ** 2 * cut_cost)
-    rhs += p ** 4 * integrate(sf.grid, eta.eta ** 2 * core * sf.tu ** 2)
+    rhs = integrate(sf.grid, core * sf.xu_norm ** 2 * cut_cost, eta.box)
+    rhs += float(np.float64(p) ** 4) * integrate(sf.grid, eta.eta ** 2 * core * sf.tu ** 2, eta.box)
     return _report("caccioppoli_X", sf, eta, ("XXu",), _hessian_energy(sf, eta, p), rhs, gamma)
 
 
@@ -320,9 +330,10 @@ def reverse_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float,
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
+    sf = _on_box(sf, eta)
     arg = eta.eta * np.abs(sf.tu) / math.sqrt(omega * eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
-    lhs = integrate(sf.grid, g_arg ** p * sf.f_xu * sf.hess_norm ** 2 * eta.eta ** 2)
+    lhs = integrate(sf.grid, g_arg ** p * sf.f_xu * sf.hess_norm ** 2 * eta.eta ** 2, eta.box)
     rhs = omega ** (-p / 2.0) * _hessian_energy(sf, eta, p)
     envelope = float(np.float64(p) ** (p * (1.0 + sf.triple.g.g0)))  # inf where it overflows
     return _report("reverse", sf, eta, ("Tu", "XXu"), lhs, rhs, gamma, omega=omega,
@@ -340,6 +351,7 @@ def horizontal_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: fl
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
+    sf = _on_box(sf, eta)
     amp = float(np.float64(p) ** (10.0 * (1.0 + sf.triple.g.g0))) * eta.k_eta  # inf where it overflows
     return _report("horizontal_estimate", sf, eta, ("XXu",), _hessian_energy(sf, eta, p),
                    amp * _support_energy(sf, eta, p), gamma)
@@ -356,8 +368,9 @@ def vertical_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: floa
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
+    sf = _on_box(sf, eta)
     arg = eta.eta * np.abs(sf.tu) / math.sqrt(eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
-    lhs = integrate(sf.grid, eta.eta ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2)
+    lhs = integrate(sf.grid, eta.eta ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2, eta.box)
     return _report("vertical_estimate", sf, eta, ("Tu",), lhs, eta.k_eta * _support_energy(sf, eta, p),
                    gamma)

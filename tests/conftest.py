@@ -56,6 +56,13 @@ def field_from(grid: Grid, expr) -> np.ndarray:
     return expr(x1, x2, t) * np.ones(grid.shape)
 
 
+def embed(grid: Grid, box, values: np.ndarray) -> np.ndarray:
+    """A field given on a node box, extended by 0 to the whole grid (leading component axes kept)."""
+    out = np.zeros(values.shape[:-grid.dim] + grid.shape)
+    out[(...,) + box] = values
+    return out
+
+
 def bumped_start(grid: Grid, values: np.ndarray, height: float = 0.1) -> np.ndarray:
     """``values`` plus a smooth bump that vanishes on the box boundary.
 

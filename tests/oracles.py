@@ -18,6 +18,9 @@ every call.  The audit integrals are checked
 on a manufactured field whose derivatives are written in closed form,
 against a closed-form cutoff and tensor Gauss-Legendre quadrature on gauge
 balls (the library samples the cutoff at nodes and sums trapezoid weights).
+Gauge-ball weights and the cutoff's fields have full-grid references, the
+library's formulas evaluated at every node of the grid (the library
+evaluates them on the ball's node box only).
 """
 
 import numpy as np
@@ -26,8 +29,8 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from solab.grid import Grid
-from solab.heisenberg import horizontal, horizontal_adjoint
+from solab.grid import GaugeBall, Grid, _smoothstep as _library_smoothstep, _smoothstep_slope, gauge_distance_field
+from solab.heisenberg import gauge_squared, horizontal, horizontal_adjoint, translate
 from solab.orlicz import _LogCumTable
 
 
@@ -352,3 +355,55 @@ def gauge_ball_quadrature(radius: float, splits=(), order: int = 24):
     height = (rho * rho * (1.0 - c * c)).ravel()
     return (np.concatenate([x1, x1]), np.concatenate([x2, x2]), np.concatenate([height, -height]),
             np.concatenate([weight, weight]))
+
+
+def full_grid_ball_weights(grid: Grid, ball: GaugeBall) -> np.ndarray:
+    """Trapezoid weight times the fraction of each node cell inside the ball, at every node.
+
+    The fraction is exact 0/1 away from the shell, where the min and max gauge distance over
+    the cell's corners are both on one side of the radius, and counted on 4^d sub-cell points
+    in shell cells.
+    """
+    sub = 4
+    h = grid.spacing
+    trapezoid = np.ones(grid.shape)
+    for k in range(grid.dim):
+        axis_w = np.ones(grid.shape[k])
+        axis_w[0] = axis_w[-1] = 0.5
+        shape = [1] * grid.dim
+        shape[k] = grid.shape[k]
+        trapezoid = trapezoid * (axis_w * h[k]).reshape(shape)
+    corner_min = np.full(grid.shape, np.inf)
+    corner_max = np.full(grid.shape, -np.inf)
+    for signs in np.ndindex(*(2,) * grid.dim):
+        rho = gauge_distance_field(grid, np.asarray(ball.center), offsets=(np.asarray(signs) - 0.5) * h)
+        corner_min = np.minimum(corner_min, rho)
+        corner_max = np.maximum(corner_max, rho)
+    inside = corner_max <= ball.radius
+    shell = ~inside & ~(corner_min > ball.radius + (corner_max - corner_min))
+    coverage = inside.astype(float)
+    idx = np.nonzero(shell)
+    pts = np.stack([grid.axis(k)[idx[k]] for k in range(grid.dim)], axis=-1)
+    count = np.zeros(pts.shape[0])
+    steps = (np.arange(sub) + 0.5) / sub - 0.5
+    for offs in np.ndindex(*(sub,) * grid.dim):
+        q = pts + np.array([steps[o] for o in offs]) * h
+        count += gauge_squared(translate(ball.center, list(q.T))) <= ball.radius ** 2
+    coverage[idx] = count / float(sub ** grid.dim)
+    return trapezoid * coverage
+
+
+def full_grid_cutoff(grid: Grid, center, r_inner: float, r_outer: float):
+    """eta, X eta (shape (2, *grid)) and T eta of the library's smoothstep cutoff, at every node."""
+    rel = translate(center, grid.coords())
+    rho = np.sqrt(gauge_squared(rel))
+    width = r_outer - r_inner
+    s = (rho - r_inner) / width
+    eta = 1.0 - _library_smoothstep(s)
+    sgn = np.where(rel[-1] < 0, -1.0, 1.0)
+    safe_rho = np.where(rho > 0, rho, 1.0)
+    scale = np.where(rho > 0, -_smoothstep_slope(s) / (width * 2.0 * safe_rho), 0.0)
+    grad = np.empty((2,) + grid.shape)
+    grad[0] = scale * (2.0 * rel[0] + sgn * (-0.5 * rel[1]))
+    grad[1] = scale * (2.0 * rel[1] + sgn * (0.5 * rel[0]))
+    return eta, grad, scale * sgn * np.ones(grid.shape)

@@ -376,6 +376,17 @@ def test_overflowing_audit_fails_its_rows(tmp_path):
     assert not any(passed for lhs, rhs, passed in sides if not (math.isfinite(lhs) and math.isfinite(rhs)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_huge_gamma_fails_its_rows(tmp_path):
+    # the (gamma+1)^4 and (gamma+1)^2 factors overflow at gamma = 1e80: the audit used to exit 1 with an
+    # OverflowError; now it writes its report, and every gamma = 1e80 row fails
+    text = "structure = power:p=4\nboundary = affine:x1=100,t=50\nresolution = 9\nrefinements = 1\ngammas = [1, 1e80]"
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    rows = [row for row in json.loads((out / "audit_report.json").read_text())["audits"] if row["gamma"] == 1e80]
+    assert len(rows) == 5 and not any(row["pass"] for row in rows)
+
+
 @pytest.mark.parametrize("boundary, zeros", [
     # t-independent affine data: Tu and XXu vanish, and with Tu its derivative X(Tu)
     ("affine:x1=0.5,x2=-0.2", {"caccioppoli_T": "X(Tu)", "caccioppoli_X": "XXu",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import solab.grid as gr
-from conftest import commutator_and_td_margin, field_from
+from conftest import commutator_and_td_margin, embed, field_from
+from oracles import full_grid_ball_weights, full_grid_cutoff
 
 
 # ---------------------------------------------------------------- grid basics
@@ -193,13 +194,14 @@ def test_cutoff_geometry_errors(grid17):
 def test_cutoff_values_and_bounds():
     g = gr.Grid.from_box([(-1, 1)] * 3, 33)
     cf = gr.make_cutoff(g, [0, 0, 0], 0.3, 0.6)
+    eta = embed(g, cf.box, cf.eta)
     center_idx = tuple(s // 2 for s in g.shape)
-    assert cf.eta[center_idx] == 1.0
-    assert cf.eta[0, 0, 0] == 0.0
-    assert np.all((cf.eta >= 0) & (cf.eta <= 1))
+    assert eta[center_idx] == 1.0
+    assert eta[0, 0, 0] == 0.0
+    assert np.all((eta >= 0) & (eta <= 1))
     grad_sup = np.max(gr.horizontal_norm(cf.grad))
     assert grad_sup * (0.6 - 0.3) <= 4.0
-    hess = gr.horizontal_hessian(g, gr.horizontal_gradient(g, cf.eta))
+    hess = gr.horizontal_hessian(g, gr.horizontal_gradient(g, eta))
     assert np.max(gr.hessian_frobenius(hess)) * (0.6 - 0.3) ** 2 <= 16.0
     assert cf.k_eta == pytest.approx(grad_sup ** 2 + np.max(np.abs(cf.eta * cf.t_deriv)))
 
@@ -209,7 +211,8 @@ def test_cutoff_analytic_vs_discrete_gradient():
     for m in (17, 33):
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
         cf = gr.make_cutoff(g, [0.1, 0.0, 0.05], 0.3, 0.6)
-        errs.append(float(np.max(np.abs(gr.horizontal_gradient(g, cf.eta) - cf.grad))))
+        discrete = gr.horizontal_gradient(g, embed(g, cf.box, cf.eta))
+        errs.append(float(np.max(np.abs(discrete - embed(g, cf.box, cf.grad)))))
     assert errs[1] < errs[0]  # analytic fields are the stencil limit
 
 
@@ -219,6 +222,60 @@ def test_cutoff_k_eta_stable_under_refinement():
         g = gr.Grid.from_box([(-1, 1)] * 3, m)
         vals.append(gr.make_cutoff(g, [0, 0, 0], 0.3, 0.6).k_eta)
     assert vals[1] == pytest.approx(vals[0], rel=0.05)
+
+
+# ---------------------------------------------------------------- node boxes
+
+# the README audit's balls (B_r, B_sigma r, supp eta), an off-centre ball, whose t-span the twist of
+# the left translation widens, and a ball whose node box the face x = 1 clips
+_OFF_CENTRE, _CLIPPED = (0.1, -0.2, 0.05), (0.5, 0.0, 0.0)
+_BOX_BALLS = [((0, 0, 0), 0.8), ((0, 0, 0), 0.4), ((0, 0, 0), 0.65), (_OFF_CENTRE, 0.6), (_CLIPPED, 0.5)]
+_BOX_CUTOFFS = [((0, 0, 0), 0.25, 0.65), (_OFF_CENTRE, 0.3, 0.6), (_CLIPPED, 0.2, 0.5)]
+
+
+def _off_box(full, box):
+    """A copy of a full-grid field with its node box zeroed."""
+    out = full.copy()
+    out[(...,) + box] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("res", [17, 33, 65])
+@pytest.mark.parametrize("center, radius", _BOX_BALLS)
+def test_ball_weights_on_the_box_are_the_full_grid_weights(res, center, radius):
+    grid = gr.Grid.from_box([(-1, 1)] * 3, res)
+    ball = gr.GaugeBall(center, radius)
+    box, weights = gr._ball_weights(grid, ball)
+    full = full_grid_ball_weights(grid, ball)
+    assert np.array_equal(weights, full[box])
+    assert not np.any(_off_box(full, box))
+    box_mask = gr.ball_node_mask(grid, ball)
+    assert box_mask[0] == box and np.array_equal(box_mask[1], gr.gauge_distance_field(grid, center)[box] <= radius)
+    if center == _CLIPPED:
+        assert box[0].stop == res
+
+
+def test_ball_box_spans_the_twist():
+    # far off the t-axis (|(a, b)| > 4r) the ball reaches t = c + |(a, b)| r/2, 0.64 here against
+    # r^2 = 0.09: its weights reach more than 7 t-spacings past r^2, which a box from r^2 alone misses
+    grid = gr.Grid.from_box([(-4, 4), (-4, 4), (-1, 1)], 33)
+    ball = gr.GaugeBall((3.0, -3.0, 0.0), 0.3)
+    box, weights = gr._ball_weights(grid, ball)
+    full = full_grid_ball_weights(grid, ball)
+    assert np.array_equal(weights, full[box]) and not np.any(_off_box(full, box))
+    t_reach = grid.axis(2)[np.nonzero(np.any(full > 0, axis=(0, 1)))[0][-1]]
+    assert t_reach > 0.3 ** 2 + 7 * grid.spacing[2]
+
+
+@pytest.mark.parametrize("res", [17, 33, 65])
+@pytest.mark.parametrize("center, r_inner, r_outer", _BOX_CUTOFFS)
+def test_cutoff_on_the_box_is_the_full_grid_cutoff(res, center, r_inner, r_outer):
+    grid = gr.Grid.from_box([(-1, 1)] * 3, res)
+    cf = gr.make_cutoff(grid, center, r_inner, r_outer)
+    assert cf.box == gr._ball_weights(grid, cf.ball)[0]
+    for got, full in zip((cf.eta, cf.grad, cf.t_deriv), full_grid_cutoff(grid, center, r_inner, r_outer)):
+        assert np.array_equal(got, full[(...,) + cf.box])
+        assert not np.any(_off_box(full, cf.box))
 
 
 # ---------------------------------------------------------------- serialization

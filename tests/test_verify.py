@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import solab.solver as sv
 import solab.verify as vf
-from conftest import bumped_start, commutator_and_td_margin, field_from, triple_for
+from conftest import bumped_start, commutator_and_td_margin, embed, field_from, triple_for
 from oracles import cutoff_cost, gauge_ball_quadrature, gauge_cutoff, manufactured_fields
 from solab.grid import Grid, GaugeBall, ball_average, horizontal_norm, make_cutoff
 from solab.problems import boundary_field
@@ -226,9 +227,13 @@ def audit_oracle():
     return ref
 
 
-def _manufactured_level(res):
+def _manufactured_grid(res):
     grid = Grid.from_box([(-1, 1)] * 3, res)
-    u = manufactured_fields(*grid.coords())[0]
+    return grid, manufactured_fields(*grid.coords())[0]
+
+
+def _manufactured_level(res):
+    grid, u = _manufactured_grid(res)
     return fields_of(grid, u, "power:p=3"), make_cutoff(grid, [0, 0, 0], _R_INNER, _R_OUTER)
 
 
@@ -258,11 +263,12 @@ def test_manufactured_field_is_exact_at_the_nodes():
     for got, want in ((sf.xu_norm, xu), (sf.tu, tu), (sf.xtu_norm, xtu), (sf.hess_norm, hess)):
         assert np.max(np.abs(got - want)) <= 1e-12
     eta_ref, x_eta_sq, t_eta = gauge_cutoff(_R_INNER, _R_OUTER, *coords)
-    assert np.max(np.abs(eta.eta - eta_ref)) <= 1e-14
-    assert np.max(np.abs(horizontal_norm(eta.grad) ** 2 - x_eta_sq)) <= 1e-11 * np.max(x_eta_sq)
+    eta_full, grad_full, t_deriv_full = (embed(sf.grid, eta.box, f) for f in (eta.eta, eta.grad, eta.t_deriv))
+    assert np.max(np.abs(eta_full - eta_ref)) <= 1e-14
+    assert np.max(np.abs(horizontal_norm(grad_full) ** 2 - x_eta_sq)) <= 1e-11 * np.max(x_eta_sq)
     # eta falls with rho and T rho = sgn(t)/(2 rho), so T eta = -sgn(t) |T eta|, with sgn(0) = +1
     sgn = np.where(coords[2] < 0, -1.0, 1.0)
-    assert np.max(np.abs(eta.t_deriv + sgn * t_eta)) <= 1e-11 * np.max(t_eta)
+    assert np.max(np.abs(t_deriv_full + sgn * t_eta)) <= 1e-11 * np.max(t_eta)
 
 
 @pytest.mark.parametrize("quantity", [f"{name}.{side}" for name in _AUDITS for side in ("lhs", "rhs")]
@@ -271,6 +277,31 @@ def test_audit_quantity_converges_to_the_oracle(quantity, audit_oracle, audit_le
     errors = [abs(v / audit_oracle[quantity] - 1.0) for v in audit_levels[quantity]]
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders) >= 1.0, (errors, orders)
+
+
+def _post_solve(grid, u):
+    """One level's post-solve as `solab audit` runs it: cutoff, fields, ratio, Moser trace, the five audits."""
+    eta = make_cutoff(grid, [0, 0, 0], _R_INNER, _R_OUTER)
+    sf = fields_of(grid, u, "power:p=3")
+    vf.lipschitz_ratio(sf, [0, 0, 0], _RADIUS, 0.5)
+    vf.moser_trace(sf, [0, 0, 0], _RADIUS, 0.5, levels=8)
+    for fn, kw in _AUDITS.values():
+        fn(sf, eta, gamma=1.0, **kw)
+
+
+def test_post_solve_memory_stays_on_the_node_boxes():
+    # ball weights, the cutoff and the audit integrands live on node boxes, so the traced peak of a
+    # 33^3 post-solve is solution_fields' (17.3 full-grid arrays measured; 28.0 when the cutoff, the
+    # ball weights and the integrands ran on the whole grid)
+    _post_solve(*_manufactured_grid(9))  # warm-up: lazy tables and numpy's first-call allocations
+    grid, u = _manufactured_grid(33)
+    tracemalloc.start()
+    try:
+        _post_solve(grid, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * u.nbytes, f"{peak / u.nbytes:.2f} full-grid arrays"
 
 
 # ---------------------------------------------------------------- refinement logic
