@@ -27,7 +27,7 @@ from . import solver as sv
 from . import verify as vf
 from .config import ConfigError, ExperimentConfig, load_config
 from . import grid as gr
-from .grid import Grid, make_cutoff, save_field_binary
+from .grid import GaugeBall, Grid, make_cutoff, save_field_binary
 from .orlicz import OrliczTriple, UnknownLabelError, catalog_structure_function
 from .problems import boundary_field
 
@@ -354,13 +354,17 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
                               "final_energy": report.final_energy,
                               "weak_residual": report.weak_residual,
                               "rejected_pairs": report.rejected_pairs, "tol": report.tol})
-        eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
-        fields = vf.solution_fields(grid, sol, triple, cfg.epsilon)
+        # the fields live on the node box of the regions read below: B_r (which holds
+        # B_{sigma r} and the Moser balls) and supp eta, the cutoff's outer ball; the
+        # cutoff is made after the ratio and the trace, whose freed temporaries it reuses
+        balls = (GaugeBall(cfg.center, cfg.radius), GaugeBall(cfg.center, cfg.eta_outer))
+        fields = vf.solution_fields(grid, sol, triple, cfg.epsilon, balls=balls)
         ratio = vf.lipschitz_ratio(fields, cfg.center, cfg.radius, cfg.sigma)
         ratio_rows.append((level, h, ratio))
         trace = vf.moser_trace(fields, cfg.center, cfg.radius, cfg.sigma, levels=8)
         moser_rows.extend((level, h, row["gamma"], row["radius"], row["exponent"],
                            row["norm"], row["inner_norm"]) for row in trace["levels"])
+        eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             results = list(pool.map(lambda job: job[0](fields, eta, **job[1]), jobs))
         for rep in results:

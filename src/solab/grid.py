@@ -10,7 +10,9 @@ derivatives with the coordinate-weighted vertical derivative:
 
 using second-order central differences in the interior and one-sided
 second-order stencils on the faces, so the stencils are exact on polynomials
-of degree <= 2 in the differenced variable.  Quadrature is a trapezoid-type
+of degree <= 2 in the differenced variable.  They also run on a node box (a
+tuple of index slices), where they give the whole grid's values except on a
+box face inside the grid.  Quadrature is a trapezoid-type
 node-weight sum; gauge balls get fractional boundary-cell weights so that
 volume scaling studies are meaningful at desk resolutions.  Ball weights, node
 masks and cutoffs live on the ball's node box: the index slices of the nodes
@@ -35,7 +37,6 @@ __all__ = [
     "vertical_derivative",
     "horizontal_hessian",
     "horizontal_norm",
-    "hessian_frobenius",
     "gauge_distance_field",
     "make_cutoff",
     "integrate",
@@ -121,30 +122,32 @@ def vertical_derivative(grid: Grid, u: np.ndarray) -> np.ndarray:
     return axis_derivative(u, grid.spacing[-1], grid.dim - 1)
 
 
-def horizontal_gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """The (X u, Y u) components per node, shape (2, *grid)."""
-    derivs = [axis_derivative(u, grid.spacing[k], k) for k in range(grid.dim)]
-    return horizontal(derivs, grid.coords())
+def horizontal_gradient(grid: Grid, u: np.ndarray, box=None) -> np.ndarray:
+    """The (X u, Y u) components per node, shape (2, *grid), of u on the grid or on a node box.
 
-
-def horizontal_hessian(grid: Grid, xu: np.ndarray) -> np.ndarray:
-    """Discrete horizontal Hessian from the field Xu, shape (2, 2, *grid).
-
-    Entry [i, j] is X_j X_i u, with X_0 = X and X_1 = Y.
+    On a box the stencils take the grid's spacing and the box's slice of its
+    coordinates, so the values are the whole grid's bit for bit except on a
+    box face inside the grid, which gets the one-sided stencil.
     """
-    out = np.empty((2,) + xu.shape)
-    for i in range(2):
-        out[i] = horizontal_gradient(grid, xu[i])
-    return out
+    derivs = [axis_derivative(u, grid.spacing[k], k) for k in range(grid.dim)]
+    return horizontal(derivs, grid.coords(box))
+
+
+def horizontal_hessian(grid: Grid, xu: np.ndarray, box=None) -> np.ndarray:
+    """Rows of the discrete horizontal Hessian from components of Xu, shape (len(xu), 2, *grid).
+
+    Entry [i, j] is X_j X_i u, with X_0 = X and X_1 = Y, for the components
+    xu[i] given: the whole field gives the (2, 2) Hessian, ``xu[i:i + 1]``
+    its row i alone.  ``box`` is as for `horizontal_gradient`.
+    """
+    return np.stack([horizontal_gradient(grid, xi, box) for xi in xu])
 
 
 def horizontal_norm(v: np.ndarray) -> np.ndarray:
     """|v| per node of a horizontal field v, shape (2, *grid)."""
-    return np.sqrt(np.sum(v ** 2, axis=0))
-
-
-def hessian_frobenius(hess: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(hess ** 2, axis=(0, 1)))
+    sq = v[0] ** 2
+    sq += v[1] ** 2
+    return np.sqrt(sq, out=sq)
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +164,8 @@ def gauge_distance_field(grid: Grid, center, offsets=None, box=None) -> np.ndarr
     coords = grid.coords(box)
     if offsets is not None:
         coords = [x + o for x, o in zip(coords, np.asarray(offsets, dtype=float))]
-    return np.sqrt(gauge_squared(translate(center, coords)))
+    sq = gauge_squared(translate(center, coords))
+    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -178,29 +182,33 @@ class GaugeBall:
         object.__setattr__(self, "radius", float(self.radius))
 
     def spans(self) -> tuple[float, float, float]:
-        """Half-widths of the ball along (x, y, t) about its center."""
+        """Half-widths of the ball along (x, y, t) about its center.
+
+        A point at horizontal offset q from the center (a, b, c), |q| <= r,
+        reaches t - c = +-(r^2 - |q|^2) + the twist (a q_y - b q_x)/2, at most
+        r^2 - |q|^2 + |q| m/2 with m = |(a, b)|: the top r^2 + m^2/16 at
+        |q| = m/4 while m <= 4r, and r m/2 at |q| = r beyond.
+        """
         x, y, _ = self.center
         r = self.radius
-        # the vertical extent of the gauge ball scales quadratically, plus the
-        # twist of the left translation
-        return r, r, r ** 2 + 0.5 * r * (abs(x) + abs(y))
+        m = float(np.hypot(x, y))
+        return r, r, r ** 2 + m * m / 16.0 if m <= 4.0 * r else 0.5 * r * m
+
+    def node_box(self, grid: Grid) -> tuple[slice, ...]:
+        """Index slices of the nodes whose cells can meet the ball, padded by one node."""
+        c, s = np.asarray(self.center), np.asarray(self.spans())
+        first = np.floor((c - s - grid.lo) / grid.spacing - 0.5) - 1
+        last = np.ceil((c + s - grid.lo) / grid.spacing + 0.5) + 1
+        return tuple(slice(max(int(a), 0), min(int(b) + 1, n)) for a, b, n in zip(first, last, grid.shape))
 
     def fits_inside(self, grid: Grid) -> bool:
         return all(c - s >= lo and c + s <= hi
                    for c, s, lo, hi in zip(self.center, self.spans(), grid.lo, grid.hi))
 
 
-def _ball_box(grid: Grid, ball: GaugeBall) -> tuple[slice, ...]:
-    """Index slices of the nodes whose cells can meet the ball, padded by one node."""
-    c, s = np.asarray(ball.center), np.asarray(ball.spans())
-    first = np.floor((c - s - grid.lo) / grid.spacing - 0.5) - 1
-    last = np.ceil((c + s - grid.lo) / grid.spacing + 0.5) + 1
-    return tuple(slice(max(int(a), 0), min(int(b) + 1, n)) for a, b, n in zip(first, last, grid.shape))
-
-
 def ball_node_mask(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.ndarray]:
     """The ball's node box and the mask of the nodes on it that lie in the ball."""
-    box = _ball_box(grid, ball)
+    box = ball.node_box(grid)
     return box, gauge_distance_field(grid, np.asarray(ball.center), box=box) <= ball.radius
 
 
@@ -224,18 +232,23 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.nd
     """
     sub = 4
     h = grid.spacing
-    box = _ball_box(grid, ball)
-    # min and max gauge distance over the 2^d corners of each node cell
-    corner_min, corner_max = np.inf, -np.inf
+    box = ball.node_box(grid)
+    # min and max gauge distance over the 2^d corners of each node cell, updated in place
+    corner_min = corner_max = None
     for signs in np.ndindex(*(2,) * grid.dim):
         rho = gauge_distance_field(grid, np.asarray(ball.center), (np.asarray(signs) - 0.5) * h, box)
-        corner_min, corner_max = np.minimum(corner_min, rho), np.maximum(corner_max, rho)
+        if corner_min is None:
+            corner_min, corner_max = rho, rho.copy()
+        else:
+            np.minimum(corner_min, rho, out=corner_min)
+            np.maximum(corner_max, rho, out=corner_max)
     # the gauge ball is convex, so a cell is inside iff all its corners are;
     # the outer test pads by one cell's worth of variation to be safe
     inside = corner_max <= ball.radius
-    variation = corner_max - corner_min
-    outside = corner_min > ball.radius + variation
-    shell = ~inside & ~outside
+    padded_radius = np.subtract(corner_max, corner_min, out=corner_max)
+    padded_radius += ball.radius
+    shell = ~inside & ~(corner_min > padded_radius)
+    del corner_min, corner_max, padded_radius
     coverage = inside.astype(float)
     if np.any(shell):
         idx = np.nonzero(shell)
@@ -247,7 +260,8 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.nd
             q = pts + shift
             count += gauge_squared(translate(ball.center, list(q.T))) <= ball.radius ** 2
         coverage[idx] = count / float(sub ** grid.dim)
-    return box, _trapezoid_weights(grid, box) * coverage
+    coverage *= _trapezoid_weights(grid, box)
+    return box, coverage
 
 
 def integrate(grid: Grid, f: np.ndarray, region=None) -> float:
@@ -322,22 +336,24 @@ def make_cutoff(grid: Grid, center, r_inner: float, r_outer: float) -> CutoffFun
     ball = GaugeBall(center, r_outer)
     if not ball.fits_inside(grid):
         raise ValueError("outer ball reaches outside the grid")
-    box = _ball_box(grid, ball)
-    rel = translate(center, grid.coords(box))
-    rho = np.sqrt(gauge_squared(rel))
+    box = ball.node_box(grid)
+    x, y, tau = translate(center, grid.coords(box))
+    rho = gauge_squared((x, y, tau))
+    np.sqrt(rho, out=rho)
     width = r_outer - r_inner
     s = (rho - r_inner) / width
     eta = 1.0 - _smoothstep(s)
     # chain rule: X eta = -S'(s)/width * X rho with X rho = (X q)/(2 rho),
     # q = |x - c|_spatial^2 + |tau|, tau the translated vertical coordinate
-    sgn = np.where(rel[-1] < 0, -1.0, 1.0)
+    sgn = np.where(tau < 0, -1.0, 1.0)
     safe_rho = np.where(rho > 0, rho, 1.0)
     scale = np.where(rho > 0, -_smoothstep_slope(s) / (width * 2.0 * safe_rho), 0.0)
+    del tau, rho, s, safe_rho  # box arrays the derivative fields no longer need
     # X tau = -(y - c_y)/2, Y tau = (x - c_x)/2
     grad = np.empty((2,) + eta.shape)
-    grad[0] = scale * (2.0 * rel[0] + sgn * (-0.5 * rel[1]))
-    grad[1] = scale * (2.0 * rel[1] + sgn * (0.5 * rel[0]))
-    t_deriv = scale * sgn * np.ones(eta.shape)
+    grad[0] = scale * (2.0 * x + sgn * (-0.5 * y))
+    grad[1] = scale * (2.0 * y + sgn * (0.5 * x))
+    t_deriv = scale * sgn
     k_eta = float(np.max(horizontal_norm(grad))) ** 2 + float(np.max(np.abs(eta * t_deriv)))
     return CutoffFunction(eta=eta, grad=grad, t_deriv=t_deriv, k_eta=k_eta, ball=ball, box=box)
 

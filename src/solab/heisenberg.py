@@ -38,8 +38,11 @@ def horizontal(derivs, coords) -> np.ndarray:
     dx, dy, dt = derivs
     x, y, _ = coords
     out = np.empty((2,) + np.shape(dt))
-    out[0] = dx - 0.5 * y * dt
-    out[1] = dy + 0.5 * x * dt
+    # dx - (y/2) dt and dy + (x/2) dt, bit for bit, formed in place
+    np.multiply(dt, -0.5 * y, out=out[0])
+    out[0] += dx
+    np.multiply(dt, 0.5 * x, out=out[1])
+    out[1] += dy
     return out
 
 

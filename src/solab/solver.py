@@ -14,6 +14,13 @@ L-BFGS keeps 3 curvature pairs: 3-7 are adequate (Liu-Nocedal, Math. Prog.
 45, 1989), more left the 65^3 iteration count of the README ladder flat, and
 each costs two dots and two vector updates per iteration in the two-loop
 recursion (`_lbfgs_direction`, which writes into preallocated vectors).
+A solve holds twelve interior vectors and allocates none per iteration once
+its pairs are stored: the iterate, its gradient, the direction, the metric,
+the trial iterate, the direction's scratch (the trial's gradient during the
+line search) and three pairs.  An accepted step writes s into the old
+iterate's vector and y into the old gradient's, and the pair the memory
+drops supplies the next trial and scratch vectors.  The ``init`` array is
+released once copied into u.
 The assembled gradient of E is exactly the discrete weak form residual
 max_phi |sum <A_eps(Xu), X phi>| over unit node bumps phi, with
 A_eps(z) = F_eps(|z|) z, so the stopping test and the weak-solution contract
@@ -272,6 +279,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
+def _max_abs(v: np.ndarray) -> float:
+    """max |v| with no temporary vector; NaN if v holds one."""
+    return float(np.maximum(v.max(), -v.min()))
+
+
 def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarray,
                      metric: np.ndarray) -> np.ndarray:
     """-H grad by the L-BFGS two-loop recursion, written into ``q``; ``scratch`` is work space.
@@ -344,29 +356,33 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     inner = (slice(1, -1),) * grid.dim
     unknowns = u[inner]  # the interior nodes as a view
     unknowns[...] = start[inner]
+    del start, init  # a nested start is not held through the solve
 
     f_eps = regularized_weight(prob.triple, prob.eps)
     g_eps = regularized_energy_density(prob.triple, prob.eps)
 
-    def evaluate(x, weight_sums=None):
+    def evaluate(x, grad, weight_sums=None):
+        """(energy, max |Xu|) at the interior values x; the gradient is written into ``grad``."""
         unknowns[...] = x.reshape(unknowns.shape)
         energy, grad_full, cap = _weak_form(grid, u, f_eps, g_eps, weight_sums)
-        return energy, grad_full[inner].ravel(), cap
+        grad.reshape(unknowns.shape)[...] = grad_full[inner]
+        return energy, cap
 
     x = unknowns.flatten()  # a copy, also where the view is contiguous (one interior node)
     # the metric is allocated with the other vectors, before the start's
     # temporaries: allocated after them it raised the audit's peak RSS by 3 MB
-    q, scratch, metric = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    grad, q, scratch, metric = (np.empty_like(x) for _ in range(4))
     weight_sums = np.zeros(grid.shape)
-    energy, grad, cap = evaluate(x, weight_sums)
+    energy, cap = evaluate(x, grad, weight_sums)
     np.reciprocal(weight_sums[inner], out=metric.reshape(unknowns.shape))  # D^-1 scaled to mean 1
     metric /= np.mean(metric)
     del weight_sums
-    res = float(np.max(np.abs(grad))) if grad.size else 0.0
+    res = _max_abs(grad) if grad.size else 0.0
     tol = prob.residual_tol if prob.residual_tol is not None else 1e-8 * (1.0 + res)
     history = [energy]
     res_history = [res]
     memory = deque(maxlen=3)  # curvature pairs (s, y, 1/<s,y>), oldest first
+    spare = []  # the vectors of dropped, cleared and rejected pairs: the next trial and scratch buffers
     iters, evaluations, restarts, rejected_pairs = 0, 1, 0, 0  # the start is the first evaluation
     stop_reason = "max_iters"
 
@@ -374,6 +390,7 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         d = _lbfgs_direction(grad, memory, res, q, scratch, metric)
         gd = _dot(grad, d)
         if gd >= 0:  # stale curvature; restart from the scaled steepest descent
+            spare += [v for s_vec, y_vec, _ in memory for v in (s_vec, y_vec)]
             memory.clear()
             restarts += 1
             d = _lbfgs_direction(grad, memory, res, q, scratch, metric)
@@ -384,9 +401,13 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         # of the energy; the allowance keeps full steps acceptable there while
         # the gradient is still being polished
         noise = 4.0 * np.finfo(float).eps * (abs(energy) + 1.0)
+        # the trial iterate takes a spare buffer, its gradient the direction's
+        # work space, which the line search does not use
+        x_new, g_new = spare.pop() if spare else np.empty_like(x), scratch
         for _ in range(40):
-            x_new = x + alpha * d
-            e_new, g_new, cap_new = evaluate(x_new)
+            np.multiply(d, alpha, out=x_new)
+            x_new += x  # x + alpha d
+            e_new, cap_new = evaluate(x_new, g_new)
             evaluations += 1
             if e_new <= energy + 1e-4 * alpha * gd + noise:
                 break
@@ -394,15 +415,20 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         else:
             stop_reason = "line_search_stall"
             break
-        s_vec = x_new - x
-        y_vec = g_new - grad
+        # the pair takes the buffers of the old iterate and gradient
+        s_vec = np.subtract(x_new, x, out=x)
+        y_vec = np.subtract(g_new, grad, out=grad)
         sy = _dot(s_vec, y_vec)
         if sy > 1e-300:
+            if len(memory) == memory.maxlen:
+                spare += memory.popleft()[:2]
             memory.append((s_vec, y_vec, 1.0 / sy))
         else:
             rejected_pairs += 1
+            spare += [s_vec, y_vec]
         x, energy, grad, cap = x_new, e_new, g_new, cap_new
-        res = float(np.max(np.abs(grad)))
+        scratch = spare.pop() if spare else np.empty_like(x)
+        res = _max_abs(grad)
         history.append(energy)
         res_history.append(res)
         iters += 1

@@ -20,9 +20,15 @@ fits c and ``moser_trace`` climbs the Moser ladder; both take B_{sigma r} from
 
 All seven post-solve consumers (the sup-bound ratio, the iteration trace and
 the five audits) read one ``SolutionFields``: the grid and the node arrays
-|Xu|, Tu, |X(Tu)|, |XXu|, G(|Xu|), G(|Tu|) and F(|Xu|) of a solution.
-``solution_fields`` is the only code that differentiates a computed
-solution, and it also decides the regularized-weight fallback.
+|Xu|, Tu, |X(Tu)|, |XXu|, G(|Xu|), G(|Tu|) and F(|Xu|) of a solution, on one
+node box (``SolutionFields.box``).  ``solution_fields`` is the only code that
+differentiates a computed solution, and it also decides the regularized-weight
+fallback.  Given the balls its caller will read (for ``solab audit``: B_r,
+which holds B_{sigma r} and the Moser balls, and supp eta), it puts the
+fields on the smallest box holding their node boxes and differentiates u only
+there, padded by two nodes; it sums |XXu|^2 one Hessian row at a time, so
+neither the (2, 2) Hessian nor a full-grid Xu is held.  Every consumer takes
+its node boxes relative to the fields' box and rejects one that leaves it.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import (CutoffFunction, GaugeBall, Grid, ball_average, ball_node_mask,
-                   hessian_frobenius, horizontal_gradient, horizontal_hessian,
-                   horizontal_norm, integrate, vertical_derivative)
+                   horizontal_gradient, horizontal_hessian, horizontal_norm, integrate,
+                   vertical_derivative)
 from .operator import regularized_weight
 from .orlicz import OrliczTriple
 
@@ -149,10 +155,11 @@ def attach_refinement(reports: list[AuditReport]) -> AuditReport:
 
 @dataclass
 class SolutionFields:
-    """Node-based derived fields shared by the ratio, the trace and the audits."""
+    """Node-based derived fields shared by the ratio, the trace and the audits, on the node box ``box``."""
 
     grid: Grid
     triple: OrliczTriple
+    box: tuple[slice, ...]
     xu_norm: np.ndarray
     tu: np.ndarray
     xtu_norm: np.ndarray
@@ -163,29 +170,66 @@ class SolutionFields:
     weight_kind: str
 
 
-def solution_fields(grid: Grid, u: np.ndarray, triple: OrliczTriple, eps: float) -> SolutionFields:
+def _within(box: tuple[slice, ...], outer: tuple[slice, ...]) -> tuple[slice, ...]:
+    """The index slices of a node box relative to a node box ``outer`` that holds it."""
+    return tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))
+
+
+def solution_fields(grid: Grid, u: np.ndarray, triple: OrliczTriple, eps: float,
+                    balls=()) -> SolutionFields:
     """Compute Xu, Tu, X(Tu), XXu, G(|Xu|), G(|Tu|) and F(|Xu|) of a solution u on grid.
 
+    The fields live on the smallest node box holding the node boxes of
+    ``balls``, the regions the caller will read (the whole grid without
+    balls).  u is differentiated on that box padded by two nodes where it is
+    inside the grid: the padding takes the one-sided stencils of the box
+    faces, and on the box the central differences of central differences
+    give the whole grid's values bit for bit.  |XXu|^2 is summed one Hessian
+    row at a time, in the order of a sum over the (2, 2) Hessian, so the
+    Hessian is never held.
+
     The degeneracy weight is the raw F with its limit policy at 0; when F is
-    singular there (delta < 1) the problem's regularized weight is used and
-    recorded, since the audited solution came from the regularized equation.
+    singular there (delta < 1) and Xu vanishes at a node of the box, the
+    problem's regularized weight is used and recorded, since the audited
+    solution came from the regularized equation.
     """
-    xu = horizontal_gradient(grid, u)
-    xu_norm = horizontal_norm(xu)
+    boxes = [ball.node_box(grid) for ball in balls] or [tuple(slice(0, n) for n in grid.shape)]
+    box = tuple(slice(min(b.start for b in axis), max(b.stop for b in axis)) for axis in zip(*boxes))
+    padded = tuple(slice(max(b.start - 2, 0), min(b.stop + 2, n)) for b, n in zip(box, grid.shape))
+    on_box = (slice(None),) + _within(box, padded)
+    u = u[padded]
+    xu = horizontal_gradient(grid, u, padded)
+    xu_norm = horizontal_norm(xu[on_box])
+    hess_sq = np.zeros(xu_norm.shape)
+    for i in range(2):
+        row = horizontal_hessian(grid, xu[i:i + 1], padded)[0][on_box]  # X_j X_i u, j = 0, 1
+        hess_sq += row[0] ** 2
+        hess_sq += row[1] ** 2
+        del row  # before the next row is formed
+    del xu
+    hess_norm = np.sqrt(hess_sq, out=hess_sq)
     tu = vertical_derivative(grid, u)
-    xtu_norm = horizontal_norm(horizontal_gradient(grid, tu))
-    hess_norm = hessian_frobenius(horizontal_hessian(grid, xu))
+    xtu_norm = horizontal_norm(horizontal_gradient(grid, tu, padded)[on_box])
+    tu = tu[on_box[1:]]
     if triple.f_zero is not None or not np.any(xu_norm == 0):
         f_xu = np.asarray(triple.F(xu_norm))
         kind = "F"
     else:
         f_xu = np.asarray(regularized_weight(triple, eps)(xu_norm))
         kind = "F_eps"
-    return SolutionFields(grid=grid, triple=triple, xu_norm=xu_norm, tu=tu,
+    return SolutionFields(grid=grid, triple=triple, box=box, xu_norm=xu_norm, tu=tu,
                           xtu_norm=xtu_norm, hess_norm=hess_norm,
                           g_xu=np.asarray(triple.G(xu_norm)),
                           g_tu=np.asarray(triple.G(np.abs(tu))),
                           f_xu=f_xu, weight_kind=kind)
+
+
+def _on_box(sf: SolutionFields, box: tuple[slice, ...]) -> SolutionFields:
+    """The node arrays of sf on a node box inside sf.box, as views."""
+    if any(b.start < o.start or b.stop > o.stop for b, o in zip(box, sf.box)):
+        raise ValueError("the node box reaches outside the box of the solution fields")
+    rel = _within(box, sf.box)
+    return replace(sf, box=box, **{k: v[rel] for k, v in vars(sf).items() if isinstance(v, np.ndarray)})
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +245,7 @@ def _inner_ball(sf: SolutionFields, center, r: float, sigma: float):
     box, mask = ball_node_mask(sf.grid, ball)
     if not mask.any():
         raise ValueError("inner ball contains no grid nodes")
-    return ball, (box, mask), float(np.max(sf.g_xu[box][mask]))
+    return ball, (box, mask), float(np.max(_on_box(sf, box).g_xu[mask]))
 
 
 def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float:
@@ -212,7 +256,8 @@ def lipschitz_ratio(sf: SolutionFields, center, r: float, sigma: float) -> float
     bound 0 <= c * 0 holds for every c.  B_r must fit the grid.
     """
     _, _, sup_inner = _inner_ball(sf, center, r, sigma)
-    avg = ball_average(sf.grid, sf.g_xu, GaugeBall(center, r))
+    ball = GaugeBall(center, r)
+    avg = ball_average(sf.grid, _on_box(sf, ball.node_box(sf.grid)).g_xu, ball)
     if avg == 0.0:
         return 0.0
     return sup_inner * (1.0 - sigma) ** _Q / avg
@@ -235,10 +280,9 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
     i = np.arange(levels)
     gammas = 3.0 * (_Q / (_Q - 2)) ** i - 2.0
     radii = sigma * r + (1.0 - sigma) * r / 2.0 ** i
-    w = sf.g_xu
 
     def graded_norm(ball, box, mask, p):
-        wb = w[box]
+        wb = _on_box(sf, box).g_xu
         wmax = float(np.max(wb[mask]))
         # cap at the ball sup: nodes outside the mask only contribute through
         # partially covered shell cells, and powering them would overflow
@@ -264,11 +308,6 @@ def moser_trace(sf: SolutionFields, center, r: float, sigma: float, levels: int)
 # --------------------------------------------------------------------------
 
 
-def _on_box(sf: SolutionFields, eta: CutoffFunction) -> SolutionFields:
-    """The node arrays of sf on the cutoff's node box, as views."""
-    return replace(sf, **{k: v[eta.box] for k, v in vars(sf).items() if isinstance(v, np.ndarray)})
-
-
 def _hessian_energy(sf: SolutionFields, eta: CutoffFunction, p: float) -> float:
     """int eta^2 G(|Xu|)^p F(|Xu|) |XXu|^2, with sf on the cutoff's node box."""
     return integrate(sf.grid, eta.eta ** 2 * sf.g_xu ** p * sf.f_xu * sf.hess_norm ** 2, eta.box)
@@ -288,7 +327,7 @@ def caccioppoli_T_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     p = gamma + 1.0
-    sf = _on_box(sf, eta)
+    sf = _on_box(sf, eta.box)
     lhs = integrate(sf.grid, eta.eta ** 2 * sf.g_tu ** p * sf.f_xu * sf.xtu_norm ** 2, eta.box)
     rhs = integrate(sf.grid, sf.g_tu ** p * sf.f_xu * sf.tu ** 2 * horizontal_norm(eta.grad) ** 2,
                     eta.box) / float(np.float64(p) ** 2)  # inf where it overflows
@@ -305,7 +344,7 @@ def caccioppoli_X_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float) -
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     p = gamma + 1.0
-    sf = _on_box(sf, eta)
+    sf = _on_box(sf, eta.box)
     core = sf.g_xu ** p * sf.f_xu
     cut_cost = horizontal_norm(eta.grad) ** 2 + np.abs(eta.eta * eta.t_deriv)
     rhs = integrate(sf.grid, core * sf.xu_norm ** 2 * cut_cost, eta.box)
@@ -330,7 +369,7 @@ def reverse_audit(sf: SolutionFields, eta: CutoffFunction, gamma: float,
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
-    sf = _on_box(sf, eta)
+    sf = _on_box(sf, eta.box)
     arg = eta.eta * np.abs(sf.tu) / math.sqrt(omega * eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
     lhs = integrate(sf.grid, g_arg ** p * sf.f_xu * sf.hess_norm ** 2 * eta.eta ** 2, eta.box)
@@ -351,7 +390,7 @@ def horizontal_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: fl
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
-    sf = _on_box(sf, eta)
+    sf = _on_box(sf, eta.box)
     amp = float(np.float64(p) ** (10.0 * (1.0 + sf.triple.g.g0))) * eta.k_eta  # inf where it overflows
     return _report("horizontal_estimate", sf, eta, ("XXu",), _hessian_energy(sf, eta, p),
                    amp * _support_energy(sf, eta, p), gamma)
@@ -368,7 +407,7 @@ def vertical_estimate_audit(sf: SolutionFields, eta: CutoffFunction, gamma: floa
     if eta.k_eta <= 0:
         raise ValueError("constant cutoff rejected: K_eta = 0")
     p = gamma + 1.0
-    sf = _on_box(sf, eta)
+    sf = _on_box(sf, eta.box)
     arg = eta.eta * np.abs(sf.tu) / math.sqrt(eta.k_eta)
     g_arg = np.asarray(sf.triple.G(arg))
     lhs = integrate(sf.grid, eta.eta ** 2 * g_arg ** p * sf.f_xu * sf.tu ** 2, eta.box)

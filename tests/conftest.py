@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import solab.solver as sv
-from solab.grid import (Grid, hessian_frobenius, horizontal_gradient, horizontal_hessian, refine_values,
-                        vertical_derivative)
+from oracles import hessian_frobenius
+from solab.grid import Grid, horizontal_gradient, horizontal_hessian, refine_values, vertical_derivative
 from solab.operator import prototype_operator, regularized_energy_density, regularized_weight
 from solab.orlicz import OrliczTriple, catalog_structure_function
 

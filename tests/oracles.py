@@ -13,15 +13,20 @@ looks them up in a cumulative table), and the p-Laplace solver is checked agains
 closed-form gauge fundamental solution.  The generalized inverse is checked
 against plain bisection on the same bracket (the library takes ITP steps).
 The L-BFGS two-loop recursion is checked against the dense BFGS
-inverse-Hessian update, and G_eps against its two-branch formula evaluated on
-every call.  The audit integrals are checked
+inverse-Hessian update, the solve loop (which rotates a fixed set of vectors)
+against one that allocates fresh vectors for every trial and curvature pair,
+and G_eps against its two-branch formula evaluated on every call.  The audit integrals are checked
 on a manufactured field whose derivatives are written in closed form,
 against a closed-form cutoff and tensor Gauss-Legendre quadrature on gauge
 balls (the library samples the cutoff at nodes and sums trapezoid weights).
-Gauge-ball weights and the cutoff's fields have full-grid references, the
-library's formulas evaluated at every node of the grid (the library
-evaluates them on the ball's node box only).
+Gauge-ball weights, the cutoff's fields and a solution's derived fields have
+full-grid references, the library's formulas evaluated at every node of the
+grid (the library evaluates them on a node box only), the Hessian norm
+included, summed over the whole (2, 2) Hessian (the library sums it one row
+at a time).
 """
+
+from collections import deque
 
 import numpy as np
 import scipy.integrate
@@ -29,7 +34,10 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from solab.grid import GaugeBall, Grid, _smoothstep as _library_smoothstep, _smoothstep_slope, gauge_distance_field
+from solab.grid import (GaugeBall, Grid, _smoothstep as _library_smoothstep, _smoothstep_slope, gauge_distance_field,
+                        horizontal_gradient, horizontal_hessian, horizontal_norm, vertical_derivative)
+import solab.solver as sv
+from solab.operator import regularized_energy_density, regularized_weight
 from solab.heisenberg import gauge_squared, horizontal, horizontal_adjoint, translate
 from solab.orlicz import _LogCumTable
 
@@ -407,3 +415,94 @@ def full_grid_cutoff(grid: Grid, center, r_inner: float, r_outer: float):
     grad[0] = scale * (2.0 * rel[0] + sgn * (-0.5 * rel[1]))
     grad[1] = scale * (2.0 * rel[1] + sgn * (0.5 * rel[0]))
     return eta, grad, scale * sgn * np.ones(grid.shape)
+
+
+def hessian_frobenius(hess: np.ndarray) -> np.ndarray:
+    """|XXu| per node of a (2, 2, *grid) horizontal Hessian, summed over both leading axes at once."""
+    return np.sqrt(np.sum(hess ** 2, axis=(0, 1)))
+
+
+def full_grid_solution_fields(grid: Grid, u: np.ndarray, triple, eps: float) -> dict:
+    """|Xu|, Tu, |X(Tu)|, |XXu|, G(|Xu|), G(|Tu|) and F(|Xu|) at every node, from the whole (2, 2) Hessian.
+
+    The weight falls back to the regularized one where F is singular at 0 and Xu vanishes at a node.
+    """
+    xu = horizontal_gradient(grid, u)
+    xu_norm = horizontal_norm(xu)
+    tu = vertical_derivative(grid, u)
+    singular = triple.f_zero is None and np.any(xu_norm == 0)
+    return {"xu_norm": xu_norm, "tu": tu, "xtu_norm": horizontal_norm(horizontal_gradient(grid, tu)),
+            "hess_norm": hessian_frobenius(horizontal_hessian(grid, xu)),
+            "g_xu": np.asarray(triple.G(xu_norm)), "g_tu": np.asarray(triple.G(np.abs(tu))),
+            "f_xu": np.asarray((regularized_weight(triple, eps) if singular else triple.F)(xu_norm))}
+
+
+def allocating_lbfgs_solve(prob, init=None):
+    """`solver.solve_dirichlet`'s iteration with fresh vectors for every trial, gradient and pair.
+
+    The same start, metric, line search, acceptance rule, restarts and pair
+    rejection, through the library's kernels (``_weak_form``,
+    ``_lbfgs_direction``, ``_dot``, looked up on the module so that a patched
+    kernel serves both), and the start held through the solve.  Returns the
+    solution and a dict of the report's counts and histories.
+    """
+    grid = prob.grid
+    start = np.asarray(prob.boundary if init is None else init, dtype=float)
+    u = np.array(prob.boundary, dtype=float)
+    inner = (slice(1, -1),) * grid.dim
+    unknowns = u[inner]
+    unknowns[...] = start[inner]
+    f_eps = regularized_weight(prob.triple, prob.eps)
+    g_eps = regularized_energy_density(prob.triple, prob.eps)
+
+    def evaluate(x, weight_sums=None):
+        unknowns[...] = x.reshape(unknowns.shape)
+        energy, grad_full, cap = sv._weak_form(grid, u, f_eps, g_eps, weight_sums)
+        return energy, grad_full[inner].ravel(), cap
+
+    x = unknowns.flatten()
+    q, scratch, metric = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    weight_sums = np.zeros(grid.shape)
+    energy, grad, cap = evaluate(x, weight_sums)
+    np.reciprocal(weight_sums[inner], out=metric.reshape(unknowns.shape))
+    metric /= np.mean(metric)
+    res = float(np.max(np.abs(grad)))
+    tol = prob.residual_tol if prob.residual_tol is not None else 1e-8 * (1.0 + res)
+    out = {"iterations": 0, "evaluations": 1, "restarts": 0, "rejected_pairs": 0, "stop_reason": "max_iters",
+           "energy_history": [energy], "residual_history": [res]}
+    memory = deque(maxlen=3)
+    while not res <= tol and out["iterations"] < prob.max_iters:
+        d = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
+        gd = sv._dot(grad, d)
+        if gd >= 0:
+            memory.clear()
+            out["restarts"] += 1
+            d = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
+            gd = sv._dot(grad, d)
+        alpha = 1.0
+        noise = 4.0 * np.finfo(float).eps * (abs(energy) + 1.0)
+        for _ in range(40):
+            x_new = x + alpha * d
+            e_new, g_new, cap_new = evaluate(x_new)
+            out["evaluations"] += 1
+            if e_new <= energy + 1e-4 * alpha * gd + noise:
+                break
+            alpha *= 0.5
+        else:
+            out["stop_reason"] = "line_search_stall"
+            break
+        s, y = x_new - x, g_new - grad
+        sy = sv._dot(s, y)
+        if sy > 1e-300:
+            memory.append((s, y, 1.0 / sy))
+        else:
+            out["rejected_pairs"] += 1
+        x, energy, grad, cap = x_new, e_new, g_new, cap_new
+        res = float(np.max(np.abs(grad)))
+        out["energy_history"].append(energy)
+        out["residual_history"].append(res)
+        out["iterations"] += 1
+    unknowns[...] = x.reshape(unknowns.shape)
+    if res <= tol:
+        out["stop_reason"] = "tol"
+    return u, {**out, "final_energy": energy, "weak_residual": res, "gradient_cap_observed": cap, "tol": tol}

@@ -5,7 +5,9 @@ import pytest
 
 import solab.grid as gr
 from conftest import commutator_and_td_margin, embed, field_from
-from oracles import full_grid_ball_weights, full_grid_cutoff
+from solab.config import ExperimentConfig
+from solab.heisenberg import translate
+from oracles import full_grid_ball_weights, full_grid_cutoff, hessian_frobenius
 
 
 # ---------------------------------------------------------------- grid basics
@@ -202,7 +204,7 @@ def test_cutoff_values_and_bounds():
     grad_sup = np.max(gr.horizontal_norm(cf.grad))
     assert grad_sup * (0.6 - 0.3) <= 4.0
     hess = gr.horizontal_hessian(g, gr.horizontal_gradient(g, eta))
-    assert np.max(gr.hessian_frobenius(hess)) * (0.6 - 0.3) ** 2 <= 16.0
+    assert np.max(hessian_frobenius(hess)) * (0.6 - 0.3) ** 2 <= 16.0
     assert cf.k_eta == pytest.approx(grad_sup ** 2 + np.max(np.abs(cf.eta * cf.t_deriv)))
 
 
@@ -265,6 +267,45 @@ def test_ball_box_spans_the_twist():
     assert np.array_equal(weights, full[box]) and not np.any(_off_box(full, box))
     t_reach = grid.axis(2)[np.nonzero(np.any(full > 0, axis=(0, 1)))[0][-1]]
     assert t_reach > 0.3 ** 2 + 7 * grid.spacing[2]
+
+
+def test_off_axis_ball_that_fits_the_box_passes_validation():
+    # about (0.3, 0.3, 0.5) the ball of radius 0.6 tops out at t = 0.5 + 0.36 + 0.18/16 = 0.87125;
+    # the half-width r^2 + r(|a| + |b|)/2 = 0.72 put its top past the face t = 1
+    center, radius = (0.3, 0.3, 0.5), 0.6
+    cfg = ExperimentConfig(center=list(center), radius=radius, eta_inner=0.25, eta_outer=0.5,
+                           resolution=65, refinements=0).validate()
+    grid = gr.Grid.from_box(cfg.box, cfg.resolutions())
+    ball = gr.GaugeBall(center, radius)
+    assert ball.spans()[2] == pytest.approx(0.37125, rel=1e-15) and ball.fits_inside(grid)
+    full = full_grid_ball_weights(grid, ball)
+    box = ball.node_box(grid)
+    assert np.any(full[box] > 0) and not np.any(_off_box(full, box))
+
+
+@pytest.mark.parametrize("center, radius", [((0.3, 0.3, 0.5), 0.6), (_OFF_CENTRE, 0.6), ((3.0, -3.0, 0.0), 0.3),
+                                            ((0.0, 0.0, 0.0), 0.8)])
+def test_spans_hold_the_sampled_ball_and_the_t_span_is_reached(center, radius):
+    # points center . q with ||q|| <= r: |q_h| <= r uniform in the disc, tau = +-(r^2 - |q_h|^2) s
+    # with s in [0, 1], a quarter of them on the sphere (s = 1); an own generator leaves the draws
+    # of the shared `rng` fixture to the tests that use it
+    rng = np.random.default_rng(31)
+    ball = gr.GaugeBall(center, radius)
+    n = 200_000
+    rho = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    s = np.where(rng.uniform(size=n) < 0.25, 1.0, rng.uniform(size=n)) * rng.choice([-1.0, 1.0], n)
+    q = [rho * np.cos(angle), rho * np.sin(angle), (radius ** 2 - rho ** 2) * s]
+    pts = translate(np.negative(center), q)
+    for k, span in enumerate(ball.spans()):
+        assert np.max(np.abs(pts[k] - center[k])) <= span * (1.0 + 1e-12)
+    # the top: |q_h| = min(m/4, r) along (-b, a)/m, the direction of the largest twist
+    a, b = center[:2]
+    m = math.hypot(a, b)
+    top_rho = min(m / 4.0, radius)
+    direction = (-b / m, a / m) if m > 0 else (1.0, 0.0)
+    top = translate(np.negative(center), [top_rho * direction[0], top_rho * direction[1], radius ** 2 - top_rho ** 2])
+    assert top[2] - center[2] == pytest.approx(ball.spans()[2], rel=1e-12)
 
 
 @pytest.mark.parametrize("res", [17, 33, 65])

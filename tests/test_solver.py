@@ -8,8 +8,8 @@ import pytest
 import solab.solver as sv
 from conftest import (INTERIOR, barrier_residuals, bumped_start, comparison_gap, energy_and_residual,
                       field_from, triple_for)
-from oracles import (averaging_cell_gradient, averaging_cell_gradient_adjoint, bfgs_inverse_hessian,
-                     gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace)
+from oracles import (allocating_lbfgs_solve, averaging_cell_gradient, averaging_cell_gradient_adjoint,
+                     bfgs_inverse_hessian, gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace)
 from solab.grid import Grid, refine_values
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
 from solab.problems import boundary_field
@@ -460,6 +460,70 @@ def test_solve_report_counts_rejected_pairs_and_tol(monkeypatch, grid9):
     assert plain.rejected_pairs == 0
     assert rep.stop_reason == "max_iters" and rep.iterations == rep.rejected_pairs == 5
     assert rep.tol == plain.tol == 1e-8 * (1.0 + rep.residual_history[0])
+
+
+def _assert_matches_allocating_loop(prob, init=None):
+    sol, rep = sv.solve_dirichlet(prob, init=init)
+    ref_sol, ref = allocating_lbfgs_solve(prob, init)
+    assert np.array_equal(sol, ref_sol)
+    for key, value in ref.items():
+        assert getattr(rep, key) == value, key
+    return rep
+
+
+@pytest.mark.parametrize("label", ["power:p=3", "loglin", "power:p=1.5"])
+def test_rotating_buffers_match_an_allocating_loop_bit_for_bit(label):
+    # past three iterations every accepted pair drops the oldest, whose vectors the next trial reuses
+    prob, start = _warm_start(label)
+    rep = _assert_matches_allocating_loop(prob, start)
+    assert rep.converged and rep.iterations > 3
+
+
+def test_rotating_buffers_through_restarts_and_rejected_pairs(monkeypatch, grid9):
+    # every seventh inner product reads as 0: some directions turn non-descent (a restart hands every
+    # stored pair back to the spares) and some pairs are rejected (their vectors become spares)
+    prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c, max_iters=40)
+    dot = sv._dot
+
+    def zeroed(counter):
+        def patched(a, b):
+            counter.append(None)
+            return 0.0 if len(counter) % 7 == 0 else dot(a, b)
+        return patched
+
+    reports = []
+    for run in (sv.solve_dirichlet, allocating_lbfgs_solve):
+        monkeypatch.setattr(sv, "_dot", zeroed([]))
+        reports.append(run(prob))
+    (sol, rep), (ref_sol, ref) = reports
+    assert np.array_equal(sol, ref_sol)
+    assert all(getattr(rep, key) == value for key, value in ref.items())
+    assert rep.restarts > 0 and rep.rejected_pairs > 0
+
+
+def test_solve_memory_is_its_rotating_buffers():
+    # a 33^3 solve from the prolonged 17^3 solution holds 12 interior vectors (iterate, gradient,
+    # direction, metric, trial, the scratch that takes the trial's gradient, three pairs), u, one
+    # evaluation's nodal output and its slabs: 15.51 full-grid arrays measured, at 10 iterations as
+    # at 60.  The allocating loop peaks at 18.33: it holds the start, and the newest pair beside the
+    # three stored ones
+    expr = lambda a, b, c: 0.5 * a + 0.2 * b + 0.4 * a * c  # noqa: E731  (the README data)
+    coarse = make_problem(Grid.from_box([(-1, 1)] * 3, 17), "power:p=3", expr)
+    (sol17, _), = sv.solve_ladder([coarse])
+    peaks = {}
+    for max_iters, run in ((10, sv.solve_dirichlet), (60, sv.solve_dirichlet), (60, allocating_lbfgs_solve)):
+        prob = make_problem(coarse.grid.refined(), "power:p=3", expr, max_iters=max_iters)
+        tracemalloc.start()
+        try:
+            run(prob, refine_values(sol17))
+            peaks[max_iters, run] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    grid_bytes, vector_bytes = 33 ** 3 * 8, 31 ** 3 * 8
+    short, long, allocating = peaks.values()
+    assert short < 1.15 * 15.51 * grid_bytes, short / grid_bytes
+    assert long <= short + 0.05 * grid_bytes, (short / grid_bytes, long / grid_bytes)  # the histories' floats
+    assert long < allocating - 2 * vector_bytes, (long / grid_bytes, allocating / grid_bytes)
 
 
 @pytest.mark.parametrize("label", ["power:p=3", "loglin"])

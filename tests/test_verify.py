@@ -8,7 +8,7 @@ import pytest
 import solab.solver as sv
 import solab.verify as vf
 from conftest import bumped_start, commutator_and_td_margin, embed, field_from, triple_for
-from oracles import cutoff_cost, gauge_ball_quadrature, gauge_cutoff, manufactured_fields
+from oracles import cutoff_cost, full_grid_solution_fields, gauge_ball_quadrature, gauge_cutoff, manufactured_fields
 from solab.grid import Grid, GaugeBall, ball_average, horizontal_norm, make_cutoff
 from solab.problems import boundary_field
 
@@ -280,19 +280,23 @@ def test_audit_quantity_converges_to_the_oracle(quantity, audit_oracle, audit_le
 
 
 def _post_solve(grid, u):
-    """One level's post-solve as `solab audit` runs it: cutoff, fields, ratio, Moser trace, the five audits."""
-    eta = make_cutoff(grid, [0, 0, 0], _R_INNER, _R_OUTER)
-    sf = fields_of(grid, u, "power:p=3")
-    vf.lipschitz_ratio(sf, [0, 0, 0], _RADIUS, 0.5)
-    vf.moser_trace(sf, [0, 0, 0], _RADIUS, 0.5, levels=8)
+    """One level's post-solve as `solab audit` runs it: fields on the node box of B_r and supp eta,
+    ratio, Moser trace, cutoff, the five audits."""
+    center = [0, 0, 0]
+    sf = vf.solution_fields(grid, u, triple_for("power:p=3"), EPS,
+                            balls=(GaugeBall(center, _RADIUS), GaugeBall(center, _R_OUTER)))
+    vf.lipschitz_ratio(sf, center, _RADIUS, 0.5)
+    vf.moser_trace(sf, center, _RADIUS, 0.5, levels=8)
+    eta = make_cutoff(grid, center, _R_INNER, _R_OUTER)
     for fn, kw in _AUDITS.values():
         fn(sf, eta, gamma=1.0, **kw)
 
 
 def test_post_solve_memory_stays_on_the_node_boxes():
-    # ball weights, the cutoff and the audit integrands live on node boxes, so the traced peak of a
-    # 33^3 post-solve is solution_fields' (17.3 full-grid arrays measured; 28.0 when the cutoff, the
-    # ball weights and the integrands ran on the whole grid)
+    # the fields, ball weights, the cutoff and the audit integrands live on node boxes: the traced peak
+    # of a 33^3 post-solve, 9.45 full-grid arrays measured, comes while lipschitz_ratio builds the
+    # weights of B_0.8 beside the fields kept on its node box (4.68 arrays); solution_fields itself
+    # peaks at 7.72.  With the fields on the whole grid the peak was 17.3, and 28.0 with everything on it
     _post_solve(*_manufactured_grid(9))  # warm-up: lazy tables and numpy's first-call allocations
     grid, u = _manufactured_grid(33)
     tracemalloc.start()
@@ -301,7 +305,47 @@ def test_post_solve_memory_stays_on_the_node_boxes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * u.nbytes, f"{peak / u.nbytes:.2f} full-grid arrays"
+    assert peak < 1.15 * 9.45 * u.nbytes, f"{peak / u.nbytes:.2f} full-grid arrays"
+
+
+# (center, radius, r_inner, r_outer): the README audit's balls, an off-centre ball, a ball whose node box
+# the face x = 1 clips, and an off-axis ball high in the box, whose t-reach the twist sets
+_FIELD_BALLS = [((0, 0, 0), 0.8, 0.25, 0.65), ((0.1, -0.2, 0.05), 0.6, 0.3, 0.6), ((0.5, 0, 0), 0.5, 0.2, 0.5),
+                ((0.3, 0.3, 0.5), 0.6, 0.25, 0.5)]
+
+
+@pytest.mark.parametrize("res", [17, 33, 65])
+@pytest.mark.parametrize("center, radius, r_inner, r_outer", _FIELD_BALLS)
+def test_box_fields_are_the_full_grid_fields_on_every_consumer_box(res, center, radius, r_inner, r_outer):
+    grid = Grid.from_box([(-1, 1)] * 3, res)
+    u = field_from(grid, lambda a, b, c: np.sin(2 * a + b) * np.cos(1.5 * c) + 0.3 * a * c)
+    triple, sigma = triple_for("power:p=3"), 0.5
+    eta = make_cutoff(grid, center, r_inner, r_outer)
+    balls = (GaugeBall(center, radius), eta.ball)
+    sf = vf.solution_fields(grid, u, triple, EPS, balls=balls)
+    boxes = [ball.node_box(grid) for ball in balls]
+    assert sf.box == tuple(slice(min(b.start for b in axis), max(b.stop for b in axis)) for axis in zip(*boxes))
+    full = full_grid_solution_fields(grid, u, triple, EPS)
+    # B_{sigma r}, the Moser balls (B_r first) and supp eta
+    radii = [sigma * radius] + [sigma * radius + (1 - sigma) * radius / 2 ** i for i in range(8)]
+    for box in [GaugeBall(center, r).node_box(grid) for r in radii] + [eta.box]:
+        on_box = vf._on_box(sf, box)
+        for name, values in full.items():  # |XXu| summed row by row, against the whole Hessian's sum
+            assert np.array_equal(getattr(on_box, name), values[box]), (name, box)
+    # every consumer reads from the box what it reads from fields on the whole grid
+    whole = vf.solution_fields(grid, u, triple, EPS)
+    assert vf.lipschitz_ratio(sf, center, radius, sigma) == vf.lipschitz_ratio(whole, center, radius, sigma)
+    assert (vf.moser_trace(sf, center, radius, sigma, levels=8)
+            == vf.moser_trace(whole, center, radius, sigma, levels=8))
+    for fn, kw in _AUDITS.values():
+        assert fn(sf, eta, gamma=1.0, **kw).as_record() == fn(whole, eta, gamma=1.0, **kw).as_record()
+
+
+def test_fields_reject_a_box_they_do_not_cover():
+    grid, u = _manufactured_grid(17)
+    sf = vf.solution_fields(grid, u, triple_for("power:p=3"), EPS, balls=(GaugeBall([0, 0, 0], 0.4),))
+    with pytest.raises(ValueError, match="outside the box of the solution fields"):
+        vf.lipschitz_ratio(sf, [0, 0, 0], 0.8, 0.5)
 
 
 # ---------------------------------------------------------------- refinement logic
