@@ -11,9 +11,10 @@ functions, generalized inverses and conjugates (by the Fenchel-Young
 equality, no quadrature) are numerical operations, so that the classical
 inequalities (Young, the complementary-pair bound, the five growth-lemma
 items) are audited on sampled data.  Every inversion (inverses, conjugates)
-is `generalized_inverse`, one ITP search: interpolation steps on a bracket,
-truncated and projected so that they never take more than bisection's count
-plus one, stopped at width 1e-10 or adjacent floats, the midpoint returned.
+is `generalized_inverse`, one ITP search: regula falsi steps with
+Anderson-Bjorck weights on a bracket, truncated and projected so that they
+never take more than bisection's count plus one, stopped at width 1e-10 or
+adjacent floats, the midpoint returned.
 `verify_exponents` estimates the exponent window from samples, and the
 growth-lemma comparisons (`lemma_gG_audit`) use a fixed 1e-9 relative slack.
 """
@@ -251,13 +252,15 @@ def generalized_inverse(psi, t):
     shrink it, the predicate psi(x) > t deciding the end that moves, until its
     width is at most 1e-10 or its ends are adjacent floats; the midpoint is
     returned, within 5e-11 of the infimum for any psi, flat or discontinuous
-    ones included.  On smooth increasing psi the steps converge
-    superlinearly; for any psi the projection caps them at bisection's
-    count, ceil(log2(width / 1e-10)), plus one.
+    ones included.  The interpolant is regula falsi with Anderson-Bjorck
+    weights (BIT 13, 1973), so a run of steps that keeps moving one end does
+    not stall: on smooth increasing psi the steps converge superlinearly.
+    For any psi the projection caps them at bisection's count,
+    ceil(log2(width / 1e-10)), plus one, in floating point too.
     """
     t_arr = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t_arr).astype(float)
-    if np.any(tt < 0):
+    tt = np.atleast_1d(t_arr)
+    if np.count_nonzero(tt < 0):
         raise ValueError("generalized inverse is defined for t >= 0")
     hi = np.ones_like(tt)
     lo = np.zeros_like(tt)
@@ -268,7 +271,7 @@ def generalized_inverse(psi, t):
         for _ in range(300):
             f_hi = psi(hi) - tt
             grow = ~(f_hi > 0) & (hi < 1e150)
-            if not np.any(grow):
+            if not np.count_nonzero(grow):
                 break
             lo = np.where(grow, hi, lo)
             f_lo = np.where(grow, f_hi, f_lo)
@@ -276,36 +279,50 @@ def generalized_inverse(psi, t):
         # a saturated bracket collapses onto its top
         lo = np.where(f_hi > 0, lo, hi)
         # ITP constants kappa1 = 0.2/(initial width), kappa2 = 2 and n0 = 1; the
-        # projection keeps the width after step j within 1e-10 * 2^(n - j), n
-        # being bisection's step count
-        kappa1 = 0.2 / (hi - lo)
-        bound = 1e-10 * 2.0 ** np.ceil(np.log2((hi - lo) / 1e-10))
+        # projection keeps the width after step j within (1e-10 - margin) * 2^(n + 1 - j),
+        # n being bisection's step count: the margin, four float spacings at the
+        # bracket top (at most 5e-11), absorbs the rounding the steps add to the width
+        width = hi - lo
+        kappa1 = 0.2 / width
+        margin = np.minimum(4.0 * np.spacing(hi), 0.5e-10)
+        bound = (1e-10 - margin) * 2.0 ** np.ceil(np.log2(width / 1e-10))
+        # psi - t at the point evaluated last; +inf: no end has moved yet
+        f_last = np.full(tt.shape, np.inf)
         for _ in range(600):
             width = hi - lo
-            mid = 0.5 * (lo + hi)
-            # a midpoint equal to an endpoint cannot move it (float spacing exceeds 1e-10 there)
-            open_ = (width > 1e-10) & (mid != lo) & (mid != hi)
-            if not np.any(open_):
+            inner_lo = np.nextafter(lo, hi)
+            # no float strictly inside (the midpoint would equal an end): float spacing exceeds 1e-10 there
+            open_ = (width > 1e-10) & (inner_lo < hi)
+            if not np.count_nonzero(open_):
                 break
-            # regula falsi, as an offset from the midpoint; where it is not
-            # finite or leaves the bracket the midpoint is taken
-            d = mid - (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+            # regula falsi on the weighted end values, as an offset from the midpoint:
+            # within half the width, as f_lo <= 0 < f_hi, or NaN where they are not finite
             half = 0.5 * width
-            dist = np.abs(d)
-            side = np.where(dist <= half, np.sign(d), 0.0)
+            d = f_lo / (f_lo - f_hi) * width - half
             # truncated toward the midpoint by kappa1 width^2, projected within bound - width/2 of it
             # (fmax sends a NaN offset to 0, the midpoint)
-            x = mid - side * np.fmax(np.minimum(dist - kappa1 * width * width, bound - half), 0.0)
+            r = np.fmax(np.minimum(np.abs(d) - kappa1 * width * width, bound - half), 0.0)
+            x = np.copysign(r, d) + lo + half
             # a point that rounds onto an end would not move it: take the adjacent float inside
-            x = np.minimum(np.maximum(x, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+            x = np.minimum(np.maximum(x, inner_lo), np.nextafter(hi, lo))
             bound *= 0.5
             f_x = psi(x) - tt
             up = open_ & (f_x > 0)
             down = open_ ^ up
-            hi = np.where(up, x, hi)
-            f_hi = np.where(up, f_x, f_hi)
-            lo = np.where(down, x, lo)
-            f_lo = np.where(down, f_x, f_lo)
+            # Anderson-Bjorck: where an end moves twice in a row (f_x has the sign of
+            # f_last, the value that end holds), the other end's value is weighted by
+            # m = 1 - f_x / f_last, or 1/2 if m <= 0.  Where the other end moves, m > 1
+            # and the weight is 1.  Both ends are weighted: the moving end's value is
+            # replaced by f_x below, and a closed element's values are not read again
+            m = 1.0 - f_x / f_last
+            m = np.minimum(np.where(m > 0, m, 0.5), 1.0)
+            f_lo *= m
+            f_hi *= m
+            np.copyto(hi, x, where=up)
+            np.copyto(f_hi, f_x, where=up)
+            np.copyto(lo, x, where=down)
+            np.copyto(f_lo, f_x, where=down)
+            f_last = f_x
     vals = 0.5 * (lo + hi)
     return float(vals[0]) if t_arr.ndim == 0 else vals.reshape(t_arr.shape)
 

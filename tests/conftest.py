@@ -30,8 +30,9 @@ def triple_for(label: str) -> OrliczTriple:
     return _TRIPLES[label]
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh seeded generator per test: its draws do not depend on which tests ran before."""
     return np.random.default_rng(20240817)
 
 

@@ -236,7 +236,11 @@ def test_energy_gradient_is_directional_derivative_across_slabs(rng):
     u = (np.sin(x) * y + x * t + 0.3 * t) + 0.01 * rng.normal(size=grid.shape)
     d = rng.normal(size=grid.shape)
     _, grad, _ = sv._weak_form(grid, u, f_eps, g_eps)
-    h = 1e-5
+    # a random direction's derivative cancels: |E'(d)| = 0.55 here (0.02 to 0.55 over other
+    # draws) against |grad| |d| = 136.  The central difference errs by the truncation
+    # h^2 |E'''(d)| / 6 (|E'''(d)| = 2e2 here, up to 1.1e3) plus the rounding u |E| / h
+    # (|E| = 3.8, u = 1.1e-16); h = 1e-6 keeps their sum near 6e-10, 3e-8 of the smallest |E'(d)|
+    h = 1e-6
     e_plus = sv._weak_form(grid, u + h * d, f_eps, g_eps)[0]
     e_minus = sv._weak_form(grid, u - h * d, f_eps, g_eps)[0]
     assert (e_plus - e_minus) / (2 * h) == pytest.approx(float(np.sum(grad * d)), rel=1e-6)
