@@ -5,9 +5,8 @@ Commands: orlicz-check, operator-check, solve, audit.  Each takes two flags,
 ``--out`` (the output directory, default ``.``).  All numeric output is CSV
 with 17 significant digits plus JSON reports; an identical config produces
 byte-identical files.  Exit codes: 0 pass, 1 numeric non-convergence,
-2 config error, 3 IO error.  The independent audits of one level run on a
-pool of ``worker_count()`` threads, one per CPU; ``map`` keeps their order,
-so the reports do not depend on the worker count.
+2 config error, 3 IO error.  The audits of one level run in order in the
+main thread, on the level's one set of solution fields and cutoff.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .orlicz import OrliczTriple, UnknownLabelError, catalog_structure_function
 from .problems import boundary_field
 
 refine_values = gr.refine_values  # unused here: perfbench/tracer.py patches it with grid's (ROADMAP item 5)
+ThreadPoolExecutor = futures.ThreadPoolExecutor  # unused here: perfbench/tracer.py replaces it (ROADMAP item 5)
 
 EXIT_PASS = 0
 EXIT_NONCONV = 1
@@ -39,6 +39,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
+# unused here: perfbench/worker.py --trace 1 reads it (ROADMAP item 5)
 def worker_count() -> int:
     return os.cpu_count() or 1
 
@@ -294,16 +295,9 @@ def cmd_solve(cfg: ExperimentConfig, out: str) -> int:
         "boundary": cfg.boundary,
         "resolution": cfg.resolutions(),
         "epsilon": cfg.epsilon,
-        "iterations": report.iterations,
-        "evaluations": report.evaluations,
-        "restarts": report.restarts,
-        "final_energy": report.final_energy,
-        "weak_residual": report.weak_residual,
-        "rejected_pairs": report.rejected_pairs,
-        "tol": report.tol,
+        **report.record(),
         "gradient_cap_observed": report.gradient_cap_observed,
         "converged": report.converged,
-        "stop_reason": report.stop_reason,
         "energy_history_head": report.energy_history[:16],
         "energy_history_tail": report.energy_history[-16:],
         # a grid that is not halved has no coarser solves, so its report omits start_levels
@@ -348,12 +342,7 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
     for level, (grid, (sol, report)) in enumerate(zip(grids, solves)):
         all_converged &= report.converged
         h = float(np.max(grid.spacing))
-        level_records.append({"level": level, "shape": list(grid.shape), "h": h,
-                              "iterations": report.iterations, "evaluations": report.evaluations,
-                              "restarts": report.restarts, "stop_reason": report.stop_reason,
-                              "final_energy": report.final_energy,
-                              "weak_residual": report.weak_residual,
-                              "rejected_pairs": report.rejected_pairs, "tol": report.tol})
+        level_records.append({"level": level, "shape": list(grid.shape), "h": h, **report.record()})
         # the fields live on the node box of the regions read below: B_r (which holds
         # B_{sigma r} and the Moser balls) and supp eta, the cutoff's outer ball; the
         # cutoff is made after the ratio and the trace, whose freed temporaries it reuses
@@ -365,9 +354,8 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
         moser_rows.extend((level, h, row["gamma"], row["radius"], row["exponent"],
                            row["norm"], row["inner_norm"]) for row in trace["levels"])
         eta = make_cutoff(grid, cfg.center, cfg.eta_inner, cfg.eta_outer)
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(lambda job: job[0](fields, eta, **job[1]), jobs))
-        for rep in results:
+        for audit, kwargs in jobs:
+            rep = audit(fields, eta, **kwargs)
             omega = rep.extras.get("omega", "")
             per_level.setdefault((rep.name, rep.gamma, omega), []).append(rep)
             csv_rows.append((rep.name, rep.gamma, rep.lhs, rep.rhs, rep.fitted_constant, h,

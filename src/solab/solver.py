@@ -227,6 +227,12 @@ class SolveReport:
     def converged(self) -> bool:
         return self.stop_reason == "tol"
 
+    def record(self) -> dict:
+        """The solve's entries in ``solve_report.json`` and in each level of ``audit_report.json``."""
+        return {"iterations": self.iterations, "evaluations": self.evaluations, "restarts": self.restarts,
+                "stop_reason": self.stop_reason, "final_energy": self.final_energy,
+                "weak_residual": self.weak_residual, "rejected_pairs": self.rejected_pairs, "tol": self.tol}
+
 
 # Bytes of one scalar cell field per slab of `_weak_form`.  Slab temporaries
 # this small are reused from the allocator's free lists; full-grid ones were

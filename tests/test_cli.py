@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -325,6 +326,27 @@ def test_audit_names_the_level_that_stopped(tmp_path):
         assert lv["rejected_pairs"] >= 0 and lv["tol"] > 0
     assert levels[0]["weak_residual"] <= levels[0]["tol"]
     assert levels[1]["weak_residual"] > levels[1]["tol"]
+    # both reports list the solve record's keys, and level 0 is the cold 9^3 solve
+    keys = sv.SolveReport(iterations=0, evaluations=1, restarts=0, final_energy=0.0, weak_residual=0.0,
+                          rejected_pairs=0, tol=1.0).record().keys()
+    assert all(lv.keys() - {"level", "shape", "h"} == keys for lv in levels)
+    solve_out = tmp_path / "solve"
+    assert cli.main(["solve", "--config", write_cfg(tmp_path, text), "--out", str(solve_out)]) == 0
+    solve = json.loads((solve_out / "solve_report.json").read_text())
+    assert {k: solve[k] for k in keys} == {k: levels[0][k] for k in keys}
+
+
+def test_audit_starts_no_thread(tmp_path, monkeypatch):
+    # the audits run in order in the main thread: an audit that started a thread (a pool) fails here
+    def refuse(thread):
+        raise RuntimeError(f"audit started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    # t-independent affine data pass every audit at 9^3 -> 17^3 (see the analytic-zeros test below)
+    text = with_keys(readme_cli()[1][""], "boundary = affine:x1=0.5,x2=-0.2\nresolution = 9\nrefinements = 1")
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert json.loads((out / "audit_report.json").read_text())["converged"]
 
 
 def test_zero_boundary_data_report_ratio_zero(tmp_path):
@@ -360,7 +382,7 @@ def test_constant_data_audit_is_exact(tmp_path):
     assert report["lipschitz_stable_25pct"] and report["all_pass"]
 
 
-# the audit jobs run on a thread pool, which np.errstate set in the test does not reach
+# the overflow is the behaviour under test, so its RuntimeWarnings, errors elsewhere in the suite, are expected
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_overflowing_audit_fails_its_rows(tmp_path):
     # G(|Xu|)^61 and the reverse envelope 61^244 overflow at gamma = 60: the audit used to exit 1

@@ -98,6 +98,17 @@ def test_no_unused_exports():
     assert not unused, f"exported names no program or benchmark code reads: {unused}"
 
 
+def test_benchmark_reads_resolve():
+    # every solab name the benchmark reads, like cli.worker_count under --trace 1, exists: no tier-1
+    # test calls those the tracer does not patch, so a deletion would break only the benchmark
+    reads = set().union(*(_module_reads(ast.parse(path.read_text()), None, PACKAGE)
+                          for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    assert ("cli", "worker_count") in reads
+    missing = sorted(f"{m}.{name}" for m, name in reads
+                     if not hasattr(importlib.import_module(f"solab.{m}"), name))
+    assert not missing, f"solab names the benchmark reads that do not exist: {missing}"
+
+
 def test_export_lint_resolves_reads_to_modules():
     # a report's attribute and a bare name in another module do not read solver.weak_residual
     package = {"solver": '__all__ = ["weak_residual", "solve", "helper"]\n'
