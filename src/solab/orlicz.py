@@ -11,10 +11,11 @@ functions, generalized inverses and conjugates (by the Fenchel-Young
 equality, no quadrature) are numerical operations, so that the classical
 inequalities (Young, the complementary-pair bound, the five growth-lemma
 items) are audited on sampled data.  Every inversion (inverses, conjugates)
-is `generalized_inverse`, one ITP search: regula falsi steps with
-Anderson-Bjorck weights on a bracket, truncated and projected so that they
-never take more than bisection's count plus one, stopped at width 1e-10 or
-adjacent floats, the midpoint returned.
+is `generalized_inverse`, one ITP search: a bracket grown x4 at a time, six
+rungs per call of the integrand, then regula falsi steps with Anderson-Bjorck
+weights, truncated and projected so that they never take more than
+bisection's count plus one, stopped at width 1e-10 or adjacent floats, the
+midpoint returned.
 `verify_exponents` estimates the exponent window from samples, and the
 growth-lemma comparisons (`lemma_gG_audit`) use a fixed 1e-9 relative slack.
 """
@@ -46,11 +47,29 @@ __all__ = [
 ]
 
 
+# the 16-point Gauss-Legendre rule on [0, 1]: numpy.polynomial.legendre.leggauss(16)
+# mapped by x -> (x + 1)/2, w -> w/2, written out so that no table build imports
+# numpy.polynomial or calls LAPACK
+_GL16_NODES = np.array([
+    0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
+    0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
+    0.5475062549188188, 0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825,
+])
+_GL16_WEIGHTS = np.array([
+    0.013576229705877088, 0.031126761969323728, 0.0475792558412463, 0.062314485627767036,
+    0.07479799440828835, 0.08457825969750132, 0.09130170752246182, 0.09472530522753432,
+    0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+    0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088,
+])
+
+
 class _LogCumTable:
     """Cumulative integral y(t) = int_0^t w, tabulated as a log-log Hermite spline.
 
-    Knot values come from per-panel Gauss-Legendre sums (the panels are narrow
-    in log t, so each is essentially exact); derivatives d(log y)/d(log t) =
+    Knot values come from per-panel sums of the fixed 16-point Gauss-Legendre
+    rule `_GL16_NODES`, `_GL16_WEIGHTS` (the panels are narrow in log t, so
+    each is essentially exact); derivatives d(log y)/d(log t) =
     t*w(t)/y(t) are exact, which keeps the interpolation error ~(dtau)^4.
     The knots are uniform in tau = log t over [1e-12, 1e9] at 128 per decade,
     and each interval stores its Hermite cubic in monomial form, so a lookup
@@ -70,11 +89,9 @@ class _LogCumTable:
         if q <= -1:
             raise ValueError("integrand not integrable at 0")
         y0 = t_min * float(w(t_min)) / (1.0 + q)
-        x, gw = np.polynomial.legendre.leggauss(16)
-        x, gw = 0.5 * (x + 1.0), 0.5 * gw
         lo, width = knots[:-1], np.diff(knots)
-        nodes = lo[:, None] + width[:, None] * x
-        panel = (np.asarray(w(nodes)) * gw).sum(axis=1) * width
+        nodes = lo[:, None] + width[:, None] * _GL16_NODES
+        panel = (np.asarray(w(nodes)) * _GL16_WEIGHTS).sum(axis=1) * width
         y = y0 + np.concatenate([[0.0], np.cumsum(panel)])
         if np.any(y <= 0) or not np.all(np.isfinite(y)):
             raise ValueError("cumulative integral must be positive and finite")
@@ -243,39 +260,63 @@ def young_from_structure(triple: OrliczTriple) -> YoungFunction:
     )
 
 
+# the six rungs 1, 4, ..., 4^5 that one call of psi evaluates while a bracket grows
+_RUNGS = 4.0 ** np.arange(6)
+
+
 def generalized_inverse(psi, t):
     """inf{s >= 0 : psi(s) > t}; the inverse when psi is continuous and strictly increasing.
 
-    The bracket grows geometrically (x4 from 1 up to 1e150); where psi never
-    exceeds t inside it the bracket top is returned.  ITP steps (Oliveira and
-    Takahashi, ACM TOMS 47(1), 2021: interpolate, truncate, project) then
-    shrink it, the predicate psi(x) > t deciding the end that moves, until its
-    width is at most 1e-10 or its ends are adjacent floats; the midpoint is
-    returned, within 5e-11 of the infimum for any psi, flat or discontinuous
-    ones included.  The interpolant is regula falsi with Anderson-Bjorck
-    weights (BIT 13, 1973), so a run of steps that keeps moving one end does
-    not stall: on smooth increasing psi the steps converge superlinearly.
-    For any psi the projection caps them at bisection's count,
-    ceil(log2(width / 1e-10)), plus one, in floating point too.
+    The bracket grows x4 from 1 up to 1e150 on a ladder: one call of psi
+    evaluates the six rungs hi, 4 hi, ..., 4^5 hi of every element whose
+    bracket is still open upward, and each element takes as top its first
+    rung where psi exceeds t or that reaches 1e150, the rung before it as
+    bottom.  Rungs are powers of 4, exact in floating point, so the bracket is
+    the one a search of one rung per call would find.  Where psi never exceeds
+    t inside it the bracket top is returned; a NaN target gives NaN, and psi
+    is never called for it.  ITP steps (Oliveira and Takahashi, ACM TOMS
+    47(1), 2021: interpolate, truncate, project) then shrink the bracket, the
+    predicate psi(x) > t deciding the end that moves, until its width is at
+    most 1e-10 or its ends are adjacent floats; the midpoint is returned,
+    within 5e-11 of the infimum for any psi, flat or discontinuous ones
+    included.  The interpolant is regula falsi with Anderson-Bjorck weights
+    (BIT 13, 1973), so a run of steps that keeps moving one end does not
+    stall: on smooth increasing psi the steps converge superlinearly.  For any
+    psi the projection caps them at bisection's count,
+    ceil(log2(width / 1e-10)), plus one, in floating point too.  psi is
+    called on 1-D arrays.
     """
     t_arr = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t_arr)
-    if np.count_nonzero(tt < 0):
+    if np.count_nonzero(t_arr < 0):
         raise ValueError("generalized inverse is defined for t >= 0")
+    known = ~np.isnan(t_arr)
+    tt = t_arr[known]
     hi = np.ones_like(tt)
     lo = np.zeros_like(tt)
     # psi - t at the ends; psi(0) is not evaluated but taken as 0, the value of
     # every Young integrand: these values place the interpolant, never an end
     f_lo = -tt
+    f_hi = np.empty_like(tt)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(300):
-            f_hi = psi(hi) - tt
-            grow = ~(f_hi > 0) & (hi < 1e150)
-            if not np.count_nonzero(grow):
-                break
-            lo = np.where(grow, hi, lo)
-            f_lo = np.where(grow, f_hi, f_lo)
-            hi = np.where(grow, hi * 4.0, hi)
+        # the elements whose bracket is still open upward
+        climb = np.arange(tt.size)
+        while climb.size:
+            ladder = hi[climb, None] * _RUNGS
+            # psi, as in the steps, sees a 1-D array
+            f = np.reshape(psi(ladder.ravel()), ladder.shape) - tt[climb, None]
+            stop = (f > 0) | (ladder >= 1e150)
+            rows = np.arange(climb.size)
+            top = np.argmax(stop, axis=1)
+            done = stop[rows, top]
+            # the new top's rung, 6 (one past the ladder) where no rung stops the growth;
+            # the rung under it becomes lo, and an element stopping on its first rung keeps its lo
+            top[~done] = _RUNGS.size
+            moved = top > 0
+            lo[climb[moved]] = ladder[rows[moved], top[moved] - 1]
+            f_lo[climb[moved]] = f[rows[moved], top[moved] - 1]
+            hi[climb] *= 4.0 ** top
+            f_hi[climb[done]] = f[rows[done], top[done]]
+            climb = climb[~done]
         # a saturated bracket collapses onto its top
         lo = np.where(f_hi > 0, lo, hi)
         # ITP constants kappa1 = 0.2/(initial width), kappa2 = 2 and n0 = 1; the
@@ -323,8 +364,9 @@ def generalized_inverse(psi, t):
             np.copyto(lo, x, where=down)
             np.copyto(f_lo, f_x, where=down)
             f_last = f_x
-    vals = 0.5 * (lo + hi)
-    return float(vals[0]) if t_arr.ndim == 0 else vals.reshape(t_arr.shape)
+    vals = np.full(t_arr.shape, np.nan)
+    vals[known] = 0.5 * (lo + hi)
+    return float(vals) if t_arr.ndim == 0 else vals
 
 
 def conjugate(young: YoungFunction, s):

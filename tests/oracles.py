@@ -11,7 +11,9 @@ included: the library uses the Fenchel-Young equality, the reference
 integrates the inverse; regularized energy densities included: the library
 looks them up in a cumulative table), and the p-Laplace solver is checked against the
 closed-form gauge fundamental solution.  The generalized inverse is checked
-against plain bisection on the same bracket (the library takes ITP steps).
+against plain bisection on the same bracket (the library takes ITP steps),
+and against the library's search as it was with one rung of bracket growth
+per call of psi (the library evaluates six rungs per call).
 The L-BFGS two-loop recursion is checked against the dense BFGS
 inverse-Hessian update, the solve loop (which rotates a fixed set of vectors)
 against one that allocates fresh vectors for every trial and curvature pair,
@@ -242,6 +244,84 @@ def bisection_inverse(psi, t):
             gt = np.asarray(psi(mid)) > tt
             hi = np.where(open_ & gt, mid, hi)
             lo = np.where(open_ & ~gt, mid, lo)
+    vals = 0.5 * (lo + hi)
+    return float(vals[0]) if t_arr.ndim == 0 else vals.reshape(t_arr.shape)
+
+
+def scalar_growth_inverse(psi, t):
+    """The library's inverse as it stood with one rung of bracket growth per call of psi.
+
+    The bracket grows x4 from 1 up to 1e150, one evaluation of psi per rung,
+    then the library's ITP steps (regula falsi with Anderson-Bjorck weights,
+    truncated and projected) shrink it; the code is the library's before its
+    growth evaluated six rungs per call, kept so that the ladder can be held to
+    the same brackets, steps and values bit for bit.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    tt = np.atleast_1d(t_arr)
+    if np.count_nonzero(tt < 0):
+        raise ValueError("generalized inverse is defined for t >= 0")
+    hi = np.ones_like(tt)
+    lo = np.zeros_like(tt)
+    # psi - t at the ends; psi(0) is not evaluated but taken as 0, the value of
+    # every Young integrand: these values place the interpolant, never an end
+    f_lo = -tt
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(300):
+            f_hi = psi(hi) - tt
+            grow = ~(f_hi > 0) & (hi < 1e150)
+            if not np.count_nonzero(grow):
+                break
+            lo = np.where(grow, hi, lo)
+            f_lo = np.where(grow, f_hi, f_lo)
+            hi = np.where(grow, hi * 4.0, hi)
+        # a saturated bracket collapses onto its top
+        lo = np.where(f_hi > 0, lo, hi)
+        # ITP constants kappa1 = 0.2/(initial width), kappa2 = 2 and n0 = 1; the
+        # projection keeps the width after step j within (1e-10 - margin) * 2^(n + 1 - j),
+        # n being bisection's step count: the margin, four float spacings at the
+        # bracket top (at most 5e-11), absorbs the rounding the steps add to the width
+        width = hi - lo
+        kappa1 = 0.2 / width
+        margin = np.minimum(4.0 * np.spacing(hi), 0.5e-10)
+        bound = (1e-10 - margin) * 2.0 ** np.ceil(np.log2(width / 1e-10))
+        # psi - t at the point evaluated last; +inf: no end has moved yet
+        f_last = np.full(tt.shape, np.inf)
+        for _ in range(600):
+            width = hi - lo
+            inner_lo = np.nextafter(lo, hi)
+            # no float strictly inside (the midpoint would equal an end): float spacing exceeds 1e-10 there
+            open_ = (width > 1e-10) & (inner_lo < hi)
+            if not np.count_nonzero(open_):
+                break
+            # regula falsi on the weighted end values, as an offset from the midpoint:
+            # within half the width, as f_lo <= 0 < f_hi, or NaN where they are not finite
+            half = 0.5 * width
+            d = f_lo / (f_lo - f_hi) * width - half
+            # truncated toward the midpoint by kappa1 width^2, projected within bound - width/2 of it
+            # (fmax sends a NaN offset to 0, the midpoint)
+            r = np.fmax(np.minimum(np.abs(d) - kappa1 * width * width, bound - half), 0.0)
+            x = np.copysign(r, d) + lo + half
+            # a point that rounds onto an end would not move it: take the adjacent float inside
+            x = np.minimum(np.maximum(x, inner_lo), np.nextafter(hi, lo))
+            bound *= 0.5
+            f_x = psi(x) - tt
+            up = open_ & (f_x > 0)
+            down = open_ ^ up
+            # Anderson-Bjorck: where an end moves twice in a row (f_x has the sign of
+            # f_last, the value that end holds), the other end's value is weighted by
+            # m = 1 - f_x / f_last, or 1/2 if m <= 0.  Where the other end moves, m > 1
+            # and the weight is 1.  Both ends are weighted: the moving end's value is
+            # replaced by f_x below, and a closed element's values are not read again
+            m = 1.0 - f_x / f_last
+            m = np.minimum(np.where(m > 0, m, 0.5), 1.0)
+            f_lo *= m
+            f_hi *= m
+            np.copyto(hi, x, where=up)
+            np.copyto(f_hi, f_x, where=up)
+            np.copyto(lo, x, where=down)
+            np.copyto(f_lo, f_x, where=down)
+            f_last = f_x
     vals = 0.5 * (lo + hi)
     return float(vals[0]) if t_arr.ndim == 0 else vals.reshape(t_arr.shape)
 
