@@ -191,8 +191,8 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
 
     eigs = np.linalg.eigvalsh(0.5 * (da + np.swapaxes(da, 1, 2)))
     r = np.linalg.norm(z, axis=1)
-    lo_ok = float(np.min(eigs[:, 0] / spec.lower_weight(r)))
-    hi_ok = float(np.max(eigs[:, -1] / spec.upper_weight(r)))
+    lo_ok = float(np.min(eigs[:, 0] / (spec.lo * spec.weight(r))))
+    hi_ok = float(np.max(eigs[:, -1] / (spec.hi * spec.weight(r))))
     checks.append(("eigen_bracket_low", lo_ok, ">= 1 - 1e-6", lo_ok >= 1.0 - 1e-6))
     checks.append(("eigen_bracket_high", hi_ok, "<= 1 + 1e-6", hi_ok <= 1.0 + 1e-6))
 
@@ -200,7 +200,7 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     xi = rng.normal(size=z2.shape)
     xi2, r2 = np.sum(xi * xi, axis=-1), np.linalg.norm(z2, axis=-1)
     lower, upper, growth = op_mod.structure_margins(spec, z2, xi)
-    norm = xi2 * spec.upper_weight(r2)
+    norm = xi2 * (spec.hi * spec.weight(r2))
     lower_min, upper_min = float(np.min(lower / norm)), float(np.min(upper / norm))
     checks.append(("structure_lower_margin", lower_min, ">= -1e-9", lower_min >= -1e-9))
     checks.append(("structure_upper_margin", upper_min, ">= -1e-9", upper_min >= -1e-9))
@@ -232,20 +232,21 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     reg_jac = 0.0
     t = np.geomspace(1e-4, 1e4, 400)
     for eps in (1e-2, 5e-3, 2.5e-3, 1e-3):
-        rspec, params = op_mod.regularized_operator(triple, eps)
+        rspec = op_mod.regularized_operator(triple, eps)
+        m1, m2 = rspec.weight(0.0), rspec.weight(1.0 / eps)
         sup_diff = float(np.max(np.linalg.norm(rspec.A(probe) - spec.A(probe), axis=-1)))
-        reg_rows.append((eps, params.m1, params.m2, params.L_tilde, sup_diff))
+        reg_rows.append((eps, m1, m2, max(rspec.hi, 1.0 / rspec.lo), sup_diff))
         sup_decreasing &= sup_diff < prev_sup or sup_diff == 0.0  # 0 when F is constant (p = 2)
         prev_sup = sup_diff
         m1_ref = triple.F(eps)
         m2_ref = triple.F(1.0 / eps)
-        checks.append((f"regularized_m1_eps={eps:g}", params.m1, "== F(eps)",
-                       abs(params.m1 - m1_ref) <= 1e-12 * (1 + abs(m1_ref))))
-        checks.append((f"regularized_m2_eps={eps:g}", params.m2, "== F(1/eps)",
-                       abs(params.m2 - m2_ref) <= 1e-12 * (1 + abs(m2_ref))))
+        checks.append((f"regularized_m1_eps={eps:g}", m1, "== F(eps)",
+                       abs(m1 - m1_ref) <= 1e-12 * (1 + abs(m1_ref))))
+        checks.append((f"regularized_m2_eps={eps:g}", m2, "== F(1/eps)",
+                       abs(m2 - m2_ref) <= 1e-12 * (1 + abs(m2_ref))))
 
         lower, upper, growth = op_mod.structure_margins(rspec, z2, xi)
-        w_hi = rspec.upper_weight(r2)
+        w_hi = rspec.hi * rspec.weight(r2)
         margin = float(min(np.min(lower / (xi2 * w_hi)), np.min(upper / (xi2 * w_hi)),
                            np.min(growth / (r2 * w_hi))))
         checks.append((f"regularized_structure_margins_eps={eps:g}", margin, ">= -1e-9",
@@ -258,7 +259,7 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
         ts = t[np.abs(t - kink) > 1e-4 * t]
         hs = 1e-4 * ts
         g_eps = op_mod.regularized_energy_density(triple, eps)
-        dens = ts * op_mod.regularized_weight(triple, eps)(ts)
+        dens = ts * rspec.weight(ts)
         dens_err = float(np.max(np.abs((g_eps(ts + hs) - g_eps(ts - hs)) / (2 * hs) - dens) / dens))
         checks.append((f"energy_density_derivative_eps={eps:g}", dens_err, "<= 1e-6",
                        dens_err <= 1e-6))
@@ -266,8 +267,6 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
     checks.append(("regularized_sup_diff_decreasing", float(sup_decreasing), "strictly (or 0)",
                    sup_decreasing))
 
-    _write_csv(os.path.join(out, "operator_regularization.csv"),
-               ["eps", "m1", "m2", "L_tilde", "sup_diff"], reg_rows)
     return _write_checks(out, "operator", checks, structure=cfg.structure, seed=cfg.seed,
                          p_laplace=[{"p": p, "gap_min": a, "ratio_min": b} for p, a, b in plap_rows],
                          regularization=[{"eps": e, "m1": m1, "m2": m2, "L_tilde": lt, "sup_diff": sd}

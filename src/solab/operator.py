@@ -16,8 +16,7 @@ is the operator of the energy G_eps that the solver minimizes; `operator-check`
 certifies the same map.  Its weight has the finite positive limits m1 = F(eps)
 and m2 = F(1/eps), and its ellipticity bracket is closed-form, not fitted.
 The energy density G_eps composes closed forms of G and H where the law has
-them; otherwise it is one cumulative table per (triple, eps), so each call
-is a single table lookup.
+them; otherwise it reads one cumulative table, built with the density.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .orlicz import OrliczTriple, _LogCumTable
 
 __all__ = [
     "OperatorSpec",
-    "RegularizationParams",
     "prototype_operator",
     "structure_margins",
     "monotonicity_gap",
@@ -52,8 +50,7 @@ class OperatorSpec:
     """The radial map A(z) = w(|z|) z, given by its weight w and slope s(r) = r w'(r).
 
     ``lo``/``hi`` bracket the Jacobian: lo w(|z|) <= eig DA(z) <= hi w(|z|),
-    so ``lower_weight``/``upper_weight`` bound its Rayleigh quotient and
-    hi/lo is the ellipticity ratio.
+    so lo w and hi w bound its Rayleigh quotient and hi/lo is the ellipticity ratio.
     """
 
     weight: Callable
@@ -73,31 +70,6 @@ class OperatorSpec:
         outer = z[..., :, None] * z[..., None, :] / r2[..., None, None]
         return (np.asarray(self.weight(r))[..., None, None] * np.eye(z.shape[-1])
                 + np.asarray(self.slope(r))[..., None, None] * outer)
-
-    def lower_weight(self, t):
-        return self.lo * self.weight(t)
-
-    def upper_weight(self, t):
-        return self.hi * self.weight(t)
-
-
-@dataclass(frozen=True)
-class RegularizationParams:
-    """Constants of the eps-regularization: F_eps has limits m1 at 0 and m2 at infinity.
-
-    L_tilde brackets the Jacobian eigenvalues: F_eps / L_tilde <= eig DA_eps <= L_tilde F_eps.
-    """
-
-    eps: float
-    m1: float
-    m2: float
-    L_tilde: float
-
-    def __post_init__(self):
-        if not (0 < self.eps < 1):
-            raise ValueError(f"eps must lie in (0,1), got {self.eps}")
-        if not (self.m1 > 0 and self.m2 > 0 and np.isfinite(self.m1) and np.isfinite(self.m2)):
-            raise ValueError("m1, m2 must be finite and positive")
 
 
 def prototype_operator(triple: OrliczTriple) -> OperatorSpec:
@@ -130,8 +102,8 @@ def structure_margins(op: OperatorSpec, z, xi):
     r = _norm(z)
     quad = np.einsum("...ij,...i,...j->...", op.DA(z), xi, xi)
     xi2 = np.sum(xi * xi, axis=-1)
-    w_lo = op.lower_weight(r)
-    w_hi = op.upper_weight(r)
+    w = op.weight(r)
+    w_lo, w_hi = op.lo * w, op.hi * w
     lower = quad - w_lo * xi2
     upper = w_hi * xi2 - quad
     growth = w_hi * r - _norm(op.A(z))
@@ -230,10 +202,10 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
     where B(t) = int_0^t w with w(s) = s g(s+eps)/(s+eps), equal to s F_eps(s) up to T.
     A law with a closed-form G composes closed forms,
         B(t) = [G(t+eps) - G(eps)] - eps [H(t+eps) - H(eps)].
-    A table law reads B from one `_LogCumTable` of w, built on the first call
-    for each (triple, eps) and kept on the triple; it builds no H table and
-    does not cancel at small t.  The table integrates w unclipped, since the
-    saturation min would put a kink at T into the spline.  NaN stays NaN.
+    A table law reads B from one `_LogCumTable` of w, built here, so once per
+    density; it builds no H table and does not cancel at small t.  The table
+    integrates w unclipped, since the saturation min would put a kink at T
+    into the spline.  NaN stays NaN.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
@@ -241,9 +213,7 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
     g = triple.g
     m2 = float(g(np.asarray(1.0 / eps)) * eps)
     if g.closed_G is None:
-        body_at = triple._table_G_eps.get(eps)
-        if body_at is None:
-            body_at = triple._table_G_eps[eps] = _LogCumTable(lambda s: s * g(s + eps) / (s + eps))
+        body_at = _LogCumTable(lambda s: s * g(s + eps) / (s + eps))
         cap = body_at(T)
     else:
         g_eps_ref = float(triple.G(eps))
@@ -263,9 +233,11 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
     return g_eps
 
 
-def regularized_operator(triple: OrliczTriple, eps: float):
-    """The solver's regularized operator A_eps(z) = F_eps(|z|) z, with its constants.
+def regularized_operator(triple: OrliczTriple, eps: float) -> OperatorSpec:
+    """The solver's regularized operator A_eps(z) = F_eps(|z|) z, as one `OperatorSpec`.
 
+    Its weight is the solver's `regularized_weight` closure, so `operator-check`
+    reads m1 = weight(0), m2 = weight(1/eps) and L_tilde = max(hi, 1/lo) off it.
     With r = |z| and s = min(r + eps, 1/eps), the slope is r F_eps'(r), 0 past saturation.
     Below saturation the radial eigenvalue over F_eps is (1 - r/s) + (r/s) s g'(s)/g(s),
     a convex combination of 1 and a value in [delta, g0]; past saturation it is 1.
@@ -274,7 +246,6 @@ def regularized_operator(triple: OrliczTriple, eps: float):
     """
     f_eps = regularized_weight(triple, eps)
     g = triple.g
-    lo, hi = min(1.0, g.delta), max(1.0, g.g0)
 
     def slope(r):
         arg = r + eps
@@ -282,10 +253,4 @@ def regularized_operator(triple: OrliczTriple, eps: float):
         safe = np.where(inside, arg, 1.0)
         return np.where(inside, (g.deriv(safe) - f_eps(r)) / safe, 0.0) * r
 
-    params = RegularizationParams(
-        eps=eps,
-        m1=float(f_eps(0.0)),
-        m2=float(triple.g(np.asarray(1.0 / eps)) * eps),
-        L_tilde=max(hi, 1.0 / lo),
-    )
-    return OperatorSpec(weight=f_eps, slope=slope, lo=lo, hi=hi), params
+    return OperatorSpec(weight=f_eps, slope=slope, lo=min(1.0, g.delta), hi=max(1.0, g.g0))

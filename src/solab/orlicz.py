@@ -179,8 +179,6 @@ class OrliczTriple:
     def __init__(self, g: StructureFunction):
         self.g = g
         self._table_G: _LogCumTable | None = None
-        # G_eps tables of `operator.regularized_energy_density`, one per eps
-        self._table_G_eps: dict[float, _LogCumTable] = {}
         if g.delta > 1.0:
             self.f_zero: float | None = 0.0
         elif g.delta == 1.0:

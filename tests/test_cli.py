@@ -20,7 +20,8 @@ import solab.verify as vf
 from conftest import CATALOG_LABELS, bumped_start
 from solab.config import ConfigError, load_config
 from solab.grid import Grid, save_field_binary
-from solab.orlicz import catalog_structure_function
+from solab.operator import regularized_weight
+from solab.orlicz import OrliczTriple, catalog_structure_function
 from solab.problems import boundary_field
 
 
@@ -280,7 +281,7 @@ def test_operator_check_deterministic(tmp_path):
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
     assert cli.main(["operator-check", "--config", path, "--out", str(out1)]) == 0
     assert cli.main(["operator-check", "--config", path, "--out", str(out2)]) == 0
-    for name in ("operator_report.csv", "operator_regularization.csv", "operator_report.json"):
+    for name in ("operator_report.csv", "operator_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -305,6 +306,33 @@ def test_audit_command(tmp_path):
                                        "moser_trace.csv", "plot_fitted_vs_h.csv"]
     assert [(lv["level"], lv["shape"], lv["stop_reason"]) for lv in report["levels"]] == [
         (0, [9, 9, 9], "tol"), (1, [17, 17, 17], "tol")]
+
+
+def test_audit_is_uniform_in_eps_on_readme_data(tmp_path):
+    # the README data keep |Xu| away from 0 on the balls, so cutting eps from 1e-4 to 1e-6 moves
+    # no audit number at 9^3 -> 17^3 by more than 2.3e-4 relative (the largest, a refinement
+    # history entry; the sup-bound ratios move by 4.5e-6); no verdict is asserted
+    rtol = 1e-3
+    reports = []
+    for eps in ("1e-4", "1e-6"):
+        text = with_keys(readme_cli()[1][""], f"resolution = 9\nrefinements = 1\nepsilon = {eps}")
+        out = tmp_path / eps
+        out.mkdir()
+        cli.cmd_audit(load_config(write_cfg(tmp_path, text, f"cfg{eps}.txt")), str(out))
+        reports.append(json.loads((out / "audit_report.json").read_text()))
+    coarse, fine = reports
+
+    def rows(report):
+        return [(row["name"], row["gamma"], row.get("omega"), row["weight"], row["reason"])
+                for row in report["audits"]]
+
+    assert rows(coarse) == rows(fine) and rows(coarse)
+    assert len(coarse["lipschitz_ratios"]) == len(fine["lipschitz_ratios"]) == 2
+    for a, b in zip(coarse["lipschitz_ratios"], fine["lipschitz_ratios"]):
+        assert a["ratio"] == pytest.approx(b["ratio"], rel=rtol), a
+    for a, b in zip(coarse["audits"], fine["audits"]):
+        if a["reason"] == "judged":
+            assert a["refinement_history"] == pytest.approx(b["refinement_history"], rel=rtol), a
 
 
 def test_audit_names_the_level_that_stopped(tmp_path):
@@ -507,6 +535,12 @@ def test_operator_check_passes_catalog(tmp_path, label):
     assert [row["L_tilde"] for row in report["regularization"]] == [l_tilde] * 4
     sups = [row["sup_diff"] for row in report["regularization"]]
     assert all(a > b > 0 for a, b in zip(sups, sups[1:])) or sups == [0.0] * 4  # 0 only for p = 2
+    # m1 and m2 are the limits of the solver's own F_eps, bit for bit
+    triple = OrliczTriple(g)
+    for row in report["regularization"]:
+        f_eps = regularized_weight(triple, row["eps"])
+        assert row["m1"] == f_eps(0.0) == triple.F(row["eps"]), row
+        assert row["m2"] == f_eps(1.0 / row["eps"]) == triple.F(1.0 / row["eps"]), row
 
 
 def test_solve_bytes_independent_of_blas_threads(tmp_path):

@@ -90,6 +90,16 @@ def test_no_unused_private_names():
     assert not unused, f"private names with no reference: {unused}"
 
 
+def test_no_private_state_reached_from_outside():
+    # an attribute with one leading underscore is read or written only on self or cls: a module
+    # that needs another object's private state needs a public name for it instead
+    reached = [f"{m}.py:{node.lineno}: {ast.unparse(node)}" for m, src in PACKAGE.items()
+               for node in ast.walk(ast.parse(src)) if isinstance(node, ast.Attribute)
+               and node.attr[:1] == "_" and node.attr[:2] != "__"
+               and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    assert not reached, f"private attributes reached from outside their object: {reached}"
+
+
 def test_no_unused_exports():
     # every exported name is read as its module's name by the package or the benchmark, outside its
     # own definition and its __all__ entry: a public name that only tests read is not program code

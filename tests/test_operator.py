@@ -200,10 +200,10 @@ def test_regularized_weight_saturates():
 
 def test_regularize_m_constants_closed_form():
     tr = triple_for("power:p=1.5")
-    spec, params = op.regularized_operator(tr, 0.01)
-    assert params.m1 == pytest.approx(10.0)
-    assert params.m2 == pytest.approx(0.1)
-    assert params.L_tilde == 2.0  # 1/min{1, delta} with delta = 1/2
+    spec = op.regularized_operator(tr, 0.01)
+    assert spec.weight(0.0) == pytest.approx(10.0)
+    assert spec.weight(1.0 / 0.01) == pytest.approx(0.1)
+    assert max(spec.hi, 1.0 / spec.lo) == 2.0  # 1/min{1, delta} with delta = 1/2
     assert spec.hi / spec.lo == 2.0
 
 
@@ -211,10 +211,10 @@ def test_regularize_linear_growth_is_fixed_point():
     # g(t) = t has F = 1, so A_eps = A
     tr = triple_for("power:p=2")
     base = op.prototype_operator(tr)
-    spec, params = op.regularized_operator(tr, 0.05)
+    spec = op.regularized_operator(tr, 0.05)
     z = np.array([[0.0, 0.0], [0.01, 0.02], [0.2, -0.1], [3.0, 4.0], [30.0, 0.0]])
     assert np.allclose(spec.A(z), base.A(z), atol=1e-14)
-    assert params.m1 == params.m2 == pytest.approx(1.0)
+    assert spec.weight(0.0) == spec.weight(1.0 / 0.05) == pytest.approx(1.0)
 
 
 def test_regularize_rejects_bad_eps():
@@ -230,7 +230,7 @@ def test_regularized_operator_converges_pointwise(rng):
     z = sample_points(rng, 500, r_lo=1e-3, r_hi=10.0)
     sups = []
     for eps in (0.2, 0.1, 0.05, 0.025):
-        spec, _ = op.regularized_operator(tr, eps)
+        spec = op.regularized_operator(tr, eps)
         sups.append(float(np.max(np.linalg.norm(spec.A(z) - base.A(z), axis=-1))))
     assert all(a > b for a, b in zip(sups, sups[1:]))
     assert sups[-1] > 0
@@ -238,7 +238,7 @@ def test_regularized_operator_converges_pointwise(rng):
 
 def test_regularized_jacobian_vs_fd(rng):
     tr = triple_for("power:p=3")
-    spec, _ = op.regularized_operator(tr, 0.05)
+    spec = op.regularized_operator(tr, 0.05)
     # probe on both sides of the saturation kink at 1/eps - eps = 19.95, away from it
     radii = np.array([0.01, 0.03, 0.2, 1.0, 5.0, 30.0])
     dirs = rng.normal(size=(radii.size, 2))
@@ -253,7 +253,7 @@ def test_regularized_jacobian_vs_fd(rng):
 
 def test_regularized_structure_margins_hold(rng):
     tr = triple_for("power:p=1.5")
-    spec, params = op.regularized_operator(tr, 0.05)
+    spec = op.regularized_operator(tr, 0.05)
     z = sample_points(rng, 3000, r_lo=1e-3, r_hi=1e2)
     xi = rng.normal(size=z.shape)
     lower, upper, growth = op.structure_margins(spec, z, xi)
@@ -271,13 +271,13 @@ def test_regularized_eigen_bracket_closed_form(label, d, rng):
     tr = triple_for(label)
     lo, hi = min(1.0, tr.g.delta), max(1.0, tr.g.g0)
     for eps in (1e-2, 1e-3):
-        spec, params = op.regularized_operator(tr, eps)
-        assert params.L_tilde == max(hi, 1.0 / lo)
+        spec = op.regularized_operator(tr, eps)
+        assert (spec.lo, spec.hi) == (lo, hi)
         z = np.concatenate([np.zeros((1, d)), sample_points(rng, 2000, d=d, r_lo=1e-4, r_hi=1e4)])
         eigs = np.linalg.eigvalsh(spec.DA(z))
         r = np.linalg.norm(z, axis=1)
-        assert np.all(eigs[:, 0] >= spec.lower_weight(r) * (1 - 1e-9))
-        assert np.all(eigs[:, -1] <= spec.upper_weight(r) * (1 + 1e-9))
+        assert np.all(eigs[:, 0] >= spec.lo * spec.weight(r) * (1 - 1e-9))
+        assert np.all(eigs[:, -1] <= spec.hi * spec.weight(r) * (1 + 1e-9))
 
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)
@@ -333,10 +333,3 @@ def test_nan_propagates(label):
         out = fn(t)
         assert np.isnan(out[0]) and np.isfinite(out[1])
         assert np.isnan(fn(np.nan))
-
-
-def test_regularization_params_validation():
-    with pytest.raises(ValueError):
-        op.RegularizationParams(eps=1.5, m1=1.0, m2=1.0, L_tilde=1.0)
-    with pytest.raises(ValueError):
-        op.RegularizationParams(eps=0.5, m1=0.0, m2=1.0, L_tilde=1.0)

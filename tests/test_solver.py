@@ -205,7 +205,7 @@ def test_problem_operator_is_the_regularized_operator(grid9, rng):
     # the solver's weak-form kernel applies exactly the A_eps that operator-check certifies
     tr, eps = triple_for("sinlog:a=2.5,b=1"), 1e-2
     u = rng.normal(size=grid9.shape) * np.exp(rng.uniform(-8, 6, size=grid9.shape))
-    a_eps = regularized_operator(tr, eps)[0].A
+    a_eps = regularized_operator(tr, eps).A
     xc = sv.cell_gradient(grid9, u)
     expected = grid9.cell_volume * sv.cell_gradient_adjoint(
         grid9, np.moveaxis(a_eps(np.moveaxis(xc, 0, -1)), -1, 0))
