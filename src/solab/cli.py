@@ -260,7 +260,9 @@ def cmd_operator_check(cfg: ExperimentConfig, out: str) -> int:
         hs = 1e-4 * ts
         g_eps = op_mod.regularized_energy_density(triple, eps)
         dens = ts * rspec.weight(ts)
-        dens_err = float(np.max(np.abs((g_eps(ts + hs) - g_eps(ts - hs)) / (2 * hs) - dens) / dens))
+        up, down = ts + hs, ts - hs
+        diff = g_eps(up, rspec.weight(up)) - g_eps(down, rspec.weight(down))
+        dens_err = float(np.max(np.abs(diff / (2 * hs) - dens) / dens))
         checks.append((f"energy_density_derivative_eps={eps:g}", dens_err, "<= 1e-6",
                        dens_err <= 1e-6))
     checks.append(("regularized_jacobian_vs_fd", reg_jac, "<= 1e-5", reg_jac <= 1e-5))

@@ -15,8 +15,9 @@ The eps-regularization A_eps(z) = F_eps(|z|) z, F_eps(t) = F(min(t + eps, 1/eps)
 is the operator of the energy G_eps that the solver minimizes; `operator-check`
 certifies the same map.  Its weight has the finite positive limits m1 = F(eps)
 and m2 = F(1/eps), and its ellipticity bracket is closed-form, not fitted.
-The energy density G_eps composes closed forms of G and H where the law has
-them; otherwise it reads one cumulative table, built with the density.
+The energy density G_eps takes the weight F_eps of the same point: a law with
+closed forms gets G and H from it with no further power, and a table law
+reads one cumulative table, built with the density.
 """
 
 from __future__ import annotations
@@ -196,37 +197,43 @@ def regularized_weight(triple: OrliczTriple, eps: float) -> Callable:
 def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
     """G_eps(t) = int_0^t s F_eps(s) ds, the energy density of the regularized operator.
 
-    Split at T = 1/eps - eps where the weight saturates (inputs all below T skip the tail):
+    Called as g_eps(t, w) with w = F_eps(t), the `regularized_weight` of the
+    same triple and eps at t.  Split at T = 1/eps - eps where the weight
+    saturates (inputs all below T skip the tail):
         t <= T:  G_eps(t) = B(t)
         t  > T:  G_eps(t) = B(T) + F(1/eps) (t^2 - T^2) / 2,
-    where B(t) = int_0^t w with w(s) = s g(s+eps)/(s+eps), equal to s F_eps(s) up to T.
-    A law with a closed-form G composes closed forms,
-        B(t) = [G(t+eps) - G(eps)] - eps [H(t+eps) - H(eps)].
-    A table law reads B from one `_LogCumTable` of w, built here, so once per
-    density; it builds no H table and does not cancel at small t.  The table
-    integrates w unclipped, since the saturation min would put a kink at T
-    into the spline.  NaN stays NaN.
+    where B(t) = int_0^t v with v(s) = s g(s+eps)/(s+eps), equal to s F_eps(s) up to T.
+    A law with closed forms reads B off w with no further power: with a = t + eps,
+        B(t) = [G(a) - eps H(a)] - [G(eps) - eps H(eps)],
+    both brackets from the law's ``closed_G_minus_eps_H`` and F(a) = w, so B(0) = 0
+    exactly.  A table law ignores w and reads B from one `_LogCumTable` of v,
+    built here, so once per density; it builds no H table and does not cancel
+    at small t.  The table integrates v unclipped, since the saturation min
+    would put a kink at T into the spline.  NaN stays NaN.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
     T = 1.0 / eps - eps
     g = triple.g
     m2 = float(g(np.asarray(1.0 / eps)) * eps)
-    if g.closed_G is None:
-        body_at = _LogCumTable(lambda s: s * g(s + eps) / (s + eps))
-        cap = body_at(T)
+    fused = g.closed_G_minus_eps_H
+    if fused is None:
+        table = _LogCumTable(lambda s: s * g(s + eps) / (s + eps))
+        cap = table(T)
+
+        def body_at(core, w):
+            return table(core)
     else:
-        g_eps_ref = float(triple.G(eps))
-        h_eps_ref = float(triple.H(eps))
-        cap = (float(triple.G(1.0 / eps)) - g_eps_ref) - eps * (float(triple.H(1.0 / eps)) - h_eps_ref)
+        c0 = float(fused(np.asarray(eps), g(np.asarray(eps)) / eps, eps))
+        cap = float(fused(np.asarray(1.0 / eps), m2, eps)) - c0
 
-        def body_at(core):
-            return (triple.G(core + eps) - g_eps_ref) - eps * (triple.H(core + eps) - h_eps_ref)
+        def body_at(core, w):
+            return fused(core + eps, w, eps) - c0
 
-    def g_eps(t):
+    def g_eps(t, w):
         t = np.asarray(t, dtype=float)
         past = not np.max(t, initial=-np.inf) <= T  # some t saturates, or is NaN
-        body = np.asarray(body_at(np.minimum(t, T) if past else t))
+        body = np.asarray(body_at(np.minimum(t, T) if past else t, w))
         out = body + np.where(t > T, cap + 0.5 * m2 * (t * t - T * T) - body, 0.0) if past else body
         return float(out) if out.ndim == 0 else out
 

@@ -149,7 +149,10 @@ class StructureFunction:
     ``eval`` and ``deriv`` must accept numpy arrays.  A closed form for the
     antiderivative G = int g may be registered to bypass the cumulative
     table; a law that registers one also registers the closed form of
-    H = int g/t, the only form `OrliczTriple.H` evaluates.
+    H = int g/t, the only form `OrliczTriple.H` evaluates, and may register
+    ``closed_G_minus_eps_H(s, f, eps)`` = G(s) - eps H(s) from s and
+    f = F(s) = g(s)/s with no power evaluated, which the eps-regularized
+    energy density reads with F already at hand.
     """
 
     eval: Callable
@@ -159,6 +162,7 @@ class StructureFunction:
     label: str
     closed_G: Callable | None = None
     closed_H: Callable | None = None
+    closed_G_minus_eps_H: Callable | None = None
 
     def __post_init__(self):
         if not (0 < self.delta <= self.g0):
@@ -498,6 +502,8 @@ def _power(p: float) -> StructureFunction:
         eval=ev, deriv=dv, delta=q, g0=q, label=f"power:p={p:g}",
         closed_G=lambda t: np.power(t, p) / p,
         closed_H=lambda t: np.power(t, q) / q,
+        # G(s) = s^2 F(s)/p and H(s) = s F(s)/q
+        closed_G_minus_eps_H=lambda s, f, eps: s * f * (s / p - eps / q),
     )
 
 
@@ -601,6 +607,20 @@ def _glued(alpha: float, beta: float, eps: float, k1: float, k2: float) -> Struc
     d2 = H1(k1) - H2(k1)
     d3 = H2(k2) + d2 - H3(k2)
 
+    def closed_G_minus_eps_H(s, f, reg):
+        # reg is the regularization's eps, not this law's; on a piece g = A s^a + B,
+        # G = s (g - B)/(a + 1) + B s + c and H = (g - B)/a + B ln s + d, so
+        # G - reg H = (g - B)(s/(a + 1) - reg/a) + B (s - reg ln s) + (c - reg d)
+        g = s * f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_s = np.log(s)
+
+        def piece(a, B, c, d):
+            return (g - B) * (s / (a + 1.0) - reg / a) + (B * (s - reg * log_s) + (c - reg * d))
+
+        return np.where(s <= k1, g * (s / (a1 + 1.0) - reg / a1),
+                        np.where(s <= k2, piece(a2, B2, c2, d2), piece(a3, B3, c3, d3)))
+
     def closed_H(t):
         t = np.asarray(t, dtype=float)
         # NaN fails t <= 0 and passes through
@@ -612,7 +632,8 @@ def _glued(alpha: float, beta: float, eps: float, k1: float, k2: float) -> Struc
     # is exactly [a1, a3)
     return StructureFunction(eval=ev, deriv=dv, delta=a1, g0=a3,
                              label=f"glued:alpha={alpha:g},beta={beta:g},eps={eps:g},k1={k1:g},k2={k2:g}",
-                             closed_G=closed_G, closed_H=closed_H)
+                             closed_G=closed_G, closed_H=closed_H,
+                             closed_G_minus_eps_H=closed_G_minus_eps_H)
 
 
 _CATALOG = {

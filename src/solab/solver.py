@@ -13,7 +13,8 @@ allowance; when 40 halvings fail the solve stops with 'line_search_stall'.
 L-BFGS keeps 3 curvature pairs: 3-7 are adequate (Liu-Nocedal, Math. Prog.
 45, 1989), more left the 65^3 iteration count of the README ladder flat, and
 each costs two dots and two vector updates per iteration in the two-loop
-recursion (`_lbfgs_direction`, which writes into preallocated vectors).
+recursion (`_lbfgs_direction`, which writes H g into preallocated vectors;
+each pair keeps its <y, My>, formed once when it is stored).
 A solve holds twelve interior vectors and allocates none per iteration once
 its pairs are stored: the iterate, its gradient, the direction, the metric,
 the trial iterate, the direction's scratch (the trial's gradient during the
@@ -46,9 +47,10 @@ start must carry the scale of the data, as the boundary field does.
 
 `_weak_form` runs in slabs of consecutive cell planes along x_1, sized so that
 one scalar cell field of a slab takes `_SLAB_BYTES`: each slab forms Xu, |Xu|,
-the weight and the energy density from its own node planes and adds its part
-into the one nodal output, the only full-grid array an evaluation allocates
-(the start's evaluation adds D's node sums into a second one).
+the weight w and, from r and w, the energy density (the law is evaluated once
+per cell) from its own node planes and adds its part straight into the
+solver's gradient vector, so an evaluation allocates no full-grid array (the
+start's evaluation adds D's node sums into a full-grid array of the solver).
 Slab temporaries stay in the allocator's free lists, where full-grid ones were
 unmapped and page-faulted back in on every evaluation.
 
@@ -246,27 +248,33 @@ def _slab_planes(grid: Grid) -> int:
     return max(1, _SLAB_BYTES // plane_bytes)
 
 
-def _weak_form(grid: Grid, values: np.ndarray, weight, density, weight_sums=None):
-    """The energy vol * sum density(r) and its gradient, the nodal weak form vol * X^T(weight(r) Xu).
+def _weak_form(grid: Grid, values: np.ndarray, weight, density, grad: np.ndarray, weight_sums=None):
+    """The energy vol * sum density(r, w) and its gradient, the nodal weak form vol * X^T(w Xu).
 
-    r = |Xu| per cell.  Slabs are runs of `_slab_planes` cell planes along
-    axis 0; each adds its part into the node planes around it.  Returns
-    (energy, nodal array, max r).  A full-grid ``weight_sums`` gets every
-    node's sum of weight(r) over its cells added in, the transposed pair sums
-    along all axes.
+    r = |Xu| per cell and w = weight(r), which the density takes as its
+    second argument.  ``grad`` is a contiguous array of the interior nodes'
+    count, zeroed here; every slab (a run of `_slab_planes` cell planes along
+    axis 0) adds its part into the interior nodes around it, so no full-grid
+    array is allocated.  Returns (energy, max r).  A full-grid ``weight_sums``
+    gets every node's sum of w over its cells added in, the transposed pair
+    sums along all axes.
     """
     vol = grid.cell_volume
     cells = grid.shape[0] - 1
     step = _slab_planes(grid)
-    out = np.zeros(grid.shape)
+    target = grad.reshape(tuple(s - 2 for s in grid.shape))
+    target[...] = 0.0
+    across = (slice(1, -1),) * (grid.dim - 1)
     r_max, total = 0.0, 0.0
     for lo in range(0, cells, step):
         hi = min(lo + step, cells)
         xc = cell_gradient(grid, values[lo:hi + 1], lo)
-        r = np.sqrt(np.sum(xc * xc, axis=0))
+        r = xc[0] * xc[0]
+        r += xc[1] * xc[1]
+        np.sqrt(r, out=r)
         r_max = max(r_max, float(r.max()))
-        total += float(np.sum(density(r)))
         w = weight(r)
+        total += float(np.sum(density(r, w)))
         del r  # free before the adjoint's temporaries, and xc before the next slab's
         if weight_sums is not None:
             part = w
@@ -275,9 +283,14 @@ def _weak_form(grid: Grid, values: np.ndarray, weight, density, weight_sums=None
             weight_sums[lo:hi + 1] += part
         xc *= w
         del w
-        out[lo:hi + 1] += vol * cell_gradient_adjoint(grid, xc, lo)
+        nodal = cell_gradient_adjoint(grid, xc, lo)
         del xc
-    return vol * total, out, r_max
+        nodal *= vol
+        # the slab's node planes lo..hi that are interior, 1..cells-1
+        first, last = max(lo, 1), min(hi, cells - 1)
+        target[first - 1:last] += nodal[(slice(first - lo, last - lo + 1),) + across]
+        del nodal
+    return vol * total, r_max
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -292,15 +305,16 @@ def _max_abs(v: np.ndarray) -> float:
 
 def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarray,
                      metric: np.ndarray) -> np.ndarray:
-    """-H grad by the L-BFGS two-loop recursion, written into ``q``; ``scratch`` is work space.
+    """H grad by the L-BFGS two-loop recursion, written into ``q``; ``scratch`` is work space.
 
-    H is H_0 updated by the pairs (s, y, 1/<s,y>) of ``memory``, oldest first.  H_0 is
-    gamma M for the diagonal ``metric`` M, with gamma = <s,y>/<y,My> of the newest pair
-    (<s,y> read off the stored 1/<s,y>); without pairs gamma is 1/max(res, 1).
+    H is H_0 updated by the pairs (s, y, 1/<s,y>, <y,My>) of ``memory``, oldest first.
+    H_0 is gamma M for the diagonal ``metric`` M, with gamma = <s,y>/<y,My> of the newest
+    pair (<s,y> read off the stored 1/<s,y>); without pairs gamma is 1/max(res, 1).
+    The descent direction is -q.
     """
     np.copyto(q, grad)
     alphas = []
-    for s, y, rho in reversed(memory):
+    for s, y, rho, _ in reversed(memory):
         a = rho * _dot(s, q)
         alphas.append(a)
         q -= np.multiply(y, a, out=scratch)
@@ -308,11 +322,11 @@ def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarra
     if not memory:
         q *= 1.0 / max(res, 1.0)
     else:
-        _, y, rho = memory[-1]
-        q *= 1.0 / (rho * float(np.einsum("i,i,i", y, metric, y)))  # one pass, outside BLAS
-    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        _, _, rho, ymy = memory[-1]
+        q *= 1.0 / (rho * ymy)
+    for (s, y, rho, _), a in zip(memory, reversed(alphas)):
         q += np.multiply(s, a - rho * _dot(y, q), out=scratch)
-    return np.negative(q, out=q)
+    return q
 
 
 def solve_ladder(problems: list[DirichletProblem]) -> list[tuple[np.ndarray, SolveReport]]:
@@ -370,9 +384,7 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     def evaluate(x, grad, weight_sums=None):
         """(energy, max |Xu|) at the interior values x; the gradient is written into ``grad``."""
         unknowns[...] = x.reshape(unknowns.shape)
-        energy, grad_full, cap = _weak_form(grid, u, f_eps, g_eps, weight_sums)
-        grad.reshape(unknowns.shape)[...] = grad_full[inner]
-        return energy, cap
+        return _weak_form(grid, u, f_eps, g_eps, grad, weight_sums)
 
     x = unknowns.flatten()  # a copy, also where the view is contiguous (one interior node)
     # the metric is allocated with the other vectors, before the start's
@@ -387,20 +399,20 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     tol = prob.residual_tol if prob.residual_tol is not None else 1e-8 * (1.0 + res)
     history = [energy]
     res_history = [res]
-    memory = deque(maxlen=3)  # curvature pairs (s, y, 1/<s,y>), oldest first
+    memory = deque(maxlen=3)  # curvature pairs (s, y, 1/<s,y>, <y,My>), oldest first
     spare = []  # the vectors of dropped, cleared and rejected pairs: the next trial and scratch buffers
     iters, evaluations, restarts, rejected_pairs = 0, 1, 0, 0  # the start is the first evaluation
     stop_reason = "max_iters"
 
     while not res <= tol and iters < prob.max_iters:  # a NaN residual is not converged
-        d = _lbfgs_direction(grad, memory, res, q, scratch, metric)
-        gd = _dot(grad, d)
+        hg = _lbfgs_direction(grad, memory, res, q, scratch, metric)  # the direction is -hg
+        gd = -_dot(grad, hg)
         if gd >= 0:  # stale curvature; restart from the scaled steepest descent
-            spare += [v for s_vec, y_vec, _ in memory for v in (s_vec, y_vec)]
+            spare += [v for s_vec, y_vec, *_ in memory for v in (s_vec, y_vec)]
             memory.clear()
             restarts += 1
-            d = _lbfgs_direction(grad, memory, res, q, scratch, metric)
-            gd = _dot(grad, d)
+            hg = _lbfgs_direction(grad, memory, res, q, scratch, metric)
+            gd = -_dot(grad, hg)
 
         alpha = 1.0
         # near the minimizer genuine decreases drop below the float resolution
@@ -411,8 +423,8 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         # work space, which the line search does not use
         x_new, g_new = spare.pop() if spare else np.empty_like(x), scratch
         for _ in range(40):
-            np.multiply(d, alpha, out=x_new)
-            x_new += x  # x + alpha d
+            np.multiply(hg, -alpha, out=x_new)
+            x_new += x  # x - alpha hg
             e_new, cap_new = evaluate(x_new, g_new)
             evaluations += 1
             if e_new <= energy + 1e-4 * alpha * gd + noise:
@@ -428,7 +440,8 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         if sy > 1e-300:
             if len(memory) == memory.maxlen:
                 spare += memory.popleft()[:2]
-            memory.append((s_vec, y_vec, 1.0 / sy))
+            ymy = float(np.einsum("i,i,i", y_vec, metric, y_vec))  # one pass, outside BLAS
+            memory.append((s_vec, y_vec, 1.0 / sy, ymy))
         else:
             rejected_pairs += 1
             spare += [s_vec, y_vec]

@@ -80,9 +80,10 @@ def bumped_start(grid: Grid, values: np.ndarray, height: float = 0.1) -> np.ndar
 def energy_and_residual(prob, values: np.ndarray) -> tuple[float, float]:
     """The solver's energy of ``values`` under prob's A_eps, and its weak residual:
     the largest nodal weak form at an interior node."""
-    energy, grad, _ = sv._weak_form(prob.grid, values, regularized_weight(prob.triple, prob.eps),
-                                    regularized_energy_density(prob.triple, prob.eps))
-    return energy, float(np.max(np.abs(grad[INTERIOR])))
+    grad = np.empty_like(values[INTERIOR])
+    energy, _ = sv._weak_form(prob.grid, values, regularized_weight(prob.triple, prob.eps),
+                              regularized_energy_density(prob.triple, prob.eps), grad)
+    return energy, float(np.max(np.abs(grad)))
 
 
 def barrier_residuals(grid: Grid, values: np.ndarray, triple: OrliczTriple, refinements: int) -> list[float]:
@@ -95,8 +96,9 @@ def barrier_residuals(grid: Grid, values: np.ndarray, triple: OrliczTriple, refi
     for level in range(refinements + 1):
         if level:
             grid, values = grid.refined(), refine_values(values)
-        grad = sv._weak_form(grid, values, weight, triple.G)[1]
-        residuals.append(float(np.max(np.abs(grad[INTERIOR]))))
+        grad = np.empty_like(values[INTERIOR])
+        sv._weak_form(grid, values, weight, lambda r, w: triple.G(r), grad)
+        residuals.append(float(np.max(np.abs(grad))))
     return residuals
 
 

@@ -340,34 +340,53 @@ def bfgs_inverse_hessian(pairs, h0, n: int) -> np.ndarray:
     return h
 
 
-def two_branch_energy_density(triple, eps: float):
-    """G_eps(t) = B(min(t, T)) plus, where t > T = 1/eps - eps, the quadratic tail, on every call.
+def _with_tail(body_at, cap: float, m2: float, T: float):
+    """g_eps(t, w) = body_at(min(t, T), w) plus, where t > T, the quadratic tail, on every call."""
 
-    The composition of `operator.regularized_energy_density` with both branches
-    always evaluated; the table laws get their own table of s g(s+eps)/(s+eps).
-    """
-    T = 1.0 / eps - eps
-    g = triple.g
-    m2 = float(g(np.asarray(1.0 / eps)) * eps)
-    if g.closed_G is None:
-        body_at = _LogCumTable(lambda s: s * g(s + eps) / (s + eps))
-        cap = body_at(T)
-    else:
-        g_eps_ref = float(triple.G(eps))
-        h_eps_ref = float(triple.H(eps))
-        cap = (float(triple.G(1.0 / eps)) - g_eps_ref) - eps * (float(triple.H(1.0 / eps)) - h_eps_ref)
-
-        def body_at(core):
-            return (triple.G(core + eps) - g_eps_ref) - eps * (triple.H(core + eps) - h_eps_ref)
-
-    def g_eps(t):
+    def g_eps(t, w):
         t = np.asarray(t, dtype=float)
-        body = body_at(np.minimum(t, T))
+        body = body_at(np.minimum(t, T), w)
         tail = np.where(t > T, cap + 0.5 * m2 * (t * t - T * T) - body, 0.0)
         out = body + tail
         return float(out) if out.ndim == 0 else out
 
     return g_eps
+
+
+def two_branch_energy_density(triple, eps: float):
+    """G_eps(t, w) = B(min(t, T)) plus, where t > T = 1/eps - eps, the quadratic tail, on every call.
+
+    `operator.regularized_energy_density` with both branches always evaluated:
+    the closed-form laws read B off w = F_eps(t) through ``closed_G_minus_eps_H``,
+    the table laws get their own table of s g(s+eps)/(s+eps).
+    """
+    T = 1.0 / eps - eps
+    g = triple.g
+    m2 = float(g(np.asarray(1.0 / eps)) * eps)
+    fused = g.closed_G_minus_eps_H
+    if fused is None:
+        table = _LogCumTable(lambda s: s * g(s + eps) / (s + eps))
+        return _with_tail(lambda core, w: table(core), table(T), m2, T)
+    c0 = float(fused(np.asarray(eps), g(np.asarray(eps)) / eps, eps))
+    cap = float(fused(np.asarray(1.0 / eps), m2, eps)) - c0
+    return _with_tail(lambda core, w: fused(core + eps, w, eps) - c0, cap, m2, T)
+
+
+def composed_energy_density(triple, eps: float):
+    """G_eps(t, w) with B(t) = [G(t+eps) - G(eps)] - eps [H(t+eps) - H(eps)], w ignored.
+
+    The composition of the law's closed G and H, each evaluated with its own
+    powers, that the fused form replaced; both branches on every call.
+    """
+    T = 1.0 / eps - eps
+    m2 = float(triple.g(np.asarray(1.0 / eps)) * eps)
+    g_ref, h_ref = float(triple.G(eps)), float(triple.H(eps))
+    cap = (float(triple.G(1.0 / eps)) - g_ref) - eps * (float(triple.H(1.0 / eps)) - h_ref)
+
+    def body_at(core, w):
+        return (triple.G(core + eps) - g_ref) - eps * (triple.H(core + eps) - h_ref)
+
+    return _with_tail(body_at, cap, m2, T)
 
 
 def manufactured_fields(x1, x2, t):
@@ -537,8 +556,9 @@ def allocating_lbfgs_solve(prob, init=None):
 
     def evaluate(x, weight_sums=None):
         unknowns[...] = x.reshape(unknowns.shape)
-        energy, grad_full, cap = sv._weak_form(grid, u, f_eps, g_eps, weight_sums)
-        return energy, grad_full[inner].ravel(), cap
+        grad = np.empty_like(x)
+        energy, cap = sv._weak_form(grid, u, f_eps, g_eps, grad, weight_sums)
+        return energy, grad, cap
 
     x = unknowns.flatten()
     q, scratch, metric = np.empty_like(x), np.empty_like(x), np.empty_like(x)
@@ -552,17 +572,17 @@ def allocating_lbfgs_solve(prob, init=None):
            "energy_history": [energy], "residual_history": [res]}
     memory = deque(maxlen=3)
     while not res <= tol and out["iterations"] < prob.max_iters:
-        d = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
-        gd = sv._dot(grad, d)
+        hg = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
+        gd = -sv._dot(grad, hg)
         if gd >= 0:
             memory.clear()
             out["restarts"] += 1
-            d = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
-            gd = sv._dot(grad, d)
+            hg = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
+            gd = -sv._dot(grad, hg)
         alpha = 1.0
         noise = 4.0 * np.finfo(float).eps * (abs(energy) + 1.0)
         for _ in range(40):
-            x_new = x + alpha * d
+            x_new = x - alpha * hg
             e_new, g_new, cap_new = evaluate(x_new)
             out["evaluations"] += 1
             if e_new <= energy + 1e-4 * alpha * gd + noise:
@@ -574,7 +594,7 @@ def allocating_lbfgs_solve(prob, init=None):
         s, y = x_new - x, g_new - grad
         sy = sv._dot(s, y)
         if sy > 1e-300:
-            memory.append((s, y, 1.0 / sy))
+            memory.append((s, y, 1.0 / sy, float(np.einsum("i,i,i", y, metric, y))))
         else:
             out["rejected_pairs"] += 1
         x, energy, grad, cap = x_new, e_new, g_new, cap_new

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import solab.operator as op
-from conftest import CATALOG_LABELS, triple_for
-from oracles import energy_density_reference, fd_jacobian, prototype_jacobian, two_branch_energy_density
+from conftest import CATALOG_LABELS, POWER_LABELS, triple_for
+from oracles import (composed_energy_density, energy_density_reference, fd_jacobian, prototype_jacobian,
+                     two_branch_energy_density)
 
 
 def sample_points(rng, m, d=2, r_lo=1e-2, r_hi=1e2):
@@ -288,9 +289,10 @@ def test_energy_density_derivative_is_t_F_eps(label):
     for eps in (1e-2, 1e-3):
         t_smooth = t[np.abs(t - (1.0 / eps - eps)) > 1e-4 * t]  # skip the saturation kink
         h = 1e-4 * t_smooth
-        g_eps = op.regularized_energy_density(tr, eps)
-        dens = t_smooth * op.regularized_weight(tr, eps)(t_smooth)
-        fd = (g_eps(t_smooth + h) - g_eps(t_smooth - h)) / (2 * h)
+        g_eps, f_eps = op.regularized_energy_density(tr, eps), op.regularized_weight(tr, eps)
+        dens = t_smooth * f_eps(t_smooth)
+        up, down = t_smooth + h, t_smooth - h
+        fd = (g_eps(up, f_eps(up)) - g_eps(down, f_eps(down))) / (2 * h)
         assert float(np.max(np.abs(fd - dens) / dens)) <= 1e-6
 
 
@@ -300,10 +302,10 @@ def test_energy_density_table_matches_quadrature(label, eps):
     # the table laws read G_eps from one table of int_0^t s F_eps; composing
     # G(t+eps) - G(eps) instead cancels at small t
     tr = triple_for(label)
-    g_eps = op.regularized_energy_density(tr, eps)
+    g_eps, f_eps = op.regularized_energy_density(tr, eps), op.regularized_weight(tr, eps)
     for t in np.geomspace(1e-10, 2.0 / eps, 13):
         ref = energy_density_reference(tr.g, eps, t)
-        assert abs(g_eps(t) - ref) <= 1e-9 * ref, t
+        assert abs(g_eps(t, f_eps(t)) - ref) <= 1e-9 * ref, t
 
 
 @pytest.mark.parametrize("label", ["power:p=3", "glued:alpha=1.5,beta=2.5,eps=0.5,k1=1,k2=2",
@@ -313,14 +315,34 @@ def test_energy_density_skips_tail_only_below_saturation(label, eps):
     # below T = 1/eps - eps G_eps evaluates the body alone; any point past T, or NaN, takes both branches
     tr = triple_for(label)
     g_eps, ref = op.regularized_energy_density(tr, eps), two_branch_energy_density(tr, eps)
+    f_eps = op.regularized_weight(tr, eps)
     T = 1.0 / eps - eps
     below = np.geomspace(1e-6, T, 40)
     mixed = np.concatenate([below, [1.5 * T, 2.0 / eps]])
     for t in (below, below.reshape(4, 10), mixed, np.append(below, np.nan), np.append(mixed, np.nan), np.array([])):
-        np.testing.assert_array_equal(g_eps(t), ref(t))
+        np.testing.assert_array_equal(g_eps(t, f_eps(t)), ref(t, f_eps(t)))
     for t in (0.0, 0.5, T, 2.0 / eps, np.nan):
-        out = g_eps(np.asarray(t))
-        assert type(out) is float and (out == ref(t) or np.isnan(out) and np.isnan(ref(t))), t
+        out, want = g_eps(np.asarray(t), f_eps(t)), ref(t, f_eps(t))
+        assert type(out) is float and (out == want or np.isnan(out) and np.isnan(want)), t
+
+
+@pytest.mark.parametrize("label", POWER_LABELS + ["glued:alpha=1.5,beta=2.5,eps=0.5,k1=1,k2=2"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_fused_energy_density_matches_the_composition(label, eps):
+    # G_eps read off F_eps against [G(a) - G(eps)] - eps [H(a) - H(eps)] from the law's own powers, on
+    # every piece of glued (knots 1, 2), at 1e-12 <= t << eps where both cancel, and past T.  Relative
+    # to G_eps + |G(eps) - eps H(eps)|, the size of the cancelling terms, they differ by at most
+    # 1.06e-15 (p = 4 at eps = 1e-2); both are exactly 0 at t = 0
+    tr = triple_for(label)
+    fused, composed = op.regularized_energy_density(tr, eps), composed_energy_density(tr, eps)
+    f_eps = op.regularized_weight(tr, eps)
+    T = 1.0 / eps - eps
+    t = np.concatenate([np.linspace(0.0, 3.0, 301), np.geomspace(1e-12, T, 400), np.geomspace(T, 1e3 / eps, 20)])
+    got, want = fused(t, f_eps(t)), composed(t, None)
+    scale = want + abs(float(tr.G(eps) - eps * tr.H(eps)))
+    assert got[0] == want[0] == 0.0
+    assert float(np.max(np.abs(got - want) / scale)) <= 4e-15
+    assert np.isnan(fused(np.append(t, np.nan), f_eps(np.append(t, np.nan)))[-1])
 
 
 @pytest.mark.parametrize("label", CATALOG_LABELS)
@@ -328,7 +350,8 @@ def test_nan_propagates(label):
     # a NaN |Xu| must not turn into a finite energy; H exists for the closed-form laws only
     tr = triple_for(label)
     t = np.array([np.nan, 1.0])
-    fns = [tr.G, op.regularized_energy_density(tr, 1e-4)] + ([tr.H] if tr.g.closed_H is not None else [])
+    g_eps, f_eps = op.regularized_energy_density(tr, 1e-4), op.regularized_weight(tr, 1e-4)
+    fns = [tr.G, lambda t: g_eps(t, f_eps(t))] + ([tr.H] if tr.g.closed_H is not None else [])
     for fn in fns:
         out = fn(t)
         assert np.isnan(out[0]) and np.isfinite(out[1])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import deque
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 import solab.solver as sv
-from conftest import (INTERIOR, barrier_residuals, bumped_start, comparison_gap, energy_and_residual,
-                      field_from, triple_for)
+from conftest import (CATALOG_LABELS, INTERIOR, barrier_residuals, bumped_start, comparison_gap,
+                      energy_and_residual, field_from, triple_for)
 from oracles import (allocating_lbfgs_solve, averaging_cell_gradient, averaging_cell_gradient_adjoint,
                      bfgs_inverse_hessian, gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace)
 from solab.grid import Grid, refine_values
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
+from solab.orlicz import OrliczTriple
 from solab.problems import boundary_field
 
 
@@ -189,9 +191,9 @@ def test_line_search_stall_recorded(grid9, monkeypatch):
     calls = []
 
     def rising(*args):
-        energy, grad, cap = real(*args)
+        energy, cap = real(*args)
         calls.append(energy)
-        return calls[0] + (len(calls) > 1), grad, cap  # every trial step lands above the start
+        return calls[0] + (len(calls) > 1), cap  # every trial step lands above the start
 
     monkeypatch.setattr(sv, "_weak_form", rising)
     sol, rep = sv.solve_dirichlet(prob)
@@ -209,8 +211,9 @@ def test_problem_operator_is_the_regularized_operator(grid9, rng):
     xc = sv.cell_gradient(grid9, u)
     expected = grid9.cell_volume * sv.cell_gradient_adjoint(
         grid9, np.moveaxis(a_eps(np.moveaxis(xc, 0, -1)), -1, 0))
-    got = sv._weak_form(grid9, u, regularized_weight(tr, eps), regularized_energy_density(tr, eps))[1]
-    assert np.array_equal(got, expected)
+    got = np.empty_like(u[INTERIOR])
+    sv._weak_form(grid9, u, regularized_weight(tr, eps), regularized_energy_density(tr, eps), got)
+    assert np.array_equal(got, expected[INTERIOR])
 
 
 def test_weak_form_slabs_match_the_assembled_operator(rng):
@@ -220,8 +223,9 @@ def test_weak_form_slabs_match_the_assembled_operator(rng):
     step = sv._slab_planes(grid)
     assert step < 20 and 20 % step != 0
     u = rng.normal(size=grid.shape)
-    got = sv._weak_form(grid, u, np.ones_like, lambda r: 0.5 * r * r)[1]
-    want = (kohn_laplace_matrix(grid) @ u.ravel()).reshape(grid.shape)
+    got = np.empty_like(u[INTERIOR])
+    sv._weak_form(grid, u, np.ones_like, lambda r, w: 0.5 * r * r, got)
+    want = (kohn_laplace_matrix(grid) @ u.ravel()).reshape(grid.shape)[INTERIOR]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -234,53 +238,86 @@ def test_energy_gradient_is_directional_derivative_across_slabs(rng):
     f_eps, g_eps = regularized_weight(tr, 1e-4), regularized_energy_density(tr, 1e-4)
     x, y, t = grid.coords()
     u = (np.sin(x) * y + x * t + 0.3 * t) + 0.01 * rng.normal(size=grid.shape)
-    d = rng.normal(size=grid.shape)
-    _, grad, _ = sv._weak_form(grid, u, f_eps, g_eps)
-    # a random direction's derivative cancels: |E'(d)| = 0.55 here (0.02 to 0.55 over other
-    # draws) against |grad| |d| = 136.  The central difference errs by the truncation
-    # h^2 |E'''(d)| / 6 (|E'''(d)| = 2e2 here, up to 1.1e3) plus the rounding u |E| / h
-    # (|E| = 3.8, u = 1.1e-16); h = 1e-6 keeps their sum near 6e-10, 3e-8 of the smallest |E'(d)|
+    d = np.zeros(grid.shape)
+    d[INTERIOR] = rng.normal(size=d[INTERIOR].shape)  # the unknowns' directions
+    grad = np.empty_like(u[INTERIOR])
+    sv._weak_form(grid, u, f_eps, g_eps, grad)
+    # a random direction's derivative cancels: |E'(d)| = 0.51 here (0.013 to 0.94 over other
+    # draws) against |grad| |d| = 89.  The central difference errs by the truncation
+    # h^2 |E'''(d)| / 6 (|E'''(d)| = 1.9e3 here, up to 4.5e3) plus the rounding u |E| / h
+    # (|E| = 3.8, u = 1.1e-16); h = 1e-6 keeps their sum under 1.2e-9, 1e-7 of the smallest |E'(d)|
     h = 1e-6
-    e_plus = sv._weak_form(grid, u + h * d, f_eps, g_eps)[0]
-    e_minus = sv._weak_form(grid, u - h * d, f_eps, g_eps)[0]
-    assert (e_plus - e_minus) / (2 * h) == pytest.approx(float(np.sum(grad * d)), rel=1e-6)
+    e_plus = sv._weak_form(grid, u + h * d, f_eps, g_eps, np.empty_like(grad))[0]
+    e_minus = sv._weak_form(grid, u - h * d, f_eps, g_eps, np.empty_like(grad))[0]
+    assert (e_plus - e_minus) / (2 * h) == pytest.approx(float(np.sum(grad * d[INTERIOR])), rel=1e-6)
 
 
-@pytest.mark.parametrize("label, bound", [("power:p=3", 5.5), ("loglin:alpha=1,beta=1,a=2.718281828", 5.5)])
-def test_energy_evaluation_allocates_no_full_grid_temporaries(label, bound):
-    # peak allocation of one evaluation at 33^3, in node arrays: 4.67 for both laws;
-    # with full-grid temporaries it was 9.8 (power) and 18.5 (loglin)
-    grid = Grid.from_box([(-1, 1)] * 3, 33)
+@pytest.mark.parametrize("nodes, bound", [(33, 4.2), (65, 0.6)])
+@pytest.mark.parametrize("label", ["power:p=3", "loglin:alpha=1,beta=1,a=2.718281828"])
+def test_energy_evaluation_allocates_no_full_grid_temporaries(label, nodes, bound):
+    # peak allocation of one evaluation into the given gradient, in node arrays, for both laws:
+    # 3.65 at 33^3 (two slabs of 16 planes) and 0.48 at 65^3 (slabs of 4 planes).  With a
+    # full-grid nodal output it was 4.53 and 1.47; with full-grid temporaries, at 33^3, 9.8
+    # (power) and 18.5 (loglin)
+    grid = Grid.from_box([(-1, 1)] * 3, nodes)
     tr = triple_for(label)
     f_eps, g_eps = regularized_weight(tr, 1e-4), regularized_energy_density(tr, 1e-4)
     u = grid.coord(0) * grid.coord(2) + 0.5 * grid.coord(1) * np.ones(grid.shape)
-    sv._weak_form(grid, u, f_eps, g_eps)  # builds the lazy G/H tables
+    grad = np.empty_like(u[INTERIOR])
+    sv._weak_form(grid, u, f_eps, g_eps, grad)  # builds the lazy G/H tables
     tracemalloc.start()
     try:
-        sv._weak_form(grid, u, f_eps, g_eps)
+        sv._weak_form(grid, u, f_eps, g_eps, grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound * u.nbytes, peak / u.nbytes
 
 
+@pytest.mark.parametrize("label", CATALOG_LABELS)
+def test_weak_form_evaluates_the_law_once_per_cell(label):
+    # the weight's g(r + eps) is the only evaluation of the law: the density reads G_eps off
+    # the weight (closed-form laws) or off its table (loglin, sinlog), and no closed G or H runs
+    grid = Grid.from_box([(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
+    assert 20 % sv._slab_planes(grid) != 0
+    g = triple_for(label).g
+    points = {"eval": 0, "closed_G": 0, "closed_H": 0}
+
+    def counting(name):
+        inner = getattr(g, name)
+
+        def counted(t, *args):
+            points[name] += int(np.size(t))
+            return inner(t, *args)
+        return counted
+
+    counted = OrliczTriple(dataclasses.replace(g, **{name: counting(name) for name in points
+                                                   if getattr(g, name) is not None}))
+    f_eps, g_eps = regularized_weight(counted, 1e-4), regularized_energy_density(counted, 1e-4)
+    u = grid.coord(0) * grid.coord(2) + 0.5 * grid.coord(1) * np.ones(grid.shape)
+    points.update(dict.fromkeys(points, 0))
+    sv._weak_form(grid, u, f_eps, g_eps, np.empty_like(u[INTERIOR]))
+    assert points == {"eval": 20 * 32 * 32, "closed_G": 0, "closed_H": 0}
+
+
 def _two_loop_against_dense_bfgs(rng, pairs, metric):
-    """The in-place two-loop recursion against the dense update of gamma M."""
+    """The in-place two-loop recursion H grad against the dense update H of gamma M."""
     n = 20
     m = rng.normal(size=(n, n))
     hess = m @ m.T / n + np.eye(n)
     steps = [rng.normal(size=n) for _ in range(pairs)]
-    memory = deque(((s, hess @ s, 1.0 / float(s @ hess @ s)) for s in steps), maxlen=3)
+    ys = [hess @ s for s in steps]
+    memory = deque(((s, y, 1.0 / float(s @ y), float(y @ (metric * y))) for s, y in zip(steps, ys)), maxlen=3)
     grad = 3.0 * rng.normal(size=n)
     res = float(np.max(np.abs(grad)))
     y = memory[-1][1] if pairs else None
     gamma = float(steps[-1] @ y) / float(y @ (metric * y)) if pairs else 1.0 / res
-    ref = -bfgs_inverse_hessian([(s, y) for s, y, _ in memory], gamma * metric, n) @ grad
+    ref = bfgs_inverse_hessian([(s, y) for s, y, *_ in memory], gamma * metric, n) @ grad
     before = grad.copy()
     q, scratch = np.empty(n), np.empty(n)
-    d = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
-    assert d is q and np.array_equal(grad, before)
-    assert float(np.max(np.abs(d - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+    hg = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
+    assert hg is q and np.array_equal(grad, before)
+    assert float(np.max(np.abs(hg - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("pairs", [0, 1, 2, 3])
@@ -304,7 +341,7 @@ def test_weight_sums_are_the_cell_sums_at_every_node(rng):
     f_eps = regularized_weight(tr, 1e-4)
     u = rng.normal(size=grid.shape)
     sums = np.zeros(grid.shape)
-    sv._weak_form(grid, u, f_eps, regularized_energy_density(tr, 1e-4), sums)
+    sv._weak_form(grid, u, f_eps, regularized_energy_density(tr, 1e-4), np.empty_like(u[INTERIOR]), sums)
     cells = f_eps(np.sqrt(np.sum(sv.cell_gradient(grid, u) ** 2, axis=0)))
     want = np.zeros(grid.shape)
     for corner in np.ndindex(2, 2, 2):
@@ -430,7 +467,7 @@ def test_non_descent_direction_restarts(monkeypatch):
     def uphill_once(grad, memory, res, q, scratch, metric):
         if memory and not forced:
             forced.append(True)
-            return grad.copy()
+            return np.negative(grad)  # the solve steps along minus the returned vector
         return direction(grad, memory, res, q, scratch, metric)
 
     monkeypatch.setattr(sv, "_lbfgs_direction", uphill_once)
@@ -455,14 +492,15 @@ def test_solve_report_counts_evaluations(monkeypatch, grid9):
 
 
 def test_solve_report_counts_rejected_pairs_and_tol(monkeypatch, grid9):
-    # <s, y> read as 0 rejects every curvature pair, so each iteration counts one rejection
+    # positive inner products read as 0: <s, y> rejects every curvature pair, so each iteration
+    # counts one rejection, and <g, Hg> makes every direction restart as the scaled steepest descent
     prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c, max_iters=5)
     _, plain = sv.solve_dirichlet(prob)
     dot = sv._dot
     monkeypatch.setattr(sv, "_dot", lambda a, b: min(dot(a, b), 0.0))
     _, rep = sv.solve_dirichlet(prob)
-    assert plain.rejected_pairs == 0
-    assert rep.stop_reason == "max_iters" and rep.iterations == rep.rejected_pairs == 5
+    assert plain.rejected_pairs == plain.restarts == 0
+    assert rep.stop_reason == "max_iters" and rep.iterations == rep.rejected_pairs == rep.restarts == 5
     assert rep.tol == plain.tol == 1e-8 * (1.0 + rep.residual_history[0])
 
 
@@ -507,10 +545,10 @@ def test_rotating_buffers_through_restarts_and_rejected_pairs(monkeypatch, grid9
 
 def test_solve_memory_is_its_rotating_buffers():
     # a 33^3 solve from the prolonged 17^3 solution holds 12 interior vectors (iterate, gradient,
-    # direction, metric, trial, the scratch that takes the trial's gradient, three pairs), u, one
-    # evaluation's nodal output and its slabs: 15.51 full-grid arrays measured, at 10 iterations as
-    # at 60.  The allocating loop peaks at 18.33: it holds the start, and the newest pair beside the
-    # three stored ones
+    # direction, metric, trial, the scratch that takes the trial's gradient, three pairs), u and one
+    # evaluation's slabs, which add into the gradient vector: 14.62 full-grid arrays measured at 10
+    # iterations, 14.64 at 60 (15.51 when an evaluation allocated a nodal output).  The allocating
+    # loop peaks at 18.29: it holds the start, and the newest pair beside the three stored ones
     expr = lambda a, b, c: 0.5 * a + 0.2 * b + 0.4 * a * c  # noqa: E731  (the README data)
     coarse = make_problem(Grid.from_box([(-1, 1)] * 3, 17), "power:p=3", expr)
     (sol17, _), = sv.solve_ladder([coarse])
@@ -525,7 +563,7 @@ def test_solve_memory_is_its_rotating_buffers():
             tracemalloc.stop()
     grid_bytes, vector_bytes = 33 ** 3 * 8, 31 ** 3 * 8
     short, long, allocating = peaks.values()
-    assert short < 1.15 * 15.51 * grid_bytes, short / grid_bytes
+    assert short < 1.15 * 14.62 * grid_bytes, short / grid_bytes
     assert long <= short + 0.05 * grid_bytes, (short / grid_bytes, long / grid_bytes)  # the histories' floats
     assert long < allocating - 2 * vector_bytes, (long / grid_bytes, allocating / grid_bytes)
 
