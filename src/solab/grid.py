@@ -248,17 +248,27 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.nd
     padded_radius = np.subtract(corner_max, corner_min, out=corner_max)
     padded_radius += ball.radius
     shell = ~inside & ~(corner_min > padded_radius)
-    del corner_min, corner_max, padded_radius
+    del corner_min, corner_max, padded_radius, rho
     coverage = inside.astype(float)
     if np.any(shell):
         idx = np.nonzero(shell)
-        pts = np.stack([grid.axis(k)[box[k]][idx[k]] for k in range(grid.dim)], axis=-1)
-        count = np.zeros(pts.shape[0])
+        x, y, t = (grid.axis(k)[box[k]][idx[k]] for k in range(grid.dim))
+        count = np.zeros(x.size)
         steps = (np.arange(sub) + 0.5) / sub - 0.5
-        for offs in np.ndindex(*(sub,) * grid.dim):
-            shift = np.array([steps[o] for o in offs]) * h
-            q = pts + shift
-            count += gauge_squared(translate(ball.center, list(q.T))) <= ball.radius ** 2
+        # gauge_squared(translate(center, p)) = (x - a)^2 + (y - b)^2 + |(t - c) - 0.5 (a y - b x)|
+        # at each sub-cell point p, in that order, with the per-axis terms formed once per offset
+        a, b, c = np.asarray(ball.center, dtype=float)
+        ys = [y + s * h[1] for s in steps]
+        y_terms = [(yo - b) ** 2 for yo in ys]
+        t_terms = [(t + s * h[2]) - c for s in steps]
+        for s in steps:
+            xo = x + s * h[0]
+            x_term = (xo - a) ** 2
+            for yo, y_term in zip(ys, y_terms):
+                twist = 0.5 * (a * yo - b * xo)
+                plane = x_term + y_term
+                for t_term in t_terms:
+                    count += plane + np.abs(t_term - twist) <= ball.radius ** 2
         coverage[idx] = count / float(sub ** grid.dim)
     coverage *= _trapezoid_weights(grid, box)
     return box, coverage

@@ -46,13 +46,14 @@ whose interior has Xu = 0 weighs its inner nodes by F_eps(0) alone, so a
 start must carry the scale of the data, as the boundary field does.
 
 `_weak_form` runs in slabs of consecutive cell planes along x_1, sized so that
-one scalar cell field of a slab takes `_SLAB_BYTES`: each slab forms Xu, |Xu|,
-the weight w and, from r and w, the energy density (the law is evaluated once
-per cell) from its own node planes and adds its part straight into the
-solver's gradient vector, so an evaluation allocates no full-grid array (the
-start's evaluation adds D's node sums into a full-grid array of the solver).
-Slab temporaries stay in the allocator's free lists, where full-grid ones were
-unmapped and page-faulted back in on every evaluation.
+one scalar cell field of a slab, without its padding cells, takes
+`_SLAB_BYTES`: each slab forms Xu, |Xu|, the weight w and, from r and w, the
+energy density (the law is evaluated once per stored cell) from its own node
+planes and writes its part straight into the solver's gradient vector, so an
+evaluation allocates no full-grid array (the start's evaluation adds D's node
+sums into a full-grid array of the solver).  Slab temporaries stay in the
+allocator's free lists, where full-grid ones were unmapped and page-faulted
+back in on every evaluation.
 
 The averages are regrouped into one chain of pair sums: axis k's derivative
 pair-sums the nodes along axes 0..k-1 (a prefix shared by all axes), takes
@@ -61,6 +62,13 @@ by 0.5^(d-1)/h_k, 11 passes over a slab where averaging each axis
 separately took 18.  The adjoint runs the same chain backwards with one
 accumulator (about 13 passes, against 39).  The scales and cell-centre
 coordinates are built once per grid (`_frame`), not once per slab.
+A cell field is stored with the node count along the last (contiguous) axis:
+each row's n_2 - 1 cells are followed by one padding cell.  A pair sum or
+difference along that axis is then one op over the slab's flat buffer, as
+along axes 0 and 1, where numpy ran a compact field's shifted views one row
+at a time; these are 3 of the forward's 11 passes and 3 of the adjoint's,
+and the adjoint's last-axis passes need no end copies, since its input is 0
+in the padding.
 """
 
 from __future__ import annotations
@@ -98,8 +106,36 @@ def _halves(axis: int) -> tuple[tuple, tuple]:
     return lead + (slice(None, -1),), lead + (slice(1, None),)
 
 
+def _pair(a: np.ndarray, axis: int, op) -> np.ndarray:
+    """op(upper, lower) over the neighbour pairs along ``axis``: the pair sum (np.add) or the edge difference.
+
+    Along the last axis ``a`` keeps its length: the pairs are those of the flat
+    buffer, so the pair across each row's end lands in the row's last entry,
+    its padding cell, and the buffer's final entry is 0.
+    """
+    if axis < a.ndim - 1:
+        lo, hi = _halves(axis)
+        return op(a[hi], a[lo])
+    out = np.empty(a.shape)
+    flat, dst = a.reshape(-1), out.reshape(-1)
+    op(flat[1:], flat[:-1], out=dst[:-1])
+    dst[-1] = 0.0
+    return out
+
+
 def _pair_adjoint(a: np.ndarray, axis: int, op) -> np.ndarray:
-    """Transpose along ``axis`` of the pair sum (op np.add) or the edge difference (np.subtract)."""
+    """Transpose along ``axis`` of the pair sum (op np.add) or the edge difference (np.subtract).
+
+    Along the last axis ``a``'s padding cells must be 0: the transpose of the
+    flat pairs is then out[0] = +-a[0], out[j] = a[j-1] +- a[j], which gives
+    each row's end nodes their one cell.
+    """
+    if axis == a.ndim - 1:
+        out = np.empty(a.shape)
+        flat, dst = a.reshape(-1), out.reshape(-1)
+        op(flat[:-1], flat[1:], out=dst[1:])
+        dst[0] = flat[0] if op is np.add else -flat[0]
+        return out
     lead = (slice(None),) * axis
     shape = list(a.shape)
     shape[axis] += 1
@@ -124,10 +160,12 @@ def _cell_coords(grid: Grid, first: int, planes: int) -> list[np.ndarray]:
 
 
 def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
-    """Horizontal gradient (X, Y) at cell centers, shape (2, *cellshape).
+    """Horizontal gradient (X, Y) at cell centers, in the padded cell layout.
 
     ``values`` holds the grid's node planes along axis 0 from plane ``first``
     on (all of them by default); the result covers the cells between them.
+    Its shape is (2, planes, n_1 - 1, n_2): a row along the last axis holds
+    its n_2 - 1 cells and then one padding cell, which is exactly 0.
     Axis k's derivative is c_k S_{k+1..d-1}(Δ_k P_k): the edge difference
     along k of the prefix P_k (the nodes pair-summed along axes 0..k-1, one
     chain shared by all axes), pair-summed along the later axes.
@@ -136,26 +174,27 @@ def cell_gradient(grid: Grid, values: np.ndarray, first: int = 0) -> np.ndarray:
     derivs = []
     prefix = values
     for k in range(grid.dim):
-        lo, hi = _halves(k)
-        d = prefix[hi] - prefix[lo]
+        d = _pair(prefix, k, np.subtract)
         for b in range(k + 1, grid.dim):
-            lo_b, hi_b = _halves(b)
-            d = d[lo_b] + d[hi_b]
+            d = _pair(d, b, np.add)
         d *= scales[k]
         derivs.append(d)
         if k + 1 < grid.dim:
-            prefix = prefix[lo] + prefix[hi]
-    return horizontal(derivs, _cell_coords(grid, first, derivs[0].shape[0]))
+            prefix = _pair(prefix, k, np.add)
+    out = horizontal(derivs, _cell_coords(grid, first, derivs[0].shape[0]))
+    out[..., -1] = 0.0
+    return out
 
 
 def cell_gradient_adjoint(grid: Grid, w: np.ndarray, first: int = 0) -> np.ndarray:
-    """Adjoint of cell_gradient: cell vector fields to node values.
+    """Adjoint of cell_gradient: cell vector fields in the padded layout to node values.
 
-    ``w`` covers the cell planes along axis 0 from plane ``first`` on; the
-    result covers the node planes around them.  The transpose runs from axis
-    d-1 down to 0: axis k's scaled load is spread over the later axes and
-    over its own edges to prefix level k, added to the one accumulator, and
-    the sum spread along axis k-1 to the level below.
+    ``w`` covers the cell planes along axis 0 from plane ``first`` on, shape
+    (2, planes, n_1 - 1, n_2), and its padding cells must be 0; the result
+    covers the node planes around them.  The transpose runs from axis d-1
+    down to 0: axis k's scaled load is spread over the later axes and over
+    its own edges to prefix level k, added to the one accumulator, and the
+    sum spread along axis k-1 to the level below.
     """
     scales = _frame(grid)[0]
     loads = list(w) + [horizontal_adjoint(w, _cell_coords(grid, first, w.shape[1]))]
@@ -253,17 +292,24 @@ def _weak_form(grid: Grid, values: np.ndarray, weight, density, grad: np.ndarray
 
     r = |Xu| per cell and w = weight(r), which the density takes as its
     second argument.  ``grad`` is a contiguous array of the interior nodes'
-    count, zeroed here; every slab (a run of `_slab_planes` cell planes along
-    axis 0) adds its part into the interior nodes around it, so no full-grid
-    array is allocated.  Returns (energy, max r).  A full-grid ``weight_sums``
-    gets every node's sum of w over its cells added in, the transposed pair
-    sums along all axes.
+    count; every slab (a run of `_slab_planes` cell planes along axis 0)
+    writes its part into the interior nodes around it, assigning the node
+    planes it is first to reach and adding into the one it shares with the
+    slab before, so no full-grid array is allocated.  Returns (energy, max r).
+    A full-grid ``weight_sums`` gets every node's sum of w over its cells
+    added in, the transposed pair sums along all axes.
+
+    The cell fields are in `cell_gradient`'s padded layout.  Its padding
+    cells have Xu = 0, so r = 0 there never raises max r.  The density reads
+    only the stored cells (a table law's lookup never sees the padding's
+    r = 0), and its sum runs over a compact array in the compact layout's
+    order.  w is then set to 0 in the padding, which keeps it out of the
+    weight sums and makes the adjoint's input xc * w 0 there.
     """
     vol = grid.cell_volume
     cells = grid.shape[0] - 1
     step = _slab_planes(grid)
     target = grad.reshape(tuple(s - 2 for s in grid.shape))
-    target[...] = 0.0
     across = (slice(1, -1),) * (grid.dim - 1)
     r_max, total = 0.0, 0.0
     for lo in range(0, cells, step):
@@ -274,8 +320,9 @@ def _weak_form(grid: Grid, values: np.ndarray, weight, density, grad: np.ndarray
         np.sqrt(r, out=r)
         r_max = max(r_max, float(r.max()))
         w = weight(r)
-        total += float(np.sum(density(r, w)))
+        total += float(np.sum(density(r[..., :-1], w[..., :-1])))
         del r  # free before the adjoint's temporaries, and xc before the next slab's
+        w[..., -1] = 0.0  # no weight in the padding, for D's sums and the adjoint's input
         if weight_sums is not None:
             part = w
             for k in range(grid.dim):
@@ -285,10 +332,11 @@ def _weak_form(grid: Grid, values: np.ndarray, weight, density, grad: np.ndarray
         del w
         nodal = cell_gradient_adjoint(grid, xc, lo)
         del xc
-        nodal *= vol
-        # the slab's node planes lo..hi that are interior, 1..cells-1
-        first, last = max(lo, 1), min(hi, cells - 1)
-        target[first - 1:last] += nodal[(slice(first - lo, last - lo + 1),) + across]
+        # the slab's node planes lo..hi that are interior, 1..cells-1; plane lo > 0 is the slab before's last
+        last = min(hi, cells - 1)
+        np.multiply(nodal[(slice(1, last - lo + 1),) + across], vol, out=target[lo:last])
+        if lo:
+            target[lo - 1] += nodal[(0,) + across] * vol
         del nodal
     return vol * total, r_max
 
@@ -312,13 +360,14 @@ def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarra
     pair (<s,y> read off the stored 1/<s,y>); without pairs gamma is 1/max(res, 1).
     The descent direction is -q.
     """
-    np.copyto(q, grad)
+    src = grad  # the first update reads grad and writes q
     alphas = []
     for s, y, rho, _ in reversed(memory):
-        a = rho * _dot(s, q)
+        a = rho * _dot(s, src)
         alphas.append(a)
-        q -= np.multiply(y, a, out=scratch)
-    q *= metric
+        np.subtract(src, np.multiply(y, a, out=scratch), out=q)
+        src = q
+    np.multiply(src, metric, out=q)
     if not memory:
         q *= 1.0 / max(res, 1.0)
     else:

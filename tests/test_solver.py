@@ -24,9 +24,15 @@ def make_problem(grid, label, expr, **kw):
 
 # ---------------------------------------------------------------- operators
 
+def _padded(w):
+    """Cell fields in the kernels' padded layout: a zero padding cell after each row's cells."""
+    return np.concatenate([w, np.zeros(w.shape[:-1] + (1,))], axis=-1)
+
+
 def test_cell_gradient_adjoint(rng, grid9):
+    # the identity <X u, w> = <u, X^T w> holds for w whose padding cells are 0
     u = rng.normal(size=grid9.shape)
-    w = rng.normal(size=(2,) + tuple(s - 1 for s in grid9.shape))
+    w = _padded(rng.normal(size=(2,) + tuple(s - 1 for s in grid9.shape)))
     lhs = float(np.sum(sv.cell_gradient(grid9, u) * w))
     rhs = float(np.sum(u * sv.cell_gradient_adjoint(grid9, w)))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -46,8 +52,26 @@ def test_cell_stencil_matches_averaging_oracle(rng, res, first, planes):
     grid = Grid.from_box(_BOX, res)
     u = rng.normal(size=(planes + 1,) + grid.shape[1:])
     w = rng.normal(size=(2, planes) + tuple(s - 1 for s in grid.shape[1:]))
-    assert _close_to(sv.cell_gradient(grid, u, first), averaging_cell_gradient(grid, u, first))
-    assert _close_to(sv.cell_gradient_adjoint(grid, w, first), averaging_cell_gradient_adjoint(grid, w, first))
+    xc = sv.cell_gradient(grid, u, first)
+    assert _close_to(xc[..., :-1], averaging_cell_gradient(grid, u, first))
+    assert np.array_equal(xc[..., -1], np.zeros(xc.shape[:-1]))
+    assert _close_to(sv.cell_gradient_adjoint(grid, _padded(w), first), averaging_cell_gradient_adjoint(grid, w, first))
+
+
+@pytest.mark.parametrize("first, planes", [(0, 8), (3, 2), (7, 1)])
+def test_padded_cell_stencil_is_the_averaging_oracle_bit_for_bit(rng, first, planes):
+    # dyadic spacings and coordinates with small integer data and loads: every sum and product
+    # of both stencils is exact, so the stored cells equal the oracle's and the padding is 0;
+    # the shape is non-cubic and the rows along the last axis are not a multiple of any other
+    grid = Grid.from_box([(-1, 1), (-0.5, 1.5), (-2, 2)], (9, 5, 17))
+    u = rng.integers(-8, 9, size=(planes + 1,) + grid.shape[1:]).astype(float)
+    w = rng.integers(-8, 9, size=(2, planes) + tuple(s - 1 for s in grid.shape[1:])).astype(float)
+    xc = sv.cell_gradient(grid, u, first)
+    assert xc.shape == (2, planes, 4, 17)
+    assert np.array_equal(xc[..., :-1], averaging_cell_gradient(grid, u, first))
+    assert np.array_equal(xc[..., -1], np.zeros((2, planes, 4)))
+    assert np.array_equal(sv.cell_gradient_adjoint(grid, _padded(w), first),
+                          averaging_cell_gradient_adjoint(grid, w, first))
 
 
 def test_cell_stencil_adjoint_on_edge_unit_loads():
@@ -59,18 +83,19 @@ def test_cell_stencil_adjoint_on_edge_unit_loads():
         for cell in corners:
             w = np.zeros((2,) + cells)
             w[(comp,) + cell] = 1.0
-            assert _close_to(sv.cell_gradient_adjoint(grid, w), averaging_cell_gradient_adjoint(grid, w)), (comp, cell)
+            assert _close_to(sv.cell_gradient_adjoint(grid, _padded(w)),
+                             averaging_cell_gradient_adjoint(grid, w)), (comp, cell)
 
 
 def test_cell_frame(rng):
     # dyadic nodes: the cell stencils of u = t are exact, so (Xu, Yu) = (-y/2, x/2) bit for bit
     grid = Grid.from_box([(-1, 1)] * 3, 5)
-    xc = sv.cell_gradient(grid, grid.coord(2) * np.ones(grid.shape))
+    xc = sv.cell_gradient(grid, grid.coord(2) * np.ones(grid.shape))[..., :-1]
     cells = xc.shape[1:]
     assert np.array_equal(xc[0], np.broadcast_to(-grid.cell_coord(1) / 2, cells))
     assert np.array_equal(xc[1], np.broadcast_to(grid.cell_coord(0) / 2, cells))
     u = rng.normal(size=grid.shape)
-    w = rng.normal(size=xc.shape)
+    w = _padded(rng.normal(size=xc.shape))
     lhs = float(np.sum(sv.cell_gradient(grid, u) * w))
     assert lhs == pytest.approx(float(np.sum(u * sv.cell_gradient_adjoint(grid, w))), rel=1e-12)
 
@@ -79,7 +104,7 @@ def test_cell_gradient_exact_on_affine(grid9):
     # X(a.x + c t) at a cell with center (x1c, x2c): (a1 - c x2c/2, a2 + c x1c/2)
     a1, a2, c = 0.7, -0.2, 0.4
     vals = (a1 * grid9.coord(0) + a2 * grid9.coord(1) + c * grid9.coord(2)) * np.ones(grid9.shape)
-    xc = sv.cell_gradient(grid9, vals)
+    xc = sv.cell_gradient(grid9, vals)[..., :-1]
     x1c, x2c = grid9.cell_coord(0), grid9.cell_coord(1)
     assert np.max(np.abs(xc[0] - (a1 - c * x2c / 2))) <= 1e-13
     assert np.max(np.abs(xc[1] - (a2 + c * x1c / 2))) <= 1e-13
@@ -277,7 +302,8 @@ def test_energy_evaluation_allocates_no_full_grid_temporaries(label, nodes, boun
 @pytest.mark.parametrize("label", CATALOG_LABELS)
 def test_weak_form_evaluates_the_law_once_per_cell(label):
     # the weight's g(r + eps) is the only evaluation of the law: the density reads G_eps off
-    # the weight (closed-form laws) or off its table (loglin, sinlog), and no closed G or H runs
+    # the weight (closed-form laws) or off its table (loglin, sinlog), and no closed G or H runs;
+    # the weight runs on every stored cell, the padding cell after each row's 32 cells included
     grid = Grid.from_box([(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
     assert 20 % sv._slab_planes(grid) != 0
     g = triple_for(label).g
@@ -297,7 +323,25 @@ def test_weak_form_evaluates_the_law_once_per_cell(label):
     u = grid.coord(0) * grid.coord(2) + 0.5 * grid.coord(1) * np.ones(grid.shape)
     points.update(dict.fromkeys(points, 0))
     sv._weak_form(grid, u, f_eps, g_eps, np.empty_like(u[INTERIOR]))
-    assert points == {"eval": 20 * 32 * 32, "closed_G": 0, "closed_H": 0}
+    assert points == {"eval": 20 * 32 * 33, "closed_G": 0, "closed_H": 0}
+
+
+def test_weak_form_calls_the_module_kernels_once_per_slab(monkeypatch):
+    # the slab loop looks both kernels up on the module, where a tracer's patch replaces them
+    grid = Grid.from_box([(-0.3, 1.7), (-1, 1), (-0.5, 0.5)], (21, 33, 33))
+    firsts = list(range(0, 20, sv._slab_planes(grid)))  # each slab's first cell plane
+    assert len(firsts) > 1
+    calls = {"cell_gradient": [], "cell_gradient_adjoint": []}
+    for name, calls_of in calls.items():
+        kernel = getattr(sv, name)
+
+        def counted(grid, fields, first, kernel=kernel, calls_of=calls_of):
+            calls_of.append(first)
+            return kernel(grid, fields, first)
+        monkeypatch.setattr(sv, name, counted)
+    u = grid.coord(0) * grid.coord(2) + 0.5 * grid.coord(1) * np.ones(grid.shape)
+    sv._weak_form(grid, u, np.ones_like, lambda r, w: 0.5 * r * r, np.empty_like(u[INTERIOR]))
+    assert calls == {"cell_gradient": firsts, "cell_gradient_adjoint": firsts}
 
 
 def _two_loop_against_dense_bfgs(rng, pairs, metric):
@@ -342,7 +386,7 @@ def test_weight_sums_are_the_cell_sums_at_every_node(rng):
     u = rng.normal(size=grid.shape)
     sums = np.zeros(grid.shape)
     sv._weak_form(grid, u, f_eps, regularized_energy_density(tr, 1e-4), np.empty_like(u[INTERIOR]), sums)
-    cells = f_eps(np.sqrt(np.sum(sv.cell_gradient(grid, u) ** 2, axis=0)))
+    cells = f_eps(np.sqrt(np.sum(sv.cell_gradient(grid, u)[..., :-1] ** 2, axis=0)))
     want = np.zeros(grid.shape)
     for corner in np.ndindex(2, 2, 2):
         want[tuple(slice(c, c + n) for c, n in zip(corner, cells.shape))] += cells
@@ -632,7 +676,7 @@ def test_comparison_ordered_smooth_pair(grid9):
 
 def test_barrier_t_free_has_constant_gradient(grid9):
     L = boundary_field("affine:c0=0.3,x1=0.5,x2=0.5", grid9)
-    xc = sv.cell_gradient(grid9, L)
+    xc = sv.cell_gradient(grid9, L)[..., :-1]
     assert np.max(np.abs(xc[0] - xc[0].flat[0])) <= 1e-13
     assert np.max(np.abs(xc[1] - xc[1].flat[0])) <= 1e-13
 
