@@ -327,6 +327,16 @@ def _audit_jobs(cfg: ExperimentConfig):
 def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
     if cfg.refinements < 1:
         raise ConfigError("audit needs at least 2 refinement levels (refinements >= 1)")
+    grids = [Grid.from_box(cfg.box, cfg.resolutions())]
+    for _ in range(cfg.refinements):
+        grids.append(grids[-1].refined())
+    # every other ball the audit integrates over holds B_{sigma r}: B_r and the Moser balls; finest
+    # grid first, so the weights the ball cache keeps through the solves are the coarse grids' small ones
+    for grid in reversed(grids):
+        for name, radius in (("B_{sigma r}", cfg.sigma * cfg.radius), ("supp eta", cfg.eta_outer)):
+            if not gr.ball_volume(grid, GaugeBall(cfg.center, radius)) > 0:
+                raise ConfigError(f"the gauge ball {name} (radius {radius:g}) gets no quadrature weight "
+                                  f"on the {'x'.join(map(str, grid.shape))} grid")
     triple = OrliczTriple(catalog_structure_function(cfg.structure))
     jobs = list(_audit_jobs(cfg))
     per_level: dict[tuple, list[vf.AuditReport]] = {}
@@ -336,9 +346,6 @@ def cmd_audit(cfg: ExperimentConfig, out: str) -> int:
     csv_rows = []
     plot_rows = []
     all_converged = True
-    grids = [Grid.from_box(cfg.box, cfg.resolutions())]
-    for _ in range(cfg.refinements):
-        grids.append(grids[-1].refined())
     solves = sv.solve_ladder([_problem(cfg, triple, g) for g in grids])
     for level, (grid, (sol, report)) in enumerate(zip(grids, solves)):
         all_converged &= report.converged

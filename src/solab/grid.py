@@ -14,7 +14,9 @@ of degree <= 2 in the differenced variable.  They also run on a node box (a
 tuple of index slices), where they give the whole grid's values except on a
 box face inside the grid.  Quadrature is a trapezoid-type
 node-weight sum; gauge balls get fractional boundary-cell weights so that
-volume scaling studies are meaningful at desk resolutions.  Ball weights, node
+volume scaling studies are meaningful at desk resolutions: a proved bound on
+the squared gauge over each node cell decides the cells wholly in or out of
+the ball, and the rest count 4^3 sub-cell points.  Ball weights, node
 masks and cutoffs live on the ball's node box: the index slices of the nodes
 whose cells can meet the ball.
 """
@@ -40,6 +42,7 @@ __all__ = [
     "gauge_distance_field",
     "make_cutoff",
     "integrate",
+    "ball_volume",
     "ball_average",
     "ball_node_mask",
     "save_field_binary",
@@ -155,16 +158,9 @@ def horizontal_norm(v: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def gauge_distance_field(grid: Grid, center, offsets=None, box=None) -> np.ndarray:
-    """Left-invariant gauge distance ||center^{-1} . x|| at every node (of a node box).
-
-    ``offsets`` optionally shifts every node by a constant vector (used for
-    sub-cell sampling).
-    """
-    coords = grid.coords(box)
-    if offsets is not None:
-        coords = [x + o for x, o in zip(coords, np.asarray(offsets, dtype=float))]
-    sq = gauge_squared(translate(center, coords))
+def gauge_distance_field(grid: Grid, center, box=None) -> np.ndarray:
+    """Left-invariant gauge distance ||center^{-1} . x|| at every node (of a node box)."""
+    sq = gauge_squared(translate(center, grid.coords(box)))
     return np.sqrt(sq, out=sq)
 
 
@@ -227,28 +223,27 @@ def _trapezoid_weights(grid: Grid, box) -> np.ndarray:
 def _ball_weights(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.ndarray]:
     """The ball's node box and, on it, trapezoid weights times the fraction of each node cell in the ball.
 
-    The fraction is exact 0/1 away from the shell and counted on 4^d
-    sub-cell points in shell cells.
+    The fraction is the share of 4^d sub-cell points in the ball.  A proved bound on the
+    squared gauge over each cell skips the count where it is 1 or 0: with the node at
+    (x', y', tau) after the left translation by the centre (a, b, c), x'^2 over the cell
+    lies in [max(|x'| - h_x/2, 0)^2, (|x'| + h_x/2)^2], y'^2 likewise, and |tau| in
+    [max(|tau| - delta, 0), |tau| + delta] with delta = h_t/2 + (|a| h_y + |b| h_x)/4.  A
+    cell whose upper sum is below r^2 (1 - 1e-12) counts 1, one whose lower sum is above
+    r^2 (1 + 1e-12) counts 0: every one of its sub-cell points lies on that side, with a
+    margin that float rounding cannot cross.  The rest, the cells the sphere crosses or
+    passes within 1e-12 (relative) of, go to the count.
     """
     sub = 4
     h = grid.spacing
     box = ball.node_box(grid)
-    # min and max gauge distance over the 2^d corners of each node cell, updated in place
-    corner_min = corner_max = None
-    for signs in np.ndindex(*(2,) * grid.dim):
-        rho = gauge_distance_field(grid, np.asarray(ball.center), (np.asarray(signs) - 0.5) * h, box)
-        if corner_min is None:
-            corner_min, corner_max = rho, rho.copy()
-        else:
-            np.minimum(corner_min, rho, out=corner_min)
-            np.maximum(corner_max, rho, out=corner_max)
-    # the gauge ball is convex, so a cell is inside iff all its corners are;
-    # the outer test pads by one cell's worth of variation to be safe
-    inside = corner_max <= ball.radius
-    padded_radius = np.subtract(corner_max, corner_min, out=corner_max)
-    padded_radius += ball.radius
-    shell = ~inside & ~(corner_min > padded_radius)
-    del corner_min, corner_max, padded_radius, rho
+    a, b, c = np.asarray(ball.center, dtype=float)
+    x, y, tau = (np.abs(v) for v in translate(ball.center, grid.coords(box)))
+    delta = 0.5 * h[2] + 0.25 * (abs(a) * h[1] + abs(b) * h[0])
+    r2 = ball.radius ** 2
+    inside = (x + 0.5 * h[0]) ** 2 + (y + 0.5 * h[1]) ** 2 + (tau + delta) < r2 * (1.0 - 1e-12)
+    lower = np.maximum(x - 0.5 * h[0], 0.0) ** 2 + np.maximum(y - 0.5 * h[1], 0.0) ** 2
+    shell = ~inside & ~(lower + np.maximum(tau - delta, 0.0) > r2 * (1.0 + 1e-12))
+    del tau
     coverage = inside.astype(float)
     if np.any(shell):
         idx = np.nonzero(shell)
@@ -257,7 +252,6 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.nd
         steps = (np.arange(sub) + 0.5) / sub - 0.5
         # gauge_squared(translate(center, p)) = (x - a)^2 + (y - b)^2 + |(t - c) - 0.5 (a y - b x)|
         # at each sub-cell point p, in that order, with the per-axis terms formed once per offset
-        a, b, c = np.asarray(ball.center, dtype=float)
         ys = [y + s * h[1] for s in steps]
         y_terms = [(yo - b) ** 2 for yo in ys]
         t_terms = [(t + s * h[2]) - c for s in steps]
@@ -268,7 +262,7 @@ def _ball_weights(grid: Grid, ball: GaugeBall) -> tuple[tuple[slice, ...], np.nd
                 twist = 0.5 * (a * yo - b * xo)
                 plane = x_term + y_term
                 for t_term in t_terms:
-                    count += plane + np.abs(t_term - twist) <= ball.radius ** 2
+                    count += plane + np.abs(t_term - twist) <= r2
         coverage[idx] = count / float(sub ** grid.dim)
     coverage *= _trapezoid_weights(grid, box)
     return box, coverage
@@ -294,8 +288,13 @@ def integrate(grid: Grid, f: np.ndarray, region=None) -> float:
     return float(np.sum(w * f))
 
 
+def ball_volume(grid: Grid, ball: GaugeBall) -> float:
+    """The sum of the ball's quadrature weights: 0 when no sub-cell point lies in the ball."""
+    return float(np.sum(_ball_weights(grid, ball)[1]))
+
+
 def ball_average(grid: Grid, f: np.ndarray, ball: GaugeBall) -> float:
-    return integrate(grid, f, ball) / float(np.sum(_ball_weights(grid, ball)[1]))
+    return integrate(grid, f, ball) / ball_volume(grid, ball)
 
 
 # --------------------------------------------------------------------------

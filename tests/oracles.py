@@ -36,7 +36,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from solab.grid import (GaugeBall, Grid, _smoothstep as _library_smoothstep, _smoothstep_slope, gauge_distance_field,
+from solab.grid import (GaugeBall, Grid, _smoothstep as _library_smoothstep, _smoothstep_slope,
                         horizontal_gradient, horizontal_hessian, horizontal_norm, vertical_derivative)
 import solab.solver as sv
 from solab.operator import regularized_energy_density, regularized_weight
@@ -467,9 +467,8 @@ def gauge_ball_quadrature(radius: float, splits=(), order: int = 24):
 def full_grid_ball_weights(grid: Grid, ball: GaugeBall) -> np.ndarray:
     """Trapezoid weight times the fraction of each node cell inside the ball, at every node.
 
-    The fraction is exact 0/1 away from the shell, where the min and max gauge distance over
-    the cell's corners are both on one side of the radius, and counted on 4^d sub-cell points
-    in shell cells.
+    The fraction counts the 4^d sub-cell points of every node cell of the grid that lie in the
+    ball, with no inside/outside decision taken before the count.
     """
     sub = 4
     h = grid.spacing
@@ -480,24 +479,13 @@ def full_grid_ball_weights(grid: Grid, ball: GaugeBall) -> np.ndarray:
         shape = [1] * grid.dim
         shape[k] = grid.shape[k]
         trapezoid = trapezoid * (axis_w * h[k]).reshape(shape)
-    corner_min = np.full(grid.shape, np.inf)
-    corner_max = np.full(grid.shape, -np.inf)
-    for signs in np.ndindex(*(2,) * grid.dim):
-        rho = gauge_distance_field(grid, np.asarray(ball.center), offsets=(np.asarray(signs) - 0.5) * h)
-        corner_min = np.minimum(corner_min, rho)
-        corner_max = np.maximum(corner_max, rho)
-    inside = corner_max <= ball.radius
-    shell = ~inside & ~(corner_min > ball.radius + (corner_max - corner_min))
-    coverage = inside.astype(float)
-    idx = np.nonzero(shell)
-    pts = np.stack([grid.axis(k)[idx[k]] for k in range(grid.dim)], axis=-1)
-    count = np.zeros(pts.shape[0])
+    coords = grid.coords()
+    count = np.zeros(grid.shape)
     steps = (np.arange(sub) + 0.5) / sub - 0.5
     for offs in np.ndindex(*(sub,) * grid.dim):
-        q = pts + np.array([steps[o] for o in offs]) * h
-        count += gauge_squared(translate(ball.center, list(q.T))) <= ball.radius ** 2
-    coverage[idx] = count / float(sub ** grid.dim)
-    return trapezoid * coverage
+        q = [x + steps[o] * hk for x, o, hk in zip(coords, offs, h)]
+        count += gauge_squared(translate(ball.center, q)) <= ball.radius ** 2
+    return trapezoid * (count / float(sub ** grid.dim))
 
 
 def full_grid_cutoff(grid: Grid, center, r_inner: float, r_outer: float):

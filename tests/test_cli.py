@@ -505,6 +505,28 @@ def test_audit_requires_two_levels(tmp_path):
     assert cli.main(["audit", "--config", path, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_audit_on_a_ball_narrower_than_two_cells(tmp_path):
+    # B_{sigma r} = B_0.2 on 9^3 spans 1.6 cells along x and y and a third of one along t: every
+    # corner of its centre cell lies outside it while sub-cell points of that cell lie inside
+    text = with_keys(readme_cli()[1][""], "resolution = 9\nradius = 0.4\nsigma = 0.5\neta_inner = 0.1\n"
+                     "eta_outer = 0.35\nrefinements = 1")
+    out = tmp_path / "small"
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) in (0, 1)
+    assert (out / "audit_report.json").exists()
+
+
+def test_audit_on_a_ball_with_no_quadrature_weight_exits_2(tmp_path, capsys, monkeypatch):
+    # B_{sigma r} = B_0.025 holds the centre node but no sub-cell point on 9^3 or 17^3
+    text = with_keys(readme_cli()[1][""], "resolution = 9\nradius = 0.05\neta_inner = 0.1\neta_outer = 0.3\n"
+                     "refinements = 1")
+    solves = []
+    monkeypatch.setattr(sv, "solve_ladder", lambda *a, **k: solves.append(a))
+    assert cli.main(["audit", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "B_{sigma r}" in err and "Traceback" not in err
+    assert not solves
+
+
 def test_orlicz_check_loglin_a1_reports_exponents(tmp_path):
     path = write_cfg(tmp_path, BASE.replace("power:p=2", "loglin:alpha=1,beta=1,a=1"))
     out = tmp_path / "loglin"

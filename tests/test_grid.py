@@ -242,8 +242,14 @@ def _off_box(full, box):
     return out
 
 
-@pytest.mark.parametrize("res", [17, 33, 65])
-@pytest.mark.parametrize("center, radius", _BOX_BALLS)
+# small balls, thinner along t than a cell: every corner of a cell they meet can lie outside the
+# ball while sub-cell points of that cell lie inside
+_SMALL_BALLS = [(9, (0, 0, 0), 0.2), (9, (0, 0, 0), 0.3), (9, (0.5, 0, 0), 0.15), (17, (0, 0, 0), 0.2),
+                (33, (0, 0, 0), 0.15), (33, (-0.25, 0.15, 0.2), 0.1)]
+
+
+@pytest.mark.parametrize("res, center, radius",
+                         [(res, c, r) for res in (17, 33, 65) for c, r in _BOX_BALLS] + _SMALL_BALLS)
 def test_ball_weights_on_the_box_are_the_full_grid_weights(res, center, radius):
     grid = gr.Grid.from_box([(-1, 1)] * 3, res)
     ball = gr.GaugeBall(center, radius)
