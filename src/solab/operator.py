@@ -198,8 +198,9 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
     """G_eps(t) = int_0^t s F_eps(s) ds, the energy density of the regularized operator.
 
     Called as g_eps(t, w) with w = F_eps(t), the `regularized_weight` of the
-    same triple and eps at t.  Split at T = 1/eps - eps where the weight
-    saturates (inputs all below T skip the tail):
+    same triple and eps at t, or as g_eps(t, w, t_max) by a caller that has
+    already reduced t_max = max t (NaN if t holds one).  Split at T = 1/eps - eps
+    where the weight saturates (inputs all below T skip the tail):
         t <= T:  G_eps(t) = B(t)
         t  > T:  G_eps(t) = B(T) + F(1/eps) (t^2 - T^2) / 2,
     where B(t) = int_0^t v with v(s) = s g(s+eps)/(s+eps), equal to s F_eps(s) up to T.
@@ -230,9 +231,11 @@ def regularized_energy_density(triple: OrliczTriple, eps: float) -> Callable:
         def body_at(core, w):
             return fused(core + eps, w, eps) - c0
 
-    def g_eps(t, w):
+    def g_eps(t, w, t_max=None):
         t = np.asarray(t, dtype=float)
-        past = not np.max(t, initial=-np.inf) <= T  # some t saturates, or is NaN
+        if t_max is None:
+            t_max = np.max(t, initial=-np.inf)
+        past = not t_max <= T  # some t saturates, or is NaN
         body = np.asarray(body_at(np.minimum(t, T) if past else t, w))
         out = body + np.where(t > T, cap + 0.5 * m2 * (t * t - T * T) - body, 0.0) if past else body
         return float(out) if out.ndim == 0 else out

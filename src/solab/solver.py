@@ -13,15 +13,21 @@ allowance; when 40 halvings fail the solve stops with 'line_search_stall'.
 L-BFGS keeps 3 curvature pairs: 3-7 are adequate (Liu-Nocedal, Math. Prog.
 45, 1989), more left the 65^3 iteration count of the README ladder flat, and
 each costs two dots and two vector updates per iteration in the two-loop
-recursion (`_lbfgs_direction`, which writes H g into preallocated vectors;
-each pair keeps its <y, My>, formed once when it is stored).
-A solve holds twelve interior vectors and allocates none per iteration once
-its pairs are stored: the iterate, its gradient, the direction, the metric,
-the trial iterate, the direction's scratch (the trial's gradient during the
-line search) and three pairs.  An accepted step writes s into the old
-iterate's vector and y into the old gradient's, and the pair the memory
-drops supplies the next trial and scratch vectors.  The ``init`` array is
-released once copied into u.
+recursion (`_lbfgs_direction`, which writes H g into a preallocated vector
+and forms its products in one work block of `_BLOCK` entries; each pair
+keeps its <y, My>, formed once when it is stored).
+A solve holds two node arrays and nine interior vectors, and allocates no
+vector per iteration once its pairs are stored.  The node arrays share the
+boundary values: one holds the iterate, the other each line-search trial,
+written into its interior as x - alpha H g, and an accepted trial swaps the
+two, so an evaluation copies nothing in.  The vectors are the gradient, the
+direction, the metric, the trial's gradient, the next s and two stored
+pairs during the line search; once three pairs are stored, the oldest, which
+the line search never reads, hands its two vectors over as the trial's
+gradient and the next s before it.  An accepted step writes y into the old
+gradient's vector.  A rejected pair returns its vectors to the spares, so it
+leaves two stored pairs.  The ``init`` array is released once copied into
+the iterate's node array.
 The assembled gradient of E is exactly the discrete weak form residual
 max_phi |sum <A_eps(Xu), X phi>| over unit node bumps phi, with
 A_eps(z) = F_eps(|z|) z, so the stopping test and the weak-solution contract
@@ -290,9 +296,10 @@ def _slab_planes(grid: Grid) -> int:
 def _weak_form(grid: Grid, values: np.ndarray, weight, density, grad: np.ndarray, weight_sums=None):
     """The energy vol * sum density(r, w) and its gradient, the nodal weak form vol * X^T(w Xu).
 
-    r = |Xu| per cell and w = weight(r), which the density takes as its
-    second argument.  ``grad`` is a contiguous array of the interior nodes'
-    count; every slab (a run of `_slab_planes` cell planes along axis 0)
+    r = |Xu| per cell and w = weight(r); the density is called as
+    density(r, w, max r) on the slab's stored cells, with the slab's max r,
+    which the loop reduces anyway.  ``grad`` is a contiguous array of the
+    interior nodes' count; every slab (a run of `_slab_planes` cell planes along axis 0)
     writes its part into the interior nodes around it, assigning the node
     planes it is first to reach and adding into the one it shares with the
     slab before, so no full-grid array is allocated.  Returns (energy, max r).
@@ -318,9 +325,10 @@ def _weak_form(grid: Grid, values: np.ndarray, weight, density, grad: np.ndarray
         r = xc[0] * xc[0]
         r += xc[1] * xc[1]
         np.sqrt(r, out=r)
-        r_max = max(r_max, float(r.max()))
+        top = float(r.max())
+        r_max = max(r_max, top)
         w = weight(r)
-        total += float(np.sum(density(r[..., :-1], w[..., :-1])))
+        total += float(np.sum(density(r[..., :-1], w[..., :-1], top)))
         del r  # free before the adjoint's temporaries, and xc before the next slab's
         w[..., -1] = 0.0  # no weight in the padding, for D's sums and the adjoint's input
         if weight_sums is not None:
@@ -351,21 +359,38 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.maximum(v.max(), -v.min()))
 
 
-def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarray,
-                     metric: np.ndarray) -> np.ndarray:
-    """H grad by the L-BFGS two-loop recursion, written into ``q``; ``scratch`` is work space.
+# Entries of the two-loop's work block: its products y a and s c are formed
+# one block at a time, so the direction needs no vector-sized work space.
+_BLOCK = 32 * 1024
+
+
+def _blockwise(out: np.ndarray, src: np.ndarray, v: np.ndarray, c: float, op, work: np.ndarray):
+    """out = op(src, v * c), the product formed in ``work`` one `_BLOCK` of entries at a time."""
+    for lo in range(0, out.size, _BLOCK):
+        hi = min(lo + _BLOCK, out.size)
+        part = np.multiply(v[lo:hi], c, out=work[:hi - lo])
+        op(src[lo:hi], part, out=out[lo:hi])
+
+
+def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """H grad by the L-BFGS two-loop recursion, written into ``q``.
 
     H is H_0 updated by the pairs (s, y, 1/<s,y>, <y,My>) of ``memory``, oldest first.
     H_0 is gamma M for the diagonal ``metric`` M, with gamma = <s,y>/<y,My> of the newest
     pair (<s,y> read off the stored 1/<s,y>); without pairs gamma is 1/max(res, 1).
-    The descent direction is -q.
+    The descent direction is -q.  The updates q = src - a y and q += c s take
+    their products one block at a time (`_blockwise`): each entry gets the
+    arithmetic of the whole-vector update, and the inner products run over
+    whole vectors, so the result is the same bit for bit, and the work space
+    is one block, not one vector.
     """
+    work = np.empty(min(_BLOCK, q.size))
     src = grad  # the first update reads grad and writes q
     alphas = []
     for s, y, rho, _ in reversed(memory):
         a = rho * _dot(s, src)
         alphas.append(a)
-        np.subtract(src, np.multiply(y, a, out=scratch), out=q)
+        _blockwise(q, src, y, a, np.subtract, work)
         src = q
     np.multiply(src, metric, out=q)
     if not memory:
@@ -374,7 +399,7 @@ def _lbfgs_direction(grad, memory, res: float, q: np.ndarray, scratch: np.ndarra
         _, _, rho, ymy = memory[-1]
         q *= 1.0 / (rho * ymy)
     for (s, y, rho, _), a in zip(memory, reversed(alphas)):
-        q += np.multiply(s, a - rho * _dot(y, q), out=scratch)
+        _blockwise(q, q, s, a - rho * _dot(y, q), np.add, work)
     return q
 
 
@@ -421,27 +446,22 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     start = np.asarray(prob.boundary if init is None else init, dtype=float)
     if start.shape != grid.shape:
         raise ValueError("init array shape mismatch")
-    u = np.array(prob.boundary, dtype=float)
     inner = (slice(1, -1),) * grid.dim
-    unknowns = u[inner]  # the interior nodes as a view
-    unknowns[...] = start[inner]
+    u = np.array(prob.boundary, dtype=float)  # the iterate's node array
+    u[inner] = start[inner]
     del start, init  # a nested start is not held through the solve
+    trial = np.array(prob.boundary, dtype=float)  # the trial's: the same boundary values
+    x, x_new = u[inner], trial[inner]  # the interior nodes as views
 
     f_eps = regularized_weight(prob.triple, prob.eps)
     g_eps = regularized_energy_density(prob.triple, prob.eps)
 
-    def evaluate(x, grad, weight_sums=None):
-        """(energy, max |Xu|) at the interior values x; the gradient is written into ``grad``."""
-        unknowns[...] = x.reshape(unknowns.shape)
-        return _weak_form(grid, u, f_eps, g_eps, grad, weight_sums)
-
-    x = unknowns.flatten()  # a copy, also where the view is contiguous (one interior node)
     # the metric is allocated with the other vectors, before the start's
     # temporaries: allocated after them it raised the audit's peak RSS by 3 MB
-    grad, q, scratch, metric = (np.empty_like(x) for _ in range(4))
+    grad, q, metric = (np.empty(x.size) for _ in range(3))
     weight_sums = np.zeros(grid.shape)
-    energy, cap = evaluate(x, grad, weight_sums)
-    np.reciprocal(weight_sums[inner], out=metric.reshape(unknowns.shape))  # D^-1 scaled to mean 1
+    energy, cap = _weak_form(grid, u, f_eps, g_eps, grad, weight_sums)
+    np.reciprocal(weight_sums[inner], out=metric.reshape(x.shape))  # D^-1 scaled to mean 1
     metric /= np.mean(metric)
     del weight_sums
     res = _max_abs(grad) if grad.size else 0.0
@@ -449,32 +469,33 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
     history = [energy]
     res_history = [res]
     memory = deque(maxlen=3)  # curvature pairs (s, y, 1/<s,y>, <y,My>), oldest first
-    spare = []  # the vectors of dropped, cleared and rejected pairs: the next trial and scratch buffers
+    spare = []  # the vectors of released, cleared and rejected pairs: the next trial gradients and s
     iters, evaluations, restarts, rejected_pairs = 0, 1, 0, 0  # the start is the first evaluation
     stop_reason = "max_iters"
 
     while not res <= tol and iters < prob.max_iters:  # a NaN residual is not converged
-        hg = _lbfgs_direction(grad, memory, res, q, scratch, metric)  # the direction is -hg
+        hg = _lbfgs_direction(grad, memory, res, q, metric)  # the direction is -hg
         gd = -_dot(grad, hg)
         if gd >= 0:  # stale curvature; restart from the scaled steepest descent
             spare += [v for s_vec, y_vec, *_ in memory for v in (s_vec, y_vec)]
             memory.clear()
             restarts += 1
-            hg = _lbfgs_direction(grad, memory, res, q, scratch, metric)
+            hg = _lbfgs_direction(grad, memory, res, q, metric)
             gd = -_dot(grad, hg)
+        if len(memory) == memory.maxlen:  # the line search never reads the oldest pair
+            spare += memory.popleft()[:2]
 
         alpha = 1.0
         # near the minimizer genuine decreases drop below the float resolution
         # of the energy; the allowance keeps full steps acceptable there while
         # the gradient is still being polished
         noise = 4.0 * np.finfo(float).eps * (abs(energy) + 1.0)
-        # the trial iterate takes a spare buffer, its gradient the direction's
-        # work space, which the line search does not use
-        x_new, g_new = spare.pop() if spare else np.empty_like(x), scratch
+        g_new = spare.pop() if spare else np.empty_like(grad)
+        step = hg.reshape(x.shape)
         for _ in range(40):
-            np.multiply(hg, -alpha, out=x_new)
-            x_new += x  # x - alpha hg
-            e_new, cap_new = evaluate(x_new, g_new)
+            scaled = step if alpha == 1.0 else np.multiply(step, alpha, out=x_new)
+            np.subtract(x, scaled, out=x_new)  # x - alpha hg, bit for bit x + (-alpha hg): negation is exact
+            e_new, cap_new = _weak_form(grid, trial, f_eps, g_eps, g_new)
             evaluations += 1
             if e_new <= energy + 1e-4 * alpha * gd + noise:
                 break
@@ -482,26 +503,24 @@ def solve_dirichlet(prob: DirichletProblem, init=None):
         else:
             stop_reason = "line_search_stall"
             break
-        # the pair takes the buffers of the old iterate and gradient
-        s_vec = np.subtract(x_new, x, out=x)
+        # the pair takes a spare vector for s and the old gradient's for y
+        s_vec = spare.pop() if spare else np.empty_like(grad)
+        np.subtract(x_new, x, out=s_vec.reshape(x.shape))
         y_vec = np.subtract(g_new, grad, out=grad)
         sy = _dot(s_vec, y_vec)
         if sy > 1e-300:
-            if len(memory) == memory.maxlen:
-                spare += memory.popleft()[:2]
             ymy = float(np.einsum("i,i,i", y_vec, metric, y_vec))  # one pass, outside BLAS
             memory.append((s_vec, y_vec, 1.0 / sy, ymy))
         else:
             rejected_pairs += 1
             spare += [s_vec, y_vec]
-        x, energy, grad, cap = x_new, e_new, g_new, cap_new
-        scratch = spare.pop() if spare else np.empty_like(x)
+        u, trial, x, x_new = trial, u, x_new, x
+        energy, grad, cap = e_new, g_new, cap_new
         res = _max_abs(grad)
         history.append(energy)
         res_history.append(res)
         iters += 1
 
-    unknowns[...] = x.reshape(unknowns.shape)
     report = SolveReport(
         iterations=iters,
         evaluations=evaluations,

@@ -97,7 +97,7 @@ def barrier_residuals(grid: Grid, values: np.ndarray, triple: OrliczTriple, refi
         if level:
             grid, values = grid.refined(), refine_values(values)
         grad = np.empty_like(values[INTERIOR])
-        sv._weak_form(grid, values, weight, lambda r, w: triple.G(r), grad)
+        sv._weak_form(grid, values, weight, lambda r, w, top: triple.G(r), grad)
         residuals.append(float(np.max(np.abs(grad))))
     return residuals
 

@@ -530,8 +530,10 @@ def allocating_lbfgs_solve(prob, init=None):
     The same start, metric, line search, acceptance rule, restarts and pair
     rejection, through the library's kernels (``_weak_form``,
     ``_lbfgs_direction``, ``_dot``, looked up on the module so that a patched
-    kernel serves both), and the start held through the solve.  Returns the
-    solution and a dict of the report's counts and histories.
+    kernel serves both), the start held through the solve, and the same
+    release rule: a full memory drops its oldest pair before the line search,
+    so a rejected pair leaves two stored.  Returns the solution and a dict of
+    the report's counts and histories.
     """
     grid = prob.grid
     start = np.asarray(prob.boundary if init is None else init, dtype=float)
@@ -549,7 +551,7 @@ def allocating_lbfgs_solve(prob, init=None):
         return energy, grad, cap
 
     x = unknowns.flatten()
-    q, scratch, metric = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    q, metric = np.empty_like(x), np.empty_like(x)
     weight_sums = np.zeros(grid.shape)
     energy, grad, cap = evaluate(x, weight_sums)
     np.reciprocal(weight_sums[inner], out=metric.reshape(unknowns.shape))
@@ -560,13 +562,15 @@ def allocating_lbfgs_solve(prob, init=None):
            "energy_history": [energy], "residual_history": [res]}
     memory = deque(maxlen=3)
     while not res <= tol and out["iterations"] < prob.max_iters:
-        hg = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
+        hg = sv._lbfgs_direction(grad, memory, res, q, metric)
         gd = -sv._dot(grad, hg)
         if gd >= 0:
             memory.clear()
             out["restarts"] += 1
-            hg = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
+            hg = sv._lbfgs_direction(grad, memory, res, q, metric)
             gd = -sv._dot(grad, hg)
+        if len(memory) == memory.maxlen:  # the oldest pair goes before the line search
+            memory.popleft()
         alpha = 1.0
         noise = 4.0 * np.finfo(float).eps * (abs(energy) + 1.0)
         for _ in range(40):
@@ -594,3 +598,28 @@ def allocating_lbfgs_solve(prob, init=None):
     if res <= tol:
         out["stop_reason"] = "tol"
     return u, {**out, "final_energy": energy, "weak_residual": res, "gradient_cap_observed": cap, "tol": tol}
+
+
+def whole_vector_lbfgs_direction(grad, memory, res: float, metric: np.ndarray) -> np.ndarray:
+    """The two-loop recursion with whole-vector updates and a vector-sized scratch, returning a new H grad.
+
+    The same inner products, in the same order, as `solver._lbfgs_direction`;
+    each update forms its product y a or s c over the whole vector at once.
+    """
+    q, scratch = np.empty_like(grad), np.empty_like(grad)
+    src = grad
+    alphas = []
+    for s, y, rho, _ in reversed(memory):
+        a = rho * sv._dot(s, src)
+        alphas.append(a)
+        np.subtract(src, np.multiply(y, a, out=scratch), out=q)
+        src = q
+    np.multiply(src, metric, out=q)
+    if not memory:
+        q *= 1.0 / max(res, 1.0)
+    else:
+        _, _, rho, ymy = memory[-1]
+        q *= 1.0 / (rho * ymy)
+    for (s, y, rho, _), a in zip(memory, reversed(alphas)):
+        q += np.multiply(s, a - rho * sv._dot(y, q), out=scratch)
+    return q

@@ -312,7 +312,8 @@ def test_energy_density_table_matches_quadrature(label, eps):
                                    "loglin:alpha=1,beta=1,a=2.718281828"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-4])
 def test_energy_density_skips_tail_only_below_saturation(label, eps):
-    # below T = 1/eps - eps G_eps evaluates the body alone; any point past T, or NaN, takes both branches
+    # below T = 1/eps - eps G_eps evaluates the body alone; any point past T, or NaN, takes both branches.
+    # A caller's max t (the solver's slab max r) decides the branch as G_eps's own reduction does
     tr = triple_for(label)
     g_eps, ref = op.regularized_energy_density(tr, eps), two_branch_energy_density(tr, eps)
     f_eps = op.regularized_weight(tr, eps)
@@ -321,6 +322,7 @@ def test_energy_density_skips_tail_only_below_saturation(label, eps):
     mixed = np.concatenate([below, [1.5 * T, 2.0 / eps]])
     for t in (below, below.reshape(4, 10), mixed, np.append(below, np.nan), np.append(mixed, np.nan), np.array([])):
         np.testing.assert_array_equal(g_eps(t, f_eps(t)), ref(t, f_eps(t)))
+        np.testing.assert_array_equal(g_eps(t, f_eps(t), np.max(t, initial=-np.inf)), ref(t, f_eps(t)))
     for t in (0.0, 0.5, T, 2.0 / eps, np.nan):
         out, want = g_eps(np.asarray(t), f_eps(t)), ref(t, f_eps(t))
         assert type(out) is float and (out == want or np.isnan(out) and np.isnan(want)), t

@@ -10,7 +10,8 @@ import solab.solver as sv
 from conftest import (CATALOG_LABELS, INTERIOR, barrier_residuals, bumped_start, comparison_gap,
                       energy_and_residual, field_from, triple_for)
 from oracles import (allocating_lbfgs_solve, averaging_cell_gradient, averaging_cell_gradient_adjoint,
-                     bfgs_inverse_hessian, gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace)
+                     bfgs_inverse_hessian, gauge_fundamental_solution, kohn_laplace_matrix, solve_kohn_laplace,
+                     whole_vector_lbfgs_direction)
 from solab.grid import Grid, refine_values
 from solab.operator import regularized_energy_density, regularized_operator, regularized_weight
 from solab.orlicz import OrliczTriple
@@ -249,7 +250,7 @@ def test_weak_form_slabs_match_the_assembled_operator(rng):
     assert step < 20 and 20 % step != 0
     u = rng.normal(size=grid.shape)
     got = np.empty_like(u[INTERIOR])
-    sv._weak_form(grid, u, np.ones_like, lambda r, w: 0.5 * r * r, got)
+    sv._weak_form(grid, u, np.ones_like, lambda r, w, top: 0.5 * r * r, got)
     want = (kohn_laplace_matrix(grid) @ u.ravel()).reshape(grid.shape)[INTERIOR]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -340,7 +341,7 @@ def test_weak_form_calls_the_module_kernels_once_per_slab(monkeypatch):
             return kernel(grid, fields, first)
         monkeypatch.setattr(sv, name, counted)
     u = grid.coord(0) * grid.coord(2) + 0.5 * grid.coord(1) * np.ones(grid.shape)
-    sv._weak_form(grid, u, np.ones_like, lambda r, w: 0.5 * r * r, np.empty_like(u[INTERIOR]))
+    sv._weak_form(grid, u, np.ones_like, lambda r, w, top: 0.5 * r * r, np.empty_like(u[INTERIOR]))
     assert calls == {"cell_gradient": firsts, "cell_gradient_adjoint": firsts}
 
 
@@ -358,8 +359,8 @@ def _two_loop_against_dense_bfgs(rng, pairs, metric):
     gamma = float(steps[-1] @ y) / float(y @ (metric * y)) if pairs else 1.0 / res
     ref = bfgs_inverse_hessian([(s, y) for s, y, *_ in memory], gamma * metric, n) @ grad
     before = grad.copy()
-    q, scratch = np.empty(n), np.empty(n)
-    hg = sv._lbfgs_direction(grad, memory, res, q, scratch, metric)
+    q = np.empty(n)
+    hg = sv._lbfgs_direction(grad, memory, res, q, metric)
     assert hg is q and np.array_equal(grad, before)
     assert float(np.max(np.abs(hg - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
@@ -374,6 +375,44 @@ def test_lbfgs_direction_matches_dense_bfgs(rng, pairs):
 def test_lbfgs_direction_with_diagonal_metric_matches_dense_bfgs(rng, pairs):
     # a metric spanning six orders of magnitude, like F_eps sums near degenerate points
     _two_loop_against_dense_bfgs(rng, pairs, np.exp(rng.uniform(-7, 7, size=20)))
+
+
+def test_lbfgs_direction_works_in_one_block(rng):
+    # at a 63^3 interior with three pairs the two-loop allocates its one work block (32,768 entries,
+    # an eighth of a vector), and its blockwise updates give the whole-vector recursion bit for bit
+    n = 63 ** 3
+    assert n > 4 * sv._BLOCK
+    pairs = [(rng.normal(size=n), rng.normal(size=n)) for _ in range(3)]
+    metric = np.exp(rng.uniform(-3, 3, size=n))
+    memory = deque(((s, y, 1.0 / abs(sv._dot(s, y)), sv._dot(y, metric * y)) for s, y in pairs), maxlen=3)
+    grad, q = rng.normal(size=n), np.empty(n)
+    res = sv._max_abs(grad)
+    for stored in (deque(maxlen=3), memory):
+        tracemalloc.start()
+        try:
+            hg = sv._lbfgs_direction(grad, stored, res, q, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * grad.nbytes, peak / grad.nbytes
+        assert np.array_equal(hg, whole_vector_lbfgs_direction(grad, stored, res, metric))
+
+
+def test_solve_evaluates_on_two_node_arrays(monkeypatch):
+    # the iterate and each trial live in one of two node arrays, which an accepted trial swaps, and
+    # the solution is the accepted one, returned without a copy
+    prob, start = _warm_start("power:p=3")
+    weak_form, arrays = sv._weak_form, []
+
+    def recorded(grid, values, *args):
+        arrays.append(values)
+        return weak_form(grid, values, *args)
+
+    monkeypatch.setattr(sv, "_weak_form", recorded)
+    sol, rep = sv.solve_dirichlet(prob, init=start)
+    distinct = {id(a): a for a in arrays}
+    assert rep.converged and rep.iterations > 3 and len(arrays) == rep.evaluations
+    assert len(distinct) == 2 and any(sol is a for a in distinct.values())
 
 
 def test_weight_sums_are_the_cell_sums_at_every_node(rng):
@@ -407,9 +446,9 @@ def test_quadratic_law_metric_is_exactly_one(monkeypatch):
     prob, start = _warm_start("power:p=2")
     direction, metrics = sv._lbfgs_direction, []
 
-    def recorded(grad, memory, res, q, scratch, metric):
+    def recorded(grad, memory, res, q, metric):
         metrics.append(metric)
-        return direction(grad, memory, res, q, scratch, metric)
+        return direction(grad, memory, res, q, metric)
 
     monkeypatch.setattr(sv, "_lbfgs_direction", recorded)
     _, rep = sv.solve_dirichlet(prob, init=start)
@@ -508,11 +547,11 @@ def test_non_descent_direction_restarts(monkeypatch):
     plain, rep_plain = sv.solve_dirichlet(prob, init=start)
     direction, forced = sv._lbfgs_direction, []
 
-    def uphill_once(grad, memory, res, q, scratch, metric):
+    def uphill_once(grad, memory, res, q, metric):
         if memory and not forced:
             forced.append(True)
             return np.negative(grad)  # the solve steps along minus the returned vector
-        return direction(grad, memory, res, q, scratch, metric)
+        return direction(grad, memory, res, q, metric)
 
     monkeypatch.setattr(sv, "_lbfgs_direction", uphill_once)
     sol, rep = sv.solve_dirichlet(prob, init=start)
@@ -566,15 +605,16 @@ def test_rotating_buffers_match_an_allocating_loop_bit_for_bit(label):
 
 
 def test_rotating_buffers_through_restarts_and_rejected_pairs(monkeypatch, grid9):
-    # every seventh inner product reads as 0: some directions turn non-descent (a restart hands every
-    # stored pair back to the spares) and some pairs are rejected (their vectors become spares)
+    # every 13th inner product reads as 0: some directions turn non-descent (a restart hands every
+    # stored pair back to the spares) and some pairs are rejected (their vectors become spares, and
+    # two pairs stay stored); over 40 iterations that is 4 restarts and 4 rejected pairs
     prob = make_problem(grid9, "power:p=3", lambda a, b, c: np.sin(2 * a) * b + 0.4 * c, max_iters=40)
     dot = sv._dot
 
     def zeroed(counter):
         def patched(a, b):
             counter.append(None)
-            return 0.0 if len(counter) % 7 == 0 else dot(a, b)
+            return 0.0 if len(counter) % 13 == 0 else dot(a, b)
         return patched
 
     reports = []
@@ -588,11 +628,12 @@ def test_rotating_buffers_through_restarts_and_rejected_pairs(monkeypatch, grid9
 
 
 def test_solve_memory_is_its_rotating_buffers():
-    # a 33^3 solve from the prolonged 17^3 solution holds 12 interior vectors (iterate, gradient,
-    # direction, metric, trial, the scratch that takes the trial's gradient, three pairs), u and one
-    # evaluation's slabs, which add into the gradient vector: 14.62 full-grid arrays measured at 10
-    # iterations, 14.64 at 60 (15.51 when an evaluation allocated a nodal output).  The allocating
-    # loop peaks at 18.29: it holds the start, and the newest pair beside the three stored ones
+    # a 33^3 solve from the prolonged 17^3 solution holds two node arrays (the iterate's and the
+    # trial's), nine interior vectors (gradient, direction, metric, the trial's gradient, the next s
+    # and two stored pairs during the line search) and one evaluation's slabs, which add into the
+    # gradient vector: 13.20 full-grid arrays measured at 10 iterations, 13.21 at 60 (14.69 with one
+    # node array and twelve vectors).  The allocating loop peaks at 15.86: it holds the start, and
+    # fresh trial iterates and gradients beside the stored pairs
     expr = lambda a, b, c: 0.5 * a + 0.2 * b + 0.4 * a * c  # noqa: E731  (the README data)
     coarse = make_problem(Grid.from_box([(-1, 1)] * 3, 17), "power:p=3", expr)
     (sol17, _), = sv.solve_ladder([coarse])
@@ -607,7 +648,7 @@ def test_solve_memory_is_its_rotating_buffers():
             tracemalloc.stop()
     grid_bytes, vector_bytes = 33 ** 3 * 8, 31 ** 3 * 8
     short, long, allocating = peaks.values()
-    assert short < 1.15 * 14.62 * grid_bytes, short / grid_bytes
+    assert short < 1.15 * 13.20 * grid_bytes, short / grid_bytes
     assert long <= short + 0.05 * grid_bytes, (short / grid_bytes, long / grid_bytes)  # the histories' floats
     assert long < allocating - 2 * vector_bytes, (long / grid_bytes, allocating / grid_bytes)
 
